@@ -65,15 +65,18 @@ void BM_DnfSimplify(benchmark::State &State) {
 }
 BENCHMARK(BM_DnfSimplify);
 
+/// Escape-shaped locations: atom A belongs to the three-valued location
+/// A / 3 (a variable or field holding N, L or E).
+std::optional<formula::LocationInfo> triValuedLoc(formula::AtomId A) {
+  formula::AtomId First = A - A % 3;
+  formula::LocationInfo Info;
+  Info.Values = {First, First + 1, First + 2};
+  return Info;
+}
+
 void BM_SemanticNormalize(benchmark::State &State) {
-  // Escape-shaped atoms: 8 three-valued locations.
-  formula::LocationFn Loc = [](formula::AtomId A) {
-    uint32_t Idx = A / 3;
-    formula::LocationInfo Info;
-    for (uint32_t V = 0; V < 3; ++V)
-      Info.Values.push_back(Idx * 3 + V);
-    return std::optional<formula::LocationInfo>(Info);
-  };
+  // 8 three-valued locations.
+  formula::LocationFn Loc = triValuedLoc;
   formula::CubeRefiner Refine = [&Loc](const Cube &C) {
     return formula::refineCubeByLocations(C, Loc);
   };
@@ -86,6 +89,23 @@ void BM_SemanticNormalize(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_SemanticNormalize);
+
+void BM_RefineCube(benchmark::State &State) {
+  // The backward step refines every cube it produces: escape-shaped cubes
+  // of up to 6 literals over 8 three-valued locations, a mix of refuted
+  // and simplified ones.
+  formula::LocationFn Loc = triValuedLoc;
+  Prng Rng(5);
+  Dnf D = randomDnf(Rng, 64, 24, 6);
+  for (auto _ : State) {
+    for (const Cube &C : D.cubes()) {
+      auto R = formula::refineCubeByLocations(C, Loc);
+      benchmark::DoNotOptimize(R);
+    }
+  }
+  State.SetItemsProcessed(State.iterations() * D.size());
+}
+BENCHMARK(BM_RefineCube);
 
 void BM_MinCostSolve(benchmark::State &State) {
   Prng Rng(4);

@@ -267,7 +267,16 @@ EscapeAnalysis::Transfer EscapeAnalysis::cases(const Command &Cmd) const {
 
 EscState EscapeAnalysis::transfer(const Command &Cmd, const EscState &In,
                                   const Param &Prm) const {
-  formula::AtomEval Eval = [&](AtomId A) { return evalAtom(A, Prm, In); };
+  // One captured pointer keeps the evaluator inside std::function's
+  // inline buffer (three captured references would spill to the heap).
+  struct {
+    const EscapeAnalysis *Self;
+    const Param &Prm;
+    const EscState &In;
+  } At{this, Prm, In};
+  formula::AtomEval Eval = [&At](AtomId A) {
+    return At.Self->evalAtom(A, At.Prm, At.In);
+  };
   return cases(Cmd).apply(Eval, [&](const Effect &E) {
     if (E.IsEsc) {
       // esc(d): locals keep N or become E; field summaries reset to N.

@@ -11,17 +11,17 @@
 namespace optabs {
 namespace formula {
 
-std::optional<Cube> Cube::make(std::vector<Lit> Lits) {
-  std::sort(Lits.begin(), Lits.end());
-  Lits.erase(std::unique(Lits.begin(), Lits.end()), Lits.end());
+std::optional<Cube> Cube::make(Lit *Lits, size_t N) {
+  std::sort(Lits, Lits + N);
+  N = static_cast<size_t>(std::unique(Lits, Lits + N) - Lits);
   // Complementary literals of one atom are adjacent after sorting.
-  for (size_t I = 0; I + 1 < Lits.size(); ++I)
+  for (size_t I = 0; I + 1 < N; ++I)
     if (Lits[I].atom() == Lits[I + 1].atom())
       return std::nullopt;
   Cube C;
-  C.Lits.assign(Lits.data(), Lits.size());
-  for (Lit L : Lits)
-    C.Sig |= sigBit(L.atom());
+  C.Lits.assign(Lits, N);
+  for (size_t I = 0; I < N; ++I)
+    C.Sig |= sigBit(Lits[I].atom());
   return C;
 }
 
@@ -30,8 +30,10 @@ std::optional<Cube> Cube::conjoin(const Cube &A, const Cube &B) {
     return B;
   if (B.isTrue())
     return A;
+  // No up-front reserve: the merged cube is often much shorter than the
+  // two inputs together (shared literals, early contradiction), and
+  // reserving their sum would put cubes that fit inline on the heap.
   Cube R;
-  R.Lits.reserve(A.Lits.size() + B.Lits.size());
   R.Sig = A.Sig | B.Sig;
   const Lit *PA = A.Lits.begin(), *EA = A.Lits.end();
   const Lit *PB = B.Lits.begin(), *EB = B.Lits.end();
@@ -165,10 +167,12 @@ void Dnf::orWith(const Dnf &Other) {
   Cubes.insert(Cubes.end(), Other.Cubes.begin(), Other.Cubes.end());
 }
 
-Dnf Dnf::product(const Dnf &A, const Dnf &B, size_t SoftCap,
-                 const AtomEval &Eval, support::InvariantSink *Sink,
-                 support::BudgetGate *Gate) {
-  Dnf Result;
+void Dnf::productInto(Dnf &Result, const Dnf &A, const Dnf &B,
+                      size_t SoftCap, const AtomEval &Eval,
+                      support::InvariantSink *Sink,
+                      support::BudgetGate *Gate) {
+  assert(&Result != &A && &Result != &B);
+  Result.Cubes.clear();
   if (support::faultsEnabled()) {
     // This site runs under the caller's gate (if any), so armed faults are
     // consulted by name here: Alloc throws from faultPoint itself;
@@ -187,7 +191,7 @@ Dnf Dnf::product(const Dnf &A, const Dnf &B, size_t SoftCap,
     // same term on every NumThreads. An exhausted gate yields false — a
     // sound under-approximation, flagged to the caller via the gate itself.
     if (!Gate->charge(A.Cubes.size() * B.Cubes.size()))
-      return Result;
+      return;
   }
   // Reserve for the full cross product, clamped so a huge (soon-pruned)
   // product does not balloon the allocation.
@@ -255,7 +259,6 @@ Dnf Dnf::product(const Dnf &A, const Dnf &B, size_t SoftCap,
       Result.Cubes = std::move(Kept);
     }
   }
-  return Result;
 }
 
 std::string Dnf::toString(

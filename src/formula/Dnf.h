@@ -138,12 +138,6 @@ public:
   Lit operator[](size_t I) const { return data()[I]; }
   Lit back() const { return data()[Count - 1]; }
 
-  /// Grows capacity to at least \p N (never shrinks).
-  void reserve(size_t N) {
-    if (N > Cap)
-      grow(static_cast<uint32_t>(N));
-  }
-
   void push_back(Lit L) {
     if (Count == Cap)
       grow(Cap * 2);
@@ -197,7 +191,8 @@ private:
   void assignRaw(const Lit *Src, size_t N) {
     if (N > Cap)
       grow(static_cast<uint32_t>(N));
-    std::memcpy(mutableData(), Src, N * sizeof(Lit));
+    if (N > 0) // an empty source may be null, which memcpy must not get
+      std::memcpy(mutableData(), Src, N * sizeof(Lit));
     Count = static_cast<uint32_t>(N);
   }
 
@@ -218,7 +213,15 @@ public:
   Cube() = default;
 
   /// Normalizes \p Lits; returns nullopt if they contain a and !a.
-  static std::optional<Cube> make(std::vector<Lit> Lits);
+  static std::optional<Cube> make(std::vector<Lit> Lits) {
+    return make(Lits.data(), Lits.size());
+  }
+
+  /// As above, but normalizes the caller-owned buffer [Lits, Lits + N) in
+  /// place (it is left sorted, in unspecified length) - for hot callers
+  /// that reuse one scratch buffer. Allocates nothing when the normalized
+  /// cube fits LitVec's inline capacity.
+  static std::optional<Cube> make(Lit *Lits, size_t N);
 
   /// Conjunction of two cubes; nullopt if contradictory. Both inputs are
   /// sorted by construction, so this is a linear merge - no re-sort.
@@ -337,7 +340,20 @@ public:
   static Dnf product(const Dnf &A, const Dnf &B, size_t SoftCap,
                      const AtomEval &Eval,
                      support::InvariantSink *Sink = nullptr,
-                     support::BudgetGate *Gate = nullptr);
+                     support::BudgetGate *Gate = nullptr) {
+    Dnf Result;
+    productInto(Result, A, B, SoftCap, Eval, Sink, Gate);
+    return Result;
+  }
+
+  /// product() writing into \p Out, whose cubes it replaces and whose
+  /// capacity it reuses: a caller multiplying in a loop ping-pongs two
+  /// scratch formulas instead of allocating one per product. \p Out must
+  /// not alias \p A or \p B.
+  static void productInto(Dnf &Out, const Dnf &A, const Dnf &B,
+                          size_t SoftCap, const AtomEval &Eval,
+                          support::InvariantSink *Sink = nullptr,
+                          support::BudgetGate *Gate = nullptr);
 
   /// Structural equality of the cube lists (order-sensitive; two Dnfs that
   /// went through the same normalization pipeline compare equal iff they

@@ -169,12 +169,19 @@ Dnf Formula::toDnf() const {
     return Result;
   }
   case Kind::And: {
+    // Subsumed cubes are dropped after every product, not just the last:
+    // a cube a of one factor that contains a cube a' of the same factor
+    // only yields products a/\b that contain a'/\b, so the minimal cubes
+    // of the final product - what sortBySize + simplify keep, in their
+    // canonical order - are the same, while the intermediate products
+    // (negated case splits multiply out exponentially) stay small.
     Dnf Result = Dnf::constTrue();
     AtomEval Unused;
-    for (const Formula &Kid : children())
+    for (const Formula &Kid : children()) {
       Result = Dnf::product(Result, Kid.toDnf(), /*SoftCap=*/0, Unused);
-    Result.sortBySize();
-    Result.simplify();
+      Result.sortBySize();
+      Result.simplify();
+    }
     return Result;
   }
   }

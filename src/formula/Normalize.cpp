@@ -3,81 +3,86 @@
 #include "formula/Normalize.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 namespace optabs {
 namespace formula {
 
 std::optional<Cube> refineCubeByLocations(const Cube &C,
                                           const LocationFn &Loc) {
-  // Group the cube's literals by location (identified by the sorted value
-  // list's first atom, which is stable per location). Cubes hold a handful
-  // of literals, so flat vectors beat a node-based map here.
-  struct Group {
+  // Tag every location literal with its location's key (the smallest value
+  // atom, stable per location) and sort the flat (key, literal) buffer, so
+  // each location's literals form one run in ascending literal order.
+  // Independent literals go straight to the output. Both buffers are
+  // reused across calls: refinement runs on every cube of every backward
+  // step, and warm calls touch no heap.
+  struct Keyed {
     AtomId Key;
-    LocationInfo Info;
-    std::vector<Lit> Present;
+    Lit L;
   };
-  std::vector<Group> Groups;
-  std::vector<Lit> Independent;
+  thread_local std::vector<Keyed> Grouped;
+  thread_local std::vector<Lit> Result;
+  Grouped.clear();
+  Result.clear();
   for (Lit L : C.literals()) {
     auto Info = Loc(L.atom());
     if (!Info) {
-      Independent.push_back(L);
+      Result.push_back(L);
       continue;
     }
     assert(!Info->Values.empty());
-    AtomId Key = *std::min_element(Info->Values.begin(), Info->Values.end());
-    auto It = std::find_if(Groups.begin(), Groups.end(),
-                           [Key](const Group &G) { return G.Key == Key; });
-    if (It == Groups.end()) {
-      Groups.push_back(Group{Key, std::move(*Info), {}});
-      It = Groups.end() - 1;
-    }
-    It->Present.push_back(L);
+    Grouped.push_back(
+        {*std::min_element(Info->Values.begin(), Info->Values.end()), L});
   }
-  std::sort(Groups.begin(), Groups.end(),
-            [](const Group &A, const Group &B) { return A.Key < B.Key; });
+  std::sort(Grouped.begin(), Grouped.end(),
+            [](const Keyed &A, const Keyed &B) {
+              return A.Key != B.Key ? A.Key < B.Key : A.L < B.L;
+            });
 
-  std::vector<Lit> Result = std::move(Independent);
-  for (Group &G : Groups) {
-    std::vector<AtomId> Positive;
-    std::vector<AtomId> Negative;
-    for (Lit L : G.Present)
-      (L.isNeg() ? Negative : Positive).push_back(L.atom());
-
-    std::sort(Positive.begin(), Positive.end());
-    Positive.erase(std::unique(Positive.begin(), Positive.end()),
-                   Positive.end());
-    if (Positive.size() > 1)
-      return std::nullopt; // two distinct values of one location
-    if (Positive.size() == 1) {
+  for (size_t Begin = 0, End; Begin < Grouped.size(); Begin = End) {
+    End = Begin;
+    const Lit *Positive = nullptr;
+    while (End < Grouped.size() && Grouped[End].Key == Grouped[Begin].Key) {
+      if (!Grouped[End].L.isNeg()) {
+        if (Positive)
+          return std::nullopt; // two distinct values of one location
+        Positive = &Grouped[End].L;
+      }
+      ++End;
+    }
+    if (Positive) {
       // Any negative literal of the same location is implied (different
       // value) or contradictory (same value, impossible here since Cube
       // construction rejects complementary pairs).
-      Result.push_back(Lit::pos(Positive[0]));
+      Result.push_back(*Positive);
       continue;
     }
-    // Negatives only.
-    std::sort(Negative.begin(), Negative.end());
-    Negative.erase(std::unique(Negative.begin(), Negative.end()),
-                   Negative.end());
-    if (G.Info.Exhaustive) {
-      std::vector<AtomId> Remaining;
-      for (AtomId V : G.Info.Values)
-        if (!std::binary_search(Negative.begin(), Negative.end(), V))
-          Remaining.push_back(V);
-      if (Remaining.empty())
+    // Negatives only, in ascending atom order. The group's first literal
+    // speaks for the location.
+    auto Negated = [&](AtomId V) {
+      for (size_t I = Begin; I < End; ++I)
+        if (Grouped[I].L.atom() == V)
+          return true;
+      return false;
+    };
+    if (auto Info = Loc(Grouped[Begin].L.atom()); Info->Exhaustive) {
+      size_t Remaining = 0;
+      AtomId Last = 0;
+      for (AtomId V : Info->Values)
+        if (!Negated(V)) {
+          ++Remaining;
+          Last = V;
+        }
+      if (Remaining == 0)
         return std::nullopt; // no value left for this location
-      if (Remaining.size() == 1) {
-        Result.push_back(Lit::pos(Remaining[0]));
+      if (Remaining == 1) {
+        Result.push_back(Lit::pos(Last));
         continue;
       }
     }
-    for (AtomId V : Negative)
-      Result.push_back(Lit::neg(V));
+    for (size_t I = Begin; I < End; ++I)
+      Result.push_back(Grouped[I].L);
   }
-  return Cube::make(std::move(Result));
+  return Cube::make(Result.data(), Result.size());
 }
 
 namespace {
@@ -142,36 +147,42 @@ bool sameExcept(const Cube &A, Lit La, const Cube &B, Lit Lb) {
 /// true if anything changed. The candidate scan order (ascending cube
 /// index, literal order within the cube, complementary before
 /// value-complete) fixes which merge fires first, so the fixpoint result
-/// is deterministic.
+/// is deterministic. Without location info (\p Loc empty) only the
+/// complementary merge runs.
 bool mergeRound(std::vector<Cube> &Cubes, const LocationFn &Loc) {
   // Index cubes by commutative hash: the partner of a one-literal
-  // substitution is found by adjusting the hash in O(1) and verifying the
-  // (rare) candidates exactly. Cubes are duplicate-free here (subsumption
-  // ran just before), so a verified match is unique.
-  std::unordered_multimap<uint64_t, size_t> Index;
-  std::vector<uint64_t> Hashes(Cubes.size());
-  Index.reserve(Cubes.size());
+  // substitution is found by adjusting the hash in O(1), binary-searching
+  // a sorted flat (hash, index) vector and verifying the (rare) candidates
+  // exactly. Equal hashes sit in ascending index order, so the first
+  // verified candidate is the lowest-index partner. The buffers are reused
+  // across calls, so a warm round allocates nothing.
+  thread_local std::vector<std::pair<uint64_t, uint32_t>> Index;
+  thread_local std::vector<uint64_t> Hashes;
+  thread_local std::vector<Lit> Rest;
+  Index.clear();
+  Hashes.clear();
   for (size_t I = 0; I < Cubes.size(); ++I) {
-    Hashes[I] = cubeHash(Cubes[I]);
-    Index.emplace(Hashes[I], I);
+    Hashes.push_back(cubeHash(Cubes[I]));
+    Index.emplace_back(Hashes[I], static_cast<uint32_t>(I));
   }
+  std::sort(Index.begin(), Index.end());
   // First cube whose literals are Cubes[I] with La replaced by Lb; -1 if
   // absent. Equivalent to a linear scan for the substituted literal list.
   auto FindSubst = [&](size_t I, Lit La, Lit Lb) -> int {
     uint64_t H = Hashes[I] - litHash(La) + litHash(Lb);
-    int Best = -1;
-    for (auto [It, End] = Index.equal_range(H); It != End; ++It)
-      if (sameExcept(Cubes[I], La, Cubes[It->second], Lb) &&
-          (Best < 0 || static_cast<int>(It->second) < Best))
-        Best = static_cast<int>(It->second);
-    return Best;
+    for (auto It = std::lower_bound(Index.begin(), Index.end(),
+                                    std::make_pair(H, uint32_t(0)));
+         It != Index.end() && It->first == H; ++It)
+      if (sameExcept(Cubes[I], La, Cubes[It->second], Lb))
+        return static_cast<int>(It->second);
+    return -1;
   };
   auto Without = [](const Cube &C, Lit L) {
-    std::vector<Lit> Lits;
+    Rest.clear();
     for (Lit X : C.literals())
       if (X != L)
-        Lits.push_back(X);
-    return Lits;
+        Rest.push_back(X);
+    return *Cube::make(Rest.data(), Rest.size());
   };
 
   for (size_t I = 0; I < Cubes.size(); ++I) {
@@ -179,7 +190,7 @@ bool mergeRound(std::vector<Cube> &Cubes, const LocationFn &Loc) {
       // Complementary merge: X u {l} and X u {!l} -> X.
       int Partner = FindSubst(I, L, L.negate());
       if (Partner >= 0 && Partner != static_cast<int>(I)) {
-        Cube Merged = *Cube::make(Without(Cubes[I], L));
+        Cube Merged = Without(Cubes[I], L);
         size_t A = std::min(I, static_cast<size_t>(Partner));
         size_t B = std::max(I, static_cast<size_t>(Partner));
         Cubes.erase(Cubes.begin() + B);
@@ -189,12 +200,13 @@ bool mergeRound(std::vector<Cube> &Cubes, const LocationFn &Loc) {
 
       // Value-complete merge: X u {a_i} present for every value of an
       // exhaustive location -> X.
-      if (L.isNeg())
+      if (L.isNeg() || !Loc)
         continue;
       auto Info = Loc(L.atom());
       if (!Info || !Info->Exhaustive || Info->Values.size() < 2)
         continue;
-      std::vector<size_t> Members;
+      size_t Members[LocationInfo::MaxValues];
+      size_t NumMembers = 0;
       bool Complete = true;
       for (AtomId V : Info->Values) {
         int At = FindSubst(I, L, Lit::pos(V));
@@ -202,15 +214,15 @@ bool mergeRound(std::vector<Cube> &Cubes, const LocationFn &Loc) {
           Complete = false;
           break;
         }
-        Members.push_back(static_cast<size_t>(At));
+        Members[NumMembers++] = static_cast<size_t>(At);
       }
       if (!Complete)
         continue;
-      std::sort(Members.begin(), Members.end());
-      Members.erase(std::unique(Members.begin(), Members.end()),
-                    Members.end());
-      Cube Merged = *Cube::make(Without(Cubes[I], L));
-      for (size_t J = Members.size(); J-- > 0;)
+      std::sort(Members, Members + NumMembers);
+      NumMembers = static_cast<size_t>(
+          std::unique(Members, Members + NumMembers) - Members);
+      Cube Merged = Without(Cubes[I], L);
+      for (size_t J = NumMembers; J-- > 0;)
         Cubes.erase(Cubes.begin() + Members[J]);
       Cubes.push_back(std::move(Merged));
       return true;
@@ -223,48 +235,23 @@ bool mergeRound(std::vector<Cube> &Cubes, const LocationFn &Loc) {
 
 void semanticNormalize(Dnf &D, const CubeRefiner &Refine,
                        const LocationFn &Loc) {
-  std::vector<Cube> Cubes;
-  for (const Cube &C : D.cubes()) {
-    if (!Refine) {
-      Cubes.push_back(C);
-      continue;
-    }
-    if (auto R = Refine(C))
-      Cubes.push_back(std::move(*R));
+  std::vector<Cube> Cubes = D.takeCubes();
+  if (Refine) {
+    size_t Kept = 0;
+    for (Cube &C : Cubes)
+      if (auto R = Refine(C))
+        Cubes[Kept++] = std::move(*R);
+    Cubes.erase(Cubes.begin() + Kept, Cubes.end());
   }
-
-  // The client's atomLocation builds a fresh LocationInfo per call; the
-  // same few atoms are queried over and over across merge rounds, so one
-  // per-call cache pays for itself immediately.
-  std::unordered_map<AtomId, std::optional<LocationInfo>> LocCache;
-  LocationFn CachedLoc;
-  if (Loc)
-    CachedLoc = [&Loc, &LocCache](AtomId A) -> std::optional<LocationInfo> {
-      auto It = LocCache.find(A);
-      if (It == LocCache.end())
-        It = LocCache.emplace(A, Loc(A)).first;
-      return It->second;
-    };
 
   bool Changed = true;
   while (Changed) {
-    Changed = false;
     // Subsumption first keeps the candidate set small for merging.
     Dnf Tmp = Dnf::fromCubes(std::move(Cubes));
     Tmp.sortBySize();
     Tmp.simplify();
     Cubes = Tmp.takeCubes();
-
-    if (CachedLoc && mergeRound(Cubes, CachedLoc)) {
-      Changed = true;
-      continue;
-    }
-    // Complementary merging alone (no location info).
-    if (!Loc) {
-      LocationFn None = [](AtomId) { return std::nullopt; };
-      if (mergeRound(Cubes, None))
-        Changed = true;
-    }
+    Changed = mergeRound(Cubes, Loc);
   }
   D = Dnf::fromCubes(std::move(Cubes));
 }

@@ -39,15 +39,47 @@
 
 #include "formula/Dnf.h"
 
+#include <initializer_list>
+
 namespace optabs {
 namespace formula {
 
 /// Client-declared semantics of an atom that belongs to a multi-valued
 /// location (e.g. "variable u holds N, L or E" makes u.N/u.L/u.E one
 /// location with three values).
+///
+/// The value list lives inline (at most MaxValues atoms), so a LocationInfo
+/// is a plain 24-byte value: clients build one per query and normalization
+/// asks for the same atoms over and over, without touching the heap.
 struct LocationInfo {
+  static constexpr uint32_t MaxValues = 4;
+
+  /// A fixed-capacity list of value atoms.
+  class ValueList {
+  public:
+    ValueList() = default;
+    ValueList(std::initializer_list<AtomId> Vs) {
+      for (AtomId V : Vs)
+        push_back(V);
+    }
+
+    void push_back(AtomId V) {
+      assert(Count < MaxValues && "location has too many values");
+      Data[Count++] = V;
+    }
+    const AtomId *begin() const { return Data; }
+    const AtomId *end() const { return Data + Count; }
+    size_t size() const { return Count; }
+    bool empty() const { return Count == 0; }
+    AtomId operator[](size_t I) const { return Data[I]; }
+
+  private:
+    AtomId Data[MaxValues] = {};
+    uint32_t Count = 0;
+  };
+
   /// All value atoms of the location, including the queried one.
-  std::vector<AtomId> Values;
+  ValueList Values;
   /// True when exactly one value holds in every state (vs. at most one).
   bool Exhaustive = true;
 };

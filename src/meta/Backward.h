@@ -191,7 +191,8 @@ public:
     Timer Clock;
 
     formula::Dnf F = NotQ;
-    if (!F.eval(makeEval(Prm, States.back()))) {
+    const EvalPoint AtEnd{C, Prm, States.back()};
+    if (!F.eval(makeEval(AtEnd))) {
       support::reportInvariant(
           Config.Invariants, "backward-notq-precondition",
           "BackwardMetaAnalysis::run",
@@ -252,7 +253,8 @@ public:
                          .first->second;
       }
       if (!Skip) {
-        formula::AtomEval PreEval = makeEval(Prm, States[I]);
+        const EvalPoint AtPre{C, Prm, States[I]};
+        formula::AtomEval PreEval = makeEval(AtPre);
         std::optional<formula::Dnf> Wp =
             wpFormula(T[I], Cmd, F, PreEval, &Gate);
         if (!Wp) {
@@ -406,10 +408,17 @@ public:
   }
 
 private:
-  formula::AtomEval makeEval(const Param &Prm, const State &D) const {
-    return [this, &Prm, &D](formula::AtomId A) {
-      return C.evalAtom(A, Prm, D);
-    };
+  /// The pair (p, d) an atom evaluator reads, with the client that
+  /// interprets atoms. Evaluators capture it by reference - one pointer -
+  /// so they fit std::function's inline buffer and building one per step
+  /// never allocates.
+  struct EvalPoint {
+    const Client &C;
+    const Param &Prm;
+    const State &D;
+  };
+  static formula::AtomEval makeEval(const EvalPoint &At) {
+    return [&At](formula::AtomId A) { return At.C.evalAtom(A, At.Prm, At.D); };
   }
 
   /// True when the wp of every literal of \p F across \p Cmd is the
@@ -436,33 +445,42 @@ private:
                                         const formula::AtomEval &PreEval,
                                         support::BudgetGate *Gate = nullptr) {
     formula::Dnf Result;
-    std::vector<const formula::Dnf *> Wps;
     for (const formula::Cube &Cube : F.cubes()) {
       // Multiply the literal wps smallest-first: the product cube multiset
       // is order-independent (conjunction is commutative and contradictions
       // absorb), and every normalization tier canonicalizes with
       // sortBySize, so the result is unchanged while the intermediate
-      // cross-products - the actual cost - stay as small as possible.
-      Wps.clear();
-      for (formula::Lit L : Cube.literals())
-        Wps.push_back(&wpLit(CmdId, Cmd, L)); // node-stable references
-      std::stable_sort(Wps.begin(), Wps.end(),
-                       [](const formula::Dnf *A, const formula::Dnf *B) {
-                         return A->size() < B->size();
-                       });
-      formula::Dnf CubeWp = formula::Dnf::constTrue();
-      for (const formula::Dnf *Wp : Wps) {
-        CubeWp = formula::Dnf::product(CubeWp, *Wp, Config.ProductSoftCap,
-                                       PreEval, Config.Invariants, Gate);
+      // cross-products - the actual cost - stay as small as possible. The
+      // sort is a stable insertion sort: cubes are a handful of literals,
+      // and std::stable_sort would allocate a temporary buffer per cube.
+      WpOrder.clear();
+      for (formula::Lit L : Cube.literals()) {
+        const formula::Dnf *Wp = &wpLit(CmdId, Cmd, L); // node-stable
+        size_t At = WpOrder.size();
+        WpOrder.push_back(Wp);
+        for (; At > 0 && Wp->size() < WpOrder[At - 1]->size(); --At)
+          WpOrder[At] = WpOrder[At - 1];
+        WpOrder[At] = Wp;
+      }
+      // The running product ping-pongs between two scratch formulas, so
+      // warm steps reuse their cube buffers instead of allocating one per
+      // literal.
+      const formula::Dnf *CubeWp = &TrueDnf;
+      for (const formula::Dnf *Wp : WpOrder) {
+        formula::Dnf &Next = CubeWp == &ProductBuf[0] ? ProductBuf[1]
+                                                      : ProductBuf[0];
+        formula::Dnf::productInto(Next, *CubeWp, *Wp, Config.ProductSoftCap,
+                                  PreEval, Config.Invariants, Gate);
+        CubeWp = &Next;
         if (Gate && Gate->exhausted())
           return std::nullopt; // product returned an under-charged false
         if (Config.HardCubeCap > 0 &&
-            Result.size() + CubeWp.size() > Config.HardCubeCap)
+            Result.size() + CubeWp->size() > Config.HardCubeCap)
           return std::nullopt;
-        if (CubeWp.isFalse())
+        if (CubeWp->isFalse())
           break;
       }
-      Result.orWith(CubeWp);
+      Result.orWith(*CubeWp);
     }
     return Result;
   }
@@ -487,6 +505,11 @@ private:
   formula::CubeRefiner Refiner;
   formula::LocationFn LocFn;
   std::unordered_map<uint64_t, formula::Dnf> WpMemo;
+  /// wpFormula's per-cube literal-wp order and running products, reused
+  /// across steps.
+  std::vector<const formula::Dnf *> WpOrder;
+  formula::Dnf ProductBuf[2];
+  const formula::Dnf TrueDnf = formula::Dnf::constTrue();
   /// Per-run memo of identity-skip verdicts keyed (command, formula
   /// version); cleared at every run() entry.
   std::unordered_map<uint64_t, bool> SkipMemo;

@@ -669,6 +669,12 @@ bool ShardRouter::handleLine(const std::string &Line,
     // that dies mid-broadcast replays the pre-broadcast state and then
     // receives this registration through the per-shard retry below.
     uint32_t Checks = 0, Allocs = 0;
+    // A re-registration's dirty set, which workers report when
+    // incremental re-registration is on. Every shard diffs the same
+    // journal against the same text, so shard 0's answer is forwarded.
+    std::optional<bool> Incremental;
+    std::optional<uint64_t> DirtyChecks, DirtyProcs;
+    std::optional<std::string> Dirty;
     for (unsigned I = 0; I < Opts.NumShards; ++I) {
       std::string Resp, RpcErr;
       if (!rpcWithRetry(I, Line, Resp, RpcErr)) {
@@ -687,6 +693,10 @@ bool ShardRouter::handleLine(const std::string &Line,
       if (I == 0) {
         Checks = static_cast<uint32_t>(R.getUInt("checks").value_or(0));
         Allocs = static_cast<uint32_t>(R.getUInt("allocs").value_or(0));
+        Incremental = R.getBool("incremental");
+        DirtyChecks = R.getUInt("dirty_checks");
+        DirtyProcs = R.getUInt("dirty_procs");
+        Dirty = R.getString("dirty");
       }
     }
     auto It = std::find_if(Journal.begin(), Journal.end(),
@@ -711,6 +721,14 @@ bool ShardRouter::handleLine(const std::string &Line,
     O.field("epoch", RegEpoch);
     O.field("checks", Checks);
     O.field("allocs", Allocs);
+    if (Incremental)
+      O.field("incremental", *Incremental);
+    if (DirtyChecks)
+      O.field("dirty_checks", *DirtyChecks);
+    if (DirtyProcs)
+      O.field("dirty_procs", *DirtyProcs);
+    if (Dirty)
+      O.field("dirty", *Dirty);
     EmitObj(O);
   } else if (*Op == "open-session") {
     std::string Program = Req.getString("program").value_or("");

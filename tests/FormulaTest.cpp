@@ -3,6 +3,8 @@
 #include "formula/Dnf.h"
 #include "formula/Formula.h"
 
+#include "support/Prng.h"
+
 #include "gtest/gtest.h"
 
 #include <set>
@@ -196,6 +198,69 @@ TEST(Formula, ToDnfAgreesWithEval) {
   for (unsigned Mask = 0; Mask < 32; ++Mask) {
     AtomEval E = [Mask](AtomId A) { return (Mask >> A) & 1; };
     EXPECT_EQ(D.eval(E), F.eval(E)) << "mask=" << Mask;
+  }
+}
+
+/// toDnf as it was first written: conjunctions multiply all children out
+/// and drop subsumed cubes once, at the end.
+Dnf referenceToDnf(const Formula &F) {
+  switch (F.kind()) {
+  case Formula::Kind::True:
+    return Dnf::constTrue();
+  case Formula::Kind::False:
+    return Dnf::constFalse();
+  case Formula::Kind::Literal:
+    return Dnf::singleLit(F.literal());
+  case Formula::Kind::Or: {
+    Dnf Result;
+    for (const Formula &Kid : F.children())
+      Result.orWith(referenceToDnf(Kid));
+    Result.sortBySize();
+    Result.simplify();
+    return Result;
+  }
+  case Formula::Kind::And: {
+    Dnf Result = Dnf::constTrue();
+    AtomEval Unused;
+    for (const Formula &Kid : F.children())
+      Result = Dnf::product(Result, referenceToDnf(Kid), 0, Unused);
+    Result.sortBySize();
+    Result.simplify();
+    return Result;
+  }
+  }
+  return Dnf::constFalse();
+}
+
+Formula randomFormula(optabs::Prng &Rng, unsigned Depth) {
+  if (Depth == 0 || Rng.chance(1, 4)) {
+    AtomId A = static_cast<AtomId>(Rng.nextBelow(6));
+    return Rng.chance(1, 2) ? Formula::atom(A) : Formula::negAtom(A);
+  }
+  std::vector<Formula> Kids;
+  for (unsigned I = 0, N = 2 + Rng.nextBelow(2); I < N; ++I)
+    Kids.push_back(randomFormula(Rng, Depth - 1));
+  Formula F = Rng.chance(1, 2) ? Formula::conj(std::move(Kids))
+                               : Formula::disj(std::move(Kids));
+  // Negated case splits are what multiply out in the backward wp.
+  return Rng.chance(1, 3) ? Formula::negate(F) : F;
+}
+
+TEST(Formula, ToDnfMatchesReferenceBytewise) {
+  // Pruning subsumed cubes between the factors of a conjunction must not
+  // change toDnf's output: same cubes, same order.
+  optabs::Prng Rng(0xD7F);
+  for (int Round = 0; Round < 3000; ++Round) {
+    Formula F = randomFormula(Rng, 3);
+    Dnf Want = referenceToDnf(F);
+    Dnf Got = F.toDnf();
+    ASSERT_EQ(Want.size(), Got.size()) << "round " << Round;
+    for (size_t I = 0; I < Want.size(); ++I) {
+      ASSERT_EQ(Want.cubes()[I].signature(), Got.cubes()[I].signature())
+          << "round " << Round;
+      ASSERT_TRUE(Want.cubes()[I].literals() == Got.cubes()[I].literals())
+          << "round " << Round;
+    }
   }
 }
 

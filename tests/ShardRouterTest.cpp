@@ -48,6 +48,7 @@ public:
   bool HangOnNonPing = false; ///< swallow every non-ping request
   bool GarbageOnDrain = false; ///< answer drain with an endless non-
                                ///< protocol stream, each line "in time"
+  uint64_t DirtyChecks = 1;    ///< dirty set size a re-registration reports
   bool Dead = false;
   bool Hung = false;
   bool StreamingGarbage = false;
@@ -120,6 +121,7 @@ private:
       Emit(O);
     } else if (Op == "register-program") {
       std::string Name = Req.getString("name").value_or("");
+      bool ReRegistered = Programs.count(Name) != 0;
       Programs[Name] = Req.getString("text").value_or("");
       JsonObject O = response(true);
       O.field("op", Op);
@@ -127,6 +129,12 @@ private:
       O.field("epoch", ++Epoch);
       O.field("checks", 1);
       O.field("allocs", 2);
+      if (ReRegistered) { // the dirty set optabs-serve --incremental=1 sends
+        O.field("incremental", true);
+        O.field("dirty_checks", DirtyChecks);
+        O.field("dirty_procs", 1);
+        O.field("dirty", "main");
+      }
       Emit(O);
     } else if (Op == "open-session") {
       std::string Program = Req.getString("program").value_or("");
@@ -377,6 +385,34 @@ TEST(ShardRouterTest, DeathDuringRegisterRestartsAndRetries) {
   // sent nothing; the retried broadcast delivered the program.
   EXPECT_TRUE(Host.Live[1]->Programs.count("fig"));
   EXPECT_TRUE(Host.Live[0]->Programs.count("fig"));
+}
+
+TEST(ShardRouterTest, ReRegisterReplyCarriesShardZeroDirtySet) {
+  FakeHost Host(2);
+  // The shards disagree on purpose, to pin whose dirty set is forwarded.
+  Host.Configure = [](unsigned Shard, unsigned, FakeShard &S) {
+    S.DirtyChecks = Shard == 0 ? 1 : 5;
+  };
+  ShardRouter R(testOptions(2), Host);
+  std::string Err;
+  ASSERT_TRUE(R.start(Err)) << Err;
+
+  // A first registration has no dirty set to report.
+  std::vector<std::string> Out = run(R, kRegisterFig);
+  ASSERT_EQ(Out.size(), 1u);
+  EXPECT_EQ(Out[0], "{\"v\":1,\"ok\":true,\"op\":\"register-program\","
+                    "\"name\":\"fig\",\"epoch\":1,\"checks\":1,"
+                    "\"allocs\":2}");
+
+  // A one-store edit: the reply has the shape optabs-serve gives, with
+  // shard 0's dirty set.
+  Out = run(R, "{\"op\":\"register-program\",\"name\":\"fig\",\"text\":"
+               "\"proc main { u.f = v; check(u); }\"}");
+  ASSERT_EQ(Out.size(), 1u);
+  EXPECT_EQ(Out[0], "{\"v\":1,\"ok\":true,\"op\":\"register-program\","
+                    "\"name\":\"fig\",\"epoch\":2,\"checks\":1,"
+                    "\"allocs\":2,\"incremental\":true,\"dirty_checks\":1,"
+                    "\"dirty_procs\":1,\"dirty\":\"main\"}");
 }
 
 //===----------------------------------------------------------------------===//
