@@ -212,26 +212,14 @@ public:
   /// Replays \p T from \p Init, returning the state sequence d0..dn with
   /// d0 = Init and d_{i} the state after command i. Used by the backward
   /// meta-analysis, which needs F_p[t](d) at every trace point (Figure 7).
-  /// \p IdsOut, when non-null, additionally receives the interned id of
-  /// every state in the sequence (same indexing); the trace-segment
-  /// detector compares these ids instead of state values.
-  std::vector<State> replay(const ir::Trace &T, const State &Init,
-                            std::vector<StateId> *IdsOut = nullptr) {
+  std::vector<State> replay(const ir::Trace &T, const State &Init) {
     std::vector<State> States;
     States.reserve(T.size() + 1);
-    if (IdsOut) {
-      IdsOut->clear();
-      IdsOut->reserve(T.size() + 1);
-    }
     StateId Cur = Interner.intern(Init);
     States.push_back(Interner.state(Cur));
-    if (IdsOut)
-      IdsOut->push_back(Cur);
     for (ir::CommandId Cmd : T) {
       Cur = applyCommand(Cmd, Cur);
       States.push_back(Interner.state(Cur));
-      if (IdsOut)
-        IdsOut->push_back(Cur);
     }
     return States;
   }

@@ -357,8 +357,7 @@ public:
 
   /// Structural equality of the cube lists (order-sensitive; two Dnfs that
   /// went through the same normalization pipeline compare equal iff they
-  /// denote the same normalized formula). Used by the backward engine's
-  /// loop-segment fixpoint detection.
+  /// denote the same normalized formula).
   friend bool operator==(const Dnf &A, const Dnf &B) {
     return A.Cubes == B.Cubes;
   }

@@ -62,9 +62,7 @@
 #include "formula/Normalize.h"
 #include "ir/Program.h"
 #include "ir/Trace.h"
-#include "meta/TraceSegments.h"
 #include "support/Budget.h"
-#include "support/FaultInjection.h"
 #include "support/Invariants.h"
 #include "support/Metrics.h"
 #include "support/Timer.h"
@@ -159,20 +157,9 @@ public:
   /// Returns nullopt when the run exceeded its time or size budget (only
   /// possible with a nonzero TimeoutSeconds/HardCubeCap); a timed-out
   /// partial formula is unusable and is not returned.
-  ///
-  /// \p Segs, when provided, is the loop-segment plan detectSegments()
-  /// derived from this exact (trace, state) pair. Once the formula reaches
-  /// a fixpoint across one repetition of a segment, the remaining
-  /// repetitions are skipped and their gate cost is charged in bulk; the
-  /// result and all budget decisions are bitwise identical to the unrolled
-  /// walk (see meta/TraceSegments.h for the argument). Compression is
-  /// disabled under a StepObserver (observers must see every step) and
-  /// under armed fault injection (bulk charges would shift per-site
-  /// fault-hit counts, i.e. *when* an armed fault fires).
   std::optional<formula::Dnf> run(const ir::Trace &T, const Param &Prm,
                                   const std::vector<State> &States,
-                                  const formula::Dnf &NotQ,
-                                  const TraceSegments *Segs = nullptr) {
+                                  const formula::Dnf &NotQ) {
     Stats = BackwardStats();
     Stats.Steps = T.size();
     LastExhaustion.reset();
@@ -207,24 +194,7 @@ public:
     // (command, formula version) below.
     uint64_t FVersion = 0;
 
-    // Segment-compression bookkeeping. Repeats are disjoint and sorted by
-    // position, so walking backwards consumes them from the back.
-    const bool Compress = Segs && !Segs->empty() && !Config.StepObserver &&
-                          !support::faultsEnabled();
-    size_t SegIdx = Compress ? Segs->Repeats.size() : 0;
-    const SegmentRepeat *Active = nullptr;
-    formula::Dnf BoundaryF;
-    bool HaveBoundaryF = false;
-    uint64_t BoundaryUsed = 0;
-    size_t BoundaryCubes = 0;
-
     for (size_t I = T.size(); I-- > 0;) {
-      if (!Active && SegIdx > 0 && Segs->Repeats[SegIdx - 1].end() == I + 1) {
-        Active = &Segs->Repeats[--SegIdx];
-        HaveBoundaryF = false;
-        BoundaryUsed = Gate.stepsUsed();
-        BoundaryCubes = Stats.TotalCubes;
-      }
       if (Config.TimeoutSeconds > 0 &&
           Clock.seconds() > Config.TimeoutSeconds) {
         LastExhaustion =
@@ -309,44 +279,6 @@ public:
         static auto &StepCubes = support::MetricRegistry::global().histogram(
             "optabs_backward_step_cubes");
         StepCubes.record(F.size());
-      }
-
-      if (Active && (I - Active->Pos) % Active->Period == 0) {
-        if (I == Active->Pos) {
-          Active = nullptr; // region fully walked without stabilizing
-        } else if (HaveBoundaryF && F == BoundaryF) {
-          // Fixpoint: one full repetition mapped F to itself, and every
-          // remaining repetition runs the identical computation from the
-          // identical states, so each maps F to F too. Skip them, charging
-          // the gate exactly what the unrolled walk would have (one
-          // repetition's measured cost per skipped repetition) so step
-          // budgets exhaust at the same logical step either way.
-          size_t Skipped = (I - Active->Pos) / Active->Period;
-          uint64_t PeriodCost = Gate.stepsUsed() - BoundaryUsed;
-          size_t PeriodCubes = Stats.TotalCubes - BoundaryCubes;
-          if (PeriodCost > 0 && !Gate.charge(PeriodCost * Skipped)) {
-            LastExhaustion = Gate.why();
-            return std::nullopt;
-          }
-          Stats.TotalCubes += PeriodCubes * Skipped;
-          if (support::metricsEnabled()) {
-            static auto &SkippedSteps =
-                support::MetricRegistry::global().counter(
-                    "optabs_backward_segment_steps_skipped_total");
-            static auto &Fixpoints =
-                support::MetricRegistry::global().counter(
-                    "optabs_backward_segment_fixpoints_total");
-            SkippedSteps.add(Skipped * Active->Period);
-            Fixpoints.add(1);
-          }
-          I = Active->Pos; // loop decrement resumes below the region
-          Active = nullptr;
-        } else {
-          BoundaryF = F;
-          HaveBoundaryF = true;
-          BoundaryUsed = Gate.stepsUsed();
-          BoundaryCubes = Stats.TotalCubes;
-        }
       }
     }
     if (support::metricsEnabled()) {

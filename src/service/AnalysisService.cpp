@@ -15,10 +15,9 @@
 //    name installs a fresh ProgramEntry under the next epoch and retires
 //    the old one. Retired entries stay alive while any cache entry's
 //    *data* epoch still references their IR (cached forward runs hold
-//    references into it); under incremental re-registration a migrated
-//    run keeps its original data epoch, so a retired program can outlive
-//    several re-registrations.
-//  * Incremental re-registration (Config::ServiceConfig, default on):
+//    references into it); a migrated run keeps its original data epoch,
+//    so a retired program can outlive several re-registrations.
+//  * Incremental re-registration:
 //    registerProgram fingerprints every version at registration time
 //    (ir/ProgramDiff.h) - never by re-reading the retiring Program, which
 //    the scheduler may still be mutating through lazy method interning -
@@ -365,18 +364,17 @@ struct AnalysisService::Impl {
     tracer::ForwardRunCache<EscForward> EscCache;
     tracer::ForwardRunCache<TsForward> TsCache;
     /// Per-check dependence footprints of Current (proc indices into
-    /// Fingerprint.Procs), kept when incremental re-registration is on so
-    /// replay events and `explain` can name the clean footprint.
+    /// Fingerprint.Procs), so replay events and `explain` can name the
+    /// clean footprint.
     std::vector<BitSet> CheckFootprints;
 
     // -- incremental re-registration state (lock held for all of these) --
-    /// Fingerprint of Current, captured at registration (empty Procs when
-    /// the feature is off - fingerprinting is skipped entirely).
+    /// Fingerprint of Current, captured at registration.
     ir::ProgramFingerprint Fingerprint;
     /// Per-check epoch of the last re-registration that dirtied the
-    /// check's dependence footprint. Sized numChecks of Current when the
-    /// feature is on; empty otherwise. A cached artifact with
-    /// DataEpoch >= CheckLastDirty[check] is still exact for that check.
+    /// check's dependence footprint, sized numChecks of Current. A cached
+    /// artifact with DataEpoch >= CheckLastDirty[check] is still exact for
+    /// that check.
     std::vector<uint64_t> CheckLastDirty;
     /// Epoch re-keying the scheduler still has to apply to the forward
     /// shards ((from, to) pairs, in re-registration order).
@@ -676,7 +674,7 @@ struct AnalysisService::Impl {
         continue;
       uint64_t Live = Slot.Current->Epoch;
 
-      // Migrations first (incremental path; empty otherwise): re-key every
+      // Migrations first (empty after a full invalidation): re-key every
       // surviving epoch's entries into the new one, in re-registration
       // order. Stale data inside migrated entries is shadowed by the
       // per-check MinDataEpoch floor at lookup time, so re-keying is
@@ -695,8 +693,7 @@ struct AnalysisService::Impl {
       size_t N = Slot.EscCache.evictKeysWhere(Stale) +
                  Slot.TsCache.evictKeysWhere(Stale);
       Stats.StaleEntriesInvalidated += N;
-      if (Opts.Base.Service.IncrementalReRegister)
-        Stats.EntriesInvalidated += N;
+      Stats.EntriesInvalidated += N;
       bumpServiceCounter("optabs_service_stale_invalidated_total", N);
 
       sweepStalePending(Name, Slot, Live);
@@ -711,7 +708,6 @@ struct AnalysisService::Impl {
   /// shutdown path's precedent.
   void sweepStalePending(const std::string &Name, ProgramSlot &Slot,
                          uint64_t Live) {
-    bool Incr = Opts.Base.Service.IncrementalReRegister;
     size_t Failed = 0;
     for (auto &[SId, S] : Sessions) {
       if (S.ProgramName != Name)
@@ -722,7 +718,7 @@ struct AnalysisService::Impl {
           ++It;
           continue;
         }
-        bool Clean = Incr && J.Spec.Check < Slot.CheckLastDirty.size() &&
+        bool Clean = J.Spec.Check < Slot.CheckLastDirty.size() &&
                      Slot.CheckLastDirty[J.Spec.Check] <= J.Epoch;
         if (Clean) {
           // Same check, same footprint, both hashes unchanged: the job's
@@ -847,7 +843,7 @@ struct AnalysisService::Impl {
       B.Entry = SlotIt->second.Current;
     }
     B.Replays.resize(B.Jobs.size());
-    if (B.Slot && B.Entry && Opts.Base.Service.IncrementalReRegister) {
+    if (B.Slot && B.Entry) {
       // Snapshot the per-check freshness floor (the driver reads it
       // without the lock) and resolve which jobs replay a stored verdict.
       B.MinDataByCheck = B.Slot->CheckLastDirty;
@@ -875,12 +871,11 @@ struct AnalysisService::Impl {
       }
     }
 
-    // Disk spill tier: armed for this batch when persistence is on and a
-    // fingerprint exists to stamp spill files with. Snapshot the hash
+    // Disk spill tier: armed for this batch when persistence is on; spill
+    // files are stamped with the program fingerprint. Snapshot the hash
     // here, under the lock - a re-registration may replace the
     // fingerprint while executeBatch runs without it.
-    if (B.Slot && B.Entry && persistenceEnabled() &&
-        !B.Slot->Fingerprint.Procs.empty())
+    if (B.Slot && B.Entry && persistenceEnabled())
       B.FpHash = fingerprintHashOf(B.Slot->Fingerprint);
 
     // Trace identity: the batch rides the lead (first-by-submission) job's
@@ -1158,11 +1153,9 @@ struct AnalysisService::Impl {
   using TsKey = tracer::ForwardRunCache<TsForward>::Key;
 
   /// True when the on-disk tier is usable at all: it needs a directory to
-  /// write into and the fingerprint machinery (incremental re-register)
-  /// to prove loaded artifacts current.
+  /// write into.
   bool persistenceEnabled() const {
-    return !Opts.Base.Service.CacheDir.empty() &&
-           Opts.Base.Service.IncrementalReRegister;
+    return !Opts.Base.Service.CacheDir.empty();
   }
 
   /// Lazily built per-entry liveness tables (see ProgramEntry::Live).
@@ -1866,12 +1859,8 @@ struct AnalysisService::Impl {
     } else if (Cmd.Action == "persist" || Cmd.Action == "load") {
       if (!persistenceEnabled()) {
         Res.Ok = false;
-        Res.Error = Opts.Base.Service.CacheDir.empty()
-                        ? "cache persistence is disabled: no "
-                          "service.cache_dir configured"
-                        : "cache persistence requires "
-                          "service.incremental_re_register (fingerprints "
-                          "prove loaded entries current)";
+        Res.Error = "cache persistence is disabled: no "
+                    "service.cache_dir configured";
       } else if (Cmd.Action == "persist") {
         ForEachTarget([&](const std::string &Name, ProgramSlot &Slot) {
           persistProgram(Name, Slot, Res);
@@ -1884,8 +1873,7 @@ struct AnalysisService::Impl {
     } else if (Cmd.Action == "spill" || Cmd.Action == "evict") {
       bool Spill = Cmd.Action == "spill" && persistenceEnabled();
       if (Cmd.Action == "spill" && !persistenceEnabled())
-        Res.Notes.push_back("no cache_dir configured (or incremental "
-                            "re-register off); evicting without "
+        Res.Notes.push_back("no cache_dir configured; evicting without "
                             "spilling");
       ForEachTarget([&](const std::string &, ProgramSlot &Slot) {
         // A new cache round first: between batches no driver holds run
@@ -1893,10 +1881,9 @@ struct AnalysisService::Impl {
         // replacements) is safe and lets the whole shard demote.
         Slot.EscCache.beginEpoch();
         Slot.TsCache.beginEpoch();
-        uint64_t FpHash =
-            Spill && Slot.Current && !Slot.Fingerprint.Procs.empty()
-                ? fingerprintHashOf(Slot.Fingerprint)
-                : 0;
+        uint64_t FpHash = Spill && Slot.Current
+                              ? fingerprintHashOf(Slot.Fingerprint)
+                              : 0;
         if (FpHash)
           armSpill(Slot, Slot.Current, FpHash);
         auto Before = [&] {
@@ -2011,7 +1998,6 @@ struct AnalysisService::Impl {
     Stats.CoalescedJobs += B.Jobs.size() - 1;
     BatchJobsHist.record(B.Jobs.size());
     uint64_t FulfillNs = timingOn() ? nowNs() : 0;
-    bool Incr = Opts.Base.Service.IncrementalReRegister;
     for (size_t I = 0; I < B.Jobs.size(); ++I) {
       if (R.Results[I].Status == JobStatus::Done)
         ++Stats.JobsCompleted;
@@ -2036,7 +2022,7 @@ struct AnalysisService::Impl {
       // entry's DataEpoch is the epoch the batch actually ran against;
       // if the program was re-registered mid-batch, the replay-time
       // CheckLastDirty comparison decides whether it is still exact.
-      if (Incr && B.Slot && R.Ran &&
+      if (B.Slot && R.Ran &&
           R.Results[I].Status == JobStatus::Done &&
           (R.Results[I].V == tracer::Verdict::Proven ||
            R.Results[I].V == tracer::Verdict::Impossible)) {
@@ -2200,13 +2186,8 @@ RegisterResult AnalysisService::registerProgram(const std::string &Name,
   // against the fingerprint stored when the retiring version registered -
   // never against the retiring Program object itself, which the scheduler
   // may still be mutating through lazy method interning.
-  const bool Incr = I->Opts.Base.Service.IncrementalReRegister;
-  ir::ProgramFingerprint NewFp;
-  std::vector<BitSet> NewFoot;
-  if (Incr) {
-    NewFp = ir::fingerprintProgram(*Entry->P);
-    NewFoot = ir::checkFootprints(*Entry->P);
-  }
+  ir::ProgramFingerprint NewFp = ir::fingerprintProgram(*Entry->P);
+  std::vector<BitSet> NewFoot = ir::checkFootprints(*Entry->P);
   auto FootprintDirty = [](const BitSet &Foot, const BitSet &Dirty) {
     bool Hit = false;
     Dirty.forEach([&](size_t P) {
@@ -2223,61 +2204,52 @@ RegisterResult AnalysisService::registerProgram(const std::string &Name,
       size_t Cap = I->Opts.Base.Execution.ForwardCacheCapacity;
       Slot.EscCache.setCapacity(Cap);
       Slot.TsCache.setCapacity(Cap);
-      if (Incr)
-        Slot.CheckLastDirty.assign(Entry->P->numChecks(), Entry->Epoch);
+      Slot.CheckLastDirty.assign(Entry->P->numChecks(), Entry->Epoch);
     } else {
       R.ReRegistered = true;
-      bool DidIncremental = false;
-      if (Incr) {
-        ir::ProgramDiff D = ir::diffPrograms(Slot.Fingerprint, NewFp);
-        if (D.Comparable) {
-          DidIncremental = true;
-          R.Incremental = true;
-          R.DirtyProcs = D.DirtyProcNames;
-          I->Stats.ProceduresDirty += D.numDirty();
-          uint32_t NumChecks = Entry->P->numChecks();
-          std::vector<uint64_t> NewCLD(NumChecks, Entry->Epoch);
-          for (uint32_t C = 0; C < NumChecks; ++C) {
-            bool Dirty = C >= Slot.CheckLastDirty.size() ||
-                         FootprintDirty(NewFoot[C], D.DirtyProcs);
-            if (!Dirty)
-              NewCLD[C] = Slot.CheckLastDirty[C];
-            else
-              ++R.DirtyChecks;
-          }
-          Slot.CheckLastDirty = std::move(NewCLD);
-          Slot.PendingMigrations.emplace_back(Slot.Current->Epoch,
-                                              Entry->Epoch);
-          // Filter stored verdicts right here: the counts are part of the
-          // registration receipt's accounting, and the scheduler's later
-          // shard migration never consults them again.
-          for (auto It = Slot.Verdicts.begin(); It != Slot.Verdicts.end();) {
-            bool Keep = It->first.Check < Slot.CheckLastDirty.size() &&
-                        Slot.CheckLastDirty[It->first.Check] <=
-                            It->second.DataEpoch;
-            if (Keep) {
-              ++I->Stats.EntriesMigrated;
-              ++It;
-            } else {
-              ++I->Stats.EntriesInvalidated;
-              It = Slot.Verdicts.erase(It);
-            }
+      ir::ProgramDiff D = ir::diffPrograms(Slot.Fingerprint, NewFp);
+      if (D.Comparable) {
+        R.Incremental = true;
+        R.DirtyProcs = D.DirtyProcNames;
+        I->Stats.ProceduresDirty += D.numDirty();
+        uint32_t NumChecks = Entry->P->numChecks();
+        std::vector<uint64_t> NewCLD(NumChecks, Entry->Epoch);
+        for (uint32_t C = 0; C < NumChecks; ++C) {
+          bool Dirty = C >= Slot.CheckLastDirty.size() ||
+                       FootprintDirty(NewFoot[C], D.DirtyProcs);
+          if (!Dirty)
+            NewCLD[C] = Slot.CheckLastDirty[C];
+          else
+            ++R.DirtyChecks;
+        }
+        Slot.CheckLastDirty = std::move(NewCLD);
+        Slot.PendingMigrations.emplace_back(Slot.Current->Epoch,
+                                            Entry->Epoch);
+        // Filter stored verdicts right here: the counts are part of the
+        // registration receipt's accounting, and the scheduler's later
+        // shard migration never consults them again.
+        for (auto It = Slot.Verdicts.begin(); It != Slot.Verdicts.end();) {
+          bool Keep = It->first.Check < Slot.CheckLastDirty.size() &&
+                      Slot.CheckLastDirty[It->first.Check] <=
+                          It->second.DataEpoch;
+          if (Keep) {
+            ++I->Stats.EntriesMigrated;
+            ++It;
+          } else {
+            ++I->Stats.EntriesInvalidated;
+            It = Slot.Verdicts.erase(It);
           }
         }
-      }
-      if (!DidIncremental) {
-        // Full invalidation: the feature is off, or the versions are
-        // incomparable (entity tables or main moved) - parameter spaces
-        // may not line up, so nothing migrates and every check is dirty.
-        if (Incr) {
-          I->Stats.EntriesInvalidated += Slot.Verdicts.size();
-          I->Stats.ProceduresDirty += NewFp.Procs.size();
-          R.DirtyChecks = Entry->P->numChecks();
-        }
+      } else {
+        // Full invalidation: the versions are incomparable (entity tables
+        // or main moved) - parameter spaces may not line up, so nothing
+        // migrates and every check is dirty.
+        I->Stats.EntriesInvalidated += Slot.Verdicts.size();
+        I->Stats.ProceduresDirty += NewFp.Procs.size();
+        R.DirtyChecks = Entry->P->numChecks();
         Slot.Verdicts.clear();
         Slot.PendingMigrations.clear();
-        Slot.CheckLastDirty.assign(Incr ? Entry->P->numChecks() : 0,
-                                   Entry->Epoch);
+        Slot.CheckLastDirty.assign(Entry->P->numChecks(), Entry->Epoch);
       }
       Slot.Retired.push_back(std::move(Slot.Current));
       Slot.NeedsInvalidation = true;

@@ -110,9 +110,8 @@ struct RegisterResult {
   /// True when this was a re-registration (the name was already bound).
   bool ReRegistered = false;
   /// True when the retiring and new versions were comparable and the diff
-  /// drove invalidation (Config::ServiceConfig::IncrementalReRegister on);
-  /// false on first registration, incomparable versions, or with the
-  /// feature off - those fall back to full invalidation.
+  /// drove invalidation; false on first registration and for incomparable
+  /// versions, which fall back to full invalidation.
   bool Incremental = false;
   /// Procedures whose content (or liveness) changed, by name, when
   /// Incremental; empty otherwise. DirtyChecks counts the check sites
@@ -358,9 +357,9 @@ public:
 
   /// Parses and (re-)registers a program under \p Name. Re-registration
   /// bumps the epoch; what happens to queued jobs and cached artifacts
-  /// depends on Config::ServiceConfig::IncrementalReRegister:
+  /// depends on whether the two versions are comparable:
   ///
-  ///  * Incremental (default): the new version is diffed against the
+  ///  * Incremental: the new version is diffed against the
   ///    retiring one per procedure (ir/ProgramDiff.h). Cached forward runs
   ///    and stored verdicts whose dependence footprint is entirely clean
   ///    migrate into the new epoch; only artifacts touching a dirty
@@ -371,7 +370,7 @@ public:
   ///    replays whole stored verdicts rather than seeding viable sets
   ///    (seeding shortens the search and changes reported iteration
   ///    counts - see tracer::QueryDriver::seedViableSets).
-  ///  * Full (flag off, incomparable versions, or first registration):
+  ///  * Full (incomparable versions: entity tables or main moved):
   ///    every cached artifact of older epochs is invalidated before the
   ///    next batch and every still-queued job against the retiring epoch
   ///    fails with the stale-epoch reason.
@@ -426,8 +425,8 @@ public:
   /// Runs on the scheduler thread between batches, so cache invariants
   /// (single-threaded shards, epoch pinning) hold throughout; the call
   /// blocks until the operation completes. persist/load require
-  /// service.cache_dir and service.incremental_re_register (fingerprints
-  /// are what make a loaded entry provably current).
+  /// service.cache_dir; fingerprints are what make a loaded entry
+  /// provably current.
   CacheOpResult cacheOp(const std::string &Action,
                         const std::string &Program = std::string());
 

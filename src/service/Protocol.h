@@ -46,7 +46,7 @@
 ///        with a structured note, never served), "spill" (demote every
 ///        unpinned forward run to the spill tier on disk), or "evict"
 ///        (drop unpinned forward runs without writing anything).
-///        "persist"/"load" require --cache-dir and --incremental=1;
+///        "persist"/"load" require --cache-dir;
 ///        the response carries the per-action counters plus a "notes"
 ///        field joining every skip/conflict reason with ';'. The shard
 ///        supervisor fans the op out to every worker and sums the
@@ -174,7 +174,7 @@ public:
             // The protocol only escapes control characters; anything above
             // ASCII would have been sent as UTF-8 directly.
             if (V > 0x7f) {
-              char Buf[8];
+              char Buf[16]; // V <= 0xffff, but GCC cannot see the bound
               std::snprintf(Buf, sizeof(Buf), "%04x", V);
               EscErr = std::string("\\u") + Buf +
                        " is above 0x7f (send non-ASCII as raw UTF-8)";

@@ -669,9 +669,10 @@ bool ShardRouter::handleLine(const std::string &Line,
     // that dies mid-broadcast replays the pre-broadcast state and then
     // receives this registration through the per-shard retry below.
     uint32_t Checks = 0, Allocs = 0;
-    // A re-registration's dirty set, which workers report when
-    // incremental re-registration is on. Every shard diffs the same
-    // journal against the same text, so shard 0's answer is forwarded.
+    // A re-registration's dirty set, as workers report it. The fields are
+    // optional because they arrive from another process. Every shard
+    // diffs the same journal against the same text, so shard 0's answer
+    // is forwarded.
     std::optional<bool> Incremental;
     std::optional<uint64_t> DirtyChecks, DirtyProcs;
     std::optional<std::string> Dirty;

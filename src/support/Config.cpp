@@ -132,14 +132,6 @@ Config Config::fromEnv(std::vector<ConfigError> *Errors) {
                 C.Budgets.MemoryBudgetBytes = N * 1024 * 1024;
                 return true;
               });
-  envOverride("OPTABS_INCREMENTAL", "service.incremental_re_register",
-              Errors, [&](const std::string &V) {
-                uint64_t N;
-                if (!parseU64(V, N) || N > 1)
-                  return false;
-                C.Service.IncrementalReRegister = N == 1;
-                return true;
-              });
   envOverride("OPTABS_SERVICE_TRACE", "observability.service_trace",
               Errors, [&](const std::string &V) {
                 uint64_t N;

@@ -86,12 +86,6 @@ struct Config {
     unsigned NumThreads = 1;
     /// Forward-run cache entry cap (LRU); 0 = unbounded.
     size_t ForwardCacheCapacity = 0;
-    /// Liveness-based dead-variable pruning of forward states (exact
-    /// optimization; disable only to debug or to compare footprints).
-    bool PruneDeadVars = true;
-    /// Loop-segment compression of counterexample traces in the backward
-    /// meta-analysis (exact optimization; see meta/TraceSegments.h).
-    bool CompressTraces = true;
     /// Claim bitwise worker-count reproducibility. Purely declarative: it
     /// does not change execution, but validate() rejects any knob (e.g. a
     /// wall-clock backward timeout) that would break the claim.
@@ -142,15 +136,6 @@ struct Config {
     unsigned MaxSessions = 64;          ///< concurrently open sessions
     unsigned MaxPendingPerSession = 1024; ///< queued jobs before rejection
     uint64_t MaxJobsPerSession = 0;     ///< lifetime job quota; 0 = unlimited
-    /// Diff programs on re-registration and migrate cached runs / stored
-    /// verdicts whose dependence footprint is untouched into the new epoch
-    /// (see ir/ProgramDiff.h). Off restores the historical evict-everything
-    /// invalidation exactly: every re-registration discards every cached
-    /// artifact of older epochs. (Independently of this flag, jobs still
-    /// queued against a retiring epoch fail with a structured stale-epoch
-    /// reason unless an incremental diff proves their check untouched;
-    /// silently re-running them against different IR was a bug.)
-    bool IncrementalReRegister = true;
     /// Directory for the persistent cache tier (snapshots written by the
     /// `cache` op / shutdown persist, spill files written under memory
     /// pressure, warm loads on registration). Empty disables every
@@ -184,9 +169,8 @@ struct Config {
   /// OPTABS_METRICS, OPTABS_CHROME_TRACE, OPTABS_EVENT_TRACE,
   /// OPTABS_THREADS, OPTABS_K, OPTABS_STRATEGY, OPTABS_STEP_BUDGET (arms
   /// all three step budgets), OPTABS_TIME_BUDGET_SECONDS,
-  /// OPTABS_CACHE_CAPACITY, OPTABS_MEMORY_BUDGET_MB, OPTABS_INCREMENTAL
-  /// (0/1, service.incremental_re_register), OPTABS_SERVICE_TRACE (0/1,
-  /// observability.service_trace), OPTABS_CACHE_DIR (service.cache_dir),
+  /// OPTABS_CACHE_CAPACITY, OPTABS_MEMORY_BUDGET_MB, OPTABS_SERVICE_TRACE
+  /// (0/1, observability.service_trace), OPTABS_CACHE_DIR (service.cache_dir),
   /// OPTABS_SPILL_BYTES (service.spill_bytes), OPTABS_PERSIST_ON_SHUTDOWN
   /// (0/1, service.persist_on_shutdown). Malformed values are
   /// reported through \p Errors (when non-null) and leave the default in

@@ -2,7 +2,8 @@
 
 #include "support/Metrics.h"
 
-#include <cstdio>
+#include "support/Json.h"
+
 #include <fstream>
 
 namespace optabs {
@@ -221,43 +222,6 @@ Profiler::AggNode Profiler::aggregate() const {
   return Root;
 }
 
-namespace {
-/// Minimal JSON string escaping for the Chrome trace (support cannot
-/// depend on tracer/EventTrace.h).
-void appendJsonString(std::string &Out, const char *S) {
-  Out.push_back('"');
-  for (; *S; ++S) {
-    char C = *S;
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out.push_back(C);
-      }
-    }
-  }
-  Out.push_back('"');
-}
-} // namespace
-
 void Profiler::writeChromeTrace(std::ostream &OS) const {
   OS << "{\"traceEvents\":[";
   bool First = true;
@@ -277,7 +241,7 @@ void Profiler::writeChromeTraceEvents(std::ostream &OS, bool &First) const {
     std::lock_guard<std::mutex> RL(R->M);
     std::string Name;
     Name.clear();
-    appendJsonString(Name, R->Label.c_str());
+    appendJsonString(Name, R->Label);
     Sep();
     OS << "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,\"tid\":"
        << R->Tid << ",\"args\":{\"name\":" << Name << "}}";

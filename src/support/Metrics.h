@@ -26,9 +26,9 @@
 ///
 /// Counters are sharded across cache lines and bumped with relaxed atomics
 /// so pool workers never contend; histograms use log2 buckets (bucket B
-/// holds [2^(B-1), 2^B - 1], bucket 0 holds {0}) and subsume the
-/// MinMaxAvg / Histogram accumulators of support/Stats.h: summary() and
-/// toHistogram() convert into those types for the bench harnesses.
+/// holds [2^(B-1), 2^B - 1], bucket 0 holds {0}). They count unsigned
+/// samples; support/Stats.h keeps the double-valued (min, max, avg)
+/// accumulators the paper tables need.
 ///
 /// Spans form a per-thread hierarchy (strict nesting per thread). A span
 /// opened on a pool worker while its thread-local stack is empty is
@@ -54,7 +54,6 @@
 #ifndef OPTABS_SUPPORT_METRICS_H
 #define OPTABS_SUPPORT_METRICS_H
 
-#include "support/Stats.h"
 #include "support/Timer.h"
 
 #include <algorithm>
@@ -156,9 +155,7 @@ private:
 };
 
 /// A log2-bucketed histogram of unsigned samples with exact count, sum,
-/// min, and max. Subsumes the Stats.h accumulators: summary() yields the
-/// MinMaxAvg triple, toHistogram() the integer-bucket Histogram (keyed by
-/// bucket index).
+/// min, and max.
 class LogHistogram {
 public:
   static constexpr unsigned NumBuckets = 65; // bucket 0 = {0}, 1..64 = log2
@@ -239,32 +236,6 @@ public:
       }
     }
     return max();
-  }
-
-  /// The Stats.h min/max/avg view of this histogram.
-  MinMaxAvg summary() const {
-    MinMaxAvg S;
-    uint64_t N = count();
-    if (N == 0)
-      return S;
-    // Reconstruct the triple without replaying samples: add min and max
-    // once each, then pad the count and sum.
-    S.add(static_cast<double>(min()));
-    if (N > 1)
-      S.add(static_cast<double>(max()));
-    for (uint64_t I = 2; I < N; ++I)
-      S.add(avg()); // preserves count and (approximately) the average
-    return S;
-  }
-
-  /// The Stats.h integer-bucket view: bucket index -> count (non-empty
-  /// buckets only), Figure 14 style.
-  Histogram toHistogram() const {
-    Histogram H;
-    for (unsigned B = 0; B < NumBuckets; ++B)
-      for (uint64_t N = bucketCount(B); N > 0; --N)
-        H.add(static_cast<int64_t>(B));
-    return H;
   }
 
   void reset() {

@@ -2,6 +2,7 @@
 
 #include "support/Trace.h"
 
+#include "support/Json.h"
 #include "support/Metrics.h"
 
 #include <cstdio>
@@ -52,41 +53,6 @@ uint64_t FlightRecorder::recorded() const {
 }
 
 namespace {
-/// Minimal JSON string escaping (support cannot depend on
-/// tracer/EventTrace.h; same rules as the profiler's Chrome writer).
-void appendJsonString(std::string &Out, const char *S) {
-  Out.push_back('"');
-  for (; *S; ++S) {
-    char C = *S;
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out.push_back(C);
-      }
-    }
-  }
-  Out.push_back('"');
-}
-
 std::string jsonlLine(const TraceEvent &E) {
   std::string S;
   S += "{\"seq\":" + std::to_string(E.Seq);
@@ -105,7 +71,7 @@ std::string jsonlLine(const TraceEvent &E) {
   S += ",\"seconds\":";
   S += Buf;
   S += ",\"note\":";
-  appendJsonString(S, E.Note.c_str());
+  appendJsonString(S, E.Note);
   S += "}";
   return S;
 }
@@ -148,7 +114,7 @@ void FlightRecorder::writeChromeTrace(std::ostream &OS) const {
       // fulfillment timestamp.
       Name = "job " + std::to_string(E.Job);
       std::string JName;
-      appendJsonString(JName, Name.c_str());
+      appendJsonString(JName, Name);
       double DurUs = E.D0 * 1e6;
       double EndUs = static_cast<double>(E.TsNs) / 1000.0;
       Sep();

@@ -49,6 +49,8 @@
 #ifndef OPTABS_TRACER_EVENTTRACE_H
 #define OPTABS_TRACER_EVENTTRACE_H
 
+#include "support/Json.h"
+
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -69,12 +71,12 @@ namespace tracer {
 inline constexpr int EventSchemaVersion = 1;
 
 /// Builds one JSON object incrementally. Only the types the event trace
-/// needs; strings are escaped per RFC 8259.
+/// needs; strings are escaped per RFC 8259 (support/Json.h).
 class JsonObject {
 public:
   JsonObject &field(const char *Key, const std::string &Value) {
     beginField(Key);
-    appendString(Value);
+    support::appendJsonString(Buf, Value);
     return *this;
   }
   JsonObject &field(const char *Key, const char *Value) {
@@ -128,40 +130,8 @@ private:
   void beginField(const char *Key) {
     Buf += First ? "{" : ",";
     First = false;
-    appendString(Key);
+    support::appendJsonString(Buf, Key);
     Buf += ':';
-  }
-  void appendString(const std::string &S) {
-    Buf += '"';
-    for (char C : S) {
-      switch (C) {
-      case '"':
-        Buf += "\\\"";
-        break;
-      case '\\':
-        Buf += "\\\\";
-        break;
-      case '\n':
-        Buf += "\\n";
-        break;
-      case '\r':
-        Buf += "\\r";
-        break;
-      case '\t':
-        Buf += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(C) < 0x20) {
-          char Tmp[8];
-          std::snprintf(Tmp, sizeof(Tmp), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(C)));
-          Buf += Tmp;
-        } else {
-          Buf += C;
-        }
-      }
-    }
-    Buf += '"';
   }
 
   std::string Buf;

@@ -233,18 +233,6 @@ struct TracerOptions {
   /// 0 = unbounded. Entries in use by the current round are never evicted,
   /// so the cache may transiently exceed the cap.
   size_t ForwardCacheCapacity = 0;
-  /// Liveness-based dead-variable pruning: compute per-command live-out
-  /// sets once per program and forget dead variables before interning
-  /// forward states. Shrinks the interned state space (and the forward
-  /// cache's resident bytes) without changing any verdict - the pruned
-  /// components are exactly those no later read, check, or backward
-  /// formula can observe (see DESIGN.md).
-  bool PruneDeadVars = true;
-  /// Loop-aware compression of extracted counterexample traces: detect
-  /// repeated (command, state) segments at extraction time and let the
-  /// backward meta-analysis skip repetitions once its formula stabilizes
-  /// across one of them. Exact, not approximate - see meta/TraceSegments.h.
-  bool CompressTraces = true;
   /// When nonempty, a JSONL CEGAR event trace (tracer/EventTrace.h) is
   /// appended to this path. The driver appends and never truncates, so a
   /// harness running several clients can interleave them into one file;
@@ -286,8 +274,6 @@ struct TracerOptions {
     parseStrategy(C.Execution.Strategy, O.Strategy);
     O.NumThreads = C.Execution.NumThreads;
     O.ForwardCacheCapacity = C.Execution.ForwardCacheCapacity;
-    O.PruneDeadVars = C.Execution.PruneDeadVars;
-    O.CompressTraces = C.Execution.CompressTraces;
     O.TimeBudgetSeconds = C.Budgets.TimeBudgetSeconds;
     O.BackwardTimeoutSeconds = C.Budgets.BackwardTimeoutSeconds;
     O.ForwardStepBudget = C.Budgets.ForwardStepBudget;
@@ -368,12 +354,7 @@ public:
 
   QueryDriver(const ir::Program &P, const Analysis &A,
               TracerOptions Options = TracerOptions())
-      : P(P), A(A), Options(Options) {
-    // Live-variable sets are a property of the program alone: computed once
-    // here, shared by every forward run this driver builds.
-    if (this->Options.PruneDeadVars)
-      Liveness.emplace(P);
-  }
+      : P(P), A(A), Options(Options), Liveness(P) {}
 
   /// Service injection: runs this driver against a thread pool and a
   /// forward-run cache owned by someone else (the AnalysisService shares
@@ -530,13 +511,10 @@ private:
       size_t MaxCubes = 0;
       double Seconds = 0;
     };
-    /// One extracted counterexample: the trace, its replayed forward
-    /// states, and the loop-segment compression plan derived from the
-    /// replay's interned state ids (meta/TraceSegments.h).
+    /// One extracted counterexample and its replayed forward states.
     struct TraceData {
       ir::Trace T;
       std::vector<State> States;
-      meta::TraceSegments Segs;
     };
     struct MemberStep {
       size_t PlanIdx = 0;
@@ -771,7 +749,7 @@ private:
           // here — it costs this abstraction's queries, not the process.
           support::BudgetGate Gate("forward.visit", Options.ForwardStepBudget,
                                    CancelTok.get(), 0, &Sink);
-          auto Run = std::make_unique<Forward>(P, A, *Slot.Abs, liveness());
+          auto Run = std::make_unique<Forward>(P, A, *Slot.Abs, &Liveness);
           Run->run(Init, &Gate);
           if (Run->exhausted())
             Slot.Exhaustion = *Run->exhaustion();
@@ -998,16 +976,7 @@ private:
             } else {
               for (ir::Trace &T : Traces) {
                 TraceData Data;
-                std::vector<dataflow::StateId> Ids;
-                Data.States = Slot.Run->replay(T, Init, &Ids);
-                if (Options.CompressTraces)
-                  Data.Segs = meta::detectSegments(T, Ids);
-                if (support::metricsEnabled() && !Data.Segs.empty()) {
-                  static auto &Detected =
-                      support::MetricRegistry::global().counter(
-                          "optabs_trace_segments_detected_total");
-                  Detected.add(Data.Segs.Repeats.size());
-                }
+                Data.States = Slot.Run->replay(T, Init);
                 Data.T = std::move(T);
                 Step.Traces.push_back(std::move(Data));
               }
@@ -1046,8 +1015,7 @@ private:
         try {
           const TraceData &Data = Step.Traces[J];
           std::optional<formula::Dnf> F =
-              Bwd.run(Data.T, *Slot.Abs, Data.States, Recs[Step.Query].NotQ,
-                      Data.Segs.empty() ? nullptr : &Data.Segs);
+              Bwd.run(Data.T, *Slot.Abs, Data.States, Recs[Step.Query].NotQ);
           R.MaxCubes = Bwd.stats().MaxCubes;
           if (F)
             R.Unviable = Bwd.projectToParams(*F, *Slot.Abs, Init);
@@ -1333,7 +1301,7 @@ private:
       support::BudgetGate Gate("forward.visit", Options.ForwardStepBudget,
                                CancelTok.get(), 0, &Sink);
       auto Run = std::make_unique<Forward>(P, A, A.paramFromBits(Bits),
-                                           liveness());
+                                           &Liveness);
       Run->run(Init, &Gate);
       ++Stats.ForwardRuns;
       if (Run->exhausted()) {
@@ -1580,15 +1548,13 @@ private:
       support::Profiler::global().writeChromeTraceFile(Options.ProfilePath);
   }
 
-  /// The shared dead-variable pruning tables; null when pruning is off.
-  const ir::CommandLiveness *liveness() const {
-    return Liveness ? &*Liveness : nullptr;
-  }
-
   const ir::Program &P;
   const Analysis &A;
   TracerOptions Options;
-  std::optional<ir::CommandLiveness> Liveness;
+  /// Live-variable sets are a property of the program alone: computed once
+  /// here, shared by every forward run this driver builds, which forget
+  /// dead variables before interning states (see DESIGN.md).
+  const ir::CommandLiveness Liveness;
   DriverStats Stats;
   double TotalSeconds = 0;
   ForwardRunCache<Forward> OwnedCache;

@@ -6,8 +6,8 @@
 // clean checks are answered by migrating cached runs / replaying stored
 // verdicts instead of recomputing, queued jobs against a retiring epoch
 // survive exactly when their check's footprint is provably untouched, and
-// turning the feature off restores the historical evict-everything
-// behavior while keeping the stale-pending bugfix.
+// an incomparable edit falls back to evicting everything while still
+// failing the stale queued jobs.
 //
 //===----------------------------------------------------------------------===//
 
@@ -211,32 +211,49 @@ TEST(IncrementalServiceTest, QueuedJobsSurviveExactlyWhenFootprintClean) {
   EXPECT_GE(Svc.stats().JobsFailed, 1u);
 }
 
-TEST(IncrementalServiceTest, LegacyModeEvictsEverythingButKeepsTheSweep) {
+TEST(IncrementalServiceTest, IncomparableReRegisterInvalidatesEverything) {
+  // A new allocation site changes the parameter space, so the diff is
+  // incomparable (see ProgramDiffTest) and nothing may migrate.
+  std::string Edited = BaseText;
+  size_t At = Edited.find("  check(b);");
+  ASSERT_NE(At, std::string::npos);
+  Edited.insert(At, "  c = new h3;\n");
+
+  service::AnalysisService::Options OracleOpts;
+  OracleOpts.AutoDispatch = false;
+  service::AnalysisService Oracle(std::move(OracleOpts));
+  ASSERT_TRUE(Oracle.registerProgram("p", Edited).Ok);
+  service::Session OracleS = openEscape(Oracle);
+  std::vector<service::QueryResult> Want = queryAll(Oracle, OracleS, 2);
+
   service::AnalysisService::Options Opts;
   Opts.AutoDispatch = false;
-  Opts.Base.Service.IncrementalReRegister = false;
   service::AnalysisService Svc(std::move(Opts));
   ASSERT_TRUE(Svc.registerProgram("p", BaseText).Ok);
   service::Session S = openEscape(Svc);
   queryAll(Svc, S, 2);
 
-  // Even a footprint-clean queued job fails without the diff: with the
-  // feature off there is no evidence the check is unaffected, and
+  // Check 0's procedures are untouched, yet its queued job fails: without
+  // a comparable diff there is no evidence the check is unaffected, and
   // re-running it against different IR than it was submitted for was the
   // original bug.
   std::future<service::QueryResult> Queued = S.submit({0, 0, 0});
-  service::RegisterResult R = Svc.registerProgram("p", editP2(BaseText));
-  ASSERT_TRUE(R.Ok);
+  service::RegisterResult R = Svc.registerProgram("p", Edited);
+  ASSERT_TRUE(R.Ok) << R.Error;
   EXPECT_TRUE(R.ReRegistered);
   EXPECT_FALSE(R.Incremental);
   EXPECT_TRUE(R.DirtyProcs.empty());
+  EXPECT_EQ(R.DirtyChecks, R.Checks);
   Svc.drain();
   service::QueryResult QueuedR = Queued.get();
   EXPECT_EQ(QueuedR.Status, service::JobStatus::Failed);
   EXPECT_NE(QueuedR.Error.find("stale epoch"), std::string::npos)
       << QueuedR.Error;
 
-  queryAll(Svc, S, 2); // recomputes everything against the new epoch
+  std::vector<service::QueryResult> Got = queryAll(Svc, S, 2);
+  ASSERT_EQ(Want.size(), Got.size());
+  for (size_t I = 0; I < Want.size(); ++I)
+    expectIdentical(Want[I], Got[I], "check " + std::to_string(I));
   service::ServiceStats Stats = Svc.stats();
   EXPECT_EQ(Stats.EntriesMigrated, 0u);
   EXPECT_EQ(Stats.VerdictsReplayed, 0u);

@@ -180,8 +180,9 @@ TEST(SchemaGoldenTest, VersionsAreStillOne) {
 
 TEST(JsonObjectTest, EscapesStringsPerRfc8259) {
   JsonObject O;
-  O.field("s", std::string("a\"b\\c\nd\te\x01"));
-  EXPECT_EQ(O.str(), "{\"s\":\"a\\\"b\\\\c\\nd\\te\\u0001\"}");
+  O.field("s", std::string("a\"b\\c\nd\te\x01\r\x1f"));
+  EXPECT_EQ(O.str(),
+            "{\"s\":\"a\\\"b\\\\c\\nd\\te\\u0001\\r\\u001f\"}");
 }
 
 TEST(JsonObjectTest, FieldsKeepInsertionOrder) {

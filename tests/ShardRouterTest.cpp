@@ -129,7 +129,7 @@ private:
       O.field("epoch", ++Epoch);
       O.field("checks", 1);
       O.field("allocs", 2);
-      if (ReRegistered) { // the dirty set optabs-serve --incremental=1 sends
+      if (ReRegistered) { // the dirty set optabs-serve sends
         O.field("incremental", true);
         O.field("dirty_checks", DirtyChecks);
         O.field("dirty_procs", 1);

@@ -8,10 +8,10 @@
 //
 //   optabs-serve [--listen=unix:PATH|tcp:PORT] [--threads=N]
 //                [--cache-capacity=N] [--max-sessions=N] [--metrics=PATH]
-//                [--incremental=0|1] [--read-timeout-ms=N]
-//                [--max-line-bytes=N] [--trace-capacity=N]
-//                [--trace-jsonl=PATH] [--trace-chrome=PATH]
-//                [--trace-slow-ms=X] [--cache-dir=PATH] [--spill-bytes=N]
+//                [--read-timeout-ms=N] [--max-line-bytes=N]
+//                [--trace-capacity=N] [--trace-jsonl=PATH]
+//                [--trace-chrome=PATH] [--trace-slow-ms=X]
+//                [--cache-dir=PATH] [--spill-bytes=N]
 //                [--persist-on-shutdown=0|1]
 //
 // Cache persistence: --cache-dir names a directory for the on-disk cache
@@ -40,11 +40,9 @@
 // --trace-chrome artifacts are written - instead of the default
 // die-and-lose-every-dump disposition.
 //
-// --incremental (default 1) controls diff-based incremental
-// re-registration (Config::ServiceConfig::IncrementalReRegister). With it
-// on, re-registering a program reports the dirty procedure set and the
-// stats op reports migration counters; with it off the server reproduces
-// the historical evict-everything transcript byte for byte.
+// Re-registering a program diffs it against the retiring version
+// (ir/ProgramDiff.h): the reply reports the dirty procedure set and the
+// stats op reports migration counters.
 //
 // Request tracing: any --trace-* flag (or OPTABS_SERVICE_TRACE=1) turns
 // on the service flight recorder. Every protocol line mints a trace
@@ -189,8 +187,8 @@ enum class LoopExit {
 };
 
 /// Handles one parsed request line. Returns false for "shutdown".
-bool handleRequest(ServerState &St, const Config &Base,
-                   const std::string &Line, service::LineChannel &Ch) {
+bool handleRequest(ServerState &St, const std::string &Line,
+                   service::LineChannel &Ch) {
   auto Emit = [&Ch](const std::string &S) { Ch.writeLine(S); };
   auto EmitObj = [&Ch](const JsonObject &O) { Ch.writeLine(O.str()); };
 
@@ -227,9 +225,8 @@ bool handleRequest(ServerState &St, const Config &Base,
     O.field("epoch", R.Epoch);
     O.field("checks", R.Checks);
     O.field("allocs", R.Allocs);
-    // The dirty set of a re-registration, only under --incremental=1 so
-    // the legacy transcript stays byte-identical with the feature off.
-    if (R.ReRegistered && Base.Service.IncrementalReRegister) {
+    // The dirty set of a re-registration.
+    if (R.ReRegistered) {
       O.field("incremental", R.Incremental);
       O.field("dirty_checks", R.DirtyChecks);
       if (R.Incremental) {
@@ -376,12 +373,10 @@ bool handleRequest(ServerState &St, const Config &Base,
     O.field("cache_misses", S.CacheMisses);
     O.field("cache_evictions", S.CacheEvictions);
     O.field("stale_invalidated", S.StaleEntriesInvalidated);
-    if (Base.Service.IncrementalReRegister) {
-      O.field("entries_migrated", S.EntriesMigrated);
-      O.field("entries_invalidated", S.EntriesInvalidated);
-      O.field("procs_dirty", S.ProceduresDirty);
-      O.field("verdicts_replayed", S.VerdictsReplayed);
-    }
+    O.field("entries_migrated", S.EntriesMigrated);
+    O.field("entries_invalidated", S.EntriesInvalidated);
+    O.field("procs_dirty", S.ProceduresDirty);
+    O.field("verdicts_replayed", S.VerdictsReplayed);
     std::string Pending;
     for (const auto &[Id, N] : S.PendingBySession) {
       if (!Pending.empty())
@@ -522,8 +517,8 @@ bool handleRequest(ServerState &St, const Config &Base,
 
 /// Serves one connection until shutdown, disconnect, or a signal.
 /// \p ReadTimeoutMs only applies to socket connections (stdio blocks).
-LoopExit requestLoop(ServerState &St, const Config &Base,
-                     service::LineChannel &Ch, int ReadTimeoutMs) {
+LoopExit requestLoop(ServerState &St, service::LineChannel &Ch,
+                     int ReadTimeoutMs) {
   std::string Line;
   for (;;) {
     if (GShutdownSignal)
@@ -553,7 +548,7 @@ LoopExit requestLoop(ServerState &St, const Config &Base,
     if (Line.empty() || Line[0] == '#')
       continue; // blank lines and comments keep scripted sessions readable
     ++St.LineSeq;
-    if (!handleRequest(St, Base, Line, Ch))
+    if (!handleRequest(St, Line, Ch))
       return LoopExit::Shutdown;
   }
 }
@@ -574,7 +569,7 @@ int serve(const Config &Base, const ServeFlags &F) {
 
   if (F.Listen.K == service::ListenSpec::Kind::Stdio) {
     service::LineChannel Ch(0, 1, /*OwnsFds=*/false, F.MaxLineBytes);
-    requestLoop(St, Base, Ch, /*ReadTimeoutMs=*/-1);
+    requestLoop(St, Ch, /*ReadTimeoutMs=*/-1);
   } else {
     service::Listener L;
     std::string Err;
@@ -592,7 +587,7 @@ int serve(const Config &Base, const ServeFlags &F) {
                           F.MaxLineBytes);
       if (!Ch.valid())
         continue; // timeout/EINTR: re-check the shutdown flag
-      switch (requestLoop(St, Base, Ch, ConnTimeout)) {
+      switch (requestLoop(St, Ch, ConnTimeout)) {
       case LoopExit::Shutdown:
       case LoopExit::Signalled:
         Running = false;
@@ -627,7 +622,6 @@ int main(int Argc, char **Argv) {
   uint64_t Threads = Base.Execution.NumThreads;
   uint64_t CacheCapacity = Base.Execution.ForwardCacheCapacity;
   uint64_t MaxSessions = Base.Service.MaxSessions;
-  uint64_t Incremental = Base.Service.IncrementalReRegister ? 1 : 0;
   std::string CacheDir = Base.Service.CacheDir;
   uint64_t SpillBytes = Base.Service.SpillBytes;
   uint64_t PersistOnShutdown = Base.Service.PersistOnShutdown ? 1 : 0;
@@ -648,8 +642,6 @@ int main(int Argc, char **Argv) {
                 "forward-run cache entries per shard (0 = unbounded)");
   Parser.option("--max-sessions", &MaxSessions, "open-session quota");
   Parser.option("--metrics", &F.MetricsPath, "Prometheus dump on shutdown");
-  Parser.option("--incremental", &Incremental,
-                "diff-based incremental re-registration (0 = evict all)");
   Parser.option("--cache-dir", &CacheDir,
                 "on-disk cache tier: snapshots + spill files (empty = off)");
   Parser.option("--spill-bytes", &SpillBytes,
@@ -673,7 +665,7 @@ int main(int Argc, char **Argv) {
     std::cerr << "error: " << Err << "\n"
               << "usage: optabs-serve [--listen=unix:PATH|tcp:PORT] "
                  "[--threads=N] [--cache-capacity=N] "
-                 "[--max-sessions=N] [--metrics=PATH] [--incremental=0|1] "
+                 "[--max-sessions=N] [--metrics=PATH] "
                  "[--cache-dir=PATH] [--spill-bytes=N] "
                  "[--persist-on-shutdown=0|1] "
                  "[--read-timeout-ms=N] [--max-line-bytes=N] "
@@ -688,7 +680,6 @@ int main(int Argc, char **Argv) {
   Base.Execution.NumThreads = static_cast<unsigned>(Threads);
   Base.Execution.ForwardCacheCapacity = static_cast<size_t>(CacheCapacity);
   Base.Service.MaxSessions = static_cast<unsigned>(MaxSessions);
-  Base.Service.IncrementalReRegister = Incremental != 0;
   Base.Service.CacheDir = CacheDir;
   Base.Service.SpillBytes = SpillBytes;
   Base.Service.PersistOnShutdown = PersistOnShutdown != 0;
