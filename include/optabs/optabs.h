@@ -22,7 +22,8 @@
 ///  * optabs::support::ArgParser - the shared command-line parser, so
 ///    every tool rejects unknown flags and malformed values identically.
 ///  * optabs::ir - the mini-IR: Program, parseProgram, printProgram.
-///  * optabs::pointer / escape / typestate - the analysis clients.
+///  * optabs::pointer / escape / typestate - the analysis clients, plus
+///    the textual type-state property grammar (typestate/Properties.h).
 ///  * optabs::tracer - QueryDriver, TracerOptions (a deprecated alias of
 ///    Config, see TracerOptions::fromConfig), Verdict/QueryOutcome, the
 ///    certificate checker, and the versioned JSONL event trace.
@@ -49,6 +50,7 @@
 // Analysis clients.
 #include "escape/Escape.h"
 #include "pointer/PointsTo.h"
+#include "typestate/Properties.h"
 #include "typestate/Typestate.h"
 
 // The TRACER engine: driver, verdicts, certificates, event trace.

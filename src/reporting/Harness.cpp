@@ -29,15 +29,27 @@ QueryStat statOf(const tracer::QueryOutcome &O) {
   return S;
 }
 
-/// Folds one driver run's audit evidence (invariant records, certificate
-/// checks) into the client results.
+/// Folds one driver run into the client results: its per-query stats,
+/// its counters, and its audit evidence (invariant records, certificate
+/// checks).
 template <typename Analysis>
-void auditRun(const ir::Program &P, const Analysis &A,
-              const HarnessOptions &Options,
-              const tracer::QueryDriver<Analysis> &Driver,
-              const std::vector<tracer::QueryOutcome> &Outcomes,
-              const std::string &Label, ClientResults &Out) {
-  const auto &Violations = Driver.stats().Violations;
+void foldRun(const ir::Program &P, const Analysis &A,
+             const HarnessOptions &Options,
+             const tracer::QueryDriver<Analysis> &Driver,
+             const std::vector<tracer::QueryOutcome> &Outcomes,
+             const std::string &Label, ClientResults &Out) {
+  for (const tracer::QueryOutcome &O : Outcomes)
+    Out.Queries.push_back(statOf(O));
+  const tracer::DriverStats &S = Driver.stats();
+  Out.ForwardRuns += S.ForwardRuns;
+  Out.BackwardRuns += S.BackwardRuns;
+  Out.CacheHits += S.CacheHits;
+  Out.CacheMisses += S.CacheMisses;
+  Out.CacheEvictions += S.CacheEvictions;
+  Out.Phases += S.Phases;
+  Out.BudgetExhausted += S.BudgetExhausted;
+  Out.Degradations += S.Degradations;
+  const auto &Violations = S.Violations;
   Out.InvariantViolations += Violations.size();
   for (const auto &V : Violations)
     Out.AuditNotes.push_back(Label + ": invariant [" + V.Check + "] in " +
@@ -63,6 +75,20 @@ void auditRun(const ir::Program &P, const Analysis &A,
                              Issue.Detail);
 }
 
+/// The type-state queries of \p B by tracked site: a TRACER query is a
+/// (check, site) pair for every allocation site the receiver may point to
+/// (§6), and the queries of one site share an analysis instance and a
+/// driver run.
+std::map<uint32_t, std::vector<CheckId>>
+checksBySite(const synth::Benchmark &B, const pointer::PointsToResult &Pt) {
+  std::map<uint32_t, std::vector<CheckId>> BySite;
+  for (CheckId Check : B.TsChecks)
+    Pt.pointsTo(B.P.checkSite(Check).Var).forEach([&](size_t H) {
+      BySite[static_cast<uint32_t>(H)].push_back(Check);
+    });
+  return BySite;
+}
+
 void runEscape(const synth::Benchmark &B, const HarnessOptions &Options,
                ClientResults &Out) {
   Timer Total;
@@ -71,18 +97,7 @@ void runEscape(const synth::Benchmark &B, const HarnessOptions &Options,
   if (!Opts.EventTracePath.empty())
     Opts.EventTraceLabel = "escape";
   tracer::QueryDriver<escape::EscapeAnalysis> Driver(B.P, A, Opts);
-  std::vector<tracer::QueryOutcome> Outcomes = Driver.run(B.EscChecks);
-  for (const tracer::QueryOutcome &O : Outcomes)
-    Out.Queries.push_back(statOf(O));
-  Out.ForwardRuns += Driver.stats().ForwardRuns;
-  Out.BackwardRuns += Driver.stats().BackwardRuns;
-  Out.CacheHits += Driver.stats().CacheHits;
-  Out.CacheMisses += Driver.stats().CacheMisses;
-  Out.CacheEvictions += Driver.stats().CacheEvictions;
-  Out.Phases += Driver.stats().Phases;
-  Out.BudgetExhausted += Driver.stats().BudgetExhausted;
-  Out.Degradations += Driver.stats().Degradations;
-  auditRun(B.P, A, Options, Driver, Outcomes, "escape", Out);
+  foldRun(B.P, A, Options, Driver, Driver.run(B.EscChecks), "escape", Out);
   Out.TotalSeconds = Total.seconds();
 }
 
@@ -92,19 +107,9 @@ void runTypestate(const synth::Benchmark &B, const HarnessOptions &Options,
   pointer::PointsToResult Pt = pointer::runPointsTo(B.P);
   typestate::TypestateSpec Spec = typestate::TypestateSpec::stress();
 
-  // A TRACER query is a (check, site) pair for every application site the
-  // receiver may point to (§6). Queries of one site share an analysis
-  // instance and a driver run.
-  std::map<uint32_t, std::vector<CheckId>> BySite;
-  for (CheckId Check : B.TsChecks) {
-    VarId V = B.P.checkSite(Check).Var;
-    Pt.pointsTo(V).forEach(
-        [&](size_t H) { BySite[static_cast<uint32_t>(H)].push_back(Check); });
-  }
-
   tracer::TracerOptions Base = tracer::TracerOptions::fromConfig(Options.Cfg);
   double Budget = Base.TimeBudgetSeconds;
-  for (auto &[SiteIdx, Checks] : BySite) {
+  for (auto &[SiteIdx, Checks] : checksBySite(B, Pt)) {
     double Remaining = Budget - Total.seconds();
     if (Remaining <= 0) {
       // The shared wall-clock budget is spent. Record a clean exhaustion
@@ -128,18 +133,7 @@ void runTypestate(const synth::Benchmark &B, const HarnessOptions &Options,
       PerSite.EventTraceLabel = Label;
     tracer::QueryDriver<typestate::TypestateAnalysis> Driver(B.P, A,
                                                              PerSite);
-    std::vector<tracer::QueryOutcome> Outcomes = Driver.run(Checks);
-    for (const tracer::QueryOutcome &O : Outcomes)
-      Out.Queries.push_back(statOf(O));
-    Out.ForwardRuns += Driver.stats().ForwardRuns;
-    Out.BackwardRuns += Driver.stats().BackwardRuns;
-    Out.CacheHits += Driver.stats().CacheHits;
-    Out.CacheMisses += Driver.stats().CacheMisses;
-    Out.CacheEvictions += Driver.stats().CacheEvictions;
-    Out.Phases += Driver.stats().Phases;
-    Out.BudgetExhausted += Driver.stats().BudgetExhausted;
-    Out.Degradations += Driver.stats().Degradations;
-    auditRun(B.P, A, Options, Driver, Outcomes, Label, Out);
+    foldRun(B.P, A, Options, Driver, Driver.run(Checks), Label, Out);
   }
   Out.TotalSeconds = Total.seconds();
 }
@@ -209,14 +203,7 @@ void runClientService(const synth::Benchmark &B,
     // Same (site -> checks) grouping as the direct path, so the result
     // vector lines up query for query.
     pointer::PointsToResult Pt = pointer::runPointsTo(B.P);
-    std::map<uint32_t, std::vector<CheckId>> BySite;
-    for (CheckId Check : B.TsChecks) {
-      VarId V = B.P.checkSite(Check).Var;
-      Pt.pointsTo(V).forEach([&](size_t H) {
-        BySite[static_cast<uint32_t>(H)].push_back(Check);
-      });
-    }
-    for (auto &[SiteIdx, Checks] : BySite)
+    for (auto &[SiteIdx, Checks] : checksBySite(B, Pt))
       for (CheckId Check : Checks)
         SubmitJob(static_cast<uint32_t>(Check.index()), SiteIdx);
   }

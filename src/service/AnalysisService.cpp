@@ -53,6 +53,7 @@
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
 #include "tracer/CachePersist.h"
+#include "typestate/Properties.h"
 #include "typestate/Typestate.h"
 
 #include <algorithm>
@@ -63,6 +64,7 @@
 #include <optional>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <tuple>
 
@@ -73,86 +75,6 @@ namespace optabs {
 namespace service {
 
 namespace {
-
-/// A property automaton parsed from the "init=...; method: from->to, ..."
-/// syntax without touching any Program (method names stay strings). Parsing
-/// happens at openSession so tenants get syntax errors synchronously;
-/// interning the method names into the (scheduler-owned) Program is
-/// deferred to first use.
-struct PropertySpec {
-  struct Rule {
-    std::string Method;
-    std::string From;
-    std::string To; ///< empty when Error
-    bool Error = false;
-  };
-  std::string Init;
-  std::vector<Rule> Rules;
-};
-
-std::string trim(const std::string &S) {
-  size_t B = S.find_first_not_of(" \t");
-  size_t E = S.find_last_not_of(" \t");
-  return B == std::string::npos ? std::string() : S.substr(B, E - B + 1);
-}
-
-bool parsePropertySpec(const std::string &Spec, PropertySpec &Out,
-                       std::string &Err) {
-  std::vector<std::string> Clauses;
-  std::stringstream SS(Spec);
-  std::string Clause;
-  while (std::getline(SS, Clause, ';'))
-    if (!trim(Clause).empty())
-      Clauses.push_back(trim(Clause));
-  if (Clauses.empty() || Clauses[0].rfind("init=", 0) != 0) {
-    Err = "property must start with 'init=<state>'";
-    return false;
-  }
-  Out.Init = trim(Clauses[0].substr(5));
-  for (size_t I = 1; I < Clauses.size(); ++I) {
-    size_t Colon = Clauses[I].find(':');
-    if (Colon == std::string::npos) {
-      Err = "expected 'method: from->to, ...' in '" + Clauses[I] + "'";
-      return false;
-    }
-    std::string Method = trim(Clauses[I].substr(0, Colon));
-    std::stringstream TS(Clauses[I].substr(Colon + 1));
-    std::string Rule;
-    while (std::getline(TS, Rule, ',')) {
-      size_t Arrow = Rule.find("->");
-      if (Arrow == std::string::npos) {
-        Err = "expected 'from->to' in '" + Rule + "'";
-        return false;
-      }
-      PropertySpec::Rule R;
-      R.Method = Method;
-      R.From = trim(Rule.substr(0, Arrow));
-      std::string To = trim(Rule.substr(Arrow + 2));
-      if (To == "ERR" || To == "err" || To == "error")
-        R.Error = true;
-      else
-        R.To = To;
-      Out.Rules.push_back(std::move(R));
-    }
-  }
-  return true;
-}
-
-/// Interns a parsed property into \p P (scheduler thread only - makeMethod
-/// mutates the Program).
-std::unique_ptr<typestate::TypestateSpec>
-materializeSpec(const PropertySpec &PS, ir::Program &P) {
-  auto Spec = std::make_unique<typestate::TypestateSpec>(PS.Init);
-  for (const PropertySpec::Rule &R : PS.Rules) {
-    ir::MethodId M = P.makeMethod(R.Method);
-    uint32_t From = Spec->addState(R.From);
-    if (R.Error)
-      Spec->addErrorTransition(M, From);
-    else
-      Spec->addTransition(M, From, Spec->addState(R.To));
-  }
-  return Spec;
-}
 
 /// The execution-relevant slice of a session's Config, serialized so
 /// sessions coalesce into one batch exactly when a shared driver run would
@@ -173,10 +95,14 @@ std::string optionsSignature(const Config &C) {
   return S.str();
 }
 
-QueryResult rejected(uint64_t Session, std::string Why) {
+/// The result of a job that ended without a verdict (\p Job is 0 for a
+/// submission rejected before it was assigned an id).
+QueryResult ended(uint64_t Job, uint64_t Session, JobStatus Status,
+                  std::string Why) {
   QueryResult R;
+  R.Job = Job;
   R.Session = Session;
-  R.Status = JobStatus::Rejected;
+  R.Status = Status;
   R.Error = std::move(Why);
   return R;
 }
@@ -185,6 +111,22 @@ std::future<QueryResult> readyFuture(QueryResult R) {
   std::promise<QueryResult> P;
   P.set_value(std::move(R));
   return P.get_future();
+}
+
+/// A flight-recorder event of \p Kind in request context \p Ctx,
+/// attributed to a job, session and batch (0 where there is none).
+support::TraceEvent traceEvent(const char *Kind,
+                               const support::TraceContext &Ctx,
+                               uint64_t Job = 0, uint64_t Session = 0,
+                               uint64_t Batch = 0) {
+  support::TraceEvent E;
+  E.Kind = Kind;
+  E.TraceId = Ctx.TraceId;
+  E.SpanId = Ctx.SpanId;
+  E.Job = Job;
+  E.Session = Session;
+  E.Batch = Batch;
+  return E;
 }
 
 void bumpServiceCounter(const char *Name, uint64_t N = 1) {
@@ -218,6 +160,14 @@ bool ensureDir(const std::string &Dir) {
   return true;
 }
 
+/// Folds the eight little-endian bytes of \p V into hash \p H.
+void mixHash(uint64_t &H, uint64_t V) {
+  unsigned char B[8];
+  for (int I = 0; I < 8; ++I)
+    B[I] = static_cast<unsigned char>(V >> (8 * I));
+  H = tracer::snapshotHash(B, 8, H);
+}
+
 /// A stable hash of one program version's fingerprint: procedure names and
 /// id-inclusive content/liveness hashes plus the entity-table shape.
 /// Stamped into every spill file and snapshot so a loaded artifact is
@@ -225,12 +175,7 @@ bool ensureDir(const std::string &Dir) {
 /// across process restarts where registration epochs restart from 1.
 uint64_t fingerprintHashOf(const ir::ProgramFingerprint &Fp) {
   uint64_t H = tracer::snapshotHash(nullptr, 0);
-  auto Mix = [&H](uint64_t V) {
-    unsigned char B[8];
-    for (int I = 0; I < 8; ++I)
-      B[I] = static_cast<unsigned char>(V >> (8 * I));
-    H = tracer::snapshotHash(B, 8, H);
-  };
+  auto Mix = [&H](uint64_t V) { mixHash(H, V); };
   Mix(Fp.Procs.size());
   for (const auto &P : Fp.Procs) {
     H = tracer::snapshotHash(P.Name.data(), P.Name.size(), H);
@@ -246,6 +191,17 @@ uint64_t fingerprintHashOf(const ir::ProgramFingerprint &Fp) {
   Mix(Fp.NumChecks);
   Mix(Fp.MainProc);
   return H;
+}
+
+/// True when dependence footprint \p Foot contains a procedure of
+/// \p Dirty.
+bool footprintHits(const BitSet &Foot, const BitSet &Dirty) {
+  bool Hit = false;
+  Dirty.forEach([&](size_t P) {
+    if (P < Foot.size() && Foot.test(P))
+      Hit = true;
+  });
+  return Hit;
 }
 
 void saveCnf(tracer::SnapshotWriter &W, const tracer::Cnf &C) {
@@ -283,112 +239,230 @@ bool loadCnf(tracer::SnapshotReader &R, tracer::Cnf &C) {
   return true;
 }
 
+// -- program registrations and their per-client cache shards -------------
+
+/// A type-state analysis family: one property automaton plus its
+/// per-tracked-site analysis instances. Everything lives here, stably,
+/// because cached forward runs hold references into the analysis.
+struct TsFamily {
+  std::unique_ptr<typestate::TypestateSpec> Spec;
+  std::map<uint32_t, std::unique_ptr<typestate::TypestateAnalysis>> PerSite;
+};
+
+/// One immutable registration of a program. Lazily grown (analyses,
+/// points-to, families, liveness) by the scheduler thread only.
+struct ProgramEntry {
+  std::unique_ptr<ir::Program> P;
+  uint64_t Epoch = 0;
+  std::unique_ptr<escape::EscapeAnalysis> Esc;
+  std::unique_ptr<pointer::PointsToResult> Pt;
+  std::map<std::string, TsFamily> Families; ///< by property text
+  /// The liveness table every forward run of this entry points at, built
+  /// once: batch drivers borrow it (QueryDriver::borrowExecution) and
+  /// runs rehydrated from disk are built against it. Cached runs outlive
+  /// the driver that computed them, and an entry outlives every cached
+  /// run whose data epoch is its own (pruneRetired), so the pointer they
+  /// hold stays valid.
+  std::unique_ptr<ir::CommandLiveness> Live;
+};
+
+/// A stored resolved verdict, replayable across re-registrations while
+/// the check's dependence footprint stays clean. DataEpoch is the epoch
+/// of the program version that computed it (never rewritten: the
+/// CheckLastDirty comparison is against the compute-time version).
+struct VerdictKey {
+  bool Typestate = false;
+  std::string Property;
+  uint32_t Site = 0;
+  std::string OptionsSig;
+  uint32_t Check = 0;
+  bool operator<(const VerdictKey &O) const {
+    return std::tie(Typestate, Property, Site, OptionsSig, Check) <
+           std::tie(O.Typestate, O.Property, O.Site, O.OptionsSig, O.Check);
+  }
+};
+struct VerdictEntry {
+  tracer::Verdict V = tracer::Verdict::Unresolved;
+  unsigned Iterations = 0;
+  uint32_t CheapestCost = 0;
+  std::string CheapestParam;
+  /// The learned viable set at resolution, migrated alongside the
+  /// verdict (kept for audit tooling and future warm-start use; the
+  /// replay path never seeds it - see the file comment).
+  tracer::Cnf Viable;
+  /// Replay fields for the "verdict" event-trace line (round + short vs
+  /// full form; see tracer::QueryOutcome::TraceForm).
+  unsigned TraceRound = 0;
+  uint8_t TraceForm = 0;
+  uint64_t DataEpoch = 0;
+  /// True for entries rehydrated from a snapshot. They are stamped with
+  /// the live epoch their load-time footprint diff validated against,
+  /// and replay within that epoch too (a driver-computed verdict only
+  /// replays across re-registrations - see pickBatch). Never lowers any
+  /// CheckLastDirty floor: the floors also shadow migrated forward runs
+  /// and must keep reflecting the last dirtying edit.
+  bool Loaded = false;
+};
+
+struct ProgramSlot;
+
+/// What differs between the two clients' cache shards: the state codec,
+/// the client byte stamped into spill files, and whether a run is scoped
+/// to a family. Snapshot and spill bytes depend on all three.
+template <typename A> struct ClientTraits;
+template <> struct ClientTraits<escape::EscapeAnalysis> {
+  using Codec = EscStateCodec;
+  static constexpr uint8_t SpillKind = 0;
+  /// One program-wide analysis: keys keep Family 0 and snapshot records
+  /// carry no family field.
+  static constexpr bool HasFamily = false;
+  static constexpr const char *Name = "escape";
+  static std::string traceLabel(uint32_t) { return "escape"; }
+};
+template <> struct ClientTraits<typestate::TypestateAnalysis> {
+  using Codec = TsStateCodec;
+  static constexpr uint8_t SpillKind = 1;
+  /// Keys fold (property family index << 32) | tracked site, so every
+  /// (family, site) analysis keys its own slice of the shard.
+  static constexpr bool HasFamily = true;
+  static constexpr const char *Name = "type-state";
+  static std::string traceLabel(uint32_t Site) {
+    return "typestate/site=" + std::to_string(Site);
+  }
+};
+
+/// One client's forward-run cache shard of a program slot, shared across
+/// sessions, batches and registrations of that program.
+template <typename A> struct ClientShard : ClientTraits<A> {
+  using Analysis = A;
+  using Forward = dataflow::ForwardAnalysis<A>;
+  using Key = typename tracer::ForwardRunCache<Forward>::Key;
+  tracer::ForwardRunCache<Forward> Runs;
+
+  /// The analysis instance that cache family \p Family of \p E stands
+  /// for, materialized on demand; null when the family cannot be
+  /// resolved. Scheduler thread only.
+  static A *analysisFor(ProgramSlot &Slot, ProgramEntry &E, uint64_t Family);
+};
+
+/// One value per analysis client, in snapshot order. The only place the
+/// service lists its clients.
+template <template <typename> class T>
+using PerClient =
+    std::tuple<T<escape::EscapeAnalysis>, T<typestate::TypestateAnalysis>>;
+
+/// The per-name slot: survives re-registration and owns the cache shards
+/// (which is the whole point - a new epoch keeps hitting the warm shard
+/// for keys it shares, while stale epochs are evicted below).
+struct ProgramSlot {
+  std::shared_ptr<ProgramEntry> Current;
+  /// Entries replaced by a re-registration, kept alive until the shards
+  /// no longer cache runs whose data epoch references their IR.
+  std::vector<std::shared_ptr<ProgramEntry>> Retired;
+  bool NeedsInvalidation = false;
+  PerClient<ClientShard> Shards;
+  /// Per-check dependence footprints of Current (proc indices into
+  /// Fingerprint.Procs), so replay events and `explain` can name the
+  /// clean footprint.
+  std::vector<BitSet> CheckFootprints;
+
+  // -- incremental re-registration state (lock held for all of these) --
+  /// Fingerprint of Current, captured at registration.
+  ir::ProgramFingerprint Fingerprint;
+  /// Per-check epoch of the last re-registration that dirtied the
+  /// check's dependence footprint, sized numChecks of Current. A cached
+  /// artifact with DataEpoch >= CheckLastDirty[check] is still exact for
+  /// that check.
+  std::vector<uint64_t> CheckLastDirty;
+  /// Epoch re-keying the scheduler still has to apply to the forward
+  /// shards ((from, to) pairs, in re-registration order).
+  std::vector<std::pair<uint64_t, uint64_t>> PendingMigrations;
+  /// Stored resolved verdicts; filtered against the diff at re-register.
+  std::map<VerdictKey, VerdictEntry> Verdicts;
+  /// Family indices must survive re-registration: cache keys fold
+  /// (family index << 32) | site, and migrated type-state entries are
+  /// only valid if the same property maps to the same index in every
+  /// epoch. Scheduler thread only (like the Families map itself).
+  uint64_t NextFamilyId = 1;
+  std::map<std::string, uint64_t> FamilyIndex; ///< by property text
+
+  template <typename A> ClientShard<A> &shard() {
+    return std::get<ClientShard<A>>(Shards);
+  }
+  /// Calls \p Fn on each client's shard, in snapshot order.
+  template <typename FnT> void forEachShard(FnT Fn) {
+    std::apply([&](auto &...Sh) { (Fn(Sh), ...); }, Shards);
+  }
+
+  /// The index of property \p Prop, assigned on first use.
+  uint64_t familyIndex(const std::string &Prop) {
+    auto It = FamilyIndex.find(Prop);
+    if (It == FamilyIndex.end())
+      It = FamilyIndex.emplace(Prop, NextFamilyId++).first;
+    return It->second;
+  }
+};
+
+template <>
+escape::EscapeAnalysis *
+ClientShard<escape::EscapeAnalysis>::analysisFor(ProgramSlot &,
+                                                 ProgramEntry &E, uint64_t) {
+  if (!E.Esc)
+    E.Esc = std::make_unique<escape::EscapeAnalysis>(*E.P);
+  return E.Esc.get();
+}
+
+template <>
+typestate::TypestateAnalysis *
+ClientShard<typestate::TypestateAnalysis>::analysisFor(ProgramSlot &Slot,
+                                                       ProgramEntry &E,
+                                                       uint64_t Family) {
+  uint64_t Index = Family >> 32;
+  uint32_t Site = static_cast<uint32_t>(Family & 0xffffffffu);
+  const std::string *Prop = nullptr;
+  for (const auto &[P, Idx] : Slot.FamilyIndex)
+    if (Idx == Index) {
+      Prop = &P;
+      break;
+    }
+  if (!Prop || Site >= E.P->numAllocs())
+    return nullptr;
+  auto It = E.Families.find(*Prop);
+  if (It == E.Families.end()) {
+    TsFamily F;
+    if (Prop->empty()) {
+      F.Spec = std::make_unique<typestate::TypestateSpec>(
+          typestate::TypestateSpec::stress());
+    } else {
+      // openSession validated the syntax; defensive for re-registers.
+      typestate::PropertySpec PS;
+      std::string Err;
+      if (!typestate::parsePropertySpec(*Prop, PS, Err))
+        return nullptr;
+      F.Spec = std::make_unique<typestate::TypestateSpec>(
+          typestate::materializeSpec(PS, *E.P));
+    }
+    It = E.Families.emplace(*Prop, std::move(F)).first;
+  }
+  if (!E.Pt)
+    E.Pt = std::make_unique<pointer::PointsToResult>(
+        pointer::runPointsTo(*E.P));
+  auto &A = It->second.PerSite[Site];
+  if (!A)
+    A = std::make_unique<typestate::TypestateAnalysis>(
+        *E.P, *It->second.Spec, ir::AllocId(Site), *E.Pt);
+  return A.get();
+}
+
+/// A shard's runs collected on the side by a merge-mode load.
+template <typename A>
+using MergedRuns =
+    std::vector<std::pair<typename ClientShard<A>::Key,
+                          std::unique_ptr<typename ClientShard<A>::Forward>>>;
+
 } // namespace
 
 struct AnalysisService::Impl {
-  using EscForward = dataflow::ForwardAnalysis<escape::EscapeAnalysis>;
-  using TsForward = dataflow::ForwardAnalysis<typestate::TypestateAnalysis>;
-
-  /// A type-state analysis family: one property automaton plus its
-  /// per-tracked-site analysis instances. Everything lives here, stably,
-  /// because cached forward runs hold references into the analysis.
-  struct TsFamily {
-    uint64_t Index = 0; ///< >= 1; composes the cache keys' Family field
-    std::unique_ptr<typestate::TypestateSpec> Spec;
-    std::map<uint32_t, std::unique_ptr<typestate::TypestateAnalysis>> PerSite;
-  };
-
-  /// One immutable registration of a program. Lazily grown (analyses,
-  /// points-to, families) by the scheduler thread only.
-  struct ProgramEntry {
-    std::unique_ptr<ir::Program> P;
-    uint64_t Epoch = 0;
-    std::unique_ptr<escape::EscapeAnalysis> Esc;
-    std::unique_ptr<pointer::PointsToResult> Pt;
-    std::map<std::string, TsFamily> Families; ///< by property text
-    /// Entry-owned liveness tables for forward runs rehydrated from disk.
-    /// A driver-computed run points at its driver's liveness; a loaded run
-    /// must outlive any driver, so it points here instead. CommandLiveness
-    /// is a pure function of P, so pruning - and therefore every verdict -
-    /// is bitwise identical either way. Scheduler thread only.
-    std::unique_ptr<ir::CommandLiveness> Live;
-  };
-
-  /// A stored resolved verdict, replayable across re-registrations while
-  /// the check's dependence footprint stays clean. DataEpoch is the epoch
-  /// of the program version that computed it (never rewritten: the
-  /// CheckLastDirty comparison is against the compute-time version).
-  struct VerdictKey {
-    bool Typestate = false;
-    std::string Property;
-    uint32_t Site = 0;
-    std::string OptionsSig;
-    uint32_t Check = 0;
-    bool operator<(const VerdictKey &O) const {
-      return std::tie(Typestate, Property, Site, OptionsSig, Check) <
-             std::tie(O.Typestate, O.Property, O.Site, O.OptionsSig, O.Check);
-    }
-  };
-  struct VerdictEntry {
-    tracer::Verdict V = tracer::Verdict::Unresolved;
-    unsigned Iterations = 0;
-    uint32_t CheapestCost = 0;
-    std::string CheapestParam;
-    /// The learned viable set at resolution, migrated alongside the
-    /// verdict (kept for audit tooling and future warm-start use; the
-    /// replay path never seeds it - see the file comment).
-    tracer::Cnf Viable;
-    /// Replay fields for the "verdict" event-trace line (round + short vs
-    /// full form; see tracer::QueryOutcome::TraceForm).
-    unsigned TraceRound = 0;
-    uint8_t TraceForm = 0;
-    uint64_t DataEpoch = 0;
-    /// True for entries rehydrated from a snapshot. They are stamped with
-    /// the live epoch their load-time footprint diff validated against,
-    /// and replay within that epoch too (a driver-computed verdict only
-    /// replays across re-registrations - see pickBatch). Never lowers any
-    /// CheckLastDirty floor: the floors also shadow migrated forward runs
-    /// and must keep reflecting the last dirtying edit.
-    bool Loaded = false;
-  };
-
-  /// The per-name slot: survives re-registration and owns the cache shards
-  /// (which is the whole point - a new epoch keeps hitting the warm shard
-  /// for keys it shares, while stale epochs are evicted below).
-  struct ProgramSlot {
-    std::shared_ptr<ProgramEntry> Current;
-    /// Entries replaced by a re-registration, kept alive until the shards
-    /// no longer cache runs whose data epoch references their IR.
-    std::vector<std::shared_ptr<ProgramEntry>> Retired;
-    bool NeedsInvalidation = false;
-    tracer::ForwardRunCache<EscForward> EscCache;
-    tracer::ForwardRunCache<TsForward> TsCache;
-    /// Per-check dependence footprints of Current (proc indices into
-    /// Fingerprint.Procs), so replay events and `explain` can name the
-    /// clean footprint.
-    std::vector<BitSet> CheckFootprints;
-
-    // -- incremental re-registration state (lock held for all of these) --
-    /// Fingerprint of Current, captured at registration.
-    ir::ProgramFingerprint Fingerprint;
-    /// Per-check epoch of the last re-registration that dirtied the
-    /// check's dependence footprint, sized numChecks of Current. A cached
-    /// artifact with DataEpoch >= CheckLastDirty[check] is still exact for
-    /// that check.
-    std::vector<uint64_t> CheckLastDirty;
-    /// Epoch re-keying the scheduler still has to apply to the forward
-    /// shards ((from, to) pairs, in re-registration order).
-    std::vector<std::pair<uint64_t, uint64_t>> PendingMigrations;
-    /// Stored resolved verdicts; filtered against the diff at re-register.
-    std::map<VerdictKey, VerdictEntry> Verdicts;
-    /// Family indices must survive re-registration: cache keys fold
-    /// (family index << 32) | site, and migrated type-state entries are
-    /// only valid if the same property maps to the same index in every
-    /// epoch. Scheduler thread only (like the Families map itself).
-    uint64_t NextFamilyId = 1;
-    std::map<std::string, uint64_t> FamilyIndex; ///< by property text
-  };
-
   struct PendingJob {
     uint64_t Id = 0; ///< global submission sequence; batch execution order
     JobSpec Spec;
@@ -461,6 +535,10 @@ struct AnalysisService::Impl {
     /// may replace the fingerprint). Stamped into spill files so only an
     /// identical program version ever re-warms from them.
     uint64_t FpHash = 0;
+
+    VerdictKey verdictKey(uint32_t Check) const {
+      return {Typestate, Property, Site, OptionsSig, Check};
+    }
   };
 
   struct BatchResult {
@@ -592,12 +670,7 @@ struct AnalysisService::Impl {
                     const char *Status) {
     if (!Recorder)
       return;
-    support::TraceEvent E;
-    E.Kind = "fulfilled";
-    E.TraceId = J.Ctx.TraceId;
-    E.SpanId = J.Ctx.SpanId;
-    E.Job = J.Id;
-    E.Session = SessionId;
+    support::TraceEvent E = traceEvent("fulfilled", J.Ctx, J.Id, SessionId);
     E.Note = Status;
     Recorder->record(E);
     if (JobTimeline *T = timeline(J.Id)) {
@@ -612,11 +685,7 @@ struct AnalysisService::Impl {
                     const char *Why) {
     if (!Recorder)
       return;
-    support::TraceEvent E;
-    E.Kind = "rejected";
-    E.TraceId = Parent.TraceId;
-    E.SpanId = Parent.SpanId;
-    E.Session = SessionId;
+    support::TraceEvent E = traceEvent("rejected", Parent, 0, SessionId);
     E.Note = Why;
     Recorder->record(E);
   }
@@ -674,24 +743,24 @@ struct AnalysisService::Impl {
         continue;
       uint64_t Live = Slot.Current->Epoch;
 
-      // Migrations first (empty after a full invalidation): re-key every
-      // surviving epoch's entries into the new one, in re-registration
-      // order. Stale data inside migrated entries is shadowed by the
+      // Per shard, migrations first (empty after a full invalidation):
+      // re-key every surviving epoch's entries into the new one, in
+      // re-registration order, then evict whatever is left under a stale
+      // key. Stale data inside migrated entries is shadowed by the
       // per-check MinDataEpoch floor at lookup time, so re-keying is
       // sound wholesale.
-      size_t Migrated = 0;
-      for (const auto &[From, To] : Slot.PendingMigrations)
-        Migrated += Slot.EscCache.migrateEpoch(From, To) +
-                    Slot.TsCache.migrateEpoch(From, To);
+      size_t Migrated = 0, N = 0;
+      Slot.forEachShard([&](auto &Sh) {
+        for (const auto &[From, To] : Slot.PendingMigrations)
+          Migrated += Sh.Runs.migrateEpoch(From, To);
+        N += Sh.Runs.evictKeysWhere(
+            [Live](const auto &K) { return K.ProgramEpoch != Live; });
+      });
       Slot.PendingMigrations.clear();
       if (Migrated) {
         Stats.EntriesMigrated += Migrated;
         bumpServiceCounter("optabs_service_entries_migrated_total", Migrated);
       }
-
-      auto Stale = [Live](const auto &K) { return K.ProgramEpoch != Live; };
-      size_t N = Slot.EscCache.evictKeysWhere(Stale) +
-                 Slot.TsCache.evictKeysWhere(Stale);
       Stats.StaleEntriesInvalidated += N;
       Stats.EntriesInvalidated += N;
       bumpServiceCounter("optabs_service_stale_invalidated_total", N);
@@ -728,17 +797,13 @@ struct AnalysisService::Impl {
           ++It;
           continue;
         }
-        QueryResult Res;
-        Res.Job = J.Id;
-        Res.Session = SId;
-        Res.Status = JobStatus::Failed;
-        Res.Error = "stale epoch: program '" + Name +
-                    "' was re-registered (epoch " + std::to_string(J.Epoch) +
-                    " -> " + std::to_string(Live) + ") and check " +
-                    std::to_string(J.Spec.Check) +
-                    " could not be proven unaffected while the job was queued";
         noteTerminal(J, SId, "failed");
-        J.Promise.set_value(std::move(Res));
+        J.Promise.set_value(ended(
+            J.Id, SId, JobStatus::Failed,
+            "stale epoch: program '" + Name + "' was re-registered (epoch " +
+                std::to_string(J.Epoch) + " -> " + std::to_string(Live) +
+                ") and check " + std::to_string(J.Spec.Check) +
+                " could not be proven unaffected while the job was queued"));
         ++Stats.JobsFailed;
         ++Failed;
         It = S.Pending.erase(It);
@@ -757,9 +822,10 @@ struct AnalysisService::Impl {
     if (Slot.Retired.empty())
       return;
     std::vector<uint64_t> Referenced;
-    auto Note = [&](uint64_t E) { Referenced.push_back(E); };
-    Slot.EscCache.forEachDataEpoch(Note);
-    Slot.TsCache.forEachDataEpoch(Note);
+    Slot.forEachShard([&](auto &Sh) {
+      Sh.Runs.forEachDataEpoch(
+          [&](uint64_t E) { Referenced.push_back(E); });
+    });
     Slot.Retired.erase(
         std::remove_if(Slot.Retired.begin(), Slot.Retired.end(),
                        [&](const std::shared_ptr<ProgramEntry> &E) {
@@ -843,17 +909,13 @@ struct AnalysisService::Impl {
       B.Entry = SlotIt->second.Current;
     }
     B.Replays.resize(B.Jobs.size());
+    B.ReplayFootprints.resize(B.Jobs.size());
     if (B.Slot && B.Entry) {
       // Snapshot the per-check freshness floor (the driver reads it
       // without the lock) and resolve which jobs replay a stored verdict.
       B.MinDataByCheck = B.Slot->CheckLastDirty;
       for (size_t I = 0; I < B.Jobs.size(); ++I) {
-        VerdictKey K;
-        K.Typestate = B.Typestate;
-        K.Property = B.Property;
-        K.Site = B.Site;
-        K.OptionsSig = B.OptionsSig;
-        K.Check = B.Jobs[I].Spec.Check;
+        VerdictKey K = B.verdictKey(B.Jobs[I].Spec.Check);
         auto It = B.Slot->Verdicts.find(K);
         if (It == B.Slot->Verdicts.end())
           continue;
@@ -866,8 +928,10 @@ struct AnalysisService::Impl {
         // the same proof a survivor gets from re-registration.
         if ((E.Loaded || E.DataEpoch < B.Entry->Epoch) &&
             K.Check < B.MinDataByCheck.size() &&
-            B.MinDataByCheck[K.Check] <= E.DataEpoch)
+            B.MinDataByCheck[K.Check] <= E.DataEpoch) {
           B.Replays[I] = E;
+          B.ReplayFootprints[I] = footprintNames(*B.Slot, K.Check);
+        }
       }
     }
 
@@ -885,22 +949,11 @@ struct AnalysisService::Impl {
       B.PickNs = nowNs();
     B.Ctx.TraceId = B.Jobs.empty() ? B.Id : B.Jobs.front().Ctx.TraceId;
     B.Ctx.SpanId = B.Id;
-    B.ReplayFootprints.resize(B.Jobs.size());
-    if (B.Slot)
-      for (size_t I = 0; I < B.Jobs.size(); ++I)
-        if (I < B.Replays.size() && B.Replays[I])
-          B.ReplayFootprints[I] =
-              footprintNames(*B.Slot, B.Jobs[I].Spec.Check);
     if (Recorder) {
       for (size_t I = 0; I < B.Jobs.size(); ++I) {
         const PendingJob &J = B.Jobs[I];
-        support::TraceEvent E;
-        E.Kind = "batched";
-        E.TraceId = J.Ctx.TraceId;
-        E.SpanId = J.Ctx.SpanId;
-        E.Job = J.Id;
-        E.Session = B.JobSessions[I];
-        E.Batch = B.Id;
+        support::TraceEvent E =
+            traceEvent("batched", J.Ctx, J.Id, B.JobSessions[I], B.Id);
         E.TsNs = B.PickNs;
         E.U0 = B.Jobs.size(); // peer count, this job included
         E.U1 = J.Spec.Check;
@@ -935,11 +988,23 @@ struct AnalysisService::Impl {
         Res.Error = "program '" + B.ProgramName + "' is not registered";
       return R;
     }
-    ir::Program &P = *B.Entry->P;
+    // The one branch on the client: everything below is written once
+    // over the session's cache shard.
+    if (B.Typestate)
+      runBatch(B, B.Slot->shard<typestate::TypestateAnalysis>(), R);
+    else
+      runBatch(B, B.Slot->shard<escape::EscapeAnalysis>(), R);
+    return R;
+  }
 
+  /// executeBatch's body for the batch's client shard \p Sh: replays
+  /// stored verdicts, runs one driver over the remaining queries, and
+  /// fills \p R. Scheduler only, lock NOT held.
+  template <typename ShardT>
+  void runBatch(Batch &B, ShardT &Sh, BatchResult &R) {
+    ir::Program &P = *B.Entry->P;
     std::string TraceLabel =
-        "service/" + B.ProgramName + "/" +
-        (B.Typestate ? "typestate/site=" + std::to_string(B.Site) : "escape");
+        "service/" + B.ProgramName + "/" + ShardT::traceLabel(B.Site);
 
     // Jobs with a stored verdict replay it wholesale - result fields and
     // the event-trace verdict line the original run emitted - and never
@@ -958,7 +1023,7 @@ struct AnalysisService::Impl {
                              std::to_string(P.numChecks()) + " checks)";
         continue;
       }
-      if (B.Typestate && Spec.Site >= P.numAllocs()) {
+      if (ShardT::HasFamily && Spec.Site >= P.numAllocs()) {
         R.Results[I].Error = "site " + std::to_string(Spec.Site) +
                              " out of range (program has " +
                              std::to_string(P.numAllocs()) +
@@ -968,13 +1033,9 @@ struct AnalysisService::Impl {
       if (I < B.Replays.size() && B.Replays[I]) {
         const VerdictEntry &E = *B.Replays[I];
         if (Recorder) {
-          support::TraceEvent TE;
-          TE.Kind = "replayed";
-          TE.TraceId = B.Jobs[I].Ctx.TraceId;
-          TE.SpanId = B.Jobs[I].Ctx.SpanId;
-          TE.Job = B.Jobs[I].Id;
-          TE.Session = B.JobSessions[I];
-          TE.Batch = B.Id;
+          support::TraceEvent TE = traceEvent("replayed", B.Jobs[I].Ctx,
+                                              B.Jobs[I].Id, B.JobSessions[I],
+                                              B.Id);
           TE.U0 = E.DataEpoch; // epoch of the run the verdict came from
           TE.Note = B.ReplayFootprints[I];
           Recorder->record(TE);
@@ -1004,7 +1065,7 @@ struct AnalysisService::Impl {
       Queries.push_back(ir::CheckId(Spec.Check));
     }
     if (Queries.empty())
-      return R;
+      return;
 
     tracer::TracerOptions O = tracer::TracerOptions::fromConfig(B.Cfg);
     O.EventTraceLabel = TraceLabel;
@@ -1015,49 +1076,25 @@ struct AnalysisService::Impl {
     // first rung then demotes cold entries to spill files instead of
     // dropping them, and cache misses consult the spill dir before
     // recomputing (how a freshly restarted worker re-warms lazily).
-    if (B.FpHash && B.Slot)
+    if (B.FpHash)
       armSpill(*B.Slot, B.Entry, B.FpHash);
 
     Timer BatchTimer;
     try {
-      std::vector<tracer::QueryOutcome> Outcomes;
-      std::vector<tracer::Cnf> Viable;
-      if (!B.Typestate) {
-        if (!B.Entry->Esc)
-          B.Entry->Esc = std::make_unique<escape::EscapeAnalysis>(P);
-        tracer::QueryDriver<escape::EscapeAnalysis> D(P, *B.Entry->Esc, O);
-        D.borrowExecution(Pool.get(), &B.Slot->EscCache, B.Entry->Epoch,
-                          /*Family=*/0, MinData, Recorder.get(), B.Ctx,
-                          B.Id);
-        Outcomes = D.run(Queries);
-        R.DS = D.stats();
-        Viable = D.finalViableSets();
-      } else {
-        std::string Err;
-        TsFamily *Fam = materializeFamily(*B.Slot, *B.Entry, B.Property, Err);
-        if (!Fam) {
-          for (size_t I : QueryJob)
-            R.Results[I].Error = "invalid property: " + Err;
-          return R;
-        }
-        if (!B.Entry->Pt)
-          B.Entry->Pt = std::make_unique<pointer::PointsToResult>(
-              pointer::runPointsTo(P));
-        auto &A = Fam->PerSite[B.Site];
-        if (!A)
-          A = std::make_unique<typestate::TypestateAnalysis>(
-              P, *Fam->Spec, ir::AllocId(B.Site), *B.Entry->Pt);
-        tracer::QueryDriver<typestate::TypestateAnalysis> D(P, *A, O);
-        // Family: property automaton index in the high half, tracked site
-        // in the low half, so every (family, site) analysis keys its own
-        // disjoint slice of the shared shard.
-        uint64_t Family = (Fam->Index << 32) | B.Site;
-        D.borrowExecution(Pool.get(), &B.Slot->TsCache, B.Entry->Epoch,
-                          Family, MinData, Recorder.get(), B.Ctx, B.Id);
-        Outcomes = D.run(Queries);
-        R.DS = D.stats();
-        Viable = D.finalViableSets();
-      }
+      uint64_t Family =
+          ShardT::HasFamily
+              ? (B.Slot->familyIndex(B.Property) << 32) | B.Site
+              : 0;
+      auto *A = ShardT::analysisFor(*B.Slot, *B.Entry, Family);
+      if (!A)
+        throw std::runtime_error("invalid property '" + B.Property + "'");
+      tracer::QueryDriver<typename ShardT::Analysis> D(P, *A, O);
+      D.borrowExecution(Pool.get(), &Sh.Runs, B.Entry->Epoch, Family,
+                        MinData, Recorder.get(), B.Ctx, B.Id,
+                        entryLiveness(*B.Entry));
+      std::vector<tracer::QueryOutcome> Outcomes = D.run(Queries);
+      R.DS = D.stats();
+      std::vector<tracer::Cnf> Viable = D.finalViableSets();
       R.Ran = true;
       for (size_t Q = 0; Q < Outcomes.size(); ++Q) {
         QueryResult &Res = R.Results[QueryJob[Q]];
@@ -1086,19 +1123,13 @@ struct AnalysisService::Impl {
     // Detach the trace sink: the next batch on this slot re-arms it with
     // its own context via borrowExecution. Likewise the spill hooks, which
     // validate against this batch's entry and epoch.
-    if (Recorder && B.Slot) {
-      B.Slot->EscCache.setTraceSink(nullptr);
-      B.Slot->TsCache.setTraceSink(nullptr);
-    }
-    if (B.FpHash && B.Slot)
+    if (Recorder)
+      Sh.Runs.setTraceSink(nullptr);
+    if (B.FpHash)
       disarmSpill(*B.Slot);
     if (Recorder && R.Ran) {
       auto Phase = [&](const char *Name, double S) {
-        support::TraceEvent E;
-        E.Kind = "phase";
-        E.TraceId = B.Ctx.TraceId;
-        E.SpanId = B.Ctx.SpanId;
-        E.Batch = B.Id;
+        support::TraceEvent E = traceEvent("phase", B.Ctx, 0, 0, B.Id);
         E.Note = Name;
         E.D0 = S;
         Recorder->record(E);
@@ -1109,48 +1140,15 @@ struct AnalysisService::Impl {
       Phase("extract", R.DS.Phases.Extract);
       Phase("backward", R.DS.Phases.Backward);
       Phase("merge", R.DS.Phases.Merge);
-      support::TraceEvent E;
-      E.Kind = "run";
-      E.TraceId = B.Ctx.TraceId;
-      E.SpanId = B.Ctx.SpanId;
-      E.Batch = B.Id;
+      support::TraceEvent E = traceEvent("run", B.Ctx, 0, 0, B.Id);
       E.U0 = R.DS.CacheHits;
       E.U1 = R.DS.CacheMisses;
       E.D0 = R.Seconds;
       Recorder->record(E);
     }
-    return R;
-  }
-
-  TsFamily *materializeFamily(ProgramSlot &Slot, ProgramEntry &E,
-                              const std::string &Prop, std::string &Err) {
-    auto It = E.Families.find(Prop);
-    if (It != E.Families.end())
-      return &It->second;
-    TsFamily F;
-    auto IdxIt = Slot.FamilyIndex.find(Prop);
-    if (IdxIt != Slot.FamilyIndex.end()) {
-      F.Index = IdxIt->second;
-    } else {
-      F.Index = Slot.NextFamilyId++;
-      Slot.FamilyIndex.emplace(Prop, F.Index);
-    }
-    if (Prop.empty()) {
-      F.Spec = std::make_unique<typestate::TypestateSpec>(
-          typestate::TypestateSpec::stress());
-    } else {
-      PropertySpec PS;
-      if (!parsePropertySpec(Prop, PS, Err))
-        return nullptr; // openSession validated; defensive for re-registers
-      F.Spec = materializeSpec(PS, *E.P);
-    }
-    return &E.Families.emplace(Prop, std::move(F)).first->second;
   }
 
   // -- persistent cache tier (scheduler thread only) ---------------------
-
-  using EscKey = tracer::ForwardRunCache<EscForward>::Key;
-  using TsKey = tracer::ForwardRunCache<TsForward>::Key;
 
   /// True when the on-disk tier is usable at all: it needs a directory to
   /// write into.
@@ -1158,7 +1156,8 @@ struct AnalysisService::Impl {
     return !Opts.Base.Service.CacheDir.empty();
   }
 
-  /// Lazily built per-entry liveness tables (see ProgramEntry::Live).
+  /// The entry's liveness table, built on first use (see
+  /// ProgramEntry::Live).
   const ir::CommandLiveness *entryLiveness(ProgramEntry &E) {
     if (!E.Live)
       E.Live = std::make_unique<ir::CommandLiveness>(*E.P);
@@ -1176,20 +1175,12 @@ struct AnalysisService::Impl {
   /// program re-warm from each other's spill files; any other program
   /// hashes elsewhere, and the fields stored inside the file re-verify
   /// the match on load.
-  std::string spillPathFor(uint64_t FpHash, uint8_t ClientKind,
+  std::string spillPathFor(uint64_t FpHash, uint8_t SpillKind,
                            uint64_t Family, uint32_t Salt,
                            const std::vector<bool> &Bits) const {
     uint64_t H = tracer::snapshotHash(nullptr, 0);
-    auto Mix = [&H](uint64_t V) {
-      unsigned char B[8];
-      for (int I = 0; I < 8; ++I)
-        B[I] = static_cast<unsigned char>(V >> (8 * I));
-      H = tracer::snapshotHash(B, 8, H);
-    };
-    Mix(FpHash);
-    Mix(ClientKind);
-    Mix(Family);
-    Mix(Salt);
+    for (uint64_t V : {FpHash, uint64_t(SpillKind), Family, uint64_t(Salt)})
+      mixHash(H, V);
     std::vector<uint8_t> Bytes(Bits.size());
     for (size_t I = 0; I < Bits.size(); ++I)
       Bytes[I] = Bits[I] ? 1 : 0;
@@ -1221,15 +1212,16 @@ struct AnalysisService::Impl {
   }
 
   /// Writes one spilled run: the validation stamp (fingerprint hash +
-  /// full key + client kind), then the run payload. Returns false when
-  /// the spill-byte budget is exhausted or the write fails - the caller
-  /// (ForwardRunCache::spillUnpinned) then evicts without spilling.
-  template <typename RunT, typename CodecT>
-  bool writeSpill(uint64_t FpHash, uint8_t ClientKind, uint64_t Family,
-                  uint32_t Salt, const std::vector<bool> &Bits,
-                  const RunT &Run, const CodecT &Codec) {
+  /// full key + the shard's spill kind), then the run payload. Returns
+  /// false when the spill-byte budget is exhausted or the write fails -
+  /// the caller (ForwardRunCache::spillUnpinned) then evicts without
+  /// spilling.
+  template <typename ShardT>
+  bool writeSpill(uint64_t FpHash, const typename ShardT::Key &K,
+                  const typename ShardT::Forward &Run) {
     ensureSpillAccounting();
-    std::string Path = spillPathFor(FpHash, ClientKind, Family, Salt, Bits);
+    std::string Path =
+        spillPathFor(FpHash, ShardT::SpillKind, K.Family, K.Salt, K.Bits);
     // A rewrite replaces its old file, so only the net usage counts -
     // both for the budget gate and for the post-commit accounting.
     struct stat SB;
@@ -1243,11 +1235,12 @@ struct AnalysisService::Impl {
       return false;
     tracer::SnapshotWriter W;
     W.u64(FpHash);
-    W.u8(ClientKind);
-    W.u64(Family);
-    W.u32(Salt);
-    W.bits(Bits);
-    tracer::RunSink<CodecT> S{W, Codec};
+    W.u8(ShardT::SpillKind);
+    W.u64(K.Family);
+    W.u32(K.Salt);
+    W.bits(K.Bits);
+    using CodecT = typename ShardT::Codec;
+    tracer::RunSink<CodecT> S{W, CodecT()};
     Run.saveTo(S);
     std::string Err;
     if (!ensureDir(Opts.Base.Service.CacheDir) || !W.commit(Path, Err))
@@ -1258,10 +1251,11 @@ struct AnalysisService::Impl {
 
   /// Opens and stamp-validates one spill file; true when it matches the
   /// requested key exactly (hash-collision paths fail here, not later).
+  template <typename ShardT>
   bool openSpill(tracer::SnapshotReader &R, uint64_t FpHash,
-                 uint8_t ClientKind, uint64_t Family, uint32_t Salt,
-                 const std::vector<bool> &Bits) {
-    if (!R.open(spillPathFor(FpHash, ClientKind, Family, Salt, Bits)))
+                 const typename ShardT::Key &K) {
+    if (!R.open(
+            spillPathFor(FpHash, ShardT::SpillKind, K.Family, K.Salt, K.Bits)))
       return false;
     uint64_t GotFp = 0, GotFamily = 0;
     uint8_t GotKind = 0;
@@ -1270,15 +1264,31 @@ struct AnalysisService::Impl {
     if (!R.u64(GotFp) || !R.u8(GotKind) || !R.u64(GotFamily) ||
         !R.u32(GotSalt) || !R.bits(GotBits))
       return false;
-    if (GotFp != FpHash || GotKind != ClientKind || GotFamily != Family ||
-        GotSalt != Salt || GotBits != Bits) {
+    if (GotFp != FpHash || GotKind != ShardT::SpillKind ||
+        GotFamily != K.Family || GotSalt != K.Salt || GotBits != K.Bits) {
       R.fail("spill stamp does not match the requested key");
       return false;
     }
     return true;
   }
 
-  /// Arms both of \p Slot's cache shards with disk-tier hooks bound to
+  /// Reads one run payload for key bits \p Bits of analysis \p A into a
+  /// fresh forward run against \p E's liveness; null when the payload
+  /// does not parse.
+  template <typename ShardT>
+  std::unique_ptr<typename ShardT::Forward>
+  readRun(tracer::SnapshotReader &R, ProgramEntry &E,
+          typename ShardT::Analysis &A, const std::vector<bool> &Bits) {
+    auto Run = std::make_unique<typename ShardT::Forward>(
+        *E.P, A, A.paramFromBits(Bits), entryLiveness(E));
+    using CodecT = typename ShardT::Codec;
+    tracer::RunSource<CodecT> S{R, CodecT()};
+    if (!Run->loadFrom(S) || R.failed())
+      return nullptr;
+    return Run;
+  }
+
+  /// Arms every cache shard of \p Slot with disk-tier hooks bound to
   /// \p Entry and \p FpHash. The hooks run on the scheduler thread only
   /// (inside executeBatch's driver run, or inside an admin spill op) and
   /// must be disarmed with disarmSpill afterwards: they capture the entry
@@ -1286,97 +1296,42 @@ struct AnalysisService::Impl {
   void armSpill(ProgramSlot &Slot, std::shared_ptr<ProgramEntry> Entry,
                 uint64_t FpHash) {
     ProgramSlot *SlotP = &Slot;
-    Slot.EscCache.setSpillStore(
-        [this, Entry, FpHash](const EscKey &K, const EscForward &Run,
-                              uint64_t DataEpoch) {
-          // Only runs computed against this exact program version spill:
-          // a migrated run (older data epoch) contains stale values for
-          // dirty procedures, shadowed in memory by the per-check
-          // freshness floor - but a reload would stamp it fresh, so it
-          // must evict instead.
-          if (DataEpoch != Entry->Epoch)
-            return false;
-          return writeSpill(FpHash, /*ClientKind=*/0, K.Family, K.Salt,
-                            K.Bits, Run, EscStateCodec());
-        },
-        [this, Entry, FpHash](const EscKey &K, uint64_t *DataEpoch)
-            -> std::unique_ptr<EscForward> {
-          tracer::SnapshotReader R;
-          if (!openSpill(R, FpHash, /*ClientKind=*/0, K.Family, K.Salt,
-                         K.Bits))
-            return nullptr;
-          if (!Entry->Esc)
-            Entry->Esc = std::make_unique<escape::EscapeAnalysis>(*Entry->P);
-          auto Run = std::make_unique<EscForward>(
-              *Entry->P, *Entry->Esc, Entry->Esc->paramFromBits(K.Bits),
-              entryLiveness(*Entry));
-          tracer::RunSource<EscStateCodec> S{R, EscStateCodec()};
-          if (!Run->loadFrom(S) || R.failed())
-            return nullptr;
-          *DataEpoch = Entry->Epoch;
-          return Run;
-        });
-    Slot.TsCache.setSpillStore(
-        [this, Entry, FpHash](const TsKey &K, const TsForward &Run,
-                              uint64_t DataEpoch) {
-          if (DataEpoch != Entry->Epoch)
-            return false;
-          return writeSpill(FpHash, /*ClientKind=*/1, K.Family, K.Salt,
-                            K.Bits, Run, TsStateCodec());
-        },
-        [this, SlotP, Entry, FpHash](const TsKey &K, uint64_t *DataEpoch)
-            -> std::unique_ptr<TsForward> {
-          tracer::SnapshotReader R;
-          if (!openSpill(R, FpHash, /*ClientKind=*/1, K.Family, K.Salt,
-                         K.Bits))
-            return nullptr;
-          typestate::TypestateAnalysis *A =
-              tsAnalysisForFamily(*SlotP, *Entry, K.Family);
-          if (!A)
-            return nullptr;
-          auto Run = std::make_unique<TsForward>(
-              *Entry->P, *A, A->paramFromBits(K.Bits),
-              entryLiveness(*Entry));
-          tracer::RunSource<TsStateCodec> S{R, TsStateCodec()};
-          if (!Run->loadFrom(S) || R.failed())
-            return nullptr;
-          *DataEpoch = Entry->Epoch;
-          return Run;
-        });
+    Slot.forEachShard([&](auto &Sh) {
+      using ShardT = std::decay_t<decltype(Sh)>;
+      using Key = typename ShardT::Key;
+      using Forward = typename ShardT::Forward;
+      Sh.Runs.setSpillStore(
+          [this, Entry, FpHash](const Key &K, const Forward &Run,
+                                uint64_t DataEpoch) {
+            // Only runs computed against this exact program version
+            // spill: a migrated run (older data epoch) contains stale
+            // values for dirty procedures, shadowed in memory by the
+            // per-check freshness floor - but a reload would stamp it
+            // fresh, so it must evict instead.
+            if (DataEpoch != Entry->Epoch)
+              return false;
+            return writeSpill<ShardT>(FpHash, K, Run);
+          },
+          [this, SlotP, Entry, FpHash](const Key &K, uint64_t *DataEpoch)
+              -> std::unique_ptr<Forward> {
+            tracer::SnapshotReader R;
+            if (!openSpill<ShardT>(R, FpHash, K))
+              return nullptr;
+            auto *A = ShardT::analysisFor(*SlotP, *Entry, K.Family);
+            if (!A)
+              return nullptr;
+            std::unique_ptr<Forward> Run =
+                readRun<ShardT>(R, *Entry, *A, K.Bits);
+            if (Run)
+              *DataEpoch = Entry->Epoch;
+            return Run;
+          });
+    });
   }
 
   void disarmSpill(ProgramSlot &Slot) {
-    Slot.EscCache.setSpillStore(nullptr, nullptr);
-    Slot.TsCache.setSpillStore(nullptr, nullptr);
-  }
-
-  /// Resolves a composite type-state cache family ((property index << 32)
-  /// | tracked site) back to its analysis instance, materializing the
-  /// family and points-to on demand exactly like executeBatch does.
-  typestate::TypestateAnalysis *
-  tsAnalysisForFamily(ProgramSlot &Slot, ProgramEntry &E, uint64_t Family) {
-    uint64_t Index = Family >> 32;
-    uint32_t Site = static_cast<uint32_t>(Family & 0xffffffffu);
-    const std::string *Prop = nullptr;
-    for (const auto &[P, Idx] : Slot.FamilyIndex)
-      if (Idx == Index) {
-        Prop = &P;
-        break;
-      }
-    if (!Prop || Site >= E.P->numAllocs())
-      return nullptr;
-    std::string Err;
-    TsFamily *Fam = materializeFamily(Slot, E, *Prop, Err);
-    if (!Fam)
-      return nullptr;
-    if (!E.Pt)
-      E.Pt = std::make_unique<pointer::PointsToResult>(
-          pointer::runPointsTo(*E.P));
-    auto &A = Fam->PerSite[Site];
-    if (!A)
-      A = std::make_unique<typestate::TypestateAnalysis>(
-          *E.P, *Fam->Spec, ir::AllocId(Site), *E.Pt);
-    return A.get();
+    Slot.forEachShard(
+        [](auto &Sh) { Sh.Runs.setSpillStore(nullptr, nullptr); });
   }
 
   /// Still-valid entries of an existing on-disk snapshot, collected on
@@ -1390,8 +1345,10 @@ struct AnalysisService::Impl {
   /// live fingerprint is sound.
   struct SnapshotMerge {
     std::map<VerdictKey, VerdictEntry> Verdicts;
-    std::vector<std::pair<EscKey, std::unique_ptr<EscForward>>> EscRuns;
-    std::vector<std::pair<TsKey, std::unique_ptr<TsForward>>> TsRuns;
+    PerClient<MergedRuns> Runs;
+    template <typename A> MergedRuns<A> &runs() {
+      return std::get<MergedRuns<A>>(Runs);
+    }
   };
 
   /// Snapshots one program slot - fingerprint, family index, stored
@@ -1471,54 +1428,32 @@ struct AnalysisService::Impl {
     // requires a bitwise-identical program anyway, so nothing of value is
     // lost - a migrated run's data epoch proves it predates this version.
     uint64_t Skipped = 0;
-    std::vector<std::pair<const EscKey *, const EscForward *>> EscRuns;
-    Slot.EscCache.forEachEntry(
-        [&](const EscKey &K, const EscForward &Run, uint64_t DataEpoch) {
-          if (K.ProgramEpoch == Live && DataEpoch == Live)
-            EscRuns.emplace_back(&K, &Run);
-          else
-            ++Skipped;
-        });
-    W.u32(static_cast<uint32_t>(EscRuns.size() + Merge.EscRuns.size()));
-    for (const auto &[K, Run] : EscRuns) {
-      W.u32(K->Salt);
-      W.bits(K->Bits);
-      tracer::RunSink<EscStateCodec> S{W, EscStateCodec()};
-      Run->saveTo(S);
-      ++Res.RunsPersisted;
-    }
-    for (const auto &[K, Run] : Merge.EscRuns) {
-      W.u32(K.Salt);
-      W.bits(K.Bits);
-      tracer::RunSink<EscStateCodec> S{W, EscStateCodec()};
-      Run->saveTo(S);
-      ++Res.RunsPersisted;
-    }
-    std::vector<std::pair<const TsKey *, const TsForward *>> TsRuns;
-    Slot.TsCache.forEachEntry(
-        [&](const TsKey &K, const TsForward &Run, uint64_t DataEpoch) {
-          if (K.ProgramEpoch == Live && DataEpoch == Live)
-            TsRuns.emplace_back(&K, &Run);
-          else
-            ++Skipped;
-        });
-    W.u32(static_cast<uint32_t>(TsRuns.size() + Merge.TsRuns.size()));
-    for (const auto &[K, Run] : TsRuns) {
-      W.u64(K->Family);
-      W.u32(K->Salt);
-      W.bits(K->Bits);
-      tracer::RunSink<TsStateCodec> S{W, TsStateCodec()};
-      Run->saveTo(S);
-      ++Res.RunsPersisted;
-    }
-    for (const auto &[K, Run] : Merge.TsRuns) {
-      W.u64(K.Family);
-      W.u32(K.Salt);
-      W.bits(K.Bits);
-      tracer::RunSink<TsStateCodec> S{W, TsStateCodec()};
-      Run->saveTo(S);
-      ++Res.RunsPersisted;
-    }
+    Slot.forEachShard([&](auto &Sh) {
+      using ShardT = std::decay_t<decltype(Sh)>;
+      using Key = typename ShardT::Key;
+      using Forward = typename ShardT::Forward;
+      std::vector<std::pair<const Key *, const Forward *>> Runs;
+      Sh.Runs.forEachEntry(
+          [&](const Key &K, const Forward &Run, uint64_t DataEpoch) {
+            if (K.ProgramEpoch == Live && DataEpoch == Live)
+              Runs.emplace_back(&K, &Run);
+            else
+              ++Skipped;
+          });
+      for (const auto &[K, Run] : Merge.runs<typename ShardT::Analysis>())
+        Runs.emplace_back(&K, Run.get());
+      W.u32(static_cast<uint32_t>(Runs.size()));
+      for (const auto &[K, Run] : Runs) {
+        if (ShardT::HasFamily)
+          W.u64(K->Family);
+        W.u32(K->Salt);
+        W.bits(K->Bits);
+        using CodecT = typename ShardT::Codec;
+        tracer::RunSink<CodecT> S{W, CodecT()};
+        Run->saveTo(S);
+        ++Res.RunsPersisted;
+      }
+    });
     if (Skipped) {
       Res.RunsSkipped += Skipped;
       Res.Notes.push_back(
@@ -1560,12 +1495,20 @@ struct AnalysisService::Impl {
       Res.Notes.push_back(R.error());
       return;
     }
+    readSnapshot(Name, Slot, R, Res, Merge);
+    // Every structural failure latches in the reader and ends the read.
+    if (R.failed())
+      Res.Notes.push_back(R.error());
+  }
+
+  /// The body of loadProgram: returns at the first failed read.
+  void readSnapshot(const std::string &Name, ProgramSlot &Slot,
+                    tracer::SnapshotReader &R, CacheOpResult &Res,
+                    SnapshotMerge *Merge) {
     std::string SnapName;
     uint64_t SnapEpoch = 0;
-    if (!R.str(SnapName) || !R.u64(SnapEpoch)) {
-      Res.Notes.push_back(R.error());
+    if (!R.str(SnapName) || !R.u64(SnapEpoch))
       return;
-    }
     if (SnapName != Name) {
       Res.Notes.push_back("snapshot " + snapshotPathFor(Name) +
                           ": names program '" + SnapName + "', not '" +
@@ -1574,32 +1517,22 @@ struct AnalysisService::Impl {
     }
     ir::ProgramFingerprint SnapFp;
     uint32_t NumProcs = 0;
-    if (!R.u32(NumProcs)) {
-      Res.Notes.push_back(R.error());
+    if (!R.u32(NumProcs))
       return;
-    }
     // Each proc record is at least 20 bytes (length-prefixed name plus
     // two u64 hashes); a larger count is provably truncated and must not
     // size the resize below.
-    if (NumProcs > R.remaining() / 20) {
-      R.fail("fingerprint proc count exceeds the remaining payload");
-      Res.Notes.push_back(R.error());
-      return;
-    }
+    if (NumProcs > R.remaining() / 20)
+      return R.fail("fingerprint proc count exceeds the remaining payload");
     SnapFp.Procs.resize(NumProcs);
     for (auto &P : SnapFp.Procs)
-      if (!R.str(P.Name) || !R.u64(P.ContentHash) ||
-          !R.u64(P.LivenessHash)) {
-        Res.Notes.push_back(R.error());
+      if (!R.str(P.Name) || !R.u64(P.ContentHash) || !R.u64(P.LivenessHash))
         return;
-      }
     if (!R.u32(SnapFp.NumVars) || !R.u32(SnapFp.NumGlobals) ||
         !R.u32(SnapFp.NumFields) || !R.u32(SnapFp.NumAllocs) ||
         !R.u32(SnapFp.NumMethods) || !R.u32(SnapFp.NumSymbols) ||
-        !R.u32(SnapFp.NumChecks) || !R.u32(SnapFp.MainProc)) {
-      Res.Notes.push_back(R.error());
+        !R.u32(SnapFp.NumChecks) || !R.u32(SnapFp.MainProc))
       return;
-    }
 
     // The snapshot-to-live diff: the same comparison a re-registration
     // makes between the retiring and new versions, and the sole authority
@@ -1617,20 +1550,14 @@ struct AnalysisService::Impl {
     // so a loaded type-state run is only valid if its property maps to
     // the same index live; a conflict skips that family's runs.
     uint32_t NumFams = 0;
-    if (!R.u32(NumFams)) {
-      Res.Notes.push_back(R.error());
+    if (!R.u32(NumFams))
       return;
-    }
-    std::map<uint64_t, std::string> SnapFamilyProp;
     std::set<uint64_t> ConflictFams;
     for (uint32_t I = 0; I < NumFams; ++I) {
       std::string Prop;
       uint64_t Idx = 0;
-      if (!R.str(Prop) || !R.u64(Idx)) {
-        Res.Notes.push_back(R.error());
+      if (!R.str(Prop) || !R.u64(Idx))
         return;
-      }
-      SnapFamilyProp[Idx] = Prop;
       auto It = Slot.FamilyIndex.find(Prop);
       if (It == Slot.FamilyIndex.end()) {
         Slot.FamilyIndex.emplace(Prop, Idx);
@@ -1644,18 +1571,6 @@ struct AnalysisService::Impl {
       }
     }
 
-    auto FootprintClean = [&](uint32_t Check) {
-      if (!D.Comparable || Check >= Slot.CheckFootprints.size())
-        return false;
-      bool Hit = false;
-      D.DirtyProcs.forEach([&](size_t P) {
-        if (P < Slot.CheckFootprints[Check].size() &&
-            Slot.CheckFootprints[Check].test(P))
-          Hit = true;
-      });
-      return !Hit;
-    };
-
     // Stored verdicts: per-check validation, exactly the re-registration
     // filter. A loaded verdict is stamped with the live epoch - the
     // version the footprint comparison just proved it exact for - plus
@@ -1664,10 +1579,8 @@ struct AnalysisService::Impl {
     // shadow stale migrated forward runs in the in-memory caches, and
     // lowering one to admit a verdict would serve those runs as fresh.
     uint32_t NumVerdicts = 0;
-    if (!R.u32(NumVerdicts)) {
-      Res.Notes.push_back(R.error());
+    if (!R.u32(NumVerdicts))
       return;
-    }
     uint64_t StaleVerdicts = 0;
     for (uint32_t I = 0; I < NumVerdicts; ++I) {
       VerdictKey K;
@@ -1678,22 +1591,18 @@ struct AnalysisService::Impl {
           !R.str(K.OptionsSig) || !R.u32(K.Check) || !R.u8(V) ||
           !R.u32(Iter) || !R.u32(E.CheapestCost) ||
           !R.str(E.CheapestParam) || !R.u32(Round) || !R.u8(E.TraceForm) ||
-          !loadCnf(R, E.Viable)) {
-        Res.Notes.push_back(R.error());
+          !loadCnf(R, E.Viable))
         return;
-      }
-      if (Ts > 1 || V > 2 || E.TraceForm > 2) {
-        R.fail("verdict record field out of range");
-        Res.Notes.push_back(R.error());
-        return;
-      }
+      if (Ts > 1 || V > 2 || E.TraceForm > 2)
+        return R.fail("verdict record field out of range");
       K.Typestate = Ts == 1;
       E.V = static_cast<tracer::Verdict>(V);
       E.Iterations = Iter;
       E.TraceRound = Round;
       E.DataEpoch = Slot.Current->Epoch;
       E.Loaded = true;
-      if (!FootprintClean(K.Check)) {
+      if (!D.Comparable || K.Check >= Slot.CheckFootprints.size() ||
+          footprintHits(Slot.CheckFootprints[K.Check], D.DirtyProcs)) {
         ++StaleVerdicts;
         continue;
       }
@@ -1721,107 +1630,79 @@ struct AnalysisService::Impl {
     // dirty procedure poisons the address space; per-check shadowing
     // cannot save them the way it does live migrated entries, because a
     // load stamps the current epoch as the data epoch.
-    uint32_t NumEsc = 0;
-    if (!R.u32(NumEsc)) {
-      Res.Notes.push_back(R.error());
-      return;
-    }
-    ProgramEntry &E = *Slot.Current;
     if (!Identical && D.Comparable)
       Res.Notes.push_back("program '" + Name + "': " +
                           std::to_string(D.numDirty()) +
                           " procedure(s) changed since the snapshot; "
                           "cached runs not loaded");
-    for (uint32_t I = 0; I < NumEsc; ++I) {
-      EscKey K;
-      if (!R.u32(K.Salt) || !R.bits(K.Bits)) {
-        Res.Notes.push_back(R.error());
-        return;
-      }
+    bool Stopped = false;
+    Slot.forEachShard([&](auto &Sh) {
+      Stopped = Stopped || !loadRuns(Name, Slot, Sh, R, Identical,
+                                     ConflictFams, Res, Merge);
+    });
+  }
+
+  /// One shard's section of a snapshot being loaded (see loadProgram).
+  /// Returns false when the record stream cannot be read any further.
+  template <typename ShardT>
+  bool loadRuns(const std::string &Name, ProgramSlot &Slot, ShardT &Sh,
+                tracer::SnapshotReader &R, bool Identical,
+                const std::set<uint64_t> &ConflictFams, CacheOpResult &Res,
+                SnapshotMerge *Merge) {
+    uint32_t NumRuns = 0;
+    if (!R.u32(NumRuns))
+      return false;
+    ProgramEntry &E = *Slot.Current;
+    for (uint32_t I = 0; I < NumRuns; ++I) {
+      typename ShardT::Key K;
+      if ((ShardT::HasFamily && !R.u64(K.Family)) || !R.u32(K.Salt) ||
+          !R.bits(K.Bits))
+        return false;
       K.ProgramEpoch = E.Epoch;
-      if (!E.Esc)
-        E.Esc = std::make_unique<escape::EscapeAnalysis>(*E.P);
-      auto Run = std::make_unique<EscForward>(
-          *E.P, *E.Esc, E.Esc->paramFromBits(K.Bits), entryLiveness(E));
-      tracer::RunSource<EscStateCodec> S{R, EscStateCodec()};
-      if (!Run->loadFrom(S) || R.failed()) {
+      bool Loadable = Identical && !ConflictFams.count(K.Family >> 32);
+      // A run's bytes cannot be read without its analysis. A family-free
+      // run always has one, so a stale one is parsed past; a family is
+      // resolved only for a run that can load, and the stream stops at
+      // the first run whose family does not resolve.
+      typename ShardT::Analysis *A = nullptr;
+      if (Loadable || !ShardT::HasFamily)
+        A = ShardT::analysisFor(Slot, E, K.Family);
+      if (!A) {
+        Res.Notes.push_back(
+            "program '" + Name + "': " +
+            (Identical ? "cannot resolve analysis family " +
+                             std::to_string(K.Family >> 32) +
+                             " for a cached run; remaining runs skipped"
+                       : std::string("remaining ") + ShardT::Name +
+                             " runs not loaded (program changed since the "
+                             "snapshot)"));
+        Res.RunsSkipped += NumRuns - I;
+        return false;
+      }
+      std::unique_ptr<typename ShardT::Forward> Run =
+          readRun<ShardT>(R, E, *A, K.Bits);
+      if (!Run) {
         // The stream is sequential: a payload that fails to parse means
         // the rest of the record stream is unrecoverable. Keep what
         // loaded so far; it was each individually validated.
-        Res.Notes.push_back(R.failed() ? R.error()
-                                       : "snapshot " +
-                                             snapshotPathFor(Name) +
-                                             ": invalid forward-run "
-                                             "payload");
-        return;
+        if (!R.failed())
+          Res.Notes.push_back("snapshot " + snapshotPathFor(Name) +
+                              ": invalid forward-run payload");
+        return false;
       }
-      if (!Identical || Slot.EscCache.contains(K)) {
+      if (!Loadable || Sh.Runs.contains(K)) {
         ++Res.RunsSkipped;
         continue;
       }
       if (Merge) {
-        Merge->EscRuns.emplace_back(K, std::move(Run));
+        Merge->runs<typename ShardT::Analysis>().emplace_back(
+            K, std::move(Run));
         continue;
       }
-      Slot.EscCache.insert(std::move(K), std::move(Run), E.Epoch);
+      Sh.Runs.insert(std::move(K), std::move(Run), E.Epoch);
       ++Res.RunsLoaded;
     }
-    uint32_t NumTs = 0;
-    if (!R.u32(NumTs)) {
-      Res.Notes.push_back(R.error());
-      return;
-    }
-    for (uint32_t I = 0; I < NumTs; ++I) {
-      TsKey K;
-      if (!R.u64(K.Family) || !R.u32(K.Salt) || !R.bits(K.Bits)) {
-        Res.Notes.push_back(R.error());
-        return;
-      }
-      K.ProgramEpoch = E.Epoch;
-      typestate::TypestateAnalysis *A = nullptr;
-      if (Identical && !ConflictFams.count(K.Family >> 32))
-        A = tsAnalysisForFamily(Slot, E, K.Family);
-      if (!A) {
-        // Still must parse past the payload to reach later records; a
-        // throwaway analysis instance is not available, so parse the run
-        // into a scratch instance only when one exists. Without one the
-        // stream cannot advance - stop with a note.
-        if (!Identical) {
-          Res.Notes.push_back("program '" + Name +
-                              "': remaining type-state runs not loaded "
-                              "(program changed since the snapshot)");
-        } else {
-          Res.Notes.push_back("program '" + Name +
-                              "': cannot resolve analysis family " +
-                              std::to_string(K.Family >> 32) +
-                              " for a cached run; remaining runs "
-                              "skipped");
-        }
-        Res.RunsSkipped += NumTs - I;
-        return;
-      }
-      auto Run = std::make_unique<TsForward>(
-          *E.P, *A, A->paramFromBits(K.Bits), entryLiveness(E));
-      tracer::RunSource<TsStateCodec> S{R, TsStateCodec()};
-      if (!Run->loadFrom(S) || R.failed()) {
-        Res.Notes.push_back(R.failed() ? R.error()
-                                       : "snapshot " +
-                                             snapshotPathFor(Name) +
-                                             ": invalid forward-run "
-                                             "payload");
-        return;
-      }
-      if (Slot.TsCache.contains(K)) {
-        ++Res.RunsSkipped;
-        continue;
-      }
-      if (Merge) {
-        Merge->TsRuns.emplace_back(K, std::move(Run));
-        continue;
-      }
-      Slot.TsCache.insert(std::move(K), std::move(Run), E.Epoch);
-      ++Res.RunsLoaded;
-    }
+    return true;
   }
 
   /// Lock held. Executes one queued cache-admin command against the
@@ -1843,19 +1724,20 @@ struct AnalysisService::Impl {
       for (auto &[Name, Slot] : Programs)
         Fn(Name, Slot);
     };
+    // Resident footprint plus the lifetime spill counters of a slot.
+    auto Fold = [&](ProgramSlot &Slot) {
+      Slot.forEachShard([&](auto &Sh) {
+        tracer::ForwardCacheCounters C = Sh.Runs.counters();
+        Res.Entries += Sh.Runs.size();
+        Res.ResidentBytes += C.ResidentBytes;
+        Res.SpillWrites += C.SpillWrites;
+        Res.SpillLoads += C.SpillLoads;
+      });
+    };
 
     if (Cmd.Action == "stats") {
-      ForEachTarget([&](const std::string &, ProgramSlot &Slot) {
-        auto Fold = [&](const tracer::ForwardCacheCounters &C,
-                        size_t Size) {
-          Res.Entries += Size;
-          Res.ResidentBytes += C.ResidentBytes;
-          Res.SpillWrites += C.SpillWrites;
-          Res.SpillLoads += C.SpillLoads;
-        };
-        Fold(Slot.EscCache.counters(), Slot.EscCache.size());
-        Fold(Slot.TsCache.counters(), Slot.TsCache.size());
-      });
+      ForEachTarget(
+          [&](const std::string &, ProgramSlot &Slot) { Fold(Slot); });
     } else if (Cmd.Action == "persist" || Cmd.Action == "load") {
       if (!persistenceEnabled()) {
         Res.Ok = false;
@@ -1876,40 +1758,28 @@ struct AnalysisService::Impl {
         Res.Notes.push_back("no cache_dir configured; evicting without "
                             "spilling");
       ForEachTarget([&](const std::string &, ProgramSlot &Slot) {
-        // A new cache round first: between batches no driver holds run
-        // pointers, so unpinning everything (and flushing deferred
-        // replacements) is safe and lets the whole shard demote.
-        Slot.EscCache.beginEpoch();
-        Slot.TsCache.beginEpoch();
         uint64_t FpHash = Spill && Slot.Current
                               ? fingerprintHashOf(Slot.Fingerprint)
                               : 0;
         if (FpHash)
           armSpill(Slot, Slot.Current, FpHash);
-        auto Before = [&] {
-          return Slot.EscCache.counters().SpillWrites +
-                 Slot.TsCache.counters().SpillWrites;
-        };
-        uint64_t WritesBefore = Before();
-        size_t Left = Slot.EscCache.spillUnpinned() +
-                      Slot.TsCache.spillUnpinned();
-        uint64_t Wrote = Before() - WritesBefore;
-        Res.Spilled += Wrote;
-        Res.Evicted += Left - std::min<size_t>(Left, Wrote);
+        Slot.forEachShard([&](auto &Sh) {
+          // A new cache round first: between batches no driver holds run
+          // pointers, so unpinning everything (and flushing deferred
+          // replacements) is safe and lets the whole shard demote.
+          Sh.Runs.beginEpoch();
+          uint64_t WritesBefore = Sh.Runs.counters().SpillWrites;
+          size_t Left = Sh.Runs.spillUnpinned();
+          uint64_t Wrote = Sh.Runs.counters().SpillWrites - WritesBefore;
+          Res.Spilled += Wrote;
+          Res.Evicted += Left - std::min<size_t>(Left, Wrote);
+        });
         if (FpHash)
           disarmSpill(Slot);
         // Post-operation footprint plus the lifetime spill counters, so
         // the response is self-describing (no follow-up stats op needed
         // to see where the entries went).
-        auto Fold = [&](const tracer::ForwardCacheCounters &C,
-                        size_t Size) {
-          Res.Entries += Size;
-          Res.ResidentBytes += C.ResidentBytes;
-          Res.SpillWrites += C.SpillWrites;
-          Res.SpillLoads += C.SpillLoads;
-        };
-        Fold(Slot.EscCache.counters(), Slot.EscCache.size());
-        Fold(Slot.TsCache.counters(), Slot.TsCache.size());
+        Fold(Slot);
       });
     } else {
       Res.Ok = false;
@@ -1973,16 +1843,11 @@ struct AnalysisService::Impl {
     }
     AdminQueue.clear();
     // Shutdown: everything still queued completes as Cancelled.
-    std::vector<std::promise<QueryResult>> Doomed;
     for (auto &[Id, S] : Sessions) {
       for (PendingJob &J : S.Pending) {
-        QueryResult Res;
-        Res.Job = J.Id;
-        Res.Session = Id;
-        Res.Status = JobStatus::Cancelled;
-        Res.Error = "service shut down";
         noteTerminal(J, Id, "cancelled");
-        J.Promise.set_value(std::move(Res));
+        J.Promise.set_value(
+            ended(J.Id, Id, JobStatus::Cancelled, "service shut down"));
         ++Stats.JobsCancelled;
       }
       S.Pending.clear();
@@ -2026,22 +1891,16 @@ struct AnalysisService::Impl {
           R.Results[I].Status == JobStatus::Done &&
           (R.Results[I].V == tracer::Verdict::Proven ||
            R.Results[I].V == tracer::Verdict::Impossible)) {
-        VerdictKey K;
-        K.Typestate = B.Typestate;
-        K.Property = B.Property;
-        K.Site = B.Site;
-        K.OptionsSig = B.OptionsSig;
-        K.Check = B.Jobs[I].Spec.Check;
-        VerdictEntry E;
-        E.V = R.Results[I].V;
-        E.Iterations = R.Results[I].Iterations;
-        E.CheapestCost = R.Results[I].CheapestCost;
-        E.CheapestParam = R.Results[I].CheapestParam;
-        E.Viable = R.Viable[I];
-        E.TraceRound = R.TraceRound[I];
-        E.TraceForm = R.TraceForm[I];
-        E.DataEpoch = B.Entry->Epoch;
-        B.Slot->Verdicts[K] = std::move(E);
+        const QueryResult &Res = R.Results[I];
+        B.Slot->Verdicts[B.verdictKey(B.Jobs[I].Spec.Check)] = {
+            .V = Res.V,
+            .Iterations = Res.Iterations,
+            .CheapestCost = Res.CheapestCost,
+            .CheapestParam = Res.CheapestParam,
+            .Viable = R.Viable[I],
+            .TraceRound = R.TraceRound[I],
+            .TraceForm = R.TraceForm[I],
+            .DataEpoch = B.Entry->Epoch};
       }
     }
     if (R.Ran) {
@@ -2083,26 +1942,16 @@ struct AnalysisService::Impl {
           ++Stats.SlowQueries;
           bumpServiceCounter("optabs_service_slow_queries_total");
           if (Recorder) {
-            support::TraceEvent E;
-            E.Kind = "slow-query";
-            E.TraceId = J.Ctx.TraceId;
-            E.SpanId = J.Ctx.SpanId;
-            E.Job = J.Id;
-            E.Session = B.JobSessions[I];
-            E.Batch = B.Id;
+            support::TraceEvent E = traceEvent(
+                "slow-query", J.Ctx, J.Id, B.JobSessions[I], B.Id);
             E.D0 = E2eS;
             Recorder->record(E);
           }
         }
       }
       if (Recorder) {
-        support::TraceEvent E;
-        E.Kind = "fulfilled";
-        E.TraceId = J.Ctx.TraceId;
-        E.SpanId = J.Ctx.SpanId;
-        E.Job = J.Id;
-        E.Session = B.JobSessions[I];
-        E.Batch = B.Id;
+        support::TraceEvent E =
+            traceEvent("fulfilled", J.Ctx, J.Id, B.JobSessions[I], B.Id);
         E.TsNs = FulfillNs;
         E.D0 = E2eS;
         E.Note = jobStatusName(Res.Status);
@@ -2174,7 +2023,7 @@ RegisterResult AnalysisService::registerProgram(const std::string &Name,
     R.Error = "program name must be non-empty";
     return R;
   }
-  auto Entry = std::make_shared<Impl::ProgramEntry>();
+  auto Entry = std::make_shared<ProgramEntry>();
   Entry->P = std::make_unique<ir::Program>();
   std::string Err;
   if (!ir::parseProgram(IrText, *Entry->P, Err)) {
@@ -2188,22 +2037,13 @@ RegisterResult AnalysisService::registerProgram(const std::string &Name,
   // may still be mutating through lazy method interning.
   ir::ProgramFingerprint NewFp = ir::fingerprintProgram(*Entry->P);
   std::vector<BitSet> NewFoot = ir::checkFootprints(*Entry->P);
-  auto FootprintDirty = [](const BitSet &Foot, const BitSet &Dirty) {
-    bool Hit = false;
-    Dirty.forEach([&](size_t P) {
-      if (P < Foot.size() && Foot.test(P))
-        Hit = true;
-    });
-    return Hit;
-  };
   {
     std::lock_guard<std::mutex> Lock(I->M);
     Entry->Epoch = I->NextEpoch++;
-    Impl::ProgramSlot &Slot = I->Programs[Name];
+    ProgramSlot &Slot = I->Programs[Name];
     if (!Slot.Current) {
       size_t Cap = I->Opts.Base.Execution.ForwardCacheCapacity;
-      Slot.EscCache.setCapacity(Cap);
-      Slot.TsCache.setCapacity(Cap);
+      Slot.forEachShard([Cap](auto &Sh) { Sh.Runs.setCapacity(Cap); });
       Slot.CheckLastDirty.assign(Entry->P->numChecks(), Entry->Epoch);
     } else {
       R.ReRegistered = true;
@@ -2216,7 +2056,7 @@ RegisterResult AnalysisService::registerProgram(const std::string &Name,
         std::vector<uint64_t> NewCLD(NumChecks, Entry->Epoch);
         for (uint32_t C = 0; C < NumChecks; ++C) {
           bool Dirty = C >= Slot.CheckLastDirty.size() ||
-                       FootprintDirty(NewFoot[C], D.DirtyProcs);
+                       footprintHits(NewFoot[C], D.DirtyProcs);
           if (!Dirty)
             NewCLD[C] = Slot.CheckLastDirty[C];
           else
@@ -2295,8 +2135,8 @@ Session AnalysisService::openSession(const SessionSpec &Spec,
     return Session();
   }
   if (!Spec.Property.empty()) {
-    PropertySpec PS;
-    if (!parsePropertySpec(Spec.Property, PS, Error))
+    typestate::PropertySpec PS;
+    if (!typestate::parsePropertySpec(Spec.Property, PS, Error))
       return Session();
   }
   std::lock_guard<std::mutex> Lock(I->M);
@@ -2335,35 +2175,28 @@ std::future<QueryResult> AnalysisService::submitJob(uint64_t SessionId,
   std::unique_lock<std::mutex> Lock(I->M);
   ++I->Stats.JobsSubmitted;
   bumpServiceCounter("optabs_service_jobs_submitted_total");
-  auto It = I->Sessions.find(SessionId);
-  if (It == I->Sessions.end() || It->second.Closed || I->ShuttingDown) {
+  auto Reject = [&](const char *Why, const std::string &Detail) {
     ++I->Stats.JobsRejected;
     bumpServiceCounter("optabs_service_jobs_rejected_total");
-    I->noteRejected(SessionId, Job.Parent, "unknown or closed session");
-    return readyFuture(rejected(SessionId, "unknown or closed session"));
-  }
+    I->noteRejected(SessionId, Job.Parent, Why);
+    return readyFuture(
+        ended(0, SessionId, JobStatus::Rejected, Why + Detail));
+  };
+  auto It = I->Sessions.find(SessionId);
+  if (It == I->Sessions.end() || It->second.Closed || I->ShuttingDown)
+    return Reject("unknown or closed session", "");
   Impl::SessionState &S = It->second;
   // Admission control. Quotas are per-tenant (the session's own config),
   // so one tenant flooding its queue never affects another's admissions.
   const Config::ServiceConfig &Q = S.Cfg.Service;
-  if (S.Pending.size() + S.Running >= Q.MaxPendingPerSession) {
-    ++I->Stats.JobsRejected;
-    bumpServiceCounter("optabs_service_jobs_rejected_total");
-    I->noteRejected(SessionId, Job.Parent, "pending-job quota exceeded");
-    return readyFuture(
-        rejected(SessionId, "pending-job quota exceeded (" +
-                                std::to_string(Q.MaxPendingPerSession) +
-                                " jobs in flight)"));
-  }
-  if (Q.MaxJobsPerSession > 0 && S.SubmittedTotal >= Q.MaxJobsPerSession) {
-    ++I->Stats.JobsRejected;
-    bumpServiceCounter("optabs_service_jobs_rejected_total");
-    I->noteRejected(SessionId, Job.Parent, "lifetime job quota exceeded");
-    return readyFuture(
-        rejected(SessionId, "lifetime job quota exceeded (" +
-                                std::to_string(Q.MaxJobsPerSession) +
-                                " jobs per session)"));
-  }
+  if (S.Pending.size() + S.Running >= Q.MaxPendingPerSession)
+    return Reject("pending-job quota exceeded",
+                  " (" + std::to_string(Q.MaxPendingPerSession) +
+                      " jobs in flight)");
+  if (Q.MaxJobsPerSession > 0 && S.SubmittedTotal >= Q.MaxJobsPerSession)
+    return Reject("lifetime job quota exceeded",
+                  " (" + std::to_string(Q.MaxJobsPerSession) +
+                      " jobs per session)");
   Impl::PendingJob P;
   P.Id = I->NextJob++;
   if (JobId)
@@ -2377,12 +2210,8 @@ std::future<QueryResult> AnalysisService::submitJob(uint64_t SessionId,
   if (I->timingOn())
     P.SubmitNs = Impl::nowNs();
   if (I->Recorder) {
-    support::TraceEvent E;
-    E.Kind = "submitted";
-    E.TraceId = P.Ctx.TraceId;
-    E.SpanId = P.Ctx.SpanId;
-    E.Job = P.Id;
-    E.Session = SessionId;
+    support::TraceEvent E =
+        traceEvent("submitted", P.Ctx, P.Id, SessionId);
     E.TsNs = P.SubmitNs;
     E.U0 = Job.Check;
     E.U1 = Job.Site;
@@ -2428,14 +2257,9 @@ size_t AnalysisService::cancelSessionPending(uint64_t SessionId) {
                        Cancelled.size());
     I->setQueueDepth();
   }
-  for (Impl::PendingJob &J : Cancelled) {
-    QueryResult R;
-    R.Job = J.Id;
-    R.Session = SessionId;
-    R.Status = JobStatus::Cancelled;
-    R.Error = "cancelled by client";
-    J.Promise.set_value(std::move(R));
-  }
+  for (Impl::PendingJob &J : Cancelled)
+    J.Promise.set_value(
+        ended(J.Id, SessionId, JobStatus::Cancelled, "cancelled by client"));
   I->IdleCV.notify_all();
   return Cancelled.size();
 }

@@ -354,7 +354,7 @@ public:
 
   QueryDriver(const ir::Program &P, const Analysis &A,
               TracerOptions Options = TracerOptions())
-      : P(P), A(A), Options(Options), Liveness(P) {}
+      : P(P), A(A), Options(Options) {}
 
   /// Service injection: runs this driver against a thread pool and a
   /// forward-run cache owned by someone else (the AnalysisService shares
@@ -373,7 +373,10 @@ public:
   /// to \p TraceCtx / \p TraceBatch (support/Trace.h). Every probe happens
   /// in the sequential plan phase, so the recorded sequence is identical
   /// at any worker count; a null recorder costs one pointer test per
-  /// lookup.
+  /// lookup. A non-null \p SharedLiveness (the owner's table for this
+  /// program, which must outlive every run the shared cache holds) is used
+  /// instead of the driver building its own; runs computed here point at
+  /// it, so they stay valid after the driver is gone.
   void borrowExecution(support::ThreadPool *Pool,
                        ForwardRunCache<Forward> *SharedCache,
                        uint64_t ProgramEpoch = 0, uint64_t Family = 0,
@@ -381,7 +384,10 @@ public:
                            nullptr,
                        support::FlightRecorder *TraceRecorder = nullptr,
                        support::TraceContext TraceCtx = {},
-                       uint64_t TraceBatch = 0) {
+                       uint64_t TraceBatch = 0,
+                       const ir::CommandLiveness *SharedLiveness = nullptr) {
+    if (SharedLiveness)
+      Liveness = SharedLiveness;
     BorrowedPool = Pool;
     BorrowedCache = SharedCache;
     CacheEpochScope = ProgramEpoch;
@@ -407,6 +413,8 @@ public:
     if ((!Options.MetricsPath.empty() || !Options.ProfilePath.empty()) &&
         !support::metricsEnabled())
       support::setMetricsEnabled(true);
+    if (!Liveness)
+      Liveness = &OwnedLiveness.emplace(P);
     std::vector<QueryOutcome> Outcomes;
     {
       // Closed before export: open spans are skipped by the exporters.
@@ -749,7 +757,7 @@ private:
           // here — it costs this abstraction's queries, not the process.
           support::BudgetGate Gate("forward.visit", Options.ForwardStepBudget,
                                    CancelTok.get(), 0, &Sink);
-          auto Run = std::make_unique<Forward>(P, A, *Slot.Abs, &Liveness);
+          auto Run = std::make_unique<Forward>(P, A, *Slot.Abs, Liveness);
           Run->run(Init, &Gate);
           if (Run->exhausted())
             Slot.Exhaustion = *Run->exhaustion();
@@ -1301,7 +1309,7 @@ private:
       support::BudgetGate Gate("forward.visit", Options.ForwardStepBudget,
                                CancelTok.get(), 0, &Sink);
       auto Run = std::make_unique<Forward>(P, A, A.paramFromBits(Bits),
-                                           &Liveness);
+                                           Liveness);
       Run->run(Init, &Gate);
       ++Stats.ForwardRuns;
       if (Run->exhausted()) {
@@ -1552,9 +1560,11 @@ private:
   const Analysis &A;
   TracerOptions Options;
   /// Live-variable sets are a property of the program alone: computed once
-  /// here, shared by every forward run this driver builds, which forget
-  /// dead variables before interning states (see DESIGN.md).
-  const ir::CommandLiveness Liveness;
+  /// (at the first run(), unless borrowExecution supplied the owner's
+  /// table) and shared by every forward run this driver builds, which
+  /// forget dead variables before interning states (see DESIGN.md).
+  std::optional<ir::CommandLiveness> OwnedLiveness;
+  const ir::CommandLiveness *Liveness = nullptr;
   DriverStats Stats;
   double TotalSeconds = 0;
   ForwardRunCache<Forward> OwnedCache;

@@ -2,6 +2,8 @@
 
 #include "typestate/Properties.h"
 
+#include <sstream>
+
 namespace optabs {
 namespace typestate {
 
@@ -67,6 +69,71 @@ TypestateSpec makeResourceProperty(Program &P) {
   Spec.addErrorTransition(Acquire, Held);
   Spec.addTransition(Release, Held, Idle);
   Spec.addErrorTransition(Release, Idle);
+  return Spec;
+}
+
+namespace {
+
+std::string trim(const std::string &S) {
+  size_t B = S.find_first_not_of(" \t");
+  size_t E = S.find_last_not_of(" \t");
+  return B == std::string::npos ? std::string() : S.substr(B, E - B + 1);
+}
+
+} // namespace
+
+bool parsePropertySpec(const std::string &Text, PropertySpec &Out,
+                       std::string &Err) {
+  std::vector<std::string> Clauses;
+  std::stringstream SS(Text);
+  std::string Clause;
+  while (std::getline(SS, Clause, ';'))
+    if (!trim(Clause).empty())
+      Clauses.push_back(trim(Clause));
+  if (Clauses.empty() || Clauses[0].rfind("init=", 0) != 0) {
+    Err = "property must start with 'init=<state>'";
+    return false;
+  }
+  Out.Init = trim(Clauses[0].substr(5));
+  for (size_t I = 1; I < Clauses.size(); ++I) {
+    size_t Colon = Clauses[I].find(':');
+    if (Colon == std::string::npos) {
+      Err = "expected 'method: from->to, ...' in '" + Clauses[I] + "'";
+      return false;
+    }
+    std::string Method = trim(Clauses[I].substr(0, Colon));
+    std::stringstream TS(Clauses[I].substr(Colon + 1));
+    std::string Rule;
+    while (std::getline(TS, Rule, ',')) {
+      size_t Arrow = Rule.find("->");
+      if (Arrow == std::string::npos) {
+        Err = "expected 'from->to' in '" + Rule + "'";
+        return false;
+      }
+      PropertySpec::Rule R;
+      R.Method = Method;
+      R.From = trim(Rule.substr(0, Arrow));
+      std::string To = trim(Rule.substr(Arrow + 2));
+      if (To == "ERR" || To == "err" || To == "error")
+        R.Error = true;
+      else
+        R.To = To;
+      Out.Rules.push_back(std::move(R));
+    }
+  }
+  return true;
+}
+
+TypestateSpec materializeSpec(const PropertySpec &PS, Program &P) {
+  TypestateSpec Spec(PS.Init);
+  for (const PropertySpec::Rule &R : PS.Rules) {
+    MethodId M = P.makeMethod(R.Method);
+    uint32_t From = Spec.addState(R.From);
+    if (R.Error)
+      Spec.addErrorTransition(M, From);
+    else
+      Spec.addTransition(M, From, Spec.addState(R.To));
+  }
   return Spec;
 }
 

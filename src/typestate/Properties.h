@@ -8,7 +8,8 @@
 /// \file
 /// A small library of classic type-state properties (the kind Fink et
 /// al.'s verifier - the paper's reference [7] - ships with), expressed as
-/// TypestateSpec automata over a program's method names. Each builder
+/// TypestateSpec automata over a program's method names, plus the textual
+/// property grammar the CLI and the analysis service accept. Each builder
 /// interns the methods it needs into the program.
 ///
 //===----------------------------------------------------------------------===//
@@ -17,6 +18,9 @@
 #define OPTABS_TYPESTATE_PROPERTIES_H
 
 #include "typestate/Typestate.h"
+
+#include <string>
+#include <vector>
 
 namespace optabs {
 namespace typestate {
@@ -40,6 +44,30 @@ TypestateSpec makeSocketProperty(ir::Program &P);
 /// double acquire or release-without-acquire errs. States: "idle" (init),
 /// "held".
 TypestateSpec makeResourceProperty(ir::Program &P);
+
+/// A property automaton in the "init=<state>; method: from->to, ...; ..."
+/// syntax, parsed without touching any Program (method names stay
+/// strings), so a syntax error can be reported before any program is
+/// chosen or mutated.
+struct PropertySpec {
+  struct Rule {
+    std::string Method;
+    std::string From;
+    std::string To; ///< empty when Error
+    bool Error = false;
+  };
+  std::string Init;
+  std::vector<Rule> Rules;
+};
+
+/// Parses \p Text into \p Out; on a syntax error returns false with
+/// \p Err set. A target state spelled ERR, err or error is a type-state
+/// error.
+bool parsePropertySpec(const std::string &Text, PropertySpec &Out,
+                       std::string &Err);
+
+/// Builds the automaton of \p PS, interning its method names into \p P.
+TypestateSpec materializeSpec(const PropertySpec &PS, ir::Program &P);
 
 } // namespace typestate
 } // namespace optabs

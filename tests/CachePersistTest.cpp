@@ -11,17 +11,20 @@
 
 #include "escape/Escape.h"
 #include "ir/Parser.h"
+#include "pointer/PointsTo.h"
 #include "service/AnalysisService.h"
 #include "service/CacheCodecs.h"
 #include "support/Config.h"
 #include "tracer/CachePersist.h"
 #include "tracer/QueryDriver.h"
+#include "typestate/Properties.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <set>
 #include <sstream>
 #include <string>
 #include <sys/stat.h>
@@ -819,6 +822,257 @@ TEST(CachePersistTest, SpillBudgetCountsPreExistingFiles) {
   ASSERT_TRUE(Sp.Ok) << Sp.Error;
   EXPECT_EQ(Sp.Spilled, 0u) << "restart reset the spill budget";
   EXPECT_GT(Sp.Evicted, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Type-state runs: snapshot, spill, and a mixed-client snapshot after an edit
+//===----------------------------------------------------------------------===//
+
+// Two procedures with one tracked allocation site each. x's close goes
+// through an alias, so the named file property needs both names tracked;
+// p2 is parsed last, so an edit confined to it leaves check 0's footprint
+// (main, p1) clean and dirties check 1's.
+const char *TypestateProgram = "proc main {\n"
+                               "  call p1;\n"
+                               "  call p2;\n"
+                               "}\n"
+                               "proc p1 {\n"
+                               "  x = new h1;\n"
+                               "  y = x;\n"
+                               "  x.open();\n"
+                               "  y.close();\n"
+                               "  check(x, closed);\n"
+                               "}\n"
+                               "proc p2 {\n"
+                               "  f = new h2;\n"
+                               "  g = f;\n"
+                               "  f.open();\n"
+                               "  check(g, opened);\n"
+                               "}\n";
+
+// TypestateProgram with p2's copy duplicated: comparable, p2 dirty.
+std::string editP2(const std::string &Text) {
+  std::string Out = Text;
+  size_t At = Out.find("  f.open();");
+  EXPECT_NE(At, std::string::npos);
+  Out.insert(At, "  g = f;\n");
+  return Out;
+}
+
+const char *FileProperty = "init=closed; open: closed->opened, opened->ERR; "
+                           "close: opened->closed, closed->ERR";
+
+/// The standalone type-state oracle: one driver per tracked site, as the
+/// CLI runs the client, over every (check, site) pair whose receiver may
+/// point to the site. \p Pairs receives the pairs in result order.
+std::vector<tracer::QueryOutcome>
+typestateOracle(const std::string &Text, bool Named,
+                std::vector<std::pair<uint32_t, uint32_t>> &Pairs) {
+  Program P;
+  parseInto(Text.c_str(), P);
+  typestate::TypestateSpec Spec = Named ? typestate::makeFileProperty(P)
+                                        : typestate::TypestateSpec::stress();
+  pointer::PointsToResult Pt = pointer::runPointsTo(P);
+  std::vector<tracer::QueryOutcome> Want;
+  Pairs.clear();
+  for (uint32_t H = 0; H < P.numAllocs(); ++H) {
+    std::vector<CheckId> Queries;
+    for (uint32_t C = 0; C < P.numChecks(); ++C)
+      if (Pt.mayPoint(P.checkSite(CheckId(C)).Var, AllocId(H)))
+        Queries.push_back(CheckId(C));
+    if (Queries.empty())
+      continue;
+    typestate::TypestateAnalysis A(P, Spec, AllocId(H), Pt);
+    tracer::QueryDriver<typestate::TypestateAnalysis> Driver(P, A);
+    for (const tracer::QueryOutcome &O : Driver.run(Queries))
+      Want.push_back(O);
+    for (CheckId C : Queries)
+      Pairs.push_back({static_cast<uint32_t>(C.index()), H});
+  }
+  return Want;
+}
+
+/// Submits every (check, site) pair through a type-state session on "p"
+/// and returns the results in submission order.
+std::vector<service::QueryResult>
+answerTypestate(service::AnalysisService &Svc, const std::string &Property,
+                const std::vector<std::pair<uint32_t, uint32_t>> &Pairs,
+                const Config &SessionConfig = Config()) {
+  service::SessionSpec Spec;
+  Spec.Program = "p";
+  Spec.Client = "typestate";
+  Spec.Property = Property;
+  Spec.SessionConfig = SessionConfig;
+  service::Session S = openOrDie(Svc, Spec);
+  std::vector<std::future<service::QueryResult>> Futures;
+  for (auto [Check, Site] : Pairs)
+    Futures.push_back(S.submit({Check, Site, 0}));
+  return collect(Svc, Futures);
+}
+
+TEST(CachePersistTest, TypestateWarmRestartLoadsEveryPersistedRun) {
+  TempDir Dir("tswarm");
+  std::vector<std::pair<uint32_t, uint32_t>> NamedPairs, StressPairs;
+  std::vector<tracer::QueryOutcome> WantNamed =
+      typestateOracle(TypestateProgram, true, NamedPairs);
+  std::vector<tracer::QueryOutcome> WantStress =
+      typestateOracle(TypestateProgram, false, StressPairs);
+  std::set<uint32_t> Sites;
+  for (auto [Check, Site] : NamedPairs)
+    Sites.insert(Site);
+  ASSERT_GE(Sites.size(), 2u) << "the test needs two tracked sites";
+
+  auto ExpectOracle = [](const std::vector<tracer::QueryOutcome> &Want,
+                         const std::vector<service::QueryResult> &Got) {
+    ASSERT_EQ(Got.size(), Want.size());
+    for (size_t I = 0; I < Want.size(); ++I)
+      expectSameVerdict(Want[I], Got[I]);
+  };
+
+  // First life: both families answer cold, then persist.
+  uint64_t Persisted = 0;
+  {
+    service::AnalysisService Svc(warmOptions(Dir.Path));
+    ASSERT_TRUE(Svc.registerProgram("p", TypestateProgram).Ok);
+    ExpectOracle(WantNamed, answerTypestate(Svc, FileProperty, NamedPairs));
+    ExpectOracle(WantStress, answerTypestate(Svc, "", StressPairs));
+    EXPECT_GT(Svc.stats().ForwardRuns, 0u);
+    service::CacheOpResult R = Svc.cacheOp("persist");
+    ASSERT_TRUE(R.Ok) << R.Error;
+    EXPECT_EQ(R.RunsSkipped, 0u);
+    EXPECT_EQ(R.VerdictsPersisted, NamedPairs.size() + StressPairs.size());
+    Persisted = R.RunsPersisted;
+    ASSERT_GT(Persisted, 0u);
+  }
+
+  // Second life: registration auto-warms every run; evicting and
+  // re-loading them shows each persisted run resolves its family again.
+  service::AnalysisService Svc(warmOptions(Dir.Path));
+  ASSERT_TRUE(Svc.registerProgram("p", TypestateProgram).Ok);
+  service::CacheOpResult St = Svc.cacheOp("stats");
+  ASSERT_TRUE(St.Ok);
+  EXPECT_EQ(St.Entries, Persisted);
+  ASSERT_TRUE(Svc.cacheOp("evict").Ok);
+  service::CacheOpResult L = Svc.cacheOp("load");
+  ASSERT_TRUE(L.Ok) << L.Error;
+  EXPECT_EQ(L.RunsLoaded, Persisted);
+  EXPECT_EQ(L.RunsSkipped, 0u);
+  EXPECT_TRUE(L.Notes.empty());
+
+  // Same sessions: every verdict replays. A different options signature
+  // cannot replay, so its driver runs - entirely on the loaded runs.
+  ExpectOracle(WantNamed, answerTypestate(Svc, FileProperty, NamedPairs));
+  ExpectOracle(WantStress, answerTypestate(Svc, "", StressPairs));
+  EXPECT_EQ(Svc.stats().VerdictsReplayed,
+            NamedPairs.size() + StressPairs.size());
+  Config Other;
+  Other.Execution.MaxItersPerQuery = 99;
+  ExpectOracle(WantNamed,
+               answerTypestate(Svc, FileProperty, NamedPairs, Other));
+  ExpectOracle(WantStress, answerTypestate(Svc, "", StressPairs, Other));
+  service::ServiceStats S = Svc.stats();
+  EXPECT_EQ(S.ForwardRuns, 0u);
+  EXPECT_GT(S.CacheHits, 0u);
+}
+
+TEST(CachePersistTest, SpilledTypestateRunsRehydrate) {
+  TempDir Dir("tsspill");
+  std::vector<std::pair<uint32_t, uint32_t>> Pairs;
+  std::vector<tracer::QueryOutcome> Want =
+      typestateOracle(TypestateProgram, true, Pairs);
+
+  service::AnalysisService Svc(warmOptions(Dir.Path));
+  ASSERT_TRUE(Svc.registerProgram("p", TypestateProgram).Ok);
+  std::vector<service::QueryResult> Cold =
+      answerTypestate(Svc, FileProperty, Pairs);
+  ASSERT_EQ(Cold.size(), Want.size());
+  uint64_t ColdForwardRuns = Svc.stats().ForwardRuns;
+
+  service::CacheOpResult Sp = Svc.cacheOp("spill");
+  ASSERT_TRUE(Sp.Ok) << Sp.Error;
+  EXPECT_EQ(Sp.Spilled, ColdForwardRuns);
+  EXPECT_EQ(Sp.Evicted, 0u);
+  EXPECT_EQ(Sp.Entries, 0u);
+
+  // A same-epoch re-query runs the driver again (only cross-epoch or
+  // loaded verdicts replay); every run it needs comes back from disk.
+  std::vector<service::QueryResult> Again =
+      answerTypestate(Svc, FileProperty, Pairs);
+  ASSERT_EQ(Again.size(), Want.size());
+  for (size_t I = 0; I < Want.size(); ++I)
+    expectSameVerdict(Want[I], Again[I]);
+  EXPECT_EQ(Svc.stats().ForwardRuns, ColdForwardRuns);
+  service::CacheOpResult St = Svc.cacheOp("stats");
+  ASSERT_TRUE(St.Ok);
+  EXPECT_GT(St.SpillLoads, 0u);
+  EXPECT_EQ(St.SpillLoads, ColdForwardRuns);
+}
+
+TEST(CachePersistTest, MixedSnapshotAfterAnEditSkipsExactlyTheStaleParts) {
+  TempDir Before("mixed-before"), After("mixed-after");
+  std::vector<std::pair<uint32_t, uint32_t>> Pairs;
+  typestateOracle(TypestateProgram, true, Pairs);
+  ASSERT_EQ(Pairs.size(), 2u);
+
+  // One snapshot holding escape runs, type-state runs and both clients'
+  // verdicts for the original program.
+  {
+    service::AnalysisService Svc(warmOptions(Before.Path));
+    ASSERT_TRUE(Svc.registerProgram("p", TypestateProgram).Ok);
+    service::SessionSpec Spec;
+    Spec.Program = "p";
+    Spec.Client = "escape";
+    service::Session S = openOrDie(Svc, Spec);
+    std::vector<std::future<service::QueryResult>> Futures;
+    for (uint32_t C = 0; C < 2; ++C)
+      Futures.push_back(S.submit({C, 0, 0}));
+    collect(Svc, Futures);
+    answerTypestate(Svc, FileProperty, Pairs);
+    service::CacheOpResult R = Svc.cacheOp("persist");
+    ASSERT_TRUE(R.Ok) << R.Error;
+    EXPECT_EQ(R.VerdictsPersisted, 4u);
+    EXPECT_EQ(R.RunsPersisted, 7u);
+  }
+
+  // A service on the edited program, in a directory the snapshot reaches
+  // only after registration (so the explicit load below is the first).
+  std::string Edited = editP2(TypestateProgram);
+  service::AnalysisService Svc(warmOptions(After.Path));
+  ASSERT_TRUE(Svc.registerProgram("p", Edited).Ok);
+  std::string Snap = onlySnapshotIn(Before.Path);
+  ASSERT_FALSE(Snap.empty());
+  dump(After.Path + Snap.substr(Before.Path.size()), slurp(Snap));
+
+  // p2 changed: the two verdicts of check 1 are stale, the two of check 0
+  // load; no forward run loads, and the type-state section stops at its
+  // first run because its family cannot be resolved on a changed program.
+  service::CacheOpResult L = Svc.cacheOp("load");
+  ASSERT_TRUE(L.Ok) << L.Error;
+  EXPECT_EQ(L.VerdictsLoaded, 2u);
+  EXPECT_EQ(L.VerdictsSkipped, 2u);
+  EXPECT_EQ(L.RunsLoaded, 0u);
+  EXPECT_EQ(L.RunsSkipped, 7u);
+  EXPECT_EQ(L.Notes,
+            (std::vector<std::string>{
+                "program 'p': skipped 2 stored verdict(s) whose check "
+                "footprint changed since the snapshot",
+                "program 'p': 1 procedure(s) changed since the snapshot; "
+                "cached runs not loaded",
+                "program 'p': remaining type-state runs not loaded (program "
+                "changed since the snapshot)"}));
+
+  // The clean verdicts replay and the stale ones recompute; every answer
+  // matches a cold oracle on the edited program.
+  std::vector<std::pair<uint32_t, uint32_t>> EditedPairs;
+  std::vector<tracer::QueryOutcome> Want =
+      typestateOracle(Edited, true, EditedPairs);
+  ASSERT_EQ(EditedPairs, Pairs);
+  std::vector<service::QueryResult> Got =
+      answerTypestate(Svc, FileProperty, Pairs);
+  ASSERT_EQ(Got.size(), Want.size());
+  for (size_t I = 0; I < Want.size(); ++I)
+    expectSameVerdict(Want[I], Got[I]);
+  EXPECT_EQ(Svc.stats().VerdictsReplayed, 1u);
 }
 
 } // namespace

@@ -136,4 +136,58 @@ TEST(Properties, UnrelatedMethodsKeepState) {
   EXPECT_EQ(resolve(P, Spec).V, Verdict::Proven);
 }
 
+TEST(PropertyGrammar, ReportsEachSyntaxError) {
+  struct Case {
+    const char *Text;
+    const char *Error;
+  };
+  const Case Cases[] = {
+      {"", "property must start with 'init=<state>'"},
+      {"open: closed->opened", "property must start with 'init=<state>'"},
+      {"init=closed; open closed->opened",
+       "expected 'method: from->to, ...' in 'open closed->opened'"},
+      {"init=closed; open: closed=>opened",
+       "expected 'from->to' in ' closed=>opened'"},
+  };
+  for (const Case &C : Cases) {
+    PropertySpec PS;
+    std::string Err;
+    EXPECT_FALSE(parsePropertySpec(C.Text, PS, Err)) << C.Text;
+    EXPECT_EQ(Err, C.Error) << C.Text;
+  }
+}
+
+TEST(PropertyGrammar, EverySpellingOfErrIsTheErrorState) {
+  for (const char *Err : {"ERR", "err", "error"}) {
+    std::string Text = std::string("init=closed; open: closed->opened, "
+                                   "opened->") +
+                       Err + "; close: opened->closed";
+    PropertySpec PS;
+    std::string Why;
+    ASSERT_TRUE(parsePropertySpec(Text, PS, Why)) << Why;
+    EXPECT_EQ(PS.Init, "closed");
+    ASSERT_EQ(PS.Rules.size(), 3u);
+    EXPECT_TRUE(PS.Rules[1].Error) << Err;
+    EXPECT_TRUE(PS.Rules[1].To.empty()) << Err;
+    EXPECT_FALSE(PS.Rules[0].Error);
+
+    // Materialized, the spelling behaves exactly like the file property.
+    Program P;
+    TypestateSpec Spec = materializeSpec(PS, P);
+    MethodId Open = P.makeMethod("open");
+    MethodId Close = P.makeMethod("close");
+    EXPECT_EQ(Spec.numStates(), 2u);
+    EXPECT_EQ(Spec.apply(Open, 0), std::optional<uint32_t>(1));
+    EXPECT_EQ(Spec.apply(Open, 1), std::nullopt) << Err;
+    EXPECT_EQ(Spec.apply(Close, 1), std::optional<uint32_t>(0));
+  }
+  // Any other target is an ordinary state name.
+  PropertySpec PS;
+  std::string Why;
+  ASSERT_TRUE(parsePropertySpec("init=a; m: a->Error", PS, Why)) << Why;
+  ASSERT_EQ(PS.Rules.size(), 1u);
+  EXPECT_FALSE(PS.Rules[0].Error);
+  EXPECT_EQ(PS.Rules[0].To, "Error");
+}
+
 } // namespace

@@ -161,54 +161,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts, std::string &Err) {
   return true;
 }
 
-/// Parses "init=closed; open: closed->opened, opened->ERR; close: ..."
-/// into a TypestateSpec. ERR (any capitalization) is the error verdict.
-bool parseProperty(const std::string &Spec, Program &P,
-                   std::unique_ptr<typestate::TypestateSpec> &Out,
-                   std::string &Err) {
-  auto Trim = [](std::string S) {
-    size_t B = S.find_first_not_of(" \t");
-    size_t E = S.find_last_not_of(" \t");
-    return B == std::string::npos ? std::string() : S.substr(B, E - B + 1);
-  };
-  std::vector<std::string> Clauses;
-  std::stringstream SS(Spec);
-  std::string Clause;
-  while (std::getline(SS, Clause, ';'))
-    if (!Trim(Clause).empty())
-      Clauses.push_back(Trim(Clause));
-  if (Clauses.empty() || Clauses[0].rfind("init=", 0) != 0) {
-    Err = "property must start with 'init=<state>'";
-    return false;
-  }
-  Out = std::make_unique<typestate::TypestateSpec>(
-      Trim(Clauses[0].substr(5)));
-  for (size_t I = 1; I < Clauses.size(); ++I) {
-    size_t Colon = Clauses[I].find(':');
-    if (Colon == std::string::npos) {
-      Err = "expected 'method: from->to, ...' in '" + Clauses[I] + "'";
-      return false;
-    }
-    MethodId M = P.makeMethod(Trim(Clauses[I].substr(0, Colon)));
-    std::stringstream TS(Clauses[I].substr(Colon + 1));
-    std::string Rule;
-    while (std::getline(TS, Rule, ',')) {
-      size_t Arrow = Rule.find("->");
-      if (Arrow == std::string::npos) {
-        Err = "expected 'from->to' in '" + Rule + "'";
-        return false;
-      }
-      uint32_t From = Out->addState(Trim(Rule.substr(0, Arrow)));
-      std::string To = Trim(Rule.substr(Arrow + 2));
-      if (To == "ERR" || To == "err" || To == "error")
-        Out->addErrorTransition(M, From);
-      else
-        Out->addTransition(M, From, Out->addState(To));
-    }
-  }
-  return true;
-}
-
 void printOutcome(const Program &P, const tracer::QueryOutcome &O,
                   const std::string &Extra) {
   const CheckSite &Site = P.checkSite(O.Check);
@@ -284,16 +236,15 @@ int runEscape(const Program &P, const CliOptions &Opts) {
 }
 
 int runTypestate(Program &P, const CliOptions &Opts) {
-  std::unique_ptr<typestate::TypestateSpec> Spec;
+  typestate::TypestateSpec Spec = typestate::TypestateSpec::stress();
   if (!Opts.Property.empty()) {
+    typestate::PropertySpec PS;
     std::string Err;
-    if (!parseProperty(Opts.Property, P, Spec, Err)) {
+    if (!typestate::parsePropertySpec(Opts.Property, PS, Err)) {
       std::cerr << "error: " << Err << "\n";
       return 2;
     }
-  } else {
-    Spec = std::make_unique<typestate::TypestateSpec>(
-        typestate::TypestateSpec::stress());
+    Spec = typestate::materializeSpec(PS, P);
   }
   pointer::PointsToResult Pt = pointer::runPointsTo(P);
   std::cout << "type-state analysis ("
@@ -309,7 +260,7 @@ int runTypestate(Program &P, const CliOptions &Opts) {
         Queries.push_back(CheckId(I));
     if (Queries.empty())
       continue;
-    typestate::TypestateAnalysis A(P, *Spec, AllocId(H), Pt);
+    typestate::TypestateAnalysis A(P, Spec, AllocId(H), Pt);
     tracer::TracerOptions PerSite =
         tracer::TracerOptions::fromConfig(Opts.Cfg);
     PerSite.EventTraceLabel = "typestate/site=" + P.allocName(AllocId(H));
