@@ -51,6 +51,7 @@
 #ifndef OPTABS_DATAFLOW_FORWARD_H
 #define OPTABS_DATAFLOW_FORWARD_H
 
+#include "dataflow/FlatTable.h"
 #include "dataflow/StateInterner.h"
 #include "ir/Liveness.h"
 #include "ir/Program.h"
@@ -190,9 +191,12 @@ public:
     auto It = CheckStates.find(Check.index());
     if (It == CheckStates.end())
       return Result;
-    StateId TargetId = Interner.intern(Target);
-    if (!contains(It->second, TargetId))
+    // Look the target up without interning it: a state the run never
+    // reached must not grow a run that may be cached and snapshotted.
+    std::optional<StateId> Found = Interner.find(Target);
+    if (!Found || !contains(It->second, *Found))
       return Result;
+    StateId TargetId = *Found;
     ir::CommandId CheckCmd = P.checkSite(Check).Command;
     for (unsigned R = 0; R < 2 * MaxCount + 1 && Result.size() < MaxCount;
          ++R) {
@@ -245,26 +249,26 @@ public:
     for (StateId Id = 0; Id < Interner.size(); ++Id)
       S.state(Interner.state(Id));
     S.u32(InitId);
-    auto SortedKeys = [](const auto &Map) {
-      std::vector<Key> Keys;
-      Keys.reserve(Map.size());
-      for (const auto &KV : Map)
-        Keys.push_back(KV.first);
-      std::sort(Keys.begin(), Keys.end());
-      return Keys;
+    auto SortedByKey = [](const auto &Table) {
+      std::vector<const typename std::decay_t<decltype(Table)>::Entry *> Es;
+      Es.reserve(Table.size());
+      for (const auto &E : Table.entries())
+        Es.push_back(&E);
+      std::sort(Es.begin(), Es.end(),
+                [](const auto *A, const auto *B) { return A->K < B->K; });
+      return Es;
     };
     S.u32(static_cast<uint32_t>(Values.size()));
-    for (Key K : SortedKeys(Values)) {
-      const StateSet &Set = Values.find(K)->second.Set;
-      S.u64(K);
-      S.u32(static_cast<uint32_t>(Set.size()));
-      for (StateId Id : Set)
+    for (const auto *E : SortedByKey(Values)) {
+      S.u64(E->K);
+      S.u32(static_cast<uint32_t>(E->Value.Set.size()));
+      for (StateId Id : E->Value.Set)
         S.u32(Id);
     }
     S.u32(static_cast<uint32_t>(TransferMemo.size()));
-    for (Key K : SortedKeys(TransferMemo)) {
-      S.u64(K);
-      S.u32(TransferMemo.find(K)->second);
+    for (const auto *E : SortedByKey(TransferMemo)) {
+      S.u64(E->K);
+      S.u32(E->Value);
     }
     std::vector<uint32_t> Checks;
     Checks.reserve(CheckStates.size());
@@ -347,7 +351,7 @@ public:
       Cell C;
       if (!LoadSet(C.Set))
         return false;
-      Values.emplace(K, std::move(C));
+      Values.insert(K, std::move(C));
     }
     uint32_t NumMemo = 0;
     if (!S.u32(NumMemo))
@@ -361,7 +365,7 @@ public:
         S.fail("transfer memo output id out of range");
         return false;
       }
-      TransferMemo.emplace(K, Out);
+      TransferMemo.insert(K, Out);
     }
     uint32_t NumChecks = 0;
     if (!S.u32(NumChecks))
@@ -380,12 +384,10 @@ public:
   /// tabulation/memo tables. Feeds the forward-run cache's resident-bytes
   /// gauge; an estimate, not exact accounting.
   size_t approxMemoryBytes() const {
-    size_t Bytes = Interner.approxBytes();
-    size_t SetBytes = 0;
-    for (const auto &KV : Values)
-      SetBytes += KV.second.Set.capacity() * sizeof(StateId);
-    Bytes += SetBytes + Values.size() * (sizeof(Key) + sizeof(Cell));
-    Bytes += TransferMemo.size() * (sizeof(Key) + sizeof(StateId));
+    size_t Bytes = Interner.approxBytes() + Values.approxBytes() +
+                   TransferMemo.approxBytes();
+    for (const auto &E : Values.entries())
+      Bytes += E.Value.Set.capacity() * sizeof(StateId);
     for (const auto &KV : CheckStates)
       Bytes += KV.second.capacity() * sizeof(StateId) + sizeof(KV);
     return Bytes;
@@ -402,8 +404,8 @@ private:
   }
 
   /// One tabulation entry: the accumulated value of a (statement, entry)
-  /// pair plus the per-round visit mark and recursion flag. One hash lookup
-  /// where three (value map, round-mark set, on-stack set) used to be.
+  /// pair plus the per-round visit mark and recursion flag, so a visit
+  /// costs one probe.
   struct Cell {
     StateSet Set;
     uint64_t RoundSeen = 0; ///< Round of the last evaluation (0 = never)
@@ -417,16 +419,15 @@ private:
     assert(ir::isClientCommand(Command.Kind) &&
            "Invoke is expanded by the engine, not by transfer functions");
     Key K = (static_cast<uint64_t>(Cmd.index()) << 32) | In;
-    auto It = TransferMemo.find(K);
-    if (It != TransferMemo.end())
-      return It->second;
+    if (const StateId *Memo = TransferMemo.find(K))
+      return *Memo;
     State OutState = C.transfer(Command, Interner.state(In), Prm);
     if constexpr (detail::HasPruneState<Client, State>::value) {
       if (Live)
         C.pruneState(OutState, Live->liveOut(Cmd));
     }
     StateId Out = Interner.intern(OutState);
-    TransferMemo.emplace(K, Out);
+    TransferMemo.insert(K, Out);
     return Out;
   }
 
@@ -444,11 +445,11 @@ private:
   /// monotonically. Within one outer round each key is evaluated once;
   /// recursion through Invoke is broken by returning the current value for
   /// keys already on the evaluation stack, with the outer rounds restoring
-  /// the fixpoint.
+  /// the fixpoint. The returned reference points into Values and stays
+  /// valid only until the next insert into Values (the next visit()).
   const StateSet &visit(ir::StmtId S, StateId In) {
-    Key K = makeKey(S, In);
-    auto [ValueIt, Inserted] = Values.try_emplace(K);
-    Cell &Slot = ValueIt->second;
+    auto [Idx, Inserted] = Values.insert(makeKey(S, In));
+    Cell &Slot = Values.at(Idx);
     if (!Inserted && (Slot.RoundSeen == Round || Slot.OnStack))
       return Slot.Set;
     if (Gate && !Gate->charge()) {
@@ -465,9 +466,9 @@ private:
 
     StateSet Fresh = evaluate(S, In);
 
-    // evaluate() visits other keys and may rehash Values: re-find the cell
-    // instead of trusting Slot.
-    Cell &Stored = Values.find(K)->second;
+    // evaluate() visits other keys, whose inserts may move every cell:
+    // re-fetch the cell by its stable dense index instead of trusting Slot.
+    Cell &Stored = Values.at(Idx);
     Stored.OnStack = false;
     for (StateId Id : Fresh) {
       if (!contains(Stored.Set, Id)) {
@@ -539,10 +540,12 @@ private:
   //===--------------------------------------------------------------------===
 
   /// Final tabulated value for (S, In); empty set when never demanded.
+  /// Like visit(), the reference is valid until the next insert into
+  /// Values; trace extraction never inserts there.
   const StateSet &finalValue(ir::StmtId S, StateId In) const {
     static const StateSet Empty;
-    auto It = Values.find(makeKey(S, In));
-    return It == Values.end() ? Empty : It->second.Set;
+    const Cell *Found = Values.find(makeKey(S, In));
+    return Found ? Found->Set : Empty;
   }
 
   struct TripleHash {
@@ -780,8 +783,8 @@ private:
   StateInterner<State, typename Client::StateHash> Interner;
   StateId InitId = 0;
 
-  std::unordered_map<Key, Cell> Values;
-  std::unordered_map<Key, StateId> TransferMemo;
+  FlatTable<Cell> Values;
+  FlatTable<StateId> TransferMemo;
   std::unordered_map<uint32_t, StateSet> CheckStates;
   uint64_t Round = 0;
   bool Changed = false;

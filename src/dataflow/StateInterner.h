@@ -15,10 +15,12 @@
 #ifndef OPTABS_DATAFLOW_STATEINTERNER_H
 #define OPTABS_DATAFLOW_STATEINTERNER_H
 
+#include "dataflow/FlatTable.h"
+
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 namespace optabs {
@@ -28,15 +30,29 @@ namespace dataflow {
 using StateId = uint32_t;
 
 /// Hash-consing table: State -> StateId and back. States must be
-/// equality-comparable; \p HashT hashes them.
+/// equality-comparable; \p HashT hashes them. States holds the only copy
+/// of each state; the index files ids under their state's hash, so finding
+/// an existing state allocates nothing. Ids are dense and in first-intern
+/// order.
 template <typename State, typename HashT> class StateInterner {
 public:
   StateId intern(const State &S) {
-    auto [It, Inserted] =
-        Index.emplace(S, static_cast<StateId>(States.size()));
+    auto [Id, Inserted] = Index.insert(
+        Hash(S), static_cast<StateId>(States.size()),
+        [&](StateId I) { return States[I] == S; },
+        [&](StateId I) { return Hash(States[I]); });
     if (Inserted)
       States.push_back(S);
-    return It->second;
+    return Id;
+  }
+
+  /// The id of \p S when it was interned, without interning it.
+  std::optional<StateId> find(const State &S) const {
+    StateId Id =
+        Index.find(Hash(S), [&](StateId I) { return States[I] == S; });
+    if (Id == SlotIndex::None)
+      return std::nullopt;
+    return Id;
   }
 
   const State &state(StateId Id) const {
@@ -46,19 +62,17 @@ public:
 
   size_t size() const { return States.size(); }
 
-  /// Approximate heap footprint of the interned states: both the forward
-  /// copy in States and the hash-index copy, plus one bucket pointer per
-  /// index slot. A footprint estimate for the cache resident-bytes gauge,
-  /// not an exact accounting.
+  /// Approximate heap footprint of the interned states: the single copy of
+  /// each state in States plus one 32-bit index slot per slot. A footprint
+  /// estimate for the cache resident-bytes gauge, not an exact accounting.
   size_t approxBytes() const {
-    size_t PerState = sizeof(State) + sizeof(StateId);
-    return States.capacity() * sizeof(State) + Index.size() * PerState +
-           Index.bucket_count() * sizeof(void *);
+    return States.capacity() * sizeof(State) + Index.approxBytes();
   }
 
 private:
-  std::unordered_map<State, StateId, HashT> Index;
   std::vector<State> States;
+  SlotIndex Index;
+  [[no_unique_address]] HashT Hash;
 };
 
 } // namespace dataflow

@@ -18,6 +18,14 @@ enum AtomKind { KSite = 0, KVar = 1, KField = 2 };
 // State and atoms
 //===----------------------------------------------------------------------===//
 
+EscapeAnalysis::EscapeAnalysis(const Program &P) : P(P) {
+  Compiled.reserve(P.numCommands());
+  for (uint32_t I = 0; I < P.numCommands(); ++I) {
+    const Command &Cmd = P.command(CommandId(I));
+    Compiled.push_back(Cmd.Kind == CmdKind::Invoke ? Transfer() : cases(Cmd));
+  }
+}
+
 EscState EscapeAnalysis::initialState() const {
   EscState D;
   D.Vals.assign(P.numVars() + P.numFields(),
@@ -277,7 +285,7 @@ EscState EscapeAnalysis::transfer(const Command &Cmd, const EscState &In,
   formula::AtomEval Eval = [&At](AtomId A) {
     return At.Self->evalAtom(A, At.Prm, At.In);
   };
-  return cases(Cmd).apply(Eval, [&](const Effect &E) {
+  auto ApplyEffect = [&](const Effect &E) {
     if (E.IsEsc) {
       // esc(d): locals keep N or become E; field summaries reset to N.
       EscState Out = In;
@@ -294,6 +302,9 @@ EscState EscapeAnalysis::transfer(const Command &Cmd, const EscState &In,
       return Out;
     }
     return In;
+  };
+  return withCases(Cmd, [&](const Transfer &T) {
+    return T.apply(Eval, ApplyEffect);
   });
 }
 
@@ -340,8 +351,10 @@ Formula EscapeAnalysis::wpAtom(const Command &Cmd, AtomId A) const {
   uint32_t Idx = A >> 4;
   uint32_t Loc = Kind == KVar ? Idx : P.numVars() + Idx;
 
-  return cases(Cmd).wpAtom(A, [&](const Effect &E, AtomId) {
-    return wpUnderEffect(E, Loc, O);
+  return withCases(Cmd, [&](const Transfer &T) {
+    return T.wpAtom(A, [&](const Effect &E, AtomId) {
+      return wpUnderEffect(E, Loc, O);
+    });
   });
 }
 

@@ -40,6 +40,9 @@
 #include "meta/GuardedCases.h"
 #include "support/BitSet.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -84,16 +87,37 @@ public:
   using Param = EscParam;
   using State = EscState;
 
+  /// Mixes eight value bytes per step.
   struct StateHash {
     size_t operator()(const EscState &S) const {
-      uint64_t H = 0xcbf29ce484222325ULL;
-      for (uint8_t B : S.Vals)
-        H = (H ^ B) * 0x100000001b3ULL;
+      const uint8_t *Bytes = S.Vals.data();
+      const size_t N = S.Vals.size();
+      auto Step = [](uint64_t H, uint64_t W) {
+        H = (H ^ W) * 0x9e3779b97f4a7c15ULL;
+        return H ^ (H >> 32);
+      };
+      // Seeding with the mixed length keeps a short state's zero padding
+      // from aliasing a longer state's bytes.
+      uint64_t H = Step(0xcbf29ce484222325ULL, N);
+      size_t I = 0;
+      for (; I + 8 <= N; I += 8) {
+        uint64_t W = 0;
+        std::memcpy(&W, Bytes + I, 8);
+        H = Step(H, W);
+      }
+      if (I < N) {
+        uint64_t W = 0;
+        std::memcpy(&W, Bytes + I, N - I);
+        H = Step(H, W);
+      }
       return static_cast<size_t>(H);
     }
   };
 
-  explicit EscapeAnalysis(const ir::Program &P) : P(P) {}
+  /// Builds every command's case list once (see compiled()). \p P must
+  /// outlive the analysis and gain no variables after construction: field
+  /// locations in the lists are offset by the variable count.
+  explicit EscapeAnalysis(const ir::Program &P);
 
   //===--- forward ---------------------------------------------------------===
   State initialState() const;
@@ -102,12 +126,28 @@ public:
 
   /// Forgets dead variables (optional engine hook, see dataflow/Forward.h):
   /// resets their slots to the initial N. Field slots are shared program
-  /// state and stay untouched.
+  /// state and stay untouched. Variables at or beyond Live.size() are
+  /// dead. Works eight variables at a time: N is 0, so ANDing eight value
+  /// bytes with a byte mask expanded from eight live bits resets the dead
+  /// ones (crab's per-node dead-set forget, done per word).
   void pruneState(State &S, const BitSet &Live) const {
-    const size_t NumVars = P.numVars();
-    for (size_t V = 0; V < NumVars && V < S.Vals.size(); ++V)
-      if (V >= Live.size() || !Live.test(V))
-        S.Vals[V] = static_cast<uint8_t>(AbsVal::N);
+    static_assert(static_cast<uint8_t>(AbsVal::N) == 0);
+    const size_t NumVars = std::min<size_t>(P.numVars(), S.Vals.size());
+    const size_t NumLive = std::min(Live.size(), NumVars);
+    uint8_t *Vals = S.Vals.data();
+    size_t V = 0;
+    for (; V + 8 <= NumLive; V += 8) {
+      uint64_t Bits = (Live.word(V >> 6) >> (V & 63)) & 0xff;
+      uint64_t W = 0;
+      std::memcpy(&W, Vals + V, 8);
+      W &= byteMask(Bits);
+      std::memcpy(Vals + V, &W, 8);
+    }
+    for (; V < NumLive; ++V)
+      if (!Live.test(V))
+        Vals[V] = static_cast<uint8_t>(AbsVal::N);
+    if (V < NumVars)
+      std::memset(Vals + V, static_cast<uint8_t>(AbsVal::N), NumVars - V);
   }
 
   //===--- queries ---------------------------------------------------------===
@@ -188,6 +228,41 @@ private:
   /// case).
   Transfer cases(const ir::Command &Cmd) const;
 
+  /// The case list built at construction for \p Cmd when it is a command
+  /// of the program's pool, else null (a copy, or a command added later).
+  const Transfer *compiled(const ir::Command &Cmd) const {
+    if (Compiled.empty())
+      return nullptr;
+    auto Off = reinterpret_cast<uintptr_t>(&Cmd) -
+               reinterpret_cast<uintptr_t>(&P.command(ir::CommandId(0)));
+    if (Off % sizeof(ir::Command) != 0 ||
+        Off / sizeof(ir::Command) >= Compiled.size())
+      return nullptr;
+    return &Compiled[Off / sizeof(ir::Command)];
+  }
+
+  /// Calls \p Fn on \p Cmd's case list: the compiled one, or a freshly
+  /// built one for a command outside the pool.
+  template <typename FnT>
+  auto withCases(const ir::Command &Cmd, FnT Fn) const {
+    if (const Transfer *T = compiled(Cmd))
+      return Fn(*T);
+    return Fn(cases(Cmd));
+  }
+
+  /// Byte I of the result is 0xff when bit I of \p Bits (< 256) is set,
+  /// 0 otherwise, in memory order.
+  static uint64_t byteMask(uint64_t Bits) {
+    // Broadcast the byte, keep bit I in byte I, then turn each nonzero
+    // byte into 0x80 (adding 0x7f cannot carry out of a byte) and 0xff.
+    uint64_t X = (Bits * 0x0101010101010101ULL) & 0x8040201008040201ULL;
+    X = (X + 0x7f7f7f7f7f7f7f7fULL) & 0x8080808080808080ULL;
+    uint64_t Mask = (X >> 7) * 0xff;
+    if constexpr (std::endian::native == std::endian::big)
+      Mask = __builtin_bswap64(Mask);
+    return Mask;
+  }
+
   /// wp of atom (Loc = O) under a single effect.
   formula::Formula wpUnderEffect(const Effect &E, uint32_t Loc,
                                  AbsVal O) const;
@@ -198,6 +273,8 @@ private:
   AbsVal valueOf(const ValueSrc &Src, const State &D, const Param &Prm) const;
 
   const ir::Program &P;
+  /// cases() of every pool command, by command index (Invoke: empty).
+  std::vector<Transfer> Compiled;
 };
 
 } // namespace escape

@@ -37,6 +37,13 @@ public:
     return (Words[I >> 6] >> (I & 63)) & 1;
   }
 
+  /// Bits [64 * WI, 64 * WI + 64) as one word, bit I of the set at bit
+  /// I % 64. Bits at or beyond size() read as zero.
+  uint64_t word(size_t WI) const {
+    assert(WI < Words.size());
+    return Words[WI];
+  }
+
   void set(size_t I) {
     assert(I < NumBits);
     Words[I >> 6] |= uint64_t(1) << (I & 63);

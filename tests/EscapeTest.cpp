@@ -4,8 +4,11 @@
 
 #include "ir/Parser.h"
 #include "support/Prng.h"
+#include "synth/Generator.h"
 
 #include "gtest/gtest.h"
+
+#include <set>
 
 namespace {
 
@@ -284,6 +287,120 @@ TEST(Escape, NotQIsQueriedVarEscapes) {
   EXPECT_FALSE(NotQ.eval(Eval(D)));
   D.Vals[A.locOfVar(P.findVar("u"))] = static_cast<uint8_t>(AbsVal::E);
   EXPECT_TRUE(NotQ.eval(Eval(D)));
+}
+
+//===----------------------------------------------------------------------===//
+// Escape kernel: word-wise state operations and compiled case lists
+//===----------------------------------------------------------------------===//
+
+namespace oracle {
+/// The byte loop the word-wise EscapeAnalysis::pruneState replaced.
+void pruneState(EscState &S, const BitSet &Live, size_t NumVars) {
+  for (size_t V = 0; V < NumVars && V < S.Vals.size(); ++V)
+    if (V >= Live.size() || !Live.test(V))
+      S.Vals[V] = static_cast<uint8_t>(AbsVal::N);
+}
+} // namespace oracle
+
+EscState randomState(Prng &Rng, size_t Size) {
+  EscState D;
+  D.Vals.resize(Size);
+  for (uint8_t &V : D.Vals)
+    V = static_cast<uint8_t>(Rng.nextBelow(3));
+  return D;
+}
+
+TEST(EscapeKernel, WordWisePruneMatchesByteLoop) {
+  Prng Rng(0x9E11);
+  // Variable counts off every multiple of 8 and 64, and live sets shorter
+  // than, equal to and longer than the variable range.
+  for (uint32_t NumVars :
+       {0u, 1u, 5u, 7u, 8u, 9u, 15u, 17u, 63u, 64u, 65u, 71u, 130u}) {
+    Program P;
+    for (uint32_t V = 0; V < NumVars; ++V)
+      P.makeVar(std::string("v").append(std::to_string(V)));
+    P.makeField("f");
+    P.makeField("g");
+    EscapeAnalysis A(P);
+    const size_t Size = NumVars + P.numFields();
+    for (size_t LiveSize : {size_t(0), size_t(NumVars / 2),
+                            size_t(NumVars ? NumVars - 1 : 0),
+                            size_t(NumVars), size_t(NumVars + 11)}) {
+      for (unsigned Round = 0; Round < 20; ++Round) {
+        BitSet Live(LiveSize);
+        for (size_t I = 0; I < LiveSize; ++I)
+          if (Rng.nextBelow(2))
+            Live.set(I);
+        EscState Got = randomState(Rng, Size);
+        EscState Want = Got;
+        A.pruneState(Got, Live);
+        oracle::pruneState(Want, Live, NumVars);
+        ASSERT_EQ(Got.Vals, Want.Vals)
+            << "vars " << NumVars << ", live size " << LiveSize;
+      }
+    }
+  }
+}
+
+TEST(EscapeKernel, EqualStatesHashEqual) {
+  Prng Rng(0x4A5);
+  EscapeAnalysis::StateHash Hash;
+  std::set<std::vector<uint8_t>> Distinct;
+  std::set<size_t> Hashes;
+  for (size_t Size = 0; Size < 40; ++Size) {
+    for (unsigned Round = 0; Round < 50; ++Round) {
+      EscState A = randomState(Rng, Size);
+      EscState B;
+      B.Vals = A.Vals; // a separate buffer with the same bytes
+      ASSERT_EQ(Hash(A), Hash(B));
+      if (Distinct.insert(A.Vals).second)
+        Hashes.insert(Hash(A));
+    }
+  }
+  // Sanity, not a contract: random distinct states do not collide.
+  EXPECT_EQ(Hashes.size(), Distinct.size());
+}
+
+TEST(EscapeKernel, CompiledCaseListsMatchFreshOnes) {
+  // A copy of a pool command is outside the pool, so it takes the
+  // cases(Cmd) path; the pool command itself takes the compiled list.
+  Prng Rng(0xCA5E);
+  const auto &Small = optabs::synth::smallSuite();
+  for (size_t B = 0; B < 2; ++B) {
+    optabs::synth::Benchmark Bench = optabs::synth::generate(Small[B]);
+    const Program &P = Bench.P;
+    EscapeAnalysis A(P);
+    const size_t Size = P.numVars() + P.numFields();
+    auto Name = [&](AtomId At) { return A.atomName(At); };
+    for (uint32_t I = 0; I < P.numCommands(); ++I) {
+      const Command &Pooled = P.command(CommandId(I));
+      if (Pooled.Kind == CmdKind::Invoke)
+        continue;
+      const Command Copy = Pooled;
+      for (unsigned Round = 0; Round < 4; ++Round) {
+        EscState D = randomState(Rng, Size);
+        EscParam Prm;
+        Prm.LSites = BitSet(P.numAllocs());
+        for (uint32_t H = 0; H < P.numAllocs(); ++H)
+          if (Rng.nextBelow(2))
+            Prm.LSites.set(H);
+        ASSERT_EQ(A.transfer(Pooled, D, Prm).Vals,
+                  A.transfer(Copy, D, Prm).Vals)
+            << "command " << I;
+      }
+      for (unsigned Round = 0; Round < 6; ++Round) {
+        AbsVal O = static_cast<AbsVal>(Rng.nextBelow(3));
+        uint32_t Loc = static_cast<uint32_t>(Rng.nextBelow(Size));
+        AtomId At =
+            Loc < P.numVars()
+                ? EscapeAnalysis::atomVar(VarId(Loc), O)
+                : EscapeAnalysis::atomField(FieldId(Loc - P.numVars()), O);
+        ASSERT_EQ(A.wpAtom(Pooled, At).toString(Name),
+                  A.wpAtom(Copy, At).toString(Name))
+            << "command " << I << ", atom " << A.atomName(At);
+      }
+    }
+  }
 }
 
 } // namespace

@@ -1,0 +1,301 @@
+//===- FlatTableTest.cpp - The forward engine's open-addressing tables ------===//
+//
+// Part of the optabs project, a reproduction of "Finding Optimum
+// Abstractions in Parametric Dataflow Analysis" (PLDI 2013).
+//
+//===----------------------------------------------------------------------===//
+//
+// StateInterner and FlatTable index raw slots by hand, so these tests pin
+// what callers depend on: dense first-intern ids, correct lookups under
+// collisions and growth, snapshot bytes that do not depend on the table
+// layout, and lookups of existing entries that allocate nothing.
+//
+//===----------------------------------------------------------------------===//
+
+#include "dataflow/FlatTable.h"
+#include "dataflow/Forward.h"
+#include "escape/Escape.h"
+#include "ir/Liveness.h"
+#include "ir/Parser.h"
+#include "support/Prng.h"
+
+#include "gtest/gtest.h"
+
+#include <atomic>
+#include <cstdio>
+#include <cstdlib>
+#include <map>
+#include <new>
+
+//===----------------------------------------------------------------------===//
+// Allocation counting (the same shim as NormalizeAllocTest)
+//===----------------------------------------------------------------------===//
+
+namespace {
+std::atomic<uint64_t> GlobalAllocs{0};
+} // namespace
+
+void *operator new(std::size_t Size) {
+  GlobalAllocs.fetch_add(1, std::memory_order_relaxed);
+  if (void *P = std::malloc(Size ? Size : 1))
+    return P;
+  throw std::bad_alloc();
+}
+
+void *operator new[](std::size_t Size) { return ::operator new(Size); }
+
+// The nothrow overloads must be replaced alongside the throwing ones, or a
+// library allocation through them would be freed by the deletes below
+// without having come from malloc.
+void *operator new(std::size_t Size, const std::nothrow_t &) noexcept {
+  GlobalAllocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(Size ? Size : 1);
+}
+
+void *operator new[](std::size_t Size, const std::nothrow_t &T) noexcept {
+  return ::operator new(Size, T);
+}
+
+// Every overload above allocates with malloc, so pairing it with free() is
+// correct; GCC cannot see through the replaceable operators and warns.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void *P) noexcept { std::free(P); }
+void operator delete(void *P, std::size_t) noexcept { std::free(P); }
+void operator delete(void *P, const std::nothrow_t &) noexcept {
+  std::free(P);
+}
+void operator delete[](void *P) noexcept { std::free(P); }
+void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
+void operator delete[](void *P, const std::nothrow_t &) noexcept {
+  std::free(P);
+}
+#pragma GCC diagnostic pop
+
+namespace {
+
+using namespace optabs;
+using dataflow::FlatTable;
+using dataflow::StateId;
+using dataflow::StateInterner;
+using escape::EscapeAnalysis;
+using escape::EscState;
+
+/// Files every state in one probe chain.
+struct ConstantHash {
+  size_t operator()(uint32_t) const { return 42; }
+};
+
+TEST(StateInterner, ConstantHashSurvivesGrowth) {
+  // 1000 states take the slot array from 16 through 2048 slots: seven
+  // doublings, each refiling one long collision chain.
+  StateInterner<uint32_t, ConstantHash> I;
+  for (uint32_t S = 0; S < 1000; ++S)
+    ASSERT_EQ(I.intern(S * 7919u), S);
+  EXPECT_EQ(I.size(), 1000u);
+  for (uint32_t S = 0; S < 1000; ++S) {
+    EXPECT_EQ(I.intern(S * 7919u), S);
+    EXPECT_EQ(I.find(S * 7919u), std::optional<StateId>(S));
+  }
+  EXPECT_FALSE(I.find(1u).has_value());
+  EXPECT_EQ(I.size(), 1000u);
+}
+
+TEST(StateInterner, IdsAreDenseInFirstInternOrder) {
+  StateInterner<EscState, EscapeAnalysis::StateHash> I;
+  Prng Rng(0x1D5);
+  std::vector<EscState> Firsts;
+  for (unsigned Round = 0; Round < 3000; ++Round) {
+    EscState S;
+    S.Vals.resize(13);
+    for (uint8_t &V : S.Vals)
+      V = static_cast<uint8_t>(Rng.nextBelow(3) ? 0 : Rng.nextBelow(3));
+    size_t Before = I.size();
+    StateId Id = I.intern(S);
+    if (I.size() > Before) {
+      EXPECT_EQ(Id, Firsts.size());
+      Firsts.push_back(S);
+    } else {
+      EXPECT_LT(Id, Firsts.size());
+      EXPECT_EQ(Firsts[Id], S);
+    }
+  }
+  ASSERT_GT(Firsts.size(), 100u);
+  for (StateId Id = 0; Id < Firsts.size(); ++Id) {
+    EXPECT_EQ(I.state(Id), Firsts[Id]);
+    EXPECT_EQ(I.find(Firsts[Id]), std::optional<StateId>(Id));
+  }
+}
+
+TEST(FlatTable, LookupsAfterInterleavedInserts) {
+  FlatTable<uint32_t> T;
+  std::map<uint64_t, uint32_t> Oracle;
+  Prng Rng(0xF1A7);
+  for (unsigned Step = 0; Step < 20000; ++Step) {
+    // Engine-shaped keys: (index << 32) | id, from a small universe so
+    // that inserts often hit existing keys.
+    uint64_t K = (uint64_t(Rng.nextBelow(64)) << 32) | Rng.nextBelow(128);
+    if (Rng.nextBelow(2) == 0) {
+      uint32_t V = static_cast<uint32_t>(Step);
+      auto [Idx, Inserted] = T.insert(K, V);
+      auto [It, OracleInserted] = Oracle.emplace(K, V);
+      ASSERT_EQ(Inserted, OracleInserted);
+      ASSERT_EQ(T.at(Idx), It->second);
+    }
+    const uint32_t *Found = T.find(K);
+    auto It = Oracle.find(K);
+    ASSERT_EQ(Found != nullptr, It != Oracle.end());
+    if (Found) {
+      ASSERT_EQ(*Found, It->second);
+    }
+  }
+  EXPECT_EQ(T.size(), Oracle.size());
+  // Entries stay in insertion order and keep their first value.
+  for (const auto &E : T.entries())
+    EXPECT_EQ(E.Value, Oracle.at(E.K));
+}
+
+//===----------------------------------------------------------------------===//
+// Snapshot bytes of a forward run
+//===----------------------------------------------------------------------===//
+
+/// Little-endian byte sink in the shape ForwardAnalysis::saveTo expects.
+struct ByteSink {
+  std::vector<uint8_t> Bytes;
+  void u32(uint32_t V) {
+    for (int I = 0; I < 4; ++I)
+      Bytes.push_back(static_cast<uint8_t>(V >> (8 * I)));
+  }
+  void u64(uint64_t V) {
+    for (int I = 0; I < 8; ++I)
+      Bytes.push_back(static_cast<uint8_t>(V >> (8 * I)));
+  }
+  void state(const EscState &S) {
+    u32(static_cast<uint32_t>(S.Vals.size()));
+    Bytes.insert(Bytes.end(), S.Vals.begin(), S.Vals.end());
+  }
+  std::string hex() const {
+    std::string Out;
+    char Buf[3];
+    for (uint8_t B : Bytes) {
+      std::snprintf(Buf, sizeof(Buf), "%02x", B);
+      Out += Buf;
+    }
+    return Out;
+  }
+};
+
+ir::Program parse(const char *Src) {
+  ir::Program P;
+  std::string Error;
+  EXPECT_TRUE(ir::parseProgram(Src, P, Error)) << Error;
+  return P;
+}
+
+const char *LoopSrc = R"(
+  global g;
+  proc helper {
+    w = new h3;
+    v.f = w;
+  }
+  proc main {
+    u = new h1;
+    v = new h2;
+    loop {
+      choice { v.f = u; } or { u = v.f; } or { call helper; }
+    }
+    check(u);
+    g = v;
+    check(v);
+  }
+)";
+
+/// saveTo() of the run below, recorded from the node-based tables these
+/// flat ones replaced (7 states, 30 tabulated pairs, 764 bytes).
+const char *ExpectedLoopSnapshot =
+    "0200000000000000070000000400000000000000040000000000010004000000"
+    "0002010004000000000202000400000001020100040000000102020004000000"
+    "00020000000000001e0000000200000000000000010000000400000003000000"
+    "0000000001000000050000000400000001000000010000000300000005000000"
+    "0100000001000000030000000200000002000000010000000300000003000000"
+    "0200000001000000030000000000000003000000010000000100000001000000"
+    "0400000001000000020000000200000005000000010000000300000003000000"
+    "0500000001000000030000000200000006000000010000000300000003000000"
+    "0600000001000000030000000200000007000000010000000300000003000000"
+    "0700000001000000030000000200000008000000010000000300000003000000"
+    "0800000001000000030000000200000009000000010000000300000003000000"
+    "090000000100000003000000020000000a000000010000000300000003000000"
+    "0a0000000100000003000000020000000b000000010000000300000003000000"
+    "0b0000000100000003000000020000000c000000010000000300000003000000"
+    "0c0000000100000003000000020000000d000000020000000200000003000000"
+    "020000000e0000000100000006000000030000000e0000000100000006000000"
+    "060000000f000000010000000600000006000000100000000100000000000000"
+    "000000001100000001000000000000000e000000020000000000000004000000"
+    "0300000000000000050000000400000001000000030000000500000001000000"
+    "0300000000000000020000000100000001000000030000000200000002000000"
+    "0400000003000000030000000400000003000000020000000500000003000000"
+    "0300000005000000030000000200000007000000060000000300000007000000"
+    "0600000006000000080000000600000006000000090000000000000002000000"
+    "00000000020000000200000003000000010000000100000006000000";
+
+TEST(FlatTable, ForwardSnapshotBytesAreFixed) {
+  // The encoding sorts both tables by key and emits states in id order,
+  // so it does not depend on how the tables lay out their slots.
+  ir::Program P = parse(LoopSrc);
+  EscapeAnalysis A(P);
+  ir::CommandLiveness Live(P);
+  escape::EscParam Prm;
+  Prm.LSites = BitSet(P.numAllocs());
+  Prm.LSites.set(P.findAlloc("h1").index());
+  Prm.LSites.set(P.findAlloc("h3").index());
+  dataflow::ForwardAnalysis<EscapeAnalysis> FA(P, A, Prm, &Live);
+  FA.run(A.initialState());
+  ByteSink S;
+  FA.saveTo(S);
+  EXPECT_EQ(S.hex(), ExpectedLoopSnapshot);
+}
+
+//===----------------------------------------------------------------------===//
+// Allocation pins
+//===----------------------------------------------------------------------===//
+
+TEST(FlatTableAlloc, FindingAnExistingStateAllocatesNothing) {
+  StateInterner<EscState, EscapeAnalysis::StateHash> I;
+  std::vector<EscState> States;
+  for (uint8_t A = 0; A < 3; ++A)
+    for (uint8_t B = 0; B < 3; ++B)
+      for (uint8_t C = 0; C < 3; ++C) {
+        EscState S;
+        S.Vals = {A, 0, B, 2, 1, 0, 0, 1, 2, C, 0};
+        States.push_back(S);
+        I.intern(S);
+      }
+  uint64_t Before = GlobalAllocs.load();
+  size_t Hits = 0;
+  for (const EscState &S : States) {
+    Hits += I.intern(S) < States.size();
+    Hits += I.find(S).has_value();
+  }
+  EXPECT_EQ(GlobalAllocs.load() - Before, 0u);
+  EXPECT_EQ(Hits, 2 * States.size());
+}
+
+TEST(FlatTableAlloc, TransferMemoHitsAllocateNothing) {
+  FlatTable<StateId> Memo;
+  for (uint64_t Cmd = 0; Cmd < 50; ++Cmd)
+    for (uint64_t In = 0; In < 20; ++In)
+      Memo.insert((Cmd << 32) | In, static_cast<StateId>(Cmd + In));
+  uint64_t Before = GlobalAllocs.load();
+  uint64_t Sum = 0;
+  for (uint64_t Cmd = 0; Cmd < 50; ++Cmd)
+    for (uint64_t In = 0; In < 20; ++In) {
+      uint64_t K = (Cmd << 32) | In;
+      Sum += *Memo.find(K);
+      auto [Idx, Inserted] = Memo.insert(K, 0);
+      Sum += Memo.at(Idx) + Inserted;
+    }
+  EXPECT_EQ(GlobalAllocs.load() - Before, 0u);
+  EXPECT_EQ(Sum, 2u * (50 * 20 * (49 + 19) / 2));
+}
+
+} // namespace

@@ -218,6 +218,33 @@ TEST(TraceExtraction, TraceForUnreachedStateFails) {
   EXPECT_FALSE(FA.extractTrace(CheckId(0), 3u).has_value());
 }
 
+/// Records every saveTo() call, tagged with its width, for comparison.
+struct RecordingSink {
+  std::vector<std::pair<char, uint64_t>> Records;
+  void u32(uint32_t V) { Records.push_back({'w', V}); }
+  void u64(uint64_t V) { Records.push_back({'d', V}); }
+  void state(unsigned S) { Records.push_back({'s', S}); }
+};
+
+TEST(TraceExtraction, UnknownTargetLeavesTheRunUntouched) {
+  // A state the run never reached is looked up, not interned: the run
+  // (which the driver may cache and snapshot) must not grow.
+  Program P = parse("proc main { x = new h1; check(x); }");
+  CounterClient C;
+  ForwardAnalysis<CounterClient> FA(P, C, CounterClient::Param{5});
+  FA.run(0);
+  size_t NumStates = FA.stats().NumStates;
+  RecordingSink Before;
+  FA.saveTo(Before);
+
+  EXPECT_TRUE(FA.extractTraces(CheckId(0), 4u, 3).empty());
+
+  EXPECT_EQ(FA.stats().NumStates, NumStates);
+  RecordingSink After;
+  FA.saveTo(After);
+  EXPECT_EQ(After.Records, Before.Records);
+}
+
 //===----------------------------------------------------------------------===//
 // State-interner footprint and dead-variable pruning
 //===----------------------------------------------------------------------===//
