@@ -26,9 +26,9 @@ int main() {
     for (bool Grouping : {true, false}) {
       synth::Benchmark B = synth::generate(Suite[I]);
       escape::EscapeAnalysis A(B.P);
-      tracer::TracerOptions Options;
-      Options.MaxItersPerQuery = 24;
-      Options.GroupQueries = Grouping;
+      Config Options;
+      Options.Execution.MaxItersPerQuery = 24;
+      Options.Execution.GroupQueries = Grouping;
       tracer::QueryDriver<escape::EscapeAnalysis> Driver(B.P, A, Options);
       Driver.run(B.EscChecks);
       T.addRow({Suite[I].Name, Grouping ? "on" : "off",

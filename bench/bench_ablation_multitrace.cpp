@@ -30,9 +30,9 @@ int main() {
     synth::Benchmark B = synth::generate(Suite[I]);
     escape::EscapeAnalysis A(B.P);
     for (unsigned M : {1u, 2u, 4u}) {
-      tracer::TracerOptions Options;
-      Options.MaxItersPerQuery = 24;
-      Options.TracesPerIteration = M;
+      Config Options;
+      Options.Execution.MaxItersPerQuery = 24;
+      Options.Execution.TracesPerIteration = M;
       tracer::QueryDriver<escape::EscapeAnalysis> Driver(B.P, A, Options);
       auto Outcomes = Driver.run(B.EscChecks);
       MinMaxAvg ProvenIters;

@@ -31,12 +31,13 @@ int main() {
     for (unsigned K : {5u, 0u}) {
       synth::Benchmark B = synth::generate(Suite[I]);
       escape::EscapeAnalysis A(B.P);
-      tracer::TracerOptions Options;
-      Options.K = K;
-      Options.MaxItersPerQuery = 24;
-      Options.TimeBudgetSeconds = 30;
-      Options.ProductSoftCap = K == 0 ? 0 : 4096; // exact mode: no soft caps
-      Options.BackwardTimeoutSeconds = 5;
+      Config Options;
+      Options.Execution.K = K;
+      Options.Execution.MaxItersPerQuery = 24;
+      Options.Budgets.TimeBudgetSeconds = 30;
+      // Exact mode: no soft caps.
+      Options.Execution.ProductSoftCap = K == 0 ? 0 : 4096;
+      Options.Budgets.BackwardTimeoutSeconds = 5;
       tracer::QueryDriver<escape::EscapeAnalysis> Driver(B.P, A, Options);
       auto Outcomes = Driver.run(B.EscChecks);
       unsigned Resolved = 0, Unresolved = 0;

@@ -35,10 +35,10 @@ int main() {
     for (SearchStrategy S :
          {SearchStrategy::Tracer, SearchStrategy::GreedyGrow,
           SearchStrategy::EliminateCurrent}) {
-      tracer::TracerOptions Options;
-      Options.Strategy = S;
-      Options.MaxItersPerQuery = 24;
-      Options.TimeBudgetSeconds = 60;
+      Config Options;
+      Options.Execution.Strategy = tracer::strategyName(S);
+      Options.Execution.MaxItersPerQuery = 24;
+      Options.Budgets.TimeBudgetSeconds = 60;
       tracer::QueryDriver<escape::EscapeAnalysis> Driver(B.P, A, Options);
       auto Outcomes = Driver.run(B.EscChecks);
       unsigned Proven = 0, Impossible = 0, Unresolved = 0;

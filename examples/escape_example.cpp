@@ -98,8 +98,8 @@ int main() {
 
   std::cout << "\n== TRACER end-to-end, both settings ==\n";
   for (unsigned K : {0u, 1u}) {
-    tracer::TracerOptions Options;
-    Options.K = K;
+    Config Options;
+    Options.Execution.K = K;
     tracer::QueryDriver<escape::EscapeAnalysis> Driver(P, A, Options);
     auto Outcomes = Driver.run({CheckId(0)});
     std::cout << "k = " << (K ? std::to_string(K) : std::string("off"))

@@ -111,8 +111,8 @@ int main() {
 
   //===--- 3. The full TRACER loop through the driver ---------------------===
   std::cout << "\n== TRACER on both queries (k = 1) ==\n";
-  tracer::TracerOptions Options;
-  Options.K = 1;
+  Config Options;
+  Options.Execution.K = 1;
   tracer::QueryDriver<typestate::TypestateAnalysis> Driver(P, A, Options);
   auto Outcomes = Driver.run({Check1, Check2});
   const char *Names[] = {"check(x, closed)", "check(x, opened)"};

@@ -24,9 +24,9 @@
 ///  * optabs::ir - the mini-IR: Program, parseProgram, printProgram.
 ///  * optabs::pointer / escape / typestate - the analysis clients, plus
 ///    the textual type-state property grammar (typestate/Properties.h).
-///  * optabs::tracer - QueryDriver, TracerOptions (a deprecated alias of
-///    Config, see TracerOptions::fromConfig), Verdict/QueryOutcome, the
-///    certificate checker, and the versioned JSONL event trace.
+///  * optabs::tracer - QueryDriver (constructed from a Config),
+///    Verdict/QueryOutcome, the certificate checker, and the versioned
+///    JSONL event trace.
 ///  * optabs::service - AnalysisService, Session, QueryResult, and the
 ///    versioned JSONL request/response protocol of optabs-serve.
 ///

@@ -6,7 +6,6 @@
 
 #include <cstdlib>
 #include <map>
-#include <sstream>
 
 namespace optabs {
 namespace reporting {
@@ -60,8 +59,7 @@ void foldRun(const ir::Program &P, const Analysis &A,
   // GreedyGrow never promises minimal abstractions, so a cost mismatch
   // against the (empty) viable CNF would be a false alarm.
   CertOpts.CheckMinimality =
-      tracer::TracerOptions::fromConfig(Options.Cfg).Strategy !=
-      tracer::SearchStrategy::GreedyGrow;
+      Options.Cfg.Execution.Strategy != "greedy-grow";
   tracer::CertificateChecker<Analysis> Checker(P, A, CertOpts);
   tracer::CertificateReport Report =
       Checker.check(Outcomes, Driver.finalViableSets());
@@ -93,10 +91,10 @@ void runEscape(const synth::Benchmark &B, const HarnessOptions &Options,
                ClientResults &Out) {
   Timer Total;
   escape::EscapeAnalysis A(B.P);
-  tracer::TracerOptions Opts = tracer::TracerOptions::fromConfig(Options.Cfg);
-  if (!Opts.EventTracePath.empty())
-    Opts.EventTraceLabel = "escape";
-  tracer::QueryDriver<escape::EscapeAnalysis> Driver(B.P, A, Opts);
+  Config Cfg = Options.Cfg;
+  if (!Cfg.Observability.EventTracePath.empty())
+    Cfg.Observability.EventTraceLabel = "escape";
+  tracer::QueryDriver<escape::EscapeAnalysis> Driver(B.P, A, Cfg);
   foldRun(B.P, A, Options, Driver, Driver.run(B.EscChecks), "escape", Out);
   Out.TotalSeconds = Total.seconds();
 }
@@ -107,8 +105,7 @@ void runTypestate(const synth::Benchmark &B, const HarnessOptions &Options,
   pointer::PointsToResult Pt = pointer::runPointsTo(B.P);
   typestate::TypestateSpec Spec = typestate::TypestateSpec::stress();
 
-  tracer::TracerOptions Base = tracer::TracerOptions::fromConfig(Options.Cfg);
-  double Budget = Base.TimeBudgetSeconds;
+  double Budget = Options.Cfg.Budgets.TimeBudgetSeconds;
   for (auto &[SiteIdx, Checks] : checksBySite(B, Pt)) {
     double Remaining = Budget - Total.seconds();
     if (Remaining <= 0) {
@@ -126,100 +123,15 @@ void runTypestate(const synth::Benchmark &B, const HarnessOptions &Options,
       continue;
     }
     typestate::TypestateAnalysis A(B.P, Spec, AllocId(SiteIdx), Pt);
-    tracer::TracerOptions PerSite = Base;
-    PerSite.TimeBudgetSeconds = Remaining;
+    Config PerSite = Options.Cfg;
+    PerSite.Budgets.TimeBudgetSeconds = Remaining;
     std::string Label = "typestate/site=" + std::to_string(SiteIdx);
-    if (!PerSite.EventTracePath.empty())
-      PerSite.EventTraceLabel = Label;
+    if (!PerSite.Observability.EventTracePath.empty())
+      PerSite.Observability.EventTraceLabel = Label;
     tracer::QueryDriver<typestate::TypestateAnalysis> Driver(B.P, A,
                                                              PerSite);
     foldRun(B.P, A, Options, Driver, Driver.run(Checks), Label, Out);
   }
-  Out.TotalSeconds = Total.seconds();
-}
-
-QueryStat statOf(const service::QueryResult &R) {
-  QueryStat S;
-  S.V = R.V;
-  S.Iterations = R.Iterations;
-  S.Cost = R.CheapestCost;
-  S.ParamKey = R.CheapestParam;
-  S.ExhaustedResource = R.ExhaustedResource;
-  S.ExhaustedSite = R.ExhaustedSite;
-  return S;
-}
-
-void foldServiceStats(const service::ServiceStats &S, ClientResults &Out) {
-  Out.ForwardRuns += static_cast<unsigned>(S.ForwardRuns);
-  Out.BackwardRuns += static_cast<unsigned>(S.BackwardRuns);
-  Out.CacheHits += S.CacheHits;
-  Out.CacheMisses += S.CacheMisses;
-  Out.CacheEvictions += S.CacheEvictions;
-}
-
-/// The service-mode backend: one AnalysisService per client run, the
-/// benchmark program printed and re-registered through the textual IR, one
-/// session submitting every query, verdicts collected from the futures in
-/// submission order (so Out.Queries matches the direct path's order).
-void runClientService(const synth::Benchmark &B,
-                      const HarnessOptions &Options, const char *Client,
-                      ClientResults &Out) {
-  Timer Total;
-  std::ostringstream IrText;
-  ir::printProgram(IrText, B.P);
-
-  service::AnalysisService::Options SvcOpts;
-  SvcOpts.Base = Options.Cfg;
-  service::AnalysisService Svc(std::move(SvcOpts));
-  service::RegisterResult Reg = Svc.registerProgram("bench", IrText.str());
-  if (!Reg.Ok) {
-    Out.AuditNotes.push_back(std::string("service: register failed: ") +
-                             Reg.Error);
-    return;
-  }
-
-  service::SessionSpec Spec;
-  Spec.Program = "bench";
-  Spec.Client = Client;
-  Spec.SessionConfig = Options.Cfg;
-  std::string Err;
-  service::Session Sess = Svc.openSession(Spec, Err);
-  if (!Sess.valid()) {
-    Out.AuditNotes.push_back("service: open-session failed: " + Err);
-    return;
-  }
-
-  std::vector<std::future<service::QueryResult>> Futures;
-  auto SubmitJob = [&](uint32_t Check, uint32_t Site) {
-    service::JobSpec Job;
-    Job.Check = Check;
-    Job.Site = Site;
-    Futures.push_back(Sess.submit(Job));
-  };
-  if (std::string(Client) == "escape") {
-    for (ir::CheckId Check : B.EscChecks)
-      SubmitJob(static_cast<uint32_t>(Check.index()), 0);
-  } else {
-    // Same (site -> checks) grouping as the direct path, so the result
-    // vector lines up query for query.
-    pointer::PointsToResult Pt = pointer::runPointsTo(B.P);
-    for (auto &[SiteIdx, Checks] : checksBySite(B, Pt))
-      for (CheckId Check : Checks)
-        SubmitJob(static_cast<uint32_t>(Check.index()), SiteIdx);
-  }
-
-  Svc.drain();
-  for (std::future<service::QueryResult> &F : Futures) {
-    service::QueryResult R = F.get();
-    if (R.Status != service::JobStatus::Done)
-      Out.AuditNotes.push_back("service: job " + std::to_string(R.Job) +
-                               " " + service::jobStatusName(R.Status) +
-                               ": " + R.Error);
-    Out.Queries.push_back(statOf(R));
-    if (!R.ExhaustedResource.empty())
-      ++Out.BudgetExhausted;
-  }
-  foldServiceStats(Svc.stats(), Out);
   Out.TotalSeconds = Total.seconds();
 }
 
@@ -255,20 +167,10 @@ BenchRun runBenchmark(const synth::BenchConfig &Config,
   Run.Fields = B.P.numFields();
   Run.EscQueries = static_cast<uint32_t>(B.EscChecks.size());
 
-  // Audit needs the drivers' final viable sets, which the service does not
-  // expose; audited runs always take the direct path.
-  bool ViaService = Options.UseService && !Options.Cfg.Audit.Enabled;
-  if (Options.RunEscape) {
-    if (ViaService)
-      runClientService(B, Options, "escape", Run.Esc);
-    else
-      runEscape(B, Options, Run.Esc);
-  }
+  if (Options.RunEscape)
+    runEscape(B, Options, Run.Esc);
   if (Options.RunTypestate) {
-    if (ViaService)
-      runClientService(B, Options, "typestate", Run.Ts);
-    else
-      runTypestate(B, Options, Run.Ts);
+    runTypestate(B, Options, Run.Ts);
     Run.TsQueries = static_cast<uint32_t>(Run.Ts.Queries.size());
   } else {
     Run.TsQueries = static_cast<uint32_t>(B.TsChecks.size());

@@ -92,17 +92,15 @@ struct BenchRun {
   ClientResults Ts, Esc;
 };
 
-/// Knobs for a harness run: the unified optabs::Config plus the three
-/// harness-only switches. The deprecated per-field aliases (a writable
-/// TracerOptions, Audit, EventTracePath, ...) are gone - poke Cfg
-/// directly:
+/// Knobs for a harness run: the unified optabs::Config plus the two
+/// harness-only switches. Poke Cfg directly:
 ///
 ///   HarnessOptions O;
 ///   O.Cfg.Execution.NumThreads = 4;
 ///   O.Cfg.Audit.Enabled = true;
 ///   O.Cfg.Observability.EventTracePath = "/tmp/trace.jsonl";
 ///
-/// Execution/Budgets reach the drivers through TracerOptions::fromConfig;
+/// Execution/Budgets/Observability reach the drivers as a Config copy;
 /// Audit.Enabled arms invariant recording plus certificate checking;
 /// the Observability paths are honored per client (the harness stamps the
 /// per-client event-trace labels - "escape", "typestate/site=N" -
@@ -116,14 +114,6 @@ struct HarnessOptions {
   Config Cfg;
   bool RunTypestate = true;
   bool RunEscape = true;
-  /// Route every query through a service::AnalysisService (one per client
-  /// run) instead of standalone drivers: the program is printed, registered
-  /// and re-parsed, a session per client submits every query, and the cache
-  /// statistics come from the service's counters. Verdicts are bitwise
-  /// identical to the direct path. Audit mode needs the drivers' final
-  /// viable sets, which the service does not expose, so Audit + UseService
-  /// falls back to the direct path.
-  bool UseService = false;
 
   HarnessOptions();
 

@@ -28,9 +28,7 @@
 //    freshness floor at lookup time) and stored verdicts are filtered
 //    right in registerProgram. Jobs answered from a stored verdict replay
 //    the whole recorded outcome - including its event-trace verdict line -
-//    rather than seeding the driver's viable sets: seeding shortens the
-//    search and changes reported iteration counts, and the contract here
-//    is bitwise identity with a cold re-registration.
+//    so the contract is bitwise identity with a cold re-registration.
 //  * Batch picking: the session with the fewest served jobs leads; its
 //    best pending job (priority, then submission order) defines the shard
 //    key, and every compatible pending job across all sessions rides in
@@ -204,41 +202,6 @@ bool footprintHits(const BitSet &Foot, const BitSet &Dirty) {
   return Hit;
 }
 
-void saveCnf(tracer::SnapshotWriter &W, const tracer::Cnf &C) {
-  const auto &Clauses = C.clauses();
-  W.u32(static_cast<uint32_t>(Clauses.size()));
-  for (const auto &Clause : Clauses) {
-    W.u32(static_cast<uint32_t>(Clause.size()));
-    for (const tracer::BoolLit &L : Clause) {
-      W.u32(L.Var);
-      W.u8(L.Positive ? 1 : 0);
-    }
-  }
-}
-
-bool loadCnf(tracer::SnapshotReader &R, tracer::Cnf &C) {
-  uint32_t NumClauses = 0;
-  if (!R.u32(NumClauses))
-    return false;
-  for (uint32_t I = 0; I < NumClauses; ++I) {
-    uint32_t NumLits = 0;
-    if (!R.u32(NumLits))
-      return false;
-    std::vector<tracer::BoolLit> Lits;
-    Lits.reserve(NumLits);
-    for (uint32_t J = 0; J < NumLits; ++J) {
-      tracer::BoolLit L;
-      uint8_t Pos = 0;
-      if (!R.u32(L.Var) || !R.u8(Pos))
-        return false;
-      L.Positive = Pos != 0;
-      Lits.push_back(L);
-    }
-    C.addClause(std::move(Lits));
-  }
-  return true;
-}
-
 // -- program registrations and their per-client cache shards -------------
 
 /// A type-state analysis family: one property automaton plus its
@@ -286,10 +249,6 @@ struct VerdictEntry {
   unsigned Iterations = 0;
   uint32_t CheapestCost = 0;
   std::string CheapestParam;
-  /// The learned viable set at resolution, migrated alongside the
-  /// verdict (kept for audit tooling and future warm-start use; the
-  /// replay path never seeds it - see the file comment).
-  tracer::Cnf Viable;
   /// Replay fields for the "verdict" event-trace line (round + short vs
   /// full form; see tracer::QueryOutcome::TraceForm).
   unsigned TraceRound = 0;
@@ -547,7 +506,6 @@ struct AnalysisService::Impl {
     /// where the job did not run or did not resolve).
     std::vector<unsigned> TraceRound;
     std::vector<uint8_t> TraceForm;
-    std::vector<tracer::Cnf> Viable;
     tracer::DriverStats DS;
     bool Ran = false;
     double Seconds = 0;
@@ -977,7 +935,6 @@ struct AnalysisService::Impl {
     R.Results.resize(B.Jobs.size());
     R.TraceRound.assign(B.Jobs.size(), 0);
     R.TraceForm.assign(B.Jobs.size(), 0);
-    R.Viable.resize(B.Jobs.size());
     for (size_t I = 0; I < B.Jobs.size(); ++I) {
       R.Results[I].Job = B.Jobs[I].Id;
       R.Results[I].Session = B.JobSessions[I];
@@ -1067,8 +1024,8 @@ struct AnalysisService::Impl {
     if (Queries.empty())
       return;
 
-    tracer::TracerOptions O = tracer::TracerOptions::fromConfig(B.Cfg);
-    O.EventTraceLabel = TraceLabel;
+    Config O = B.Cfg;
+    O.Observability.EventTraceLabel = TraceLabel;
     const std::vector<uint64_t> *MinData =
         B.MinDataByCheck.empty() ? nullptr : &B.MinDataByCheck;
 
@@ -1094,7 +1051,6 @@ struct AnalysisService::Impl {
                         entryLiveness(*B.Entry));
       std::vector<tracer::QueryOutcome> Outcomes = D.run(Queries);
       R.DS = D.stats();
-      std::vector<tracer::Cnf> Viable = D.finalViableSets();
       R.Ran = true;
       for (size_t Q = 0; Q < Outcomes.size(); ++Q) {
         QueryResult &Res = R.Results[QueryJob[Q]];
@@ -1110,8 +1066,6 @@ struct AnalysisService::Impl {
         }
         R.TraceRound[QueryJob[Q]] = Out.TraceRound;
         R.TraceForm[QueryJob[Q]] = Out.TraceForm;
-        if (Q < Viable.size())
-          R.Viable[QueryJob[Q]] = Viable[Q];
       }
     } catch (const std::exception &E) {
       for (size_t I : QueryJob)
@@ -1413,7 +1367,6 @@ struct AnalysisService::Impl {
       W.str(E.CheapestParam);
       W.u32(E.TraceRound);
       W.u8(E.TraceForm);
-      saveCnf(W, E.Viable);
       ++Res.VerdictsPersisted;
     };
     W.u32(static_cast<uint32_t>(Slot.Verdicts.size() +
@@ -1590,8 +1543,7 @@ struct AnalysisService::Impl {
       if (!R.u8(Ts) || !R.str(K.Property) || !R.u32(K.Site) ||
           !R.str(K.OptionsSig) || !R.u32(K.Check) || !R.u8(V) ||
           !R.u32(Iter) || !R.u32(E.CheapestCost) ||
-          !R.str(E.CheapestParam) || !R.u32(Round) || !R.u8(E.TraceForm) ||
-          !loadCnf(R, E.Viable))
+          !R.str(E.CheapestParam) || !R.u32(Round) || !R.u8(E.TraceForm))
         return;
       if (Ts > 1 || V > 2 || E.TraceForm > 2)
         return R.fail("verdict record field out of range");
@@ -1897,7 +1849,6 @@ struct AnalysisService::Impl {
             .Iterations = Res.Iterations,
             .CheapestCost = Res.CheapestCost,
             .CheapestParam = Res.CheapestParam,
-            .Viable = R.Viable[I],
             .TraceRound = R.TraceRound[I],
             .TraceForm = R.TraceForm[I],
             .DataEpoch = B.Entry->Epoch};

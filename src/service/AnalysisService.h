@@ -367,9 +367,7 @@ public:
   ///    check's footprint is clean and fail with a structured stale-epoch
   ///    reason otherwise. Verdicts after an incremental re-registration
   ///    are bitwise identical to a cold re-registration; the service
-  ///    replays whole stored verdicts rather than seeding viable sets
-  ///    (seeding shortens the search and changes reported iteration
-  ///    counts - see tracer::QueryDriver::seedViableSets).
+  ///    replays whole stored verdicts.
   ///  * Full (incomparable versions: entity tables or main moved):
   ///    every cached artifact of older epochs is invalidated before the
   ///    next batch and every still-queued job against the retiring epoch

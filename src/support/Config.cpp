@@ -188,44 +188,39 @@ std::vector<ConfigError> Config::validate() const {
   if (Budgets.BackwardTimeoutSeconds < 0)
     Reject("budgets.backward_timeout_seconds", "must be non-negative");
   // (5) Wall-clock timeouts are schedule-dependent; they cannot coexist
-  // with a determinism claim (previously only a comment on TracerOptions).
+  // with a determinism claim.
   if (Execution.Deterministic && Budgets.BackwardTimeoutSeconds > 0)
     Reject("budgets.backward_timeout_seconds",
            "a wall-clock backward timeout is schedule-dependent and "
            "conflicts with execution.deterministic; use "
            "budgets.backward_step_budget for a reproducible cutoff");
-  // (6) The degradation ladder runs at TRACER round boundaries only.
-  if (Budgets.MemoryBudgetBytes > 0 && Execution.Strategy == "greedy-grow")
-    Reject("budgets.memory_budget_bytes",
-           "the memory degradation ladder only runs under the tracer "
-           "strategy (greedy-grow has no round boundaries)");
-  // (7) A trace label without a trace file records nothing.
+  // (6) A trace label without a trace file records nothing.
   if (!Observability.EventTraceLabel.empty() &&
       Observability.EventTracePath.empty())
     Reject("observability.event_trace_label",
            "an event-trace label requires observability.event_trace_path");
-  // (9) The flight recorder must be able to hold at least one event.
+  // (8) The flight recorder must be able to hold at least one event.
   if (Observability.ServiceTrace && Observability.ServiceTraceCapacity == 0)
     Reject("observability.service_trace_capacity",
            "the flight recorder needs capacity for at least one event");
-  // (10) Trace exports without tracing would silently write nothing.
+  // (9) Trace exports without tracing would silently write nothing.
   if (!Observability.ServiceTrace &&
       (!Observability.ServiceTraceJsonlPath.empty() ||
        !Observability.ServiceTraceChromePath.empty()))
     Reject("observability.service_trace_jsonl_path",
            "a service trace export path requires "
            "observability.service_trace");
-  // (11) A negative slow-query threshold is meaningless (0 disables).
+  // (10) A negative slow-query threshold is meaningless (0 disables).
   if (Observability.SlowQuerySeconds < 0)
     Reject("observability.slow_query_seconds", "must be non-negative");
-  // (8) Service quotas must admit at least one job per tenant.
+  // (7) Service quotas must admit at least one job per tenant.
   if (Service.MaxPendingPerSession == 0)
     Reject("service.max_pending_per_session",
            "a session must be able to queue at least one job");
   if (Service.MaxSessions == 0)
     Reject("service.max_sessions",
            "the service must admit at least one session");
-  // (12) The persistent cache tier needs a directory to write into.
+  // (11) The persistent cache tier needs a directory to write into.
   if (Service.CacheDir.empty()) {
     if (Service.SpillBytes > 0)
       Reject("service.spill_bytes",

@@ -8,9 +8,7 @@
 /// \file
 /// optabs::Config is the one public knob surface of the library. Every
 /// entry point - the CLI, the analysis service, the experiment harness -
-/// builds its execution options from a Config, and the legacy option
-/// structs (tracer::TracerOptions, reporting::HarnessOptions) are thin
-/// deprecated aliases constructed from it.
+/// carries a Config, and tracer::QueryDriver takes one directly.
 ///
 /// Three rules, enforced in exactly one place each:
 ///
@@ -18,9 +16,8 @@
 ///    Config::fromEnv() (defaults overlaid with the environment) and apply
 ///    explicit settings on top; nothing else reads OPTABS_* variables.
 ///  * Validation: validate() returns structured ConfigErrors for every
-///    invalid combination. The checks below replace what used to be
-///    comments scattered across TracerOptions (e.g. "a nonzero backward
-///    timeout makes results timing-dependent").
+///    invalid combination (e.g. "a nonzero backward timeout makes results
+///    timing-dependent").
 ///  * Sections: Execution (how the search runs), Budgets (when it stops),
 ///    Observability (what it records), Audit (how it is checked), Service
 ///    (multi-tenant quotas).
@@ -35,19 +32,17 @@
 ///   5. budgets.backward_timeout_seconds > 0 while execution.deterministic
 ///      claims worker-count reproducibility (wall-clock timeouts are
 ///      schedule-dependent; use budgets.backward_step_budget instead)
-///   6. budgets.memory_budget_bytes > 0 under the greedy-grow strategy
-///      (the degradation ladder runs at TRACER round boundaries only)
-///   7. observability.event_trace_label set without an event_trace_path
-///   8. service.max_pending_per_session == 0 (a tenant must be able to
+///   6. observability.event_trace_label set without an event_trace_path
+///   7. service.max_pending_per_session == 0 (a tenant must be able to
 ///      queue at least one job)
-///   9. observability.service_trace_capacity == 0 while
+///   8. observability.service_trace_capacity == 0 while
 ///      observability.service_trace is on (the flight recorder must be
 ///      able to hold at least one event)
-///  10. observability.service_trace_jsonl_path or _chrome_path set while
+///   9. observability.service_trace_jsonl_path or _chrome_path set while
 ///      observability.service_trace is off (the export would be empty)
-///  11. observability.slow_query_seconds < 0 (0 disables the slow-query
+///  10. observability.slow_query_seconds < 0 (0 disables the slow-query
 ///      log; negative thresholds are meaningless)
-///  12. service.spill_bytes or service.persist_on_shutdown set without a
+///  11. service.spill_bytes or service.persist_on_shutdown set without a
 ///      service.cache_dir (the persistent tier has nowhere to write)
 ///
 //===----------------------------------------------------------------------===//
@@ -79,7 +74,10 @@ struct Config {
     unsigned MaxItersPerQuery = 100; ///< per-query CEGAR iteration budget
     bool GroupQueries = true;        ///< §6 unviable-set grouping
     size_t ProductSoftCap = 4096;    ///< Dnf::product growth cap
-    unsigned TracesPerIteration = 1; ///< counterexamples per failed round
+    /// Counterexamples analyzed per failed iteration. 1 reproduces the
+    /// paper; larger values conjoin what several traces teach (§8's "DAG
+    /// counterexamples" direction).
+    unsigned TracesPerIteration = 1;
     /// Strategy name: "tracer", "eliminate-current" or "greedy-grow".
     std::string Strategy = "tracer";
     /// Worker threads (1 = sequential, 0 = hardware concurrency).
@@ -93,14 +91,21 @@ struct Config {
   };
 
   /// When the search stops: deterministic logical-step budgets per kernel,
-  /// plus the schedule-dependent wall-clock limits.
+  /// plus the schedule-dependent wall-clock limits. 0 = unbounded for every
+  /// budget but the whole-driver wall clock. A step budget is counted per
+  /// task, so it cuts the same work at any worker count; an exhausted
+  /// kernel teaches nothing and its queries end Unresolved (never
+  /// Impossible).
   struct BudgetConfig {
     double TimeBudgetSeconds = 1e12;   ///< whole-driver wall clock
     double BackwardTimeoutSeconds = 0; ///< per-trace meta-analysis timeout
     uint64_t ForwardStepBudget = 0;    ///< forward state visits per fixpoint
     uint64_t BackwardStepBudget = 0;   ///< backward wp steps per trace
     uint64_t SolverDecisionBudget = 0; ///< MinCostSat branch decisions
-    uint64_t MemoryBudgetBytes = 0;    ///< cache ceiling -> degradation ladder
+    /// Ceiling on the forward-run cache's resident bytes, checked at every
+    /// round boundary; exceeding it walks the degradation ladder (spill or
+    /// evict the cache, halve the dropk beam, one trace per iteration).
+    uint64_t MemoryBudgetBytes = 0;
   };
 
   /// What the run records. All default from OPTABS_* via fromEnv().

@@ -7,10 +7,10 @@
 ///
 /// \file
 /// A machine-readable trace of the CEGAR loop: one JSON object per line
-/// (JSONL), appended to TracerOptions::EventTracePath. Downstream tools -
-/// refinement debuggers, learned-model trainers in the style of Grigore &
-/// Yang's probabilistic refinement guidance - consume the rounds without
-/// parsing human-oriented logs.
+/// (JSONL), appended to Config::Observability.EventTracePath. Downstream
+/// tools - refinement debuggers, learned-model trainers in the style of
+/// Grigore & Yang's probabilistic refinement guidance - consume the rounds
+/// without parsing human-oriented logs.
 ///
 /// Schema (every event carries "v" - the schema version, currently 1 -
 /// plus "event" and "label"; see DESIGN.md for the full field tables):

@@ -41,7 +41,17 @@
 ///   };
 /// \endcode
 ///
-/// Concurrency (TracerOptions::NumThreads): each round is a sequence of
+/// The driver takes its knobs straight from optabs::Config (the Execution,
+/// Budgets and Observability sections; the strategy name is parsed once, at
+/// construction). The search strategies of the paper's §7 comparison differ
+/// only in how the next abstraction is chosen after a failed proof, so all
+/// three run through the same round loop as plan/merge policies: TRACER
+/// solves a minimum-cost model of the learned viable CNF, EliminateCurrent
+/// adds one clause ruling out the current abstraction, and GreedyGrow keeps
+/// a per-query bit-vector and grows it by every parameter the failure is
+/// blamed on.
+///
+/// Concurrency (Config::Execution.NumThreads): each round is a sequence of
 /// barrier-separated stages - plan (sequential), forward-run construction
 /// (parallel per distinct abstraction), query classification (parallel per
 /// query, read-only), trace extraction (parallel per forward run), backward
@@ -73,10 +83,8 @@
 #include "tracer/MinCostSat.h"
 
 #include <algorithm>
-#include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -171,123 +179,6 @@ inline bool parseStrategy(const std::string &Name, SearchStrategy &Out) {
   return true;
 }
 
-/// Tuning knobs (defaults follow the paper's chosen operating point k=5).
-struct TracerOptions {
-  unsigned K = 5;                  ///< dropk beam width; 0 = no underapprox
-  unsigned MaxItersPerQuery = 100; ///< per-query iteration budget
-  double TimeBudgetSeconds = 1e12; ///< whole-driver wall-clock budget
-  bool GroupQueries = true;        ///< §6 unviable-set grouping
-  size_t ProductSoftCap = 4096;
-  /// Per-trace budget for the backward meta-analysis; 0 = unbounded. A
-  /// timed-out meta-analysis run leaves its query unresolved (this is how
-  /// the exact-mode configuration of §6 times out). Note: a nonzero
-  /// timeout makes results timing-dependent, so the worker-count
-  /// determinism guarantee only holds when it is 0.
-  double BackwardTimeoutSeconds = 0;
-  /// Logical-step budget per forward fixpoint (counted state visits);
-  /// 0 = unbounded. Deterministic: each fixpoint task counts its own
-  /// visits, so exhaustion cuts the run at the same visit for any
-  /// NumThreads — the reproducible alternative to wall-clock timeouts. An
-  /// exhausted fixpoint is a partial under-fixpoint: it is never cached or
-  /// classified against, and its queries end Unresolved.
-  uint64_t ForwardStepBudget = 0;
-  /// Logical-step budget per backward trace run (counted wp steps plus
-  /// Dnf::product terms); 0 = unbounded. Deterministic like
-  /// ForwardStepBudget; an exhausted run is discarded exactly like a
-  /// BackwardTimeoutSeconds timeout (sound: nothing is learned).
-  uint64_t BackwardStepBudget = 0;
-  /// Logical-step budget per min-cost SAT solve (counted branch
-  /// decisions); 0 = unbounded. An aborted solve leaves its group
-  /// Unresolved — never Impossible, since an unfinished search proves no
-  /// unsatisfiability.
-  uint64_t SolverDecisionBudget = 0;
-  /// Ceiling on the forward-run cache's resident bytes, checked at every
-  /// round boundary; 0 = unbounded. Exceeding it walks the graceful-
-  /// degradation ladder (spill the cache to disk when a spill store is
-  /// armed, else evict it; then halve the dropk beam, then drop to one
-  /// trace per iteration), each rung a sound harder
-  /// under-approximation, each recorded as a `degrade` event and counted
-  /// in DriverStats::Degradations. Resident bytes are a deterministic
-  /// function of the cached runs, so the ladder fires identically at any
-  /// NumThreads. TRACER strategy only (GreedyGrow has no rounds).
-  uint64_t MemoryBudgetBytes = 0;
-  /// Optional shared cancellation token. All kernels poll it cooperatively
-  /// and unwind at their next unit of work when it is requested; affected
-  /// queries end Unresolved with an `Exhausted{cancelled, ...}` record.
-  /// Cancellation is inherently schedule-dependent, so the worker-count
-  /// determinism guarantee only covers runs where it never fires.
-  std::shared_ptr<support::CancelToken> Cancel;
-  /// Abstraction-selection strategy (see SearchStrategy).
-  SearchStrategy Strategy = SearchStrategy::Tracer;
-  /// Counterexamples analyzed per failed iteration. 1 reproduces the
-  /// paper; larger values analyze several distinct failing states' traces
-  /// and conjoin everything learned - a lightweight realization of §8's
-  /// "DAG counterexamples" direction.
-  unsigned TracesPerIteration = 1;
-  /// Worker threads for the per-round forward analyses and the per-trace
-  /// backward meta-analysis. 1 = fully sequential (no threads spawned);
-  /// 0 = one worker per hardware thread. Verdicts, costs, iteration
-  /// counts, and all non-timing statistics are identical for every value.
-  unsigned NumThreads = 1;
-  /// Entry cap of the cross-round forward-run cache (LRU eviction);
-  /// 0 = unbounded. Entries in use by the current round are never evicted,
-  /// so the cache may transiently exceed the cap.
-  size_t ForwardCacheCapacity = 0;
-  /// When nonempty, a JSONL CEGAR event trace (tracer/EventTrace.h) is
-  /// appended to this path. The driver appends and never truncates, so a
-  /// harness running several clients can interleave them into one file;
-  /// truncation is the CLI's job, once, at startup.
-  std::string EventTracePath;
-  /// Value of the "label" field stamped on every emitted event (e.g. the
-  /// client name), distinguishing interleaved runs.
-  std::string EventTraceLabel;
-  /// Forwarded to BackwardConfig::StepObserver for every backward run.
-  /// When more than one worker is active the driver serializes the calls
-  /// behind a mutex, so a single callable can observe all workers' steps.
-  std::function<void(size_t, const ir::Command &, const formula::Dnf &)>
-      BackwardStepObserver;
-  /// When nonempty, enables the process-wide metrics layer (if not already
-  /// on) and writes a Prometheus-style text dump of every registered
-  /// metric to this path at the end of run(). The dump is cumulative over
-  /// the process (the registry is global) and rewritten on every run(), so
-  /// the last driver to finish leaves the complete picture.
-  std::string MetricsPath;
-  /// When nonempty, enables the metrics layer and writes a Chrome
-  /// trace-event JSON (chrome://tracing / Perfetto loadable; one track per
-  /// ThreadPool worker) of all spans recorded so far to this path at the
-  /// end of run(). Cumulative and rewritten like MetricsPath.
-  std::string ProfilePath;
-
-  /// Builds driver options from the unified public configuration surface
-  /// (support/Config.h). TracerOptions is a deprecated alias kept for the
-  /// library internals: new code should carry an optabs::Config (validated
-  /// once at the entry point) and convert here, at the driver boundary. An
-  /// unknown strategy name falls back to Tracer - Config::validate()
-  /// rejects it before any well-behaved caller gets this far.
-  static TracerOptions fromConfig(const optabs::Config &C) {
-    TracerOptions O;
-    O.K = C.Execution.K;
-    O.MaxItersPerQuery = C.Execution.MaxItersPerQuery;
-    O.GroupQueries = C.Execution.GroupQueries;
-    O.ProductSoftCap = C.Execution.ProductSoftCap;
-    O.TracesPerIteration = C.Execution.TracesPerIteration;
-    parseStrategy(C.Execution.Strategy, O.Strategy);
-    O.NumThreads = C.Execution.NumThreads;
-    O.ForwardCacheCapacity = C.Execution.ForwardCacheCapacity;
-    O.TimeBudgetSeconds = C.Budgets.TimeBudgetSeconds;
-    O.BackwardTimeoutSeconds = C.Budgets.BackwardTimeoutSeconds;
-    O.ForwardStepBudget = C.Budgets.ForwardStepBudget;
-    O.BackwardStepBudget = C.Budgets.BackwardStepBudget;
-    O.SolverDecisionBudget = C.Budgets.SolverDecisionBudget;
-    O.MemoryBudgetBytes = C.Budgets.MemoryBudgetBytes;
-    O.EventTracePath = C.Observability.EventTracePath;
-    O.EventTraceLabel = C.Observability.EventTraceLabel;
-    O.MetricsPath = C.Observability.MetricsPath;
-    O.ProfilePath = C.Observability.ProfilePath;
-    return O;
-  }
-};
-
 /// Wall-clock seconds attributed to each pipeline stage of the TRACER
 /// driver, accumulated across rounds. Always collected (two steady_clock
 /// reads per stage per round); independent of the metrics layer.
@@ -335,8 +226,7 @@ struct DriverStats {
   unsigned BudgetExhausted = 0;
   /// Degradation-ladder rung applications triggered by memory pressure.
   unsigned Degradations = 0;
-  /// Per-stage wall-clock breakdown (the TRACER path only; the GreedyGrow
-  /// baseline has no barrier-separated stages and leaves this zero).
+  /// Per-stage wall-clock breakdown.
   PhaseSeconds Phases;
   /// Every invariant violation detected during the run (empty on a healthy
   /// run). Violations never abort: the violating computation recovers
@@ -352,9 +242,24 @@ public:
   using Forward = dataflow::ForwardAnalysis<Analysis>;
   using Backward = meta::BackwardMetaAnalysis<Analysis>;
 
+  /// Reads \p C's Execution, Budgets and Observability sections. An
+  /// unknown strategy name falls back to Tracer - Config::validate()
+  /// rejects it before any well-behaved caller gets this far.
   QueryDriver(const ir::Program &P, const Analysis &A,
-              TracerOptions Options = TracerOptions())
-      : P(P), A(A), Options(Options) {}
+              const Config &C = Config())
+      : P(P), A(A), Execution(C.Execution), Budgets(C.Budgets),
+        Observability(C.Observability) {
+    parseStrategy(Execution.Strategy, Strategy);
+  }
+
+  /// Shares \p Token with the caller: every kernel polls it cooperatively
+  /// and unwinds at its next unit of work once it is requested; affected
+  /// queries end Unresolved with an `Exhausted{cancelled, ...}` record.
+  /// Cancellation is inherently schedule-dependent, so the worker-count
+  /// determinism guarantee only covers runs where it never fires.
+  void setCancelToken(std::shared_ptr<support::CancelToken> Token) {
+    Cancel = std::move(Token);
+  }
 
   /// Service injection: runs this driver against a thread pool and a
   /// forward-run cache owned by someone else (the AnalysisService shares
@@ -364,7 +269,7 @@ public:
   /// reports per-run deltas instead), stamps \p ProgramEpoch / \p Family
   /// into every cache key so shards shared across program registrations
   /// and analysis families stay disjoint, and sizes its per-worker scratch
-  /// from the borrowed pool (TracerOptions::NumThreads is ignored). The
+  /// from the borrowed pool (Execution.NumThreads is ignored). The
   /// borrowed cache's single-threaded contract carries over: the owner
   /// must not run two drivers against one cache concurrently.
   /// The trailing trace parameters thread the service's request context
@@ -397,20 +302,10 @@ public:
       SharedCache->setTraceSink(TraceRecorder, TraceCtx, TraceBatch);
   }
 
-  /// Incremental re-analysis: seeds the per-query viable CNFs of the next
-  /// run() call (parallel to its Queries vector) with clauses learned by a
-  /// previous run. Sound only when every seeded clause was learned for the
-  /// same check against IR whose dependence footprint is unchanged (see
-  /// ir/ProgramDiff.h); the caller owns that argument. Seeding shortens
-  /// the CEGAR search without changing final verdicts, but the per-query
-  /// iteration counts it reports will reflect the shortened search - a
-  /// caller that needs cold-identical results must replay stored verdicts
-  /// instead (the analysis service does).
-  void seedViableSets(std::vector<Cnf> Seeds) { SeedViable = std::move(Seeds); }
-
   /// Resolves all \p Queries; the result vector is parallel to the input.
   std::vector<QueryOutcome> run(const std::vector<ir::CheckId> &Queries) {
-    if ((!Options.MetricsPath.empty() || !Options.ProfilePath.empty()) &&
+    if ((!Observability.MetricsPath.empty() ||
+         !Observability.ProfilePath.empty()) &&
         !support::metricsEnabled())
       support::setMetricsEnabled(true);
     if (!Liveness)
@@ -419,16 +314,14 @@ public:
     {
       // Closed before export: open spans are skipped by the exporters.
       support::ScopedSpan RunSpan("tracer.run");
-      Outcomes = Options.Strategy == SearchStrategy::GreedyGrow
-                     ? runGreedy(Queries)
-                     : runTracer(Queries);
+      Outcomes = runRounds(Queries);
     }
     exportMetrics();
     return Outcomes;
   }
 
 private:
-  std::vector<QueryOutcome> runTracer(const std::vector<ir::CheckId> &Queries) {
+  std::vector<QueryOutcome> runRounds(const std::vector<ir::CheckId> &Queries) {
     Timer Total;
     Stats = DriverStats();
     Sink.clear();
@@ -436,35 +329,36 @@ private:
     if (!BorrowedCache) {
       // A borrowed (service-shared) cache keeps its capacity and counters
       // across runs; the stats below report this run's deltas.
-      OwnedCache.setCapacity(Options.ForwardCacheCapacity);
+      OwnedCache.setCapacity(Execution.ForwardCacheCapacity);
       OwnedCache.resetCounters();
     }
     BaseCounters = cache().counters();
     EventTraceWriter Trace;
-    if (!Options.EventTracePath.empty())
-      Trace.open(Options.EventTracePath, Options.EventTraceLabel);
+    if (!Observability.EventTracePath.empty())
+      Trace.open(Observability.EventTracePath, Observability.EventTraceLabel);
     if (Trace.enabled())
       Trace.write(Trace.event("run_begin")
                       .field("queries", Queries.size())
-                      .field("strategy", strategyName(Options.Strategy))
-                      .field("k", Options.K)
+                      .field("strategy", strategyName(Strategy))
+                      .field("k", Execution.K)
                       .field("threads", effectiveWorkers()));
 
     struct QueryRec {
-      Cnf Viable;
+      Cnf Viable; ///< learned viable set (stays empty under GreedyGrow)
+      /// GreedyGrow's abstraction: every parameter blamed so far.
+      std::vector<bool> Grown;
       bool Done = false;
       formula::Dnf NotQ;
     };
+    const bool Greedy = Strategy == SearchStrategy::GreedyGrow;
     std::vector<QueryOutcome> Outcomes(Queries.size());
     std::vector<QueryRec> Recs(Queries.size());
     for (size_t I = 0; I < Queries.size(); ++I) {
       Outcomes[I].Check = Queries[I];
       Recs[I].NotQ = A.notQ(Queries[I]);
+      if (Greedy)
+        Recs[I].Grown.assign(A.numParamBits(), false);
     }
-    if (SeedViable.size() == Queries.size())
-      for (size_t I = 0; I < Queries.size(); ++I)
-        Recs[I].Viable = std::move(SeedViable[I]);
-    SeedViable.clear(); // one-shot, even on a size mismatch
 
     unsigned Workers = effectiveWorkers();
     ensurePool(Workers);
@@ -472,30 +366,14 @@ private:
     // (cache.insert, driver.schedule) have something to act on even when
     // the caller passed none.
     std::shared_ptr<support::CancelToken> CancelTok =
-        Options.Cancel ? Options.Cancel
-                       : std::make_shared<support::CancelToken>();
+        Cancel ? Cancel : std::make_shared<support::CancelToken>();
     meta::BackwardConfig BwdConfig;
-    BwdConfig.K = Options.K;
-    BwdConfig.ProductSoftCap = Options.ProductSoftCap;
-    BwdConfig.TimeoutSeconds = Options.BackwardTimeoutSeconds;
-    BwdConfig.StepBudget = Options.BackwardStepBudget;
+    BwdConfig.K = Execution.K;
+    BwdConfig.ProductSoftCap = Execution.ProductSoftCap;
+    BwdConfig.TimeoutSeconds = Budgets.BackwardTimeoutSeconds;
+    BwdConfig.StepBudget = Budgets.BackwardStepBudget;
     BwdConfig.Cancel = CancelTok.get();
     BwdConfig.Invariants = &Sink;
-    if (Options.BackwardStepObserver) {
-      if (Workers > 1) {
-        // The backward stage clones one BackwardMetaAnalysis per worker,
-        // so an unserialized shared observer would race with itself.
-        auto Mx = std::make_shared<std::mutex>();
-        auto Obs = Options.BackwardStepObserver;
-        BwdConfig.StepObserver = [Mx, Obs](size_t I, const ir::Command &Cmd,
-                                           const formula::Dnf &F) {
-          std::lock_guard<std::mutex> Lock(*Mx);
-          Obs(I, Cmd, F);
-        };
-      } else {
-        BwdConfig.StepObserver = Options.BackwardStepObserver;
-      }
-    }
     // One backward meta-analysis per worker: its scratch (stats, wp memo)
     // never crosses threads.
     std::vector<std::unique_ptr<Backward>> Bwds;
@@ -540,13 +418,13 @@ private:
     // against deterministic resident-byte totals, so the ladder walks
     // identically at any worker count.
     unsigned LadderRung = 0;
-    unsigned EffTracesPerIter = std::max(1u, Options.TracesPerIteration);
+    unsigned EffTracesPerIter = std::max(1u, Execution.TracesPerIteration);
     // Why the whole run stopped early, applied to every query still open
     // when the round loop exits.
     std::optional<support::Exhausted> RunExhaustion;
 
     size_t Unresolved = Queries.size();
-    while (Unresolved > 0 && Total.seconds() < Options.TimeBudgetSeconds &&
+    while (Unresolved > 0 && Total.seconds() < Budgets.TimeBudgetSeconds &&
            !CancelTok->requested()) {
       ++Stats.Rounds;
       if (support::metricsEnabled()) {
@@ -564,8 +442,8 @@ private:
       // reclaims everything cacheable; the deeper rungs additionally shrink
       // future work. Every rung only under-approximates harder (§5's dropK
       // argument), so verdicts stay sound.
-      if (Options.MemoryBudgetBytes > 0 &&
-          cache().counters().ResidentBytes > Options.MemoryBudgetBytes) {
+      if (Budgets.MemoryBudgetBytes > 0 &&
+          cache().counters().ResidentBytes > Budgets.MemoryBudgetBytes) {
         uint64_t Resident = cache().counters().ResidentBytes;
         LadderRung = std::min(LadderRung + 1, 3u);
         // With a disk tier armed (service-owned caches), demotion to disk
@@ -576,7 +454,7 @@ private:
         const char *Action =
             cache().spillArmed() ? "spill_cache" : "evict_cache";
         if (LadderRung >= 2) {
-          unsigned NarrowK = std::max(1u, Options.K / 2);
+          unsigned NarrowK = std::max(1u, Execution.K / 2);
           for (auto &B : Bwds)
             B->setBeamWidth(NarrowK);
           Action = "shrink_beam";
@@ -597,7 +475,7 @@ private:
                           .field("action", Action)
                           .field("trigger", "memory")
                           .field("resident_bytes", Resident)
-                          .field("budget_bytes", Options.MemoryBudgetBytes)
+                          .field("budget_bytes", Budgets.MemoryBudgetBytes)
                           .field("evicted", Evicted));
       }
 
@@ -614,11 +492,14 @@ private:
       // Group unresolved queries by viable-set signature (§6). Without
       // grouping, every query is its own group and its forward runs stay
       // private (the "technique run separately per query" baseline).
+      // GreedyGrow learns no viable sets: each query is its own group with
+      // its own grown abstraction, and equal abstractions still share one
+      // run slot below.
       std::map<uint64_t, std::vector<size_t>> Groups;
       for (size_t I = 0; I < Queries.size(); ++I) {
         if (Recs[I].Done)
           continue;
-        uint64_t Key = Options.GroupQueries
+        uint64_t Key = Execution.GroupQueries && !Greedy
                            ? Recs[I].Viable.signature()
                            : static_cast<uint64_t>(I);
         Groups[Key].push_back(I);
@@ -629,10 +510,10 @@ private:
                         .field("unresolved", Unresolved)
                         .field("groups", Groups.size()));
 
-      // One min-cost solve per group; one run slot per distinct abstraction
-      // this round. Slots resolve against the cross-round cache here, in
-      // deterministic plan order, so hit/miss counters are independent of
-      // the worker count.
+      // One abstraction per group (a min-cost solve, or the greedy grown
+      // bits); one run slot per distinct abstraction this round. Slots
+      // resolve against the cross-round cache here, in deterministic plan
+      // order, so hit/miss counters are independent of the worker count.
       struct GroupPlan {
         std::vector<size_t> Members;
         std::optional<Param> Abs;
@@ -661,31 +542,35 @@ private:
         (void)Sig;
         GroupPlan Plan;
         Plan.Members = Members;
-        ++Stats.SolverCalls;
-        std::optional<MinCostModel> Model;
-        {
+        std::optional<std::vector<bool>> Chosen;
+        if (Greedy) {
+          Chosen = Recs[Members[0]].Grown;
+        } else {
+          ++Stats.SolverCalls;
           support::BudgetGate SolverGate("mincostsat.decision",
-                                         Options.SolverDecisionBudget,
+                                         Budgets.SolverDecisionBudget,
                                          CancelTok.get(), 0, &Sink);
           try {
-            Model = solveMinCost(Recs[Members[0]].Viable, A.numParamBits(),
-                                 &SolverGate);
+            if (std::optional<MinCostModel> Model =
+                    solveMinCost(Recs[Members[0]].Viable, A.numParamBits(),
+                                 &SolverGate))
+              Chosen = std::move(Model->Assignment);
           } catch (const std::bad_alloc &) {
             SolverGate.exhaust(support::Resource::Memory);
           }
           if (SolverGate.exhausted())
             Plan.SolveExhaustion = SolverGate.why();
         }
-        if (Model) {
-          Plan.Abs = A.paramFromBits(Model->Assignment);
-          Plan.Bits = std::move(Model->Assignment);
+        if (Chosen) {
+          Plan.Abs = A.paramFromBits(*Chosen);
+          Plan.Bits = std::move(*Chosen);
           CacheKey Key;
           Key.Bits = Plan.Bits;
           Key.ProgramEpoch = CacheEpochScope;
           Key.Family = CacheFamilyScope;
           // Without grouping, each query keeps its own runs (the §6
           // baseline); the salt separates them in the shared cache.
-          Key.Salt = Options.GroupQueries
+          Key.Salt = Execution.GroupQueries
                          ? 0
                          : static_cast<uint32_t>(Members[0]) + 1;
           // Freshness floor for this group: a cached run computed before
@@ -755,7 +640,7 @@ private:
           // Per-task gate: this task alone counts its visits, so the cut
           // point is schedule-independent. A worker's bad_alloc is contained
           // here — it costs this abstraction's queries, not the process.
-          support::BudgetGate Gate("forward.visit", Options.ForwardStepBudget,
+          support::BudgetGate Gate("forward.visit", Budgets.ForwardStepBudget,
                                    CancelTok.get(), 0, &Sink);
           auto Run = std::make_unique<Forward>(P, A, *Slot.Abs, Liveness);
           Run->run(Init, &Gate);
@@ -865,7 +750,7 @@ private:
             OutOfTime = true;
             break;
           }
-          if (Total.seconds() >= Options.TimeBudgetSeconds) {
+          if (Total.seconds() >= Budgets.TimeBudgetSeconds) {
             OutOfTime = true;
             break;
           }
@@ -923,9 +808,9 @@ private:
           }
           if (Step.FailIds.empty()) {
             Step.Kind = StepKind::Proven;
-          } else if (Out.Iterations + 1 >= Options.MaxItersPerQuery) {
+          } else if (Out.Iterations + 1 >= Execution.MaxItersPerQuery) {
             Step.Kind = StepKind::IterBudget;
-          } else if (Options.Strategy == SearchStrategy::EliminateCurrent) {
+          } else if (Strategy == SearchStrategy::EliminateCurrent) {
             Step.Kind = StepKind::Eliminate;
           } else {
             Step.Kind = StepKind::Traces;
@@ -1129,7 +1014,10 @@ private:
               MetaExhaustion = R.Exhaustion;
               break;
             }
-            addUnviable(Rec.Viable, *R.Unviable);
+            if (Greedy)
+              blame(Rec.Grown, *R.Unviable);
+            else
+              addUnviable(Rec.Viable, *R.Unviable);
           }
           if (MetaTimedOut) {
             Rec.Done = true;
@@ -1137,6 +1025,16 @@ private:
             if (MetaExhaustion)
               noteExhausted(Out, *MetaExhaustion, Trace);
             --Unresolved;
+            break;
+          }
+          if (Greedy) {
+            // No new blame: retrying the same abstraction cannot help, and
+            // greedy refinement cannot conclude impossibility.
+            if (Rec.Grown == Plan.Bits) {
+              Rec.Done = true;
+              Out.V = Verdict::Unresolved;
+              --Unresolved;
+            }
             break;
           }
           // Progress (Theorem 3): the current abstraction is always among
@@ -1254,212 +1152,11 @@ public:
 private:
   using CacheKey = typename ForwardRunCache<Forward>::Key;
 
-  /// The GreedyGrow baseline: per query, monotonically switch on every
-  /// parameter bit the failed proof is blamed on. Never shrinks, never
-  /// optimizes, and cannot conclude impossibility (failures with no new
-  /// blame are reported unresolved) - the behavior the paper attributes to
-  /// classic refinement-based analyses.
-  std::vector<QueryOutcome> runGreedy(const std::vector<ir::CheckId> &Queries) {
-    Timer Total;
-    Stats = DriverStats();
-    Sink.clear();
-    LastViable.clear();
-    if (!BorrowedCache) {
-      // A borrowed (service-shared) cache keeps its capacity and counters
-      // across runs; the stats below report this run's deltas.
-      OwnedCache.setCapacity(Options.ForwardCacheCapacity);
-      OwnedCache.resetCounters();
-    }
-    BaseCounters = cache().counters();
-    EventTraceWriter Trace;
-    if (!Options.EventTracePath.empty())
-      Trace.open(Options.EventTracePath, Options.EventTraceLabel);
-    if (Trace.enabled())
-      Trace.write(Trace.event("run_begin")
-                      .field("queries", Queries.size())
-                      .field("strategy", strategyName(Options.Strategy))
-                      .field("k", Options.K)
-                      .field("threads", 1u));
-    std::shared_ptr<support::CancelToken> CancelTok =
-        Options.Cancel ? Options.Cancel
-                       : std::make_shared<support::CancelToken>();
-    meta::BackwardConfig BwdConfig;
-    BwdConfig.K = Options.K;
-    BwdConfig.ProductSoftCap = Options.ProductSoftCap;
-    BwdConfig.TimeoutSeconds = Options.BackwardTimeoutSeconds;
-    BwdConfig.StepBudget = Options.BackwardStepBudget;
-    BwdConfig.Cancel = CancelTok.get();
-    BwdConfig.Invariants = &Sink;
-    BwdConfig.StepObserver = Options.BackwardStepObserver; // single thread
-    Backward Bwd(P, A, BwdConfig);
-    State Init = A.initialState();
-
-    // Forward runs memoized across queries, iterations, and run() calls.
-    // Returns nullptr (with GreedyExhaustion set) when the fixpoint was cut
-    // short by its budget: the partial run is neither cached nor usable.
-    std::optional<support::Exhausted> GreedyExhaustion;
-    uint64_t CurMinData = 0; // freshness floor of the query being served
-    auto GetRun = [&](const std::vector<bool> &Bits) -> Forward * {
-      CacheKey Key;
-      Key.Bits = Bits;
-      Key.ProgramEpoch = CacheEpochScope;
-      Key.Family = CacheFamilyScope;
-      if (Forward *Hit = cache().lookup(Key, CurMinData))
-        return Hit;
-      support::BudgetGate Gate("forward.visit", Options.ForwardStepBudget,
-                               CancelTok.get(), 0, &Sink);
-      auto Run = std::make_unique<Forward>(P, A, A.paramFromBits(Bits),
-                                           Liveness);
-      Run->run(Init, &Gate);
-      ++Stats.ForwardRuns;
-      if (Run->exhausted()) {
-        GreedyExhaustion = *Run->exhaustion();
-        return nullptr;
-      }
-      return cache().insert(std::move(Key), std::move(Run), CacheEpochScope);
-    };
-
-    std::vector<QueryOutcome> Outcomes(Queries.size());
-    for (size_t I = 0; I < Queries.size(); ++I) {
-      QueryOutcome &Out = Outcomes[I];
-      Out.Check = Queries[I];
-      CurMinData = CheckMinDataEpochs
-                       ? (*CheckMinDataEpochs)[Out.Check.index()]
-                       : 0;
-      Timer QueryTimer;
-      formula::Dnf NotQ = A.notQ(Out.Check);
-      std::vector<bool> Bits(A.numParamBits(), false);
-
-      try {
-      while (true) {
-        if (Total.seconds() >= Options.TimeBudgetSeconds) {
-          noteExhausted(Out,
-                        support::Exhausted{support::Resource::WallClock,
-                                           "driver.run"},
-                        Trace);
-          break; // stays Unresolved
-        }
-        if (CancelTok->requested()) {
-          noteExhausted(Out,
-                        support::Exhausted{support::Resource::Cancelled,
-                                           "driver.run"},
-                        Trace);
-          break;
-        }
-        if (Out.Iterations >= Options.MaxItersPerQuery) {
-          noteExhausted(Out,
-                        support::Exhausted{support::Resource::Steps,
-                                           "driver.iterations"},
-                        Trace);
-          break;
-        }
-        ++Out.Iterations;
-        ++Stats.Rounds;
-        cache().beginEpoch();
-        Param Prm = A.paramFromBits(Bits);
-        Forward *RunPtr = GetRun(Bits);
-        if (!RunPtr) {
-          noteExhausted(Out,
-                        GreedyExhaustion
-                            ? *GreedyExhaustion
-                            : support::Exhausted{support::Resource::Steps,
-                                                 "forward.visit"},
-                        Trace);
-          break; // stays Unresolved
-        }
-        Forward &Run = *RunPtr;
-        std::vector<dataflow::StateId> Fails;
-        for (dataflow::StateId Id : Run.statesAtCheckIds(Out.Check))
-          if (NotQ.eval([&](formula::AtomId Atom) {
-                return A.evalAtom(Atom, Prm, Run.state(Id));
-              }))
-            Fails.push_back(Id);
-        if (Fails.empty()) {
-          Out.V = Verdict::Proven;
-          Out.CheapestCost = A.paramCost(Prm); // NOT minimal in general
-          Out.CheapestParam = A.paramToString(Prm);
-          Out.CheapestBits = Bits;
-          break;
-        }
-        std::sort(Fails.begin(), Fails.end(),
-                  [&](dataflow::StateId X, dataflow::StateId Y) {
-                    return Run.state(X) < Run.state(Y);
-                  });
-        State Bad = Run.state(Fails.front());
-        auto T = Run.extractTrace(Out.Check, Bad);
-        if (!T) {
-          support::reportInvariant(
-              &Sink, "trace-witness", "QueryDriver::runGreedy",
-              "failing state at check " + std::to_string(Out.Check.index()) +
-                  " has no witnessing trace; query left unresolved");
-          break;
-        }
-        std::vector<State> States = Run.replay(*T, Init);
-        ++Stats.BackwardRuns;
-        std::optional<formula::Dnf> F = Bwd.run(*T, Prm, States, NotQ);
-        if (!F) {
-          if (Bwd.lastExhaustion())
-            noteExhausted(Out, *Bwd.lastExhaustion(), Trace);
-          break; // meta-analysis budget: Unresolved
-        }
-        formula::Dnf Unviable = Bwd.projectToParams(*F, Prm, Init);
-        // Blame: every parameter mentioned by the failure condition.
-        std::vector<bool> Grown = Bits;
-        for (const formula::Cube &Cube : Unviable.cubes())
-          for (formula::Lit L : Cube.literals())
-            Grown[A.decodeParamAtom(L.atom()).first] = true;
-        if (Grown == Bits)
-          break; // no new blame: give up (cannot conclude impossibility)
-        Bits = std::move(Grown);
-      }
-      } catch (const std::bad_alloc &) {
-        // One query's OOM (or injected allocation failure) resolves that
-        // query, not the process; the next query starts clean.
-        noteExhausted(Out,
-                      support::Exhausted{support::Resource::Memory,
-                                         "driver.run"},
-                      Trace);
-      }
-      Out.Seconds = QueryTimer.seconds();
-      Out.TraceRound = Stats.Rounds;
-      Out.TraceForm = 2;
-      if (Trace.enabled())
-        Trace.write(Trace.event("verdict")
-                        .field("round", Stats.Rounds)
-                        .field("query", Out.Check.index())
-                        .field("verdict", verdictName(Out.V))
-                        .field("iterations", Out.Iterations)
-                        .field("cost", Out.CheapestCost)
-                        .field("param", Out.CheapestParam));
-    }
-    // GreedyGrow never learns viable sets; empty CNFs keep the vector
-    // parallel to the outcomes for the certificate checker.
-    LastViable.assign(Queries.size(), Cnf());
-    publishCacheCounters();
-    Stats.Violations = Sink.snapshot();
-    TotalSeconds = Total.seconds();
-    if (Trace.enabled()) {
-      for (const support::InvariantViolation &V : Stats.Violations)
-        Trace.write(Trace.event("invariant_violation")
-                        .field("check", V.Check)
-                        .field("where", V.Where)
-                        .field("message", V.Message));
-      Trace.write(Trace.event("run_end")
-                      .field("rounds", Stats.Rounds)
-                      .field("forward_runs", Stats.ForwardRuns)
-                      .field("backward_runs", Stats.BackwardRuns)
-                      .field("solver_calls", Stats.SolverCalls)
-                      .field("violations", Stats.Violations.size())
-                      .field("seconds", TotalSeconds));
-    }
-    return Outcomes;
-  }
-
   /// Records a budget exhaustion on a query outcome: the structured
   /// Exhausted value, the stats counter, the metrics counter, and a
   /// `budget_exhausted` trace event. Called from sequential phases only
-  /// (merge, plan, post-loop, and the single-threaded greedy loop), so the
-  /// event stream stays worker-count independent.
+  /// (merge, plan, post-loop), so the event stream stays worker-count
+  /// independent.
   void noteExhausted(QueryOutcome &Out, const support::Exhausted &E,
                      EventTraceWriter &Trace) {
     Out.Exhaustion = E;
@@ -1495,6 +1192,14 @@ private:
     }
   }
 
+  /// GreedyGrow's merge: switches on every parameter bit \p Unviable
+  /// mentions (the failure is blamed on all of them).
+  void blame(std::vector<bool> &Bits, const formula::Dnf &Unviable) const {
+    for (const formula::Cube &Cube : Unviable.cubes())
+      for (formula::Lit L : Cube.literals())
+        Bits[A.decodeParamAtom(L.atom()).first] = true;
+  }
+
   /// A clause satisfied by every assignment except exactly \p Bits: one
   /// negated literal per parameter bit. Used by the EliminateCurrent
   /// baseline and by the progress-violation recovery path.
@@ -1509,9 +1214,9 @@ private:
   unsigned effectiveWorkers() const {
     if (BorrowedPool)
       return BorrowedPool->numWorkers();
-    unsigned N = Options.NumThreads == 0
+    unsigned N = Execution.NumThreads == 0
                      ? support::ThreadPool::hardwareWorkers()
-                     : Options.NumThreads;
+                     : Execution.NumThreads;
     return N < 1 ? 1 : N;
   }
 
@@ -1544,21 +1249,28 @@ private:
   }
 
   /// Writes the Prometheus dump and/or the Chrome trace when the
-  /// corresponding TracerOptions paths are set. Both exports are
+  /// corresponding Observability paths are set. Both exports are
   /// cumulative process-wide snapshots, rewritten at the end of every
   /// run(); failures to open the files are silently ignored (observability
   /// must never fail the analysis).
   void exportMetrics() const {
-    if (!Options.MetricsPath.empty())
+    if (!Observability.MetricsPath.empty())
       support::MetricRegistry::global().writePrometheusFile(
-          Options.MetricsPath);
-    if (!Options.ProfilePath.empty())
-      support::Profiler::global().writeChromeTraceFile(Options.ProfilePath);
+          Observability.MetricsPath);
+    if (!Observability.ProfilePath.empty())
+      support::Profiler::global().writeChromeTraceFile(
+          Observability.ProfilePath);
   }
 
   const ir::Program &P;
   const Analysis &A;
-  TracerOptions Options;
+  Config::ExecutionConfig Execution;
+  Config::BudgetConfig Budgets;
+  Config::ObservabilityConfig Observability;
+  /// Execution.Strategy, parsed once at construction.
+  SearchStrategy Strategy = SearchStrategy::Tracer;
+  /// Caller-shared cancellation token (see setCancelToken); null = none.
+  std::shared_ptr<support::CancelToken> Cancel;
   /// Live-variable sets are a property of the program alone: computed once
   /// (at the first run(), unless borrowExecution supplied the owner's
   /// table) and shared by every forward run this driver builds, which
@@ -1577,8 +1289,6 @@ private:
   /// Per-check freshness floors (indexed by CheckId), injected by the
   /// service on incremental re-registrations; null = accept any data epoch.
   const std::vector<uint64_t> *CheckMinDataEpochs = nullptr;
-  /// One-shot viable-CNF seeds for the next run() (see seedViableSets).
-  std::vector<Cnf> SeedViable;
   /// Counter snapshot at run() entry; publishCacheCounters reports deltas.
   ForwardCacheCounters BaseCounters;
   support::InvariantSink Sink;

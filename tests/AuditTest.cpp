@@ -258,15 +258,15 @@ struct DriverRun {
   tracer::QueryDriver<escape::EscapeAnalysis> Driver;
   std::vector<tracer::QueryOutcome> Outcomes;
 
-  explicit DriverRun(tracer::TracerOptions Options = defaultOptions())
+  explicit DriverRun(Config Options = defaultOptions())
       : B(synth::generate(synth::paperSuite()[0])), A(B.P),
         Driver(B.P, A, Options) {
     Outcomes = Driver.run(B.EscChecks);
   }
 
-  static tracer::TracerOptions defaultOptions() {
-    tracer::TracerOptions Options;
-    Options.MaxItersPerQuery = 32;
+  static Config defaultOptions() {
+    Config Options;
+    Options.Execution.MaxItersPerQuery = 32;
     return Options;
   }
 };
@@ -502,9 +502,9 @@ TEST(EventTrace, JsonlParsesAndCarriesTheDocumentedEvents) {
   std::string Path = testing::TempDir() + "optabs_audit_event_trace.jsonl";
   { std::ofstream Truncate(Path, std::ios::trunc); }
 
-  tracer::TracerOptions Options = DriverRun::defaultOptions();
-  Options.EventTracePath = Path;
-  Options.EventTraceLabel = "audit-test";
+  Config Options = DriverRun::defaultOptions();
+  Options.Observability.EventTracePath = Path;
+  Options.Observability.EventTraceLabel = "audit-test";
   DriverRun R(Options);
 
   std::ifstream In(Path);
@@ -543,6 +543,23 @@ TEST(AuditMode, FullSmallSuiteIsCleanAtOneAndEightThreads) {
       EXPECT_GT(R->CertificatesChecked, 0u) << "threads=" << Threads;
       EXPECT_TRUE(R->AuditNotes.empty());
     }
+  }
+}
+
+// GreedyGrow promises no minimality, so the harness audits it with the
+// minimality check off; every other certificate must still hold.
+TEST(AuditMode, GreedyGrowRunIsCleanWithMinimalityOff) {
+  reporting::HarnessOptions Options;
+  Options.Cfg.Audit.Enabled = true;
+  Options.Cfg.Execution.Strategy = "greedy-grow";
+  reporting::BenchRun Run =
+      reporting::runBenchmark(synth::paperSuite()[0], Options);
+  for (const reporting::ClientResults *R : {&Run.Esc, &Run.Ts}) {
+    EXPECT_EQ(R->InvariantViolations, 0u);
+    EXPECT_EQ(R->CertificateFailures, 0u)
+        << (R->AuditNotes.empty() ? "" : R->AuditNotes[0]);
+    EXPECT_GT(R->CertificatesChecked, 0u);
+    EXPECT_EQ(R->count(tracer::Verdict::Impossible), 0u);
   }
 }
 

@@ -337,8 +337,8 @@ TEST(CachePersistTest, WarmRestartIsBitwiseIdenticalWithZeroForwardRuns) {
     Program P;
     parseInto(EscapeProgram, P);
     escape::EscapeAnalysis A(P);
-    tracer::TracerOptions Opts;
-    Opts.NumThreads = Threads;
+    Config Opts;
+    Opts.Execution.NumThreads = Threads;
     tracer::QueryDriver<escape::EscapeAnalysis> Driver(P, A, Opts);
     std::vector<tracer::QueryOutcome> Want =
         Driver.run({CheckId(0), CheckId(1), CheckId(2)});
@@ -443,7 +443,7 @@ TEST(CachePersistTest, StaleSnapshotEntriesAreSkippedNeverServed) {
   Program P;
   parseInto(EscapeProgramModified, P);
   escape::EscapeAnalysis A(P);
-  tracer::TracerOptions Opts;
+  Config Opts;
   tracer::QueryDriver<escape::EscapeAnalysis> Driver(P, A, Opts);
   std::vector<tracer::QueryOutcome> Want =
       Driver.run({CheckId(0), CheckId(1), CheckId(2)});
@@ -489,7 +489,7 @@ TEST(CachePersistTest, CorruptSnapshotIsSkippedWithANote) {
   Program P;
   parseInto(EscapeProgram, P);
   escape::EscapeAnalysis A(P);
-  tracer::TracerOptions Opts;
+  Config Opts;
   tracer::QueryDriver<escape::EscapeAnalysis> Driver(P, A, Opts);
   std::vector<tracer::QueryOutcome> Want =
       Driver.run({CheckId(0), CheckId(1), CheckId(2)});
@@ -509,6 +509,56 @@ TEST(CachePersistTest, CorruptSnapshotIsSkippedWithANote) {
   for (const std::string &N : R.Notes)
     Named = Named || N.find("snapshot") != std::string::npos;
   EXPECT_TRUE(Named) << "no structured note names the damaged snapshot";
+}
+
+// Format version 2 dropped the viable CNF from stored verdicts. A
+// well-formed version-1 file (valid magic and checksum) must be refused
+// with the structured version note, and the service must start cold with
+// exactly the verdicts of a fresh run.
+TEST(CachePersistTest, VersionOneSnapshotIsRejectedAndStartsCold) {
+  TempDir Dir("v1");
+  {
+    service::AnalysisService Svc(warmOptions(Dir.Path));
+    answerAllChecks(Svc, EscapeProgram);
+    ASSERT_TRUE(Svc.cacheOp("persist").Ok);
+  }
+  std::string Snap = onlySnapshotIn(Dir.Path);
+  ASSERT_FALSE(Snap.empty());
+  std::string Bytes = slurp(Snap);
+  ASSERT_GT(Bytes.size(), 20u);
+  // Header: 8 magic bytes, then the u32 LE version; trailer: the u64 LE
+  // FNV-1a of everything before it.
+  ASSERT_EQ(static_cast<uint8_t>(Bytes[8]), tracer::SnapshotFormatVersion);
+  Bytes[8] = 1;
+  size_t Body = Bytes.size() - 8;
+  uint64_t Sum = tracer::snapshotHash(Bytes.data(), Body);
+  for (int I = 0; I < 8; ++I)
+    Bytes[Body + I] = static_cast<char>((Sum >> (8 * I)) & 0xff);
+  dump(Snap, Bytes);
+
+  Program P;
+  parseInto(EscapeProgram, P);
+  escape::EscapeAnalysis A(P);
+  tracer::QueryDriver<escape::EscapeAnalysis> Driver(P, A);
+  std::vector<tracer::QueryOutcome> Want =
+      Driver.run({CheckId(0), CheckId(1), CheckId(2)});
+
+  service::AnalysisService Svc(warmOptions(Dir.Path));
+  std::vector<service::QueryResult> Got = answerAllChecks(Svc, EscapeProgram);
+  ASSERT_EQ(Got.size(), Want.size());
+  for (size_t I = 0; I < Want.size(); ++I)
+    expectSameVerdict(Want[I], Got[I]);
+  EXPECT_GT(Svc.stats().ForwardRuns, 0u);
+  EXPECT_EQ(Svc.stats().VerdictsReplayed, 0u);
+
+  service::CacheOpResult R = Svc.cacheOp("load");
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.RunsLoaded + R.VerdictsLoaded, 0u);
+  bool Named = false;
+  for (const std::string &N : R.Notes)
+    Named = Named ||
+            N.find("unsupported format version 1") != std::string::npos;
+  EXPECT_TRUE(Named) << "no note names the unsupported version";
 }
 
 //===----------------------------------------------------------------------===//
@@ -542,7 +592,7 @@ TEST(CachePersistTest, SpilledRunsRehydrateFromDiskOnDemand) {
   Program P;
   parseInto(EscapeProgram, P);
   escape::EscapeAnalysis A(P);
-  tracer::TracerOptions Opts;
+  Config Opts;
   tracer::QueryDriver<escape::EscapeAnalysis> Driver(P, A, Opts);
   std::vector<tracer::QueryOutcome> Want = Driver.run({CheckId(1)});
   ASSERT_EQ(Want.size(), 1u);
@@ -567,8 +617,8 @@ TEST(CachePersistTest, MemoryPressureSpillsInsteadOfEvicting) {
   Program P;
   parseInto(EscapeProgram, P);
   escape::EscapeAnalysis A(P);
-  tracer::TracerOptions Opts;
-  Opts.MemoryBudgetBytes = 1;
+  Config Opts;
+  Opts.Budgets.MemoryBudgetBytes = 1;
   tracer::QueryDriver<escape::EscapeAnalysis> Driver(P, A, Opts);
   std::vector<tracer::QueryOutcome> Want =
       Driver.run({CheckId(0), CheckId(1), CheckId(2)});
@@ -629,7 +679,7 @@ TEST(CachePersistTest, LoadedVerdictsDoNotUnshadowStaleMigratedRuns) {
   parseInto(EscapeProgram, P1);
   parseInto(EscapeProgramModified, P2);
   escape::EscapeAnalysis A1(P1), A2(P2);
-  tracer::TracerOptions Opts;
+  Config Opts;
   tracer::QueryDriver<escape::EscapeAnalysis> D1(P1, A1, Opts);
   tracer::QueryDriver<escape::EscapeAnalysis> D2(P2, A2, Opts);
   std::vector<tracer::QueryOutcome> Want1 =
@@ -732,7 +782,7 @@ TEST(CachePersistTest, PersistMergesWithoutMutatingLiveState) {
   Program P;
   parseInto(EscapeProgram, P);
   escape::EscapeAnalysis A(P);
-  tracer::TracerOptions Opts;
+  Config Opts;
   tracer::QueryDriver<escape::EscapeAnalysis> Driver(P, A, Opts);
   std::vector<tracer::QueryOutcome> Want =
       Driver.run({CheckId(0), CheckId(1), CheckId(2)});

@@ -2,7 +2,7 @@
 //
 // optabs::Config is the single public configuration surface: defaults,
 // environment resolution (OPTABS_*), structured validation, and the
-// conversion into the deprecated TracerOptions alias. The precedence chain
+// strategy-name round trip the driver parses. The precedence chain
 // is explicit > environment > defaults; validate() must reject every
 // documented invalid configuration with a stable field path so callers
 // (CLI, serve tool, service sessions) can report errors uniformly.
@@ -101,11 +101,12 @@ TEST(ConfigTest, ValidateRejectsDocumentedInvalidConfigs) {
               "");
   }
   {
-    // greedy-grow never degrades, so a memory budget would be a silent no-op.
+    // Every strategy runs the staged round loop, so the memory ladder
+    // applies to greedy-grow too.
     Config C = Config::defaults();
     C.Execution.Strategy = "greedy-grow";
     C.Budgets.MemoryBudgetBytes = 1 << 20;
-    EXPECT_NE(messageFor(C.validate(), "budgets.memory_budget_bytes"), "");
+    EXPECT_TRUE(C.validate().empty());
   }
   {
     Config C = Config::defaults();
@@ -197,38 +198,6 @@ TEST(ConfigTest, StepBudgetEnvArmsAllThreeBudgets) {
   EXPECT_EQ(C.Budgets.ForwardStepBudget, 12345u);
   EXPECT_EQ(C.Budgets.BackwardStepBudget, 12345u);
   EXPECT_EQ(C.Budgets.SolverDecisionBudget, 12345u);
-}
-
-TEST(ConfigTest, TracerOptionsFromConfigMapsEveryField) {
-  Config C = Config::defaults();
-  C.Execution.K = 7;
-  C.Execution.MaxItersPerQuery = 41;
-  C.Execution.GroupQueries = false;
-  C.Execution.ProductSoftCap = 99;
-  C.Execution.TracesPerIteration = 11;
-  C.Execution.Strategy = "greedy-grow";
-  C.Execution.NumThreads = 6;
-  C.Execution.ForwardCacheCapacity = 123;
-  C.Budgets.TimeBudgetSeconds = 77;
-  C.Budgets.ForwardStepBudget = 1000;
-  C.Budgets.BackwardStepBudget = 2000;
-  C.Budgets.SolverDecisionBudget = 3000;
-  C.Budgets.MemoryBudgetBytes = 0;
-  ASSERT_TRUE(C.validate().empty()) << formatConfigErrors(C.validate());
-
-  tracer::TracerOptions O = tracer::TracerOptions::fromConfig(C);
-  EXPECT_EQ(O.K, 7u);
-  EXPECT_EQ(O.MaxItersPerQuery, 41u);
-  EXPECT_FALSE(O.GroupQueries);
-  EXPECT_EQ(O.ProductSoftCap, 99u);
-  EXPECT_EQ(O.TracesPerIteration, 11u);
-  EXPECT_EQ(O.Strategy, tracer::SearchStrategy::GreedyGrow);
-  EXPECT_EQ(O.NumThreads, 6u);
-  EXPECT_EQ(O.ForwardCacheCapacity, 123u);
-  EXPECT_EQ(O.TimeBudgetSeconds, 77.0);
-  EXPECT_EQ(O.ForwardStepBudget, 1000u);
-  EXPECT_EQ(O.BackwardStepBudget, 2000u);
-  EXPECT_EQ(O.SolverDecisionBudget, 3000u);
 }
 
 TEST(ConfigTest, StrategyNamesRoundTrip) {

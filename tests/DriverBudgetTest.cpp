@@ -12,7 +12,6 @@ namespace {
 using namespace optabs;
 using namespace optabs::ir;
 using tracer::QueryDriver;
-using tracer::TracerOptions;
 using tracer::Verdict;
 
 Program parse(const char *Src) {
@@ -35,8 +34,8 @@ const char *TwoSiteSrc = R"(
 TEST(DriverBudget, ZeroTimeBudgetLeavesEverythingUnresolved) {
   Program P = parse(TwoSiteSrc);
   escape::EscapeAnalysis A(P);
-  TracerOptions Options;
-  Options.TimeBudgetSeconds = 0;
+  Config Options;
+  Options.Budgets.TimeBudgetSeconds = 0;
   QueryDriver<escape::EscapeAnalysis> Driver(P, A, Options);
   auto Outcomes = Driver.run({CheckId(0)});
   EXPECT_EQ(Outcomes[0].V, Verdict::Unresolved);
@@ -47,8 +46,8 @@ TEST(DriverBudget, ZeroTimeBudgetLeavesEverythingUnresolved) {
 TEST(DriverBudget, OneIterationBudgetStopsAfterFirstRun) {
   Program P = parse(TwoSiteSrc);
   escape::EscapeAnalysis A(P);
-  TracerOptions Options;
-  Options.MaxItersPerQuery = 1;
+  Config Options;
+  Options.Execution.MaxItersPerQuery = 1;
   QueryDriver<escape::EscapeAnalysis> Driver(P, A, Options);
   auto Outcomes = Driver.run({CheckId(0)});
   EXPECT_EQ(Outcomes[0].V, Verdict::Unresolved);
@@ -60,8 +59,8 @@ TEST(DriverBudget, OneIterationBudgetStopsAfterFirstRun) {
 TEST(DriverBudget, TracesPerIterationZeroBehavesLikeOne) {
   Program P = parse(TwoSiteSrc);
   escape::EscapeAnalysis A(P);
-  TracerOptions Options;
-  Options.TracesPerIteration = 0;
+  Config Options;
+  Options.Execution.TracesPerIteration = 0;
   QueryDriver<escape::EscapeAnalysis> Driver(P, A, Options);
   auto Outcomes = Driver.run({CheckId(0)});
   EXPECT_EQ(Outcomes[0].V, Verdict::Proven);
@@ -104,21 +103,25 @@ TEST(DriverBudget, GreedyRespectsIterationBudget) {
     }
   )");
   escape::EscapeAnalysis A(P);
-  TracerOptions Options;
-  Options.Strategy = tracer::SearchStrategy::GreedyGrow;
-  Options.K = 1; // one blamed site per iteration
-  Options.MaxItersPerQuery = 2;
+  Config Options;
+  Options.Execution.Strategy = "greedy-grow";
+  Options.Execution.K = 1; // one blamed site per iteration
+  Options.Execution.MaxItersPerQuery = 2;
   QueryDriver<escape::EscapeAnalysis> Driver(P, A, Options);
   auto Outcomes = Driver.run({CheckId(0)});
   EXPECT_EQ(Outcomes[0].V, Verdict::Unresolved);
-  EXPECT_LE(Outcomes[0].Iterations, 2u);
+  EXPECT_EQ(Outcomes[0].Iterations, 2u);
+  // The cap is checked at classify, like every strategy: the last allowed
+  // iteration still fails, so it records the iteration budget.
+  ASSERT_TRUE(Outcomes[0].Exhaustion.has_value());
+  EXPECT_STREQ(Outcomes[0].Exhaustion->Site, "driver.iterations");
 }
 
 TEST(DriverBudget, MaxFormulaCubesIsTracked) {
   Program P = parse(TwoSiteSrc);
   escape::EscapeAnalysis A(P);
-  TracerOptions Options;
-  Options.K = 0; // exact mode keeps several cubes
+  Config Options;
+  Options.Execution.K = 0; // exact mode keeps several cubes
   QueryDriver<escape::EscapeAnalysis> Driver(P, A, Options);
   Driver.run({CheckId(0)});
   EXPECT_GE(Driver.stats().MaxFormulaCubes, 2u);

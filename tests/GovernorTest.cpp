@@ -38,7 +38,6 @@ using support::FaultKind;
 using support::FaultRegistry;
 using support::Resource;
 using tracer::QueryDriver;
-using tracer::TracerOptions;
 using tracer::Verdict;
 
 //===----------------------------------------------------------------------===//
@@ -259,8 +258,8 @@ const char *TwoSiteSrc = R"(
 TEST(DriverGovernor, ForwardStepBudgetMapsToUnresolved) {
   Program P = parse(TwoSiteSrc);
   escape::EscapeAnalysis A(P);
-  TracerOptions Options;
-  Options.ForwardStepBudget = 1; // no fixpoint finishes in one visit
+  Config Options;
+  Options.Budgets.ForwardStepBudget = 1; // no fixpoint finishes in one visit
   QueryDriver<escape::EscapeAnalysis> Driver(P, A, Options);
   auto Outcomes = Driver.run({CheckId(0)});
   EXPECT_EQ(Outcomes[0].V, Verdict::Unresolved);
@@ -275,8 +274,9 @@ TEST(DriverGovernor, ForwardStepBudgetMapsToUnresolved) {
 TEST(DriverGovernor, BackwardStepBudgetMapsToUnresolved) {
   Program P = parse(TwoSiteSrc);
   escape::EscapeAnalysis A(P);
-  TracerOptions Options;
-  Options.BackwardStepBudget = 1; // the meta-analysis dies on its 2nd step
+  Config Options;
+  // The meta-analysis dies on its 2nd step.
+  Options.Budgets.BackwardStepBudget = 1;
   QueryDriver<escape::EscapeAnalysis> Driver(P, A, Options);
   auto Outcomes = Driver.run({CheckId(0)});
   EXPECT_EQ(Outcomes[0].V, Verdict::Unresolved);
@@ -291,10 +291,10 @@ TEST(DriverGovernor, GenerousStepBudgetsChangeNothing) {
   QueryDriver<escape::EscapeAnalysis> Free(P, A);
   auto Baseline = Free.run({CheckId(0)});
 
-  TracerOptions Options;
-  Options.ForwardStepBudget = 1u << 30;
-  Options.BackwardStepBudget = 1u << 30;
-  Options.SolverDecisionBudget = 1u << 30;
+  Config Options;
+  Options.Budgets.ForwardStepBudget = 1u << 30;
+  Options.Budgets.BackwardStepBudget = 1u << 30;
+  Options.Budgets.SolverDecisionBudget = 1u << 30;
   QueryDriver<escape::EscapeAnalysis> Gated(P, A, Options);
   auto Outcomes = Gated.run({CheckId(0)});
   EXPECT_EQ(Outcomes[0].V, Baseline[0].V);
@@ -307,10 +307,10 @@ TEST(DriverGovernor, GenerousStepBudgetsChangeNothing) {
 TEST(DriverGovernor, PreCancelledRunResolvesNothing) {
   Program P = parse(TwoSiteSrc);
   escape::EscapeAnalysis A(P);
-  TracerOptions Options;
-  Options.Cancel = std::make_shared<CancelToken>();
-  Options.Cancel->request();
-  QueryDriver<escape::EscapeAnalysis> Driver(P, A, Options);
+  auto Cancel = std::make_shared<CancelToken>();
+  Cancel->request();
+  QueryDriver<escape::EscapeAnalysis> Driver(P, A);
+  Driver.setCancelToken(Cancel);
   auto Outcomes = Driver.run({CheckId(0)});
   EXPECT_EQ(Outcomes[0].V, Verdict::Unresolved);
   EXPECT_EQ(Outcomes[0].Iterations, 0u);
@@ -322,9 +322,9 @@ TEST(DriverGovernor, PreCancelledRunResolvesNothing) {
 TEST(DriverGovernor, GreedyForwardBudgetMapsToUnresolved) {
   Program P = parse(TwoSiteSrc);
   escape::EscapeAnalysis A(P);
-  TracerOptions Options;
-  Options.Strategy = tracer::SearchStrategy::GreedyGrow;
-  Options.ForwardStepBudget = 1;
+  Config Options;
+  Options.Execution.Strategy = "greedy-grow";
+  Options.Budgets.ForwardStepBudget = 1;
   QueryDriver<escape::EscapeAnalysis> Driver(P, A, Options);
   auto Outcomes = Driver.run({CheckId(0)});
   EXPECT_EQ(Outcomes[0].V, Verdict::Unresolved);
@@ -423,6 +423,27 @@ TEST(DegradationLadder, DegradedVerdictsNeverContradictBaseline) {
   }
 }
 
+// GreedyGrow runs through the same round loop, so the ladder reaches it
+// too: a 1-byte budget degrades every round, and every Proven verdict it
+// still reaches carries a valid witness.
+TEST(DegradationLadder, GreedyGrowDegradesAndStaysSound) {
+  reporting::HarnessOptions Options;
+  Options.RunTypestate = false;
+  Options.Cfg.Audit.Enabled = true;
+  Options.Cfg.Execution.Strategy = "greedy-grow";
+  Options.Cfg.Budgets.MemoryBudgetBytes = 1;
+  reporting::BenchRun Run =
+      reporting::runBenchmark(synth::paperSuite()[0], Options);
+
+  ASSERT_FALSE(Run.Esc.Queries.empty());
+  EXPECT_GE(Run.Esc.Degradations, 1u);
+  EXPECT_GT(Run.Esc.count(Verdict::Proven), 0u);
+  EXPECT_GE(Run.Esc.CertificatesChecked, Run.Esc.count(Verdict::Proven));
+  EXPECT_EQ(Run.Esc.CertificateFailures, 0u)
+      << (Run.Esc.AuditNotes.empty() ? "" : Run.Esc.AuditNotes[0]);
+  EXPECT_EQ(Run.Esc.InvariantViolations, 0u);
+}
+
 //===----------------------------------------------------------------------===//
 // Harness budget carve-out
 //===----------------------------------------------------------------------===//
@@ -486,8 +507,8 @@ TEST(ThreadPoolGovernor, DriverSurfacesWorkerExceptionsAsViolations) {
       << Err;
   Program P = parse(TwoSiteSrc);
   escape::EscapeAnalysis A(P);
-  TracerOptions Options;
-  Options.NumThreads = 4;
+  Config Options;
+  Options.Execution.NumThreads = 4;
   QueryDriver<escape::EscapeAnalysis> Driver(P, A, Options);
   auto Outcomes = Driver.run({CheckId(0)});
   // The injected invariant breakage is recorded and the affected fixpoint

@@ -82,8 +82,8 @@ TEST_P(SuiteTest, EveryTypestateCheckStateHasValidTrace) {
 TEST_P(SuiteTest, DriverVerdictsAreDeterministic) {
   synth::Benchmark B = synth::generate(config());
   escape::EscapeAnalysis A(B.P);
-  tracer::TracerOptions Options;
-  Options.MaxItersPerQuery = 24;
+  Config Options;
+  Options.Execution.MaxItersPerQuery = 24;
   auto RunOnce = [&] {
     tracer::QueryDriver<escape::EscapeAnalysis> Driver(B.P, A, Options);
     std::vector<std::pair<Verdict, std::string>> Summary;
@@ -125,8 +125,8 @@ TEST(Integration, ProvenAbstractionsActuallyProve) {
   // the whole loop on a real benchmark).
   synth::Benchmark B = synth::generate(synth::paperSuite()[0]);
   escape::EscapeAnalysis A(B.P);
-  tracer::TracerOptions Options;
-  Options.MaxItersPerQuery = 24;
+  Config Options;
+  Options.Execution.MaxItersPerQuery = 24;
   tracer::QueryDriver<escape::EscapeAnalysis> Driver(B.P, A, Options);
   auto Outcomes = Driver.run(B.EscChecks);
   for (const auto &O : Outcomes) {

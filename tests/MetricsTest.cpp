@@ -513,10 +513,10 @@ TEST_F(MetricsTest, DriverRunExportsMetricsAndTrace) {
   std::string TracePath = Dir + "/optabs_metrics_test.trace.json";
 
   escape::EscapeAnalysis A(P);
-  tracer::TracerOptions Options;
-  Options.MetricsPath = MetricsPath;
-  Options.ProfilePath = TracePath;
-  Options.NumThreads = 2;
+  Config Options;
+  Options.Observability.MetricsPath = MetricsPath;
+  Options.Observability.ProfilePath = TracePath;
+  Options.Execution.NumThreads = 2;
   tracer::QueryDriver<escape::EscapeAnalysis> Driver(P, A, Options);
   auto Outcomes = Driver.run({ir::CheckId(0)});
   ASSERT_EQ(Outcomes.size(), 1u);

@@ -26,7 +26,6 @@ namespace {
 using namespace optabs;
 using tracer::ForwardRunCache;
 using tracer::QueryOutcome;
-using tracer::TracerOptions;
 using tracer::Verdict;
 
 /// Everything the determinism contract covers, in comparable form.
@@ -140,8 +139,8 @@ TEST(ParallelDriver, RevisitedAbstractionHitsTheCache) {
   // forward fixpoint never recomputes and the second run counts hits.
   synth::Benchmark B = synth::generate(synth::paperSuite()[0]);
   escape::EscapeAnalysis A(B.P);
-  tracer::TracerOptions Options;
-  Options.MaxItersPerQuery = 32;
+  Config Options;
+  Options.Execution.MaxItersPerQuery = 32;
   tracer::QueryDriver<escape::EscapeAnalysis> Driver(B.P, A, Options);
 
   std::vector<QueryOutcome> First = Driver.run(B.EscChecks);

@@ -436,9 +436,9 @@ TEST(EventTraceTest, EveryEmittedLineCarriesTheSchemaVersion) {
   std::string Path = "protocol_event_trace_smoke.jsonl";
   std::ofstream(Path, std::ios::trunc).close();
   escape::EscapeAnalysis A(P);
-  tracer::TracerOptions Opts;
-  Opts.EventTracePath = Path;
-  Opts.EventTraceLabel = "smoke";
+  Config Opts;
+  Opts.Observability.EventTracePath = Path;
+  Opts.Observability.EventTraceLabel = "smoke";
   tracer::QueryDriver<escape::EscapeAnalysis> Driver(P, A, Opts);
   Driver.run({ir::CheckId(0)});
 

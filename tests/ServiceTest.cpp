@@ -12,8 +12,8 @@
 
 #include "escape/Escape.h"
 #include "ir/Parser.h"
+#include "ir/Printer.h"
 #include "pointer/PointsTo.h"
-#include "reporting/Harness.h"
 #include "service/AnalysisService.h"
 #include "synth/Generator.h"
 #include "tracer/QueryDriver.h"
@@ -22,6 +22,8 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <memory>
+#include <sstream>
 #include <thread>
 
 using namespace optabs;
@@ -91,83 +93,123 @@ void expectSameVerdict(const tracer::QueryOutcome &Want,
   EXPECT_EQ(Want.CheapestParam, Got.CheapestParam);
 }
 
-TEST(ServiceTest, EscapeVerdictsMatchStandaloneAtEveryWorkerCount) {
+/// A program analysed both by standalone drivers and through the service:
+/// the IR text the service registers, its parse, and the checks each
+/// client queries.
+struct Subject {
+  std::string Text;
   Program P;
-  parseInto(EscapeProgram, P);
-  std::vector<CheckId> Queries = {CheckId(0), CheckId(1), CheckId(2)};
+  std::vector<CheckId> EscChecks;
+  std::vector<CheckId> TsChecks;
+};
 
-  for (unsigned Threads : {1u, 8u}) {
-    escape::EscapeAnalysis A(P);
-    tracer::TracerOptions Opts;
-    Opts.NumThreads = Threads;
-    tracer::QueryDriver<escape::EscapeAnalysis> Driver(P, A, Opts);
-    std::vector<tracer::QueryOutcome> Want = Driver.run(Queries);
+/// A hand-written program whose every check is a query of both clients.
+std::unique_ptr<Subject> handWritten(const char *Text) {
+  auto S = std::make_unique<Subject>();
+  S->Text = Text;
+  parseInto(Text, S->P);
+  for (uint32_t I = 0; I < S->P.numChecks(); ++I) {
+    S->EscChecks.push_back(CheckId(I));
+    S->TsChecks.push_back(CheckId(I));
+  }
+  return S;
+}
 
-    service::AnalysisService::Options SvcOpts;
-    SvcOpts.Base.Execution.NumThreads = Threads;
-    service::AnalysisService Svc(std::move(SvcOpts));
-    ASSERT_TRUE(Svc.registerProgram("p", EscapeProgram).Ok);
-    service::SessionSpec Spec;
-    Spec.Program = "p";
-    Spec.Client = "escape";
-    service::Session S = openOrDie(Svc, Spec);
-    std::vector<std::future<service::QueryResult>> Futures;
-    for (CheckId C : Queries)
-      Futures.push_back(
-          S.submit({static_cast<uint32_t>(C.index()), 0, 0}));
-    std::vector<service::QueryResult> Got = collect(Svc, Futures);
+/// The first paper-suite benchmark, printed and re-parsed the way a client
+/// would register it; its escape and type-state checks are the queries.
+std::unique_ptr<Subject> suiteProgram() {
+  synth::Benchmark B = synth::generate(synth::paperSuite()[0]);
+  std::ostringstream IrText;
+  ir::printProgram(IrText, B.P);
+  auto S = std::make_unique<Subject>();
+  S->Text = IrText.str();
+  parseInto(S->Text.c_str(), S->P);
+  S->EscChecks = B.EscChecks;
+  S->TsChecks = B.TsChecks;
+  return S;
+}
 
-    ASSERT_EQ(Want.size(), Got.size());
-    for (size_t I = 0; I < Want.size(); ++I)
-      expectSameVerdict(Want[I], Got[I]);
+TEST(ServiceTest, EscapeVerdictsMatchStandaloneAtEveryWorkerCount) {
+  std::unique_ptr<Subject> Subjects[] = {handWritten(EscapeProgram),
+                                         suiteProgram()};
+  for (const std::unique_ptr<Subject> &Sub : Subjects) {
+    const Program &P = Sub->P;
+    for (unsigned Threads : {1u, 8u}) {
+      escape::EscapeAnalysis A(P);
+      Config Opts;
+      Opts.Execution.NumThreads = Threads;
+      tracer::QueryDriver<escape::EscapeAnalysis> Driver(P, A, Opts);
+      std::vector<tracer::QueryOutcome> Want = Driver.run(Sub->EscChecks);
+
+      service::AnalysisService::Options SvcOpts;
+      SvcOpts.Base.Execution.NumThreads = Threads;
+      service::AnalysisService Svc(std::move(SvcOpts));
+      ASSERT_TRUE(Svc.registerProgram("p", Sub->Text).Ok);
+      service::SessionSpec Spec;
+      Spec.Program = "p";
+      Spec.Client = "escape";
+      service::Session S = openOrDie(Svc, Spec);
+      std::vector<std::future<service::QueryResult>> Futures;
+      for (CheckId C : Sub->EscChecks)
+        Futures.push_back(
+            S.submit({static_cast<uint32_t>(C.index()), 0, 0}));
+      std::vector<service::QueryResult> Got = collect(Svc, Futures);
+
+      ASSERT_EQ(Want.size(), Got.size());
+      for (size_t I = 0; I < Want.size(); ++I)
+        expectSameVerdict(Want[I], Got[I]);
+    }
   }
 }
 
 TEST(ServiceTest, TypestateVerdictsMatchStandaloneAtEveryWorkerCount) {
-  Program P;
-  parseInto(FileProgram, P);
-  pointer::PointsToResult Pt = pointer::runPointsTo(P);
-  typestate::TypestateSpec Spec = typestate::TypestateSpec::stress();
+  std::unique_ptr<Subject> Subjects[] = {handWritten(FileProgram),
+                                         suiteProgram()};
+  for (const std::unique_ptr<Subject> &Sub : Subjects) {
+    const Program &P = Sub->P;
+    pointer::PointsToResult Pt = pointer::runPointsTo(P);
+    typestate::TypestateSpec Spec = typestate::TypestateSpec::stress();
 
-  for (unsigned Threads : {1u, 8u}) {
-    // Standalone: one driver per tracked site, as the CLI and the harness
-    // run the type-state client.
-    std::vector<tracer::QueryOutcome> Want;
-    std::vector<std::pair<uint32_t, uint32_t>> Pairs; // (check, site)
-    for (uint32_t H = 0; H < P.numAllocs(); ++H) {
-      std::vector<CheckId> Queries;
-      for (uint32_t I = 0; I < P.numChecks(); ++I)
-        if (Pt.mayPoint(P.checkSite(CheckId(I)).Var, AllocId(H)))
-          Queries.push_back(CheckId(I));
-      if (Queries.empty())
-        continue;
-      typestate::TypestateAnalysis A(P, Spec, AllocId(H), Pt);
-      tracer::TracerOptions Opts;
-      Opts.NumThreads = Threads;
-      tracer::QueryDriver<typestate::TypestateAnalysis> Driver(P, A, Opts);
-      for (const tracer::QueryOutcome &O : Driver.run(Queries))
-        Want.push_back(O);
-      for (CheckId C : Queries)
-        Pairs.push_back({static_cast<uint32_t>(C.index()), H});
+    for (unsigned Threads : {1u, 8u}) {
+      // Standalone: one driver per tracked site, as the CLI and the
+      // harness run the type-state client.
+      std::vector<tracer::QueryOutcome> Want;
+      std::vector<std::pair<uint32_t, uint32_t>> Pairs; // (check, site)
+      for (uint32_t H = 0; H < P.numAllocs(); ++H) {
+        std::vector<CheckId> Queries;
+        for (CheckId C : Sub->TsChecks)
+          if (Pt.mayPoint(P.checkSite(C).Var, AllocId(H)))
+            Queries.push_back(C);
+        if (Queries.empty())
+          continue;
+        typestate::TypestateAnalysis A(P, Spec, AllocId(H), Pt);
+        Config Opts;
+        Opts.Execution.NumThreads = Threads;
+        tracer::QueryDriver<typestate::TypestateAnalysis> Driver(P, A, Opts);
+        for (const tracer::QueryOutcome &O : Driver.run(Queries))
+          Want.push_back(O);
+        for (CheckId C : Queries)
+          Pairs.push_back({static_cast<uint32_t>(C.index()), H});
+      }
+      ASSERT_FALSE(Pairs.empty());
+
+      service::AnalysisService::Options SvcOpts;
+      SvcOpts.Base.Execution.NumThreads = Threads;
+      service::AnalysisService Svc(std::move(SvcOpts));
+      ASSERT_TRUE(Svc.registerProgram("p", Sub->Text).Ok);
+      service::SessionSpec SessSpec;
+      SessSpec.Program = "p";
+      SessSpec.Client = "typestate"; // empty property = stress spec
+      service::Session S = openOrDie(Svc, SessSpec);
+      std::vector<std::future<service::QueryResult>> Futures;
+      for (auto [Check, Site] : Pairs)
+        Futures.push_back(S.submit({Check, Site, 0}));
+      std::vector<service::QueryResult> Got = collect(Svc, Futures);
+
+      ASSERT_EQ(Want.size(), Got.size());
+      for (size_t I = 0; I < Want.size(); ++I)
+        expectSameVerdict(Want[I], Got[I]);
     }
-    ASSERT_FALSE(Pairs.empty());
-
-    service::AnalysisService::Options SvcOpts;
-    SvcOpts.Base.Execution.NumThreads = Threads;
-    service::AnalysisService Svc(std::move(SvcOpts));
-    ASSERT_TRUE(Svc.registerProgram("p", FileProgram).Ok);
-    service::SessionSpec SessSpec;
-    SessSpec.Program = "p";
-    SessSpec.Client = "typestate"; // empty property = stress spec
-    service::Session S = openOrDie(Svc, SessSpec);
-    std::vector<std::future<service::QueryResult>> Futures;
-    for (auto [Check, Site] : Pairs)
-      Futures.push_back(S.submit({Check, Site, 0}));
-    std::vector<service::QueryResult> Got = collect(Svc, Futures);
-
-    ASSERT_EQ(Want.size(), Got.size());
-    for (size_t I = 0; I < Want.size(); ++I)
-      expectSameVerdict(Want[I], Got[I]);
   }
 }
 
@@ -182,7 +224,7 @@ TEST(ServiceTest, BatchedQueriesComputeStrictlyFewerForwardFixpoints) {
   std::vector<tracer::QueryOutcome> Want;
   for (uint32_t I = 0; I < P.numChecks(); ++I) {
     escape::EscapeAnalysis A(P);
-    tracer::TracerOptions StandaloneOpts;
+    Config StandaloneOpts;
     tracer::QueryDriver<escape::EscapeAnalysis> Driver(P, A, StandaloneOpts);
     std::vector<tracer::QueryOutcome> Out = Driver.run({CheckId(I)});
     ASSERT_EQ(Out.size(), 1u);
@@ -414,35 +456,6 @@ TEST(ServiceTest, ConcurrentTenantsSubmitSafely) {
   }
   EXPECT_EQ(Svc.stats().JobsCompleted,
             static_cast<uint64_t>(Tenants) * JobsPer);
-}
-
-TEST(ServiceTest, HarnessServiceBackendMatchesDirectPath) {
-  synth::BenchConfig Config = synth::paperSuite()[0];
-  for (unsigned Threads : {1u, 8u}) {
-    reporting::HarnessOptions Direct;
-    Direct.Cfg.Execution.NumThreads = Threads;
-    reporting::HarnessOptions Service = Direct;
-    Service.UseService = true;
-
-    reporting::BenchRun Want = reporting::runBenchmark(Config, Direct);
-    reporting::BenchRun Got = reporting::runBenchmark(Config, Service);
-
-    auto Compare = [](const reporting::ClientResults &W,
-                      const reporting::ClientResults &G) {
-      ASSERT_EQ(W.Queries.size(), G.Queries.size());
-      for (size_t I = 0; I < W.Queries.size(); ++I) {
-        EXPECT_EQ(W.Queries[I].V, G.Queries[I].V) << "query " << I;
-        EXPECT_EQ(W.Queries[I].Iterations, G.Queries[I].Iterations);
-        EXPECT_EQ(W.Queries[I].Cost, G.Queries[I].Cost);
-        EXPECT_EQ(W.Queries[I].ParamKey, G.Queries[I].ParamKey);
-      }
-    };
-    Compare(Want.Esc, Got.Esc);
-    Compare(Want.Ts, Got.Ts);
-    EXPECT_TRUE(Got.Esc.AuditNotes.empty())
-        << Got.Esc.AuditNotes.front();
-    EXPECT_TRUE(Got.Ts.AuditNotes.empty()) << Got.Ts.AuditNotes.front();
-  }
 }
 
 } // namespace

@@ -4,8 +4,14 @@
 
 #include "escape/Escape.h"
 #include "ir/Parser.h"
+#include "pointer/PointsTo.h"
+#include "synth/Generator.h"
+#include "typestate/Typestate.h"
 
 #include "gtest/gtest.h"
+
+#include <algorithm>
+#include <map>
 
 namespace {
 
@@ -13,7 +19,6 @@ using namespace optabs;
 using namespace optabs::ir;
 using tracer::QueryDriver;
 using tracer::SearchStrategy;
-using tracer::TracerOptions;
 using tracer::Verdict;
 
 Program parse(const char *Src) {
@@ -52,9 +57,10 @@ const char *ConfuserSrc = R"(
 TEST(Strategy, EliminateCurrentIsEventuallyOptimal) {
   Program P = parse(ChainSrc);
   escape::EscapeAnalysis A(P);
-  TracerOptions Options;
-  Options.Strategy = SearchStrategy::EliminateCurrent;
-  Options.MaxItersPerQuery = 200; // 2^3 family: feasible to exhaust
+  Config Options;
+  Options.Execution.Strategy = "eliminate-current";
+  // 2^3 family: feasible to exhaust.
+  Options.Execution.MaxItersPerQuery = 200;
   QueryDriver<escape::EscapeAnalysis> Driver(P, A, Options);
   auto Outcomes = Driver.run({CheckId(0)});
   EXPECT_EQ(Outcomes[0].V, Verdict::Proven);
@@ -66,9 +72,9 @@ TEST(Strategy, EliminateCurrentIsEventuallyOptimal) {
 TEST(Strategy, EliminateCurrentProvesImpossibilityByExhaustion) {
   Program P = parse(EscapedSrc);
   escape::EscapeAnalysis A(P);
-  TracerOptions Options;
-  Options.Strategy = SearchStrategy::EliminateCurrent;
-  Options.MaxItersPerQuery = 10; // 2^1 family
+  Config Options;
+  Options.Execution.Strategy = "eliminate-current";
+  Options.Execution.MaxItersPerQuery = 10; // 2^1 family
   QueryDriver<escape::EscapeAnalysis> Driver(P, A, Options);
   auto Outcomes = Driver.run({CheckId(0)});
   EXPECT_EQ(Outcomes[0].V, Verdict::Impossible);
@@ -78,9 +84,10 @@ TEST(Strategy, EliminateCurrentProvesImpossibilityByExhaustion) {
 TEST(Strategy, EliminateCurrentExhaustsBudgetOnLargerFamilies) {
   Program P = parse(ConfuserSrc);
   escape::EscapeAnalysis A(P);
-  TracerOptions Options;
-  Options.Strategy = SearchStrategy::EliminateCurrent;
-  Options.MaxItersPerQuery = 5; // needs 1+3+3 = 7 runs up to cost 2
+  Config Options;
+  Options.Execution.Strategy = "eliminate-current";
+  // Needs 1+3+3 = 7 runs up to cost 2.
+  Options.Execution.MaxItersPerQuery = 5;
   QueryDriver<escape::EscapeAnalysis> Driver(P, A, Options);
   auto Outcomes = Driver.run({CheckId(0)});
   EXPECT_EQ(Outcomes[0].V, Verdict::Unresolved);
@@ -89,8 +96,8 @@ TEST(Strategy, EliminateCurrentExhaustsBudgetOnLargerFamilies) {
 TEST(Strategy, GreedyGrowProvesButNotMinimally) {
   Program P = parse(ChainSrc);
   escape::EscapeAnalysis A(P);
-  TracerOptions Options;
-  Options.Strategy = SearchStrategy::GreedyGrow;
+  Config Options;
+  Options.Execution.Strategy = "greedy-grow";
   QueryDriver<escape::EscapeAnalysis> Driver(P, A, Options);
   auto Outcomes = Driver.run({CheckId(0)});
   EXPECT_EQ(Outcomes[0].V, Verdict::Proven);
@@ -101,8 +108,8 @@ TEST(Strategy, GreedyGrowProvesButNotMinimally) {
 TEST(Strategy, GreedyGrowCannotConcludeImpossibility) {
   Program P = parse(EscapedSrc);
   escape::EscapeAnalysis A(P);
-  TracerOptions Options;
-  Options.Strategy = SearchStrategy::GreedyGrow;
+  Config Options;
+  Options.Execution.Strategy = "greedy-grow";
   QueryDriver<escape::EscapeAnalysis> Driver(P, A, Options);
   auto Outcomes = Driver.run({CheckId(0)});
   EXPECT_EQ(Outcomes[0].V, Verdict::Unresolved);
@@ -127,9 +134,9 @@ class MultiTraceTest : public ::testing::TestWithParam<unsigned> {};
 TEST_P(MultiTraceTest, ConfuserStaysCorrectAndConverges) {
   Program P = parse(ConfuserSrc);
   escape::EscapeAnalysis A(P);
-  TracerOptions Options;
-  Options.K = 1;
-  Options.TracesPerIteration = GetParam();
+  Config Options;
+  Options.Execution.K = 1;
+  Options.Execution.TracesPerIteration = GetParam();
   QueryDriver<escape::EscapeAnalysis> Driver(P, A, Options);
   auto Outcomes = Driver.run({CheckId(0)});
   EXPECT_EQ(Outcomes[0].V, Verdict::Proven);
@@ -151,11 +158,135 @@ INSTANTIATE_TEST_SUITE_P(TraceCounts, MultiTraceTest,
 TEST(MultiTrace, ImpossibleQueriesStillDetected) {
   Program P = parse(EscapedSrc);
   escape::EscapeAnalysis A(P);
-  TracerOptions Options;
-  Options.TracesPerIteration = 4;
+  Config Options;
+  Options.Execution.TracesPerIteration = 4;
   QueryDriver<escape::EscapeAnalysis> Driver(P, A, Options);
   auto Outcomes = Driver.run({CheckId(0)});
   EXPECT_EQ(Outcomes[0].V, Verdict::Impossible);
+}
+
+//===----------------------------------------------------------------------===//
+// GreedyGrow differential test against a reference oracle
+//===----------------------------------------------------------------------===//
+//
+// The oracle is the sequential loop GreedyGrow ran before it became a
+// plan/merge policy of the driver's staged round loop, minus its cache,
+// budgets and event trace: per query, a forward run under the grown bits,
+// the smallest failing state, one counterexample trace, the backward
+// meta-analysis, and growth by every blamed parameter. The driver must
+// reproduce its verdict, iteration count, cost, abstraction and bits.
+
+namespace oracle {
+
+template <typename Analysis>
+tracer::QueryOutcome greedyGrow(const Program &P, const Analysis &A,
+                                const CommandLiveness &Live, CheckId Check) {
+  using State = typename Analysis::State;
+  const Config Defaults;
+  meta::BackwardConfig BwdConfig;
+  BwdConfig.K = Defaults.Execution.K;
+  BwdConfig.ProductSoftCap = Defaults.Execution.ProductSoftCap;
+  meta::BackwardMetaAnalysis<Analysis> Bwd(P, A, BwdConfig);
+  State Init = A.initialState();
+  formula::Dnf NotQ = A.notQ(Check);
+
+  tracer::QueryOutcome Out;
+  Out.Check = Check;
+  std::vector<bool> Bits(A.numParamBits(), false);
+  while (Out.Iterations < Defaults.Execution.MaxItersPerQuery) {
+    ++Out.Iterations;
+    typename Analysis::Param Prm = A.paramFromBits(Bits);
+    dataflow::ForwardAnalysis<Analysis> Run(P, A, Prm, &Live);
+    Run.run(Init);
+    std::vector<State> Fails;
+    for (dataflow::StateId Id : Run.statesAtCheckIds(Check))
+      if (NotQ.eval([&](formula::AtomId Atom) {
+            return A.evalAtom(Atom, Prm, Run.state(Id));
+          }))
+        Fails.push_back(Run.state(Id));
+    if (Fails.empty()) {
+      Out.V = Verdict::Proven;
+      Out.CheapestCost = A.paramCost(Prm);
+      Out.CheapestParam = A.paramToString(Prm);
+      Out.CheapestBits = Bits;
+      break;
+    }
+    State Bad = *std::min_element(Fails.begin(), Fails.end());
+    std::optional<ir::Trace> T = Run.extractTrace(Check, Bad);
+    if (!T)
+      break;
+    std::optional<formula::Dnf> F =
+        Bwd.run(*T, Prm, Run.replay(*T, Init), NotQ);
+    if (!F)
+      break;
+    formula::Dnf Unviable = Bwd.projectToParams(*F, Prm, Init);
+    std::vector<bool> Grown = Bits;
+    for (const formula::Cube &Cube : Unviable.cubes())
+      for (formula::Lit L : Cube.literals())
+        Grown[A.decodeParamAtom(L.atom()).first] = true;
+    if (Grown == Bits)
+      break; // no new blame
+    Bits = std::move(Grown);
+  }
+  return Out;
+}
+
+} // namespace oracle
+
+template <typename Analysis>
+void expectDriverMatchesGreedyOracle(const Program &P, const Analysis &A,
+                                     const std::vector<CheckId> &Checks,
+                                     const std::string &Where) {
+  CommandLiveness Live(P);
+  std::vector<tracer::QueryOutcome> Want;
+  for (CheckId C : Checks)
+    Want.push_back(oracle::greedyGrow(P, A, Live, C));
+  for (unsigned Threads : {1u, 8u}) {
+    Config Options;
+    Options.Execution.Strategy = "greedy-grow";
+    Options.Execution.NumThreads = Threads;
+    QueryDriver<Analysis> Driver(P, A, Options);
+    std::vector<tracer::QueryOutcome> Got = Driver.run(Checks);
+    ASSERT_EQ(Got.size(), Want.size());
+    for (size_t I = 0; I < Want.size(); ++I) {
+      SCOPED_TRACE(Where + " query " + std::to_string(Checks[I].index()) +
+                   " threads " + std::to_string(Threads));
+      EXPECT_EQ(Got[I].V, Want[I].V);
+      EXPECT_EQ(Got[I].Iterations, Want[I].Iterations);
+      EXPECT_EQ(Got[I].CheapestCost, Want[I].CheapestCost);
+      EXPECT_EQ(Got[I].CheapestParam, Want[I].CheapestParam);
+      EXPECT_EQ(Got[I].CheapestBits, Want[I].CheapestBits);
+    }
+    EXPECT_EQ(Driver.stats().SolverCalls, 0u);
+    EXPECT_TRUE(Driver.stats().Violations.empty());
+  }
+}
+
+TEST(GreedyOracle, EscapeChecksOfFourSuiteBenchmarksMatch) {
+  for (size_t I = 0; I < 4; ++I) {
+    synth::Benchmark B = synth::generate(synth::paperSuite()[I]);
+    escape::EscapeAnalysis A(B.P);
+    expectDriverMatchesGreedyOracle(B.P, A, B.EscChecks, B.Config.Name);
+  }
+}
+
+TEST(GreedyOracle, TypestateSitesOfFirstSuiteBenchmarkMatch) {
+  synth::Benchmark B = synth::generate(synth::paperSuite()[0]);
+  pointer::PointsToResult Pt = pointer::runPointsTo(B.P);
+  typestate::TypestateSpec Spec = typestate::TypestateSpec::stress();
+  // The harness's queries: each type-state check against every site its
+  // receiver may point to, one analysis instance per site.
+  std::map<uint32_t, std::vector<CheckId>> BySite;
+  for (CheckId C : B.TsChecks)
+    Pt.pointsTo(B.P.checkSite(C).Var).forEach([&](size_t H) {
+      BySite[static_cast<uint32_t>(H)].push_back(C);
+    });
+  ASSERT_FALSE(BySite.empty());
+  for (const auto &[Site, Checks] : BySite) {
+    typestate::TypestateAnalysis A(B.P, Spec, AllocId(Site), Pt);
+    expectDriverMatchesGreedyOracle(
+        B.P, A, Checks, B.Config.Name + " site " + std::to_string(Site));
+  }
 }
 
 } // namespace

@@ -23,7 +23,6 @@ using namespace optabs;
 using namespace optabs::ir;
 using optabs::tracer::QueryDriver;
 using optabs::tracer::QueryOutcome;
-using optabs::tracer::TracerOptions;
 using optabs::tracer::Verdict;
 
 Program parse(const char *Src) {
@@ -108,8 +107,8 @@ struct Fig1 {
 
 TEST(TracerFig1, Check1ProvenWithXY) {
   Fig1 F;
-  TracerOptions Options;
-  Options.K = 1; // the paper's walkthrough uses k = 1
+  Config Options;
+  Options.Execution.K = 1; // the paper's walkthrough uses k = 1
   QueryDriver<typestate::TypestateAnalysis> Driver(F.P, *F.A, Options);
   auto Outcomes = Driver.run({CheckId(0)});
   ASSERT_EQ(Outcomes.size(), 1u);
@@ -122,8 +121,8 @@ TEST(TracerFig1, Check1ProvenWithXY) {
 
 TEST(TracerFig1, Check2Impossible) {
   Fig1 F;
-  TracerOptions Options;
-  Options.K = 1;
+  Config Options;
+  Options.Execution.K = 1;
   QueryDriver<typestate::TypestateAnalysis> Driver(F.P, *F.A, Options);
   auto Outcomes = Driver.run({CheckId(1)});
   ASSERT_EQ(Outcomes.size(), 1u);
@@ -167,8 +166,8 @@ TEST(TracerFig6, CheapestIsBothSitesLocal) {
   escape::EscapeAnalysis A(P);
 
   // k = 1 (Figure 6 (b1)/(b2)): three iterations, [], [h1], [h1,h2].
-  TracerOptions K1;
-  K1.K = 1;
+  Config K1;
+  K1.Execution.K = 1;
   QueryDriver<escape::EscapeAnalysis> D1(P, A, K1);
   auto O1 = D1.run({CheckId(0)});
   EXPECT_EQ(O1[0].V, Verdict::Proven);
@@ -178,8 +177,8 @@ TEST(TracerFig6, CheapestIsBothSitesLocal) {
 
   // Without under-approximation (Figure 6 (a)): a single failing iteration
   // suffices to learn h1.E \/ (h2.E /\ h1.L); two iterations total.
-  TracerOptions Exact;
-  Exact.K = 0;
+  Config Exact;
+  Exact.Execution.K = 0;
   QueryDriver<escape::EscapeAnalysis> D0(P, A, Exact);
   auto O0 = D0.run({CheckId(0)});
   EXPECT_EQ(O0[0].V, Verdict::Proven);
@@ -250,9 +249,9 @@ TEST(TracerEscape, BudgetExhaustionYieldsUnresolved) {
     }
   )");
   escape::EscapeAnalysis A(P);
-  TracerOptions Options;
-  Options.K = 1;
-  Options.MaxItersPerQuery = 2; // needs 3
+  Config Options;
+  Options.Execution.K = 1;
+  Options.Execution.MaxItersPerQuery = 2; // needs 3
   QueryDriver<escape::EscapeAnalysis> Driver(P, A, Options);
   auto Outcomes = Driver.run({CheckId(0)});
   EXPECT_EQ(Outcomes[0].V, Verdict::Unresolved);
@@ -273,16 +272,16 @@ TEST(TracerEscape, GroupingSharesForwardRuns) {
   )");
   escape::EscapeAnalysis A(P);
 
-  TracerOptions Grouped;
-  Grouped.K = 1;
+  Config Grouped;
+  Grouped.Execution.K = 1;
   QueryDriver<escape::EscapeAnalysis> DG(P, A, Grouped);
   auto OG = DG.run({CheckId(0), CheckId(1)});
   EXPECT_EQ(OG[0].V, Verdict::Proven);
   EXPECT_EQ(OG[1].V, Verdict::Proven);
   EXPECT_EQ(DG.stats().ForwardRuns, 3u);
 
-  TracerOptions Ungrouped = Grouped;
-  Ungrouped.GroupQueries = false;
+  Config Ungrouped = Grouped;
+  Ungrouped.Execution.GroupQueries = false;
   QueryDriver<escape::EscapeAnalysis> DU(P, A, Ungrouped);
   auto OU = DU.run({CheckId(0), CheckId(1)});
   EXPECT_EQ(OU[0].V, Verdict::Proven);
@@ -349,8 +348,8 @@ TEST(TracerOptimality, EscapeMatchesBruteForceOnRandomPrograms) {
     int Brute = bruteForceOptimum(P, A, CheckId(0));
 
     for (unsigned K : {0u, 1u, 5u}) {
-      TracerOptions Options;
-      Options.K = K;
+      Config Options;
+      Options.Execution.K = K;
       QueryDriver<escape::EscapeAnalysis> Driver(P, A, Options);
       auto Outcomes = Driver.run({CheckId(0)});
       if (Brute < 0) {
@@ -419,8 +418,8 @@ TEST(TracerOptimality, TypestateMatchesBruteForceOnRandomPrograms) {
     int Brute = bruteForceOptimum(P, A, CheckId(0));
 
     for (unsigned K : {0u, 1u, 5u}) {
-      TracerOptions Options;
-      Options.K = K;
+      Config Options;
+      Options.Execution.K = K;
       QueryDriver<typestate::TypestateAnalysis> Driver(P, A, Options);
       auto Outcomes = Driver.run({CheckId(0)});
       if (Brute < 0) {
@@ -456,7 +455,7 @@ TEST(TracerGrouping, BatchedVerdictsMatchIndependentRuns) {
     for (uint32_t I = 0; I < P.numChecks(); ++I)
       Queries.push_back(CheckId(I));
 
-    tracer::TracerOptions Options;
+    Config Options;
     QueryDriver<escape::EscapeAnalysis> Batched(P, A, Options);
     auto Together = Batched.run(Queries);
 

@@ -217,10 +217,9 @@ int finishAudit(const CliOptions &Opts, const AuditTally &Tally) {
 
 int runEscape(const Program &P, const CliOptions &Opts) {
   escape::EscapeAnalysis A(P);
-  tracer::TracerOptions TracerOpts =
-      tracer::TracerOptions::fromConfig(Opts.Cfg);
-  TracerOpts.EventTraceLabel = "escape";
-  tracer::QueryDriver<escape::EscapeAnalysis> Driver(P, A, TracerOpts);
+  Config Cfg = Opts.Cfg;
+  Cfg.Observability.EventTraceLabel = "escape";
+  tracer::QueryDriver<escape::EscapeAnalysis> Driver(P, A, Cfg);
   std::vector<CheckId> Queries;
   for (uint32_t I = 0; I < P.numChecks(); ++I)
     Queries.push_back(CheckId(I));
@@ -261,9 +260,9 @@ int runTypestate(Program &P, const CliOptions &Opts) {
     if (Queries.empty())
       continue;
     typestate::TypestateAnalysis A(P, Spec, AllocId(H), Pt);
-    tracer::TracerOptions PerSite =
-        tracer::TracerOptions::fromConfig(Opts.Cfg);
-    PerSite.EventTraceLabel = "typestate/site=" + P.allocName(AllocId(H));
+    Config PerSite = Opts.Cfg;
+    PerSite.Observability.EventTraceLabel =
+        "typestate/site=" + P.allocName(AllocId(H));
     tracer::QueryDriver<typestate::TypestateAnalysis> Driver(P, A, PerSite);
     std::vector<tracer::QueryOutcome> Outcomes = Driver.run(Queries);
     for (const auto &O : Outcomes)
