@@ -18,7 +18,8 @@ enum AtomKind { KSite = 0, KVar = 1, KField = 2 };
 // State and atoms
 //===----------------------------------------------------------------------===//
 
-EscapeAnalysis::EscapeAnalysis(const Program &P) : P(P) {
+EscapeAnalysis::EscapeAnalysis(const Program &P)
+    : P(P), Wp(P.numCommands()) {
   Compiled.reserve(P.numCommands());
   for (uint32_t I = 0; I < P.numCommands(); ++I) {
     const Command &Cmd = P.command(CommandId(I));

@@ -38,6 +38,7 @@
 #include "formula/Normalize.h"
 #include "ir/Program.h"
 #include "meta/GuardedCases.h"
+#include "meta/WpTable.h"
 #include "support/BitSet.h"
 
 #include <algorithm>
@@ -170,6 +171,11 @@ public:
         C, [this](formula::AtomId A) { return atomLocation(A); });
   }
 
+  /// The literal-wp table every backward run over this instance shares
+  /// (meta/WpTable.h). A memo of the const wpAtom, hence reachable from a
+  /// const analysis.
+  meta::WpTable &wpTable() const { return Wp; }
+
   //===--- parameter codec --------------------------------------------------===
   uint32_t numParamBits() const { return P.numAllocs(); }
   std::pair<uint32_t, bool> decodeParamAtom(formula::AtomId A) const;
@@ -275,6 +281,7 @@ private:
   const ir::Program &P;
   /// cases() of every pool command, by command index (Invoke: empty).
   std::vector<Transfer> Compiled;
+  mutable meta::WpTable Wp;
 };
 
 } // namespace escape

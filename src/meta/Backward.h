@@ -45,13 +45,20 @@
 ///     std::optional<formula::Cube> refineCube(const formula::Cube &) const;
 ///     std::optional<formula::LocationInfo>
 ///     atomLocation(formula::AtomId) const;
+///     // The instance's literal-wp table (meta/WpTable.h), shared by every
+///     // backward run over it; owned by the analysis.
+///     meta::WpTable &wpTable() const;
 ///   };
 /// \endcode
 ///
 /// Because forward transfer functions are deterministic, wp distributes
 /// over /\, \/ and negation, so the wp of a whole formula is the
 /// substitution of wpAtom into its literals; this is how the driver lifts
-/// the client's atom-wise transfers to formulas.
+/// the client's atom-wise transfers to formulas. The wp of one literal
+/// across one command is a pure function of (analysis, command, literal),
+/// so it is looked up in, and on a miss filed into, the analysis's
+/// wpTable(); that table is indexed by command position, so the program a
+/// BackwardMetaAnalysis runs over must be the one its client analyses.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,6 +69,7 @@
 #include "formula/Normalize.h"
 #include "ir/Program.h"
 #include "ir/Trace.h"
+#include "meta/WpTable.h"
 #include "support/Budget.h"
 #include "support/Invariants.h"
 #include "support/Metrics.h"
@@ -119,8 +127,8 @@ struct BackwardConfig {
   /// examples to print Figure 1/6-style walkthroughs. The observer runs on
   /// whichever thread executes the backward run; callers sharing one
   /// callable across several BackwardMetaAnalysis instances on different
-  /// threads must serialize it themselves (the TRACER driver wraps the
-  /// observer in a mutex when NumThreads > 1).
+  /// threads must serialize it themselves. The TRACER driver never sets
+  /// it.
   std::function<void(size_t, const ir::Command &, const formula::Dnf &)>
       StepObserver;
   /// Where violated invariants are recorded (see support/Invariants.h).
@@ -147,7 +155,8 @@ public:
                        BackwardConfig Config = BackwardConfig())
       : P(P), C(C), Config(Config),
         Refiner([&C](const formula::Cube &Cube) { return C.refineCube(Cube); }),
-        LocFn([&C](formula::AtomId A) { return C.atomLocation(A); }) {}
+        LocFn([&C](formula::AtomId A) { return C.atomLocation(A); }),
+        Table(C.wpTable()) {}
 
   /// Runs B[t](p, d_I, NotQ). \p States must be the forward state sequence
   /// along \p T starting from d_I (length |T| + 1, as produced by
@@ -417,18 +426,17 @@ private:
     return Result;
   }
 
-  /// wp of one literal, memoized per (command, literal). Negative literals
-  /// use wp(!A) = !wp(A), valid because transfers are deterministic.
+  /// wp of one literal, from the analysis's shared table; built on a miss.
+  /// Negative literals use wp(!A) = !wp(A), valid because transfers are
+  /// deterministic.
   const formula::Dnf &wpLit(ir::CommandId CmdId, const ir::Command &Cmd,
                             formula::Lit L) {
-    uint64_t Key = (static_cast<uint64_t>(CmdId.index()) << 32) | L.raw();
-    auto It = WpMemo.find(Key);
-    if (It != WpMemo.end())
-      return It->second;
-    formula::Formula Wp = C.wpAtom(Cmd, L.atom());
-    if (L.isNeg())
-      Wp = formula::Formula::negate(Wp);
-    return WpMemo.emplace(Key, Wp.toDnf()).first->second;
+    return Table.lookup(CmdId.index(), L, [&] {
+      formula::Formula Wp = C.wpAtom(Cmd, L.atom());
+      if (L.isNeg())
+        Wp = formula::Formula::negate(Wp);
+      return Wp.toDnf();
+    });
   }
 
   const ir::Program &P;
@@ -436,7 +444,8 @@ private:
   BackwardConfig Config;
   formula::CubeRefiner Refiner;
   formula::LocationFn LocFn;
-  std::unordered_map<uint64_t, formula::Dnf> WpMemo;
+  /// This instance's registration with the analysis's wp table.
+  meta::WpTable::Reader Table;
   /// wpFormula's per-cube literal-wp order and running products, reused
   /// across steps.
   std::vector<const formula::Dnf *> WpOrder;

@@ -227,6 +227,16 @@ struct ProgramEntry {
   /// run whose data epoch is its own (pruneRetired), so the pointer they
   /// hold stays valid.
   std::unique_ptr<ir::CommandLiveness> Live;
+
+  /// Frees every analysis's wp table (meta/WpTable.h). Only between
+  /// batches: no driver may be using the analyses.
+  void releaseWpTables() {
+    if (Esc)
+      Esc->wpTable().clear();
+    for (auto &[Prop, F] : Families)
+      for (auto &[Site, A] : F.PerSite)
+        A->wpTable().clear();
+  }
 };
 
 /// A stored resolved verdict, replayable across re-registrations while
@@ -1728,6 +1738,12 @@ struct AnalysisService::Impl {
         });
         if (FpHash)
           disarmSpill(Slot);
+        // The wp tables go with the runs, so a pass after this starts
+        // cold. resident_bytes stays a forward-run figure.
+        for (auto &E : Slot.Retired)
+          E->releaseWpTables();
+        if (Slot.Current)
+          Slot.Current->releaseWpTables();
         // Post-operation footprint plus the lifetime spill counters, so
         // the response is self-describing (no follow-up stats op needed
         // to see where the entries went).

@@ -31,6 +31,7 @@
 ///     bool evalAtom(formula::AtomId, const Param &, const State &) const;
 ///     bool isParamAtom(formula::AtomId) const;
 ///     std::string atomName(formula::AtomId) const;
+///     meta::WpTable &wpTable() const;              // shared literal wps
 ///     // -- parameter-space codec (P, cost order |.|)
 ///     uint32_t numParamBits() const;
 ///     // (bit, value of that bit that makes the atom true)
@@ -61,7 +62,12 @@
 /// every parallel stage writes into pre-sized slots that the sequential merge
 /// folds in the same order the single-threaded driver would. Completed
 /// forward runs are memoized across rounds, queries, and run() calls in a
-/// ForwardRunCache keyed by the abstraction bit-vector.
+/// ForwardRunCache keyed by the abstraction bit-vector. The one structure
+/// the backward workers share is the analysis's wp table
+/// (meta/WpTable.h): every worker of every run() - and every other driver
+/// over the same analysis, concurrently or later - reads and fills it.
+/// Its entries are pure functions of (analysis, command, literal), so
+/// which worker built one cannot change any result.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -374,8 +380,9 @@ private:
     BwdConfig.StepBudget = Budgets.BackwardStepBudget;
     BwdConfig.Cancel = CancelTok.get();
     BwdConfig.Invariants = &Sink;
-    // One backward meta-analysis per worker: its scratch (stats, wp memo)
-    // never crosses threads.
+    // One backward meta-analysis per worker: its scratch (stats, product
+    // buffers, skip memo) never crosses threads. The wp table they fill
+    // belongs to the analysis and is shared (meta/WpTable.h).
     std::vector<std::unique_ptr<Backward>> Bwds;
     for (unsigned W = 0; W < Workers; ++W)
       Bwds.push_back(std::make_unique<Backward>(P, A, BwdConfig));

@@ -80,7 +80,7 @@ TypestateAnalysis::TypestateAnalysis(const Program &P,
                                      const TypestateSpec &Spec,
                                      AllocId Tracked,
                                      const pointer::PointsToResult &Pt)
-    : P(P), Spec(Spec), Tracked(Tracked), Pt(Pt) {
+    : P(P), Spec(Spec), Tracked(Tracked), Pt(Pt), Wp(P.numCommands()) {
   assert(Spec.numStates() <= TypestateSpec::MaxStates);
 }
 

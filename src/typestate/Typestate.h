@@ -35,6 +35,7 @@
 #include "formula/Formula.h"
 #include "formula/Normalize.h"
 #include "ir/Program.h"
+#include "meta/WpTable.h"
 #include "pointer/PointsTo.h"
 #include "support/BitSet.h"
 
@@ -169,6 +170,11 @@ public:
   }
   std::optional<formula::Cube> refineCube(const formula::Cube &C) const;
 
+  /// The literal-wp table every backward run over this instance shares
+  /// (meta/WpTable.h). A memo of the const wpAtom, hence reachable from a
+  /// const analysis.
+  meta::WpTable &wpTable() const { return Wp; }
+
   //===--- parameter codec --------------------------------------------------===
   uint32_t numParamBits() const { return P.numVars(); }
   std::pair<uint32_t, bool> decodeParamAtom(formula::AtomId A) const;
@@ -198,6 +204,7 @@ private:
   const TypestateSpec &Spec;
   ir::AllocId Tracked;
   const pointer::PointsToResult &Pt;
+  mutable meta::WpTable Wp;
 };
 
 } // namespace typestate

@@ -10,6 +10,10 @@
 // programs, for both client analyses and several beam widths, by sampling
 // (p0, d0) pairs and replaying the trace under them.
 //
+// The analysis's shared wp table (meta/WpTable.h) is checked here too:
+// every entry driver runs reach equals a freshly built wp, and a warm table
+// changes no outcome or event-trace byte of a later run.
+//
 //===----------------------------------------------------------------------===//
 
 #include "meta/Backward.h"
@@ -18,10 +22,18 @@
 #include "escape/Escape.h"
 #include "ir/Parser.h"
 #include "pointer/PointsTo.h"
+#include "support/Metrics.h"
 #include "support/Prng.h"
+#include "synth/Generator.h"
+#include "tracer/QueryDriver.h"
 #include "typestate/Typestate.h"
 
 #include "gtest/gtest.h"
+
+#include <cstdio>
+#include <fstream>
+#include <map>
+#include <sstream>
 
 namespace {
 
@@ -247,6 +259,182 @@ TEST(Backward, TimeoutReturnsNullopt) {
   meta::BackwardMetaAnalysis<escape::EscapeAnalysis> Bwd(P, A, Config);
   auto States = Fwd.replay(*T, A.initialState());
   EXPECT_FALSE(Bwd.run(*T, Prm, States, A.notQ(CheckId(0))).has_value());
+}
+
+//===----------------------------------------------------------------------===//
+// The shared wp table (meta/WpTable.h)
+//===----------------------------------------------------------------------===//
+
+/// wp of \p L across \p Cmd built from scratch, the way every backward run
+/// used to build it into a private memo: wpAtom, negate, toDnf.
+template <typename Analysis>
+formula::Dnf freshWp(const Analysis &A, const Command &Cmd, formula::Lit L) {
+  formula::Formula Wp = A.wpAtom(Cmd, L.atom());
+  if (L.isNeg())
+    Wp = formula::Formula::negate(Wp);
+  return Wp.toDnf();
+}
+
+struct TableCounts {
+  size_t Entries = 0;
+  size_t Negative = 0;
+  size_t Identities = 0;
+};
+
+/// Checks every entry of \p A's wp table against freshWp, cube for cube
+/// and in order.
+template <typename Analysis>
+void expectTableMatchesFreshWps(const Program &P, const Analysis &A,
+                                const std::string &Where,
+                                TableCounts &Counts) {
+  auto Name = [&A](formula::AtomId X) { return A.atomName(X); };
+  A.wpTable().forEach(
+      [&](uint32_t Cmd, formula::Lit L, const formula::Dnf &Wp) {
+        formula::Dnf Want = freshWp(A, P.command(CommandId(Cmd)), L);
+        EXPECT_TRUE(Wp == Want)
+            << Where << " command " << Cmd << " literal " << L.raw()
+            << ": table " << Wp.toString(Name) << ", fresh "
+            << Want.toString(Name);
+        ++Counts.Entries;
+        Counts.Negative += L.isNeg();
+        Counts.Identities += Wp == formula::Dnf::singleLit(L);
+      });
+}
+
+/// The type-state queries of \p B grouped by tracked site, as the harness
+/// plans them: each check against every site its receiver may point to.
+std::map<uint32_t, std::vector<CheckId>>
+typestateChecksBySite(const synth::Benchmark &B,
+                      const pointer::PointsToResult &Pt) {
+  std::map<uint32_t, std::vector<CheckId>> BySite;
+  for (CheckId C : B.TsChecks)
+    Pt.pointsTo(B.P.checkSite(C).Var).forEach([&](size_t H) {
+      BySite[static_cast<uint32_t>(H)].push_back(C);
+    });
+  return BySite;
+}
+
+TEST(SharedWpTable, EveryEscapeEntryEqualsAFreshWp) {
+  for (size_t I = 0; I < 2; ++I) {
+    synth::Benchmark B = synth::generate(synth::paperSuite()[I]);
+    escape::EscapeAnalysis A(B.P);
+    tracer::QueryDriver<escape::EscapeAnalysis> D(B.P, A);
+    D.run(B.EscChecks);
+    TableCounts Counts;
+    expectTableMatchesFreshWps(B.P, A, B.Config.Name, Counts);
+    EXPECT_GT(Counts.Negative, 0u) << B.Config.Name;
+    EXPECT_GT(Counts.Identities, 0u) << B.Config.Name;
+    EXPECT_GT(Counts.Entries, Counts.Identities) << B.Config.Name;
+  }
+}
+
+TEST(SharedWpTable, EveryTypestateEntryEqualsAFreshWp) {
+  typestate::TypestateSpec Spec = typestate::TypestateSpec::stress();
+  for (size_t I = 0; I < 2; ++I) {
+    synth::Benchmark B = synth::generate(synth::paperSuite()[I]);
+    pointer::PointsToResult Pt = pointer::runPointsTo(B.P);
+    TableCounts Counts;
+    for (const auto &[Site, Checks] : typestateChecksBySite(B, Pt)) {
+      typestate::TypestateAnalysis A(B.P, Spec, AllocId(Site), Pt);
+      tracer::QueryDriver<typestate::TypestateAnalysis> D(B.P, A);
+      D.run(Checks);
+      expectTableMatchesFreshWps(
+          B.P, A, B.Config.Name + " site " + std::to_string(Site), Counts);
+    }
+    EXPECT_GT(Counts.Negative, 0u) << B.Config.Name;
+    EXPECT_GT(Counts.Identities, 0u) << B.Config.Name;
+    EXPECT_GT(Counts.Entries, Counts.Identities) << B.Config.Name;
+  }
+}
+
+/// The event trace at \p Path with every wall-clock "seconds" value
+/// zeroed; everything else in it is deterministic.
+std::string scrubbedTrace(const std::string &Path) {
+  std::ifstream In(Path);
+  std::stringstream Buf;
+  Buf << In.rdbuf();
+  std::string S = Buf.str();
+  const std::string Key = "\"seconds\":";
+  for (size_t At = S.find(Key); At != std::string::npos;
+       At = S.find(Key, At + Key.size() + 1)) {
+    size_t End = At + Key.size();
+    while (End < S.size() && S[End] != ',' && S[End] != '}')
+      ++End;
+    S.replace(At + Key.size(), End - (At + Key.size()), "0");
+  }
+  return S;
+}
+
+/// Runs a driver over \p Checks twice on the same analysis - first against
+/// a cold wp table, then against the table the first run filled - at 1 and
+/// 8 worker threads. Each run gets a fresh driver, so only the table is
+/// warm (a reused driver would also hit its forward-run cache). Outcomes
+/// and event-trace bytes must be identical, and the warm run must build no
+/// wp at all.
+template <typename Analysis>
+void expectWarmTableChangesNothing(const Program &P, const Analysis &A,
+                                   const std::vector<CheckId> &Checks,
+                                   const std::string &Where) {
+  auto &Misses = support::MetricRegistry::global().counter(
+      "optabs_wp_table_misses_total");
+  support::setMetricsEnabled(true);
+  for (unsigned Threads : {1u, 8u}) {
+    SCOPED_TRACE(Where + " threads " + std::to_string(Threads));
+    A.wpTable().clear();
+    std::vector<tracer::QueryOutcome> Out[2];
+    std::string Trace[2];
+    uint64_t Built[2];
+    for (int Run = 0; Run < 2; ++Run) {
+      std::string Path = ::testing::TempDir() + "wptable_" +
+                         std::to_string(Threads) + "_" +
+                         std::to_string(Run) + ".jsonl";
+      std::remove(Path.c_str());
+      Config O;
+      O.Execution.NumThreads = Threads;
+      O.Observability.EventTracePath = Path;
+      uint64_t Before = Misses.value();
+      tracer::QueryDriver<Analysis> D(P, A, O);
+      Out[Run] = D.run(Checks);
+      Built[Run] = Misses.value() - Before;
+      Trace[Run] = scrubbedTrace(Path);
+      std::remove(Path.c_str());
+    }
+    EXPECT_GT(Built[0], 0u);
+    EXPECT_EQ(Built[1], 0u);
+    ASSERT_EQ(Out[0].size(), Out[1].size());
+    for (size_t I = 0; I < Out[0].size(); ++I) {
+      EXPECT_EQ(Out[0][I].V, Out[1][I].V);
+      EXPECT_EQ(Out[0][I].Iterations, Out[1][I].Iterations);
+      EXPECT_EQ(Out[0][I].CheapestCost, Out[1][I].CheapestCost);
+      EXPECT_EQ(Out[0][I].CheapestParam, Out[1][I].CheapestParam);
+    }
+    EXPECT_FALSE(Trace[0].empty());
+    EXPECT_EQ(Trace[0], Trace[1]);
+  }
+  support::setMetricsEnabled(false);
+}
+
+TEST(SharedWpTable, WarmTableChangesNoEscapeOutcomeOrTraceByte) {
+  synth::Benchmark B = synth::generate(synth::paperSuite()[0]);
+  escape::EscapeAnalysis A(B.P);
+  expectWarmTableChangesNothing(B.P, A, B.EscChecks, B.Config.Name);
+}
+
+TEST(SharedWpTable, WarmTableChangesNoTypestateOutcomeOrTraceByte) {
+  synth::Benchmark B = synth::generate(synth::paperSuite()[0]);
+  pointer::PointsToResult Pt = pointer::runPointsTo(B.P);
+  typestate::TypestateSpec Spec = typestate::TypestateSpec::stress();
+  auto BySite = typestateChecksBySite(B, Pt);
+  ASSERT_FALSE(BySite.empty());
+  // The site with the most queries, so the runs take several rounds.
+  auto Most = BySite.begin();
+  for (auto It = BySite.begin(); It != BySite.end(); ++It)
+    if (It->second.size() > Most->second.size())
+      Most = It;
+  typestate::TypestateAnalysis A(B.P, Spec, AllocId(Most->first), Pt);
+  expectWarmTableChangesNothing(B.P, A, Most->second,
+                                B.Config.Name + " site " +
+                                    std::to_string(Most->first));
 }
 
 } // namespace

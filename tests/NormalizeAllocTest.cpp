@@ -5,9 +5,10 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Location lookups and cube refinement run on every cube of every backward
-// step. Both are heap-free once warm: LocationInfo keeps its values inline
-// and refineCubeByLocations works in reused scratch buffers. These tests
+// Location lookups, cube refinement and literal-wp lookups run on every
+// cube of every backward step. All are heap-free once warm: LocationInfo
+// keeps its values inline, refineCubeByLocations works in reused scratch
+// buffers, and a wp table hit is a probe of published words. These tests
 // count global operator-new calls around warm calls so that a change which
 // reintroduces a per-call allocation fails here rather than only showing up
 // as a slower benchmark.
@@ -17,6 +18,7 @@
 #include "escape/Escape.h"
 #include "formula/Normalize.h"
 #include "ir/Parser.h"
+#include "meta/WpTable.h"
 #include "support/Prng.h"
 
 #include "gtest/gtest.h"
@@ -175,6 +177,40 @@ TEST(NormalizeAlloc, WarmRefineCubeAllocatesNothing) {
   // Both outcomes (refined cube, refuted cube) were exercised.
   EXPECT_GT(Kept, 0u);
   EXPECT_LT(Kept, 2 * Cubes.size());
+}
+
+TEST(NormalizeAlloc, WarmWpTableHitAllocatesNothing) {
+  ir::Program P = parse(Src);
+  EscapeAnalysis A(P);
+  std::vector<AtomId> Atoms = allAtoms(P);
+  meta::WpTable::Reader Table(A.wpTable());
+  // Every (command, literal) of the program, both polarities, as the
+  // backward engine's wpLit looks them up.
+  auto LookupAll = [&] {
+    size_t Cubes = 0;
+    for (uint32_t C = 0; C < P.numCommands(); ++C)
+      for (AtomId Atom : Atoms)
+        for (Lit L : {Lit::pos(Atom), Lit::neg(Atom)})
+          Cubes += Table
+                       .lookup(C, L,
+                               [&] {
+                                 formula::Formula Wp = A.wpAtom(
+                                     P.command(ir::CommandId(C)), Atom);
+                                 if (L.isNeg())
+                                   Wp = formula::Formula::negate(Wp);
+                                 return Wp.toDnf();
+                               })
+                       .size();
+    return Cubes;
+  };
+  size_t Cold = LookupAll(); // fills the table
+
+  uint64_t Before = GlobalAllocs.load(std::memory_order_relaxed);
+  size_t Warm = LookupAll();
+  uint64_t After = GlobalAllocs.load(std::memory_order_relaxed);
+  EXPECT_EQ(After, Before);
+  EXPECT_EQ(Warm, Cold);
+  EXPECT_GT(A.wpTable().bytes(), 0u);
 }
 
 } // namespace

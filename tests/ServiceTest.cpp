@@ -13,8 +13,10 @@
 #include "escape/Escape.h"
 #include "ir/Parser.h"
 #include "ir/Printer.h"
+#include "meta/WpTable.h"
 #include "pointer/PointsTo.h"
 #include "service/AnalysisService.h"
+#include "support/Metrics.h"
 #include "synth/Generator.h"
 #include "tracer/QueryDriver.h"
 #include "typestate/Typestate.h"
@@ -285,6 +287,57 @@ TEST(ServiceTest, CacheIsSharedAcrossSessions) {
   EXPECT_EQ(First[0].CheapestParam, Second[0].CheapestParam);
   EXPECT_GT(Svc.stats().CacheHits, HitsAfterFirst);
   EXPECT_EQ(Svc.stats().CacheMisses, MissesAfterFirst);
+}
+
+// Every analysis keeps one wp table across batches (meta/WpTable.h); the
+// cache op's evict releases them along with the cached runs, and a pass
+// after that recomputes the same verdicts from cold tables.
+TEST(ServiceTest, EvictReleasesTheWpTablesAndRequeriedVerdictsMatch) {
+  std::unique_ptr<Subject> Sub = suiteProgram();
+  const Program &P = Sub->P;
+  pointer::PointsToResult Pt = pointer::runPointsTo(P);
+  support::setMetricsEnabled(true);
+  auto &Bytes =
+      support::MetricRegistry::global().gauge("optabs_wp_table_bytes");
+
+  service::AnalysisService Svc;
+  ASSERT_TRUE(Svc.registerProgram("p", Sub->Text).Ok);
+  service::SessionSpec EscSpec;
+  EscSpec.Program = "p";
+  EscSpec.Client = "escape";
+  service::SessionSpec TsSpec = EscSpec;
+  TsSpec.Client = "typestate";
+  service::Session Esc = openOrDie(Svc, EscSpec);
+  service::Session Ts = openOrDie(Svc, TsSpec);
+  auto Pass = [&] {
+    std::vector<std::future<service::QueryResult>> Futures;
+    for (CheckId C : Sub->EscChecks)
+      Futures.push_back(Esc.submit({static_cast<uint32_t>(C.index()), 0, 0}));
+    for (CheckId C : Sub->TsChecks)
+      for (uint32_t H = 0; H < P.numAllocs(); ++H)
+        if (Pt.mayPoint(P.checkSite(C).Var, AllocId(H)))
+          Futures.push_back(
+              Ts.submit({static_cast<uint32_t>(C.index()), H, 0}));
+    return collect(Svc, Futures);
+  };
+
+  std::vector<service::QueryResult> Cold = Pass();
+  EXPECT_GT(Bytes.value(), 0);
+  EXPECT_EQ(Bytes.value(), meta::WpTable::totalBytes());
+  service::CacheOpResult R = Svc.cacheOp("evict");
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(Bytes.value(), 0);
+
+  std::vector<service::QueryResult> Again = Pass();
+  EXPECT_GT(Bytes.value(), 0);
+  ASSERT_EQ(Cold.size(), Again.size());
+  for (size_t I = 0; I < Cold.size(); ++I) {
+    EXPECT_EQ(Cold[I].V, Again[I].V);
+    EXPECT_EQ(Cold[I].Iterations, Again[I].Iterations);
+    EXPECT_EQ(Cold[I].CheapestCost, Again[I].CheapestCost);
+    EXPECT_EQ(Cold[I].CheapestParam, Again[I].CheapestParam);
+  }
+  support::setMetricsEnabled(false);
 }
 
 TEST(ServiceTest, PendingQuotaExhaustionOnlyDegradesTheOffendingSession) {
