@@ -548,9 +548,13 @@ struct AnalysisService::Impl {
     if (Recorder) {
       const auto &Obs = Opts.Base.Observability;
       if (!Obs.ServiceTraceJsonlPath.empty())
-        Recorder->writeJsonlFile(Obs.ServiceTraceJsonlPath);
+        support::writeFile(Obs.ServiceTraceJsonlPath, [&](std::ostream &OS) {
+          Recorder->writeJsonl(OS);
+        });
       if (!Obs.ServiceTraceChromePath.empty())
-        Recorder->writeChromeTraceFile(Obs.ServiceTraceChromePath);
+        support::writeFile(Obs.ServiceTraceChromePath, [&](std::ostream &OS) {
+          support::Profiler::global().writeChromeTrace(OS, Recorder.get());
+        });
     }
   }
 
@@ -1017,14 +1021,7 @@ struct AnalysisService::Impl {
             !B.Cfg.Observability.EventTracePath.empty()) {
           if (!ReplayTrace.enabled())
             ReplayTrace.open(B.Cfg.Observability.EventTracePath, TraceLabel);
-          tracer::JsonObject O = ReplayTrace.event("verdict");
-          O.field("round", E.TraceRound)
-              .field("query", Spec.Check)
-              .field("verdict", tracer::verdictName(E.V))
-              .field("iterations", E.Iterations);
-          if (E.TraceForm == 2)
-            O.field("cost", E.CheapestCost).field("param", E.CheapestParam);
-          ReplayTrace.write(O);
+          ReplayTrace.write(tracer::verdictEvent(TraceLabel, Spec.Check, E));
         }
         continue;
       }

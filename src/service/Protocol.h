@@ -287,38 +287,30 @@ public:
     return It->second.S;
   }
 
-  std::optional<uint64_t> getUInt(const std::string &Key) const {
+  /// An unsigned integer no larger than \p Max. Absent on a type
+  /// mismatch, a sign, a fraction, or a value above \p Max (so a 32-bit
+  /// field never narrows 2^32 to 0, and nothing wraps modulo 2^64).
+  std::optional<uint64_t> getUInt(const std::string &Key,
+                                  uint64_t Max = UINT64_MAX) const {
     auto It = Fields.find(Key);
     if (It == Fields.end() || It->second.K != Kind::Number)
       return std::nullopt;
-    const std::string &S = It->second.S;
-    if (S.empty() || S[0] == '-')
-      return std::nullopt;
-    uint64_t V = 0;
-    for (char C : S) {
-      if (C < '0' || C > '9')
-        return std::nullopt; // doubles are not valid where uints go
-      V = V * 10 + static_cast<uint64_t>(C - '0');
-    }
-    return V;
+    return parseDigits(It->second.S, 0, Max);
   }
 
-  std::optional<int64_t> getInt(const std::string &Key) const {
+  /// A signed integer that fits in 32 bits (e.g. a job priority).
+  std::optional<int32_t> getInt32(const std::string &Key) const {
     auto It = Fields.find(Key);
     if (It == Fields.end() || It->second.K != Kind::Number)
       return std::nullopt;
     const std::string &S = It->second.S;
     bool Neg = !S.empty() && S[0] == '-';
-    uint64_t V = 0;
-    for (size_t I = Neg ? 1 : 0; I < S.size(); ++I) {
-      char C = S[I];
-      if (C < '0' || C > '9')
-        return std::nullopt;
-      V = V * 10 + static_cast<uint64_t>(C - '0');
-    }
-    if (S.size() == (Neg ? 1u : 0u))
+    uint64_t Limit = Neg ? uint64_t(INT32_MAX) + 1 : uint64_t(INT32_MAX);
+    std::optional<uint64_t> V = parseDigits(S, Neg ? 1 : 0, Limit);
+    if (!V)
       return std::nullopt;
-    return Neg ? -static_cast<int64_t>(V) : static_cast<int64_t>(V);
+    return static_cast<int32_t>(Neg ? -static_cast<int64_t>(*V)
+                                    : static_cast<int64_t>(*V));
   }
 
   std::optional<bool> getBool(const std::string &Key) const {
@@ -329,12 +321,70 @@ public:
   }
 
 private:
+  /// The decimal digits of \p S from \p Start on, as a value no larger
+  /// than \p Max; nullopt on no digits, a non-digit, or overflow.
+  static std::optional<uint64_t> parseDigits(const std::string &S,
+                                             size_t Start, uint64_t Max) {
+    if (S.size() <= Start)
+      return std::nullopt;
+    uint64_t V = 0;
+    for (size_t I = Start; I < S.size(); ++I) {
+      char C = S[I];
+      if (C < '0' || C > '9')
+        return std::nullopt; // doubles are not valid where integers go
+      uint64_t D = static_cast<uint64_t>(C - '0');
+      if (D > Max || V > (Max - D) / 10)
+        return std::nullopt;
+      V = V * 10 + D;
+    }
+    return V;
+  }
+
   struct Value {
     Kind K = Kind::String;
     std::string S;
   };
   std::map<std::string, Value> Fields;
 };
+
+/// The job fields of a "submit" request. Check and site must fit in 32
+/// unsigned bits and priority in 32 signed bits: a value that does not fit
+/// is refused, never narrowed (2^32 would otherwise become check 0).
+struct SubmitFields {
+  uint64_t Session = 0;
+  uint32_t Check = 0;
+  std::optional<uint32_t> Site;
+  std::optional<int32_t> Priority;
+};
+
+/// Reads \p Req's submit fields; nullopt (with \p Err) when the session
+/// or check is missing or any field is malformed or out of range.
+inline std::optional<SubmitFields> readSubmit(const JsonLine &Req,
+                                              std::string &Err) {
+  auto Sess = Req.getUInt("session");
+  auto Check = Req.getUInt("check", UINT32_MAX);
+  if (!Sess || !Check) {
+    Err = "submit needs 'session' and 'check'";
+    return std::nullopt;
+  }
+  SubmitFields F{*Sess, static_cast<uint32_t>(*Check), {}, {}};
+  if (Req.has("site")) {
+    auto Site = Req.getUInt("site", UINT32_MAX);
+    if (!Site) {
+      Err = "field 'site' must be an unsigned 32-bit integer";
+      return std::nullopt;
+    }
+    F.Site = static_cast<uint32_t>(*Site);
+  }
+  if (Req.has("priority")) {
+    F.Priority = Req.getInt32("priority");
+    if (!F.Priority) {
+      Err = "field 'priority' must be a signed 32-bit integer";
+      return std::nullopt;
+    }
+  }
+  return F;
+}
 
 /// Starts a response object with the common "v" and "ok" fields; the
 /// caller adds "op" and the payload. tracer::JsonObject handles escaping

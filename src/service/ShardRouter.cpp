@@ -764,29 +764,25 @@ bool ShardRouter::handleLine(const std::string &Line,
     O.field("session", SupId);
     EmitObj(O);
   } else if (*Op == "submit") {
-    auto Sess = Req.getUInt("session");
-    auto Check = Req.getUInt("check");
-    if (!Sess || !Check) {
-      Emit(errorLine(*Op, "submit needs 'session' and 'check'"));
+    std::string SubErr;
+    auto Sub = readSubmit(Req, SubErr);
+    if (!Sub) {
+      Emit(errorLine(*Op, SubErr));
       return true;
     }
-    auto SIt = Sessions.find(*Sess);
+    auto SIt = Sessions.find(Sub->Session);
     if (SIt == Sessions.end() || SIt->second.Closed) {
-      Emit(errorLine(*Op, "unknown session " + std::to_string(*Sess)));
+      Emit(errorLine(*Op, "unknown session " + std::to_string(Sub->Session)));
       return true;
     }
     JobRec J;
-    J.SupSession = *Sess;
+    J.SupSession = Sub->Session;
     J.Shard = SIt->second.Shard;
-    J.Check = static_cast<uint32_t>(*Check);
-    if (auto Site = Req.getUInt("site")) {
-      J.Site = *Site;
-      J.HasSite = true;
-    }
-    if (auto Prio = Req.getInt("priority")) {
-      J.Priority = *Prio;
-      J.HasPriority = true;
-    }
+    J.Check = Sub->Check;
+    J.Site = Sub->Site.value_or(0);
+    J.HasSite = Sub->Site.has_value();
+    J.Priority = Sub->Priority.value_or(0);
+    J.HasPriority = Sub->Priority.has_value();
     std::string Resp, RpcErr;
     if (!rpcWithRetry(
             J.Shard,

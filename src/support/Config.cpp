@@ -187,13 +187,6 @@ std::vector<ConfigError> Config::validate() const {
     Reject("budgets.time_budget_seconds", "must be positive");
   if (Budgets.BackwardTimeoutSeconds < 0)
     Reject("budgets.backward_timeout_seconds", "must be non-negative");
-  // (5) Wall-clock timeouts are schedule-dependent; they cannot coexist
-  // with a determinism claim.
-  if (Execution.Deterministic && Budgets.BackwardTimeoutSeconds > 0)
-    Reject("budgets.backward_timeout_seconds",
-           "a wall-clock backward timeout is schedule-dependent and "
-           "conflicts with execution.deterministic; use "
-           "budgets.backward_step_budget for a reproducible cutoff");
   // (6) A trace label without a trace file records nothing.
   if (!Observability.EventTraceLabel.empty() &&
       Observability.EventTracePath.empty())

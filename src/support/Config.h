@@ -16,8 +16,8 @@
 ///    Config::fromEnv() (defaults overlaid with the environment) and apply
 ///    explicit settings on top; nothing else reads OPTABS_* variables.
 ///  * Validation: validate() returns structured ConfigErrors for every
-///    invalid combination (e.g. "a nonzero backward timeout makes results
-///    timing-dependent").
+///    invalid combination (e.g. "an event-trace label requires an
+///    event-trace path").
 ///  * Sections: Execution (how the search runs), Budgets (when it stops),
 ///    Observability (what it records), Audit (how it is checked), Service
 ///    (multi-tenant quotas).
@@ -29,9 +29,6 @@
 ///      per failed iteration)
 ///   3. execution.max_iters_per_query == 0 (the CEGAR loop needs a round)
 ///   4. budgets.time_budget_seconds <= 0 (and any negative budget)
-///   5. budgets.backward_timeout_seconds > 0 while execution.deterministic
-///      claims worker-count reproducibility (wall-clock timeouts are
-///      schedule-dependent; use budgets.backward_step_budget instead)
 ///   6. observability.event_trace_label set without an event_trace_path
 ///   7. service.max_pending_per_session == 0 (a tenant must be able to
 ///      queue at least one job)
@@ -84,10 +81,6 @@ struct Config {
     unsigned NumThreads = 1;
     /// Forward-run cache entry cap (LRU); 0 = unbounded.
     size_t ForwardCacheCapacity = 0;
-    /// Claim bitwise worker-count reproducibility. Purely declarative: it
-    /// does not change execution, but validate() rejects any knob (e.g. a
-    /// wall-clock backward timeout) that would break the claim.
-    bool Deterministic = false;
   };
 
   /// When the search stops: deterministic logical-step budgets per kernel,

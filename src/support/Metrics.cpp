@@ -3,6 +3,7 @@
 #include "support/Metrics.h"
 
 #include "support/Json.h"
+#include "support/Trace.h"
 
 #include <fstream>
 
@@ -116,11 +117,12 @@ void MetricRegistry::dumpPrometheus(std::ostream &OS) const {
   flattenSpans(Profiler::global().aggregate(), "", OS);
 }
 
-bool MetricRegistry::writePrometheusFile(const std::string &Path) const {
+bool writeFile(const std::string &Path,
+               const std::function<void(std::ostream &)> &Write) {
   std::ofstream OS(Path, std::ios::trunc);
   if (!OS)
     return false;
-  dumpPrometheus(OS);
+  Write(OS);
   return static_cast<bool>(OS);
 }
 
@@ -222,51 +224,79 @@ Profiler::AggNode Profiler::aggregate() const {
   return Root;
 }
 
-void Profiler::writeChromeTrace(std::ostream &OS) const {
+void Profiler::writeChromeTrace(std::ostream &OS,
+                                const FlightRecorder *Service) const {
   OS << "{\"traceEvents\":[";
-  bool First = true;
-  writeChromeTraceEvents(OS, First);
-  OS << "\n]}\n";
-}
-
-void Profiler::writeChromeTraceEvents(std::ostream &OS, bool &First) const {
-  std::lock_guard<std::mutex> L(M);
-  auto Sep = [&] {
-    if (!First)
-      OS << ",";
-    First = false;
-    OS << "\n";
+  const char *Sep = "\n";
+  auto Emit = [&](const JsonObject &O) {
+    OS << Sep << O.str();
+    Sep = ",\n";
   };
-  for (const std::unique_ptr<ThreadRecord> &R : Records) {
-    std::lock_guard<std::mutex> RL(R->M);
-    std::string Name;
-    Name.clear();
-    appendJsonString(Name, R->Label);
-    Sep();
-    OS << "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,\"tid\":"
-       << R->Tid << ",\"args\":{\"name\":" << Name << "}}";
-    for (const SpanEvent &E : R->Events) {
-      if (E.DurNs == UINT64_MAX)
-        continue;
-      std::string EName;
-      appendJsonString(EName, E.Name);
-      Sep();
-      // Chrome expects microsecond doubles; keep sub-microsecond precision
-      // so nested spans do not collapse to zero width.
-      OS << "{\"ph\":\"X\",\"name\":" << EName << ",\"cat\":\"optabs\""
-         << ",\"pid\":1,\"tid\":" << R->Tid
-         << ",\"ts\":" << static_cast<double>(E.StartNs) / 1000.0
-         << ",\"dur\":" << static_cast<double>(E.DurNs) / 1000.0 << "}";
+  auto ThreadName = [](uint32_t Tid, const std::string &Label) {
+    return JsonObject()
+        .field("ph", "M")
+        .field("name", "thread_name")
+        .field("pid", 1)
+        .field("tid", Tid)
+        .field("args", JsonObject().field("name", Label));
+  };
+  {
+    std::lock_guard<std::mutex> L(M);
+    for (const std::unique_ptr<ThreadRecord> &R : Records) {
+      std::lock_guard<std::mutex> RL(R->M);
+      Emit(ThreadName(R->Tid, R->Label));
+      for (const SpanEvent &E : R->Events) {
+        if (E.DurNs == UINT64_MAX)
+          continue;
+        // Chrome expects microsecond doubles; keep sub-microsecond
+        // precision so nested spans do not collapse to zero width.
+        Emit(JsonObject()
+                 .field("ph", "X")
+                 .field("name", E.Name)
+                 .field("cat", "optabs")
+                 .field("pid", 1)
+                 .field("tid", R->Tid)
+                 .field("ts", static_cast<double>(E.StartNs) / 1000.0)
+                 .field("dur", static_cast<double>(E.DurNs) / 1000.0));
+      }
     }
   }
-}
-
-bool Profiler::writeChromeTraceFile(const std::string &Path) const {
-  std::ofstream OS(Path, std::ios::trunc);
-  if (!OS)
-    return false;
-  writeChromeTrace(OS);
-  return static_cast<bool>(OS);
+  if (Service) {
+    // The service track on its own tid, after every profiler thread.
+    constexpr uint32_t ServiceTid = 9999;
+    Emit(ThreadName(ServiceTid, "service"));
+    for (const TraceEvent &E : Service->snapshot()) {
+      double TsUs = static_cast<double>(E.TsNs) / 1000.0;
+      JsonObject O;
+      if (E.Kind == std::string("fulfilled") && E.D0 > 0) {
+        // A complete job span: end-to-end duration backdated from the
+        // fulfillment timestamp.
+        double DurUs = E.D0 * 1e6;
+        O.field("ph", "X")
+            .field("name", "job " + std::to_string(E.Job))
+            .field("cat", "service")
+            .field("pid", 1)
+            .field("tid", ServiceTid)
+            .field("ts", TsUs - DurUs)
+            .field("dur", DurUs)
+            .field("args", JsonObject()
+                               .field("session", E.Session)
+                               .field("batch", E.Batch));
+      } else {
+        O.field("ph", "i")
+            .field("s", "t")
+            .field("name", E.Kind)
+            .field("cat", "service")
+            .field("pid", 1)
+            .field("tid", ServiceTid)
+            .field("ts", TsUs)
+            .field("args",
+                   JsonObject().field("job", E.Job).field("batch", E.Batch));
+      }
+      Emit(O);
+    }
+  }
+  OS << "\n]}\n";
 }
 
 //===----------------------------------------------------------------------===//

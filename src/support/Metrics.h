@@ -59,6 +59,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -268,6 +269,12 @@ private:
   std::atomic<uint64_t> Max{0};
 };
 
+/// Truncates \p Path and fills it with \p Write; false when the file
+/// cannot be opened or written. Every file export (Prometheus dump, Chrome
+/// trace, flight-recorder JSONL) goes through it.
+bool writeFile(const std::string &Path,
+               const std::function<void(std::ostream &)> &Write);
+
 //===----------------------------------------------------------------------===//
 // MetricRegistry
 //===----------------------------------------------------------------------===//
@@ -290,10 +297,6 @@ public:
   /// pair per aggregated span path.
   void dumpPrometheus(std::ostream &OS) const;
 
-  /// dumpPrometheus to \p Path (truncating). Returns false when the file
-  /// cannot be opened.
-  bool writePrometheusFile(const std::string &Path) const;
-
   /// Zeroes every metric in place (addresses stay valid).
   void resetAll();
 
@@ -312,6 +315,8 @@ private:
 //===----------------------------------------------------------------------===//
 // Profiler and ScopedSpan
 //===----------------------------------------------------------------------===//
+
+class FlightRecorder; // support/Trace.h: the service track of a Chrome trace
 
 /// The hierarchical span profiler. One record per thread (created on the
 /// thread's first span, kept for the process lifetime); spans nest
@@ -345,21 +350,16 @@ public:
   /// phases / top-level spans).
   AggNode aggregate() const;
 
-  /// Chrome trace-event JSON: {"traceEvents":[...]}, one complete ("X")
-  /// event per closed span, one track (tid) per thread with thread_name
-  /// metadata ("main", "worker-N"), timestamps in microseconds since the
-  /// profiler epoch. Loads in chrome://tracing and Perfetto.
-  void writeChromeTrace(std::ostream &OS) const;
-
-  /// writeChromeTrace to \p Path (truncating). False if unopenable.
-  bool writeChromeTraceFile(const std::string &Path) const;
-
-  /// Emits this profiler's thread_name metadata and span events as raw
-  /// Chrome trace-event objects into an already-open JSON array (no
-  /// {"traceEvents": wrapper). \p First carries the comma state across
-  /// writers, so a caller can merge additional tracks into the same file
-  /// (the service's FlightRecorder composes its request track this way).
-  void writeChromeTraceEvents(std::ostream &OS, bool &First) const;
+  /// The one Chrome trace exporter: {"traceEvents":[...]}, one complete
+  /// ("X") event per closed span, one track (tid) per thread with
+  /// thread_name metadata ("main", "worker-N"), timestamps in microseconds
+  /// since the profiler epoch. With a \p Service recorder (same timebase;
+  /// see support/Trace.h) its events follow on a "service" track:
+  /// "fulfilled" events with a D0 end-to-end duration as complete job
+  /// spans, every other event as an instant. Loads in chrome://tracing and
+  /// Perfetto.
+  void writeChromeTrace(std::ostream &OS,
+                        const FlightRecorder *Service = nullptr) const;
 
   /// Total closed spans across all threads (tests).
   size_t spanCount() const;

@@ -32,13 +32,16 @@
 /// The recorder is a fixed-capacity ring: under pressure the oldest
 /// events are evicted first and counted in dropped(). Timestamps come
 /// from Profiler::global().nowNs(), so service events and profiler spans
-/// share one timebase and writeChromeTrace() can merge the service track
-/// with the per-worker profiler tracks into a single trace file.
+/// share one timebase and Profiler::writeChromeTrace() can merge the
+/// service track with the per-worker profiler tracks into a single trace
+/// file.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef OPTABS_SUPPORT_TRACE_H
 #define OPTABS_SUPPORT_TRACE_H
+
+#include "support/Json.h"
 
 #include <cstdint>
 #include <deque>
@@ -80,6 +83,11 @@ struct TraceEvent {
   std::string Note;
 };
 
+/// The one rendering of a TraceEvent, shared by the JSONL export and the
+/// `trace` protocol op: appends its twelve fields to \p O, all always
+/// present (stable schema for the scrub step and offline tooling).
+JsonObject &appendTraceEvent(JsonObject &O, const TraceEvent &E);
+
 /// A bounded, thread-safe ring of TraceEvents. All mutation takes one
 /// mutex - recording happens on the submit path and the scheduler thread,
 /// both far from any inner loop. Oldest events are evicted first when the
@@ -107,17 +115,8 @@ public:
   uint64_t dropped() const;  ///< events evicted under pressure, lifetime
   uint64_t recorded() const; ///< events ever recorded, lifetime
 
-  /// One JSON object per buffered event, one per line, all fields always
-  /// present (stable schema for the scrub step and offline tooling).
+  /// One appendTraceEvent object per buffered event, one per line.
   void writeJsonl(std::ostream &OS) const;
-  bool writeJsonlFile(const std::string &Path) const;
-
-  /// A Chrome trace merging the service track with every profiler thread
-  /// track (same timebase; see the file comment). "fulfilled" events with
-  /// a D0 end-to-end duration render as complete ("X") job spans; every
-  /// other event renders as an instant.
-  void writeChromeTrace(std::ostream &OS) const;
-  bool writeChromeTraceFile(const std::string &Path) const;
 
 private:
   mutable std::mutex M;

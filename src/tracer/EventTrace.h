@@ -12,37 +12,18 @@
 /// Grigore & Yang's probabilistic refinement guidance - consume the rounds
 /// without parsing human-oriented logs.
 ///
-/// Schema (every event carries "v" - the schema version, currently 1 -
-/// plus "event" and "label"; see DESIGN.md for the full field tables):
-///
-///   run_begin   queries, strategy, k, threads
-///   round_begin round, unresolved, groups
-///   choose      round, members, cost, bits, viable_clauses
-///   forward     round, bits, cached, seconds
-///   step        round, query, kind, fail_states, traces, trace_lens,
-///               max_cubes, learned_sig
-///   verdict     round, query, verdict, iterations, cost, param
-///   round_end   round, unresolved, cache_hits, cache_misses,
-///               cache_evictions, seconds (round wall clock, from the
-///               driver's per-round steady-clock timer)
-///   invariant_violation  check, where, message
-///   budget_exhausted     round, query, resource, site (a resource budget
-///               ran out: resource in {steps, wall_clock, memory,
-///               cancelled}, site names the charge point, e.g.
-///               "forward.visit")
-///   degrade     round, rung, action, trigger, resident_bytes,
-///               budget_bytes, evicted (memory-pressure ladder escalation;
-///               action in {evict_cache, shrink_beam, single_trace})
-///   run_end     rounds, forward_runs, backward_runs, solver_calls,
-///               violations, budget_exhausted, degradations, seconds
+/// Every event carries "v" (the schema version, currently 1), "event"
+/// and "label"; DESIGN.md §7 has the field table of every event kind, and
+/// tests/golden/schema_v1.golden pins one sample line of each.
 ///
 /// uint64 signatures are emitted as "0x..." hex *strings*: JSON numbers
 /// lose integer precision above 2^53.
 ///
 /// The driver emits only from its sequential phases (plan and merge), so
 /// with a zero backward timeout the trace is bitwise identical for every
-/// worker count apart from the "seconds" fields. The writer still holds a
-/// mutex per line so harness-level callers need not coordinate.
+/// worker count apart from the "seconds" fields. The "verdict" line has
+/// one builder, tracer::verdictEvent (tracer/QueryDriver.h), shared by the
+/// driver and the service's verdict replay.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,12 +32,8 @@
 
 #include "support/Json.h"
 
-#include <cstdint>
-#include <cstdio>
 #include <fstream>
-#include <mutex>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 namespace optabs {
@@ -70,111 +47,48 @@ namespace tracer {
 /// downstream trace consumers.
 inline constexpr int EventSchemaVersion = 1;
 
-/// Builds one JSON object incrementally. Only the types the event trace
-/// needs; strings are escaped per RFC 8259 (support/Json.h).
-class JsonObject {
-public:
-  JsonObject &field(const char *Key, const std::string &Value) {
-    beginField(Key);
-    support::appendJsonString(Buf, Value);
-    return *this;
-  }
-  JsonObject &field(const char *Key, const char *Value) {
-    return field(Key, std::string(Value));
-  }
-  /// One template for every integer width (uint64_t and size_t are the
-  /// same type on LP64, so distinct overloads would collide).
-  template <typename T,
-            std::enable_if_t<std::is_integral_v<T> && !std::is_same_v<T, bool>,
-                             int> = 0>
-  JsonObject &field(const char *Key, T Value) {
-    beginField(Key);
-    Buf += std::to_string(Value);
-    return *this;
-  }
-  JsonObject &field(const char *Key, double Value) {
-    beginField(Key);
-    char Tmp[32];
-    std::snprintf(Tmp, sizeof(Tmp), "%.6g", Value);
-    Buf += Tmp;
-    return *this;
-  }
-  JsonObject &field(const char *Key, bool Value) {
-    beginField(Key);
-    Buf += Value ? "true" : "false";
-    return *this;
-  }
-  /// uint64 as a "0x..." string (JSON numbers lose precision past 2^53).
-  JsonObject &hexField(const char *Key, uint64_t Value) {
-    char Tmp[24];
-    std::snprintf(Tmp, sizeof(Tmp), "0x%016llx",
-                  static_cast<unsigned long long>(Value));
-    return field(Key, Tmp);
-  }
-  /// An array of unsigned numbers (e.g. per-trace lengths).
-  JsonObject &field(const char *Key, const std::vector<size_t> &Values) {
-    beginField(Key);
-    Buf += '[';
-    for (size_t I = 0; I < Values.size(); ++I) {
-      if (I > 0)
-        Buf += ',';
-      Buf += std::to_string(Values[I]);
-    }
-    Buf += ']';
-    return *this;
-  }
+/// The JSON builder, from support/Json.h (service/Protocol.h and its
+/// clients name it through this header).
+using support::JsonObject;
 
-  std::string str() const { return Buf + "}"; }
-
-private:
-  void beginField(const char *Key) {
-    Buf += First ? "{" : ",";
-    First = false;
-    support::appendJsonString(Buf, Key);
-    Buf += ':';
-  }
-
-  std::string Buf;
-  bool First = true;
-};
+/// Starts an event-trace line with the common "v" (schema version),
+/// "event" and "label" fields. EventTraceWriter::event() and the golden
+/// test in tests/ProtocolTest.cpp both build every prefix here.
+inline JsonObject eventPrefix(const char *Kind, const std::string &Label) {
+  JsonObject O;
+  O.field("v", EventSchemaVersion);
+  O.field("event", Kind);
+  O.field("label", Label);
+  return O;
+}
 
 /// Appends JSONL events to a file. Disabled (all calls no-ops) until
 /// open() succeeds; the driver appends, so a harness running several
 /// clients can interleave their runs into one trace file (truncation is
-/// the CLI's job, once, at startup).
+/// the CLI's job, once, at startup). A writer belongs to one driver run
+/// or one replay loop and is written only from sequential code, so it
+/// takes no lock.
 class EventTraceWriter {
 public:
-  EventTraceWriter() = default;
-
   /// Opens \p Path in append mode; \p Label is stamped on every event.
   /// Returns false (and stays disabled) when the file cannot be opened.
   bool open(const std::string &Path, std::string Label) {
-    std::lock_guard<std::mutex> Lock(M);
     TraceLabel = std::move(Label);
     Out.open(Path, std::ios::app);
     return Out.is_open();
   }
 
-  bool enabled() const {
-    std::lock_guard<std::mutex> Lock(M);
-    return Out.is_open();
-  }
+  bool enabled() const { return Out.is_open(); }
+  const std::string &label() const { return TraceLabel; }
 
-  /// Starts an event object with the common "v" (schema version), "event"
-  /// and "label" fields.
+  /// Starts an event object (see eventPrefix).
   JsonObject event(const char *Kind) const {
-    JsonObject O;
-    O.field("v", EventSchemaVersion);
-    O.field("event", Kind);
-    std::lock_guard<std::mutex> Lock(M);
-    O.field("label", TraceLabel);
-    return O;
+    return eventPrefix(Kind, TraceLabel);
   }
 
   /// Writes one completed event as a line and flushes (audit traces must
   /// survive a crashed run - that is when they matter most).
   void write(const JsonObject &O) {
-    std::lock_guard<std::mutex> Lock(M);
     if (!Out.is_open())
       return;
     Out << O.str() << '\n';
@@ -182,7 +96,6 @@ public:
   }
 
 private:
-  mutable std::mutex M;
   std::ofstream Out;
   std::string TraceLabel;
 };

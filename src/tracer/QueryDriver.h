@@ -140,6 +140,25 @@ struct QueryOutcome {
   uint8_t TraceForm = 0;
 };
 
+/// The one builder of the event trace's "verdict" line for query \p Query
+/// under trace label \p Label. \p R is a QueryOutcome, or the service's
+/// stored copy of one: both carry V, Iterations, CheapestCost,
+/// CheapestParam, TraceRound and TraceForm. The driver and the service's
+/// verdict replay both build the line here, so a replayed line equals the
+/// cold one by construction.
+template <typename VerdictRecord>
+JsonObject verdictEvent(const std::string &Label, uint32_t Query,
+                        const VerdictRecord &R) {
+  JsonObject O = eventPrefix("verdict", Label);
+  O.field("round", R.TraceRound)
+      .field("query", Query)
+      .field("verdict", verdictName(R.V))
+      .field("iterations", R.Iterations);
+  if (R.TraceForm == 2)
+    O.field("cost", R.CheapestCost).field("param", R.CheapestParam);
+  return O;
+}
+
 /// How the next abstraction is chosen after a failed proof attempt. The
 /// non-default strategies are the baselines the paper's Related Work
 /// contrasts TRACER with.
@@ -722,11 +741,8 @@ private:
           Outcomes[I].TraceRound = Stats.Rounds;
           Outcomes[I].TraceForm = 1;
           if (Trace.enabled())
-            Trace.write(Trace.event("verdict")
-                            .field("round", Stats.Rounds)
-                            .field("query", Queries[I].index())
-                            .field("verdict", verdictName(Outcomes[I].V))
-                            .field("iterations", Outcomes[I].Iterations));
+            Trace.write(verdictEvent(Trace.label(), Queries[I].index(),
+                                     Outcomes[I]));
         }
       }
 
@@ -1082,13 +1098,8 @@ private:
                           .field("max_cubes", MaxCubes)
                           .hexField("learned_sig", Rec.Viable.signature()));
           if (Rec.Done)
-            Trace.write(Trace.event("verdict")
-                            .field("round", Stats.Rounds)
-                            .field("query", Queries[Step.Query].index())
-                            .field("verdict", verdictName(Out.V))
-                            .field("iterations", Out.Iterations)
-                            .field("cost", Out.CheapestCost)
-                            .field("param", Out.CheapestParam));
+            Trace.write(verdictEvent(Trace.label(),
+                                     Queries[Step.Query].index(), Out));
         }
       }
       Stats.Phases.Merge += PhaseTimer.seconds();
@@ -1262,11 +1273,13 @@ private:
   /// must never fail the analysis).
   void exportMetrics() const {
     if (!Observability.MetricsPath.empty())
-      support::MetricRegistry::global().writePrometheusFile(
-          Observability.MetricsPath);
+      support::writeFile(Observability.MetricsPath, [](std::ostream &OS) {
+        support::MetricRegistry::global().dumpPrometheus(OS);
+      });
     if (!Observability.ProfilePath.empty())
-      support::Profiler::global().writeChromeTraceFile(
-          Observability.ProfilePath);
+      support::writeFile(Observability.ProfilePath, [](std::ostream &OS) {
+        support::Profiler::global().writeChromeTrace(OS);
+      });
   }
 
   const ir::Program &P;

@@ -92,15 +92,6 @@ TEST(ConfigTest, ValidateRejectsDocumentedInvalidConfigs) {
     EXPECT_NE(messageFor(C.validate(), "budgets.time_budget_seconds"), "");
   }
   {
-    // A per-phase wall-clock timeout makes verdicts depend on machine
-    // speed, which the deterministic contract forbids.
-    Config C = Config::defaults();
-    C.Execution.Deterministic = true;
-    C.Budgets.BackwardTimeoutSeconds = 1.5;
-    EXPECT_NE(messageFor(C.validate(), "budgets.backward_timeout_seconds"),
-              "");
-  }
-  {
     // Every strategy runs the staged round loop, so the memory ladder
     // applies to greedy-grow too.
     Config C = Config::defaults();

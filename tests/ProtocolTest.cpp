@@ -45,19 +45,16 @@ std::vector<std::string> readLines(const std::string &Path) {
   return Lines;
 }
 
-/// Mirrors EventTraceWriter::event(): the common prefix every trace line
-/// carries.
+/// The production prefix every trace line carries (EventTraceWriter::event
+/// builds it the same way).
 JsonObject event(const char *Kind) {
-  JsonObject O;
-  O.field("v", tracer::EventSchemaVersion);
-  O.field("event", Kind);
-  O.field("label", "golden");
-  return O;
+  return tracer::eventPrefix(Kind, "golden");
 }
 
 /// One sample line per event kind and per protocol response form, with
-/// fixed values, built exactly like the emitting code builds them. The
-/// golden file pins the serialized bytes.
+/// fixed values, built exactly like the emitting code builds them (the
+/// prefix and the verdict line by the production builders). The golden
+/// file pins the serialized bytes.
 std::vector<std::string> sampleSchemaLines() {
   std::vector<std::string> L;
   L.push_back(event("run_begin")
@@ -95,14 +92,16 @@ std::vector<std::string> sampleSchemaLines() {
                   .field("max_cubes", size_t(2))
                   .hexField("learned_sig", 0xdeadbeef)
                   .str());
-  L.push_back(event("verdict")
-                  .field("round", 2u)
-                  .field("query", uint32_t(0))
-                  .field("verdict", "proven")
-                  .field("iterations", 2u)
-                  .field("cost", uint32_t(1))
-                  .field("param", "[L:h1]")
-                  .str());
+  // The verdict line comes from the one builder the driver and the
+  // service's verdict replay share.
+  tracer::QueryOutcome Verdict;
+  Verdict.V = tracer::Verdict::Proven;
+  Verdict.Iterations = 2;
+  Verdict.CheapestCost = 1;
+  Verdict.CheapestParam = "[L:h1]";
+  Verdict.TraceRound = 2;
+  Verdict.TraceForm = 2;
+  L.push_back(tracer::verdictEvent("golden", 0, Verdict).str());
   L.push_back(event("round_end")
                   .field("round", 1u)
                   .field("unresolved", 1u)
@@ -191,6 +190,15 @@ TEST(JsonObjectTest, FieldsKeepInsertionOrder) {
   EXPECT_EQ(O.str(), "{\"z\":1,\"a\":2,\"m\":true}");
 }
 
+TEST(JsonObjectTest, NestsObjectsAndRendersEmptyOnes) {
+  EXPECT_EQ(JsonObject().str(), "{}");
+  JsonObject O;
+  O.field("ph", "M").field("args", JsonObject().field("name", "main"));
+  O.field("none", JsonObject());
+  EXPECT_EQ(O.str(), "{\"ph\":\"M\",\"args\":{\"name\":\"main\"},"
+                     "\"none\":{}}");
+}
+
 //===----------------------------------------------------------------------===//
 // service::JsonLine - the request parser.
 //===----------------------------------------------------------------------===//
@@ -215,7 +223,7 @@ TEST(JsonLineTest, ParsesFlatObjects) {
       R"("text":"a\nb\t\"q\" \\ A","f":1.5})");
   EXPECT_EQ(L.getString("op"), "submit");
   EXPECT_EQ(L.getUInt("session"), 3u);
-  EXPECT_EQ(L.getInt("priority"), -2);
+  EXPECT_EQ(L.getInt32("priority"), -2);
   EXPECT_EQ(L.getString("text"), "a\nb\t\"q\" \\ A");
   EXPECT_TRUE(L.has("ok"));
   EXPECT_TRUE(L.has("f"));
@@ -232,8 +240,27 @@ TEST(JsonLineTest, AccessorsRejectTypeMismatches) {
   EXPECT_EQ(L.getUInt("neg"), std::nullopt); // negative is not unsigned
   EXPECT_EQ(L.getUInt("d"), std::nullopt);   // doubles are not valid uints
   EXPECT_EQ(L.getUInt("b"), std::nullopt);   // bools are not numbers
-  EXPECT_EQ(L.getInt("neg"), -1);
+  EXPECT_EQ(L.getInt32("neg"), -1);
   EXPECT_EQ(L.getUInt("n"), 5u);
+}
+
+TEST(JsonLineTest, IntegersOutsideTheirBoundReadAsAbsent) {
+  // A 32-bit field must not narrow 2^32 to 0, and a 20-digit value must
+  // not wrap modulo 2^64: both read as absent, like any other mismatch.
+  service::JsonLine L = parseOk(
+      R"({"wide":4294967296,"huge":18446744073709551616,)"
+      R"("max32":4294967295,"max64":18446744073709551615,)"
+      R"("lo":-2147483649,"hi":2147483648,"min32":-2147483648})");
+  EXPECT_EQ(L.getUInt("wide", UINT32_MAX), std::nullopt);
+  EXPECT_EQ(L.getUInt("huge", UINT32_MAX), std::nullopt);
+  EXPECT_EQ(L.getUInt("huge"), std::nullopt);
+  EXPECT_EQ(L.getUInt("wide"), 4294967296u);
+  EXPECT_EQ(L.getUInt("max32", UINT32_MAX), 4294967295u);
+  EXPECT_EQ(L.getUInt("max64"), UINT64_MAX);
+  EXPECT_EQ(L.getInt32("lo"), std::nullopt);
+  EXPECT_EQ(L.getInt32("hi"), std::nullopt);
+  EXPECT_EQ(L.getInt32("huge"), std::nullopt);
+  EXPECT_EQ(L.getInt32("min32"), INT32_MIN);
 }
 
 TEST(JsonLineTest, RejectsEverythingThatIsNotAFlatObject) {

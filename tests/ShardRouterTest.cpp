@@ -346,6 +346,26 @@ TEST(ShardRouterTest, HappyPathRegistersRoutesAndDrains) {
             "\"requeued\":0}");
 }
 
+TEST(ShardRouterTest, OutOfRangeCheckIsRejectedNotNarrowed) {
+  FakeHost Host(1);
+  ShardRouter R(testOptions(1), Host);
+  std::string Err;
+  ASSERT_TRUE(R.start(Err)) << Err;
+  okResponse(run(R, kRegisterFig));
+  okResponse(run(R, openLine("escape")));
+  // 2^32 narrows to check 0 in 32 bits, and 2^64 wraps to 0 in 64: each
+  // must be refused, never served as check 0's verdict.
+  for (const char *Check : {"4294967296", "18446744073709551616"}) {
+    std::vector<std::string> Out = run(
+        R, "{\"op\":\"submit\",\"session\":1,\"check\":" +
+               std::string(Check) + "}");
+    ASSERT_EQ(Out.size(), 1u);
+    EXPECT_NE(Out[0].find("\"ok\":false"), std::string::npos) << Out[0];
+  }
+  for (const std::string &Line : Host.Live[0]->RequestLog)
+    EXPECT_EQ(Line.find("\"op\":\"submit\""), std::string::npos) << Line;
+}
+
 TEST(ShardRouterTest, ShutdownReachesEveryWorkerAndStopsTheLoop) {
   FakeHost Host(2);
   ShardRouter R(testOptions(2), Host);

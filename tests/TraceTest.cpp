@@ -172,13 +172,60 @@ TEST(TraceTest, ChromeTraceMergesServiceTrack) {
   R.record(Done);
   R.record(event("submitted", 4)); // renders as an instant
   std::ostringstream OS;
-  R.writeChromeTrace(OS);
+  support::Profiler::global().writeChromeTrace(OS, &R);
   std::string Out = OS.str();
   EXPECT_EQ(Out.rfind("{\"traceEvents\":[", 0), 0u) << Out;
   EXPECT_NE(Out.find("\"name\":\"service\""), std::string::npos) << Out;
   EXPECT_NE(Out.find("\"job 3\""), std::string::npos) << Out;
   EXPECT_NE(Out.find("\"ph\":\"X\""), std::string::npos) << Out;
   EXPECT_NE(Out.find("\"ph\":\"i\""), std::string::npos) << Out;
+}
+
+TEST(TraceTest, ExportBytesArePinned) {
+  // Pre-stamped timestamps make both exports fully deterministic, so the
+  // exact bytes are pinned here: field order, integer and "%.6g" double
+  // formatting, string escapes and the Chrome service-track layout.
+  FlightRecorder R(8);
+  TraceEvent Sub = event("submitted", 4);
+  Sub.Session = 2;
+  Sub.TsNs = 1234567891;
+  Sub.U0 = 17;
+  Sub.Note = "a\"b";
+  R.record(Sub);
+  TraceEvent Done = event("fulfilled", 3);
+  Done.Session = 1;
+  Done.Batch = 2;
+  Done.TsNs = 2000000000;
+  Done.U1 = 5;
+  Done.D0 = 0.25;
+  R.record(Done);
+  std::ostringstream Jsonl;
+  R.writeJsonl(Jsonl);
+  EXPECT_EQ(Jsonl.str(),
+            "{\"seq\":1,\"kind\":\"submitted\",\"trace\":4,\"span\":4,"
+            "\"job\":4,\"session\":2,\"batch\":0,\"ts_ns\":1234567891,"
+            "\"u0\":17,\"u1\":0,\"seconds\":0,\"note\":\"a\\\"b\"}\n"
+            "{\"seq\":2,\"kind\":\"fulfilled\",\"trace\":3,\"span\":3,"
+            "\"job\":3,\"session\":1,\"batch\":2,\"ts_ns\":2000000000,"
+            "\"u0\":0,\"u1\":5,\"seconds\":0.25,\"note\":\"\"}\n");
+
+  std::ostringstream Chrome;
+  support::Profiler::global().writeChromeTrace(Chrome, &R);
+  std::string Out = Chrome.str();
+  // The profiler tracks come first and depend on the process's history;
+  // the service track is pinned from its thread_name record to the end.
+  size_t Service = Out.find("{\"ph\":\"M\",\"name\":\"thread_name\","
+                            "\"pid\":1,\"tid\":9999");
+  ASSERT_NE(Service, std::string::npos) << Out;
+  EXPECT_EQ(Out.substr(Service),
+            "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,\"tid\":9999,"
+            "\"args\":{\"name\":\"service\"}},\n"
+            "{\"ph\":\"i\",\"s\":\"t\",\"name\":\"submitted\","
+            "\"cat\":\"service\",\"pid\":1,\"tid\":9999,\"ts\":1.23457e+06,"
+            "\"args\":{\"job\":4,\"batch\":0}},\n"
+            "{\"ph\":\"X\",\"name\":\"job 3\",\"cat\":\"service\",\"pid\":1,"
+            "\"tid\":9999,\"ts\":1.75e+06,\"dur\":250000,"
+            "\"args\":{\"session\":1,\"batch\":2}}\n]}\n");
 }
 
 TEST(TraceTest, HistogramQuantilesWalkTheBuckets) {

@@ -112,13 +112,14 @@ struct ServerState {
 };
 
 /// Reads the per-session configuration fields of an "open-session"
-/// request into \p C. Returns false (with \p Err) on an unknown strategy
-/// or a non-integer where an integer belongs.
+/// request into \p C. Returns false (with \p Err) on a non-integer where
+/// an integer belongs, or one too large for its Config field.
 bool readSessionConfig(const service::JsonLine &Req, Config &C,
                        std::string &Err) {
   struct UIntField {
     const char *Key;
     uint64_t *Out;
+    uint64_t Max = UINT32_MAX;
   };
   uint64_t K = C.Execution.K, MaxIters = C.Execution.MaxItersPerQuery;
   uint64_t Traces = C.Execution.TracesPerIteration;
@@ -127,14 +128,15 @@ bool readSessionConfig(const service::JsonLine &Req, Config &C,
   uint64_t MaxJobs = C.Service.MaxJobsPerSession;
   for (UIntField F : {UIntField{"k", &K}, UIntField{"max-iters", &MaxIters},
                       UIntField{"traces-per-iter", &Traces},
-                      UIntField{"step-budget", &StepBudget},
+                      UIntField{"step-budget", &StepBudget, UINT64_MAX},
                       UIntField{"max-pending", &MaxPending},
-                      UIntField{"max-jobs", &MaxJobs}}) {
+                      UIntField{"max-jobs", &MaxJobs, UINT64_MAX}}) {
     if (!Req.has(F.Key))
       continue;
-    auto V = Req.getUInt(F.Key);
+    auto V = Req.getUInt(F.Key, F.Max);
     if (!V) {
-      Err = std::string("field '") + F.Key + "' must be an unsigned integer";
+      Err = std::string("field '") + F.Key + "' must be an unsigned " +
+            (F.Max == UINT32_MAX ? "32" : "64") + "-bit integer";
       return false;
     }
     *F.Out = *V;
@@ -267,24 +269,20 @@ bool handleRequest(ServerState &St, const std::string &Line,
     O.field("session", S.id());
     EmitObj(O);
   } else if (*Op == "submit") {
-    auto Sess = Req.getUInt("session");
-    auto Check = Req.getUInt("check");
-    if (!Sess || !Check) {
-      Emit(service::errorLine(*Op, "submit needs 'session' and 'check'"));
+    std::string SubErr;
+    auto Sub = service::readSubmit(Req, SubErr);
+    if (!Sub) {
+      Emit(service::errorLine(*Op, SubErr));
       return true;
     }
-    auto It = St.Sessions.find(*Sess);
+    auto It = St.Sessions.find(Sub->Session);
     if (It == St.Sessions.end()) {
-      Emit(service::errorLine(*Op,
-                              "unknown session " + std::to_string(*Sess)));
+      Emit(service::errorLine(
+          *Op, "unknown session " + std::to_string(Sub->Session)));
       return true;
     }
-    service::JobSpec Job;
-    Job.Check = static_cast<uint32_t>(*Check);
-    if (auto Site = Req.getUInt("site"))
-      Job.Site = static_cast<uint32_t>(*Site);
-    if (auto Prio = Req.getInt("priority"))
-      Job.Priority = static_cast<int32_t>(*Prio);
+    service::JobSpec Job(Sub->Check, Sub->Site.value_or(0),
+                         Sub->Priority.value_or(0));
     // Protocol ingress mints the request's trace identity: the line
     // sequence number, stable across reruns of the same script.
     Job.Parent.TraceId = St.LineSeq;
@@ -442,19 +440,7 @@ bool handleRequest(ServerState &St, const std::string &Line,
     for (const support::TraceEvent &E : Events) {
       JsonObject O = service::response(true);
       O.field("op", "trace-event");
-      O.field("seq", E.Seq);
-      O.field("kind", E.Kind);
-      O.field("trace", E.TraceId);
-      O.field("span", E.SpanId);
-      O.field("job", E.Job);
-      O.field("session", E.Session);
-      O.field("batch", E.Batch);
-      O.field("ts_ns", E.TsNs);
-      O.field("u0", E.U0);
-      O.field("u1", E.U1);
-      O.field("seconds", E.D0);
-      O.field("note", E.Note);
-      EmitObj(O);
+      EmitObj(support::appendTraceEvent(O, E));
     }
     JsonObject O = service::response(true);
     O.field("op", *Op);
@@ -604,7 +590,9 @@ int serve(const Config &Base, const ServeFlags &F) {
   // destroying the service writes the --trace-jsonl/--trace-chrome
   // artifacts and completes still-pending jobs as Cancelled.
   if (!F.MetricsPath.empty())
-    support::MetricRegistry::global().writePrometheusFile(F.MetricsPath);
+    support::writeFile(F.MetricsPath, [](std::ostream &OS) {
+      support::MetricRegistry::global().dumpPrometheus(OS);
+    });
   St.Svc.reset();
   return 0;
 }
