@@ -393,11 +393,13 @@ public:
   /// (Config::ObservabilityConfig::ServiceTrace at construction).
   bool tracingEnabled() const;
 
-  /// Removes and returns every buffered trace event, oldest first (the
-  /// `trace` protocol op). Empty when tracing is disabled.
+  /// Returns the trace events recorded since the previous call, oldest
+  /// first (the `trace` protocol op); they stay buffered for the shutdown
+  /// export. Empty when tracing is disabled.
   std::vector<support::TraceEvent> drainTrace();
 
-  /// Trace events evicted under ring pressure, lifetime.
+  /// Trace events evicted under ring pressure before any drainTrace()
+  /// returned them, lifetime.
   uint64_t traceDropped() const;
 
   /// The recorded timeline of one job (the `explain` protocol op).

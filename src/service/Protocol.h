@@ -28,9 +28,12 @@
 ///   {"op":"close-session","session":S}
 ///   {"op":"drain"}            -> one result line per job, in job-id order
 ///   {"op":"stats"}
-///   {"op":"trace"}            -> drains the flight recorder: one
-///        "trace-event" line per buffered event, then a summary line with
-///        the drop count (error when the server runs without tracing)
+///   {"op":"trace"}            -> reads the flight recorder through a
+///        cursor: one "trace-event" line per event recorded since the
+///        previous "trace" op, then a summary line with the drop count
+///        (error when the server runs without tracing). The events stay
+///        buffered, so the shutdown --trace-jsonl/--trace-chrome exports
+///        still hold them
 ///   {"op":"explain","job":J}  -> one job's recorded timeline: latency
 ///        decomposition, batch id/peers, per-phase seconds, cache and
 ///        replay attribution

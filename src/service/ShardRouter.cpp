@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <chrono>
 #include <csignal>
+#include <cstring>
 #include <set>
 #include <thread>
 #include <unistd.h>
@@ -243,15 +244,31 @@ std::string ShardRouter::submitLineFor(const JobRec &J,
   return O.str();
 }
 
-void ShardRouter::synthesizeResult(JobRec &J, const char *Status,
+void ShardRouter::synthesizeResult(JobMap::iterator It, const char *Status,
                                    const std::string &Error) {
   JsonObject O = response(true);
   O.field("op", "result");
-  O.field("job", J.SupId);
-  O.field("session", J.SupSession);
+  O.field("job", It->second.SupId);
+  O.field("session", It->second.SupSession);
   O.field("status", Status);
   O.field("error", Error);
-  J.ResultLine = O.str();
+  retire(It, Status, O.str());
+}
+
+void ShardRouter::retire(JobMap::iterator It, const char *Status,
+                         std::string Line) {
+  const JobRec &J = It->second;
+  // Only J's own mapping: a replay may have handed J's stale shard-local
+  // id to a requeued job.
+  auto &ById = Shards[J.Shard].JobsByShardId;
+  if (auto M = ById.find(J.ShardJob); M != ById.end() && M->second == J.SupId)
+    ById.erase(M);
+  ++(std::strcmp(Status, "failed") == 0 ? Stats.Failed : Stats.Fulfilled);
+  if (Retired.size() == RetiredCapacity)
+    Retired.pop_front();
+  Retired.push_back({J.SupId, J.SupSession, J.Shard, Status, J.Requeues});
+  Outbox.emplace(J.SupId, std::move(Line));
+  Jobs.erase(It);
 }
 
 bool ShardRouter::replayShard(unsigned I) {
@@ -280,10 +297,10 @@ bool ShardRouter::replayShard(unsigned I) {
       return false;
   }
 
-  // 2. This shard's live sessions, in supervisor-id order, replaying the
+  // 2. This shard's sessions, in supervisor-id order, replaying the
   //    original open-session lines verbatim (config flags included).
   for (auto &[Id, S] : Sessions) {
-    if (S.Shard != I || S.Closed)
+    if (S.Shard != I)
       continue;
     JsonLine Resp;
     if (!Rpc(S.OpenLine, Resp))
@@ -294,17 +311,17 @@ bool ShardRouter::replayShard(unsigned I) {
     S.ShardId = *NewId;
   }
 
-  // 3. Requeue the shard's unfulfilled jobs, in supervisor-id order.
-  //    Jobs whose cancel was already acknowledged are not re-run: they
-  //    complete here with the same cancelled result line the worker
-  //    would have produced at drain.
-  for (auto &[Id, J] : Jobs) {
-    if (J.Shard != I || J.State != JobState::Pending)
+  // 3. Requeue the shard's pending jobs, in supervisor-id order. Jobs
+  //    whose cancel was already acknowledged are not re-run: they retire
+  //    here with the same cancelled result line the worker would have
+  //    produced at drain.
+  for (auto Next = Jobs.begin(); Next != Jobs.end();) {
+    auto It = Next++;
+    JobRec &J = It->second;
+    if (J.Shard != I)
       continue;
     if (J.CancelRequested) {
-      synthesizeResult(J, "cancelled", "cancelled by client");
-      J.State = JobState::Fulfilled;
-      ++Stats.Fulfilled;
+      synthesizeResult(It, "cancelled", "cancelled by client");
       continue;
     }
     auto SIt = Sessions.find(J.SupSession);
@@ -316,9 +333,7 @@ bool ShardRouter::replayShard(unsigned I) {
       // every replay; fail the job rather than loop forever.
       if (!Sh.Up || !Sh.Ep || !Sh.Ep->alive())
         return false;
-      synthesizeResult(J, "failed", "shard rejected requeued job");
-      J.State = JobState::Failed;
-      ++Stats.Failed;
+      synthesizeResult(It, "failed", "shard rejected requeued job");
       continue;
     }
     auto NewJob = Resp.getUInt("job");
@@ -367,8 +382,7 @@ bool ShardRouter::stealSession(uint64_t SessId, unsigned Victim,
   std::vector<std::pair<uint64_t, uint64_t>> Moved; // sup id -> thief job
   bool Failed = false;
   for (auto &[Id, J] : Jobs) {
-    if (J.SupSession != SessId || J.State != JobState::Pending ||
-        J.CancelRequested)
+    if (J.SupSession != SessId || J.CancelRequested)
       continue;
     JsonLine SubResp;
     if (!Rpc(submitLineFor(J, *NewSess), SubResp)) {
@@ -425,10 +439,17 @@ void ShardRouter::maybeStealWork() {
   // Bounded by the session count: every successful steal moves at least
   // one pending job off the victim, and a failed steal ends the loop.
   for (size_t Guard = 0; Guard <= Sessions.size(); ++Guard) {
+    // Per-shard depth and lowest session id over the jobs not being
+    // cancelled. Such a job lives on its open session's shard (a steal
+    // moves them all), so that session is the victim's first to steal.
     std::vector<uint64_t> Pending(Opts.NumShards, 0);
-    for (const auto &[Id, J] : Jobs)
-      if (J.State == JobState::Pending && !J.CancelRequested)
-        ++Pending[J.Shard];
+    std::vector<uint64_t> FirstSession(Opts.NumShards, 0);
+    for (const auto &[Id, J] : Jobs) {
+      if (J.CancelRequested)
+        continue;
+      if (Pending[J.Shard]++ == 0 || J.SupSession < FirstSession[J.Shard])
+        FirstSession[J.Shard] = J.SupSession;
+    }
     unsigned Victim = 0, Thief = 0;
     for (unsigned I = 1; I < Opts.NumShards; ++I) {
       if (Pending[I] > Pending[Victim])
@@ -438,26 +459,7 @@ void ShardRouter::maybeStealWork() {
     }
     if (Pending[Victim] < Opts.StealThreshold || Pending[Thief] != 0)
       return;
-    // Deterministic pick: the victim's lowest-id open session that has
-    // at least one pending job (sessions whose last jobs were cancelled
-    // contribute nothing and are skipped).
-    uint64_t SessId = 0;
-    for (const auto &[Id, S] : Sessions) {
-      if (S.Shard != Victim || S.Closed)
-        continue;
-      bool HasPending = false;
-      for (const auto &[JId, J] : Jobs)
-        if (J.SupSession == Id && J.State == JobState::Pending &&
-            !J.CancelRequested) {
-          HasPending = true;
-          break;
-        }
-      if (HasPending) {
-        SessId = Id;
-        break;
-      }
-    }
-    if (SessId == 0 || !stealSession(SessId, Victim, Thief))
+    if (!stealSession(FirstSession[Victim], Victim, Thief))
       return;
   }
 }
@@ -471,17 +473,11 @@ void ShardRouter::handleDrain(std::vector<std::string> &Out) {
   // the jobs are still queued.
   maybeStealWork();
 
-  auto PendingShards = [this] {
-    std::set<unsigned> S;
-    for (const auto &[Id, J] : Jobs)
-      if (J.State == JobState::Pending)
-        S.insert(J.Shard);
-    return S;
-  };
-
   std::string Err;
   for (unsigned Round = 0; Round <= Opts.MaxRequestRetries; ++Round) {
-    std::set<unsigned> Need = PendingShards();
+    std::set<unsigned> Need;
+    for (const auto &[Id, J] : Jobs)
+      Need.insert(J.Shard);
     if (Need.empty())
       break;
 
@@ -500,20 +496,16 @@ void ShardRouter::handleDrain(std::vector<std::string> &Out) {
     }
 
     // Phase 2: collect result lines until each shard's drain summary. A
-    // shard dying mid-collection leaves its unfulfilled jobs Pending; the
+    // shard dying mid-collection leaves its unanswered jobs in Jobs; the
     // next round restarts it (requeueing them) and drains again.
     for (unsigned I : Sent) {
       Shard &Sh = Shards[I];
-      // A healthy worker sends one result line per pending job plus the
+      // A healthy worker sends one result line per job it holds plus the
       // summary. Anything past that budget (plus slack for interleaved
       // noise) is a worker streaming garbage - each line landing inside
       // RequestTimeoutMs, so without this bound it would pin the
       // supervisor forever. Treat it like a hung shard.
-      uint64_t PendingHere = 0;
-      for (const auto &[Id, J] : Jobs)
-        if (J.State == JobState::Pending && J.Shard == I)
-          ++PendingHere;
-      uint64_t LineBudget = 2 * PendingHere + 64;
+      uint64_t LineBudget = 2 * Sh.JobsByShardId.size() + 64;
       for (;;) {
         if (LineBudget-- == 0) {
           Sh.Ep->kill();
@@ -544,43 +536,34 @@ void ShardRouter::handleDrain(std::vector<std::string> &Out) {
         auto MIt = Sh.JobsByShardId.find(*ShardJob);
         if (MIt == Sh.JobsByShardId.end())
           continue;
-        JobRec &J = Jobs[MIt->second];
-        if (J.State != JobState::Pending)
-          continue;
-        J.ResultLine = rewriteResultLine(Resp, J);
-        J.State = JobState::Fulfilled;
-        ++Stats.Fulfilled;
+        auto JIt = Jobs.find(MIt->second);
+        const char *Status =
+            R.getString("status").value_or("") == "cancelled" ? "cancelled"
+                                                              : "fulfilled";
+        retire(JIt, Status, rewriteResultLine(R, JIt->second));
       }
     }
   }
 
   // Retry budget exhausted: whatever is still pending fails loudly with
   // its requeue history rather than hanging the client.
-  for (auto &[Id, J] : Jobs) {
-    if (J.State != JobState::Pending)
-      continue;
-    synthesizeResult(J, "failed",
+  while (!Jobs.empty()) {
+    const JobRec &J = Jobs.begin()->second;
+    synthesizeResult(Jobs.begin(), "failed",
                      "shard " + std::to_string(J.Shard) +
                          " unavailable after " + std::to_string(J.Requeues) +
                          " requeue(s); job abandoned");
-    J.State = JobState::Failed;
-    ++Stats.Failed;
   }
 
-  // Emit every not-yet-delivered result in supervisor job-id order - the
-  // same order a single optabs-serve would use, so transcripts diff
-  // cleanly against a single-process oracle.
-  size_t N = 0;
-  for (auto &[Id, J] : Jobs) {
-    if (J.Emitted || J.State == JobState::Pending)
-      continue;
-    Out.push_back(J.ResultLine);
-    J.Emitted = true;
-    ++N;
-  }
+  // Emit the outbox in supervisor job-id order - the same order a single
+  // optabs-serve would use, so transcripts diff cleanly against a
+  // single-process oracle.
+  for (auto &[Id, Line] : Outbox)
+    Out.push_back(std::move(Line));
   JsonObject O = response(true);
   O.field("op", "drain");
-  O.field("results", N);
+  O.field("results", Outbox.size());
+  Outbox.clear();
   // Requeue events since the previous drain summary: restarts between
   // drains affect the jobs reported here, so they count too.
   O.field("requeued", DrainRequeues);
@@ -588,12 +571,8 @@ void ShardRouter::handleDrain(std::vector<std::string> &Out) {
   DrainRequeues = 0;
 }
 
-std::string ShardRouter::rewriteResultLine(const std::string &ShardLine,
+std::string ShardRouter::rewriteResultLine(const JsonLine &R,
                                            const JobRec &J) const {
-  JsonLine R;
-  std::string PErr;
-  if (!JsonLine::parse(ShardLine, R, PErr))
-    return ShardLine; // unreachable: caller already parsed it
   JsonObject O = response(true);
   O.field("op", "result");
   O.field("job", J.SupId);
@@ -623,10 +602,7 @@ std::string ShardRouter::rewriteResultLine(const std::string &ShardLine,
 
 ShardRouterStats ShardRouter::stats() const {
   ShardRouterStats S = Stats;
-  S.Pending = 0;
-  for (const auto &[Id, J] : Jobs)
-    if (J.State == JobState::Pending)
-      ++S.Pending;
+  S.Pending = Jobs.size();
   return S;
 }
 
@@ -751,13 +727,8 @@ bool ShardRouter::handleLine(const std::string &Line,
       Emit(errorLine(*Op, "shard returned a malformed session id"));
       return true;
     }
-    SessionRec S;
-    S.SupId = NextSession++;
-    S.Shard = I;
-    S.ShardId = *ShardId;
-    S.OpenLine = Line;
-    uint64_t SupId = S.SupId;
-    Sessions[SupId] = std::move(S);
+    uint64_t SupId = NextSession++;
+    Sessions[SupId] = SessionRec{I, *ShardId, Line};
     ++Stats.SessionsOpened;
     JsonObject O = response(true);
     O.field("op", *Op);
@@ -771,7 +742,7 @@ bool ShardRouter::handleLine(const std::string &Line,
       return true;
     }
     auto SIt = Sessions.find(Sub->Session);
-    if (SIt == Sessions.end() || SIt->second.Closed) {
+    if (SIt == Sessions.end()) {
       Emit(errorLine(*Op, "unknown session " + std::to_string(Sub->Session)));
       return true;
     }
@@ -815,7 +786,7 @@ bool ShardRouter::handleLine(const std::string &Line,
   } else if (*Op == "cancel" || *Op == "close-session") {
     auto Sess = Req.getUInt("session");
     auto SIt = Sess ? Sessions.find(*Sess) : Sessions.end();
-    if (SIt == Sessions.end() || SIt->second.Closed) {
+    if (SIt == Sessions.end()) {
       Emit(errorLine(*Op, "unknown session"));
       return true;
     }
@@ -839,11 +810,13 @@ bool ShardRouter::handleLine(const std::string &Line,
     if (Ok) {
       // Both ops cancel the session's outstanding work on the worker;
       // remember that so a replay after a crash does not resurrect it.
+      // Nothing looks a closed session up again: its jobs are all being
+      // cancelled, so it leaves the journal now.
       for (auto &[Id, J] : Jobs)
-        if (J.SupSession == *Sess && J.State == JobState::Pending)
+        if (J.SupSession == *Sess)
           J.CancelRequested = true;
       if (*Op == "close-session")
-        SIt->second.Closed = true;
+        Sessions.erase(SIt);
     }
     Emit(Resp); // id-free either way: forward verbatim
   } else if (*Op == "drain") {
@@ -853,10 +826,6 @@ bool ShardRouter::handleLine(const std::string &Line,
     for (Shard &Sh : Shards)
       if (Sh.Up && Sh.Ep && Sh.Ep->alive())
         ++Alive;
-    uint64_t Pending = 0;
-    for (const auto &[Id, J] : Jobs)
-      if (J.State == JobState::Pending)
-        ++Pending;
     JsonObject O = response(true);
     O.field("op", *Op);
     O.field("server", "optabs-shardd");
@@ -864,7 +833,7 @@ bool ShardRouter::handleLine(const std::string &Line,
     O.field("uptime_s", Uptime.seconds());
     O.field("shards", Opts.NumShards);
     O.field("alive", Alive);
-    O.field("pending", Pending);
+    O.field("pending", Jobs.size());
     EmitObj(O);
   } else if (*Op == "stats") {
     ShardRouterStats S = stats();
@@ -937,23 +906,28 @@ bool ShardRouter::handleLine(const std::string &Line,
       Emit(errorLine(*Op, "explain needs 'job'"));
       return true;
     }
-    auto JIt = Jobs.find(*JobN);
-    if (JIt == Jobs.end()) {
-      Emit(errorLine(*Op,
-                     "no timeline recorded for job " + std::to_string(*JobN)));
-      return true;
+    RetiredJob J;
+    if (auto JIt = Jobs.find(*JobN); JIt != Jobs.end()) {
+      const JobRec &P = JIt->second;
+      J = {P.SupId, P.SupSession, P.Shard,
+           P.CancelRequested ? "cancelled" : "pending", P.Requeues};
+    } else {
+      auto RIt = std::find_if(
+          Retired.rbegin(), Retired.rend(),
+          [&](const RetiredJob &R) { return R.SupId == *JobN; });
+      if (RIt == Retired.rend()) {
+        Emit(errorLine(*Op, "no timeline recorded for job " +
+                                std::to_string(*JobN)));
+        return true;
+      }
+      J = *RIt;
     }
-    const JobRec &J = JIt->second;
     JsonObject O = response(true);
     O.field("op", *Op);
     O.field("job", J.SupId);
     O.field("session", J.SupSession);
     O.field("shard", J.Shard);
-    const char *St = J.State == JobState::Pending
-                         ? (J.CancelRequested ? "cancelled" : "pending")
-                         : (J.State == JobState::Fulfilled ? "fulfilled"
-                                                           : "failed");
-    O.field("status", St);
+    O.field("status", J.Status);
     O.field("requeues", J.Requeues);
     if (J.Requeues > 0)
       O.field("note", "requeued after shard restart; verdict unaffected "

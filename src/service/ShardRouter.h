@@ -20,6 +20,10 @@
 ///    (name -> latest text), every open session (its original request
 ///    line), and every in-flight submit. Worker shards are therefore
 ///    disposable: the journal is exactly the state needed to rebuild one.
+///    It holds live state only: a job leaves when its result line is
+///    produced (the line waits in an outbox for the next drain), a
+///    session when its close is acknowledged. Every walk is O(pending);
+///    a bounded ring of retired-job summaries answers `explain`.
 ///
 ///  * Failure handling: every request to a shard runs under a
 ///    per-request timeout with bounded retries. A dead or hung shard is
@@ -68,6 +72,7 @@
 #include "support/Timer.h"
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -77,6 +82,8 @@
 
 namespace optabs {
 namespace service {
+
+class JsonLine;
 
 /// One connected worker shard, as the router sees it. Production wraps a
 /// child process plus a socket channel; tests script these.
@@ -210,13 +217,10 @@ private:
     uint32_t Allocs = 0;
   };
   struct SessionRec {
-    uint64_t SupId = 0;
     unsigned Shard = 0;
     uint64_t ShardId = 0;
     std::string OpenLine; ///< original request, replayed verbatim
-    bool Closed = false;
   };
-  enum class JobState : uint8_t { Pending, Fulfilled, Failed };
   struct JobRec {
     uint64_t SupId = 0;
     uint64_t SupSession = 0;
@@ -228,11 +232,16 @@ private:
     bool HasSite = false;
     bool HasPriority = false;
     bool CancelRequested = false;
-    JobState State = JobState::Pending;
     unsigned Requeues = 0;
-    bool Emitted = false;
-    std::string ResultLine; ///< rewritten to supervisor ids
   };
+  /// What `explain` still knows about a job once its result line exists.
+  struct RetiredJob {
+    uint64_t SupId = 0, SupSession = 0;
+    unsigned Shard = 0;
+    const char *Status = ""; ///< "fulfilled", "failed" or "cancelled"
+    unsigned Requeues = 0;
+  };
+  using JobMap = std::map<uint64_t, JobRec>;
   struct Shard {
     std::unique_ptr<ShardEndpoint> Ep;
     bool Up = false;
@@ -240,7 +249,8 @@ private:
     uint64_t NextBackoffMs = 0;
     uint64_t LastRestartMs = 0;
     uint64_t Restarts = 0;
-    /// shard-local job id -> supervisor job id, for the live incarnation.
+    /// shard-local job id -> supervisor job id of every job the live
+    /// incarnation holds; an entry goes when its job retires.
     std::map<uint64_t, uint64_t> JobsByShardId;
   };
 
@@ -252,9 +262,9 @@ private:
   RpcStatus rpcOnce(unsigned I, const std::string &Line, std::string &Resp);
   /// ensureUp + rpcOnce with restart-and-retry up to MaxRequestRetries.
   /// \p MakeLine is re-invoked after every ensureUp: a restart renumbers
-  /// shard-local session ids (replay skips closed sessions, the fresh
-  /// worker mints ids from 1), so any line embedding a shard-local id
-  /// must be rebuilt from SessionRec::ShardId per attempt.
+  /// shard-local session ids (replay re-opens only the live sessions, the
+  /// fresh worker mints ids from 1), so any line embedding a shard-local
+  /// id must be rebuilt from SessionRec::ShardId per attempt.
   bool rpcWithRetry(unsigned I,
                     const std::function<std::string()> &MakeLine,
                     std::string &Resp, std::string &Err);
@@ -262,9 +272,14 @@ private:
                     std::string &Err);
   void markDown(unsigned I);
   std::string submitLineFor(const JobRec &J, uint64_t ShardSession) const;
-  std::string rewriteResultLine(const std::string &ShardLine,
+  std::string rewriteResultLine(const JsonLine &ShardResult,
                                 const JobRec &J) const;
-  void synthesizeResult(JobRec &J, const char *Status,
+  /// Produces job \p It's result: \p Line goes to the outbox, a summary
+  /// with \p Status to the retired ring, and the job leaves Jobs and its
+  /// shard's JobsByShardId.
+  void retire(JobMap::iterator It, const char *Status, std::string Line);
+  /// retire() with a supervisor-made line: status \p Status, \p Error.
+  void synthesizeResult(JobMap::iterator It, const char *Status,
                         const std::string &Error);
   void handleDrain(std::vector<std::string> &Out);
   /// Re-homes session \p SessId from \p Victim to \p Thief: open-session
@@ -284,8 +299,16 @@ private:
 
   std::vector<Shard> Shards;
   std::vector<Registration> Journal; ///< in first-registration order
-  std::map<uint64_t, SessionRec> Sessions;
-  std::map<uint64_t, JobRec> Jobs;
+  std::map<uint64_t, SessionRec> Sessions; ///< open sessions only
+  /// Jobs whose result line has not been produced yet, by supervisor id.
+  JobMap Jobs;
+  /// Produced result lines not yet emitted, by supervisor job id; the
+  /// next drain summary emits and clears it.
+  std::map<uint64_t, std::string> Outbox;
+  /// The most recent retirements, oldest first, for `explain`. Capped at
+  /// the worker's default trace capacity, as its per-job log is.
+  static constexpr size_t RetiredCapacity = 4096;
+  std::deque<RetiredJob> Retired;
   uint64_t NextSession = 1;
   uint64_t NextJob = 1;
   uint64_t RegEpoch = 0; ///< supervisor registration epoch counter

@@ -108,8 +108,8 @@ struct Config {
     std::string EventTracePath;  ///< JSONL CEGAR trace (OPTABS_EVENT_TRACE)
     std::string EventTraceLabel; ///< label stamped on every event line
     /// Request-scoped tracing in the analysis service (support/Trace.h):
-    /// per-job lifecycle timelines in a bounded flight recorder, drained
-    /// by the `trace`/`explain` protocol ops. Service-level, never part of
+    /// per-job lifecycle timelines in a bounded flight recorder, read
+    /// back by the `trace`/`explain` protocol ops. Service-level, never part of
     /// a session's options signature (OPTABS_SERVICE_TRACE, 0/1).
     bool ServiceTrace = false;
     /// Flight-recorder ring capacity in events (oldest evicted first).

@@ -15,16 +15,21 @@ void FlightRecorder::record(TraceEvent E) {
   std::lock_guard<std::mutex> L(M);
   E.Seq = NextSeq++;
   if (Ring.size() >= Capacity) {
+    if (Ring.front().Seq > Delivered)
+      ++Dropped;
     Ring.pop_front(); // oldest-first eviction
-    ++Dropped;
   }
   Ring.push_back(std::move(E));
 }
 
 std::vector<TraceEvent> FlightRecorder::drain() {
   std::lock_guard<std::mutex> L(M);
-  std::vector<TraceEvent> Out(Ring.begin(), Ring.end());
-  Ring.clear();
+  // Ring holds consecutive Seqs, so the undelivered events are a suffix.
+  size_t Skip = 0;
+  if (!Ring.empty() && Delivered >= Ring.front().Seq)
+    Skip = static_cast<size_t>(Delivered - Ring.front().Seq + 1);
+  std::vector<TraceEvent> Out(Ring.begin() + Skip, Ring.end());
+  Delivered = NextSeq - 1;
   return Out;
 }
 

@@ -9,8 +9,9 @@
 /// Request-scoped tracing for the analysis service: a Dapper-style
 /// TraceContext minted at every ingress and threaded through the
 /// scheduler, batch formation, driver runs, and cache lookups, plus a
-/// bounded in-memory FlightRecorder that the `trace` protocol op drains
-/// and the service exports as JSONL or a Chrome trace on shutdown.
+/// bounded in-memory FlightRecorder that the `trace` protocol op reads
+/// through a delivery cursor and the service exports as JSONL or a Chrome
+/// trace on shutdown.
 ///
 /// The overhead contract mirrors support/Metrics.h: instrumentation is
 /// always compiled in, and a disabled site costs one ordinary load and a
@@ -30,7 +31,8 @@
 /// or off.
 ///
 /// The recorder is a fixed-capacity ring: under pressure the oldest
-/// events are evicted first and counted in dropped(). Timestamps come
+/// events are evicted first, and those no drain() had returned yet are
+/// counted in dropped(). Timestamps come
 /// from Profiler::global().nowNs(), so service events and profiler spans
 /// share one timebase and Profiler::writeChromeTrace() can merge the
 /// service track with the per-worker profiler tracks into a single trace
@@ -91,7 +93,10 @@ JsonObject &appendTraceEvent(JsonObject &O, const TraceEvent &E);
 /// A bounded, thread-safe ring of TraceEvents. All mutation takes one
 /// mutex - recording happens on the submit path and the scheduler thread,
 /// both far from any inner loop. Oldest events are evicted first when the
-/// ring is full; dropped() counts them.
+/// ring is full. A delivery cursor splits the ring: events a drain() has
+/// returned stay buffered for the shutdown export, and since they are
+/// always the oldest, eviction takes them first. dropped() counts only
+/// evictions of events no drain() had returned.
 class FlightRecorder {
 public:
   explicit FlightRecorder(size_t Capacity = 4096)
@@ -104,15 +109,16 @@ public:
   /// when full.
   void record(TraceEvent E);
 
-  /// Removes and returns every buffered event, oldest first. The dropped
-  /// counter is NOT reset: it reports lifetime pressure.
+  /// Returns the events recorded since the previous drain(), oldest
+  /// first, and moves the delivery cursor past them. They stay in the
+  /// ring. The dropped counter is NOT reset: it reports lifetime pressure.
   std::vector<TraceEvent> drain();
 
-  /// Copies the buffered events without removing them (shutdown export).
+  /// Copies every buffered event, delivered or not (shutdown export).
   std::vector<TraceEvent> snapshot() const;
 
   size_t size() const;
-  uint64_t dropped() const;  ///< events evicted under pressure, lifetime
+  uint64_t dropped() const;  ///< undelivered events evicted, lifetime
   uint64_t recorded() const; ///< events ever recorded, lifetime
 
   /// One appendTraceEvent object per buffered event, one per line.
@@ -123,6 +129,7 @@ private:
   size_t Capacity;
   std::deque<TraceEvent> Ring;
   uint64_t NextSeq = 1;
+  uint64_t Delivered = 0; ///< Seq of the last event drain() returned
   uint64_t Dropped = 0;
 };
 

@@ -9,7 +9,9 @@
 // worker death during register-program, during a re-register migration,
 // with zero pending jobs; hung-shard request timeouts with bounded
 // retries; restart-exhaustion failing jobs loudly; cancelled jobs staying
-// cancelled across a requeue; and the exponential backoff ladder (caps,
+// cancelled across a requeue; retirement of answered jobs and closed
+// sessions (explain afterwards, replay and stealing with retired jobs
+// around, a long soak); and the exponential backoff ladder (caps,
 // jitter bounds, healthy-interval reset) against a fake clock. The real
 // subprocess topology is exercised end to end by ChaosTest.cpp; here the
 // point is determinism - each scenario is exact, not probabilistic.
@@ -298,6 +300,32 @@ JsonLine okResponse(const std::vector<std::string> &Out) {
   EXPECT_TRUE(JsonLine::parse(Out.at(0), R, Err)) << Out.at(0);
   EXPECT_TRUE(R.getBool("ok").value_or(false)) << Out.at(0);
   return R;
+}
+
+std::string submitLine(uint64_t Session, uint32_t Check) {
+  return "{\"op\":\"submit\",\"session\":" + std::to_string(Session) +
+         ",\"check\":" + std::to_string(Check) + "}";
+}
+
+std::string explainLine(uint64_t Job) {
+  return "{\"op\":\"explain\",\"job\":" + std::to_string(Job) + "}";
+}
+
+/// Asserts `explain` of \p Job reports \p Status and \p Requeues, with
+/// the requeue note exactly when \p Requeues > 0.
+void expectExplain(ShardRouter &R, uint64_t Job, const std::string &Status,
+                   uint64_t Requeues) {
+  JsonLine Exp = okResponse(run(R, explainLine(Job)));
+  EXPECT_EQ(Exp.getString("status").value_or(""), Status) << "job " << Job;
+  EXPECT_EQ(Exp.getUInt("requeues").value_or(99), Requeues) << "job " << Job;
+  EXPECT_EQ(Exp.getString("note").has_value(), Requeues > 0) << "job " << Job;
+}
+
+size_t countOp(const std::vector<std::string> &Lines, const std::string &Op) {
+  size_t N = 0;
+  for (const std::string &L : Lines)
+    N += L.find("\"op\":\"" + Op + "\"") != std::string::npos;
+  return N;
 }
 
 //===----------------------------------------------------------------------===//
@@ -592,6 +620,30 @@ TEST(ShardRouterTest, CancelledJobsAreNotResurrectedByReplay) {
   // The replayed worker never saw the cancelled jobs again.
   EXPECT_TRUE(Host.Live[0]->Pending.empty());
   EXPECT_EQ(R.stats().Requeued, 0u);
+  // Retired by the replay, they still explain as cancelled.
+  expectExplain(R, 1, "cancelled", 0);
+  expectExplain(R, 2, "cancelled", 0);
+}
+
+TEST(ShardRouterTest, CancelledJobsExplainAsCancelledAfterTheirDrain) {
+  FakeHost Host(1);
+  ShardRouter R(testOptions(1), Host);
+  std::string Err;
+  ASSERT_TRUE(R.start(Err)) << Err;
+  okResponse(run(R, kRegisterFig));
+  okResponse(run(R, openLine("escape")));
+  okResponse(run(R, submitLine(1, 1)));
+  okResponse(run(R, submitLine(1, 2)));
+  okResponse(run(R, "{\"op\":\"cancel\",\"session\":1}"));
+  expectExplain(R, 1, "cancelled", 0); // pending, cancel acknowledged
+
+  // No kill: the worker itself answers the cancelled jobs at drain.
+  std::vector<std::string> Out = run(R, "{\"op\":\"drain\"}");
+  ASSERT_EQ(Out.size(), 3u);
+  for (int I = 0; I < 2; ++I)
+    EXPECT_NE(Out[I].find("\"status\":\"cancelled\""), std::string::npos);
+  expectExplain(R, 1, "cancelled", 0);
+  expectExplain(R, 2, "cancelled", 0);
 }
 
 //===----------------------------------------------------------------------===//
@@ -691,6 +743,200 @@ TEST(ShardRouterTest, GarbageStreamingDrainIsBoundedKilledAndRequeued) {
   EXPECT_EQ(R.stats().Restarts, 1u);
   EXPECT_EQ(R.stats().Fulfilled, 1u);
   EXPECT_EQ(R.stats().Pending, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Retirement: the supervisor keeps only live state
+//===----------------------------------------------------------------------===//
+
+TEST(ShardRouterTest, ExplainAfterRetirementKeepsStatusAndRequeueNote) {
+  FakeHost Host(1);
+  FakeClock Clock;
+  ShardRouter R(testOptions(1), Host, &Clock);
+  std::string Err;
+  ASSERT_TRUE(R.start(Err)) << Err;
+  okResponse(run(R, kRegisterFig));
+  okResponse(run(R, openLine("a"))); // session 1
+  okResponse(run(R, openLine("b"))); // session 2
+
+  // Fulfilled: job 1 is requeued by the restart the submit of job 2
+  // detects; job 2 never moves.
+  okResponse(run(R, submitLine(1, 1)));
+  Host.Live[0]->kill();
+  okResponse(run(R, submitLine(1, 2)));
+  // Cancelled: job 3, acknowledged before the drain.
+  okResponse(run(R, submitLine(2, 3)));
+  okResponse(run(R, "{\"op\":\"cancel\",\"session\":2}"));
+  std::vector<std::string> Out = run(R, "{\"op\":\"drain\"}");
+  ASSERT_EQ(Out.size(), 4u);
+  EXPECT_EQ(R.stats().Pending, 0u);
+  expectExplain(R, 1, "fulfilled", 1);
+  expectExplain(R, 2, "fulfilled", 0);
+  expectExplain(R, 3, "cancelled", 0);
+
+  // Failed: job 4 is requeued once, then the shard never comes back.
+  okResponse(run(R, submitLine(1, 4)));
+  Host.Live[0]->kill();
+  okResponse(run(R, submitLine(1, 5)));
+  Host.Live[0]->kill();
+  Host.FailSpawns[0] = 1000;
+  Out = run(R, "{\"op\":\"drain\"}");
+  ASSERT_EQ(Out.size(), 3u);
+  EXPECT_NE(Out[0].find("after 1 requeue(s)"), std::string::npos) << Out[0];
+  expectExplain(R, 4, "failed", 1);
+  expectExplain(R, 5, "failed", 0);
+  EXPECT_EQ(R.stats().Failed, 2u);
+}
+
+TEST(ShardRouterTest, ExplainPastTheRetiredRingHasNoTimeline) {
+  FakeHost Host(1);
+  ShardRouter R(testOptions(1), Host);
+  std::string Err;
+  ASSERT_TRUE(R.start(Err)) << Err;
+  okResponse(run(R, kRegisterFig));
+  okResponse(run(R, openLine("escape")));
+  // 4096 + 1 retirements: job 1 falls off the ring, job 2 is its oldest.
+  const uint64_t Jobs = 4097;
+  for (uint64_t J = 1; J <= Jobs; ++J) {
+    okResponse(run(R, submitLine(1, 1)));
+    if (J % 512 == 0 || J == Jobs)
+      run(R, "{\"op\":\"drain\"}");
+  }
+  EXPECT_EQ(R.stats().Fulfilled, Jobs);
+  EXPECT_EQ(run(R, explainLine(1)),
+            std::vector<std::string>{
+                errorLine("explain", "no timeline recorded for job 1")});
+  expectExplain(R, 2, "fulfilled", 0);
+  expectExplain(R, Jobs, "fulfilled", 0);
+}
+
+TEST(ShardRouterTest, DeathDuringDrainAfterRetirementsResubmitsLiveJobsOnly) {
+  FakeHost Host(1);
+  FakeClock Clock;
+  ShardRouter R(testOptions(1), Host, &Clock);
+  std::string Err;
+  ASSERT_TRUE(R.start(Err)) << Err;
+  okResponse(run(R, kRegisterFig));
+  okResponse(run(R, openLine("escape")));
+  for (uint32_t C = 1; C <= 3; ++C)
+    okResponse(run(R, submitLine(1, C)));
+  ASSERT_EQ(run(R, "{\"op\":\"drain\"}").size(), 4u);
+
+  okResponse(run(R, submitLine(1, 14)));
+  okResponse(run(R, submitLine(1, 15)));
+  // The worker dies mid-drain, SIGKILL style: after the drain request
+  // is written, before any result comes back.
+  Host.Live[0]->DieOnRequest = [](const std::string &Op,
+                                  const std::string &) {
+    return Op == "drain";
+  };
+  std::vector<std::string> Out = run(R, "{\"op\":\"drain\"}");
+  ASSERT_EQ(Out.size(), 3u);
+  EXPECT_NE(Out[0].find("\"job\":4"), std::string::npos) << Out[0];
+  EXPECT_NE(Out[0].find("\"param\":\"[P14]\""), std::string::npos);
+  EXPECT_NE(Out[1].find("\"job\":5"), std::string::npos) << Out[1];
+  EXPECT_NE(Out[2].find("\"results\":2,\"requeued\":2"), std::string::npos)
+      << Out[2];
+
+  // The fresh worker got the two live jobs and none of the retired ones.
+  const std::vector<std::string> &Log = Host.Live[0]->RequestLog;
+  ASSERT_EQ(countOp(Log, "submit"), 2u);
+  for (const std::string &L : Log)
+    if (L.find("\"op\":\"submit\"") != std::string::npos)
+      EXPECT_TRUE(L.find("\"check\":14") != std::string::npos ||
+                  L.find("\"check\":15") != std::string::npos)
+          << L;
+  expectExplain(R, 1, "fulfilled", 0);
+  expectExplain(R, 4, "fulfilled", 1);
+}
+
+TEST(ShardRouterTest, StealMovesOnlyTheLiveJobsOfASessionWithRetiredOnes) {
+  FakeHost Host(2);
+  ShardRouterOptions O = testOptions(2);
+  O.StealThreshold = 2;
+  ShardRouter R(O, Host);
+  std::string Err;
+  ASSERT_TRUE(R.start(Err)) << Err;
+  okResponse(run(R, kRegisterFig));
+  // Two sessions on one shard, so one steal evens the load and the loop
+  // stops there.
+  unsigned Victim = R.shardFor("fig", "a");
+  std::string Peer;
+  for (int I = 0; Peer.empty() || R.shardFor("fig", Peer) != Victim; ++I) {
+    ASSERT_LT(I, 64);
+    Peer = "p" + std::to_string(I);
+  }
+  okResponse(run(R, openLine("a")));  // session 1
+  okResponse(run(R, openLine(Peer))); // session 2
+
+  // One job, below the threshold: it runs at home and retires.
+  okResponse(run(R, submitLine(1, 1)));
+  ASSERT_EQ(run(R, "{\"op\":\"drain\"}").size(), 2u);
+  EXPECT_EQ(R.stats().Steals, 0u);
+
+  // Six more while the other shard sits idle: session 1, the lowest id,
+  // moves with its three live jobs and without its retired one.
+  for (uint32_t C = 2; C <= 7; ++C)
+    okResponse(run(R, submitLine(C <= 4 ? 1 : 2, C)));
+  std::vector<std::string> Out = run(R, "{\"op\":\"drain\"}");
+  ASSERT_EQ(Out.size(), 7u);
+  EXPECT_EQ(R.stats().Steals, 1u);
+  EXPECT_EQ(R.stats().StolenJobs, 3u);
+  EXPECT_EQ(countOp(Host.Live[1 - Victim]->RequestLog, "submit"), 3u);
+  for (uint64_t J = 1; J <= 7; ++J) {
+    JsonLine Exp = okResponse(run(R, explainLine(J)));
+    EXPECT_EQ(Exp.getUInt("shard").value_or(99),
+              J >= 2 && J <= 4 ? 1u - Victim : Victim)
+        << "job " << J;
+  }
+}
+
+TEST(ShardRouterTest, ClosedSessionRejectsSubmitCancelAndClose) {
+  FakeHost Host(1);
+  ShardRouter R(testOptions(1), Host);
+  std::string Err;
+  ASSERT_TRUE(R.start(Err)) << Err;
+  okResponse(run(R, kRegisterFig));
+  okResponse(run(R, openLine("escape")));
+  okResponse(run(R, "{\"op\":\"close-session\",\"session\":1}"));
+  size_t Logged = Host.Live[0]->RequestLog.size();
+
+  EXPECT_EQ(run(R, submitLine(1, 1)),
+            std::vector<std::string>{
+                errorLine("submit", "unknown session 1")});
+  EXPECT_EQ(run(R, "{\"op\":\"cancel\",\"session\":1}"),
+            std::vector<std::string>{errorLine("cancel", "unknown session")});
+  EXPECT_EQ(run(R, "{\"op\":\"close-session\",\"session\":1}"),
+            std::vector<std::string>{
+                errorLine("close-session", "unknown session")});
+  // Answered by the supervisor alone.
+  EXPECT_EQ(Host.Live[0]->RequestLog.size(), Logged);
+}
+
+TEST(ShardRouterTest, LongSoakEndsWithNoPendingAndABoundedExplainWindow) {
+  FakeHost Host(2);
+  ShardRouter R(testOptions(2), Host);
+  std::string Err;
+  ASSERT_TRUE(R.start(Err)) << Err;
+  okResponse(run(R, kRegisterFig));
+  okResponse(run(R, openLine("a")));
+  okResponse(run(R, openLine("b")));
+  // Tenants-hot shape: bursts of 8 jobs, each burst followed by a drain.
+  const uint64_t Jobs = 100000;
+  size_t Results = 0;
+  for (uint64_t J = 1; J <= Jobs; ++J) {
+    okResponse(run(R, submitLine(1 + J % 2, 1)));
+    if (J % 8 == 0)
+      Results += countOp(run(R, "{\"op\":\"drain\"}"), "result");
+  }
+  EXPECT_EQ(Results, Jobs);
+  JsonLine Ping = okResponse(run(R, "{\"op\":\"ping\"}"));
+  EXPECT_EQ(Ping.getUInt("pending").value_or(99), 0u);
+  EXPECT_EQ(R.stats().Fulfilled, Jobs);
+  expectExplain(R, Jobs, "fulfilled", 0);
+  EXPECT_EQ(run(R, explainLine(1)),
+            std::vector<std::string>{
+                errorLine("explain", "no timeline recorded for job 1")});
 }
 
 //===----------------------------------------------------------------------===//

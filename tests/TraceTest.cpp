@@ -1,7 +1,8 @@
 //===- TraceTest.cpp - Flight recorder and quantile-summary tests -------------===//
 //
 // Unit coverage for the request-tracing substrate: the FlightRecorder's
-// bounded ring (oldest-first eviction under pressure), its JSONL and
+// bounded ring (oldest-first eviction under pressure, the drain cursor
+// that leaves delivered events for the shutdown export), its JSONL and
 // merged Chrome-trace exports, the LogHistogram quantile walk feeding the
 // Prometheus p50/p90/p99 lines, and the disabled-mode overhead pin - a
 // null recorder pointer costs one branch and zero allocations, the same
@@ -122,11 +123,60 @@ TEST(TraceTest, RingEvictsOldestFirstUnderPressure) {
     EXPECT_EQ(Events[I].Seq, I + 3);
     EXPECT_EQ(Events[I].Job, I + 3);
   }
-  // drain() empties the ring but keeps the lifetime pressure counters.
-  EXPECT_EQ(R.size(), 0u);
+  // drain() moves the delivery cursor; the events stay buffered and the
+  // lifetime pressure counters are kept.
+  EXPECT_EQ(R.size(), 4u);
   EXPECT_EQ(R.dropped(), 2u);
   EXPECT_EQ(R.recorded(), 6u);
   EXPECT_TRUE(R.drain().empty());
+}
+
+TEST(TraceTest, DrainIsACursorAndTheExportKeepsDeliveredEvents) {
+  FlightRecorder R(16);
+  for (uint64_t J = 1; J <= 3; ++J)
+    R.record(event("submitted", J));
+  ASSERT_EQ(R.drain().size(), 3u);
+  R.record(event("submitted", 4));
+  R.record(event("submitted", 5));
+
+  // The shutdown export sees every buffered event, delivered or not.
+  std::ostringstream OS;
+  R.writeJsonl(OS);
+  std::string Text = OS.str();
+  EXPECT_EQ(std::count(Text.begin(), Text.end(), '\n'), 5);
+
+  // A second drain returns only what was recorded since the first.
+  std::vector<TraceEvent> Events = R.drain();
+  ASSERT_EQ(Events.size(), 2u);
+  EXPECT_EQ(Events[0].Seq, 4u);
+  EXPECT_EQ(Events[1].Seq, 5u);
+  EXPECT_TRUE(R.drain().empty());
+  EXPECT_EQ(R.size(), 5u);
+}
+
+TEST(TraceTest, FullRingEvictsDeliveredEventsFirstWithoutCountingThem) {
+  FlightRecorder R(4);
+  for (uint64_t J = 1; J <= 3; ++J)
+    R.record(event("submitted", J));
+  ASSERT_EQ(R.drain().size(), 3u);
+  // Seqs 5 and 6 push out the delivered 1 and 2: nothing undelivered is
+  // lost, so nothing counts as dropped.
+  for (uint64_t J = 4; J <= 6; ++J)
+    R.record(event("submitted", J));
+  EXPECT_EQ(R.size(), 4u);
+  EXPECT_EQ(R.dropped(), 0u);
+  std::vector<TraceEvent> Events = R.drain();
+  ASSERT_EQ(Events.size(), 3u);
+  EXPECT_EQ(Events[0].Seq, 4u);
+
+  // 7..10 evict the delivered 3..6; 11 evicts the undelivered 7.
+  for (uint64_t J = 7; J <= 11; ++J)
+    R.record(event("submitted", J));
+  EXPECT_EQ(R.dropped(), 1u);
+  Events = R.drain();
+  ASSERT_EQ(Events.size(), 4u);
+  for (size_t I = 0; I < 4; ++I)
+    EXPECT_EQ(Events[I].Seq, I + 8);
 }
 
 TEST(TraceTest, ZeroCapacityClampsToOne) {

@@ -48,9 +48,10 @@
 // on the service flight recorder. Every protocol line mints a trace
 // context (trace id = line sequence number), so a job's whole lifecycle -
 // admission, batching, driver phases, cache attribution, fulfilment - can
-// be pulled back out with the "trace" op (drains the recorder) or the
-// "explain" op (one job's timeline). --trace-jsonl / --trace-chrome dump
-// the recorder on shutdown; --trace-slow-ms logs jobs whose end-to-end
+// be pulled back out with the "trace" op (the events recorded since the
+// previous "trace" op) or the "explain" op (one job's timeline).
+// --trace-jsonl / --trace-chrome dump everything the recorder still holds
+// on shutdown, whether or not a "trace" op already returned it; --trace-slow-ms logs jobs whose end-to-end
 // latency exceeds the threshold. Flag defaults seed from OPTABS_*
 // environment overrides, so precedence is flags > environment > defaults.
 //
@@ -433,8 +434,8 @@ bool handleRequest(ServerState &St, const std::string &Line,
                "--trace-capacity=N or OPTABS_SERVICE_TRACE=1)"));
       return true;
     }
-    // Dropped count first: drain() empties the ring but the overflow
-    // counter keeps the history.
+    // Dropped count first, then the events since the previous "trace"
+    // op; the recorder keeps them for the shutdown export.
     uint64_t Dropped = St.Svc->traceDropped();
     std::vector<support::TraceEvent> Events = St.Svc->drainTrace();
     for (const support::TraceEvent &E : Events) {
