@@ -7,9 +7,9 @@ counts and fails when any phase regressed by more than the threshold
 (default 25%). Sub-10ms phases are skipped - at that scale the numbers
 are scheduler noise, not kernel behavior.
 
-CI hardware differs from the machine that produced the baseline, so the
-gate can be demoted to a warning with OPTABS_PERF_ADVISORY=1 (the CI job
-sets it; flip it off to make the job binding on dedicated hardware).
+The gate is binding in CI: the workflow does not set
+OPTABS_PERF_ADVISORY. On hardware far from the machine that produced the
+baseline, OPTABS_PERF_ADVISORY=1 demotes it to a warning.
 
 Usage: perf_smoke.py NEW_JSON [BASELINE_JSON] [--threshold PCT]
 Exit status: 0 ok / advisory, 1 regression (binding mode), 2 bad input.

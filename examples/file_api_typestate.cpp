@@ -69,14 +69,11 @@ int main() {
   // Each query is a (check, allocation site) pair; the queried variable's
   // may-points-to set decides which sites are relevant.
   std::cout << "\nVerification report:\n";
-  for (uint32_t H = 0; H < P.numAllocs(); ++H) {
+  std::vector<CheckId> Checks;
+  for (uint32_t I = 0; I < P.numChecks(); ++I)
+    Checks.push_back(CheckId(I));
+  for (const auto &[H, Queries] : typestate::checksBySite(P, Checks, Pt)) {
     typestate::TypestateAnalysis A(P, Spec, AllocId(H), Pt);
-    std::vector<CheckId> Queries;
-    for (uint32_t I = 0; I < P.numChecks(); ++I)
-      if (Pt.mayPoint(P.checkSite(CheckId(I)).Var, AllocId(H)))
-        Queries.push_back(CheckId(I));
-    if (Queries.empty())
-      continue;
     tracer::QueryDriver<typestate::TypestateAnalysis> Driver(P, A);
     auto Outcomes = Driver.run(Queries);
     for (const auto &O : Outcomes) {

@@ -5,7 +5,6 @@
 #include "support/Timer.h" // internal: wall-clock attribution
 
 #include <cstdlib>
-#include <map>
 
 namespace optabs {
 namespace reporting {
@@ -28,15 +27,14 @@ QueryStat statOf(const tracer::QueryOutcome &O) {
   return S;
 }
 
-/// Folds one driver run into the client results: its per-query stats,
-/// its counters, and its audit evidence (invariant records, certificate
-/// checks).
+/// Folds one driver run under \p Cfg into the client results: its
+/// per-query stats, its counters, and its audit evidence, noted under the
+/// run's event-trace label.
 template <typename Analysis>
-void foldRun(const ir::Program &P, const Analysis &A,
-             const HarnessOptions &Options,
+void foldRun(const ir::Program &P, const Analysis &A, const Config &Cfg,
              const tracer::QueryDriver<Analysis> &Driver,
              const std::vector<tracer::QueryOutcome> &Outcomes,
-             const std::string &Label, ClientResults &Out) {
+             ClientResults &Out) {
   for (const tracer::QueryOutcome &O : Outcomes)
     Out.Queries.push_back(statOf(O));
   const tracer::DriverStats &S = Driver.stats();
@@ -48,43 +46,8 @@ void foldRun(const ir::Program &P, const Analysis &A,
   Out.Phases += S.Phases;
   Out.BudgetExhausted += S.BudgetExhausted;
   Out.Degradations += S.Degradations;
-  const auto &Violations = S.Violations;
-  Out.InvariantViolations += Violations.size();
-  for (const auto &V : Violations)
-    Out.AuditNotes.push_back(Label + ": invariant [" + V.Check + "] in " +
-                             V.Where + ": " + V.Message);
-  if (!Options.Cfg.Audit.Enabled)
-    return;
-  tracer::CertificateOptions CertOpts;
-  // GreedyGrow never promises minimal abstractions, so a cost mismatch
-  // against the (empty) viable CNF would be a false alarm.
-  CertOpts.CheckMinimality =
-      Options.Cfg.Execution.Strategy != "greedy-grow";
-  tracer::CertificateChecker<Analysis> Checker(P, A, CertOpts);
-  tracer::CertificateReport Report =
-      Checker.check(Outcomes, Driver.finalViableSets());
-  Out.CertificatesChecked += Report.ProvenChecked + Report.ImpossibleChecked +
-                             Report.MinimalityChecked +
-                             Report.EliminatedSampled;
-  Out.CertificateFailures += static_cast<unsigned>(Report.Issues.size());
-  for (const tracer::CertificateIssue &Issue : Report.Issues)
-    Out.AuditNotes.push_back(Label + ": certificate [" + Issue.Kind +
-                             "] query " + std::to_string(Issue.Query) + ": " +
-                             Issue.Detail);
-}
-
-/// The type-state queries of \p B by tracked site: a TRACER query is a
-/// (check, site) pair for every allocation site the receiver may point to
-/// (§6), and the queries of one site share an analysis instance and a
-/// driver run.
-std::map<uint32_t, std::vector<CheckId>>
-checksBySite(const synth::Benchmark &B, const pointer::PointsToResult &Pt) {
-  std::map<uint32_t, std::vector<CheckId>> BySite;
-  for (CheckId Check : B.TsChecks)
-    Pt.pointsTo(B.P.checkSite(Check).Var).forEach([&](size_t H) {
-      BySite[static_cast<uint32_t>(H)].push_back(Check);
-    });
-  return BySite;
+  tracer::auditRun(P, A, Cfg, Driver, Outcomes,
+                   Cfg.Observability.EventTraceLabel, Out);
 }
 
 void runEscape(const synth::Benchmark &B, const HarnessOptions &Options,
@@ -92,21 +55,21 @@ void runEscape(const synth::Benchmark &B, const HarnessOptions &Options,
   Timer Total;
   escape::EscapeAnalysis A(B.P);
   Config Cfg = Options.Cfg;
-  if (!Cfg.Observability.EventTracePath.empty())
-    Cfg.Observability.EventTraceLabel = "escape";
+  Cfg.Observability.EventTraceLabel = "escape";
   tracer::QueryDriver<escape::EscapeAnalysis> Driver(B.P, A, Cfg);
-  foldRun(B.P, A, Options, Driver, Driver.run(B.EscChecks), "escape", Out);
+  foldRun(B.P, A, Cfg, Driver, Driver.run(B.EscChecks), Out);
   Out.TotalSeconds = Total.seconds();
 }
 
-void runTypestate(const synth::Benchmark &B, const HarnessOptions &Options,
+void runTypestate(synth::Benchmark &B, const HarnessOptions &Options,
                   ClientResults &Out) {
   Timer Total;
+  std::string Err;
+  typestate::TypestateSpec Spec = *typestate::specFor("", B.P, Err);
   pointer::PointsToResult Pt = pointer::runPointsTo(B.P);
-  typestate::TypestateSpec Spec = typestate::TypestateSpec::stress();
 
   double Budget = Options.Cfg.Budgets.TimeBudgetSeconds;
-  for (auto &[SiteIdx, Checks] : checksBySite(B, Pt)) {
+  for (auto &[Site, Checks] : typestate::checksBySite(B.P, B.TsChecks, Pt)) {
     double Remaining = Budget - Total.seconds();
     if (Remaining <= 0) {
       // The shared wall-clock budget is spent. Record a clean exhaustion
@@ -122,15 +85,13 @@ void runTypestate(const synth::Benchmark &B, const HarnessOptions &Options,
       }
       continue;
     }
-    typestate::TypestateAnalysis A(B.P, Spec, AllocId(SiteIdx), Pt);
+    typestate::TypestateAnalysis A(B.P, Spec, AllocId(Site), Pt);
     Config PerSite = Options.Cfg;
     PerSite.Budgets.TimeBudgetSeconds = Remaining;
-    std::string Label = "typestate/site=" + std::to_string(SiteIdx);
-    if (!PerSite.Observability.EventTracePath.empty())
-      PerSite.Observability.EventTraceLabel = Label;
+    PerSite.Observability.EventTraceLabel = typestate::siteTraceLabel(Site);
     tracer::QueryDriver<typestate::TypestateAnalysis> Driver(B.P, A,
                                                              PerSite);
-    foldRun(B.P, A, Options, Driver, Driver.run(Checks), Label, Out);
+    foldRun(B.P, A, PerSite, Driver, Driver.run(Checks), Out);
   }
   Out.TotalSeconds = Total.seconds();
 }

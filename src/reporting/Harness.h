@@ -47,8 +47,8 @@ struct QueryStat {
   std::string ExhaustedSite;
 };
 
-/// All outcomes of one client on one benchmark.
-struct ClientResults {
+/// All outcomes of one client on one benchmark, with its audit evidence.
+struct ClientResults : tracer::AuditTally {
   std::vector<QueryStat> Queries;
   double TotalSeconds = 0;
   unsigned ForwardRuns = 0;
@@ -60,14 +60,8 @@ struct ClientResults {
   /// client (tracer::DriverStats::Phases); feeds the phase columns of the
   /// CSV summary export.
   tracer::PhaseSeconds Phases;
-  unsigned BudgetExhausted = 0;     ///< queries that hit a resource budget
-  unsigned Degradations = 0;        ///< memory-pressure ladder escalations
-  size_t InvariantViolations = 0;   ///< checked-invariant records (audit)
-  unsigned CertificatesChecked = 0; ///< certificate checks performed (audit)
-  unsigned CertificateFailures = 0; ///< certificate checks failed (audit)
-  /// Formatted descriptions of every violation and failed certificate, for
-  /// diagnostics (empty on a healthy audited run).
-  std::vector<std::string> AuditNotes;
+  unsigned BudgetExhausted = 0; ///< queries that hit a resource budget
+  unsigned Degradations = 0;    ///< memory-pressure ladder escalations
 
   unsigned count(tracer::Verdict V) const {
     unsigned N = 0;

@@ -208,7 +208,7 @@ bool footprintHits(const BitSet &Foot, const BitSet &Dirty) {
 /// per-tracked-site analysis instances. Everything lives here, stably,
 /// because cached forward runs hold references into the analysis.
 struct TsFamily {
-  std::unique_ptr<typestate::TypestateSpec> Spec;
+  std::optional<typestate::TypestateSpec> Spec;
   std::map<uint32_t, std::unique_ptr<typestate::TypestateAnalysis>> PerSite;
 };
 
@@ -244,14 +244,14 @@ struct ProgramEntry {
 /// of the program version that computed it (never rewritten: the
 /// CheckLastDirty comparison is against the compute-time version).
 struct VerdictKey {
-  bool Typestate = false;
+  uint8_t Client = 0; ///< the client's SpillKind, as snapshots store it
   std::string Property;
   uint32_t Site = 0;
   std::string OptionsSig;
   uint32_t Check = 0;
   bool operator<(const VerdictKey &O) const {
-    return std::tie(Typestate, Property, Site, OptionsSig, Check) <
-           std::tie(O.Typestate, O.Property, O.Site, O.OptionsSig, O.Check);
+    return std::tie(Client, Property, Site, OptionsSig, Check) <
+           std::tie(O.Client, O.Property, O.Site, O.OptionsSig, O.Check);
   }
 };
 struct VerdictEntry {
@@ -275,28 +275,33 @@ struct VerdictEntry {
 
 struct ProgramSlot;
 
-/// What differs between the two clients' cache shards: the state codec,
-/// the client byte stamped into spill files, and whether a run is scoped
-/// to a family. Snapshot and spill bytes depend on all three.
+/// What differs between the clients: wire name (Noun in prose), whether a
+/// session may carry a property, state codec, the byte (SpillKind) tagging
+/// sessions, batches, verdicts and spill files, and whether a run is scoped
+/// to a family. The last three shape snapshot and spill bytes.
 template <typename A> struct ClientTraits;
 template <> struct ClientTraits<escape::EscapeAnalysis> {
+  static constexpr const char *Name = "escape";
+  static constexpr const char *Noun = "escape";
+  static constexpr bool TakesProperty = false;
   using Codec = EscStateCodec;
   static constexpr uint8_t SpillKind = 0;
   /// One program-wide analysis: keys keep Family 0 and snapshot records
   /// carry no family field.
   static constexpr bool HasFamily = false;
-  static constexpr const char *Name = "escape";
-  static std::string traceLabel(uint32_t) { return "escape"; }
+  static std::string traceLabel(uint32_t) { return Name; }
 };
 template <> struct ClientTraits<typestate::TypestateAnalysis> {
+  static constexpr const char *Name = "typestate";
+  static constexpr const char *Noun = "type-state";
+  static constexpr bool TakesProperty = true;
   using Codec = TsStateCodec;
   static constexpr uint8_t SpillKind = 1;
   /// Keys fold (property family index << 32) | tracked site, so every
   /// (family, site) analysis keys its own slice of the shard.
   static constexpr bool HasFamily = true;
-  static constexpr const char *Name = "type-state";
   static std::string traceLabel(uint32_t Site) {
-    return "typestate/site=" + std::to_string(Site);
+    return typestate::siteTraceLabel(Site);
   }
 };
 
@@ -319,6 +324,11 @@ template <typename A> struct ClientShard : ClientTraits<A> {
 template <template <typename> class T>
 using PerClient =
     std::tuple<T<escape::EscapeAnalysis>, T<typestate::TypestateAnalysis>>;
+
+/// Calls \p Fn on each client's traits, in snapshot order.
+template <typename FnT> void forEachClient(FnT Fn) {
+  std::apply([&](auto... T) { (Fn(T), ...); }, PerClient<ClientTraits>());
+}
 
 /// The per-name slot: survives re-registration and owns the cache shards
 /// (which is the whole point - a new epoch keeps hitting the warm shard
@@ -355,9 +365,6 @@ struct ProgramSlot {
   uint64_t NextFamilyId = 1;
   std::map<std::string, uint64_t> FamilyIndex; ///< by property text
 
-  template <typename A> ClientShard<A> &shard() {
-    return std::get<ClientShard<A>>(Shards);
-  }
   /// Calls \p Fn on each client's shard, in snapshot order.
   template <typename FnT> void forEachShard(FnT Fn) {
     std::apply([&](auto &...Sh) { (Fn(Sh), ...); }, Shards);
@@ -398,20 +405,12 @@ ClientShard<typestate::TypestateAnalysis>::analysisFor(ProgramSlot &Slot,
     return nullptr;
   auto It = E.Families.find(*Prop);
   if (It == E.Families.end()) {
-    TsFamily F;
-    if (Prop->empty()) {
-      F.Spec = std::make_unique<typestate::TypestateSpec>(
-          typestate::TypestateSpec::stress());
-    } else {
-      // openSession validated the syntax; defensive for re-registers.
-      typestate::PropertySpec PS;
-      std::string Err;
-      if (!typestate::parsePropertySpec(*Prop, PS, Err))
-        return nullptr;
-      F.Spec = std::make_unique<typestate::TypestateSpec>(
-          typestate::materializeSpec(PS, *E.P));
-    }
-    It = E.Families.emplace(*Prop, std::move(F)).first;
+    // openSession validated the syntax; defensive for re-registers.
+    std::string Err;
+    auto Spec = typestate::specFor(*Prop, *E.P, Err);
+    if (!Spec)
+      return nullptr;
+    It = E.Families.emplace(*Prop, TsFamily{std::move(Spec), {}}).first;
   }
   if (!E.Pt)
     E.Pt = std::make_unique<pointer::PointsToResult>(
@@ -452,7 +451,7 @@ struct AnalysisService::Impl {
   struct SessionState {
     uint64_t Id = 0;
     std::string ProgramName;
-    bool Typestate = false;
+    uint8_t Client = 0; ///< ClientTraits::SpillKind
     std::string Property;
     Config Cfg;
     std::string OptionsSig;
@@ -460,14 +459,13 @@ struct AnalysisService::Impl {
     uint64_t SubmittedTotal = 0;
     uint64_t Served = 0; ///< fair-share: lowest goes first
     size_t Running = 0;
-    bool Closed = false;
   };
 
   /// One coalesced unit of driver work, extracted under the lock, executed
   /// without it.
   struct Batch {
     std::string ProgramName;
-    bool Typestate = false;
+    uint8_t Client = 0; ///< ClientTraits::SpillKind
     std::string Property;
     uint32_t Site = 0;
     Config Cfg;
@@ -506,7 +504,7 @@ struct AnalysisService::Impl {
     uint64_t FpHash = 0;
 
     VerdictKey verdictKey(uint32_t Check) const {
-      return {Typestate, Property, Site, OptionsSig, Check};
+      return {Client, Property, Site, OptionsSig, Check};
     }
   };
 
@@ -570,7 +568,12 @@ struct AnalysisService::Impl {
   std::thread Scheduler;
 
   std::map<std::string, ProgramSlot> Programs;
+  /// Open sessions only: closeSession erases its entry, so every walk
+  /// below sees live tenants alone.
   std::map<uint64_t, SessionState> Sessions;
+  /// Jobs of the batch the scheduler is running (0 between batches). They
+  /// stay queued work even when their session closes mid-batch.
+  size_t InFlight = 0;
   uint64_t NextEpoch = 1;   ///< > 0: standalone drivers use epoch 0
   uint64_t NextSession = 1;
   uint64_t NextJob = 1;
@@ -681,9 +684,9 @@ struct AnalysisService::Impl {
   // -- helpers -----------------------------------------------------------
 
   size_t queuedJobs() const {
-    size_t N = 0;
+    size_t N = InFlight;
     for (const auto &[Id, S] : Sessions)
-      N += S.Pending.size() + S.Running;
+      N += S.Pending.size();
     return N;
   }
 
@@ -693,16 +696,18 @@ struct AnalysisService::Impl {
       auto &Reg = support::MetricRegistry::global();
       Reg.gauge("optabs_service_queue_depth")
           .set(static_cast<int64_t>(Stats.QueueDepth));
-      // Per-tenant pending gauges (pending + running, i.e. what counts
-      // against the session's in-flight quota). Registry entries are
-      // never removed, so a closed session's gauge just stays at zero.
       for (const auto &[Id, S] : Sessions)
-        Reg.gauge("optabs_service_session_" + std::to_string(Id) +
-                  "_pending")
-            .set(static_cast<int64_t>(S.Closed ? 0
-                                               : S.Pending.size() +
-                                                     S.Running));
+        pendingGauge(Id).set(
+            static_cast<int64_t>(S.Pending.size() + S.Running));
     }
+  }
+
+  /// A session's pending gauge: pending + running jobs, i.e. what counts
+  /// against its in-flight quota. Registry entries are never removed, so
+  /// closeSession zeroes it once and it stays at zero.
+  static support::Gauge &pendingGauge(uint64_t Session) {
+    return support::MetricRegistry::global().gauge(
+        "optabs_service_session_" + std::to_string(Session) + "_pending");
   }
 
   /// Scheduler only, lock held. Applies pending epoch migrations to the
@@ -815,7 +820,7 @@ struct AnalysisService::Impl {
     // the older session) leads.
     SessionState *Lead = nullptr;
     for (auto &[Id, S] : Sessions) {
-      if (S.Closed || S.Pending.empty())
+      if (S.Pending.empty())
         continue;
       if (!Lead || S.Served < Lead->Served)
         Lead = &S;
@@ -824,8 +829,8 @@ struct AnalysisService::Impl {
       return false;
 
     // The lead's best job (priority, then submission order) fixes the
-    // shard: program, client, property, options - and, for type-state,
-    // the tracked site, since one driver run handles one site.
+    // shard: program, client, property, options - and, for a client run
+    // per family, the tracked site, since one driver run handles one site.
     const PendingJob *Best = nullptr;
     for (const PendingJob &J : Lead->Pending)
       if (!Best || J.Spec.Priority > Best->Spec.Priority ||
@@ -833,21 +838,24 @@ struct AnalysisService::Impl {
         Best = &J;
 
     B.ProgramName = Lead->ProgramName;
-    B.Typestate = Lead->Typestate;
+    B.Client = Lead->Client;
     B.Property = Lead->Property;
     B.Site = Best->Spec.Site;
     B.Cfg = Lead->Cfg;
     B.OptionsSig = Lead->OptionsSig;
 
     // Coalesce matching jobs from every compatible session.
+    bool PerSite = false;
+    forEachClient(
+        [&](auto T) { PerSite |= T.SpillKind == B.Client && T.HasFamily; });
     for (auto &[Id, S] : Sessions) {
-      if (S.Closed || S.Pending.empty())
+      if (S.Pending.empty())
         continue;
-      if (S.ProgramName != B.ProgramName || S.Typestate != B.Typestate ||
+      if (S.ProgramName != B.ProgramName || S.Client != B.Client ||
           S.Property != B.Property || S.OptionsSig != Lead->OptionsSig)
         continue;
       for (auto It = S.Pending.begin(); It != S.Pending.end();) {
-        if (B.Typestate && It->Spec.Site != B.Site) {
+        if (PerSite && It->Spec.Site != B.Site) {
           ++It;
           continue;
         }
@@ -874,6 +882,7 @@ struct AnalysisService::Impl {
     }
     B.Jobs = std::move(Jobs);
     B.JobSessions = std::move(JobSessions);
+    InFlight = B.Jobs.size();
 
     auto SlotIt = Programs.find(B.ProgramName);
     if (SlotIt != Programs.end()) {
@@ -959,12 +968,11 @@ struct AnalysisService::Impl {
         Res.Error = "program '" + B.ProgramName + "' is not registered";
       return R;
     }
-    // The one branch on the client: everything below is written once
-    // over the session's cache shard.
-    if (B.Typestate)
-      runBatch(B, B.Slot->shard<typestate::TypestateAnalysis>(), R);
-    else
-      runBatch(B, B.Slot->shard<escape::EscapeAnalysis>(), R);
+    // Everything below is written once over the batch client's shard.
+    B.Slot->forEachShard([&](auto &Sh) {
+      if (Sh.SpillKind == B.Client)
+        runBatch(B, Sh, R);
+    });
     return R;
   }
 
@@ -1363,7 +1371,7 @@ struct AnalysisService::Impl {
     }
 
     auto WriteVerdict = [&](const VerdictKey &K, const VerdictEntry &E) {
-      W.u8(K.Typestate ? 1 : 0);
+      W.u8(K.Client);
       W.str(K.Property);
       W.u32(K.Site);
       W.str(K.OptionsSig);
@@ -1545,16 +1553,17 @@ struct AnalysisService::Impl {
     for (uint32_t I = 0; I < NumVerdicts; ++I) {
       VerdictKey K;
       VerdictEntry E;
-      uint8_t Ts = 0, V = 0;
+      uint8_t V = 0;
       uint32_t Iter = 0, Round = 0;
-      if (!R.u8(Ts) || !R.str(K.Property) || !R.u32(K.Site) ||
+      if (!R.u8(K.Client) || !R.str(K.Property) || !R.u32(K.Site) ||
           !R.str(K.OptionsSig) || !R.u32(K.Check) || !R.u8(V) ||
           !R.u32(Iter) || !R.u32(E.CheapestCost) ||
           !R.str(E.CheapestParam) || !R.u32(Round) || !R.u8(E.TraceForm))
         return;
-      if (Ts > 1 || V > 2 || E.TraceForm > 2)
+      bool Known = false;
+      forEachClient([&](auto T) { Known |= T.SpillKind == K.Client; });
+      if (!Known || V > 2 || E.TraceForm > 2)
         return R.fail("verdict record field out of range");
-      K.Typestate = Ts == 1;
       E.V = static_cast<tracer::Verdict>(V);
       E.Iterations = Iter;
       E.TraceRound = Round;
@@ -1632,7 +1641,7 @@ struct AnalysisService::Impl {
             (Identical ? "cannot resolve analysis family " +
                              std::to_string(K.Family >> 32) +
                              " for a cached run; remaining runs skipped"
-                       : std::string("remaining ") + ShardT::Name +
+                       : std::string("remaining ") + ShardT::Noun +
                              " runs not loaded (program changed since the "
                              "snapshot)"));
         Res.RunsSkipped += NumRuns - I;
@@ -1824,6 +1833,7 @@ struct AnalysisService::Impl {
   /// Lock held: folds a finished batch into stats and session accounting,
   /// and records freshly resolved verdicts for cross-epoch replay.
   void finishBatch(const Batch &B, const BatchResult &R) {
+    InFlight = 0;
     ++Stats.Batches;
     Stats.CoalescedJobs += B.Jobs.size() - 1;
     BatchJobsHist.record(B.Jobs.size());
@@ -2084,13 +2094,22 @@ RegisterResult AnalysisService::registerProgram(const std::string &Name,
 
 Session AnalysisService::openSession(const SessionSpec &Spec,
                                      std::string &Error) {
-  if (Spec.Client != "escape" && Spec.Client != "typestate") {
-    Error = "client must be 'escape' or 'typestate', got '" + Spec.Client +
-            "'";
+  std::optional<uint8_t> Client;
+  bool TakesProperty = false;
+  std::string Names;
+  forEachClient([&](auto T) {
+    Names += std::string(Names.empty() ? "'" : " or '") + T.Name + "'";
+    if (Spec.Client == T.Name) {
+      Client = T.SpillKind;
+      TakesProperty = T.TakesProperty;
+    }
+  });
+  if (!Client) {
+    Error = "client must be " + Names + ", got '" + Spec.Client + "'";
     return Session();
   }
-  if (Spec.Client == "escape" && !Spec.Property.empty()) {
-    Error = "the escape client takes no property";
+  if (!TakesProperty && !Spec.Property.empty()) {
+    Error = "the " + Spec.Client + " client takes no property";
     return Session();
   }
   std::vector<ConfigError> Errs = Spec.SessionConfig.validate();
@@ -2108,11 +2127,7 @@ Session AnalysisService::openSession(const SessionSpec &Spec,
     Error = "program '" + Spec.Program + "' is not registered";
     return Session();
   }
-  size_t Open = 0;
-  for (const auto &[Id, S] : I->Sessions)
-    if (!S.Closed)
-      ++Open;
-  if (Open >= I->Opts.Base.Service.MaxSessions) {
+  if (I->Sessions.size() >= I->Opts.Base.Service.MaxSessions) {
     Error = "session quota exceeded (" +
             std::to_string(I->Opts.Base.Service.MaxSessions) +
             " open sessions)";
@@ -2122,7 +2137,7 @@ Session AnalysisService::openSession(const SessionSpec &Spec,
   Impl::SessionState &S = I->Sessions[Id];
   S.Id = Id;
   S.ProgramName = Spec.Program;
-  S.Typestate = Spec.Client == "typestate";
+  S.Client = *Client;
   S.Property = Spec.Property;
   S.Cfg = Spec.SessionConfig;
   S.OptionsSig = optionsSignature(Spec.SessionConfig);
@@ -2147,7 +2162,7 @@ std::future<QueryResult> AnalysisService::submitJob(uint64_t SessionId,
         ended(0, SessionId, JobStatus::Rejected, Why + Detail));
   };
   auto It = I->Sessions.find(SessionId);
-  if (It == I->Sessions.end() || It->second.Closed || I->ShuttingDown)
+  if (It == I->Sessions.end() || I->ShuttingDown)
     return Reject("unknown or closed session", "");
   Impl::SessionState &S = It->second;
   // Admission control. Quotas are per-tenant (the session's own config),
@@ -2231,10 +2246,12 @@ size_t AnalysisService::cancelSessionPending(uint64_t SessionId) {
 void AnalysisService::closeSession(uint64_t SessionId) {
   cancelSessionPending(SessionId);
   std::lock_guard<std::mutex> Lock(I->M);
-  auto It = I->Sessions.find(SessionId);
-  if (It == I->Sessions.end() || It->second.Closed)
+  // Erased, not flagged: a job of this session still running in a batch
+  // is counted by InFlight, and finishBatch skips its missing session.
+  if (I->Sessions.erase(SessionId) == 0)
     return;
-  It->second.Closed = true;
+  if (support::metricsEnabled())
+    Impl::pendingGauge(SessionId).set(0);
   ++I->Stats.SessionsClosed;
   bumpServiceCounter("optabs_service_sessions_closed_total");
 }
@@ -2256,9 +2273,7 @@ ServiceStats AnalysisService::stats() const {
   S.BatchJobsP90 = I->BatchJobsHist.quantile(0.90);
   S.BatchJobsP99 = I->BatchJobsHist.quantile(0.99);
   for (const auto &[Id, Sess] : I->Sessions)
-    if (!Sess.Closed)
-      S.PendingBySession.emplace_back(Id,
-                                      Sess.Pending.size() + Sess.Running);
+    S.PendingBySession.emplace_back(Id, Sess.Pending.size() + Sess.Running);
   return S;
 }
 

@@ -450,14 +450,22 @@ void ShardRouter::maybeStealWork() {
       if (Pending[J.Shard]++ == 0 || J.SupSession < FirstSession[J.Shard])
         FirstSession[J.Shard] = J.SupSession;
     }
+    // Only a shard that keeps live jobs of another session after the move
+    // can be a victim: moving a shard's only session relocates its queue
+    // instead of splitting it, and the next pass would move it back.
+    std::vector<bool> Shared(Opts.NumShards, false);
+    for (const auto &[Id, J] : Jobs)
+      if (!J.CancelRequested && J.SupSession != FirstSession[J.Shard])
+        Shared[J.Shard] = true;
     unsigned Victim = 0, Thief = 0;
     for (unsigned I = 1; I < Opts.NumShards; ++I) {
-      if (Pending[I] > Pending[Victim])
+      if (Shared[I] && (!Shared[Victim] || Pending[I] > Pending[Victim]))
         Victim = I;
       if (Pending[I] < Pending[Thief])
         Thief = I;
     }
-    if (Pending[Victim] < Opts.StealThreshold || Pending[Thief] != 0)
+    if (!Shared[Victim] || Pending[Victim] < Opts.StealThreshold ||
+        Pending[Thief] != 0)
       return;
     if (!stealSession(FirstSession[Victim], Victim, Thief))
       return;

@@ -42,7 +42,9 @@
 ///    pending depth reaches the threshold while another shard sits idle,
 ///    the supervisor re-homes whole sessions - replaying the journaled
 ///    open-session line on the thief, re-submitting the session's pending
-///    jobs there, then cancelling the victim's copies. The move is
+///    jobs there, then cancelling the victim's copies. A victim must keep
+///    live jobs of another session after the move: moving a shard's only
+///    session would relocate the queue, not split it. The move is
 ///    transactional (any failure aborts with the victim untouched) and
 ///    verdict-neutral: §6 grouping makes verdicts batch-composition-
 ///    independent, so a job answers identically no matter which shard
@@ -152,10 +154,10 @@ struct ShardRouterOptions {
   /// Accept {"op":"chaos-kill","shard":K}: SIGKILL a worker on request.
   /// For the chaos harness only (optabs-shardd --chaos).
   bool AllowChaosOps = false;
-  /// Work stealing: when a shard's pending depth reaches this value while
-  /// another shard has nothing pending, drain re-homes whole sessions to
-  /// the idle shard first. 0 (the default) disables stealing, preserving
-  /// pure hash partitioning.
+  /// Work stealing: when a shard holding more than one session reaches
+  /// this pending depth while another shard has nothing pending, drain
+  /// re-homes whole sessions to the idle shard first. 0 (the default)
+  /// disables stealing, preserving pure hash partitioning.
   uint64_t StealThreshold = 0;
 };
 

@@ -172,7 +172,7 @@ std::vector<ConfigError> Config::validate() const {
     Reject("execution.strategy",
            "unknown strategy '" + Execution.Strategy +
                "' (expected tracer, eliminate-current or greedy-grow)");
-  // (2)/(3) Degenerate loop bounds that would make the CEGAR loop a no-op.
+  // (2)-(4) Degenerate bounds that would make the CEGAR loop a no-op.
   if (Execution.TracesPerIteration == 0)
     Reject("execution.traces_per_iteration",
            "must analyze at least one counterexample per failed iteration");
@@ -182,7 +182,7 @@ std::vector<ConfigError> Config::validate() const {
   if (Execution.ProductSoftCap == 0)
     Reject("execution.product_soft_cap",
            "the Dnf::product soft cap must be at least 1");
-  // (4) Budgets must be positive where zero has no 'unbounded' meaning.
+  // (5) Budgets must be positive where zero has no 'unbounded' meaning.
   if (Budgets.TimeBudgetSeconds <= 0)
     Reject("budgets.time_budget_seconds", "must be positive");
   if (Budgets.BackwardTimeoutSeconds < 0)
@@ -192,28 +192,28 @@ std::vector<ConfigError> Config::validate() const {
       Observability.EventTracePath.empty())
     Reject("observability.event_trace_label",
            "an event-trace label requires observability.event_trace_path");
-  // (8) The flight recorder must be able to hold at least one event.
+  // (7) The flight recorder must be able to hold at least one event.
   if (Observability.ServiceTrace && Observability.ServiceTraceCapacity == 0)
     Reject("observability.service_trace_capacity",
            "the flight recorder needs capacity for at least one event");
-  // (9) Trace exports without tracing would silently write nothing.
+  // (8) Trace exports without tracing would silently write nothing.
   if (!Observability.ServiceTrace &&
       (!Observability.ServiceTraceJsonlPath.empty() ||
        !Observability.ServiceTraceChromePath.empty()))
     Reject("observability.service_trace_jsonl_path",
            "a service trace export path requires "
            "observability.service_trace");
-  // (10) A negative slow-query threshold is meaningless (0 disables).
+  // (9) A negative slow-query threshold is meaningless (0 disables).
   if (Observability.SlowQuerySeconds < 0)
     Reject("observability.slow_query_seconds", "must be non-negative");
-  // (7) Service quotas must admit at least one job per tenant.
+  // (10)/(11) Service quotas must admit a session and one job in it.
   if (Service.MaxPendingPerSession == 0)
     Reject("service.max_pending_per_session",
            "a session must be able to queue at least one job");
   if (Service.MaxSessions == 0)
     Reject("service.max_sessions",
            "the service must admit at least one session");
-  // (11) The persistent cache tier needs a directory to write into.
+  // (12) The persistent cache tier needs a directory to write into.
   if (Service.CacheDir.empty()) {
     if (Service.SpillBytes > 0)
       Reject("service.spill_bytes",

@@ -28,18 +28,21 @@
 ///   2. execution.traces_per_iteration == 0 (at least one counterexample
 ///      per failed iteration)
 ///   3. execution.max_iters_per_query == 0 (the CEGAR loop needs a round)
-///   4. budgets.time_budget_seconds <= 0 (and any negative budget)
+///   4. execution.product_soft_cap == 0 (Dnf::product keeps at least one
+///      cube)
+///   5. budgets.time_budget_seconds <= 0 (and any negative budget)
 ///   6. observability.event_trace_label set without an event_trace_path
-///   7. service.max_pending_per_session == 0 (a tenant must be able to
-///      queue at least one job)
-///   8. observability.service_trace_capacity == 0 while
+///   7. observability.service_trace_capacity == 0 while
 ///      observability.service_trace is on (the flight recorder must be
 ///      able to hold at least one event)
-///   9. observability.service_trace_jsonl_path or _chrome_path set while
+///   8. observability.service_trace_jsonl_path or _chrome_path set while
 ///      observability.service_trace is off (the export would be empty)
-///  10. observability.slow_query_seconds < 0 (0 disables the slow-query
+///   9. observability.slow_query_seconds < 0 (0 disables the slow-query
 ///      log; negative thresholds are meaningless)
-///  11. service.spill_bytes or service.persist_on_shutdown set without a
+///  10. service.max_pending_per_session == 0 (a tenant must be able to
+///      queue at least one job)
+///  11. service.max_sessions == 0 (the service must admit a session)
+///  12. service.spill_bytes or service.persist_on_shutdown set without a
 ///      service.cache_dir (the persistent tier has nowhere to write)
 ///
 //===----------------------------------------------------------------------===//

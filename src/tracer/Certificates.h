@@ -229,6 +229,42 @@ private:
   std::map<std::vector<bool>, std::unique_ptr<Forward>> Runs;
 };
 
+/// Audit evidence folded over driver runs, with one "<label>: ..." note
+/// per invariant violation and failed certificate.
+struct AuditTally {
+  size_t InvariantViolations = 0;
+  unsigned CertificatesChecked = 0;
+  unsigned CertificateFailures = 0;
+  std::vector<std::string> AuditNotes;
+};
+
+/// Folds one driver run's invariant records into \p T and, under
+/// Cfg.Audit.Enabled, its certificate checks. GreedyGrow never promises
+/// minimal abstractions, so minimality goes unchecked under greedy-grow.
+template <typename Analysis>
+void auditRun(const ir::Program &P, const Analysis &A, const Config &Cfg,
+              const QueryDriver<Analysis> &Driver,
+              const std::vector<QueryOutcome> &Outcomes,
+              const std::string &Label, AuditTally &T) {
+  for (const support::InvariantViolation &V : Driver.stats().Violations)
+    T.AuditNotes.push_back(Label + ": invariant violation [" + V.Check +
+                           "] in " + V.Where + ": " + V.Message);
+  T.InvariantViolations += Driver.stats().Violations.size();
+  if (!Cfg.Audit.Enabled)
+    return;
+  CertificateOptions Options;
+  Options.CheckMinimality = Cfg.Execution.Strategy != "greedy-grow";
+  CertificateReport R = CertificateChecker<Analysis>(P, A, Options)
+                            .check(Outcomes, Driver.finalViableSets());
+  T.CertificatesChecked += R.ProvenChecked + R.ImpossibleChecked +
+                           R.MinimalityChecked + R.EliminatedSampled;
+  T.CertificateFailures += static_cast<unsigned>(R.Issues.size());
+  for (const CertificateIssue &I : R.Issues)
+    T.AuditNotes.push_back(Label + ": certificate failure [" + I.Kind +
+                           "] query " + std::to_string(I.Query) + ": " +
+                           I.Detail);
+}
+
 } // namespace tracer
 } // namespace optabs
 

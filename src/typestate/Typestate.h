@@ -39,6 +39,7 @@
 #include "pointer/PointsTo.h"
 #include "support/BitSet.h"
 
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -206,6 +207,25 @@ private:
   const pointer::PointsToResult &Pt;
   mutable meta::WpTable Wp;
 };
+
+/// The type-state queries among \p Checks by tracked site, one driver run
+/// each: a (check, site) pair for every allocation site the check's
+/// receiver may point to (§6). Sites ascend; each keeps \p Checks' order.
+inline std::map<uint32_t, std::vector<ir::CheckId>>
+checksBySite(const ir::Program &P, const std::vector<ir::CheckId> &Checks,
+             const pointer::PointsToResult &Pt) {
+  std::map<uint32_t, std::vector<ir::CheckId>> BySite;
+  for (ir::CheckId Check : Checks)
+    Pt.pointsTo(P.checkSite(Check).Var).forEach([&](size_t H) {
+      BySite[static_cast<uint32_t>(H)].push_back(Check);
+    });
+  return BySite;
+}
+
+/// The event-trace label of the driver run for tracked site \p Site.
+inline std::string siteTraceLabel(uint32_t Site) {
+  return "typestate/site=" + std::to_string(Site);
+}
 
 } // namespace typestate
 } // namespace optabs

@@ -23,10 +23,17 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
+#include <fstream>
 #include <future>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <thread>
+
+#include <sys/stat.h>
+#include <unistd.h>
 
 using namespace optabs;
 using namespace optabs::ir;
@@ -423,6 +430,59 @@ TEST(ServiceTest, SessionQuotaAndInvalidSpecsRejectStructurally) {
   service::QueryResult R = Invalid.submit({0, 0, 0}).get();
   EXPECT_EQ(R.Status, service::JobStatus::Rejected);
   EXPECT_EQ(R.Error, "invalid session handle");
+}
+
+TEST(ServiceTest, ClosingASessionMidBatchStillDeliversItsRunningJob) {
+  // The session's event trace is a FIFO: the batch's driver blocks opening
+  // it for writing until the test opens the read end, which holds the job
+  // inside a running batch for as long as the test needs.
+  char Dir[] = "/tmp/optabs-close-XXXXXX";
+  ASSERT_NE(::mkdtemp(Dir), nullptr);
+  std::string Fifo = std::string(Dir) + "/trace.jsonl";
+  ASSERT_EQ(::mkfifo(Fifo.c_str(), 0600), 0);
+
+  service::AnalysisService::Options Opts;
+  Opts.AutoDispatch = false;
+  Opts.Base.Observability.ServiceTrace = true; // explain() shows "batched"
+  service::AnalysisService Svc(std::move(Opts));
+  ASSERT_TRUE(Svc.registerProgram("p", EscapeProgram).Ok);
+  service::SessionSpec Spec;
+  Spec.Program = "p";
+  Spec.Client = "escape";
+  Spec.SessionConfig.Observability.EventTracePath = Fifo;
+  service::Session S = openOrDie(Svc, Spec);
+  service::Session Copy = S; // outlives close(), like a second client
+
+  uint64_t Job = 0;
+  std::future<service::QueryResult> F = S.submit({0}, &Job);
+  std::thread Drainer([&] { Svc.drain(); });
+  for (int I = 0; I < 30000 && Svc.explain(Job).Status != "batched"; ++I)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(Svc.explain(Job).Status, "batched");
+
+  S.close();
+  service::ServiceStats Mid = Svc.stats();
+  EXPECT_EQ(Mid.SessionsClosed, 1u);
+  EXPECT_TRUE(Mid.PendingBySession.empty()); // only open sessions listed
+  EXPECT_EQ(Mid.QueueDepth, 1u);             // the running job still counts
+
+  // Opening the read end releases the driver; read its trace to EOF.
+  std::ifstream Trace(Fifo);
+  std::string Events((std::istreambuf_iterator<char>(Trace)),
+                     std::istreambuf_iterator<char>());
+  Drainer.join();
+  service::QueryResult R = F.get();
+  EXPECT_EQ(R.Status, service::JobStatus::Done) << R.Error;
+  EXPECT_EQ(R.Job, Job);
+  EXPECT_EQ(R.V, tracer::Verdict::Proven);
+  EXPECT_NE(Events.find("\"event\":\"verdict\""), std::string::npos);
+  EXPECT_EQ(Svc.stats().QueueDepth, 0u);
+
+  service::QueryResult Late = Copy.submit({1}).get();
+  EXPECT_EQ(Late.Status, service::JobStatus::Rejected);
+  EXPECT_EQ(Late.Error, "unknown or closed session");
+  std::remove(Fifo.c_str());
+  ::rmdir(Dir);
 }
 
 TEST(ServiceTest, ReRegistrationBumpsEpochAndInvalidatesCachedRuns) {

@@ -891,6 +891,40 @@ TEST(ShardRouterTest, StealMovesOnlyTheLiveJobsOfASessionWithRetiredOnes) {
   }
 }
 
+TEST(ShardRouterTest, StealLeavesAShardsOnlySessionInPlace) {
+  FakeHost Host(2);
+  ShardRouterOptions O = testOptions(2);
+  O.StealThreshold = 2;
+  ShardRouter R(O, Host);
+  std::string Err;
+  ASSERT_TRUE(R.start(Err)) << Err;
+  okResponse(run(R, kRegisterFig));
+  unsigned Home = R.shardFor("fig", "a");
+  okResponse(run(R, openLine("a"))); // session 1, alone on its shard
+
+  // Three jobs over the threshold with the other shard idle. Moving the
+  // only session would relocate the queue, not split it, and the next
+  // pass would move it back: nothing may be stolen.
+  for (uint32_t C = 1; C <= 3; ++C)
+    okResponse(run(R, submitLine(1, C)));
+  std::vector<std::string> Out = run(R, "{\"op\":\"drain\"}");
+  ASSERT_EQ(Out.size(), 4u);
+  EXPECT_EQ(R.stats().Steals, 0u);
+  EXPECT_EQ(R.stats().StolenJobs, 0u);
+  EXPECT_EQ(countOp(Host.Live[1 - Home]->RequestLog, "open-session"), 0u);
+  EXPECT_EQ(countOp(Host.Live[1 - Home]->RequestLog, "submit"), 0u);
+  for (uint64_t J = 1; J <= 3; ++J) {
+    EXPECT_NE(Out[J - 1].find("\"job\":" + std::to_string(J) + ","),
+              std::string::npos)
+        << Out[J - 1];
+    EXPECT_NE(Out[J - 1].find("\"param\":\"[P" + std::to_string(J) + "]\""),
+              std::string::npos)
+        << Out[J - 1];
+    JsonLine Exp = okResponse(run(R, explainLine(J)));
+    EXPECT_EQ(Exp.getUInt("shard").value_or(99), Home) << "job " << J;
+  }
+}
+
 TEST(ShardRouterTest, ClosedSessionRejectsSubmitCancelAndClose) {
   FakeHost Host(1);
   ShardRouter R(testOptions(1), Host);

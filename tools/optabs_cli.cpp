@@ -71,14 +71,6 @@ struct CliOptions {
   bool Verbose = false;
 };
 
-/// Aggregated audit evidence across driver runs (type-state runs one
-/// driver per site).
-struct AuditTally {
-  size_t Violations = 0;
-  unsigned Checked = 0;
-  size_t Failures = 0;
-};
-
 int usage(const char *Msg = nullptr) {
   if (Msg)
     std::cerr << "error: " << Msg << "\n";
@@ -176,74 +168,54 @@ void printOutcome(const Program &P, const tracer::QueryOutcome &O,
   std::cout << " [" << O.Iterations << " iteration(s)]\n";
 }
 
-/// Folds one driver run's audit evidence into \p Tally: invariant records
-/// (always collected) and, under --audit, independent certificate checks
-/// of every verdict.
-template <typename Analysis>
-void auditDriver(const Program &P, const Analysis &A, const CliOptions &Opts,
-                 const tracer::QueryDriver<Analysis> &Driver,
-                 const std::vector<tracer::QueryOutcome> &Outcomes,
-                 AuditTally &Tally) {
-  for (const auto &V : Driver.stats().Violations) {
-    ++Tally.Violations;
-    std::cerr << "audit: invariant violation [" << V.Check << "] in "
-              << V.Where << ": " << V.Message << "\n";
-  }
-  if (!Opts.Cfg.Audit.Enabled)
-    return;
-  tracer::CertificateOptions CertOpts;
-  CertOpts.CheckMinimality = Opts.Cfg.Execution.Strategy != "greedy-grow";
-  tracer::CertificateChecker<Analysis> Checker(P, A, CertOpts);
-  tracer::CertificateReport Report =
-      Checker.check(Outcomes, Driver.finalViableSets());
-  Tally.Checked += Report.ProvenChecked + Report.ImpossibleChecked +
-                   Report.MinimalityChecked + Report.EliminatedSampled;
-  for (const tracer::CertificateIssue &Issue : Report.Issues) {
-    ++Tally.Failures;
-    std::cerr << "audit: certificate failure [" << Issue.Kind << "] query "
-              << Issue.Query << ": " << Issue.Detail << "\n";
-  }
-}
-
-/// Prints the audit summary; exit status 1 when anything failed.
-int finishAudit(const CliOptions &Opts, const AuditTally &Tally) {
+/// Prints the audit notes and, under --audit, the summary; exit status 1
+/// when an audited run failed.
+int finishAudit(const CliOptions &Opts, const tracer::AuditTally &Tally) {
+  for (const std::string &Note : Tally.AuditNotes)
+    std::cerr << Note << "\n";
   if (!Opts.Cfg.Audit.Enabled)
     return 0;
-  std::cout << "audit: " << Tally.Checked << " certificate check(s), "
-            << Tally.Failures << " failure(s), " << Tally.Violations
+  std::cout << "audit: " << Tally.CertificatesChecked
+            << " certificate check(s), " << Tally.CertificateFailures
+            << " failure(s), " << Tally.InvariantViolations
             << " invariant violation(s)\n";
-  return (Tally.Failures > 0 || Tally.Violations > 0) ? 1 : 0;
+  return Tally.CertificateFailures > 0 || Tally.InvariantViolations > 0;
 }
 
-int runEscape(const Program &P, const CliOptions &Opts) {
-  escape::EscapeAnalysis A(P);
-  Config Cfg = Opts.Cfg;
-  Cfg.Observability.EventTraceLabel = "escape";
-  tracer::QueryDriver<escape::EscapeAnalysis> Driver(P, A, Cfg);
-  std::vector<CheckId> Queries;
-  for (uint32_t I = 0; I < P.numChecks(); ++I)
-    Queries.push_back(CheckId(I));
-  std::cout << "thread-escape analysis, " << Queries.size()
-            << " queries, strategy " << Opts.Cfg.Execution.Strategy
-            << ", k = " << Opts.Cfg.Execution.K << "\n";
+/// Runs one driver of \p A over \p Queries, labelled \p Label in the event
+/// trace: prints each outcome with \p Extra after its check and folds the
+/// run's audit evidence into \p Tally.
+template <typename Analysis>
+void runDriver(const Program &P, const Analysis &A, Config Cfg,
+               const std::string &Label, const std::vector<CheckId> &Queries,
+               const std::string &Extra, tracer::AuditTally &Tally) {
+  Cfg.Observability.EventTraceLabel = Label;
+  tracer::QueryDriver<Analysis> Driver(P, A, Cfg);
   std::vector<tracer::QueryOutcome> Outcomes = Driver.run(Queries);
   for (const auto &O : Outcomes)
-    printOutcome(P, O, "");
-  AuditTally Tally;
-  auditDriver(P, A, Opts, Driver, Outcomes, Tally);
+    printOutcome(P, O, Extra);
+  tracer::auditRun(P, A, Cfg, Driver, Outcomes, "audit", Tally);
+}
+
+int runEscape(const Program &P, const CliOptions &Opts,
+              const std::vector<CheckId> &Checks) {
+  std::cout << "thread-escape analysis, " << Checks.size()
+            << " queries, strategy " << Opts.Cfg.Execution.Strategy
+            << ", k = " << Opts.Cfg.Execution.K << "\n";
+  tracer::AuditTally Tally;
+  runDriver(P, escape::EscapeAnalysis(P), Opts.Cfg, "escape", Checks, "",
+            Tally);
   return finishAudit(Opts, Tally);
 }
 
-int runTypestate(Program &P, const CliOptions &Opts) {
-  typestate::TypestateSpec Spec = typestate::TypestateSpec::stress();
-  if (!Opts.Property.empty()) {
-    typestate::PropertySpec PS;
-    std::string Err;
-    if (!typestate::parsePropertySpec(Opts.Property, PS, Err)) {
-      std::cerr << "error: " << Err << "\n";
-      return 2;
-    }
-    Spec = typestate::materializeSpec(PS, P);
+int runTypestate(Program &P, const CliOptions &Opts,
+                 const std::vector<CheckId> &Checks) {
+  std::string Err;
+  std::optional<typestate::TypestateSpec> Spec =
+      typestate::specFor(Opts.Property, P, Err);
+  if (!Spec) {
+    std::cerr << "error: " << Err << "\n";
+    return 2;
   }
   pointer::PointsToResult Pt = pointer::runPointsTo(P);
   std::cout << "type-state analysis ("
@@ -251,24 +223,11 @@ int runTypestate(Program &P, const CliOptions &Opts) {
                                       : "property automaton")
             << "), strategy " << Opts.Cfg.Execution.Strategy
             << ", k = " << Opts.Cfg.Execution.K << "\n";
-  AuditTally Tally;
-  for (uint32_t H = 0; H < P.numAllocs(); ++H) {
-    std::vector<CheckId> Queries;
-    for (uint32_t I = 0; I < P.numChecks(); ++I)
-      if (Pt.mayPoint(P.checkSite(CheckId(I)).Var, AllocId(H)))
-        Queries.push_back(CheckId(I));
-    if (Queries.empty())
-      continue;
-    typestate::TypestateAnalysis A(P, Spec, AllocId(H), Pt);
-    Config PerSite = Opts.Cfg;
-    PerSite.Observability.EventTraceLabel =
-        "typestate/site=" + P.allocName(AllocId(H));
-    tracer::QueryDriver<typestate::TypestateAnalysis> Driver(P, A, PerSite);
-    std::vector<tracer::QueryOutcome> Outcomes = Driver.run(Queries);
-    for (const auto &O : Outcomes)
-      printOutcome(P, O, " (site " + P.allocName(AllocId(H)) + ")");
-    auditDriver(P, A, Opts, Driver, Outcomes, Tally);
-  }
+  tracer::AuditTally Tally;
+  for (const auto &[H, Queries] : typestate::checksBySite(P, Checks, Pt))
+    runDriver(P, typestate::TypestateAnalysis(P, *Spec, AllocId(H), Pt),
+              Opts.Cfg, typestate::siteTraceLabel(H), Queries,
+              " (site " + P.allocName(AllocId(H)) + ")", Tally);
   return finishAudit(Opts, Tally);
 }
 
@@ -319,7 +278,10 @@ int main(int Argc, char **Argv) {
     if (Opts.Client.empty())
       return 0;
   }
+  std::vector<CheckId> Checks;
+  for (uint32_t I = 0; I < P.numChecks(); ++I)
+    Checks.push_back(CheckId(I));
   if (Opts.Client == "escape")
-    return runEscape(P, Opts);
-  return runTypestate(P, Opts);
+    return runEscape(P, Opts, Checks);
+  return runTypestate(P, Opts, Checks);
 }
