@@ -19,13 +19,10 @@ enum AtomKind { KSite = 0, KVar = 1, KField = 2 };
 //===----------------------------------------------------------------------===//
 
 EscapeAnalysis::EscapeAnalysis(const Program &P)
-    : P(P), Wp(P.numCommands()) {
-  Compiled.reserve(P.numCommands());
-  for (uint32_t I = 0; I < P.numCommands(); ++I) {
-    const Command &Cmd = P.command(CommandId(I));
-    Compiled.push_back(Cmd.Kind == CmdKind::Invoke ? Transfer() : cases(Cmd));
-  }
-}
+    : P(P), Compiled(P, [this](const Command &Cmd) {
+        return Cmd.Kind == CmdKind::Invoke ? Transfer() : cases(Cmd);
+      }),
+      Wp(P.numCommands()) {}
 
 EscState EscapeAnalysis::initialState() const {
   EscState D;
@@ -146,39 +143,10 @@ AbsVal EscapeAnalysis::valueOf(const ValueSrc &Src, const State &D,
 
 EscapeAnalysis::Transfer EscapeAnalysis::cases(const Command &Cmd) const {
   Transfer T;
-  auto Identity = [&T](Formula Guard) -> Transfer & {
-    return T.addCase(std::move(Guard), Effect{});
-  };
-  auto Escape = [&T](Formula Guard) -> Transfer & {
-    Effect E;
-    E.IsEsc = true;
-    return T.addCase(std::move(Guard), E);
-  };
-  auto Assign = [&T](Formula Guard, uint32_t Loc,
-                     ValueSrc Src) -> Transfer & {
-    Effect E;
-    E.HasAssign = true;
-    E.AssignLoc = Loc;
-    E.Src = Src;
-    return T.addCase(std::move(Guard), E);
-  };
-  auto ConstSrc = [](AbsVal V) {
-    ValueSrc S;
-    S.K = ValueSrc::Const;
-    S.C = V;
-    return S;
-  };
-  auto LocSrc = [](uint32_t Loc) {
-    ValueSrc S;
-    S.K = ValueSrc::OfLoc;
-    S.Loc = Loc;
-    return S;
-  };
-  auto SiteSrc = [](uint32_t Site) {
-    ValueSrc S;
-    S.K = ValueSrc::OfSite;
-    S.Site = Site;
-    return S;
+  auto Identity = [&T](Formula G) { T.addCase(std::move(G), Effect{}); };
+  auto Escape = [&T](Formula G) { T.addCase(std::move(G), Effect{true}); };
+  auto Assign = [&T](Formula G, uint32_t Loc, ValueSrc Src) {
+    T.addCase(std::move(G), Effect{false, true, Loc, Src});
   };
   Formula True = Formula::constant(true);
 
@@ -191,21 +159,21 @@ EscapeAnalysis::Transfer EscapeAnalysis::cases(const Command &Cmd) const {
 
   case CmdKind::New:
     // [v = new h] d = d[v -> p(h)]
-    Assign(True, locOfVar(Cmd.Dst), SiteSrc(Cmd.Alloc.index()));
+    Assign(True, locOfVar(Cmd.Dst), ValueSrc::ofSite(Cmd.Alloc.index()));
     return T;
 
   case CmdKind::Copy:
     // [v = v'] d = d[v -> d(v')]
-    Assign(True, locOfVar(Cmd.Dst), LocSrc(locOfVar(Cmd.Src)));
+    Assign(True, locOfVar(Cmd.Dst), ValueSrc::ofLoc(locOfVar(Cmd.Src)));
     return T;
 
   case CmdKind::Null:
-    Assign(True, locOfVar(Cmd.Dst), ConstSrc(AbsVal::N));
+    Assign(True, locOfVar(Cmd.Dst), ValueSrc::constant(AbsVal::N));
     return T;
 
   case CmdKind::LoadGlobal:
     // Anything read from a global may escape.
-    Assign(True, locOfVar(Cmd.Dst), ConstSrc(AbsVal::E));
+    Assign(True, locOfVar(Cmd.Dst), ValueSrc::constant(AbsVal::E));
     return T;
 
   case CmdKind::StoreGlobal: {
@@ -220,8 +188,9 @@ EscapeAnalysis::Transfer EscapeAnalysis::cases(const Command &Cmd) const {
   case CmdKind::LoadField: {
     // [v = v'.f] d = d[v -> d(f)] if d(v') = L, else d[v -> E].
     Formula BaseL = locIs(locOfVar(Cmd.Src), AbsVal::L);
-    Assign(BaseL, locOfVar(Cmd.Dst), LocSrc(locOfField(Cmd.Field)));
-    Assign(Formula::negate(BaseL), locOfVar(Cmd.Dst), ConstSrc(AbsVal::E));
+    Assign(BaseL, locOfVar(Cmd.Dst), ValueSrc::ofLoc(locOfField(Cmd.Field)));
+    Assign(Formula::negate(BaseL), locOfVar(Cmd.Dst),
+           ValueSrc::constant(AbsVal::E));
     return T;
   }
 
@@ -249,11 +218,11 @@ EscapeAnalysis::Transfer EscapeAnalysis::cases(const Command &Cmd) const {
     Assign(Formula::conj({locIs(V, AbsVal::L),
                           Formula::disj({Both(AbsVal::N, AbsVal::L),
                                          Both(AbsVal::L, AbsVal::N)})}),
-           F, ConstSrc(AbsVal::L));
+           F, ValueSrc::constant(AbsVal::L));
     Assign(Formula::conj({locIs(V, AbsVal::L),
                           Formula::disj({Both(AbsVal::N, AbsVal::E),
                                          Both(AbsVal::E, AbsVal::N)})}),
-           F, ConstSrc(AbsVal::E));
+           F, ValueSrc::constant(AbsVal::E));
     // Field summary and stored value are L/E in some order: a single
     // abstract value cannot cover both, so collapse.
     Escape(Formula::conj(
@@ -276,16 +245,6 @@ EscapeAnalysis::Transfer EscapeAnalysis::cases(const Command &Cmd) const {
 
 EscState EscapeAnalysis::transfer(const Command &Cmd, const EscState &In,
                                   const Param &Prm) const {
-  // One captured pointer keeps the evaluator inside std::function's
-  // inline buffer (three captured references would spill to the heap).
-  struct {
-    const EscapeAnalysis *Self;
-    const Param &Prm;
-    const EscState &In;
-  } At{this, Prm, In};
-  formula::AtomEval Eval = [&At](AtomId A) {
-    return At.Self->evalAtom(A, At.Prm, At.In);
-  };
   auto ApplyEffect = [&](const Effect &E) {
     if (E.IsEsc) {
       // esc(d): locals keep N or become E; field summaries reset to N.
@@ -305,7 +264,7 @@ EscState EscapeAnalysis::transfer(const Command &Cmd, const EscState &In,
     return In;
   };
   return withCases(Cmd, [&](const Transfer &T) {
-    return T.apply(Eval, ApplyEffect);
+    return T.apply(*this, Prm, In, ApplyEffect);
   });
 }
 

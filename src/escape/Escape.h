@@ -20,14 +20,11 @@
 /// abstraction p maps each allocation site to L or E; cost = number of
 /// L-mapped sites (the paper's preorder).
 ///
-/// Implementation note: each command's transfer function is expressed as an
-/// ordered list of mutually-exclusive guarded cases (guard formula over
-/// atoms; effect = identity / esc / single assignment). The forward
-/// transfer evaluates the guards on the concrete state; the backward
-/// weakest precondition of an atom is assembled from the same case list,
-/// so requirement (2) of the framework (§4) holds by construction. The
-/// resulting formulas coincide with Figure 11's hand-written table (modulo
-/// propositional equivalence), which the tests verify by property testing.
+/// Each command's transfer function is one meta::GuardedTransfer case list
+/// (effect = identity / esc / single assignment) from which both
+/// directions are derived. The resulting formulas coincide with Figure 11's
+/// hand-written table (modulo propositional equivalence), which the tests
+/// verify by property testing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -115,7 +112,7 @@ public:
     }
   };
 
-  /// Builds every command's case list once (see compiled()). \p P must
+  /// Builds every command's case list once (see withCases()). \p P must
   /// outlive the analysis and gain no variables after construction: field
   /// locations in the lists are offset by the variable count.
   explicit EscapeAnalysis(const ir::Program &P);
@@ -218,6 +215,10 @@ private:
     AbsVal C = AbsVal::N;  ///< Const
     uint32_t Loc = 0;      ///< OfLoc: flat location index
     uint32_t Site = 0;     ///< OfSite: allocation site index (reads p)
+
+    static ValueSrc constant(AbsVal V) { return {Const, V}; }
+    static ValueSrc ofLoc(uint32_t Loc) { return {OfLoc, AbsVal::N, Loc}; }
+    static ValueSrc ofSite(uint32_t H) { return {OfSite, AbsVal::N, 0, H}; }
   };
 
   /// The effect of one case: esc(d), a single assignment, or identity.
@@ -234,24 +235,11 @@ private:
   /// case).
   Transfer cases(const ir::Command &Cmd) const;
 
-  /// The case list built at construction for \p Cmd when it is a command
-  /// of the program's pool, else null (a copy, or a command added later).
-  const Transfer *compiled(const ir::Command &Cmd) const {
-    if (Compiled.empty())
-      return nullptr;
-    auto Off = reinterpret_cast<uintptr_t>(&Cmd) -
-               reinterpret_cast<uintptr_t>(&P.command(ir::CommandId(0)));
-    if (Off % sizeof(ir::Command) != 0 ||
-        Off / sizeof(ir::Command) >= Compiled.size())
-      return nullptr;
-    return &Compiled[Off / sizeof(ir::Command)];
-  }
-
   /// Calls \p Fn on \p Cmd's case list: the compiled one, or a freshly
   /// built one for a command outside the pool.
   template <typename FnT>
   auto withCases(const ir::Command &Cmd, FnT Fn) const {
-    if (const Transfer *T = compiled(Cmd))
+    if (const Transfer *T = Compiled.find(Cmd))
       return Fn(*T);
     return Fn(cases(Cmd));
   }
@@ -279,8 +267,8 @@ private:
   AbsVal valueOf(const ValueSrc &Src, const State &D, const Param &Prm) const;
 
   const ir::Program &P;
-  /// cases() of every pool command, by command index (Invoke: empty).
-  std::vector<Transfer> Compiled;
+  /// cases() of every pool command (Invoke: empty).
+  meta::CaseTable<Effect> Compiled;
   mutable meta::WpTable Wp;
 };
 

@@ -3,6 +3,7 @@
 #include "typestate/Typestate.h"
 
 #include <algorithm>
+#include <array>
 
 namespace optabs {
 namespace typestate {
@@ -27,26 +28,18 @@ TypestateSpec TypestateSpec::stress() {
 }
 
 uint32_t TypestateSpec::addState(const std::string &Name) {
-  for (uint32_t I = 0; I < StateNames.size(); ++I)
-    if (StateNames[I] == Name)
-      return I;
+  if (std::optional<uint32_t> S = findState(Name))
+    return *S;
   assert(StateNames.size() < MaxStates && "too many type-states");
   StateNames.push_back(Name);
   return static_cast<uint32_t>(StateNames.size() - 1);
 }
 
 void TypestateSpec::addTransition(MethodId M, uint32_t From, uint32_t To) {
-  assert(From < numStates() && To < numStates());
+  assert(From < numStates() && (To < numStates() || To == SuccTop));
   assert(!lookup(M, From) && "duplicate transition");
   Transitions.push_back(
       {(static_cast<uint64_t>(M.index()) << 32) | From, To});
-}
-
-void TypestateSpec::addErrorTransition(MethodId M, uint32_t From) {
-  assert(From < numStates());
-  assert(!lookup(M, From) && "duplicate transition");
-  Transitions.push_back(
-      {(static_cast<uint64_t>(M.index()) << 32) | From, SuccTop});
 }
 
 std::optional<uint32_t> TypestateSpec::findState(
@@ -73,24 +66,26 @@ std::optional<uint32_t> TypestateSpec::apply(MethodId M, uint32_t S) const {
 }
 
 //===----------------------------------------------------------------------===//
-// Forward analysis (Figure 4 + may-alias refinement)
+// Case lists (Figure 4 + may-alias refinement)
 //===----------------------------------------------------------------------===//
 
 TypestateAnalysis::TypestateAnalysis(const Program &P,
                                      const TypestateSpec &Spec,
                                      AllocId Tracked,
                                      const pointer::PointsToResult &Pt)
-    : P(P), Spec(Spec), Tracked(Tracked), Pt(Pt), Wp(P.numCommands()) {
+    : P(P), Spec(Spec), Tracked(Tracked), Pt(Pt),
+      Calls(P, [this](const Command &Cmd) -> std::optional<Transfer> {
+        if (Cmd.Kind == CmdKind::MethodCall && !fixedCases(Cmd))
+          return callCases(Cmd);
+        return std::nullopt;
+      }),
+      Wp(P.numCommands()) {
   assert(Spec.numStates() <= TypestateSpec::MaxStates);
 }
 
-AbsState TypestateAnalysis::initialState() const {
-  AbsState D;
-  D.Ts = 1; // { init }
-  return D;
-}
-
 namespace {
+
+enum AtomKind { KErr = 0, KParam = 1, KVar = 2, KType = 3 };
 
 bool vsContains(const std::vector<uint32_t> &Vs, VarId X) {
   return std::binary_search(Vs.begin(), Vs.end(), X.index());
@@ -108,73 +103,102 @@ void vsInsert(std::vector<uint32_t> &Vs, VarId X) {
     Vs.insert(It, X.index());
 }
 
-AbsState topState() {
-  AbsState D;
-  D.Top = true;
-  return D;
+} // namespace
+
+const TypestateAnalysis::Transfer *
+TypestateAnalysis::fixedCases(const Command &Cmd) const {
+  static const auto Always = [] { // [true -> E], by effect
+    std::array<Transfer, static_cast<size_t>(Effect::Call) + 1> Lists;
+    for (size_t E = 0; E < Lists.size(); ++E)
+      Lists[E].addCase(Formula::constant(true), static_cast<Effect>(E));
+    return Lists;
+  }();
+  assert(Cmd.Kind != CmdKind::Invoke && "Invoke is expanded by the engine");
+  Effect E = Effect::Keep; // Assume, Check, stores: object and locals kept
+  switch (Cmd.Kind) {
+  case CmdKind::New: // an untracked allocation behaves like Dst = null
+    E = Cmd.Alloc == Tracked ? Effect::Fresh : Effect::Drop;
+    break;
+  case CmdKind::Copy:
+    E = Effect::Bind;
+    break;
+  case CmdKind::Null:
+  case CmdKind::LoadGlobal:
+  case CmdKind::LoadField: // loads are conservative: vs only shrinks
+    E = Effect::Drop;
+    break;
+  case CmdKind::MethodCall: // a receiver that cannot point to h: identity
+    if (Pt.mayPoint(Cmd.Dst, Tracked))
+      return nullptr;
+    break;
+  default:
+    break;
+  }
+  return &Always[static_cast<size_t>(E)];
 }
 
-} // namespace
+TypestateAnalysis::Transfer
+TypestateAnalysis::callCases(const Command &Cmd) const {
+  // TOP keeps TOP, and err excludes every var/type atom, so err joins the
+  // TOP case and the other guards may leave it out.
+  Transfer T;
+  Formula Err = Formula::atom(atomErr());
+  if (Spec.isStress()) { // d' = d if Dst is in vs, TOP otherwise
+    Formula Must = Formula::atom(atomVar(Cmd.Dst));
+    T.addCase(Formula::disj({Err, Formula::negate(Must)}), Effect::Top);
+    T.addCase(Must, Effect::Keep);
+    return T;
+  }
+  // Automaton mode: pre-states with an error transition reach TOP.
+  std::vector<Formula> ErrSources;
+  for (uint32_t S = 0; S < Spec.numStates(); ++S)
+    if (Cmd.Method.isValid() && !Spec.apply(Cmd.Method, S))
+      ErrSources.push_back(Formula::atom(atomType(S)));
+  Formula Errs = Formula::disj(std::move(ErrSources));
+  T.addCase(Formula::disj({Err, Errs}), Effect::Top);
+  T.addCase(Formula::negate(Errs), Effect::Call);
+  return T;
+}
 
 AbsState TypestateAnalysis::transfer(const Command &Cmd, const AbsState &In,
                                      const Param &Prm) const {
   if (In.Top)
     return In; // TOP is absorbing
-  AbsState Out = In;
-  switch (Cmd.Kind) {
-  case CmdKind::Assume:
-  case CmdKind::Check:
-  case CmdKind::StoreGlobal:
-  case CmdKind::StoreField:
-    return In; // object state and aliasing of locals unaffected
-  case CmdKind::New:
-    if (Cmd.Alloc == Tracked) {
-      // A fresh object starts in init; earlier must-aliases pointed to the
-      // previous object and are dropped. Dst joins vs only if tracked by p.
+  auto ApplyEffect = [&](Effect E) {
+    AbsState Out = In;
+    switch (E) {
+    case Effect::Keep:
+      break;
+    case Effect::Top:
+      Out = AbsState{true, 0, {}};
+      break;
+    case Effect::Drop:
+      vsRemove(Out.Vs, Cmd.Dst);
+      break;
+    case Effect::Bind:
+      if (vsContains(In.Vs, Cmd.Src) && Prm.Tracked.test(Cmd.Dst.index()))
+        vsInsert(Out.Vs, Cmd.Dst);
+      else
+        vsRemove(Out.Vs, Cmd.Dst);
+      break;
+    case Effect::Fresh: // earlier must-aliases named the previous object
       Out.Ts = In.Ts | 1u;
       Out.Vs.clear();
       if (Prm.Tracked.test(Cmd.Dst.index()))
         Out.Vs.push_back(Cmd.Dst.index());
-    } else {
-      vsRemove(Out.Vs, Cmd.Dst); // Dst now points elsewhere
+      break;
+    case Effect::Call: // the guard leaves no pre-state that errs
+      Out.Ts = vsContains(In.Vs, Cmd.Dst) ? 0 : In.Ts;
+      for (uint32_t S = 0; S < Spec.numStates(); ++S)
+        if (In.Ts & (1u << S))
+          Out.Ts |= 1u << *Spec.apply(Cmd.Method, S);
+      break;
     }
     return Out;
-  case CmdKind::Copy:
-    if (vsContains(In.Vs, Cmd.Src) && Prm.Tracked.test(Cmd.Dst.index()))
-      vsInsert(Out.Vs, Cmd.Dst);
-    else
-      vsRemove(Out.Vs, Cmd.Dst);
-    return Out;
-  case CmdKind::Null:
-  case CmdKind::LoadGlobal:
-  case CmdKind::LoadField:
-    // Dst may no longer point to the tracked object (loads are handled
-    // conservatively: the must-alias set only shrinks).
-    vsRemove(Out.Vs, Cmd.Dst);
-    return Out;
-  case CmdKind::MethodCall: {
-    if (!mayAffect(Cmd.Dst))
-      return In; // receiver cannot point to the tracked site
-    bool Must = vsContains(In.Vs, Cmd.Dst);
-    if (Spec.isStress())
-      return Must ? In : topState();
-    uint32_t Image = 0;
-    for (uint32_t S = 0; S < Spec.numStates(); ++S) {
-      if (!(In.Ts & (1u << S)))
-        continue;
-      auto Next = Spec.apply(Cmd.Method, S);
-      if (!Next)
-        return topState(); // some possible state errs on this call
-      Image |= 1u << *Next;
-    }
-    Out.Ts = Must ? Image : (In.Ts | Image); // strong vs. weak update
-    return Out;
-  }
-  case CmdKind::Invoke:
-    break;
-  }
-  assert(false && "Invoke must be expanded by the engine");
-  return In;
+  };
+  return withCases(Cmd, [&](const Transfer &T) {
+    return T.apply(*this, Prm, In, ApplyEffect);
+  });
 }
 
 //===----------------------------------------------------------------------===//
@@ -202,101 +226,52 @@ Dnf TypestateAnalysis::notQ(CheckId Check) const {
 // Backward meta-analysis (Figures 9/10)
 //===----------------------------------------------------------------------===//
 
-namespace {
-enum AtomKind { KErr = 0, KParam = 1, KVar = 2, KType = 3 };
-}
-
-formula::Formula TypestateAnalysis::wpAtom(const Command &Cmd,
-                                           AtomId A) const {
+Formula TypestateAnalysis::wpAtom(const Command &Cmd, AtomId A) const {
   unsigned Kind = A & 3;
   uint32_t Payload = A >> 2;
   Formula Same = Formula::atom(A);
-
-  // param(z) is untouched by every command (p never changes mid-run).
   if (Kind == KParam)
-    return Same;
-
-  switch (Cmd.Kind) {
-  case CmdKind::Assume:
-  case CmdKind::Check:
-  case CmdKind::StoreGlobal:
-  case CmdKind::StoreField:
-    return Same;
-
-  case CmdKind::New:
-    if (Cmd.Alloc == Tracked) {
-      if (Kind == KErr)
-        return Same;
-      if (Kind == KVar) {
-        // vs' = {Dst} ^ p: only Dst can be in vs', and only if tracked.
-        if (Payload != Cmd.Dst.index())
-          return Formula::constant(false);
-        return Formula::conj(
-            {Formula::negAtom(atomErr()), Formula::atom(atomParam(Cmd.Dst))});
-      }
-      // ts' = ts u {init}: init is present whenever pre is non-TOP.
-      if (Payload == 0)
-        return Formula::negAtom(atomErr());
-      return Same;
-    }
-    // Untracked allocation behaves like Dst = null.
-    [[fallthrough]];
-  case CmdKind::Null:
-  case CmdKind::LoadGlobal:
-  case CmdKind::LoadField:
-    if (Kind == KVar && Payload == Cmd.Dst.index())
-      return Formula::constant(false);
-    return Same;
-
-  case CmdKind::Copy:
-    if (Kind == KVar && Payload == Cmd.Dst.index()) {
-      // Dst in vs' iff Src was in vs and Dst is tracked by p (Figure 10).
-      return Formula::conj({Formula::atom(atomVar(Cmd.Src)),
-                            Formula::atom(atomParam(Cmd.Dst))});
-    }
-    return Same;
-
-  case CmdKind::MethodCall: {
-    if (!mayAffect(Cmd.Dst))
-      return Same;
-    if (Spec.isStress()) {
-      // d' = d if Dst in vs, TOP otherwise.
-      if (Kind == KErr)
-        return Formula::disj({Same, Formula::negAtom(atomVar(Cmd.Dst))});
-      return Formula::conj({Formula::atom(atomVar(Cmd.Dst)), Same});
-    }
-    // Automaton mode. Pre-states with an error transition reach TOP.
-    std::vector<Formula> ErrSources;
-    for (uint32_t S = 0; S < Spec.numStates(); ++S)
-      if ((Cmd.Method.isValid()) && !Spec.apply(Cmd.Method, S))
-        ErrSources.push_back(Formula::atom(atomType(S)));
-    if (Kind == KErr)
-      return Formula::disj(
-          {Same, Formula::disj(std::vector<Formula>(ErrSources))});
-    std::vector<Formula> NoErr;
-    for (const Formula &F : ErrSources)
-      NoErr.push_back(Formula::negate(F));
-    if (Kind == KVar)
+    return Same; // p never changes mid-run
+  bool IsDst = Kind == KVar && Payload == Cmd.Dst.index();
+  Formula NotErr = Formula::negAtom(atomErr());
+  // The wp of A under one effect, exact on every state, TOP included.
+  auto WpUnderEffect = [&](Effect E, AtomId) {
+    switch (E) {
+    case Effect::Keep:
+      break;
+    case Effect::Top:
+      return Formula::constant(Kind == KErr);
+    case Effect::Drop:
+      return IsDst ? Formula::constant(false) : Same;
+    case Effect::Bind:
+      return IsDst ? Formula::conj({Formula::atom(atomVar(Cmd.Src)),
+                                    Formula::atom(atomParam(Cmd.Dst))})
+                   : Same;
+    case Effect::Fresh: // vs' = {Dst} ^ p, and init joins ts
+      if (Kind == KVar && IsDst)
+        return Formula::conj({NotErr, Formula::atom(atomParam(Cmd.Dst))});
+      if (Kind == KVar)
+        return Formula::constant(false);
+      return Kind == KType && Payload == 0 ? NotErr : Same;
+    case Effect::Call: {
+      if (Kind != KType)
+        break;
+      // type(s'): either some pre-state maps to s', or the update was weak
+      // (receiver not in vs) and s' was already present (Figure 10).
+      std::vector<Formula> Producers;
+      for (uint32_t S = 0; S < Spec.numStates(); ++S)
+        if (Spec.apply(Cmd.Method, S) == std::optional<uint32_t>(Payload))
+          Producers.push_back(Formula::atom(atomType(S)));
+      Formula Weak = Formula::conj({Formula::negAtom(atomVar(Cmd.Dst)), Same});
       return Formula::conj(
-          {Same, Formula::conj(std::vector<Formula>(NoErr))});
-    // type(s'): either some pre-state maps to s', or the update was weak
-    // (receiver not in vs) and s' was already present (Figure 10).
-    std::vector<Formula> Producers;
-    for (uint32_t S = 0; S < Spec.numStates(); ++S)
-      if (Spec.apply(Cmd.Method, S) == std::optional<uint32_t>(Payload))
-        Producers.push_back(Formula::atom(atomType(S)));
-    Formula Weak =
-        Formula::conj({Formula::negAtom(atomVar(Cmd.Dst)), Same});
-    return Formula::conj(
-        {Formula::negAtom(atomErr()), Formula::conj(std::move(NoErr)),
-         Formula::disj({Formula::disj(std::move(Producers)), Weak})});
-  }
-
-  case CmdKind::Invoke:
-    break;
-  }
-  assert(false && "Invoke must be expanded by the engine");
-  return Same;
+          {NotErr, Formula::disj({Formula::disj(std::move(Producers)), Weak})});
+    }
+    }
+    return Same;
+  };
+  return withCases(Cmd, [&](const Transfer &T) {
+    return T.wpAtom(A, WpUnderEffect);
+  });
 }
 
 bool TypestateAnalysis::evalAtom(AtomId A, const Param &Prm,
@@ -314,10 +289,6 @@ bool TypestateAnalysis::evalAtom(AtomId A, const Param &Prm,
     return !D.Top && (D.Ts & (1u << Payload));
   }
   return false;
-}
-
-bool TypestateAnalysis::isParamAtom(AtomId A) const {
-  return (A & 3) == KParam;
 }
 
 std::string TypestateAnalysis::atomName(AtomId A) const {

@@ -27,6 +27,9 @@
 /// A call whose receiver cannot point to the tracked site (per the 0-CFA
 /// may-points-to substrate) never affects the state, in both modes.
 ///
+/// Each command is one meta::GuardedTransfer case list (the §8 recipe), and
+/// both the forward transfer and the Figure 9/10 wp are derived from it.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef OPTABS_TYPESTATE_TYPESTATE_H
@@ -35,6 +38,7 @@
 #include "formula/Formula.h"
 #include "formula/Normalize.h"
 #include "ir/Program.h"
+#include "meta/GuardedCases.h"
 #include "meta/WpTable.h"
 #include "pointer/PointsTo.h"
 #include "support/BitSet.h"
@@ -66,7 +70,9 @@ public:
   /// Declares [m](From) = To.
   void addTransition(ir::MethodId M, uint32_t From, uint32_t To);
   /// Declares [m](From) = TOP (a type-state error).
-  void addErrorTransition(ir::MethodId M, uint32_t From);
+  void addErrorTransition(ir::MethodId M, uint32_t From) {
+    addTransition(M, From, SuccTop);
+  }
 
   bool isStress() const { return Stress; }
   uint32_t numStates() const {
@@ -85,7 +91,7 @@ private:
   std::vector<std::string> StateNames;
   /// (method, from) -> successor; SuccTop marks TOP.
   static constexpr uint32_t SuccTop = UINT32_MAX;
-  std::vector<std::pair<uint64_t, uint32_t>> Transitions; // sorted on demand
+  std::vector<std::pair<uint64_t, uint32_t>> Transitions; // scanned linearly
   std::optional<uint32_t> lookup(ir::MethodId M, uint32_t S) const;
 };
 
@@ -130,13 +136,13 @@ public:
     }
   };
 
-  /// \p Tracked is the allocation site this instance tracks; \p Pt supplies
-  /// the may-alias oracle; both must outlive the analysis.
+  /// \p Tracked is the site this instance tracks, \p Pt the may-alias
+  /// oracle. \p P, \p Spec and \p Pt must outlive it, \p Spec unchanged.
   TypestateAnalysis(const ir::Program &P, const TypestateSpec &Spec,
                     ir::AllocId Tracked, const pointer::PointsToResult &Pt);
 
   //===--- forward ---------------------------------------------------------===
-  State initialState() const;
+  State initialState() const { return AbsState{false, 1, {}}; } // {init}
   State transfer(const ir::Command &Cmd, const State &In,
                  const Param &Prm) const;
 
@@ -160,7 +166,7 @@ public:
   //===--- backward meta-analysis ------------------------------------------===
   formula::Formula wpAtom(const ir::Command &Cmd, formula::AtomId A) const;
   bool evalAtom(formula::AtomId A, const Param &Prm, const State &D) const;
-  bool isParamAtom(formula::AtomId A) const;
+  bool isParamAtom(formula::AtomId A) const { return (A & 3) == 1; }
   std::string atomName(formula::AtomId A) const;
 
   /// Semantic normalization hooks (Figure 9's domain): err excludes every
@@ -193,18 +199,38 @@ public:
   static formula::AtomId atomVar(ir::VarId X) { return (X.index() << 2) | 2; }
   static formula::AtomId atomType(uint32_t S) { return (S << 2) | 3; }
 
-  ir::AllocId trackedSite() const { return Tracked; }
-  const TypestateSpec &spec() const { return Spec; }
-
 private:
-  bool mayAffect(ir::VarId Receiver) const {
-    return Pt.mayPoint(Receiver, Tracked);
+  /// What one case does to a non-TOP state (TOP absorbs every effect). It
+  /// reads its operands from the command, so most lists are shared.
+  enum class Effect : uint8_t {
+    Keep,  ///< d' = d
+    Top,   ///< d' = TOP
+    Drop,  ///< Dst leaves vs
+    Bind,  ///< Dst is in vs' iff Src is in vs and Dst is in p (Copy)
+    Fresh, ///< a new tracked object: ts' = ts u {init}, vs' = {Dst} ^ p
+    Call,  ///< ts' = [m](ts), strong if Dst is in vs, weak otherwise
+  };
+  using Transfer = meta::GuardedTransfer<Effect>;
+
+  /// Calls \p Fn on \p Cmd's case list (Figure 4).
+  template <typename FnT>
+  auto withCases(const ir::Command &Cmd, FnT Fn) const {
+    if (const Transfer *T = fixedCases(Cmd))
+      return Fn(*T);
+    if (const Transfer *T = Calls.find(Cmd))
+      return Fn(*T);
+    return Fn(callCases(Cmd));
   }
+  /// The shared list of \p Cmd; null for a call that may reach the site.
+  const Transfer *fixedCases(const ir::Command &Cmd) const;
+  Transfer callCases(const ir::Command &Cmd) const;
 
   const ir::Program &P;
   const TypestateSpec &Spec;
   ir::AllocId Tracked;
   const pointer::PointsToResult &Pt;
+  /// callCases() of the pool's calls that may reach the tracked site.
+  meta::CaseTable<Effect> Calls;
   mutable meta::WpTable Wp;
 };
 

@@ -3,8 +3,9 @@
 // §8 of the paper proposes synthesizing the backward meta-analysis's
 // transfer functions automatically from the forward analysis. The
 // meta::GuardedTransfer recipe does this for guarded-case transfer
-// functions; the thread-escape client uses it in production. To show the
-// recipe is generic, this test derives a THIRD parametric client - a
+// functions; the thread-escape and type-state clients use it in
+// production. To show the recipe is generic, this test derives a THIRD
+// parametric client - a
 // little taint analysis (parameter: which allocation sites are trusted) -
 // writing only the forward case lists, and property-checks that the
 // synthesized weakest preconditions satisfy requirement (2) exactly.
@@ -110,8 +111,7 @@ public:
 
   State transfer(const Command &Cmd, const State &In,
                  const Param &Prm) const {
-    formula::AtomEval Eval = [&](AtomId A) { return evalAtom(A, Prm, In); };
-    return cases(Cmd).apply(Eval, [&](const Effect &E) {
+    return cases(Cmd).apply(*this, Prm, In, [&](const Effect &E) {
       if (!E.HasAssign)
         return In;
       State Out = In;
@@ -207,10 +207,13 @@ TEST(GuardedCases, ApplyPicksTheEnabledCase) {
   meta::GuardedTransfer<int> T;
   T.addCase(Formula::atom(1), 10);
   T.addCase(Formula::negAtom(1), 20);
-  formula::AtomEval True1 = [](AtomId A) { return A == 1; };
-  formula::AtomEval False1 = [](AtomId) { return false; };
-  EXPECT_EQ(T.apply(True1, [](int E) { return E; }), 10);
-  EXPECT_EQ(T.apply(False1, [](int E) { return E; }), 20);
+  struct { // atom A holds of (p, d) iff A == p + d
+    bool evalAtom(AtomId A, int Prm, int D) const {
+      return A == AtomId(Prm + D);
+    }
+  } Client;
+  EXPECT_EQ(T.apply(Client, 1, 0, [](int E) { return E; }), 10);
+  EXPECT_EQ(T.apply(Client, 2, 0, [](int E) { return E; }), 20);
 }
 
 TEST(GuardedCases, WpAtomIsGuardWeightedDisjunction) {

@@ -841,11 +841,13 @@ TEST(ShardRouterTest, DeathDuringDrainAfterRetirementsResubmitsLiveJobsOnly) {
   // The fresh worker got the two live jobs and none of the retired ones.
   const std::vector<std::string> &Log = Host.Live[0]->RequestLog;
   ASSERT_EQ(countOp(Log, "submit"), 2u);
-  for (const std::string &L : Log)
-    if (L.find("\"op\":\"submit\"") != std::string::npos)
+  for (const std::string &L : Log) {
+    if (L.find("\"op\":\"submit\"") != std::string::npos) {
       EXPECT_TRUE(L.find("\"check\":14") != std::string::npos ||
                   L.find("\"check\":15") != std::string::npos)
           << L;
+    }
+  }
   expectExplain(R, 1, "fulfilled", 0);
   expectExplain(R, 4, "fulfilled", 1);
 }

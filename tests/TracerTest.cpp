@@ -9,8 +9,10 @@
 
 #include "tracer/QueryDriver.h"
 
+#include "dataflow/Forward.h"
 #include "escape/Escape.h"
 #include "ir/Parser.h"
+#include "meta/Backward.h"
 #include "pointer/PointsTo.h"
 #include "support/Prng.h"
 #include "typestate/Typestate.h"
@@ -139,6 +141,47 @@ TEST(TracerFig1, BothQueriesTogetherAndBruteForceAgrees) {
   EXPECT_EQ(Outcomes[1].V, Verdict::Impossible);
   EXPECT_EQ(bruteForceOptimum(F.P, *F.A, CheckId(0)), 2);
   EXPECT_EQ(bruteForceOptimum(F.P, *F.A, CheckId(1)), -1);
+}
+
+TEST(TracerFig1, FirstIterationFormulasMatchFigure1c) {
+  // One CEGAR iteration by hand for check(x, closed) at p = {} and k = 1,
+  // as examples/quickstart prints it: the phi before each trace command
+  // (Figure 1(c)) and the abstractions the run eliminates.
+  Fig1 F;
+  auto Name = [&F](formula::AtomId At) { return F.A->atomName(At); };
+  typestate::TsParam Empty = F.A->paramFromBits({});
+  dataflow::ForwardAnalysis<typestate::TypestateAnalysis> Fwd(F.P, *F.A,
+                                                              Empty);
+  Fwd.run(F.A->initialState());
+  formula::Dnf NotQ = F.A->notQ(CheckId(0));
+  std::optional<typestate::AbsState> Bad;
+  for (const auto &D : Fwd.statesAtCheck(CheckId(0)))
+    if (NotQ.eval([&](formula::AtomId At) {
+          return F.A->evalAtom(At, Empty, D);
+        }))
+      Bad = D;
+  ASSERT_TRUE(Bad.has_value());
+  auto T = Fwd.extractTrace(CheckId(0), *Bad);
+  ASSERT_TRUE(T.has_value());
+  ASSERT_EQ(T->size(), 5u);
+
+  std::vector<std::string> Before(T->size());
+  meta::BackwardConfig Bwd;
+  Bwd.K = 1;
+  Bwd.StepObserver = [&](size_t I, const Command &, const formula::Dnf &Phi) {
+    Before[I] = Phi.toString(Name);
+  };
+  meta::BackwardMetaAnalysis<typestate::TypestateAnalysis> Meta(F.P, *F.A,
+                                                                Bwd);
+  auto Phi = Meta.run(*T, Empty, Fwd.replay(*T, F.A->initialState()), NotQ);
+  ASSERT_TRUE(Phi.has_value());
+  const std::string Aliased = "!var(x) /\\ type(closed) /\\ !type(opened)";
+  EXPECT_EQ(Before, (std::vector<std::string>{
+                        "!err /\\ !param(x) /\\ !type(opened)", Aliased,
+                        Aliased, Aliased, "type(closed)"}));
+  EXPECT_EQ(Meta.projectToParams(*Phi, Empty, F.A->initialState())
+                .toString(Name),
+            "!param(x)");
 }
 
 TEST(TracerFig1, IrrelevantVariableNeverTracked) {

@@ -5,6 +5,8 @@
 #include "ir/Parser.h"
 #include "pointer/PointsTo.h"
 #include "support/Prng.h"
+#include "synth/Generator.h"
+#include "typestate/Properties.h"
 
 #include "gtest/gtest.h"
 
@@ -15,6 +17,7 @@ using namespace optabs::typestate;
 using optabs::BitSet;
 using optabs::Prng;
 using optabs::formula::AtomId;
+using optabs::formula::Formula;
 
 Program parse(const char *Src) {
   Program P;
@@ -278,6 +281,220 @@ TEST(TypestateWp, SoundAndCompleteForStress) {
       check(x, init);
     }
   )", /*Stress=*/true);
+}
+
+//===----------------------------------------------------------------------===//
+// The derived wp against the hand-written Figure 10 table it replaced.
+//===----------------------------------------------------------------------===//
+
+namespace oracle {
+/// The hand-written TypestateAnalysis::wpAtom that the case lists replaced,
+/// for the analysis of \p Tracked under \p Spec.
+Formula wpAtom(const TypestateSpec &Spec, AllocId Tracked,
+               const optabs::pointer::PointsToResult &Pt, const Command &Cmd,
+               AtomId A) {
+  enum { KErr = 0, KParam = 1, KVar = 2 };
+  unsigned Kind = A & 3;
+  uint32_t Payload = A >> 2;
+  Formula Same = Formula::atom(A);
+  AtomId Err = TypestateAnalysis::atomErr();
+
+  if (Kind == KParam)
+    return Same;
+
+  switch (Cmd.Kind) {
+  case CmdKind::Assume:
+  case CmdKind::Check:
+  case CmdKind::StoreGlobal:
+  case CmdKind::StoreField:
+    return Same;
+
+  case CmdKind::New:
+    if (Cmd.Alloc == Tracked) {
+      if (Kind == KErr)
+        return Same;
+      if (Kind == KVar) {
+        if (Payload != Cmd.Dst.index())
+          return Formula::constant(false);
+        return Formula::conj(
+            {Formula::negAtom(Err),
+             Formula::atom(TypestateAnalysis::atomParam(Cmd.Dst))});
+      }
+      if (Payload == 0)
+        return Formula::negAtom(Err);
+      return Same;
+    }
+    [[fallthrough]];
+  case CmdKind::Null:
+  case CmdKind::LoadGlobal:
+  case CmdKind::LoadField:
+    if (Kind == KVar && Payload == Cmd.Dst.index())
+      return Formula::constant(false);
+    return Same;
+
+  case CmdKind::Copy:
+    if (Kind == KVar && Payload == Cmd.Dst.index())
+      return Formula::conj(
+          {Formula::atom(TypestateAnalysis::atomVar(Cmd.Src)),
+           Formula::atom(TypestateAnalysis::atomParam(Cmd.Dst))});
+    return Same;
+
+  case CmdKind::MethodCall: {
+    if (!Pt.mayPoint(Cmd.Dst, Tracked))
+      return Same;
+    AtomId VarDst = TypestateAnalysis::atomVar(Cmd.Dst);
+    if (Spec.isStress()) {
+      if (Kind == KErr)
+        return Formula::disj({Same, Formula::negAtom(VarDst)});
+      return Formula::conj({Formula::atom(VarDst), Same});
+    }
+    std::vector<Formula> ErrSources;
+    for (uint32_t S = 0; S < Spec.numStates(); ++S)
+      if (Cmd.Method.isValid() && !Spec.apply(Cmd.Method, S))
+        ErrSources.push_back(Formula::atom(TypestateAnalysis::atomType(S)));
+    if (Kind == KErr)
+      return Formula::disj(
+          {Same, Formula::disj(std::vector<Formula>(ErrSources))});
+    std::vector<Formula> NoErr;
+    for (const Formula &F : ErrSources)
+      NoErr.push_back(Formula::negate(F));
+    if (Kind == KVar)
+      return Formula::conj(
+          {Same, Formula::conj(std::vector<Formula>(NoErr))});
+    std::vector<Formula> Producers;
+    for (uint32_t S = 0; S < Spec.numStates(); ++S)
+      if (Spec.apply(Cmd.Method, S) == std::optional<uint32_t>(Payload))
+        Producers.push_back(Formula::atom(TypestateAnalysis::atomType(S)));
+    Formula Weak = Formula::conj({Formula::negAtom(VarDst), Same});
+    return Formula::conj(
+        {Formula::negAtom(Err), Formula::conj(std::move(NoErr)),
+         Formula::disj({Formula::disj(std::move(Producers)), Weak})});
+  }
+
+  case CmdKind::Invoke:
+    break;
+  }
+  ADD_FAILURE() << "Invoke has no wp";
+  return Same;
+}
+} // namespace oracle
+
+void collectAtoms(const Formula &F, std::vector<AtomId> &Atoms) {
+  if (F.kind() == Formula::Kind::Literal) {
+    if (std::find(Atoms.begin(), Atoms.end(), F.literal().atom()) ==
+        Atoms.end())
+      Atoms.push_back(F.literal().atom());
+    return;
+  }
+  for (const Formula &Kid : F.children())
+    collectAtoms(Kid, Atoms);
+}
+
+/// Checks the derived wp of every atom across every non-Invoke command of
+/// \p P against the oracle, for the analysis of each site in \p Sites:
+/// equal on every assignment to the atoms either formula mentions, and
+/// equal cube for cube once converted to DNF, negated or not, as the
+/// backward meta-analysis converts them.
+void expectWpMatchesOracle(const Program &P, const TypestateSpec &Spec,
+                             const optabs::pointer::PointsToResult &Pt,
+                             const std::vector<uint32_t> &Sites) {
+  std::vector<AtomId> Atoms{TypestateAnalysis::atomErr()};
+  for (uint32_t V = 0; V < P.numVars(); ++V) {
+    Atoms.push_back(TypestateAnalysis::atomParam(VarId(V)));
+    Atoms.push_back(TypestateAnalysis::atomVar(VarId(V)));
+  }
+  for (uint32_t S = 0; S < Spec.numStates(); ++S)
+    Atoms.push_back(TypestateAnalysis::atomType(S));
+
+  for (uint32_t Site : Sites) {
+    TypestateAnalysis A(P, Spec, AllocId(Site), Pt);
+    for (uint32_t CI = 0; CI < P.numCommands(); ++CI) {
+      const Command &Cmd = P.command(CommandId(CI));
+      if (Cmd.Kind == CmdKind::Invoke)
+        continue;
+      for (AtomId At : Atoms) {
+        Formula Got = A.wpAtom(Cmd, At);
+        Formula Want = oracle::wpAtom(Spec, AllocId(Site), Pt, Cmd, At);
+        std::vector<AtomId> Mentioned;
+        collectAtoms(Got, Mentioned);
+        collectAtoms(Want, Mentioned);
+        ASSERT_LE(Mentioned.size(), 16u);
+        for (uint32_t Bits = 0; Bits < (1u << Mentioned.size()); ++Bits) {
+          auto Eval = [&](AtomId B) {
+            size_t I = std::find(Mentioned.begin(), Mentioned.end(), B) -
+                       Mentioned.begin();
+            return ((Bits >> I) & 1) != 0;
+          };
+          ASSERT_EQ(Got.eval(Eval), Want.eval(Eval))
+              << "site " << Site << " cmd " << CI << " atom "
+              << A.atomName(At) << " assignment " << Bits;
+        }
+        ASSERT_EQ(Got.toDnf(), Want.toDnf())
+            << "site " << Site << " cmd " << CI << " atom " << A.atomName(At);
+        ASSERT_EQ(Formula::negate(Got).toDnf(), Formula::negate(Want).toDnf())
+            << "site " << Site << " cmd " << CI << " !atom "
+            << A.atomName(At);
+      }
+    }
+  }
+}
+
+/// A sample of \p P's allocation sites: the first one a call's receiver
+/// may point to, so that some call's case list depends on the site, and
+/// the middle one.
+std::vector<uint32_t> sampleSites(const Program &P,
+                                  const optabs::pointer::PointsToResult &Pt) {
+  std::vector<uint32_t> Sites;
+  for (uint32_t CI = 0; CI < P.numCommands() && Sites.empty(); ++CI) {
+    const Command &Cmd = P.command(CommandId(CI));
+    if (Cmd.Kind == CmdKind::MethodCall)
+      Pt.pointsTo(Cmd.Dst).forEach([&](size_t H) {
+        if (Sites.empty())
+          Sites.push_back(static_cast<uint32_t>(H));
+      });
+  }
+  uint32_t Middle = P.numAllocs() / 2;
+  if (Sites.empty() || Sites[0] != Middle)
+    Sites.push_back(Middle);
+  return Sites;
+}
+
+TEST(TypestateWp, DerivedMatchesHandWrittenOnFixtures) {
+  Fixture Auto(Fig1Src);
+  expectWpMatchesOracle(Auto.P, *Auto.Spec, *Auto.Pt,
+                        {Auto.P.findAlloc("h1").index()});
+  Fixture Stress(R"(
+    proc main { x = new h1; y = x; y.work(); x = new h2; x.work(); }
+  )", /*Stress=*/true);
+  expectWpMatchesOracle(Stress.P, *Stress.Spec, *Stress.Pt, {0, 1});
+}
+
+TEST(TypestateWp, DerivedMatchesHandWrittenOnSuite) {
+  // Every suite program under the stress property (the one the suite runs)
+  // and under an automaton over the program's own methods, built so that
+  // each method has transitions, error transitions and undeclared states.
+  for (const optabs::synth::BenchConfig &Config :
+       optabs::synth::paperSuite()) {
+    optabs::synth::Benchmark B = optabs::synth::generate(Config);
+    optabs::pointer::PointsToResult Pt = optabs::pointer::runPointsTo(B.P);
+    std::vector<uint32_t> Sites = sampleSites(B.P, Pt);
+    ASSERT_EQ(Sites.size(), 2u);
+    std::string Err;
+    std::optional<TypestateSpec> Stress = specFor("", B.P, Err);
+    ASSERT_TRUE(Stress) << Err;
+    expectWpMatchesOracle(B.P, *Stress, Pt, Sites);
+
+    TypestateSpec Auto("s0");
+    Auto.addState("s1");
+    Auto.addState("s2");
+    for (uint32_t M = 0; M < B.P.numMethods(); ++M) {
+      Auto.addTransition(MethodId(M), M % 3, (M + 1) % 3);
+      Auto.addErrorTransition(MethodId(M), (M + 1) % 3);
+    }
+    expectWpMatchesOracle(B.P, Auto, Pt, Sites);
+    if (testing::Test::HasFatalFailure())
+      return;
+  }
 }
 
 TEST(Typestate, NotQForAutomatonChecks) {

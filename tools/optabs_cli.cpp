@@ -141,7 +141,8 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts, std::string &Err) {
     return false;
   }
   Opts.ProgramPath = Positionals[0];
-  if (!Opts.Stats && Opts.Client != "escape" && Opts.Client != "typestate") {
+  bool KnownClient = Opts.Client == "escape" || Opts.Client == "typestate";
+  if (!KnownClient && !(Opts.Stats && Opts.Client.empty())) {
     Err = "--client must be 'escape' or 'typestate'";
     return false;
   }
