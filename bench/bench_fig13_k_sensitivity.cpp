@@ -26,7 +26,7 @@ int main() {
   for (const auto &Config : synth::smallSuite()) {
     for (unsigned K : {1u, 5u, 10u}) {
       reporting::HarnessOptions Options;
-      Options.RunTypestate = false;
+      Options.Client = "escape";
       Options.Cfg.Execution.K = K;
       reporting::BenchRun Run = reporting::runBenchmark(Config, Options);
       T.addRow({Config.Name, TablePrinter::cell((long long)K),

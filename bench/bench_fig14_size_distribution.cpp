@@ -20,7 +20,7 @@ int main() {
   // The paper's largest three: antlr, avrora, lusearch.
   for (size_t I = 4; I < Suite.size(); ++I) {
     reporting::HarnessOptions Options;
-    Options.RunTypestate = false;
+    Options.Client = "escape";
     reporting::BenchRun Run = reporting::runBenchmark(Suite[I], Options);
     Histogram H = reporting::cheapestSizeHistogram(Run.Esc);
     std::vector<std::pair<std::string, double>> Entries;

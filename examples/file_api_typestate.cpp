@@ -14,6 +14,7 @@
 #include "ir/Parser.h"
 #include "ir/Printer.h"
 #include "pointer/PointsTo.h"
+#include "service/Clients.h"
 #include "tracer/QueryDriver.h"
 #include "typestate/Typestate.h"
 
@@ -64,17 +65,20 @@ int main() {
   Spec.addTransition(Close, Opened, Closed);
   Spec.addErrorTransition(Close, Closed);
 
-  pointer::PointsToResult Pt = pointer::runPointsTo(P);
-
-  // Each query is a (check, allocation site) pair; the queried variable's
-  // may-points-to set decides which sites are relevant.
+  // The client table's plan: the automaton plus the may-alias oracle form
+  // the run's context, and each query is a (check, allocation site) pair
+  // - the queried variable's may-points-to set decides which sites are
+  // relevant - run once per tracked site.
+  using Typestate = service::ClientTraits<typestate::TypestateAnalysis>;
+  Typestate::Context Ctx{Spec, pointer::runPointsTo(P)};
   std::cout << "\nVerification report:\n";
   std::vector<CheckId> Checks;
   for (uint32_t I = 0; I < P.numChecks(); ++I)
     Checks.push_back(CheckId(I));
-  for (const auto &[H, Queries] : typestate::checksBySite(P, Checks, Pt)) {
-    typestate::TypestateAnalysis A(P, Spec, AllocId(H), Pt);
-    tracer::QueryDriver<typestate::TypestateAnalysis> Driver(P, A);
+  for (const auto &[H, Queries] : Typestate::groups(P, Ctx, Checks)) {
+    std::unique_ptr<typestate::TypestateAnalysis> A =
+        Typestate::analysis(P, Ctx, H);
+    tracer::QueryDriver<typestate::TypestateAnalysis> Driver(P, *A);
     auto Outcomes = Driver.run(Queries);
     for (const auto &O : Outcomes) {
       const CheckSite &Site = P.checkSite(O.Check);

@@ -27,8 +27,10 @@
 ///  * optabs::tracer - QueryDriver (constructed from a Config),
 ///    Verdict/QueryOutcome, the certificate checker, and the versioned
 ///    JSONL event trace.
-///  * optabs::service - AnalysisService, Session, QueryResult, and the
-///    versioned JSONL request/response protocol of optabs-serve.
+///  * optabs::service - the client table (ClientTraits, PerClient,
+///    forEachClient: how each client runs), AnalysisService, Session,
+///    QueryResult, and the versioned JSONL request/response protocol of
+///    optabs-serve.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,8 +60,10 @@
 #include "tracer/EventTrace.h"
 #include "tracer/QueryDriver.h"
 
-// The multi-tenant analysis service and its wire protocol.
+// The client table, the multi-tenant analysis service and its wire
+// protocol.
 #include "service/AnalysisService.h"
+#include "service/Clients.h"
 #include "service/Protocol.h"
 
 #endif // OPTABS_OPTABS_H

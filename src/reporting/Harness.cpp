@@ -5,6 +5,8 @@
 #include "support/Timer.h" // internal: wall-clock attribution
 
 #include <cstdlib>
+#include <stdexcept>
+#include <type_traits>
 
 namespace optabs {
 namespace reporting {
@@ -27,55 +29,25 @@ QueryStat statOf(const tracer::QueryOutcome &O) {
   return S;
 }
 
-/// Folds one driver run under \p Cfg into the client results: its
-/// per-query stats, its counters, and its audit evidence, noted under the
-/// run's event-trace label.
-template <typename Analysis>
-void foldRun(const ir::Program &P, const Analysis &A, const Config &Cfg,
-             const tracer::QueryDriver<Analysis> &Driver,
-             const std::vector<tracer::QueryOutcome> &Outcomes,
-             ClientResults &Out) {
-  for (const tracer::QueryOutcome &O : Outcomes)
-    Out.Queries.push_back(statOf(O));
-  const tracer::DriverStats &S = Driver.stats();
-  Out.ForwardRuns += S.ForwardRuns;
-  Out.BackwardRuns += S.BackwardRuns;
-  Out.CacheHits += S.CacheHits;
-  Out.CacheMisses += S.CacheMisses;
-  Out.CacheEvictions += S.CacheEvictions;
-  Out.Phases += S.Phases;
-  Out.BudgetExhausted += S.BudgetExhausted;
-  Out.Degradations += S.Degradations;
-  tracer::auditRun(P, A, Cfg, Driver, Outcomes,
-                   Cfg.Observability.EventTraceLabel, Out);
-}
-
-void runEscape(const synth::Benchmark &B, const HarnessOptions &Options,
-               ClientResults &Out) {
-  Timer Total;
-  escape::EscapeAnalysis A(B.P);
-  Config Cfg = Options.Cfg;
-  Cfg.Observability.EventTraceLabel = "escape";
-  tracer::QueryDriver<escape::EscapeAnalysis> Driver(B.P, A, Cfg);
-  foldRun(B.P, A, Cfg, Driver, Driver.run(B.EscChecks), Out);
-  Out.TotalSeconds = Total.seconds();
-}
-
-void runTypestate(synth::Benchmark &B, const HarnessOptions &Options,
-                  ClientResults &Out) {
+/// Runs client \p A over \p Checks of \p P as its table entry plans it,
+/// under the §6 stress property: one driver per group of checks, whose
+/// per-query stats, counters and audit evidence (noted under the run's
+/// event-trace label) fold into \p Out. The groups share one wall-clock
+/// budget; once it is spent, every remaining query records a clean
+/// exhaustion verdict instead of constructing a driver doomed to burn
+/// setup time resolving nothing.
+template <typename A>
+void runClient(ir::Program &P, const std::vector<CheckId> &Checks,
+               const HarnessOptions &Options, ClientResults &Out) {
+  using T = service::ClientTraits<A>;
   Timer Total;
   std::string Err;
-  typestate::TypestateSpec Spec = *typestate::specFor("", B.P, Err);
-  pointer::PointsToResult Pt = pointer::runPointsTo(B.P);
-
+  std::optional<typename T::Context> Ctx = T::context("", P, Err);
   double Budget = Options.Cfg.Budgets.TimeBudgetSeconds;
-  for (auto &[Site, Checks] : typestate::checksBySite(B.P, B.TsChecks, Pt)) {
+  for (auto &[G, Queries] : T::groups(P, *Ctx, Checks)) {
     double Remaining = Budget - Total.seconds();
     if (Remaining <= 0) {
-      // The shared wall-clock budget is spent. Record a clean exhaustion
-      // verdict per query instead of constructing a driver doomed to burn
-      // setup time resolving nothing.
-      for (size_t I = 0; I < Checks.size(); ++I) {
+      for (size_t I = 0; I < Queries.size(); ++I) {
         QueryStat S;
         S.V = tracer::Verdict::Unresolved;
         S.ExhaustedResource = "wall_clock";
@@ -85,15 +57,40 @@ void runTypestate(synth::Benchmark &B, const HarnessOptions &Options,
       }
       continue;
     }
-    typestate::TypestateAnalysis A(B.P, Spec, AllocId(Site), Pt);
-    Config PerSite = Options.Cfg;
-    PerSite.Budgets.TimeBudgetSeconds = Remaining;
-    PerSite.Observability.EventTraceLabel = typestate::siteTraceLabel(Site);
-    tracer::QueryDriver<typestate::TypestateAnalysis> Driver(B.P, A,
-                                                             PerSite);
-    foldRun(B.P, A, PerSite, Driver, Driver.run(Checks), Out);
+    std::unique_ptr<A> An = T::analysis(P, *Ctx, G);
+    Config Cfg = Options.Cfg;
+    Cfg.Budgets.TimeBudgetSeconds = Remaining;
+    Cfg.Observability.EventTraceLabel = T::traceLabel(G);
+    tracer::QueryDriver<A> Driver(P, *An, Cfg);
+    std::vector<tracer::QueryOutcome> Outcomes = Driver.run(Queries);
+    for (const tracer::QueryOutcome &O : Outcomes)
+      Out.Queries.push_back(statOf(O));
+    const tracer::DriverStats &S = Driver.stats();
+    Out.ForwardRuns += S.ForwardRuns;
+    Out.BackwardRuns += S.BackwardRuns;
+    Out.CacheHits += S.CacheHits;
+    Out.CacheMisses += S.CacheMisses;
+    Out.CacheEvictions += S.CacheEvictions;
+    Out.Phases += S.Phases;
+    Out.BudgetExhausted += S.BudgetExhausted;
+    Out.Degradations += S.Degradations;
+    tracer::auditRun(P, *An, Cfg, Driver, Outcomes,
+                     Cfg.Observability.EventTraceLabel, Out);
   }
   Out.TotalSeconds = Total.seconds();
+}
+
+/// The one place the harness names a client: the suite's checks for
+/// client \p A, and the BenchRun fields its results and query count fill
+/// (the paper-table benches read them by client).
+template <typename A> auto slotOf(synth::Benchmark &B, BenchRun &Run) {
+  using Clients = service::PerClient<service::ClientTraits>;
+  static_assert(std::tuple_size_v<Clients> == 2,
+                "a client added to the table needs its BenchRun slot here");
+  if constexpr (std::is_same_v<A, escape::EscapeAnalysis>)
+    return std::tie(B.EscChecks, Run.Esc, Run.EscQueries);
+  else
+    return std::tie(B.TsChecks, Run.Ts, Run.TsQueries);
 }
 
 } // namespace
@@ -110,14 +107,13 @@ HarnessOptions::HarnessOptions() {
     Cfg.Budgets.TimeBudgetSeconds = 180;
 }
 
-HarnessOptions HarnessOptions::fromConfig(const Config &C) {
-  HarnessOptions O;
-  O.Cfg = C;
-  return O;
-}
-
 BenchRun runBenchmark(const synth::BenchConfig &Config,
                       const HarnessOptions &Options) {
+  if (!Options.Client.empty() &&
+      !service::withClient(Options.Client, [](auto) {}))
+    throw std::invalid_argument("harness client must be " +
+                                service::clientNames() + ", got '" +
+                                Options.Client + "'");
   synth::Benchmark B = synth::generate(Config);
   BenchRun Run;
   Run.Config = Config;
@@ -126,16 +122,17 @@ BenchRun runBenchmark(const synth::BenchConfig &Config,
   Run.Vars = B.P.numVars();
   Run.Sites = B.P.numAllocs();
   Run.Fields = B.P.numFields();
-  Run.EscQueries = static_cast<uint32_t>(B.EscChecks.size());
-
-  if (Options.RunEscape)
-    runEscape(B, Options, Run.Esc);
-  if (Options.RunTypestate) {
-    runTypestate(B, Options, Run.Ts);
-    Run.TsQueries = static_cast<uint32_t>(Run.Ts.Queries.size());
-  } else {
-    Run.TsQueries = static_cast<uint32_t>(B.TsChecks.size());
-  }
+  // A client left out reports its check count; a client run, its number
+  // of (check, group) queries.
+  service::forEachClient([&](auto T) {
+    using A = typename decltype(T)::Analysis;
+    auto [Checks, Out, Queries] = slotOf<A>(B, Run);
+    Queries = static_cast<uint32_t>(Checks.size());
+    if (!Options.Client.empty() && Options.Client != T.Name)
+      return;
+    runClient<A>(B.P, Checks, Options, Out);
+    Queries = static_cast<uint32_t>(Out.Queries.size());
+  });
   return Run;
 }
 

@@ -7,7 +7,8 @@
 ///
 /// \file
 /// Runs a synthetic benchmark through both client analyses the way §6 runs
-/// the Java benchmarks through Chord:
+/// the Java benchmarks through Chord, each as its client-table entry
+/// (service/Clients.h) plans it:
 ///
 ///  * thread-escape: one TRACER driver over all field-access queries;
 ///  * type-state (stress property): queries are (check, site) pairs for
@@ -86,8 +87,8 @@ struct BenchRun {
   ClientResults Ts, Esc;
 };
 
-/// Knobs for a harness run: the unified optabs::Config plus the two
-/// harness-only switches. Poke Cfg directly:
+/// Knobs for a harness run: the unified optabs::Config plus the client
+/// to run. Poke Cfg directly:
 ///
 ///   HarnessOptions O;
 ///   O.Cfg.Execution.NumThreads = 4;
@@ -96,9 +97,9 @@ struct BenchRun {
 ///
 /// Execution/Budgets/Observability reach the drivers as a Config copy;
 /// Audit.Enabled arms invariant recording plus certificate checking;
-/// the Observability paths are honored per client (the harness stamps the
-/// per-client event-trace labels - "escape", "typestate/site=N" -
-/// itself; the event-trace file is appended to, never truncated).
+/// the Observability paths are honored per client (the harness stamps
+/// each driver run's event-trace label from the client table itself; the
+/// event-trace file is appended to, never truncated).
 struct HarnessOptions {
   /// The configuration surface. The default constructor resolves
   /// Config::fromEnv() (so the OPTABS_* precedence chain applies: audit
@@ -106,16 +107,16 @@ struct HarnessOptions {
   /// pins the harness operating point; fromConfig() takes an explicit
   /// Config verbatim.
   Config Cfg;
-  bool RunTypestate = true;
-  bool RunEscape = true;
+  /// The one client to run, by its client-table name (service/Clients.h);
+  /// empty runs every client. runBenchmark throws std::invalid_argument
+  /// on a name the table does not list.
+  std::string Client;
 
   HarnessOptions();
-
-  /// Harness options carrying \p C verbatim (no operating-point pinning).
-  static HarnessOptions fromConfig(const Config &C);
 };
 
-/// Generates and runs one benchmark.
+/// Generates and runs one benchmark through every client (or the one
+/// Options.Client names), in client-table order.
 BenchRun runBenchmark(const synth::BenchConfig &Config,
                       const HarnessOptions &Options = HarnessOptions());
 

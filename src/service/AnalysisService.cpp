@@ -40,19 +40,15 @@
 
 #include "service/AnalysisService.h"
 
-#include "escape/Escape.h"
 #include "ir/Liveness.h"
 #include "ir/Parser.h"
 #include "ir/ProgramDiff.h"
-#include "pointer/PointsTo.h"
-#include "service/CacheCodecs.h"
+#include "service/Clients.h"
 #include "support/Budget.h"
 #include "support/Metrics.h"
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
 #include "tracer/CachePersist.h"
-#include "typestate/Properties.h"
-#include "typestate/Typestate.h"
 
 #include <algorithm>
 #include <condition_variable>
@@ -204,22 +200,30 @@ bool footprintHits(const BitSet &Foot, const BitSet &Dirty) {
 
 // -- program registrations and their per-client cache shards -------------
 
-/// A type-state analysis family: one property automaton plus its
-/// per-tracked-site analysis instances. Everything lives here, stably,
-/// because cached forward runs hold references into the analysis.
-struct TsFamily {
-  std::optional<typestate::TypestateSpec> Spec;
-  std::map<uint32_t, std::unique_ptr<typestate::TypestateAnalysis>> PerSite;
+/// One client's analyses of a program registration: per property, the
+/// client's run context and one analysis per group, each built on first
+/// use. Everything lives here, stably, because cached forward runs hold
+/// references into the analyses.
+template <typename A> struct ClientAnalyses {
+  struct Family {
+    typename ClientTraits<A>::Context Ctx;
+    std::map<uint32_t, std::unique_ptr<A>> Groups;
+  };
+  std::map<std::string, Family> ByProperty; ///< by property text
+
+  void releaseWpTables() {
+    for (auto &[Prop, F] : ByProperty)
+      for (auto &[G, An] : F.Groups)
+        An->wpTable().clear();
+  }
 };
 
 /// One immutable registration of a program. Lazily grown (analyses,
-/// points-to, families, liveness) by the scheduler thread only.
+/// liveness) by the scheduler thread only.
 struct ProgramEntry {
   std::unique_ptr<ir::Program> P;
   uint64_t Epoch = 0;
-  std::unique_ptr<escape::EscapeAnalysis> Esc;
-  std::unique_ptr<pointer::PointsToResult> Pt;
-  std::map<std::string, TsFamily> Families; ///< by property text
+  PerClient<ClientAnalyses> Analyses;
   /// The liveness table every forward run of this entry points at, built
   /// once: batch drivers borrow it (QueryDriver::borrowExecution) and
   /// runs rehydrated from disk are built against it. Cached runs outlive
@@ -231,11 +235,7 @@ struct ProgramEntry {
   /// Frees every analysis's wp table (meta/WpTable.h). Only between
   /// batches: no driver may be using the analyses.
   void releaseWpTables() {
-    if (Esc)
-      Esc->wpTable().clear();
-    for (auto &[Prop, F] : Families)
-      for (auto &[Site, A] : F.PerSite)
-        A->wpTable().clear();
+    std::apply([](auto &...S) { (S.releaseWpTables(), ...); }, Analyses);
   }
 };
 
@@ -275,40 +275,9 @@ struct VerdictEntry {
 
 struct ProgramSlot;
 
-/// What differs between the clients: wire name (Noun in prose), whether a
-/// session may carry a property, state codec, the byte (SpillKind) tagging
-/// sessions, batches, verdicts and spill files, and whether a run is scoped
-/// to a family. The last three shape snapshot and spill bytes.
-template <typename A> struct ClientTraits;
-template <> struct ClientTraits<escape::EscapeAnalysis> {
-  static constexpr const char *Name = "escape";
-  static constexpr const char *Noun = "escape";
-  static constexpr bool TakesProperty = false;
-  using Codec = EscStateCodec;
-  static constexpr uint8_t SpillKind = 0;
-  /// One program-wide analysis: keys keep Family 0 and snapshot records
-  /// carry no family field.
-  static constexpr bool HasFamily = false;
-  static std::string traceLabel(uint32_t) { return Name; }
-};
-template <> struct ClientTraits<typestate::TypestateAnalysis> {
-  static constexpr const char *Name = "typestate";
-  static constexpr const char *Noun = "type-state";
-  static constexpr bool TakesProperty = true;
-  using Codec = TsStateCodec;
-  static constexpr uint8_t SpillKind = 1;
-  /// Keys fold (property family index << 32) | tracked site, so every
-  /// (family, site) analysis keys its own slice of the shard.
-  static constexpr bool HasFamily = true;
-  static std::string traceLabel(uint32_t Site) {
-    return typestate::siteTraceLabel(Site);
-  }
-};
-
 /// One client's forward-run cache shard of a program slot, shared across
 /// sessions, batches and registrations of that program.
 template <typename A> struct ClientShard : ClientTraits<A> {
-  using Analysis = A;
   using Forward = dataflow::ForwardAnalysis<A>;
   using Key = typename tracer::ForwardRunCache<Forward>::Key;
   tracer::ForwardRunCache<Forward> Runs;
@@ -318,17 +287,6 @@ template <typename A> struct ClientShard : ClientTraits<A> {
   /// resolved. Scheduler thread only.
   static A *analysisFor(ProgramSlot &Slot, ProgramEntry &E, uint64_t Family);
 };
-
-/// One value per analysis client, in snapshot order. The only place the
-/// service lists its clients.
-template <template <typename> class T>
-using PerClient =
-    std::tuple<T<escape::EscapeAnalysis>, T<typestate::TypestateAnalysis>>;
-
-/// Calls \p Fn on each client's traits, in snapshot order.
-template <typename FnT> void forEachClient(FnT Fn) {
-  std::apply([&](auto... T) { (Fn(T), ...); }, PerClient<ClientTraits>());
-}
 
 /// The per-name slot: survives re-registration and owns the cache shards
 /// (which is the whole point - a new epoch keeps hitting the warm shard
@@ -379,47 +337,39 @@ struct ProgramSlot {
   }
 };
 
-template <>
-escape::EscapeAnalysis *
-ClientShard<escape::EscapeAnalysis>::analysisFor(ProgramSlot &,
-                                                 ProgramEntry &E, uint64_t) {
-  if (!E.Esc)
-    E.Esc = std::make_unique<escape::EscapeAnalysis>(*E.P);
-  return E.Esc.get();
-}
-
-template <>
-typestate::TypestateAnalysis *
-ClientShard<typestate::TypestateAnalysis>::analysisFor(ProgramSlot &Slot,
-                                                       ProgramEntry &E,
-                                                       uint64_t Family) {
-  uint64_t Index = Family >> 32;
-  uint32_t Site = static_cast<uint32_t>(Family & 0xffffffffu);
-  const std::string *Prop = nullptr;
-  for (const auto &[P, Idx] : Slot.FamilyIndex)
-    if (Idx == Index) {
-      Prop = &P;
-      break;
-    }
-  if (!Prop || Site >= E.P->numAllocs())
-    return nullptr;
-  auto It = E.Families.find(*Prop);
-  if (It == E.Families.end()) {
-    // openSession validated the syntax; defensive for re-registers.
-    std::string Err;
-    auto Spec = typestate::specFor(*Prop, *E.P, Err);
-    if (!Spec)
-      return nullptr;
-    It = E.Families.emplace(*Prop, TsFamily{std::move(Spec), {}}).first;
+template <typename A>
+A *ClientShard<A>::analysisFor(ProgramSlot &Slot, ProgramEntry &E,
+                               uint64_t Family) {
+  using T = ClientTraits<A>;
+  static const std::string NoProperty;
+  const std::string *Prop = &NoProperty;
+  if (T::HasFamily) {
+    Prop = nullptr;
+    for (const auto &[P, Idx] : Slot.FamilyIndex)
+      if (Idx == Family >> 32) {
+        Prop = &P;
+        break;
+      }
   }
-  if (!E.Pt)
-    E.Pt = std::make_unique<pointer::PointsToResult>(
-        pointer::runPointsTo(*E.P));
-  auto &A = It->second.PerSite[Site];
-  if (!A)
-    A = std::make_unique<typestate::TypestateAnalysis>(
-        *E.P, *It->second.Spec, ir::AllocId(Site), *E.Pt);
-  return A.get();
+  uint32_t Group = static_cast<uint32_t>(Family & 0xffffffffu);
+  if (!Prop || Group >= T::numGroups(*E.P))
+    return nullptr;
+  auto &Families = std::get<ClientAnalyses<A>>(E.Analyses).ByProperty;
+  auto It = Families.find(*Prop);
+  if (It == Families.end()) {
+    // openSession checked the property; defensive for re-registers.
+    std::string Err;
+    auto Ctx = T::context(*Prop, *E.P, Err);
+    if (!Ctx)
+      return nullptr;
+    It = Families.emplace(*Prop, typename ClientAnalyses<A>::Family{
+                                     std::move(*Ctx), {}})
+             .first;
+  }
+  auto &An = It->second.Groups[Group];
+  if (!An)
+    An = T::analysis(*E.P, It->second.Ctx, Group);
+  return An.get();
 }
 
 /// A shard's runs collected on the side by a merge-mode load.
@@ -837,17 +787,20 @@ struct AnalysisService::Impl {
           (J.Spec.Priority == Best->Spec.Priority && J.Id < Best->Id))
         Best = &J;
 
+    // A client without families ignores the site: its jobs batch, and
+    // its verdicts key, at site 0.
+    bool PerSite = false;
+    forEachClient([&](auto T) {
+      PerSite |= T.SpillKind == Lead->Client && T.HasFamily;
+    });
     B.ProgramName = Lead->ProgramName;
     B.Client = Lead->Client;
     B.Property = Lead->Property;
-    B.Site = Best->Spec.Site;
+    B.Site = PerSite ? Best->Spec.Site : 0;
     B.Cfg = Lead->Cfg;
     B.OptionsSig = Lead->OptionsSig;
 
     // Coalesce matching jobs from every compatible session.
-    bool PerSite = false;
-    forEachClient(
-        [&](auto T) { PerSite |= T.SpillKind == B.Client && T.HasFamily; });
     for (auto &[Id, S] : Sessions) {
       if (S.Pending.empty())
         continue;
@@ -1002,10 +955,10 @@ struct AnalysisService::Impl {
                              std::to_string(P.numChecks()) + " checks)";
         continue;
       }
-      if (ShardT::HasFamily && Spec.Site >= P.numAllocs()) {
+      if (ShardT::HasFamily && Spec.Site >= ShardT::numGroups(P)) {
         R.Results[I].Error = "site " + std::to_string(Spec.Site) +
                              " out of range (program has " +
-                             std::to_string(P.numAllocs()) +
+                             std::to_string(ShardT::numGroups(P)) +
                              " allocation sites)";
         continue;
       }
@@ -2094,18 +2047,15 @@ RegisterResult AnalysisService::registerProgram(const std::string &Name,
 
 Session AnalysisService::openSession(const SessionSpec &Spec,
                                      std::string &Error) {
-  std::optional<uint8_t> Client;
+  uint8_t Client = 0;
   bool TakesProperty = false;
-  std::string Names;
-  forEachClient([&](auto T) {
-    Names += std::string(Names.empty() ? "'" : " or '") + T.Name + "'";
-    if (Spec.Client == T.Name) {
-      Client = T.SpillKind;
-      TakesProperty = T.TakesProperty;
-    }
-  });
-  if (!Client) {
-    Error = "client must be " + Names + ", got '" + Spec.Client + "'";
+  bool (*CheckProperty)(const std::string &, std::string &) = nullptr;
+  if (!withClient(Spec.Client, [&](auto T) {
+        Client = T.SpillKind;
+        TakesProperty = T.TakesProperty;
+        CheckProperty = &decltype(T)::checkProperty;
+      })) {
+    Error = "client must be " + clientNames() + ", got '" + Spec.Client + "'";
     return Session();
   }
   if (!TakesProperty && !Spec.Property.empty()) {
@@ -2117,11 +2067,8 @@ Session AnalysisService::openSession(const SessionSpec &Spec,
     Error = "invalid session config: " + formatConfigErrors(Errs);
     return Session();
   }
-  if (!Spec.Property.empty()) {
-    typestate::PropertySpec PS;
-    if (!typestate::parsePropertySpec(Spec.Property, PS, Error))
-      return Session();
-  }
+  if (!CheckProperty(Spec.Property, Error))
+    return Session();
   std::lock_guard<std::mutex> Lock(I->M);
   if (I->Programs.find(Spec.Program) == I->Programs.end()) {
     Error = "program '" + Spec.Program + "' is not registered";
@@ -2137,7 +2084,7 @@ Session AnalysisService::openSession(const SessionSpec &Spec,
   Impl::SessionState &S = I->Sessions[Id];
   S.Id = Id;
   S.ProgramName = Spec.Program;
-  S.Client = *Client;
+  S.Client = Client;
   S.Property = Spec.Property;
   S.Cfg = Spec.SessionConfig;
   S.OptionsSig = optionsSignature(Spec.SessionConfig);

@@ -144,8 +144,9 @@ struct JobSpec {
       : Check(Check), Site(Site), Priority(Priority), Parent(Parent) {}
 
   uint32_t Check = 0; ///< check-site index in the program
-  /// Type-state tracked allocation-site index; ignored by the escape
-  /// client. One driver run handles one site, so jobs coalesce per site.
+  /// Type-state tracked allocation-site index. One driver run handles one
+  /// site, so jobs coalesce per site; the escape client ignores it (its
+  /// jobs batch, and its verdicts key, at site 0).
   uint32_t Site = 0;
   /// Larger = served earlier within this session's queue. Priority orders
   /// batch *selection*; it never changes any query's verdict.

@@ -34,8 +34,8 @@
 ///    snapshot degrades a warm start into a cold one, it is never served.
 ///
 /// The tracer library stays client-free: this header knows nothing about
-/// EscState/AbsState. Client state codecs live with the analysis service
-/// (service/CacheCodecs.h) and plug into the RunSink/RunSource adapters
+/// EscState/AbsState. Client state codecs live in the client table
+/// (service/Clients.h) and plug into the RunSink/RunSource adapters
 /// below, which bridge SnapshotWriter/Reader to the ForwardAnalysis
 /// saveTo()/loadFrom() hooks.
 ///

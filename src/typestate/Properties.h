@@ -19,7 +19,6 @@
 
 #include "typestate/Typestate.h"
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -69,19 +68,6 @@ bool parsePropertySpec(const std::string &Text, PropertySpec &Out,
 
 /// Builds the automaton of \p PS, interning its method names into \p P.
 TypestateSpec materializeSpec(const PropertySpec &PS, ir::Program &P);
-
-/// The automaton a client run names by \p Property: the §6 stress
-/// property when it is empty, otherwise \p Property parsed and
-/// materialized into \p P. Nullopt, with \p Err set, on a syntax error.
-inline std::optional<TypestateSpec>
-specFor(const std::string &Property, ir::Program &P, std::string &Err) {
-  if (Property.empty())
-    return TypestateSpec::stress();
-  PropertySpec PS;
-  if (!parsePropertySpec(Property, PS, Err))
-    return std::nullopt;
-  return materializeSpec(PS, P);
-}
 
 } // namespace typestate
 } // namespace optabs

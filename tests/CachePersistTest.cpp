@@ -13,7 +13,7 @@
 #include "ir/Parser.h"
 #include "pointer/PointsTo.h"
 #include "service/AnalysisService.h"
-#include "service/CacheCodecs.h"
+#include "service/Clients.h"
 #include "support/Config.h"
 #include "tracer/CachePersist.h"
 #include "tracer/QueryDriver.h"
@@ -26,6 +26,7 @@
 #include <future>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -102,12 +103,17 @@ void expectSameVerdict(const tracer::QueryOutcome &Want,
 }
 
 /// A fresh per-test cache directory under /tmp, removed on destruction.
+/// mkdtemp picks a name no other directory has, so no earlier run's
+/// snapshots can be read back here.
 struct TempDir {
   std::string Path;
-  explicit TempDir(const std::string &Tag) {
-    Path = "/tmp/optabs-persist-" + Tag + "-" +
-           std::to_string(static_cast<long>(::getpid()));
-    ::mkdir(Path.c_str(), 0700);
+  explicit TempDir(const std::string &Tag)
+      : Path("/tmp/optabs-persist-" + Tag + "-XXXXXX") {
+    // An ASSERT cannot end the test from a constructor; the exception
+    // does (gtest fails the test with this message), before anything is
+    // written under a name that is not a fresh directory.
+    if (!::mkdtemp(Path.data()))
+      throw std::runtime_error("mkdtemp failed for " + Path);
   }
   ~TempDir() {
     // Best-effort: unlink every regular file, then the directory.
@@ -838,7 +844,8 @@ TEST(CachePersistTest, AbsStateValueCountIsClampedToPayload) {
   tracer::SnapshotReader R;
   ASSERT_TRUE(R.open(Path)) << R.error();
   typestate::AbsState S;
-  EXPECT_FALSE(service::TsStateCodec().load(R, S));
+  using Ts = service::ClientTraits<typestate::TypestateAnalysis>;
+  EXPECT_FALSE(Ts::Codec().load(R, S));
   EXPECT_TRUE(R.failed());
   EXPECT_NE(R.error().find("value count"), std::string::npos) << R.error();
 }

@@ -376,7 +376,7 @@ TEST(DegradationLadder, MemoryPressureDegradesButStaysSound) {
   std::remove(TracePath.c_str());
 
   reporting::HarnessOptions Options;
-  Options.RunTypestate = false;
+  Options.Client = "escape";
   Options.Cfg.Audit.Enabled = true;
   Options.Cfg.Observability.EventTracePath = TracePath;
   Options.Cfg.Budgets.MemoryBudgetBytes = 1;
@@ -403,12 +403,12 @@ TEST(DegradationLadder, MemoryPressureDegradesButStaysSound) {
 
 TEST(DegradationLadder, DegradedVerdictsNeverContradictBaseline) {
   reporting::HarnessOptions Baseline;
-  Baseline.RunTypestate = false;
+  Baseline.Client = "escape";
   reporting::BenchRun Free =
       reporting::runBenchmark(synth::paperSuite()[0], Baseline);
 
   reporting::HarnessOptions Options;
-  Options.RunTypestate = false;
+  Options.Client = "escape";
   Options.Cfg.Budgets.MemoryBudgetBytes = 1;
   reporting::BenchRun Degraded =
       reporting::runBenchmark(synth::paperSuite()[0], Options);
@@ -428,7 +428,7 @@ TEST(DegradationLadder, DegradedVerdictsNeverContradictBaseline) {
 // still reaches carries a valid witness.
 TEST(DegradationLadder, GreedyGrowDegradesAndStaysSound) {
   reporting::HarnessOptions Options;
-  Options.RunTypestate = false;
+  Options.Client = "escape";
   Options.Cfg.Audit.Enabled = true;
   Options.Cfg.Execution.Strategy = "greedy-grow";
   Options.Cfg.Budgets.MemoryBudgetBytes = 1;
@@ -453,7 +453,7 @@ TEST(HarnessGovernor, SpentBudgetShortCircuitsPerSiteDrivers) {
   // emit clean wall-clock exhaustion verdicts without running any doomed
   // driver (previously it constructed a driver per site just to time out).
   reporting::HarnessOptions Options;
-  Options.RunEscape = false;
+  Options.Client = "typestate";
   Options.Cfg.Budgets.TimeBudgetSeconds = 0;
   reporting::BenchRun Run =
       reporting::runBenchmark(synth::paperSuite()[0], Options);
@@ -467,6 +467,26 @@ TEST(HarnessGovernor, SpentBudgetShortCircuitsPerSiteDrivers) {
     EXPECT_EQ(Q.ExhaustedResource, "wall_clock");
     EXPECT_EQ(Q.ExhaustedSite, "harness.budget");
     EXPECT_EQ(Q.Iterations, 0u);
+  }
+}
+
+// Escape's single group goes through the same carve-out: with the budget
+// spent before it starts, it reports harness.budget and runs no driver.
+TEST(HarnessGovernor, SpentBudgetShortCircuitsEscapeToo) {
+  reporting::HarnessOptions Options;
+  Options.Client = "escape";
+  Options.Cfg.Budgets.TimeBudgetSeconds = 0;
+  reporting::BenchRun Run =
+      reporting::runBenchmark(synth::paperSuite()[0], Options);
+
+  ASSERT_FALSE(Run.Esc.Queries.empty());
+  EXPECT_EQ(Run.Esc.Queries.size(), Run.EscQueries);
+  EXPECT_EQ(Run.Esc.ForwardRuns, 0u);
+  EXPECT_EQ(Run.Esc.BudgetExhausted,
+            static_cast<unsigned>(Run.Esc.Queries.size()));
+  for (const reporting::QueryStat &Q : Run.Esc.Queries) {
+    EXPECT_EQ(Q.V, Verdict::Unresolved);
+    EXPECT_EQ(Q.ExhaustedSite, "harness.budget");
   }
 }
 

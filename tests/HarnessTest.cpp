@@ -102,9 +102,44 @@ TEST(Harness, IterationCountsAreModest) {
             6.0);
 }
 
+// Every client-table entry runs on its own: the harness plans its driver
+// runs from the entry alone, its queries resolve, it leaves the other
+// client's results empty, and its verdicts are the ones the joint run got.
+TEST(Harness, EachClientRunsAloneFromTheTable) {
+  const BenchRun &Joint = tspRun();
+  unsigned Clients = 0;
+  service::forEachClient([&](auto T) {
+    ++Clients;
+    reporting::HarnessOptions Options;
+    Options.Client = T.Name;
+    BenchRun Run = reporting::runBenchmark(synth::paperSuite()[0], Options);
+    ASSERT_NE(Run.Esc.Queries.empty(), Run.Ts.Queries.empty()) << T.Name;
+    bool Esc = !Run.Esc.Queries.empty();
+    const reporting::ClientResults &Out = Esc ? Run.Esc : Run.Ts;
+    const reporting::ClientResults &Want = Esc ? Joint.Esc : Joint.Ts;
+    EXPECT_GT(Out.count(Verdict::Proven) + Out.count(Verdict::Impossible),
+              0u)
+        << T.Name;
+    ASSERT_EQ(Out.Queries.size(), Want.Queries.size()) << T.Name;
+    for (size_t I = 0; I < Out.Queries.size(); ++I)
+      EXPECT_EQ(Out.Queries[I].V, Want.Queries[I].V)
+          << T.Name << " query " << I;
+  });
+  EXPECT_EQ(Clients, 2u);
+}
+
+// A client name the table does not list fails loudly instead of running
+// nothing.
+TEST(Harness, UnknownClientThrows) {
+  reporting::HarnessOptions Options;
+  Options.Client = "bogus";
+  EXPECT_THROW(reporting::runBenchmark(synth::paperSuite()[0], Options),
+               std::invalid_argument);
+}
+
 TEST(Harness, EscapeOnlyMode) {
   reporting::HarnessOptions Options;
-  Options.RunTypestate = false;
+  Options.Client = "escape";
   reporting::BenchRun Run =
       reporting::runBenchmark(synth::paperSuite()[1], Options);
   EXPECT_TRUE(Run.Ts.Queries.empty());

@@ -280,6 +280,27 @@ TEST(IncrementalServiceTest, CleanRepeatReplaysWithoutNewFixpoints) {
   EXPECT_EQ(Svc.stats().VerdictsReplayed, ReplaysBefore + 1);
 }
 
+// The escape client ignores a job's site: a verdict computed for a job
+// that carried one replays for the same check submitted without it.
+TEST(IncrementalServiceTest, EscapeVerdictReplaysWhicheverSiteTheJobCarried) {
+  service::AnalysisService::Options Opts;
+  Opts.AutoDispatch = false;
+  service::AnalysisService Svc(std::move(Opts));
+  ASSERT_TRUE(Svc.registerProgram("p", BaseText).Ok);
+  service::Session S = openEscape(Svc);
+  std::future<service::QueryResult> First = S.submit({0, 3, 0});
+  Svc.drain();
+  service::QueryResult Cold = First.get();
+  ASSERT_EQ(Cold.Status, service::JobStatus::Done) << Cold.Error;
+  ASSERT_TRUE(Svc.registerProgram("p", BaseText).Ok); // nothing dirty
+
+  uint64_t ReplaysBefore = Svc.stats().VerdictsReplayed;
+  std::future<service::QueryResult> Again = S.submit({0, 0, 0});
+  Svc.drain();
+  expectIdentical(Cold, Again.get(), "site-less repeat");
+  EXPECT_EQ(Svc.stats().VerdictsReplayed, ReplaysBefore + 1);
+}
+
 // With tracing on, explain() attributes a replayed-after-re-register job
 // to the stored verdict's data epoch and names the clean dependence
 // footprint that made the replay legal - the procedures the edit did NOT

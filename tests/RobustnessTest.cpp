@@ -195,7 +195,7 @@ TEST(FaultMatrix, EverySiteEveryKindRecoversSoundly) {
         std::string Err;
         ASSERT_TRUE(support::FaultRegistry::global().arm(Spec, Err)) << Err;
         reporting::HarnessOptions Options;
-        Options.RunTypestate = false; // escape exercises every fault site
+        Options.Client = "escape"; // escape exercises every fault site
         Options.Cfg.Audit.Enabled = true;
         Options.Cfg.Execution.NumThreads = Threads;
         reporting::BenchRun Run =
@@ -221,7 +221,7 @@ TEST(FaultMatrix, DelayedFaultsFireMidRun) {
       support::FaultRegistry::global().arm("forward.visit:alloc@3", Err))
       << Err;
   reporting::HarnessOptions Options;
-  Options.RunTypestate = false;
+  Options.Client = "escape";
   Options.Cfg.Audit.Enabled = true;
   reporting::BenchRun Run =
       reporting::runBenchmark(synth::paperSuite()[0], Options);

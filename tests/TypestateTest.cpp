@@ -479,10 +479,7 @@ TEST(TypestateWp, DerivedMatchesHandWrittenOnSuite) {
     optabs::pointer::PointsToResult Pt = optabs::pointer::runPointsTo(B.P);
     std::vector<uint32_t> Sites = sampleSites(B.P, Pt);
     ASSERT_EQ(Sites.size(), 2u);
-    std::string Err;
-    std::optional<TypestateSpec> Stress = specFor("", B.P, Err);
-    ASSERT_TRUE(Stress) << Err;
-    expectWpMatchesOracle(B.P, *Stress, Pt, Sites);
+    expectWpMatchesOracle(B.P, TypestateSpec::stress(), Pt, Sites);
 
     TypestateSpec Auto("s0");
     Auto.addState("s1");

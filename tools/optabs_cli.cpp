@@ -141,9 +141,15 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts, std::string &Err) {
     return false;
   }
   Opts.ProgramPath = Positionals[0];
-  bool KnownClient = Opts.Client == "escape" || Opts.Client == "typestate";
+  bool TakesProperty = true;
+  bool KnownClient = service::withClient(
+      Opts.Client, [&](auto T) { TakesProperty = T.TakesProperty; });
   if (!KnownClient && !(Opts.Stats && Opts.Client.empty())) {
-    Err = "--client must be 'escape' or 'typestate'";
+    Err = "--client must be " + service::clientNames();
+    return false;
+  }
+  if (!TakesProperty && !Opts.Property.empty()) {
+    Err = "the " + Opts.Client + " client takes no property";
     return false;
   }
   std::vector<ConfigError> Invalid = C.validate();
@@ -183,52 +189,34 @@ int finishAudit(const CliOptions &Opts, const tracer::AuditTally &Tally) {
   return Tally.CertificateFailures > 0 || Tally.InvariantViolations > 0;
 }
 
-/// Runs one driver of \p A over \p Queries, labelled \p Label in the event
-/// trace: prints each outcome with \p Extra after its check and folds the
-/// run's audit evidence into \p Tally.
-template <typename Analysis>
-void runDriver(const Program &P, const Analysis &A, Config Cfg,
-               const std::string &Label, const std::vector<CheckId> &Queries,
-               const std::string &Extra, tracer::AuditTally &Tally) {
-  Cfg.Observability.EventTraceLabel = Label;
-  tracer::QueryDriver<Analysis> Driver(P, A, Cfg);
-  std::vector<tracer::QueryOutcome> Outcomes = Driver.run(Queries);
-  for (const auto &O : Outcomes)
-    printOutcome(P, O, Extra);
-  tracer::auditRun(P, A, Cfg, Driver, Outcomes, "audit", Tally);
-}
-
-int runEscape(const Program &P, const CliOptions &Opts,
+/// Runs client \p A over \p Checks as its table entry plans it: one
+/// driver per group of checks, each outcome printed with its group's name
+/// and the run's audit evidence folded into one tally.
+template <typename A>
+int runClient(Program &P, const CliOptions &Opts,
               const std::vector<CheckId> &Checks) {
-  std::cout << "thread-escape analysis, " << Checks.size()
-            << " queries, strategy " << Opts.Cfg.Execution.Strategy
-            << ", k = " << Opts.Cfg.Execution.K << "\n";
-  tracer::AuditTally Tally;
-  runDriver(P, escape::EscapeAnalysis(P), Opts.Cfg, "escape", Checks, "",
-            Tally);
-  return finishAudit(Opts, Tally);
-}
-
-int runTypestate(Program &P, const CliOptions &Opts,
-                 const std::vector<CheckId> &Checks) {
+  using T = service::ClientTraits<A>;
   std::string Err;
-  std::optional<typestate::TypestateSpec> Spec =
-      typestate::specFor(Opts.Property, P, Err);
-  if (!Spec) {
+  std::optional<typename T::Context> Ctx = T::context(Opts.Property, P, Err);
+  if (!Ctx) {
     std::cerr << "error: " << Err << "\n";
     return 2;
   }
-  pointer::PointsToResult Pt = pointer::runPointsTo(P);
-  std::cout << "type-state analysis ("
-            << (Opts.Property.empty() ? "stress property"
-                                      : "property automaton")
-            << "), strategy " << Opts.Cfg.Execution.Strategy
-            << ", k = " << Opts.Cfg.Execution.K << "\n";
+  std::cout << T::title(Opts.Property, Checks.size()) << ", strategy "
+            << Opts.Cfg.Execution.Strategy << ", k = " << Opts.Cfg.Execution.K
+            << "\n";
   tracer::AuditTally Tally;
-  for (const auto &[H, Queries] : typestate::checksBySite(P, Checks, Pt))
-    runDriver(P, typestate::TypestateAnalysis(P, *Spec, AllocId(H), Pt),
-              Opts.Cfg, typestate::siteTraceLabel(H), Queries,
-              " (site " + P.allocName(AllocId(H)) + ")", Tally);
+  for (const auto &[G, Queries] : T::groups(P, *Ctx, Checks)) {
+    std::unique_ptr<A> An = T::analysis(P, *Ctx, G);
+    Config Cfg = Opts.Cfg;
+    Cfg.Observability.EventTraceLabel = T::traceLabel(G);
+    tracer::QueryDriver<A> Driver(P, *An, Cfg);
+    std::vector<tracer::QueryOutcome> Outcomes = Driver.run(Queries);
+    std::string Name = T::groupName(P, G);
+    for (const auto &O : Outcomes)
+      printOutcome(P, O, Name.empty() ? "" : " (" + Name + ")");
+    tracer::auditRun(P, *An, Cfg, Driver, Outcomes, "audit", Tally);
+  }
   return finishAudit(Opts, Tally);
 }
 
@@ -282,7 +270,9 @@ int main(int Argc, char **Argv) {
   std::vector<CheckId> Checks;
   for (uint32_t I = 0; I < P.numChecks(); ++I)
     Checks.push_back(CheckId(I));
-  if (Opts.Client == "escape")
-    return runEscape(P, Opts, Checks);
-  return runTypestate(P, Opts, Checks);
+  int Status = 0;
+  service::withClient(Opts.Client, [&](auto T) {
+    Status = runClient<typename decltype(T)::Analysis>(P, Opts, Checks);
+  });
+  return Status;
 }
