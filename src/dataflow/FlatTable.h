@@ -12,7 +12,8 @@
 /// callback, so a slot costs four bytes whatever the entry type.
 /// FlatTable<V> is a uint64_t-keyed map on top of it (the tabulation and
 /// transfer memos); StateInterner uses SlotIndex directly, keyed by the
-/// client's state hash.
+/// client's state hash. TripleSet is the witness search's cycle check: a
+/// set of statement/state triples with erase, reused across searches.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -136,6 +137,85 @@ public:
 private:
   std::vector<Entry> Entries;
   SlotIndex Index;
+};
+
+/// A set of (uint32_t, uint32_t, uint32_t) triples that supports erase:
+/// linear probing with backward-shift deletion, so no tombstones pile up.
+/// clear() keeps the slot array, so a set reused across searches stops
+/// allocating once it has reached its largest size. A first component of
+/// ~0u is reserved to mark empty slots.
+class TripleSet {
+public:
+  /// Adds (A, B, C); false when it was already present.
+  bool insert(uint32_t A, uint32_t B, uint32_t C) {
+    if (2 * (Count + 1) > Slots.size())
+      grow();
+    size_t I = home(A, B, C);
+    for (; Slots[I].A != Empty; I = next(I))
+      if (Slots[I].A == A && Slots[I].B == B && Slots[I].C == C)
+        return false;
+    Slots[I] = {A, B, C};
+    ++Count;
+    return true;
+  }
+
+  /// Removes (A, B, C), which must be present.
+  void erase(uint32_t A, uint32_t B, uint32_t C) {
+    size_t I = home(A, B, C);
+    while (!(Slots[I].A == A && Slots[I].B == B && Slots[I].C == C))
+      I = next(I);
+    // Shift later members of the probe run back into the hole, each only
+    // when the hole lies between its home slot and where it sits now.
+    for (size_t J = next(I); Slots[J].A != Empty; J = next(J)) {
+      size_t Home = home(Slots[J].A, Slots[J].B, Slots[J].C);
+      if (((J - Home) & mask()) >= ((J - I) & mask())) {
+        Slots[I] = Slots[J];
+        I = J;
+      }
+    }
+    Slots[I].A = Empty;
+    --Count;
+  }
+
+  size_t size() const { return Count; }
+
+  void clear() {
+    if (Count == 0)
+      return;
+    for (Slot &S : Slots)
+      S.A = Empty;
+    Count = 0;
+  }
+
+private:
+  static constexpr uint32_t Empty = ~uint32_t(0);
+  struct Slot {
+    uint32_t A = Empty, B = 0, C = 0;
+  };
+
+  size_t mask() const { return Slots.size() - 1; }
+  size_t next(size_t I) const { return (I + 1) & mask(); }
+  size_t home(uint32_t A, uint32_t B, uint32_t C) const {
+    uint64_t X = ((uint64_t(A) << 32) | B) * 0x9e3779b97f4a7c15ULL;
+    X ^= (uint64_t(C) + (X >> 29)) * 0xff51afd7ed558ccdULL;
+    return static_cast<size_t>(X ^ (X >> 32)) & mask();
+  }
+
+  void grow() {
+    std::vector<Slot> Old(Slots.empty() ? 16 : 2 * Slots.size());
+    Old.swap(Slots);
+    for (const Slot &S : Old) {
+      if (S.A == Empty)
+        continue;
+      size_t I = home(S.A, S.B, S.C);
+      while (Slots[I].A != Empty)
+        I = next(I);
+      Slots[I] = S;
+    }
+  }
+
+  std::vector<Slot> Slots;
+  size_t Count = 0;
 };
 
 } // namespace dataflow

@@ -43,8 +43,25 @@
 ///
 /// Because the analysis is disjunctive, Lemma 1 applies: every abstract
 /// state reaching a check site is witnessed by a single trace whose
-/// per-command semantics is deterministic. extractTrace() reconstructs such
-/// an abstract counterexample trace for the backward meta-analysis.
+/// per-command semantics is deterministic. extractWitnesses() reconstructs
+/// such an abstract counterexample trace, with the state id at each of its
+/// points, for the backward meta-analysis.
+///
+/// The witness search is a depth-first walk of the statement tree guided
+/// by the tabulated values, and it only reads the finished run: transfers
+/// come from the transfer memo (a pair the fixpoint never met is computed
+/// and looked up, never interned), so extraction neither interns a state
+/// nor memoises a transfer, and a cached or snapshotted run is the same
+/// before and after it. The search's mutable parts - the two cycle stacks
+/// and the reachable-set frames - live in a caller-owned Scratch reused
+/// across extractions. Given an ir::CheckReach, the search skips every
+/// subtree that cannot reach the check, and a Seq computes its children's
+/// reachable sets once, only up to the last child that can reach it.
+/// None of this changes which witness is found: the order of the search,
+/// Choice rotation included, is that of the plain walk. The states along
+/// a witness are read by reference (statesOf()), so the backward pass
+/// copies none; replay() remains as a copying helper for tests and
+/// examples.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,6 +70,7 @@
 
 #include "dataflow/FlatTable.h"
 #include "dataflow/StateInterner.h"
+#include "ir/CheckReach.h"
 #include "ir/Liveness.h"
 #include "ir/Program.h"
 #include "ir/Trace.h"
@@ -61,10 +79,10 @@
 #include "support/Metrics.h"
 
 #include <algorithm>
+#include <deque>
 #include <optional>
 #include <type_traits>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace optabs {
@@ -101,10 +119,13 @@ public:
 
   /// When \p Live is non-null and the client exposes pruneState, every
   /// transfer output is restricted to the command's live-out variables
-  /// before interning. \p Live must outlive the analysis.
+  /// before interning. When \p MayReach is non-null, the witness search
+  /// skips subtrees that cannot reach the check it extracts for. Both
+  /// must outlive the analysis.
   ForwardAnalysis(const ir::Program &P, const Client &C, Param Prm,
-                  const ir::CommandLiveness *Live = nullptr)
-      : P(P), C(C), Prm(std::move(Prm)), Live(Live) {}
+                  const ir::CommandLiveness *Live = nullptr,
+                  const ir::CheckReach *MayReach = nullptr)
+      : P(P), C(C), Prm(std::move(Prm)), Live(Live), MayReach(MayReach) {}
 
   /// Runs the analysis from \p Init to the global least fixpoint. When
   /// \p G is set, every state visit charges it; an exhausted gate stops the
@@ -157,65 +178,113 @@ public:
   /// Id-based variant of statesAtCheck(): the sorted interned ids, without
   /// copying any state. Resolve ids with state(). This is what the TRACER
   /// driver iterates every CEGAR iteration; it is read-only and safe to
-  /// call concurrently as long as no thread mutates this analysis (trace
-  /// extraction and replay mutate).
+  /// call concurrently as long as no thread mutates this analysis (after
+  /// run(), only replay() and loadFrom() do).
   const StateSet &statesAtCheckIds(ir::CheckId Check) const {
     static const StateSet Empty;
     auto It = CheckStates.find(Check.index());
     return It == CheckStates.end() ? Empty : It->second;
   }
 
-  /// Reconstructs an abstract counterexample trace from program entry to
-  /// check site \p Check along which the analysis computes \p Target at the
-  /// check. Invoke commands are expanded into callee steps; the trace
-  /// contains only client commands. Returns nullopt only if \p Target does
-  /// not actually reach the check (callers pass states from
-  /// statesAtCheck(), so a result is guaranteed).
+  /// One abstract counterexample: a trace from program entry to a check
+  /// and the interned state at each of its points. States[0] is the
+  /// initial state, States[I] the state after command I, and
+  /// States.back() the state flowing into the check.
+  struct Witness {
+    ir::Trace T;
+    std::vector<StateId> States;
+  };
+
+  /// The witness search's reusable buffers: its two cycle stacks and its
+  /// reachable-set frames. The caller owns them, not the run, so a cached
+  /// run carries none; use one per thread.
+  class Scratch {
+    friend class ForwardAnalysis;
+    TripleSet PrefixStack, ThroughStack;
+    /// One vector of sets per active search level; a deque, so a level's
+    /// sets stay put while deeper levels take theirs.
+    std::deque<std::vector<StateSet>> Levels;
+    size_t Depth = 0;
+  };
+
+  /// Extracts up to \p MaxCount *distinct* counterexample witnesses along
+  /// which the run computes state \p Target at check site \p Check, by
+  /// rotating the exploration order of Choice branches. Distinct traces
+  /// expose independent failure causes, which the multi-counterexample
+  /// mode of the TRACER driver conjoins (§8's DAG-counterexample
+  /// direction). Invoke commands are expanded into callee steps; traces
+  /// hold only client commands. Empty only when \p Target does not reach
+  /// the check. Reads the run only, so any number of threads may extract
+  /// from one run at once, each with its own \p W.
+  std::vector<Witness> extractWitnesses(ir::CheckId Check, StateId Target,
+                                        size_t MaxCount, Scratch &W) const {
+    std::vector<Witness> Result;
+    if (!contains(statesAtCheckIds(Check), Target))
+      return Result;
+    for (unsigned R = 0; R < 2 * MaxCount + 1 && Result.size() < MaxCount;
+         ++R) {
+      // Empty unless an exception unwound the last search mid-way.
+      W.PrefixStack.clear();
+      W.ThroughStack.clear();
+      ir::Trace T;
+      if (!Search(*this, W, Check, Target, R)
+               .findPrefix(P.proc(P.main()).Body, InitId, T))
+        break;
+      if (std::none_of(Result.begin(), Result.end(),
+                       [&](const Witness &X) { return X.T == T; }))
+        Result.push_back({std::move(T), {}});
+    }
+    for (Witness &X : Result)
+      X.States = statesAlong(X.T);
+    return Result;
+  }
+
+  /// The traces of extractWitnesses() for a state given by value, with a
+  /// scratch of their own; empty when \p Target does not reach the check.
+  std::vector<ir::Trace> extractTraces(ir::CheckId Check, const State &Target,
+                                       size_t MaxCount) const {
+    std::vector<ir::Trace> Traces;
+    std::optional<StateId> Found = Interner.find(Target);
+    if (!Found)
+      return Traces;
+    Scratch W;
+    for (Witness &X : extractWitnesses(Check, *Found, MaxCount, W))
+      Traces.push_back(std::move(X.T));
+    return Traces;
+  }
+
+  /// One trace of extractTraces(), or nullopt when \p Target does not
+  /// reach the check.
   std::optional<ir::Trace> extractTrace(ir::CheckId Check,
-                                        const State &Target) {
-    auto Traces = extractTraces(Check, Target, 1);
+                                        const State &Target) const {
+    std::vector<ir::Trace> Traces = extractTraces(Check, Target, 1);
     if (Traces.empty())
       return std::nullopt;
     return std::move(Traces.front());
   }
 
-  /// Extracts up to \p MaxCount *distinct* counterexample traces for the
-  /// same failing state by rotating the exploration order of Choice
-  /// branches. Distinct traces expose independent failure causes, which
-  /// the multi-counterexample mode of the TRACER driver conjoins (§8's
-  /// DAG-counterexample direction).
-  std::vector<ir::Trace> extractTraces(ir::CheckId Check,
-                                       const State &Target,
-                                       size_t MaxCount) {
-    std::vector<ir::Trace> Result;
-    auto It = CheckStates.find(Check.index());
-    if (It == CheckStates.end())
-      return Result;
-    // Look the target up without interning it: a state the run never
-    // reached must not grow a run that may be cached and snapshotted.
-    std::optional<StateId> Found = Interner.find(Target);
-    if (!Found || !contains(It->second, *Found))
-      return Result;
-    StateId TargetId = *Found;
-    ir::CommandId CheckCmd = P.checkSite(Check).Command;
-    for (unsigned R = 0; R < 2 * MaxCount + 1 && Result.size() < MaxCount;
-         ++R) {
-      Rotation = R;
-      ir::Trace T;
-      PrefixStack.clear();
-      ThroughStack.clear();
-      if (!findPrefix(P.proc(P.main()).Body, InitId, CheckCmd, TargetId, T))
-        break;
-      if (std::find(Result.begin(), Result.end(), T) == Result.end())
-        Result.push_back(std::move(T));
-    }
-    Rotation = 0;
-    return Result;
-  }
+  /// The states of a witness, read by reference from this run's interner.
+  /// Indexes like the std::vector<State> that replay() returns, without
+  /// copying a state; valid while the run and \p Ids are.
+  class StateSeq {
+  public:
+    StateSeq(const ForwardAnalysis &F, const std::vector<StateId> &Ids)
+        : F(F), Ids(Ids) {}
+    size_t size() const { return Ids.size(); }
+    const State &operator[](size_t I) const { return F.state(Ids[I]); }
+    const State &back() const { return F.state(Ids.back()); }
 
-  /// Replays \p T from \p Init, returning the state sequence d0..dn with
-  /// d0 = Init and d_{i} the state after command i. Used by the backward
-  /// meta-analysis, which needs F_p[t](d) at every trace point (Figure 7).
+  private:
+    const ForwardAnalysis &F;
+    const std::vector<StateId> &Ids;
+  };
+  StateSeq statesOf(const Witness &W) const { return {*this, W.States}; }
+
+  /// Replays \p T from \p Init, returning copies of the states d0..dn
+  /// with d0 = Init and d_{i} the state after command i. A helper for
+  /// tests and examples; it interns, so it must not run concurrently with
+  /// anything else on this run. The driver reads extractWitnesses()'
+  /// state ids through statesOf() instead.
   std::vector<State> replay(const ir::Trace &T, const State &Init) {
     std::vector<State> States;
     States.reserve(T.size() + 1);
@@ -226,6 +295,28 @@ public:
       States.push_back(Interner.state(Cur));
     }
     return States;
+  }
+
+  /// The interned initial state of the last run().
+  StateId initId() const { return InitId; }
+
+  /// The tabulated value of (\p S, \p In): the states F_p[S]({In}) at
+  /// the fixpoint, or the empty set when the pair was never demanded. The
+  /// reference stays valid until the run changes.
+  const StateSet &value(ir::StmtId S, StateId In) const {
+    static const StateSet Empty;
+    const Cell *Found = Values.find(makeKey(S, In));
+    return Found ? Found->Set : Empty;
+  }
+
+  /// The output of client command \p Cmd on \p In, read from the
+  /// transfer memo. Read-only: a pair the fixpoint never met is computed
+  /// afresh and looked up without interning, so the answer is nullopt
+  /// when its output is a state the run never reached.
+  std::optional<StateId> transfer(ir::CommandId Cmd, StateId In) const {
+    if (const StateId *Memo = TransferMemo.find(memoKey(Cmd, In)))
+      return *Memo;
+    return Interner.find(transferState(Cmd, In));
   }
 
   const ForwardStats &stats() const {
@@ -412,21 +503,31 @@ private:
     bool OnStack = false;   ///< currently on the evaluation stack
   };
 
-  /// Applies the client transfer (or expands summaries for Invoke) for a
-  /// single command on a single state, memoized.
-  StateId applyCommand(ir::CommandId Cmd, StateId In) {
+  static Key memoKey(ir::CommandId Cmd, StateId In) {
+    return (static_cast<uint64_t>(Cmd.index()) << 32) | In;
+  }
+
+  /// The client transfer of \p Cmd on \p In, pruned to the command's
+  /// live-out variables when the engine has a liveness table.
+  State transferState(ir::CommandId Cmd, StateId In) const {
     const ir::Command &Command = P.command(Cmd);
     assert(ir::isClientCommand(Command.Kind) &&
            "Invoke is expanded by the engine, not by transfer functions");
-    Key K = (static_cast<uint64_t>(Cmd.index()) << 32) | In;
-    if (const StateId *Memo = TransferMemo.find(K))
-      return *Memo;
     State OutState = C.transfer(Command, Interner.state(In), Prm);
     if constexpr (detail::HasPruneState<Client, State>::value) {
       if (Live)
         C.pruneState(OutState, Live->liveOut(Cmd));
     }
-    StateId Out = Interner.intern(OutState);
+    return OutState;
+  }
+
+  /// Applies the client transfer for a single command on a single state,
+  /// memoized.
+  StateId applyCommand(ir::CommandId Cmd, StateId In) {
+    Key K = memoKey(Cmd, In);
+    if (const StateId *Memo = TransferMemo.find(K))
+      return *Memo;
+    StateId Out = Interner.intern(transferState(Cmd, In));
     TransferMemo.insert(K, Out);
     return Out;
   }
@@ -539,246 +640,309 @@ private:
   // Witness (abstract counterexample trace) reconstruction
   //===--------------------------------------------------------------------===
 
-  /// Final tabulated value for (S, In); empty set when never demanded.
-  /// Like visit(), the reference is valid until the next insert into
-  /// Values; trace extraction never inserts there.
-  const StateSet &finalValue(ir::StmtId S, StateId In) const {
-    static const StateSet Empty;
-    const Cell *Found = Values.find(makeKey(S, In));
-    return Found ? Found->Set : Empty;
-  }
-
-  struct TripleHash {
-    size_t operator()(const std::tuple<uint32_t, StateId, StateId> &T) const {
-      auto [A, B, C] = T;
-      uint64_t X = (static_cast<uint64_t>(A) << 32) ^
-                   (static_cast<uint64_t>(B) << 16) ^ C;
-      X *= 0x9e3779b97f4a7c15ULL;
-      return static_cast<size_t>(X ^ (X >> 29));
+  /// The state ids along \p T from the initial state, each step read
+  /// from the transfer memo.
+  std::vector<StateId> statesAlong(const ir::Trace &T) const {
+    std::vector<StateId> Ids;
+    Ids.reserve(T.size() + 1);
+    Ids.push_back(InitId);
+    for (ir::CommandId Cmd : T) {
+      // The search accepted every step of T on exactly these ids.
+      std::optional<StateId> Next = transfer(Cmd, Ids.back());
+      assert(Next && "a witness step left the run's states");
+      Ids.push_back(*Next);
     }
-  };
-
-  /// Finds a full trace through S transforming In to Out. Completeness
-  /// relies on minimal derivations never repeating a (S, In, Out) triple on
-  /// one derivation path, so such repetitions are pruned.
-  bool findThrough(ir::StmtId S, StateId In, StateId Out, ir::Trace &T) {
-    std::tuple<uint32_t, StateId, StateId> Trip{S.index(), In, Out};
-    if (ThroughStack.count(Trip))
-      return false;
-    if (!contains(finalValue(S, In), Out))
-      return false;
-    ThroughStack.insert(Trip);
-    bool Found = findThroughImpl(S, In, Out, T);
-    ThroughStack.erase(Trip);
-    return Found;
+    return Ids;
   }
 
-  bool findThroughImpl(ir::StmtId S, StateId In, StateId Out, ir::Trace &T) {
-    const ir::Stmt &Node = P.stmt(S);
-    switch (Node.Kind) {
-    case ir::StmtKind::Atom: {
-      const ir::Command &Cmd = P.command(Node.Cmd);
-      if (Cmd.Kind == ir::CmdKind::Invoke)
-        return findThrough(P.proc(Cmd.Callee).Body, In, Out, T);
-      if (applyCommand(Node.Cmd, In) != Out)
+  /// One depth-first witness search for (Check, Target) under one Choice
+  /// rotation. Reads the run only; its cycle stacks and reachable sets
+  /// live in the caller's Scratch. Subtrees that cannot reach the check
+  /// (ir::CheckReach) are skipped before any work: a prefix search there
+  /// never succeeds and leaves no trace behind, so skipping it changes no
+  /// result.
+  class Search {
+  public:
+    Search(const ForwardAnalysis &F, Scratch &W, ir::CheckId Check,
+           StateId Target, unsigned Rotation)
+        : F(F), P(F.P), W(W), Check(Check),
+          CheckCmd(F.P.checkSite(Check).Command), Target(Target),
+          Rotation(Rotation) {}
+
+    /// Finds a trace prefix through S from In that ends exactly at the
+    /// check command with incoming state Target.
+    bool findPrefix(ir::StmtId S, StateId In, ir::Trace &T) {
+      if (!mayReach(S) || !W.PrefixStack.insert(S.index(), In, Target))
         return false;
-      T.push_back(Node.Cmd);
-      return true;
+      bool Found = findPrefixImpl(S, In, T);
+      W.PrefixStack.erase(S.index(), In, Target);
+      return Found;
     }
-    case ir::StmtKind::Seq:
-      return findThroughSeq(Node.Children, 0, Node.Children.size(), In, Out,
-                            T);
-    case ir::StmtKind::Choice: {
-      size_t N = Node.Children.size();
-      for (size_t J = 0; J < N; ++J) {
-        ir::StmtId Child = Node.Children[(J + Rotation) % N];
+
+  private:
+    /// Cleared sets taken from the scratch for one search level and given
+    /// back when the level returns.
+    class Level {
+    public:
+      Level(Scratch &W, size_t N) : W(W) {
+        if (W.Depth == W.Levels.size())
+          W.Levels.emplace_back();
+        Sets = &W.Levels[W.Depth];
+        if (Sets->size() < N)
+          Sets->resize(N);
+        for (size_t I = 0; I < N; ++I)
+          (*Sets)[I].clear();
+        ++W.Depth; // last, so a throw above leaves the depth as it was
+      }
+      ~Level() { --W.Depth; }
+      Level(const Level &) = delete;
+      Level &operator=(const Level &) = delete;
+      StateSet &operator[](size_t I) { return (*Sets)[I]; }
+      const std::vector<StateSet> &sets() const { return *Sets; }
+
+    private:
+      Scratch &W;
+      std::vector<StateSet> *Sets;
+    };
+
+    bool mayReach(ir::StmtId S) const {
+      return !F.MayReach || F.MayReach->reaches(S, Check);
+    }
+
+    /// Fills Reach[0, N) with Reach[0] = {In} and Reach[I + 1] =
+    /// F_p[Children[I]](Reach[I]): Reach[I] holds the states before child
+    /// I, and N = Children.size() + 1 adds the states after the last.
+    void reachBefore(const std::vector<ir::StmtId> &Children, size_t N,
+                     StateId In, Level &Reach) {
+      Reach[0].push_back(In);
+      for (size_t I = 0; I + 1 < N; ++I)
+        for (StateId Id : Reach[I])
+          for (StateId Succ : F.value(Children[I], Id))
+            addState(Reach[I + 1], Succ);
+    }
+
+    /// Finds a full trace through S transforming In to Out. Completeness
+    /// relies on minimal derivations never repeating a (S, In, Out) triple
+    /// on one derivation path, so such repetitions are pruned.
+    bool findThrough(ir::StmtId S, StateId In, StateId Out, ir::Trace &T) {
+      if (!contains(F.value(S, In), Out) ||
+          !W.ThroughStack.insert(S.index(), In, Out))
+        return false;
+      bool Found = findThroughImpl(S, In, Out, T);
+      W.ThroughStack.erase(S.index(), In, Out);
+      return Found;
+    }
+
+    bool findThroughImpl(ir::StmtId S, StateId In, StateId Out,
+                         ir::Trace &T) {
+      const ir::Stmt &Node = P.stmt(S);
+      switch (Node.Kind) {
+      case ir::StmtKind::Atom: {
+        const ir::Command &Cmd = P.command(Node.Cmd);
+        if (Cmd.Kind == ir::CmdKind::Invoke)
+          return findThrough(P.proc(Cmd.Callee).Body, In, Out, T);
+        if (F.transfer(Node.Cmd, In) != Out)
+          return false;
+        T.push_back(Node.Cmd);
+        return true;
+      }
+      case ir::StmtKind::Seq: {
+        size_t N = Node.Children.size();
+        if (N == 0)
+          return In == Out;
+        // Forward-propagate reachable sets to prune the backward choice.
+        Level Reach(W, N + 1);
+        reachBefore(Node.Children, N + 1, In, Reach);
+        if (!contains(Reach[N], Out))
+          return false;
+        return findThroughSeq(Node.Children, N, Reach.sets(), Out, T);
+      }
+      case ir::StmtKind::Choice: {
+        size_t N = Node.Children.size();
+        for (size_t J = 0; J < N; ++J) {
+          ir::StmtId Child = Node.Children[(J + Rotation) % N];
+          size_t Mark = T.size();
+          if (findThrough(Child, In, Out, T))
+            return true;
+          T.resize(Mark);
+        }
+        return false;
+      }
+      case ir::StmtKind::Star: {
+        Level OnPath(W, 1);
+        OnPath[0].push_back(In);
+        return starSearch(Node.Children[0], In, Out, OnPath[0], T);
+      }
+      }
+      return false;
+    }
+
+    /// DFS over the one-iteration successor relation of a star body: finds
+    /// a simple path of states In = s0 -> s1 -> ... -> Out (each step one
+    /// full body execution) and expands each step with findThrough. A
+    /// witness over a simple state path always exists when Out is
+    /// star-reachable from In, because repeated states can be excised from
+    /// any witness.
+    bool starSearch(ir::StmtId Body, StateId Cur, StateId Out,
+                    StateSet &OnPath, ir::Trace &T) {
+      if (Cur == Out)
+        return true;
+      for (StateId Succ : F.value(Body, Cur)) {
+        if (contains(OnPath, Succ))
+          continue;
         size_t Mark = T.size();
-        if (findThrough(Child, In, Out, T))
+        if (findThrough(Body, Cur, Succ, T)) {
+          addState(OnPath, Succ);
+          if (starSearch(Body, Succ, Out, OnPath, T))
+            return true;
+          // Keep Succ on the path for this search: a different route
+          // through it cannot reach Out either (reachability is
+          // route-independent).
+        }
+        T.resize(Mark);
+      }
+      return false;
+    }
+
+    /// Finds a trace through Children[0, End) from Reach[0][0] to Out.
+    /// Recurses on the last child: chooses an intermediate state X before
+    /// it, solves the shorter prefix first (so the trace is emitted
+    /// left-to-right), then expands the last child. Backtracks over
+    /// candidate X on failure. Reach[I] holds the states before child I.
+    bool findThroughSeq(const std::vector<ir::StmtId> &Children, size_t End,
+                        const std::vector<StateSet> &Reach, StateId Out,
+                        ir::Trace &T) {
+      if (End == 0)
+        return Out == Reach[0][0];
+      ir::StmtId Last = Children[End - 1];
+      for (StateId X : Reach[End - 1]) {
+        if (!contains(F.value(Last, X), Out))
+          continue;
+        size_t Mark = T.size();
+        if (findThroughSeq(Children, End - 1, Reach, X, T) &&
+            findThrough(Last, X, Out, T))
           return true;
         T.resize(Mark);
       }
       return false;
     }
-    case ir::StmtKind::Star: {
-      StateSet OnPath{In};
-      return starSearch(Node.Children[0], In, Out, OnPath, T);
-    }
-    }
-    return false;
-  }
 
-  /// DFS over the one-iteration successor relation of a star body: finds a
-  /// simple path of states In = s0 -> s1 -> ... -> Out (each step one full
-  /// body execution) and expands each step with findThrough. A witness over
-  /// a simple state path always exists when Out is star-reachable from In,
-  /// because repeated states can be excised from any witness.
-  bool starSearch(ir::StmtId Body, StateId Cur, StateId Out,
-                  StateSet &OnPath, ir::Trace &T) {
-    if (Cur == Out)
-      return true;
-    for (StateId Succ : finalValue(Body, Cur)) {
-      if (contains(OnPath, Succ))
-        continue;
-      size_t Mark = T.size();
-      if (findThrough(Body, Cur, Succ, T)) {
-        addState(OnPath, Succ);
-        if (starSearch(Body, Succ, Out, OnPath, T))
-          return true;
-        // Keep Succ on the path for this search: a different route through
-        // it cannot reach Out either (reachability is route-independent).
+    bool findPrefixImpl(ir::StmtId S, StateId In, ir::Trace &T) {
+      const ir::Stmt &Node = P.stmt(S);
+      switch (Node.Kind) {
+      case ir::StmtKind::Atom: {
+        const ir::Command &Cmd = P.command(Node.Cmd);
+        if (Node.Cmd == CheckCmd)
+          return In == Target;
+        if (Cmd.Kind == ir::CmdKind::Invoke)
+          return findPrefix(P.proc(Cmd.Callee).Body, In, T);
+        return false;
       }
-      T.resize(Mark);
-    }
-    return false;
-  }
-
-  bool findThroughSeq(const std::vector<ir::StmtId> &Children, size_t Begin,
-                      size_t End, StateId In, StateId Out, ir::Trace &T) {
-    if (Begin == End)
-      return In == Out;
-    // Forward-propagate reachable sets to prune the backward choice.
-    std::vector<StateSet> Reach;
-    Reach.push_back({In});
-    for (size_t I = Begin; I < End; ++I) {
-      StateSet Next;
-      for (StateId Id : Reach.back())
-        for (StateId Succ : finalValue(Children[I], Id))
-          addState(Next, Succ);
-      Reach.push_back(std::move(Next));
-    }
-    if (!contains(Reach.back(), Out))
-      return false;
-    return findThroughSeqRec(Children, Begin, End, Reach, Out, T);
-  }
-
-  /// Recurses on the last child of the (sub-)sequence: chooses an
-  /// intermediate state X before it, solves the shorter prefix first (so
-  /// the trace is emitted left-to-right), then expands the last child.
-  /// Backtracks over candidate X on failure.
-  bool findThroughSeqRec(const std::vector<ir::StmtId> &Children,
-                         size_t Begin, size_t End,
-                         const std::vector<StateSet> &Reach, StateId Out,
-                         ir::Trace &T) {
-    size_t N = End - Begin;
-    if (N == 0)
-      return Out == Reach[0][0];
-    ir::StmtId Last = Children[End - 1];
-    for (StateId X : Reach[N - 1]) {
-      if (!contains(finalValue(Last, X), Out))
-        continue;
-      size_t Mark = T.size();
-      if (findThroughSeqRec(Children, Begin, End - 1, Reach, X, T) &&
-          findThrough(Last, X, Out, T))
-        return true;
-      T.resize(Mark);
-    }
-    return false;
-  }
-
-  /// Finds a trace prefix through S from In that ends exactly at CheckCmd
-  /// with incoming state Target.
-  bool findPrefix(ir::StmtId S, StateId In, ir::CommandId CheckCmd,
-                  StateId Target, ir::Trace &T) {
-    std::tuple<uint32_t, StateId, StateId> Trip{S.index(), In, Target};
-    if (PrefixStack.count(Trip))
-      return false;
-    PrefixStack.insert(Trip);
-    bool Found = findPrefixImpl(S, In, CheckCmd, Target, T);
-    PrefixStack.erase(Trip);
-    return Found;
-  }
-
-  bool findPrefixImpl(ir::StmtId S, StateId In, ir::CommandId CheckCmd,
-                      StateId Target, ir::Trace &T) {
-    const ir::Stmt &Node = P.stmt(S);
-    switch (Node.Kind) {
-    case ir::StmtKind::Atom: {
-      const ir::Command &Cmd = P.command(Node.Cmd);
-      if (Node.Cmd == CheckCmd)
-        return In == Target;
-      if (Cmd.Kind == ir::CmdKind::Invoke)
-        return findPrefix(P.proc(Cmd.Callee).Body, In, CheckCmd, Target, T);
-      return false;
-    }
-    case ir::StmtKind::Seq: {
-      // The check lies inside child I; the trace passes fully through
-      // children [0, I) and then a prefix of child I.
-      std::vector<StateSet> Reach;
-      Reach.push_back({In});
-      for (size_t I = 0; I < Node.Children.size(); ++I) {
-        StateSet Next;
-        for (StateId Id : Reach.back())
-          for (StateId Succ : finalValue(Node.Children[I], Id))
-            addState(Next, Succ);
-        Reach.push_back(std::move(Next));
-      }
-      for (size_t I = 0; I < Node.Children.size(); ++I) {
-        for (StateId X : Reach[I]) {
-          // Probe the cheap leg first: whether the check (with state
-          // Target) is reachable from X inside child I. Only the winning
-          // candidate pays for the full witness of the children before I.
-          // The accepted (I, X) pair is the first for which both legs
-          // succeed - the same pair the through-first order accepts - and
-          // both legs emit their subtraces deterministically, so the
-          // resulting trace is unchanged.
-          ir::Trace Suffix;
-          if (!findPrefix(Node.Children[I], X, CheckCmd, Target, Suffix))
+      case ir::StmtKind::Seq: {
+        // The check lies inside child I; the trace passes fully through
+        // children [0, I) and then a prefix of child I. Children after the
+        // last one that can reach the check are never I, so their
+        // reachable sets are not computed.
+        const std::vector<ir::StmtId> &Children = Node.Children;
+        size_t N = Children.size();
+        while (N > 0 && !mayReach(Children[N - 1]))
+          --N;
+        if (N == 0)
+          return false;
+        Level Reach(W, N);
+        reachBefore(Children, N, In, Reach);
+        for (size_t I = 0; I < N; ++I) {
+          if (!mayReach(Children[I]))
             continue;
+          for (StateId X : Reach[I]) {
+            // Probe the cheap leg first: whether the check (with state
+            // Target) is reachable from X inside child I. Only the winning
+            // candidate pays for the full witness of the children before
+            // I. The accepted (I, X) pair is the first for which both legs
+            // succeed - the same pair the through-first order accepts -
+            // and each leg emits its subtrace deterministically, so
+            // rotating the suffix behind the through part yields the
+            // through-first trace.
+            size_t Mark = T.size();
+            if (!findPrefix(Children[I], X, T))
+              continue;
+            size_t Split = T.size();
+            if (!findThroughSeq(Children, I, Reach.sets(), X, T)) {
+              T.resize(Mark);
+              continue;
+            }
+            std::rotate(T.begin() + Mark, T.begin() + Split, T.end());
+            return true;
+          }
+        }
+        return false;
+      }
+      case ir::StmtKind::Choice: {
+        size_t N = Node.Children.size();
+        for (size_t J = 0; J < N; ++J) {
+          ir::StmtId Child = Node.Children[(J + Rotation) % N];
           size_t Mark = T.size();
-          if (!findThroughSeq(Node.Children, 0, I, In, X, T)) {
+          if (findPrefix(Child, In, T))
+            return true;
+          T.resize(Mark);
+        }
+        return false;
+      }
+      case ir::StmtKind::Star: {
+        // The check occurs within some iteration: reach X via the star,
+        // then take a prefix of the body from X. Sets[0] is the star
+        // closure of In, Sets[1] its worklist, Sets[2] a star path.
+        ir::StmtId Body = Node.Children[0];
+        Level Sets(W, 3);
+        StateSet &Reachable = Sets[0];
+        StateSet &Work = Sets[1];
+        Reachable.push_back(In);
+        Work.push_back(In);
+        while (!Work.empty()) {
+          StateId Id = Work.back();
+          Work.pop_back();
+          for (StateId Succ : F.value(Body, Id))
+            if (!contains(Reachable, Succ)) {
+              addState(Reachable, Succ);
+              Work.push_back(Succ);
+            }
+        }
+        // Prefix leg first, as in the Seq case: the accepted X and the
+        // trace are those of the star-path-first order.
+        for (StateId X : Reachable) {
+          size_t Mark = T.size();
+          if (!findPrefix(Body, X, T))
+            continue;
+          size_t Split = T.size();
+          StateSet &OnPath = Sets[2];
+          OnPath.assign(1, In);
+          if (!starSearch(Body, In, X, OnPath, T)) {
             T.resize(Mark);
             continue;
           }
-          T.insert(T.end(), Suffix.begin(), Suffix.end());
+          std::rotate(T.begin() + Mark, T.begin() + Split, T.end());
           return true;
         }
+        return false;
+      }
       }
       return false;
     }
-    case ir::StmtKind::Choice: {
-      size_t N = Node.Children.size();
-      for (size_t J = 0; J < N; ++J) {
-        ir::StmtId Child = Node.Children[(J + Rotation) % N];
-        size_t Mark = T.size();
-        if (findPrefix(Child, In, CheckCmd, Target, T))
-          return true;
-        T.resize(Mark);
-      }
-      return false;
-    }
-    case ir::StmtKind::Star: {
-      // The check occurs within some iteration: reach X via the star, then
-      // take a prefix of the body from X.
-      StateSet Reachable{In};
-      bool Grew = true;
-      while (Grew) {
-        Grew = false;
-        StateSet Snapshot = Reachable;
-        for (StateId Id : Snapshot)
-          for (StateId Succ : finalValue(Node.Children[0], Id))
-            if (!contains(Reachable, Succ)) {
-              addState(Reachable, Succ);
-              Grew = true;
-            }
-      }
-      for (StateId X : Reachable) {
-        size_t Mark = T.size();
-        StateSet OnPath{In};
-        if (starSearch(Node.Children[0], In, X, OnPath, T) &&
-            findPrefix(Node.Children[0], X, CheckCmd, Target, T))
-          return true;
-        T.resize(Mark);
-      }
-      return false;
-    }
-    }
-    return false;
-  }
+
+    const ForwardAnalysis &F;
+    const ir::Program &P;
+    Scratch &W;
+    ir::CheckId Check;
+    ir::CommandId CheckCmd;
+    StateId Target;
+    unsigned Rotation;
+  };
 
   const ir::Program &P;
   const Client &C;
   Param Prm;
   const ir::CommandLiveness *Live = nullptr;
+  const ir::CheckReach *MayReach = nullptr;
 
   StateInterner<State, typename Client::StateHash> Interner;
   StateId InitId = 0;
@@ -790,10 +954,6 @@ private:
   bool Changed = false;
   support::BudgetGate *Gate = nullptr;
   std::optional<support::Exhausted> Exhaustion;
-
-  std::unordered_set<std::tuple<uint32_t, StateId, StateId>, TripleHash>
-      PrefixStack, ThroughStack;
-  unsigned Rotation = 0;
 
   mutable ForwardStats Stats;
 };

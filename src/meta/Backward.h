@@ -159,15 +159,19 @@ public:
         Table(C.wpTable()) {}
 
   /// Runs B[t](p, d_I, NotQ). \p States must be the forward state sequence
-  /// along \p T starting from d_I (length |T| + 1, as produced by
-  /// ForwardAnalysis::replay), and NotQ must hold of (p, States.back()) -
-  /// i.e. the trace really is a counterexample. The result holds of
-  /// (p, d_I) and is a sufficient condition for failure.
+  /// along \p T starting from d_I (length |T| + 1), and NotQ must hold of
+  /// (p, States.back()) - i.e. the trace really is a counterexample. It is
+  /// anything with size(), back() and operator[] yielding const State &:
+  /// the driver passes ForwardAnalysis::statesOf(), which reads the run's
+  /// interned states in place; tests pass ForwardAnalysis::replay()'s
+  /// copies. The result holds of (p, d_I) and is a sufficient condition
+  /// for failure.
   /// Returns nullopt when the run exceeded its time or size budget (only
   /// possible with a nonzero TimeoutSeconds/HardCubeCap); a timed-out
   /// partial formula is unusable and is not returned.
+  template <typename StatesT>
   std::optional<formula::Dnf> run(const ir::Trace &T, const Param &Prm,
-                                  const std::vector<State> &States,
+                                  const StatesT &States,
                                   const formula::Dnf &NotQ) {
     Stats = BackwardStats();
     Stats.Steps = T.size();

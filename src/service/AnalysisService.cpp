@@ -40,6 +40,7 @@
 
 #include "service/AnalysisService.h"
 
+#include "ir/CheckReach.h"
 #include "ir/Liveness.h"
 #include "ir/Parser.h"
 #include "ir/ProgramDiff.h"
@@ -224,13 +225,14 @@ struct ProgramEntry {
   std::unique_ptr<ir::Program> P;
   uint64_t Epoch = 0;
   PerClient<ClientAnalyses> Analyses;
-  /// The liveness table every forward run of this entry points at, built
-  /// once: batch drivers borrow it (QueryDriver::borrowExecution) and
-  /// runs rehydrated from disk are built against it. Cached runs outlive
-  /// the driver that computed them, and an entry outlives every cached
-  /// run whose data epoch is its own (pruneRetired), so the pointer they
-  /// hold stays valid.
+  /// The liveness and check-reach tables every forward run of this entry
+  /// points at, built once: batch drivers borrow them
+  /// (QueryDriver::borrowExecution) and runs rehydrated from disk are
+  /// built against them. Cached runs outlive the driver that computed
+  /// them, and an entry outlives every cached run whose data epoch is its
+  /// own (pruneRetired), so the pointers they hold stay valid.
   std::unique_ptr<ir::CommandLiveness> Live;
+  std::unique_ptr<ir::CheckReach> Reach;
 
   /// Frees every analysis's wp table (meta/WpTable.h). Only between
   /// batches: no driver may be using the analyses.
@@ -1016,7 +1018,7 @@ struct AnalysisService::Impl {
       tracer::QueryDriver<typename ShardT::Analysis> D(P, *A, O);
       D.borrowExecution(Pool.get(), &Sh.Runs, B.Entry->Epoch, Family,
                         MinData, Recorder.get(), B.Ctx, B.Id,
-                        entryLiveness(*B.Entry));
+                        entryLiveness(*B.Entry), entryReach(*B.Entry));
       std::vector<tracer::QueryOutcome> Outcomes = D.run(Queries);
       R.DS = D.stats();
       R.Ran = true;
@@ -1084,6 +1086,14 @@ struct AnalysisService::Impl {
     if (!E.Live)
       E.Live = std::make_unique<ir::CommandLiveness>(*E.P);
     return E.Live.get();
+  }
+
+  /// The entry's check-reach table, built on first use (see
+  /// ProgramEntry::Reach).
+  const ir::CheckReach *entryReach(ProgramEntry &E) {
+    if (!E.Reach)
+      E.Reach = std::make_unique<ir::CheckReach>(*E.P);
+    return E.Reach.get();
   }
 
   std::string snapshotPathFor(const std::string &Name) const {
@@ -1195,14 +1205,14 @@ struct AnalysisService::Impl {
   }
 
   /// Reads one run payload for key bits \p Bits of analysis \p A into a
-  /// fresh forward run against \p E's liveness; null when the payload
-  /// does not parse.
+  /// fresh forward run against \p E's tables; null when the payload does
+  /// not parse.
   template <typename ShardT>
   std::unique_ptr<typename ShardT::Forward>
   readRun(tracer::SnapshotReader &R, ProgramEntry &E,
           typename ShardT::Analysis &A, const std::vector<bool> &Bits) {
     auto Run = std::make_unique<typename ShardT::Forward>(
-        *E.P, A, A.paramFromBits(Bits), entryLiveness(E));
+        *E.P, A, A.paramFromBits(Bits), entryLiveness(E), entryReach(E));
     using CodecT = typename ShardT::Codec;
     tracer::RunSource<CodecT> S{R, CodecT()};
     if (!Run->loadFrom(S) || R.failed())

@@ -1098,12 +1098,6 @@ std::unique_ptr<ShardEndpoint> ProcessShardHost::spawn(unsigned Shard,
                                                 Pid);
 }
 
-pid_t ProcessShardHost::workerPid(unsigned Shard) const {
-  std::lock_guard<std::mutex> L(M);
-  auto It = Workers.find(Shard);
-  return It == Workers.end() ? -1 : It->second.pid();
-}
-
 void ProcessShardHost::killWorker(unsigned Shard) {
   std::lock_guard<std::mutex> L(M);
   auto It = Workers.find(Shard);

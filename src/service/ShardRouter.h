@@ -320,8 +320,8 @@ private:
 
 /// Production ShardHost: each shard is an `optabs-serve --listen=unix:...`
 /// child process; endpoints are socket LineChannels. Thread-safe where it
-/// matters for chaos tests: workerPid()/killWorker() may be called from
-/// another thread while the router (single-threaded) is mid-request.
+/// matters for chaos tests: killWorker() may be called from another
+/// thread while the router (single-threaded) is mid-request.
 class ProcessShardHost : public ShardHost {
 public:
   struct Options {
@@ -338,10 +338,6 @@ public:
   std::unique_ptr<ShardEndpoint> spawn(unsigned Shard,
                                        std::string &Err) override;
 
-  /// The live worker's pid (-1 when none). For chaos tests that kill by
-  /// pid from a second thread without touching endpoint state.
-  pid_t workerPid(unsigned Shard) const;
-
   /// SIGKILLs worker \p Shard by pid (thread-safe, does not reap).
   void killWorker(unsigned Shard);
 
@@ -350,7 +346,7 @@ private:
   bool workerAlive(unsigned Shard, pid_t Pid);
   void killAndReap(unsigned Shard, pid_t Pid);
 
-  mutable std::mutex M;
+  std::mutex M;
   Options O;
   std::map<unsigned, support::ChildProcess> Workers;
   /// Live incarnation's socket file per shard, unlinked when the worker

@@ -38,18 +38,6 @@ enum class FaultKind : uint8_t {
   Invariant, // simulate corrupted internal state (an invariant breakage)
 };
 
-inline const char *faultKindName(FaultKind K) {
-  switch (K) {
-  case FaultKind::Alloc:
-    return "alloc";
-  case FaultKind::Cancel:
-    return "cancel";
-  case FaultKind::Invariant:
-    return "invariant";
-  }
-  return "?";
-}
-
 /// Global flag mirroring "is at least one fault armed". Kept outside the
 /// registry so faultPoint() can bail with one relaxed load in the (normal)
 /// disarmed case without touching the registry mutex.

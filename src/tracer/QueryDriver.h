@@ -75,6 +75,7 @@
 #define OPTABS_TRACER_QUERYDRIVER_H
 
 #include "dataflow/Forward.h"
+#include "ir/CheckReach.h"
 #include "ir/Liveness.h"
 #include "meta/Backward.h"
 #include "support/Budget.h"
@@ -303,10 +304,11 @@ public:
   /// to \p TraceCtx / \p TraceBatch (support/Trace.h). Every probe happens
   /// in the sequential plan phase, so the recorded sequence is identical
   /// at any worker count; a null recorder costs one pointer test per
-  /// lookup. A non-null \p SharedLiveness (the owner's table for this
-  /// program, which must outlive every run the shared cache holds) is used
-  /// instead of the driver building its own; runs computed here point at
-  /// it, so they stay valid after the driver is gone.
+  /// lookup. A non-null \p SharedLiveness / \p SharedReach (the owner's
+  /// tables for this program, which must outlive every run the shared
+  /// cache holds) is used instead of the driver building its own; runs
+  /// computed here point at them, so they stay valid after the driver is
+  /// gone.
   void borrowExecution(support::ThreadPool *Pool,
                        ForwardRunCache<Forward> *SharedCache,
                        uint64_t ProgramEpoch = 0, uint64_t Family = 0,
@@ -315,9 +317,12 @@ public:
                        support::FlightRecorder *TraceRecorder = nullptr,
                        support::TraceContext TraceCtx = {},
                        uint64_t TraceBatch = 0,
-                       const ir::CommandLiveness *SharedLiveness = nullptr) {
+                       const ir::CommandLiveness *SharedLiveness = nullptr,
+                       const ir::CheckReach *SharedReach = nullptr) {
     if (SharedLiveness)
       Liveness = SharedLiveness;
+    if (SharedReach)
+      Reach = SharedReach;
     BorrowedPool = Pool;
     BorrowedCache = SharedCache;
     CacheEpochScope = ProgramEpoch;
@@ -335,6 +340,8 @@ public:
       support::setMetricsEnabled(true);
     if (!Liveness)
       Liveness = &OwnedLiveness.emplace(P);
+    if (!Reach)
+      Reach = &OwnedReach.emplace(P);
     std::vector<QueryOutcome> Outcomes;
     {
       // Closed before export: open spans are skipped by the exporters.
@@ -405,6 +412,9 @@ private:
     std::vector<std::unique_ptr<Backward>> Bwds;
     for (unsigned W = 0; W < Workers; ++W)
       Bwds.push_back(std::make_unique<Backward>(P, A, BwdConfig));
+    // Likewise one witness-search scratch per worker, reused by every
+    // extraction it runs and never stored with a (cached) forward run.
+    std::vector<typename Forward::Scratch> Scratches(Workers);
     State Init = A.initialState();
 
     /// What one query learned this round; produced by the parallel stages,
@@ -423,18 +433,14 @@ private:
       size_t MaxCubes = 0;
       double Seconds = 0;
     };
-    /// One extracted counterexample and its replayed forward states.
-    struct TraceData {
-      ir::Trace T;
-      std::vector<State> States;
-    };
     struct MemberStep {
       size_t PlanIdx = 0;
       size_t Query = 0;
       StepKind Kind = StepKind::NoTrace;
       std::optional<support::Exhausted> Exhaustion; ///< set when Exhausted
       std::vector<dataflow::StateId> FailIds; ///< sorted by state value
-      std::vector<TraceData> Traces;
+      /// Extracted counterexamples, with their states as run state ids.
+      std::vector<typename Forward::Witness> Traces;
       std::vector<TraceResult> TraceResults;
       double Seconds = 0;
     };
@@ -668,7 +674,8 @@ private:
           // here — it costs this abstraction's queries, not the process.
           support::BudgetGate Gate("forward.visit", Budgets.ForwardStepBudget,
                                    CancelTok.get(), 0, &Sink);
-          auto Run = std::make_unique<Forward>(P, A, *Slot.Abs, Liveness);
+          auto Run =
+              std::make_unique<Forward>(P, A, *Slot.Abs, Liveness, Reach);
           Run->run(Init, &Gate);
           if (Run->exhausted())
             Slot.Exhaustion = *Run->exhaustion();
@@ -856,10 +863,11 @@ private:
       PhaseSpan.emplace("tracer.extract", /*Publish=*/true);
       PhaseTimer.reset();
 
-      // Stage B2: counterexample trace extraction and replay (lines
-      // 13-14). Extraction mutates a run's scratch tables, so steps of one
-      // forward run stay sequential; distinct runs proceed in parallel.
-      pool().parallelFor(Slots.size(), [&](size_t S, unsigned) {
+      // Stage B2: counterexample trace extraction (line 13). Extraction
+      // only reads the run and yields each trace's state ids, which stage
+      // B3 reads in place. Steps of one forward run stay on one task, in
+      // schedule order; distinct runs proceed in parallel.
+      pool().parallelFor(Slots.size(), [&](size_t S, unsigned Worker) {
         RunSlot &Slot = Slots[S];
         for (size_t StepIdx : SlotWork[S]) {
           MemberStep &Step = Steps[StepIdx];
@@ -869,16 +877,15 @@ private:
           const QueryOutcome &Out = Outcomes[Step.Query];
           size_t WantTraces = EffTracesPerIter;
           try {
-            std::vector<ir::Trace> Traces;
             for (dataflow::StateId Id : Step.FailIds) {
-              if (Traces.size() >= WantTraces)
+              if (Step.Traces.size() >= WantTraces)
                 break;
-              State Bad = Slot.Run->state(Id);
-              for (ir::Trace &T : Slot.Run->extractTraces(
-                       Out.Check, Bad, WantTraces - Traces.size()))
-                Traces.push_back(std::move(T));
+              for (auto &W : Slot.Run->extractWitnesses(
+                       Out.Check, Id, WantTraces - Step.Traces.size(),
+                       Scratches[Worker]))
+                Step.Traces.push_back(std::move(W));
             }
-            if (Traces.empty()) {
+            if (Step.Traces.empty()) {
               // Without a counterexample nothing can be learned and
               // retrying the same abstraction would not terminate, so the
               // query is left unresolved. The sink is thread-safe; this
@@ -890,12 +897,6 @@ private:
                       " has no witnessing trace; query left unresolved");
               Step.Kind = StepKind::NoTrace;
             } else {
-              for (ir::Trace &T : Traces) {
-                TraceData Data;
-                Data.States = Slot.Run->replay(T, Init);
-                Data.T = std::move(T);
-                Step.Traces.push_back(std::move(Data));
-              }
               Step.TraceResults.resize(Step.Traces.size());
             }
           } catch (const std::bad_alloc &) {
@@ -929,9 +930,10 @@ private:
         Backward &Bwd = *Bwds[Worker];
         TraceResult &R = Step.TraceResults[J];
         try {
-          const TraceData &Data = Step.Traces[J];
+          const typename Forward::Witness &W = Step.Traces[J];
           std::optional<formula::Dnf> F =
-              Bwd.run(Data.T, *Slot.Abs, Data.States, Recs[Step.Query].NotQ);
+              Bwd.run(W.T, *Slot.Abs, Slot.Run->statesOf(W),
+                      Recs[Step.Query].NotQ);
           R.MaxCubes = Bwd.stats().MaxCubes;
           if (F)
             R.Unviable = Bwd.projectToParams(*F, *Slot.Abs, Init);
@@ -1291,12 +1293,16 @@ private:
   SearchStrategy Strategy = SearchStrategy::Tracer;
   /// Caller-shared cancellation token (see setCancelToken); null = none.
   std::shared_ptr<support::CancelToken> Cancel;
-  /// Live-variable sets are a property of the program alone: computed once
-  /// (at the first run(), unless borrowExecution supplied the owner's
-  /// table) and shared by every forward run this driver builds, which
-  /// forget dead variables before interning states (see DESIGN.md).
+  /// Live-variable sets and statement-to-check reachability are
+  /// properties of the program alone: computed once (at the first run(),
+  /// unless borrowExecution supplied the owner's tables) and shared by
+  /// every forward run this driver builds, which forget dead variables
+  /// before interning states and skip subtrees that cannot reach a check
+  /// when extracting witnesses (see DESIGN.md).
   std::optional<ir::CommandLiveness> OwnedLiveness;
   const ir::CommandLiveness *Liveness = nullptr;
+  std::optional<ir::CheckReach> OwnedReach;
+  const ir::CheckReach *Reach = nullptr;
   DriverStats Stats;
   double TotalSeconds = 0;
   ForwardRunCache<Forward> OwnedCache;

@@ -287,4 +287,49 @@ TEST(ArgsTest, CallbackErrorsPropagate) {
   EXPECT_NE(Err.find("bad spec 'xyz'"), std::string::npos) << Err;
 }
 
+TEST(ArgsTest, HelpIsGeneratedFromTheFlags) {
+  bool Audit = false;
+  unsigned K = 0;
+  support::ArgParser Parser("tool FILE");
+  Parser.option("--k", &K, "dropk beam width")
+      .flag("--audit", &Audit, "check every verdict");
+  EXPECT_EQ(Parser.usage(), "usage: tool FILE [--k=N] [--audit] [--help]\n");
+  // --help stops parsing before a later bad value can fail it.
+  EXPECT_EQ(parseArgs(Parser, {"--help", "--k=banana"}), "");
+  EXPECT_TRUE(Parser.helpRequested());
+  EXPECT_EQ(K, 0u);
+  EXPECT_EQ(Parser.help(), "usage: tool FILE [--k=N] [--audit] [--help]\n"
+                           "\n"
+                           "options:\n"
+                           "  --k=N    dropk beam width\n"
+                           "  --audit  check every verdict\n"
+                           "  --help   print this help and exit\n");
+}
+
+TEST(ArgsTest, UsageWrapsLongFlagLists) {
+  std::vector<std::string> Values(12);
+  support::ArgParser Parser("tool");
+  const char *Names[] = {"--alpha", "--bravo", "--charlie", "--delta",
+                         "--echo",  "--foxtrot", "--golf",  "--hotel",
+                         "--india", "--juliet", "--kilo",   "--lima"};
+  for (size_t I = 0; I < Values.size(); ++I)
+    Parser.option(Names[I], &Values[I], "");
+  std::string Usage = Parser.usage();
+  size_t Start = 0;
+  size_t Lines = 0;
+  for (size_t End; (End = Usage.find('\n', Start)) != std::string::npos;
+       Start = End + 1, ++Lines) {
+    EXPECT_LE(End - Start, 79u) << Usage;
+    if (Lines > 0) {
+      EXPECT_EQ(Usage.compare(Start, 12, std::string(12, ' ')), 0) << Usage;
+    }
+  }
+  EXPECT_GT(Lines, 1u);
+  for (const char *Name : Names)
+    EXPECT_NE(Usage.find(std::string("[").append(Name).append("=VALUE]")),
+              std::string::npos)
+        << Usage;
+  EXPECT_EQ(Usage.substr(Usage.size() - 9), "[--help]\n");
+}
+
 } // namespace

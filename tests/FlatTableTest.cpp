@@ -5,10 +5,11 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// StateInterner and FlatTable index raw slots by hand, so these tests pin
-// what callers depend on: dense first-intern ids, correct lookups under
-// collisions and growth, snapshot bytes that do not depend on the table
-// layout, and lookups of existing entries that allocate nothing.
+// StateInterner, FlatTable and TripleSet index raw slots by hand, so these
+// tests pin what callers depend on: dense first-intern ids, correct
+// lookups under collisions, growth and erase, snapshot bytes that do not
+// depend on the table layout, and lookups of existing entries (or reuse
+// of a grown set) that allocate nothing.
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +27,8 @@
 #include <cstdlib>
 #include <map>
 #include <new>
+#include <set>
+#include <tuple>
 
 //===----------------------------------------------------------------------===//
 // Allocation counting (the same shim as NormalizeAllocTest)
@@ -155,6 +158,35 @@ TEST(FlatTable, LookupsAfterInterleavedInserts) {
     EXPECT_EQ(E.Value, Oracle.at(E.K));
 }
 
+TEST(TripleSet, MatchesASetUnderInsertsAndErases) {
+  dataflow::TripleSet T;
+  std::set<std::tuple<uint32_t, uint32_t, uint32_t>> Oracle;
+  Prng Rng(0x7B1E);
+  for (unsigned Step = 0; Step < 50000; ++Step) {
+    // A small universe, so probe runs collide and erase must shift
+    // members back across them.
+    uint32_t A = static_cast<uint32_t>(Rng.nextBelow(8));
+    uint32_t B = static_cast<uint32_t>(Rng.nextBelow(16));
+    uint32_t C = static_cast<uint32_t>(Rng.nextBelow(4));
+    bool Present = Oracle.count({A, B, C}) > 0;
+    if (Present && Rng.nextBelow(2) == 0) {
+      T.erase(A, B, C);
+      Oracle.erase({A, B, C});
+    } else {
+      // insert() reports membership: false exactly when already present.
+      ASSERT_EQ(T.insert(A, B, C), !Present);
+      Oracle.insert({A, B, C});
+    }
+    ASSERT_EQ(T.size(), Oracle.size());
+  }
+  for (const auto &[A, B, C] : Oracle)
+    EXPECT_FALSE(T.insert(A, B, C));
+  T.clear();
+  EXPECT_EQ(T.size(), 0u);
+  for (const auto &[A, B, C] : Oracle)
+    EXPECT_TRUE(T.insert(A, B, C));
+}
+
 //===----------------------------------------------------------------------===//
 // Snapshot bytes of a forward run
 //===----------------------------------------------------------------------===//
@@ -278,6 +310,24 @@ TEST(FlatTableAlloc, FindingAnExistingStateAllocatesNothing) {
   }
   EXPECT_EQ(GlobalAllocs.load() - Before, 0u);
   EXPECT_EQ(Hits, 2 * States.size());
+}
+
+TEST(FlatTableAlloc, ReusedTripleSetAllocatesNothing) {
+  // The witness search clears its cycle stacks between extractions and
+  // pushes and pops them in stack order; once grown, that costs nothing.
+  dataflow::TripleSet T;
+  auto Cycle = [&] {
+    for (uint32_t I = 0; I < 200; ++I)
+      T.insert(I, I * 7, I % 5);
+    for (uint32_t I = 200; I-- > 0;)
+      T.erase(I, I * 7, I % 5);
+    T.clear();
+  };
+  Cycle();
+  uint64_t Before = GlobalAllocs.load();
+  Cycle();
+  EXPECT_EQ(GlobalAllocs.load() - Before, 0u);
+  EXPECT_EQ(T.size(), 0u);
 }
 
 TEST(FlatTableAlloc, TransferMemoHitsAllocateNothing) {

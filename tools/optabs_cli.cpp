@@ -69,30 +69,17 @@ struct CliOptions {
   Config Cfg; // audit lives in Cfg.Audit.Enabled
   bool Stats = false;
   bool Verbose = false;
-};
-
-int usage(const char *Msg = nullptr) {
-  if (Msg)
-    std::cerr << "error: " << Msg << "\n";
-  std::cerr << "usage: optabs-cli PROGRAM.opt --client=escape|typestate "
-               "[--property=SPEC] [--k=N]\n"
-               "       [--strategy=tracer|eliminate-current|greedy-grow] "
-               "[--max-iters=N]\n"
-               "       [--traces-per-iter=N] [--threads=N] [--audit] "
-               "[--event-trace=PATH]\n"
-               "       [--metrics=PATH] [--chrome-trace=PATH] "
-               "[--step-budget=N]\n"
-               "       [--memory-budget-mb=N] [--faults=SPEC] [--stats] "
-               "[--verbose]\n";
-  return 2;
-}
-
-bool parseArgs(int Argc, char **Argv, CliOptions &Opts, std::string &Err) {
-  Config &C = Opts.Cfg;
+  // Raw flag values that parseArgs folds into the fields above.
   std::vector<std::string> Positionals;
   uint64_t StepBudget = 0, MemoryBudgetMb = 0;
-  support::ArgParser Args;
-  Args.positional(&Positionals)
+};
+
+/// Declares every flag on \p Args, parses argv into \p Opts and checks
+/// the result. Stops early, successfully, when \p Args saw --help.
+bool parseArgs(int Argc, char **Argv, support::ArgParser &Args,
+               CliOptions &Opts, std::string &Err) {
+  Config &C = Opts.Cfg;
+  Args.positional(&Opts.Positionals)
       .option("--client", &Opts.Client, "escape or typestate")
       .option("--property", &Opts.Property, "type-state automaton spec")
       .option("--k", &C.Execution.K, "dropk beam width (0 = exact)")
@@ -104,9 +91,9 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts, std::string &Err) {
               "counterexamples per failed iteration")
       .option("--threads", &C.Execution.NumThreads,
               "worker threads (1 = sequential, 0 = hardware)")
-      .option("--step-budget", &StepBudget,
+      .option("--step-budget", &Opts.StepBudget,
               "logical-step budget for every kernel")
-      .option("--memory-budget-mb", &MemoryBudgetMb,
+      .option("--memory-budget-mb", &Opts.MemoryBudgetMb,
               "forward-cache resident ceiling")
       .option("--event-trace", &C.Observability.EventTracePath,
               "JSONL CEGAR trace output")
@@ -125,22 +112,24 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts, std::string &Err) {
       .flag("--verbose", &Opts.Verbose, "print the program first");
   if (!Args.parse(Argc, Argv, Err))
     return false;
-  if (StepBudget > 0) {
-    C.Budgets.ForwardStepBudget = StepBudget;
-    C.Budgets.BackwardStepBudget = StepBudget;
-    C.Budgets.SolverDecisionBudget = StepBudget;
+  if (Args.helpRequested())
+    return true;
+  if (Opts.StepBudget > 0) {
+    C.Budgets.ForwardStepBudget = Opts.StepBudget;
+    C.Budgets.BackwardStepBudget = Opts.StepBudget;
+    C.Budgets.SolverDecisionBudget = Opts.StepBudget;
   }
-  if (MemoryBudgetMb > 0)
-    C.Budgets.MemoryBudgetBytes = MemoryBudgetMb * 1024 * 1024;
-  if (Positionals.size() > 1) {
+  if (Opts.MemoryBudgetMb > 0)
+    C.Budgets.MemoryBudgetBytes = Opts.MemoryBudgetMb * 1024 * 1024;
+  if (Opts.Positionals.size() > 1) {
     Err = "multiple program files given";
     return false;
   }
-  if (Positionals.empty()) {
+  if (Opts.Positionals.empty()) {
     Err = "no program file given";
     return false;
   }
-  Opts.ProgramPath = Positionals[0];
+  Opts.ProgramPath = Opts.Positionals[0];
   bool TakesProperty = true;
   bool KnownClient = service::withClient(
       Opts.Client, [&](auto T) { TakesProperty = T.TakesProperty; });
@@ -229,8 +218,15 @@ int main(int Argc, char **Argv) {
   for (const ConfigError &E : EnvErrors)
     std::cerr << "warning: " << E.Field << ": " << E.Message << "\n";
   std::string Err;
-  if (!parseArgs(Argc, Argv, Opts, Err))
-    return usage(Err.c_str());
+  support::ArgParser Args("optabs-cli PROGRAM.opt");
+  if (!parseArgs(Argc, Argv, Args, Opts, Err)) {
+    std::cerr << "error: " << Err << "\n" << Args.usage();
+    return 2;
+  }
+  if (Args.helpRequested()) {
+    std::cout << Args.help();
+    return 0;
+  }
 
   if (!Opts.Cfg.Observability.EventTracePath.empty()) {
     // Truncate once here; the drivers append, so the per-site type-state

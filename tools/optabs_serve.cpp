@@ -623,7 +623,7 @@ int main(int Argc, char **Argv) {
   std::string TraceJsonl = Base.Observability.ServiceTraceJsonlPath;
   std::string TraceChrome = Base.Observability.ServiceTraceChromePath;
   double TraceSlowMs = Base.Observability.SlowQuerySeconds * 1000;
-  support::ArgParser Parser;
+  support::ArgParser Parser("optabs-serve");
   Parser.option("--listen", &Listen,
                 "transport: stdio (default), unix:PATH, or tcp:PORT");
   Parser.option("--threads", &Threads, "shared pool workers (0 = hardware)");
@@ -651,16 +651,12 @@ int main(int Argc, char **Argv) {
                 "slow-query threshold in milliseconds (enables tracing)");
   std::string Err;
   if (!Parser.parse(Argc, Argv, Err)) {
-    std::cerr << "error: " << Err << "\n"
-              << "usage: optabs-serve [--listen=unix:PATH|tcp:PORT] "
-                 "[--threads=N] [--cache-capacity=N] "
-                 "[--max-sessions=N] [--metrics=PATH] "
-                 "[--cache-dir=PATH] [--spill-bytes=N] "
-                 "[--persist-on-shutdown=0|1] "
-                 "[--read-timeout-ms=N] [--max-line-bytes=N] "
-                 "[--trace-capacity=N] [--trace-jsonl=PATH] "
-                 "[--trace-chrome=PATH] [--trace-slow-ms=X]\n";
+    std::cerr << "error: " << Err << "\n" << Parser.usage();
     return 2;
+  }
+  if (Parser.helpRequested()) {
+    std::cout << Parser.help();
+    return 0;
   }
   if (!service::ListenSpec::parse(Listen, F.Listen, Err)) {
     std::cerr << "error: " << Err << "\n";

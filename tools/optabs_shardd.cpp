@@ -124,7 +124,7 @@ int main(int Argc, char **Argv) {
   uint64_t SpillBytes = 0;
   uint64_t PersistOnShutdown = 0;
 
-  support::ArgParser Parser;
+  support::ArgParser Parser("optabs-shardd");
   Parser.option("--listen", &Listen,
                 "supervisor transport: stdio (default), unix:PATH, tcp:PORT");
   Parser.option("--shards", &Shards, "number of optabs-serve workers");
@@ -164,17 +164,12 @@ int main(int Argc, char **Argv) {
               "accept {\"op\":\"chaos-kill\",\"shard\":K} (tests only)");
   std::string Err;
   if (!Parser.parse(Argc, Argv, Err)) {
-    std::cerr << "error: " << Err << "\n"
-              << "usage: optabs-shardd [--shards=N] [--worker=PATH] "
-                 "[--worker-threads=N] [--worker-args=\"...\"] "
-                 "[--listen=unix:PATH|tcp:PORT] [--socket-dir=DIR] "
-                 "[--request-timeout-ms=N] [--retries=N] "
-                 "[--backoff-initial-ms=N] [--backoff-max-ms=N] "
-                 "[--backoff-reset-ms=N] [--read-timeout-ms=N] "
-                 "[--max-line-bytes=N] [--cache-dir=DIR] [--spill-bytes=N] "
-                 "[--persist-on-shutdown=0|1] [--steal-threshold=N] "
-                 "[--chaos]\n";
+    std::cerr << "error: " << Err << "\n" << Parser.usage();
     return 2;
+  }
+  if (Parser.helpRequested()) {
+    std::cout << Parser.help();
+    return 0;
   }
   service::ListenSpec ListenSpec;
   if (!service::ListenSpec::parse(Listen, ListenSpec, Err)) {
