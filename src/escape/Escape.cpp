@@ -10,10 +10,6 @@ using formula::AtomId;
 using formula::Dnf;
 using formula::Formula;
 
-namespace {
-enum AtomKind { KSite = 0, KVar = 1, KField = 2 };
-}
-
 //===----------------------------------------------------------------------===//
 // State and atoms
 //===----------------------------------------------------------------------===//
@@ -57,8 +53,6 @@ bool EscapeAnalysis::evalAtom(AtomId A, const Param &Prm,
   return false;
 }
 
-bool EscapeAnalysis::isParamAtom(AtomId A) const { return (A & 3) == KSite; }
-
 std::string EscapeAnalysis::atomName(AtomId A) const {
   unsigned Kind = A & 3;
   AbsVal O = static_cast<AbsVal>((A >> 2) & 3);
@@ -72,23 +66,6 @@ std::string EscapeAnalysis::atomName(AtomId A) const {
     return P.fieldName(FieldId(Idx)) + "." + absValName(O);
   }
   return "?";
-}
-
-std::optional<optabs::formula::LocationInfo> EscapeAnalysis::atomLocation(
-    AtomId A) const {
-  unsigned Kind = A & 3;
-  uint32_t Idx = A >> 4;
-  optabs::formula::LocationInfo Info;
-  if (Kind == KSite) {
-    Info.Values = {atomSite(AllocId(Idx), AbsVal::L),
-                   atomSite(AllocId(Idx), AbsVal::E)};
-    return Info;
-  }
-  for (AbsVal O : {AbsVal::N, AbsVal::L, AbsVal::E})
-    Info.Values.push_back(Kind == KVar
-                              ? atomVar(VarId(Idx), O)
-                              : atomField(FieldId(Idx), O));
-  return Info;
 }
 
 std::pair<uint32_t, bool> EscapeAnalysis::decodeParamAtom(AtomId A) const {

@@ -156,13 +156,37 @@ public:
   //===--- backward meta-analysis ------------------------------------------===
   formula::Formula wpAtom(const ir::Command &Cmd, formula::AtomId A) const;
   bool evalAtom(formula::AtomId A, const Param &Prm, const State &D) const;
-  bool isParamAtom(formula::AtomId A) const;
+  /// Site atoms h.o constrain only the abstraction. A few bit operations,
+  /// defined here so the backward step's per-literal calls inline.
+  bool isParamAtom(formula::AtomId A) const { return (A & 3) == KSite; }
   std::string atomName(formula::AtomId A) const;
 
   /// Semantic normalization hooks: every variable/field holds exactly one
   /// of N/L/E, and every site maps to exactly one of L/E; these locations
   /// let the meta-analysis keep formulas as compact as Figure 11's.
-  std::optional<formula::LocationInfo> atomLocation(formula::AtomId A) const;
+  /// atomLocation is defined here so refinement, which asks once per
+  /// literal, inlines it.
+  std::optional<formula::LocationInfo> atomLocation(formula::AtomId A) const {
+    uint32_t Idx = A >> 4;
+    formula::LocationInfo Info;
+    switch (A & 3) {
+    case KSite:
+      Info.Values = {atomSite(ir::AllocId(Idx), AbsVal::L),
+                     atomSite(ir::AllocId(Idx), AbsVal::E)};
+      break;
+    case KVar:
+      Info.Values = {atomVar(ir::VarId(Idx), AbsVal::N),
+                     atomVar(ir::VarId(Idx), AbsVal::L),
+                     atomVar(ir::VarId(Idx), AbsVal::E)};
+      break;
+    default:
+      Info.Values = {atomField(ir::FieldId(Idx), AbsVal::N),
+                     atomField(ir::FieldId(Idx), AbsVal::L),
+                     atomField(ir::FieldId(Idx), AbsVal::E)};
+      break;
+    }
+    return Info;
+  }
   std::optional<formula::Cube> refineCube(const formula::Cube &C) const {
     return formula::refineCubeByLocations(
         C, [this](formula::AtomId A) { return atomLocation(A); });
@@ -183,17 +207,19 @@ public:
   std::string paramToString(const Param &Prm) const;
 
   //===--- atom constructors (public for tests and examples) ----------------===
+  /// An atom is (index << 4) | (value << 2) | kind.
+  enum AtomKind : uint32_t { KSite = 0, KVar = 1, KField = 2 };
   /// Atom h.o: the abstraction maps site h to o (o in {L, E}).
   static formula::AtomId atomSite(ir::AllocId H, AbsVal O) {
-    return (H.index() << 4) | (static_cast<uint32_t>(O) << 2) | 0;
+    return (H.index() << 4) | (static_cast<uint32_t>(O) << 2) | KSite;
   }
   /// Atom v.o: the state binds variable v to o.
   static formula::AtomId atomVar(ir::VarId V, AbsVal O) {
-    return (V.index() << 4) | (static_cast<uint32_t>(O) << 2) | 1;
+    return (V.index() << 4) | (static_cast<uint32_t>(O) << 2) | KVar;
   }
   /// Atom f.o: the state binds field f to o.
   static formula::AtomId atomField(ir::FieldId F, AbsVal O) {
-    return (F.index() << 4) | (static_cast<uint32_t>(O) << 2) | 2;
+    return (F.index() << 4) | (static_cast<uint32_t>(O) << 2) | KField;
   }
 
   /// Flat location index of a variable / field within EscState::Vals.

@@ -30,11 +30,20 @@ std::optional<Cube> Cube::conjoin(const Cube &A, const Cube &B) {
     return B;
   if (B.isTrue())
     return A;
-  // No up-front reserve: the merged cube is often much shorter than the
-  // two inputs together (shared literals, early contradiction), and
-  // reserving their sum would put cubes that fit inline on the heap.
-  Cube R;
-  R.Sig = A.Sig | B.Sig;
+  // Merge into scratch, then copy the result once: a result past the
+  // inline capacity is allocated exactly once (growing it literal by
+  // literal reallocated at 6, 12 and 24 literals), and a result that fits
+  // inline, or a contradiction, touches no heap.
+  constexpr size_t StackLits = 64;
+  Lit Stack[StackLits];
+  thread_local std::vector<Lit> Spill;
+  Lit *Out = Stack;
+  if (A.size() + B.size() > StackLits) {
+    if (Spill.size() < A.size() + B.size())
+      Spill.resize(A.size() + B.size());
+    Out = Spill.data();
+  }
+  Lit *W = Out;
   const Lit *PA = A.Lits.begin(), *EA = A.Lits.end();
   const Lit *PB = B.Lits.begin(), *EB = B.Lits.end();
   if ((A.Sig & B.Sig) == 0) {
@@ -42,26 +51,27 @@ std::optional<Cube> Cube::conjoin(const Cube &A, const Cube &B) {
     // share a signature bit), so neither duplicates nor complementary pairs
     // can arise - a plain unchecked merge suffices.
     while (PA != EA && PB != EB)
-      R.Lits.push_back(*PB < *PA ? *PB++ : *PA++);
+      *W++ = *PB < *PA ? *PB++ : *PA++;
   } else {
     while (PA != EA && PB != EB) {
       if (*PA == *PB) {
-        R.Lits.push_back(*PA);
+        *W++ = *PA;
         ++PA;
         ++PB;
       } else if (PA->atom() == PB->atom()) {
         return std::nullopt; // a and !a: contradiction
       } else {
-        R.Lits.push_back(*PB < *PA ? *PB++ : *PA++);
+        *W++ = *PB < *PA ? *PB++ : *PA++;
       }
     }
   }
   // Both inputs are sorted and duplicate-free, so the merged tail needs no
   // further checks.
-  for (; PA != EA; ++PA)
-    R.Lits.push_back(*PA);
-  for (; PB != EB; ++PB)
-    R.Lits.push_back(*PB);
+  W = std::copy(PA, EA, W);
+  W = std::copy(PB, EB, W);
+  Cube R;
+  R.Sig = A.Sig | B.Sig;
+  R.Lits.assign(Out, static_cast<size_t>(W - Out));
   return R;
 }
 
@@ -75,29 +85,155 @@ bool Cube::implies(const Cube &Other) const {
                        Other.Lits.end());
 }
 
+bool Cube::contradicts(const Cube &Other) const {
+  // A complementary pair shares its atom, hence a signature bit.
+  if ((Sig & Other.Sig) == 0)
+    return false;
+  const Lit *PA = Lits.begin(), *EA = Lits.end();
+  const Lit *PB = Other.Lits.begin(), *EB = Other.Lits.end();
+  while (PA != EA && PB != EB) {
+    if (*PA == *PB) {
+      ++PA;
+      ++PB;
+    } else if (PA->atom() == PB->atom()) {
+      return true;
+    } else if (*PA < *PB) {
+      ++PA;
+    } else {
+      ++PB;
+    }
+  }
+  return false;
+}
+
+namespace {
+
+/// A cube's sort key: its size, its literals in place, and its position.
+/// Sorting these 16-byte keys instead of the 40-byte cubes moves less and
+/// reads raw literal arrays without LitVec's inline/heap branch.
+struct SortKey {
+  uint32_t Size;
+  uint32_t Index;
+  const Lit *Lits;
+};
+
+/// Sorts [Lo, Hi), keys of one size whose literals before \p Depth are
+/// equal, lexicographically from \p Depth on. A multikey (three-way
+/// radix) quicksort: each partition reads one literal position, so the
+/// long prefixes that cubes of one product share are not compared over
+/// and over, as a comparison sort would.
+void sortFromDepth(SortKey *Lo, SortKey *Hi, uint32_t Depth) {
+  while (Hi - Lo > 1 && Depth < Lo->Size) {
+    if (Hi - Lo < 12) {
+      for (SortKey *I = Lo + 1; I < Hi; ++I) {
+        SortKey Key = *I;
+        SortKey *J = I;
+        for (; J > Lo; --J) {
+          const Lit *A = Key.Lits + Depth, *B = (J - 1)->Lits + Depth;
+          const Lit *End = Key.Lits + Key.Size;
+          while (A != End && *A == *B) {
+            ++A;
+            ++B;
+          }
+          if (A == End || !(*A < *B))
+            break;
+          *J = *(J - 1);
+        }
+        *J = Key;
+      }
+      return;
+    }
+    auto At = [Depth](const SortKey *K) { return K->Lits[Depth].raw(); };
+    uint32_t X = At(Lo), Y = At(Lo + (Hi - Lo) / 2), Z = At(Hi - 1);
+    uint32_t Pivot = std::max(std::min(X, Y), std::min(std::max(X, Y), Z));
+    SortKey *Lt = Lo, *I = Lo, *Gt = Hi;
+    while (I < Gt) {
+      uint32_t V = At(I);
+      if (V < Pivot)
+        std::swap(*Lt++, *I++);
+      else if (V > Pivot)
+        std::swap(*I, *--Gt);
+      else
+        ++I;
+    }
+    sortFromDepth(Lo, Lt, Depth);
+    sortFromDepth(Gt, Hi, Depth);
+    Lo = Lt;
+    Hi = Gt;
+    ++Depth;
+  }
+}
+
+} // namespace
+
 void Dnf::sortBySize() {
-  std::sort(Cubes.begin(), Cubes.end(), [](const Cube &A, const Cube &B) {
-    if (A.size() != B.size())
-      return A.size() < B.size();
-    return A.literals() < B.literals();
-  });
+  if (Cubes.size() < 2)
+    return;
+  // Keys that compare equal belong to equal cubes, so the unstable sort
+  // yields the same sequence as sorting the cubes themselves.
+  thread_local std::vector<SortKey> Keys;
+  Keys.clear();
+  for (size_t I = 0; I < Cubes.size(); ++I)
+    Keys.push_back({static_cast<uint32_t>(Cubes[I].size()),
+                    static_cast<uint32_t>(I), Cubes[I].literals().begin()});
+  std::sort(Keys.begin(), Keys.end(),
+            [](const SortKey &A, const SortKey &B) { return A.Size < B.Size; });
+  for (size_t Begin = 0, End; Begin < Keys.size(); Begin = End) {
+    End = Begin + 1;
+    while (End < Keys.size() && Keys[End].Size == Keys[Begin].Size)
+      ++End;
+    sortFromDepth(Keys.data() + Begin, Keys.data() + End, 0);
+  }
+  // Position I takes the cube at Keys[I].Index. Apply that permutation in
+  // place, one cycle at a time, marking each filled position done by
+  // pointing its key at itself. The key's literal pointers are dead from
+  // here on: moving a cube moves its inline literals.
+  for (uint32_t I = 0; I < Keys.size(); ++I) {
+    if (Keys[I].Index == I)
+      continue;
+    Cube Held = std::move(Cubes[I]);
+    uint32_t J = I;
+    for (;;) {
+      uint32_t From = Keys[J].Index;
+      Keys[J].Index = J;
+      if (From == I) {
+        Cubes[J] = std::move(Held);
+        break;
+      }
+      Cubes[J] = std::move(Cubes[From]);
+      J = From;
+    }
+  }
   Cubes.erase(std::unique(Cubes.begin(), Cubes.end()), Cubes.end());
 }
 
+bool Dnf::isSortedBySize() const {
+  for (size_t I = 1; I < Cubes.size(); ++I) {
+    const Cube &A = Cubes[I - 1], &B = Cubes[I];
+    if (A.size() > B.size() ||
+        (A.size() == B.size() && !(A.literals() < B.literals())))
+      return false;
+  }
+  return true;
+}
+
 void Dnf::simplify() {
-  std::vector<Cube> Kept;
-  for (Cube &Candidate : Cubes) {
+  size_t Kept = 0;
+  for (size_t I = 0; I < Cubes.size(); ++I) {
     bool Subsumed = false;
-    for (const Cube &Earlier : Kept) {
-      if (Candidate.implies(Earlier)) {
+    for (size_t J = 0; J < Kept; ++J) {
+      if (Cubes[I].implies(Cubes[J])) {
         Subsumed = true;
         break;
       }
     }
-    if (!Subsumed)
-      Kept.push_back(std::move(Candidate));
+    if (Subsumed)
+      continue;
+    if (Kept != I)
+      Cubes[Kept] = std::move(Cubes[I]);
+    ++Kept;
   }
-  Cubes = std::move(Kept);
+  Cubes.erase(Cubes.begin() + Kept, Cubes.end());
 }
 
 void Dnf::dropK(unsigned K, const AtomEval &Eval,
@@ -173,26 +309,13 @@ void Dnf::productInto(Dnf &Result, const Dnf &A, const Dnf &B,
                       support::BudgetGate *Gate) {
   assert(&Result != &A && &Result != &B);
   Result.Cubes.clear();
-  if (support::faultsEnabled()) {
-    // This site runs under the caller's gate (if any), so armed faults are
-    // consulted by name here: Alloc throws from faultPoint itself;
-    // Cancel/Invariant are realized against the gate when one exists.
-    if (auto K = support::faultPoint("dnf.product"); K && Gate) {
-      if (*K == support::FaultKind::Invariant)
-        reportInvariant(Sink, "injected-fault", "dnf.product",
-                        "fault injection: forced invariant breakage");
-      Gate->exhaust(support::Resource::Cancelled);
-    }
-  }
-  if (Gate) {
-    // Charge the full cross-product size up front: the cost of this call is
-    // |A| * |B| conjunctions whether or not they survive pruning, and the
-    // count is schedule-independent, so a step budget trips here at the
-    // same term on every NumThreads. An exhausted gate yields false — a
-    // sound under-approximation, flagged to the caller via the gate itself.
-    if (!Gate->charge(A.Cubes.size() * B.Cubes.size()))
-      return;
-  }
+  // Charge the full cross-product size up front: the cost of this call is
+  // |A| * |B| conjunctions whether or not they survive pruning, and the
+  // count is schedule-independent, so a step budget trips here at the same
+  // term on every NumThreads. An exhausted gate yields false — a sound
+  // under-approximation, flagged to the caller via the gate itself.
+  if (!chargeProduct(A.Cubes.size() * B.Cubes.size(), Sink, Gate))
+    return;
   // Reserve for the full cross product, clamped so a huge (soon-pruned)
   // product does not balloon the allocation.
   size_t Hint = A.Cubes.size() * B.Cubes.size();
@@ -259,6 +382,22 @@ void Dnf::productInto(Dnf &Result, const Dnf &A, const Dnf &B,
       Result.Cubes = std::move(Kept);
     }
   }
+}
+
+bool Dnf::chargeProduct(uint64_t Units, support::InvariantSink *Sink,
+                        support::BudgetGate *Gate) {
+  if (support::faultsEnabled()) {
+    // This site runs under the caller's gate (if any), so armed faults are
+    // consulted by name here: Alloc throws from faultPoint itself;
+    // Cancel/Invariant are realized against the gate when one exists.
+    if (auto K = support::faultPoint("dnf.product"); K && Gate) {
+      if (*K == support::FaultKind::Invariant)
+        reportInvariant(Sink, "injected-fault", "dnf.product",
+                        "fault injection: forced invariant breakage");
+      Gate->exhaust(support::Resource::Cancelled);
+    }
+  }
+  return !Gate || Gate->charge(Units);
 }
 
 std::string Dnf::toString(

@@ -239,6 +239,10 @@ public:
   /// (The paper's fast, incomplete syntactic subsumption check.)
   bool implies(const Cube &Other) const;
 
+  /// True when this and \p Other hold a literal and its negation, i.e.
+  /// when conjoin(*this, Other) is nullopt - without building the merge.
+  bool contradicts(const Cube &Other) const;
+
   bool eval(const AtomEval &Eval) const {
     for (Lit L : Lits)
       if (!L.eval(Eval))
@@ -300,11 +304,16 @@ public:
   }
 
   /// Sorts disjuncts by size (shortest first), ties broken by literal order
-  /// for determinism. This is the ordering assumed by simplify and dropk.
+  /// for determinism, and drops duplicates. This is the ordering assumed by
+  /// simplify and dropk.
   void sortBySize();
 
+  /// True when the cubes are in sortBySize() order without duplicates.
+  bool isSortedBySize() const;
+
   /// Figure 8 simplify: removes disjunct i when some earlier disjunct j < i
-  /// implies it. Assumes sortBySize() was applied; keeps the order.
+  /// implies it. Assumes sortBySize() was applied; keeps the order and
+  /// compacts in place.
   void simplify();
 
   /// Figure 8 dropk: under-approximates to at most K disjuncts. When one of
@@ -354,6 +363,14 @@ public:
                           size_t SoftCap, const AtomEval &Eval,
                           support::InvariantSink *Sink = nullptr,
                           support::BudgetGate *Gate = nullptr);
+
+  /// The accounting half of productInto: consults the `dnf.product` fault
+  /// site, then charges \p Units against \p Gate (when set). Returns false
+  /// once the gate is exhausted. A caller that builds a product by other
+  /// means charges it here, so fault hits and step-budget trips fall
+  /// exactly where productInto's would.
+  static bool chargeProduct(uint64_t Units, support::InvariantSink *Sink,
+                            support::BudgetGate *Gate);
 
   /// Structural equality of the cube lists (order-sensitive; two Dnfs that
   /// went through the same normalization pipeline compare equal iff they

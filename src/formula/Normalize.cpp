@@ -9,80 +9,7 @@ namespace formula {
 
 std::optional<Cube> refineCubeByLocations(const Cube &C,
                                           const LocationFn &Loc) {
-  // Tag every location literal with its location's key (the smallest value
-  // atom, stable per location) and sort the flat (key, literal) buffer, so
-  // each location's literals form one run in ascending literal order.
-  // Independent literals go straight to the output. Both buffers are
-  // reused across calls: refinement runs on every cube of every backward
-  // step, and warm calls touch no heap.
-  struct Keyed {
-    AtomId Key;
-    Lit L;
-  };
-  thread_local std::vector<Keyed> Grouped;
-  thread_local std::vector<Lit> Result;
-  Grouped.clear();
-  Result.clear();
-  for (Lit L : C.literals()) {
-    auto Info = Loc(L.atom());
-    if (!Info) {
-      Result.push_back(L);
-      continue;
-    }
-    assert(!Info->Values.empty());
-    Grouped.push_back(
-        {*std::min_element(Info->Values.begin(), Info->Values.end()), L});
-  }
-  std::sort(Grouped.begin(), Grouped.end(),
-            [](const Keyed &A, const Keyed &B) {
-              return A.Key != B.Key ? A.Key < B.Key : A.L < B.L;
-            });
-
-  for (size_t Begin = 0, End; Begin < Grouped.size(); Begin = End) {
-    End = Begin;
-    const Lit *Positive = nullptr;
-    while (End < Grouped.size() && Grouped[End].Key == Grouped[Begin].Key) {
-      if (!Grouped[End].L.isNeg()) {
-        if (Positive)
-          return std::nullopt; // two distinct values of one location
-        Positive = &Grouped[End].L;
-      }
-      ++End;
-    }
-    if (Positive) {
-      // Any negative literal of the same location is implied (different
-      // value) or contradictory (same value, impossible here since Cube
-      // construction rejects complementary pairs).
-      Result.push_back(*Positive);
-      continue;
-    }
-    // Negatives only, in ascending atom order. The group's first literal
-    // speaks for the location.
-    auto Negated = [&](AtomId V) {
-      for (size_t I = Begin; I < End; ++I)
-        if (Grouped[I].L.atom() == V)
-          return true;
-      return false;
-    };
-    if (auto Info = Loc(Grouped[Begin].L.atom()); Info->Exhaustive) {
-      size_t Remaining = 0;
-      AtomId Last = 0;
-      for (AtomId V : Info->Values)
-        if (!Negated(V)) {
-          ++Remaining;
-          Last = V;
-        }
-      if (Remaining == 0)
-        return std::nullopt; // no value left for this location
-      if (Remaining == 1) {
-        Result.push_back(Lit::pos(Last));
-        continue;
-      }
-    }
-    for (size_t I = Begin; I < End; ++I)
-      Result.push_back(Grouped[I].L);
-  }
-  return Cube::make(Result.data(), Result.size());
+  return refineCubeByLocations<LocationFn>(C, Loc);
 }
 
 namespace {
@@ -151,30 +78,46 @@ bool sameExcept(const Cube &A, Lit La, const Cube &B, Lit Lb) {
 /// complementary merge runs.
 bool mergeRound(std::vector<Cube> &Cubes, const LocationFn &Loc) {
   // Index cubes by commutative hash: the partner of a one-literal
-  // substitution is found by adjusting the hash in O(1), binary-searching
-  // a sorted flat (hash, index) vector and verifying the (rare) candidates
-  // exactly. Equal hashes sit in ascending index order, so the first
-  // verified candidate is the lowest-index partner. The buffers are reused
-  // across calls, so a warm round allocates nothing.
-  thread_local std::vector<std::pair<uint64_t, uint32_t>> Index;
+  // substitution is found by adjusting the hash in O(1), probing an
+  // open-addressed table of (hash, index) slots and verifying the (rare)
+  // candidates exactly. Slots are filled in ascending index order with
+  // linear probing and nothing is ever removed, so a probe meets equal
+  // hashes lowest index first and the first verified candidate is the
+  // lowest-index partner. The buffers are reused across calls, so a warm
+  // round allocates nothing.
+  struct Slot {
+    uint64_t Hash;
+    uint32_t IndexPlusOne; ///< 0 marks an empty slot
+  };
+  thread_local std::vector<Slot> Slots;
   thread_local std::vector<uint64_t> Hashes;
   thread_local std::vector<Lit> Rest;
-  Index.clear();
+  unsigned Shift = 1;
+  while ((size_t(1) << Shift) < 2 * Cubes.size())
+    ++Shift;
+  const size_t Mask = (size_t(1) << Shift) - 1;
+  auto Home = [Shift](uint64_t H) {
+    return static_cast<size_t>((H * 0x9e3779b97f4a7c15ULL) >> (64 - Shift));
+  };
+  Slots.assign(Mask + 1, Slot{0, 0});
   Hashes.clear();
   for (size_t I = 0; I < Cubes.size(); ++I) {
-    Hashes.push_back(cubeHash(Cubes[I]));
-    Index.emplace_back(Hashes[I], static_cast<uint32_t>(I));
+    uint64_t H = cubeHash(Cubes[I]);
+    Hashes.push_back(H);
+    size_t At = Home(H);
+    while (Slots[At].IndexPlusOne != 0)
+      At = (At + 1) & Mask;
+    Slots[At] = {H, static_cast<uint32_t>(I + 1)};
   }
-  std::sort(Index.begin(), Index.end());
   // First cube whose literals are Cubes[I] with La replaced by Lb; -1 if
   // absent. Equivalent to a linear scan for the substituted literal list.
   auto FindSubst = [&](size_t I, Lit La, Lit Lb) -> int {
     uint64_t H = Hashes[I] - litHash(La) + litHash(Lb);
-    for (auto It = std::lower_bound(Index.begin(), Index.end(),
-                                    std::make_pair(H, uint32_t(0)));
-         It != Index.end() && It->first == H; ++It)
-      if (sameExcept(Cubes[I], La, Cubes[It->second], Lb))
-        return static_cast<int>(It->second);
+    for (size_t At = Home(H); Slots[At].IndexPlusOne != 0;
+         At = (At + 1) & Mask)
+      if (Slots[At].Hash == H &&
+          sameExcept(Cubes[I], La, Cubes[Slots[At].IndexPlusOne - 1], Lb))
+        return static_cast<int>(Slots[At].IndexPlusOne - 1);
     return -1;
   };
   auto Without = [](const Cube &C, Lit L) {

@@ -39,6 +39,7 @@
 
 #include "formula/Dnf.h"
 
+#include <algorithm>
 #include <initializer_list>
 
 namespace optabs {
@@ -93,7 +94,89 @@ using CubeRefiner = std::function<std::optional<Cube>(const Cube &)>;
 
 /// Generic exclusivity-based refinement driven by location info alone;
 /// suitable as a client's CubeRefiner when locations fully describe the
-/// atom semantics.
+/// atom semantics. \p Loc is any callable with LocationFn's signature; it
+/// runs once per literal, so a client passing its inline location lambda
+/// here (rather than through a LocationFn) pays no indirect call for it.
+template <typename LocT>
+std::optional<Cube> refineCubeByLocations(const Cube &C, const LocT &Loc) {
+  // Tag every location literal with its location's key (the smallest value
+  // atom, stable per location) and sort the flat (key, literal) buffer, so
+  // each location's literals form one run in ascending literal order.
+  // Independent literals go straight to the output. Both buffers are
+  // reused across calls: refinement runs on every cube of every backward
+  // step, and warm calls touch no heap.
+  struct Keyed {
+    AtomId Key;
+    Lit L;
+  };
+  thread_local std::vector<Keyed> Grouped;
+  thread_local std::vector<Lit> Result;
+  Grouped.clear();
+  Result.clear();
+  for (Lit L : C.literals()) {
+    std::optional<LocationInfo> Info = Loc(L.atom());
+    if (!Info) {
+      Result.push_back(L);
+      continue;
+    }
+    assert(!Info->Values.empty());
+    Grouped.push_back(
+        {*std::min_element(Info->Values.begin(), Info->Values.end()), L});
+  }
+  std::sort(Grouped.begin(), Grouped.end(),
+            [](const Keyed &A, const Keyed &B) {
+              return A.Key != B.Key ? A.Key < B.Key : A.L < B.L;
+            });
+
+  for (size_t Begin = 0, End; Begin < Grouped.size(); Begin = End) {
+    End = Begin;
+    const Lit *Positive = nullptr;
+    while (End < Grouped.size() && Grouped[End].Key == Grouped[Begin].Key) {
+      if (!Grouped[End].L.isNeg()) {
+        if (Positive)
+          return std::nullopt; // two distinct values of one location
+        Positive = &Grouped[End].L;
+      }
+      ++End;
+    }
+    if (Positive) {
+      // Any negative literal of the same location is implied (different
+      // value) or contradictory (same value, impossible here since Cube
+      // construction rejects complementary pairs).
+      Result.push_back(*Positive);
+      continue;
+    }
+    // Negatives only, in ascending atom order. The group's first literal
+    // speaks for the location.
+    auto Negated = [&](AtomId V) {
+      for (size_t I = Begin; I < End; ++I)
+        if (Grouped[I].L.atom() == V)
+          return true;
+      return false;
+    };
+    if (std::optional<LocationInfo> Info = Loc(Grouped[Begin].L.atom());
+        Info->Exhaustive) {
+      size_t Remaining = 0;
+      AtomId Last = 0;
+      for (AtomId V : Info->Values)
+        if (!Negated(V)) {
+          ++Remaining;
+          Last = V;
+        }
+      if (Remaining == 0)
+        return std::nullopt; // no value left for this location
+      if (Remaining == 1) {
+        Result.push_back(Lit::pos(Last));
+        continue;
+      }
+    }
+    for (size_t I = Begin; I < End; ++I)
+      Result.push_back(Grouped[I].L);
+  }
+  return Cube::make(Result.data(), Result.size());
+}
+
+/// The same refinement through a LocationFn, for callers that hold one.
 std::optional<Cube> refineCubeByLocations(const Cube &C,
                                           const LocationFn &Loc);
 

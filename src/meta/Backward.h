@@ -31,12 +31,16 @@
 ///     // Weakest precondition of a single positive atom across Cmd (the
 ///     // [a]^b of Figures 10/11), as a formula over atoms. Must satisfy
 ///     // requirement (2): gamma(wp(A)) = {(p,d) | A holds of (p,[a]_p(d))}.
+///     // For a parameter atom it must be the atom itself: no command
+///     // changes p. The backward step relies on this and never looks
+///     // parameter literals up.
 ///     formula::Formula wpAtom(const ir::Command &Cmd,
 ///                             formula::AtomId A) const;
 ///     // Truth of atom A in a concrete pair (p, d) - the gamma function.
 ///     bool evalAtom(formula::AtomId A, const Param &P,
 ///                   const State &D) const;
-///     // True if A constrains only the parameter component.
+///     // True if A constrains only the parameter component. Asked once
+///     // per literal per step, so keep it inline.
 ///     bool isParamAtom(formula::AtomId A) const;
 ///     std::string atomName(formula::AtomId A) const;
 ///     // Semantic cube simplification hooks (see formula/Normalize.h):
@@ -54,11 +58,22 @@
 /// Because forward transfer functions are deterministic, wp distributes
 /// over /\, \/ and negation, so the wp of a whole formula is the
 /// substitution of wpAtom into its literals; this is how the driver lifts
-/// the client's atom-wise transfers to formulas. The wp of one literal
-/// across one command is a pure function of (analysis, command, literal),
-/// so it is looked up in, and on a miss filed into, the analysis's
-/// wpTable(); that table is indexed by command position, so the program a
-/// BackwardMetaAnalysis runs over must be the one its client analyses.
+/// the client's atom-wise transfers to formulas. The wp of one state
+/// literal across one command is a pure function of (analysis, command,
+/// literal), so it is looked up in, and on a miss filed into, the
+/// analysis's wpTable(); that table is indexed by command position, so the
+/// program a BackwardMetaAnalysis runs over must be the one its client
+/// analyses.
+///
+/// One step pays only for the literals it can change. Most of a formula's
+/// literals are parameter atoms (in escape formulas, over nine in ten),
+/// and their wp is themselves, so: the identity-skip check probes only
+/// state literals, with its verdict memoized per command under a stamp of
+/// the formula; and wpFormula conjoins the parameter literals and every
+/// single-cube wp into one frame cube per cube, multiplies the multi-cube
+/// wps without it, and conjoins it once at the end - the same cubes, in
+/// the same order, with the same gate charges as the literal-by-literal
+/// product (see wpFormula, and DESIGN.md §10).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -78,7 +93,6 @@
 #include <algorithm>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace optabs {
@@ -176,7 +190,7 @@ public:
     Stats = BackwardStats();
     Stats.Steps = T.size();
     LastExhaustion.reset();
-    SkipMemo.clear();
+    ++FStamp; // retires every skip verdict of earlier runs
     support::BudgetGate Gate("backward.step", Config.StepBudget,
                              Config.Cancel, 0, Config.Invariants);
     if (States.size() != T.size() + 1) {
@@ -202,11 +216,6 @@ public:
       return std::nullopt;
     }
 
-    // The formula changes only at non-skipped steps; FVersion numbers those
-    // changes so the identity-skip verdict can be memoized per
-    // (command, formula version) below.
-    uint64_t FVersion = 0;
-
     for (size_t I = T.size(); I-- > 0;) {
       if (Config.TimeoutSeconds > 0 &&
           Clock.seconds() > Config.TimeoutSeconds) {
@@ -221,19 +230,22 @@ public:
       const ir::Command &Cmd = P.command(T[I]);
       bool Skip = false;
       if (Config.SkipIdentitySteps) {
-        // The exact per-literal wp check is itself a hashmap lookup per
-        // literal; on long traces the same (command, formula) pair recurs
-        // constantly (loops, unrelated program regions), so the verdict is
-        // memoized under the formula's version. Bitwise equivalent to
-        // checking every step: the formula is unchanged since FVersion was
-        // last bumped.
-        uint64_t SkipKey = (static_cast<uint64_t>(T[I].index()) << 32) |
-                           (FVersion & 0xffffffff);
-        auto SkipIt = SkipMemo.find(SkipKey);
-        Skip = SkipIt != SkipMemo.end()
-                   ? SkipIt->second
-                   : SkipMemo.emplace(SkipKey, isIdentityStep(T[I], Cmd, F))
-                         .first->second;
+        // The exact check probes the wp table once per state literal; on
+        // long traces the same (command, formula) pair recurs constantly
+        // (loops, unrelated program regions), so the verdict is memoized
+        // per command under the formula's stamp. Bitwise equivalent to
+        // checking every step: a word carrying the current stamp was
+        // computed on this very formula.
+        uint32_t CmdIndex = T[I].index();
+        if (CmdIndex >= SkipMemo.size())
+          SkipMemo.resize(std::max<size_t>(CmdIndex + 1, P.numCommands()));
+        uint64_t &Memo = SkipMemo[CmdIndex];
+        if ((Memo >> 1) == FStamp) {
+          Skip = Memo & 1;
+        } else {
+          Skip = isIdentityStep(T[I], Cmd, F);
+          Memo = (FStamp << 1) | uint64_t(Skip);
+        }
       }
       if (!Skip) {
         const EvalPoint AtPre{C, Prm, States[I]};
@@ -264,10 +276,10 @@ public:
         } else {
           F.sortBySize(); // subsumption is quadratic; skip when huge
         }
-        if (Config.K > 0 && F.size() > Config.K) {
-          F.sortBySize();
+        // Every tier above leaves F in sortBySize order, which dropK needs.
+        assert(F.isSortedBySize());
+        if (Config.K > 0 && F.size() > Config.K)
           F.dropK(Config.K, PreEval, Config.Invariants);
-        }
         if (!F.eval(PreEval)) {
           // Soundness invariant (Theorem 3): the current (p, d) must stay
           // inside the formula at every trace point, or the final formula
@@ -282,7 +294,7 @@ public:
                   std::to_string(F.size()) + "); run discarded");
           return std::nullopt;
         }
-        ++FVersion;
+        ++FStamp;
         Stats.MaxCubes = std::max(Stats.MaxCubes, F.size());
       }
       Stats.TotalCubes += F.size();
@@ -352,6 +364,175 @@ public:
     return F.toString([this](formula::AtomId A) { return C.atomName(A); });
   }
 
+  /// wp of a whole DNF across one command, before normalization: each
+  /// cube's literal wps multiplied out, cubes in order. Returns nullopt
+  /// when \p Gate runs out or the result exceeds the hard cube cap (only
+  /// reachable in exact mode, where nothing prunes).
+  ///
+  /// The result and the gate charges are those of multiplying every
+  /// literal's wp into a running product one at a time, smallest wp first
+  /// (a stable sort by size), through Dnf::productInto - the product cube
+  /// sequence is order-independent, and smallest-first keeps the
+  /// intermediate cross-products small. That chain is not run literally:
+  /// most of its products are a single running cube times a single-cube
+  /// wp, and most of those wps are parameter literals, which no command
+  /// changes. So the single-cube wps and the parameter literals are
+  /// conjoined once, into one frame cube, charging what their 1x1 products
+  /// charged: 1 each, up to and including the first contradiction in
+  /// literal order. When the remaining multi-cube wps cannot reach the
+  /// soft cap or the hard cap, they are multiplied frame-free - short
+  /// cubes - after dropping each wp's cubes that contradict the frame, and
+  /// the frame is conjoined once into every surviving cube. That yields
+  /// the chain's cubes in its order (a product contradicts the frame at
+  /// the end iff one of its factors did), and the chain's charge |P| x |W|
+  /// per product, with |P| the running product's size: the frame-free
+  /// running product holds exactly the chain's cubes minus the frame.
+  /// Otherwise the chain runs as written, frame first, so the soft-cap
+  /// pruning sees exactly the cubes it always saw.
+  std::optional<formula::Dnf> wpFormula(ir::CommandId CmdId,
+                                        const ir::Command &Cmd,
+                                        const formula::Dnf &F,
+                                        const formula::AtomEval &PreEval,
+                                        support::BudgetGate *Gate = nullptr) {
+    using formula::Cube;
+    using formula::Dnf;
+    using formula::Lit;
+    std::vector<Cube> Out;
+    for (const Cube &Q : F.cubes()) {
+      // Split the cube: the frame's parts (parameter literals and
+      // single-cube wps) as (literal, part index) keys, and the multi-cube
+      // wps in stable size order. Stable insertion sort: a handful of
+      // entries, and std::stable_sort would allocate per cube.
+      FrameKeys.clear();
+      Multi.clear();
+      uint32_t NumParts = 0;
+      bool Killed = false;
+      for (Lit L : Q.literals()) {
+        if (C.isParamAtom(L.atom())) {
+          FrameKeys.push_back(frameKey(L, NumParts++));
+          continue;
+        }
+        const Dnf &W = wpLit(CmdId, Cmd, L); // node-stable
+        if (W.size() == 1) {
+          for (Lit X : W.cubes()[0].literals())
+            FrameKeys.push_back(frameKey(X, NumParts));
+          ++NumParts;
+        } else if (W.isFalse()) {
+          Killed = true;
+        } else {
+          size_t At = Multi.size();
+          Multi.push_back(&W);
+          for (; At > 0 && W.size() < Multi[At - 1]->size(); --At)
+            Multi[At] = Multi[At - 1];
+          Multi[At] = &W;
+        }
+      }
+      if (Killed) {
+        // A false wp sorts first; its product with true charged 0 and
+        // ended the cube.
+        if (!Dnf::chargeProduct(0, Config.Invariants, Gate))
+          return std::nullopt;
+        continue;
+      }
+
+      // The frame, and the first part at which it contradicts: after the
+      // sort, an atom's positive keys directly precede its negative ones,
+      // each run ascending by part, and the earliest prefix of parts that
+      // holds both polarities ends at the later of the two first parts.
+      std::sort(FrameKeys.begin(), FrameKeys.end());
+      FrameLits.clear();
+      uint32_t Clash = NumParts;
+      uint32_t LastFirstPart = 0;
+      for (uint64_t Key : FrameKeys) {
+        Lit L = keyLit(Key);
+        uint32_t Part = static_cast<uint32_t>(Key);
+        if (!FrameLits.empty() && FrameLits.back() == L)
+          continue;
+        if (!FrameLits.empty() && FrameLits.back().atom() == L.atom())
+          Clash = std::min(Clash, std::max(LastFirstPart, Part));
+        FrameLits.push_back(L);
+        LastFirstPart = Part;
+      }
+      for (uint32_t Part = 0; Part < NumParts && Part <= Clash; ++Part) {
+        if (!Dnf::chargeProduct(1, Config.Invariants, Gate))
+          return std::nullopt;
+        if (Part < Clash && Config.HardCubeCap > 0 &&
+            Out.size() + 1 > Config.HardCubeCap)
+          return std::nullopt;
+      }
+      if (Clash < NumParts)
+        continue;
+      Cube Frame = *Cube::make(FrameLits.data(), FrameLits.size());
+      if (Multi.empty()) {
+        Out.push_back(std::move(Frame));
+        continue;
+      }
+
+      size_t Bound = 1;
+      for (const Dnf *W : Multi)
+        if (__builtin_mul_overflow(Bound, W->size(), &Bound))
+          Bound = SIZE_MAX;
+      bool FrameLast =
+          (Config.ProductSoftCap == 0 || Bound <= Config.ProductSoftCap) &&
+          (Config.HardCubeCap == 0 ||
+           (Bound <= Config.HardCubeCap &&
+            Out.size() <= Config.HardCubeCap - Bound));
+      if (!FrameLast) {
+        // The chain as written, from the frame. The running product
+        // ping-pongs between two scratch formulas; productInto reuses the
+        // target's cube buffer.
+        ProductBuf[0] = Dnf::fromCubes({std::move(Frame)});
+        const Dnf *CubeWp = &ProductBuf[0];
+        for (const Dnf *W : Multi) {
+          Dnf &Next = CubeWp == &ProductBuf[0] ? ProductBuf[1] : ProductBuf[0];
+          Dnf::productInto(Next, *CubeWp, *W, Config.ProductSoftCap, PreEval,
+                           Config.Invariants, Gate);
+          CubeWp = &Next;
+          if (Gate && Gate->exhausted())
+            return std::nullopt; // product returned an under-charged false
+          if (Config.HardCubeCap > 0 &&
+              Out.size() + CubeWp->size() > Config.HardCubeCap)
+            return std::nullopt;
+          if (CubeWp->isFalse())
+            break;
+        }
+        Out.insert(Out.end(), CubeWp->cubes().begin(), CubeWp->cubes().end());
+        continue;
+      }
+
+      // Frame last. Neither cap can trip: no running product exceeds
+      // Bound. A wp cube that contradicts the frame only yields products
+      // that do, so it is dropped before multiplying.
+      std::vector<Cube> *Run = &RunBuf[0], *Next = &RunBuf[1];
+      for (size_t K = 0; K < Multi.size(); ++K) {
+        const Dnf &W = *Multi[K];
+        if (!Dnf::chargeProduct((K == 0 ? 1 : Run->size()) * W.size(),
+                                Config.Invariants, Gate))
+          return std::nullopt;
+        KeptWp.clear();
+        for (const Cube &Wc : W.cubes())
+          if (!Wc.contradicts(Frame))
+            KeptWp.push_back(&Wc);
+        Next->clear();
+        if (K == 0) {
+          for (const Cube *Wc : KeptWp)
+            Next->push_back(*Wc);
+        } else {
+          for (const Cube &Pc : *Run)
+            for (const Cube *Wc : KeptWp)
+              if (std::optional<Cube> Joined = Cube::conjoin(Pc, *Wc))
+                Next->push_back(std::move(*Joined));
+        }
+        std::swap(Run, Next);
+        if (Run->empty())
+          break;
+      }
+      for (const Cube &Pc : *Run)
+        Out.push_back(*Cube::conjoin(Pc, Frame));
+    }
+    return Dnf::fromCubes(std::move(Out));
+  }
+
 private:
   /// The pair (p, d) an atom evaluator reads, with the client that
   /// interprets atoms. Evaluators capture it by reference - one pointer -
@@ -367,11 +548,15 @@ private:
   }
 
   /// True when the wp of every literal of \p F across \p Cmd is the
-  /// literal itself, i.e. the whole step is the identity.
+  /// literal itself, i.e. the whole step is the identity. Parameter
+  /// literals are the identity across every command (the client contract
+  /// above), so only state literals are probed.
   bool isIdentityStep(ir::CommandId CmdId, const ir::Command &Cmd,
                       const formula::Dnf &F) {
     for (const formula::Cube &Cube : F.cubes()) {
       for (formula::Lit L : Cube.literals()) {
+        if (C.isParamAtom(L.atom()))
+          continue;
         const formula::Dnf &W = wpLit(CmdId, Cmd, L);
         if (W.size() != 1 || W.cubes()[0].size() != 1 ||
             W.cubes()[0].literals()[0] != L)
@@ -381,53 +566,14 @@ private:
     return true;
   }
 
-  /// wp of a whole DNF across one command: substitute the wp of each
-  /// literal and redistribute. Returns nullopt when the result exceeds the
-  /// hard cube cap (only reachable in exact mode, where nothing prunes).
-  std::optional<formula::Dnf> wpFormula(ir::CommandId CmdId,
-                                        const ir::Command &Cmd,
-                                        const formula::Dnf &F,
-                                        const formula::AtomEval &PreEval,
-                                        support::BudgetGate *Gate = nullptr) {
-    formula::Dnf Result;
-    for (const formula::Cube &Cube : F.cubes()) {
-      // Multiply the literal wps smallest-first: the product cube multiset
-      // is order-independent (conjunction is commutative and contradictions
-      // absorb), and every normalization tier canonicalizes with
-      // sortBySize, so the result is unchanged while the intermediate
-      // cross-products - the actual cost - stay as small as possible. The
-      // sort is a stable insertion sort: cubes are a handful of literals,
-      // and std::stable_sort would allocate a temporary buffer per cube.
-      WpOrder.clear();
-      for (formula::Lit L : Cube.literals()) {
-        const formula::Dnf *Wp = &wpLit(CmdId, Cmd, L); // node-stable
-        size_t At = WpOrder.size();
-        WpOrder.push_back(Wp);
-        for (; At > 0 && Wp->size() < WpOrder[At - 1]->size(); --At)
-          WpOrder[At] = WpOrder[At - 1];
-        WpOrder[At] = Wp;
-      }
-      // The running product ping-pongs between two scratch formulas, so
-      // warm steps reuse their cube buffers instead of allocating one per
-      // literal.
-      const formula::Dnf *CubeWp = &TrueDnf;
-      for (const formula::Dnf *Wp : WpOrder) {
-        formula::Dnf &Next = CubeWp == &ProductBuf[0] ? ProductBuf[1]
-                                                      : ProductBuf[0];
-        formula::Dnf::productInto(Next, *CubeWp, *Wp, Config.ProductSoftCap,
-                                  PreEval, Config.Invariants, Gate);
-        CubeWp = &Next;
-        if (Gate && Gate->exhausted())
-          return std::nullopt; // product returned an under-charged false
-        if (Config.HardCubeCap > 0 &&
-            Result.size() + CubeWp->size() > Config.HardCubeCap)
-          return std::nullopt;
-        if (CubeWp->isFalse())
-          break;
-      }
-      Result.orWith(*CubeWp);
-    }
-    return Result;
+  /// A frame literal tagged with the part (parameter literal or
+  /// single-cube wp) it came from; sorts by literal, then part.
+  static uint64_t frameKey(formula::Lit L, uint32_t Part) {
+    return (uint64_t(L.raw()) << 32) | Part;
+  }
+  static formula::Lit keyLit(uint64_t Key) {
+    uint32_t Raw = static_cast<uint32_t>(Key >> 32);
+    return Raw & 1 ? formula::Lit::neg(Raw >> 1) : formula::Lit::pos(Raw >> 1);
   }
 
   /// wp of one literal, from the analysis's shared table; built on a miss.
@@ -450,14 +596,22 @@ private:
   formula::LocationFn LocFn;
   /// This instance's registration with the analysis's wp table.
   meta::WpTable::Reader Table;
-  /// wpFormula's per-cube literal-wp order and running products, reused
-  /// across steps.
-  std::vector<const formula::Dnf *> WpOrder;
+  /// wpFormula's scratch, reused across steps: the frame's (literal, part)
+  /// keys and literals, the multi-cube wps in stable size order, the
+  /// frame-free running products and the current wp's frame-consistent
+  /// cubes, and the frame-first chain's running products.
+  std::vector<uint64_t> FrameKeys;
+  std::vector<formula::Lit> FrameLits;
+  std::vector<const formula::Dnf *> Multi;
+  std::vector<formula::Cube> RunBuf[2];
+  std::vector<const formula::Cube *> KeptWp;
   formula::Dnf ProductBuf[2];
-  const formula::Dnf TrueDnf = formula::Dnf::constTrue();
-  /// Per-run memo of identity-skip verdicts keyed (command, formula
-  /// version); cleared at every run() entry.
-  std::unordered_map<uint64_t, bool> SkipMemo;
+  /// Identity-skip verdicts, one word per command: (stamp << 1) | skip. A
+  /// word is valid while its stamp is FStamp, which run() bumps on entry
+  /// and at every formula change, so nothing is ever cleared; grown on
+  /// demand, since a program may gain commands after construction.
+  std::vector<uint64_t> SkipMemo;
+  uint64_t FStamp = 0;
   BackwardStats Stats;
   std::optional<support::Exhausted> LastExhaustion;
 };

@@ -2,6 +2,8 @@
 
 #include "reporting/Harness.h"
 
+#include "ir/CheckReach.h"
+#include "ir/Liveness.h"
 #include "support/Timer.h" // internal: wall-clock attribution
 
 #include <cstdlib>
@@ -35,10 +37,14 @@ QueryStat statOf(const tracer::QueryOutcome &O) {
 /// event-trace label) fold into \p Out. The groups share one wall-clock
 /// budget; once it is spent, every remaining query records a clean
 /// exhaustion verdict instead of constructing a driver doomed to burn
-/// setup time resolving nothing.
+/// setup time resolving nothing. Every driver reads \p P's liveness and
+/// check-reach tables \p Live and \p Reach, built once per program
+/// instead of once per driver; the stress property adds nothing to \p P,
+/// so tables built before the client's context still describe it.
 template <typename A>
 void runClient(ir::Program &P, const std::vector<CheckId> &Checks,
-               const HarnessOptions &Options, ClientResults &Out) {
+               const HarnessOptions &Options, const ir::CommandLiveness &Live,
+               const ir::CheckReach &Reach, ClientResults &Out) {
   using T = service::ClientTraits<A>;
   Timer Total;
   std::string Err;
@@ -62,6 +68,11 @@ void runClient(ir::Program &P, const std::vector<CheckId> &Checks,
     Cfg.Budgets.TimeBudgetSeconds = Remaining;
     Cfg.Observability.EventTraceLabel = T::traceLabel(G);
     tracer::QueryDriver<A> Driver(P, *An, Cfg);
+    Driver.borrowExecution(/*Pool=*/nullptr, /*SharedCache=*/nullptr,
+                           /*ProgramEpoch=*/0, /*Family=*/0,
+                           /*CheckMinDataEpochs=*/nullptr,
+                           /*TraceRecorder=*/nullptr, {}, /*TraceBatch=*/0,
+                           &Live, &Reach);
     std::vector<tracer::QueryOutcome> Outcomes = Driver.run(Queries);
     for (const tracer::QueryOutcome &O : Outcomes)
       Out.Queries.push_back(statOf(O));
@@ -122,6 +133,8 @@ BenchRun runBenchmark(const synth::BenchConfig &Config,
   Run.Vars = B.P.numVars();
   Run.Sites = B.P.numAllocs();
   Run.Fields = B.P.numFields();
+  const ir::CommandLiveness Live(B.P);
+  const ir::CheckReach Reach(B.P);
   // A client left out reports its check count; a client run, its number
   // of (check, group) queries.
   service::forEachClient([&](auto T) {
@@ -130,7 +143,7 @@ BenchRun runBenchmark(const synth::BenchConfig &Config,
     Queries = static_cast<uint32_t>(Checks.size());
     if (!Options.Client.empty() && Options.Client != T.Name)
       return;
-    runClient<A>(B.P, Checks, Options, Out);
+    runClient<A>(B.P, Checks, Options, Live, Reach, Out);
     Queries = static_cast<uint32_t>(Out.Queries.size());
   });
   return Run;

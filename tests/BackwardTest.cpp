@@ -14,14 +14,22 @@
 // every entry driver runs reach equals a freshly built wp, and a warm table
 // changes no outcome or event-trace byte of a later run.
 //
+// So is the backward step itself: the client contract it relies on (the
+// wp of a parameter literal is the literal), and wpFormula against the
+// literal-by-literal product it replaced, kept here as an oracle - same
+// cubes in the same order, same gate charges, at the default caps and at
+// caps small enough to run the soft-cap pruning and the hard-cap bail-out.
+//
 //===----------------------------------------------------------------------===//
 
 #include "meta/Backward.h"
 
+#include "WitnessFixture.h"
 #include "dataflow/Forward.h"
 #include "escape/Escape.h"
 #include "ir/Parser.h"
 #include "pointer/PointsTo.h"
+#include "support/FaultInjection.h"
 #include "support/Metrics.h"
 #include "support/Prng.h"
 #include "synth/Generator.h"
@@ -435,6 +443,294 @@ TEST(SharedWpTable, WarmTableChangesNoTypestateOutcomeOrTraceByte) {
   expectWarmTableChangesNothing(B.P, A, Most->second,
                                 B.Config.Name + " site " +
                                     std::to_string(Most->first));
+}
+
+//===----------------------------------------------------------------------===//
+// The backward step
+//===----------------------------------------------------------------------===//
+
+/// Every parameter atom of \p A: escape's h.L / h.E, type-state's param(x).
+std::vector<formula::AtomId> paramAtoms(const Program &P,
+                                        const escape::EscapeAnalysis &) {
+  std::vector<formula::AtomId> Atoms;
+  for (uint32_t H = 0; H < P.numAllocs(); ++H)
+    for (escape::AbsVal O : {escape::AbsVal::L, escape::AbsVal::E})
+      Atoms.push_back(escape::EscapeAnalysis::atomSite(AllocId(H), O));
+  return Atoms;
+}
+std::vector<formula::AtomId>
+paramAtoms(const Program &P, const typestate::TypestateAnalysis &) {
+  std::vector<formula::AtomId> Atoms;
+  for (uint32_t V = 0; V < P.numVars(); ++V)
+    Atoms.push_back(typestate::TypestateAnalysis::atomParam(VarId(V)));
+  return Atoms;
+}
+
+/// The table wp of every parameter literal, both polarities, across every
+/// command of \p P is exactly that literal.
+template <typename Analysis>
+void expectParamLiteralsAreIdentities(const Program &P, const Analysis &A,
+                                      const std::string &Where) {
+  meta::WpTable::Reader Table(A.wpTable());
+  auto Name = [&A](formula::AtomId X) { return A.atomName(X); };
+  size_t Checked = 0;
+  for (uint32_t Cmd = 0; Cmd < P.numCommands(); ++Cmd) {
+    const Command &C = P.command(CommandId(Cmd));
+    for (formula::AtomId X : paramAtoms(P, A)) {
+      ASSERT_TRUE(A.isParamAtom(X)) << Where << ": " << A.atomName(X);
+      for (formula::Lit L : {formula::Lit::pos(X), formula::Lit::neg(X)}) {
+        const formula::Dnf &Wp =
+            Table.lookup(Cmd, L, [&] { return freshWp(A, C, L); });
+        EXPECT_TRUE(Wp == formula::Dnf::singleLit(L))
+            << Where << " command " << Cmd << ": wp of "
+            << formula::Dnf::singleLit(L).toString(Name) << " is "
+            << Wp.toString(Name);
+        ++Checked;
+      }
+    }
+  }
+  EXPECT_GT(Checked, 0u) << Where;
+}
+
+TEST(BackwardStep, ParameterLiteralsAreTheirOwnWp) {
+  typestate::TypestateSpec Spec = typestate::TypestateSpec::stress();
+  for (size_t I = 0; I < 2; ++I) {
+    synth::Benchmark B = synth::generate(synth::paperSuite()[I]);
+    escape::EscapeAnalysis Esc(B.P);
+    expectParamLiteralsAreIdentities(B.P, Esc, B.Config.Name + " escape");
+    pointer::PointsToResult Pt = pointer::runPointsTo(B.P);
+    auto BySite = typestateChecksBySite(B, Pt);
+    EXPECT_FALSE(BySite.empty()) << B.Config.Name;
+    for (const auto &Entry : BySite) {
+      typestate::TypestateAnalysis Ts(B.P, Spec, AllocId(Entry.first), Pt);
+      expectParamLiteralsAreIdentities(
+          B.P, Ts,
+          B.Config.Name + " typestate site " + std::to_string(Entry.first));
+    }
+  }
+}
+
+namespace oracle {
+
+/// What oracle::wpFormula saw on the way, to show which paths a sweep ran.
+struct StepPaths {
+  size_t SoftCapped = 0; ///< products whose cross size exceeded the cap
+  size_t BailedOut = 0;  ///< results over the hard cap
+};
+
+/// wpFormula as it was before the parameter frame: every literal's wp,
+/// parameter literals included, looked up in the table and multiplied into
+/// the running product one at a time through Dnf::productInto, smallest
+/// first (a stable insertion sort by size).
+template <typename Analysis>
+std::optional<formula::Dnf>
+wpFormula(meta::WpTable::Reader &Table, const Analysis &A, CommandId CmdId,
+          const Command &Cmd, const formula::Dnf &F,
+          const meta::BackwardConfig &Config,
+          const formula::AtomEval &PreEval, support::BudgetGate *Gate,
+          StepPaths &Paths) {
+  auto WpLit = [&](formula::Lit L) -> const formula::Dnf & {
+    return Table.lookup(CmdId.index(), L, [&] { return freshWp(A, Cmd, L); });
+  };
+  formula::Dnf Result;
+  std::vector<const formula::Dnf *> WpOrder;
+  formula::Dnf ProductBuf[2];
+  const formula::Dnf TrueDnf = formula::Dnf::constTrue();
+  for (const formula::Cube &Cube : F.cubes()) {
+    WpOrder.clear();
+    for (formula::Lit L : Cube.literals()) {
+      const formula::Dnf *Wp = &WpLit(L);
+      size_t At = WpOrder.size();
+      WpOrder.push_back(Wp);
+      for (; At > 0 && Wp->size() < WpOrder[At - 1]->size(); --At)
+        WpOrder[At] = WpOrder[At - 1];
+      WpOrder[At] = Wp;
+    }
+    const formula::Dnf *CubeWp = &TrueDnf;
+    for (const formula::Dnf *Wp : WpOrder) {
+      formula::Dnf &Next =
+          CubeWp == &ProductBuf[0] ? ProductBuf[1] : ProductBuf[0];
+      if (Config.ProductSoftCap > 0 &&
+          CubeWp->size() * Wp->size() > Config.ProductSoftCap)
+        ++Paths.SoftCapped;
+      formula::Dnf::productInto(Next, *CubeWp, *Wp, Config.ProductSoftCap,
+                                PreEval, Config.Invariants, Gate);
+      CubeWp = &Next;
+      if (Gate && Gate->exhausted())
+        return std::nullopt;
+      if (Config.HardCubeCap > 0 &&
+          Result.size() + CubeWp->size() > Config.HardCubeCap) {
+        ++Paths.BailedOut;
+        return std::nullopt;
+      }
+      if (CubeWp->isFalse())
+        break;
+    }
+    Result.orWith(*CubeWp);
+  }
+  return Result;
+}
+
+} // namespace oracle
+
+/// State atoms of \p A that command \p C names, and every state atom.
+std::pair<std::vector<formula::AtomId>, std::vector<formula::AtomId>>
+stateAtoms(const Program &P, const escape::EscapeAnalysis &,
+           const Command &C) {
+  using escape::AbsVal;
+  using escape::EscapeAnalysis;
+  std::vector<formula::AtomId> Local, All;
+  for (AbsVal O : {AbsVal::N, AbsVal::L, AbsVal::E}) {
+    for (VarId V : {C.Dst, C.Src})
+      if (V.index() < P.numVars())
+        Local.push_back(EscapeAnalysis::atomVar(V, O));
+    if (C.Field.index() < P.numFields())
+      Local.push_back(EscapeAnalysis::atomField(C.Field, O));
+    for (uint32_t V = 0; V < P.numVars(); ++V)
+      All.push_back(EscapeAnalysis::atomVar(VarId(V), O));
+    for (uint32_t Fd = 0; Fd < P.numFields(); ++Fd)
+      All.push_back(EscapeAnalysis::atomField(FieldId(Fd), O));
+  }
+  return {Local, All};
+}
+std::pair<std::vector<formula::AtomId>, std::vector<formula::AtomId>>
+stateAtoms(const Program &P, const typestate::TypestateAnalysis &,
+           const Command &C) {
+  using typestate::TypestateAnalysis;
+  // The stress property's automaton has the one state init.
+  std::vector<formula::AtomId> Local{TypestateAnalysis::atomType(0)},
+      All{TypestateAnalysis::atomErr(), TypestateAnalysis::atomType(0)};
+  for (VarId V : {C.Dst, C.Src})
+    if (V.index() < P.numVars())
+      Local.push_back(TypestateAnalysis::atomVar(V));
+  for (uint32_t V = 0; V < P.numVars(); ++V)
+    All.push_back(TypestateAnalysis::atomVar(VarId(V)));
+  return {Local, All};
+}
+
+/// A random formula shaped like the backward pass's: a few cubes, each
+/// mostly parameter literals, plus state literals that \p Cmd often
+/// changes.
+template <typename Analysis>
+formula::Dnf randomStepFormula(const Program &P, const Analysis &A,
+                               const Command &Cmd, Prng &Rng) {
+  std::vector<formula::AtomId> Params = paramAtoms(P, A);
+  auto [Local, All] = stateAtoms(P, A, Cmd);
+  auto Pick = [&Rng](const std::vector<formula::AtomId> &From) {
+    formula::AtomId X = From[Rng.nextBelow(From.size())];
+    return Rng.chance(1, 3) ? formula::Lit::neg(X) : formula::Lit::pos(X);
+  };
+  std::vector<formula::Cube> Cubes;
+  for (unsigned I = 0, N = 1 + Rng.nextBelow(5); I < N; ++I) {
+    std::vector<formula::Lit> Lits;
+    for (unsigned J = 0, E = Rng.nextBelow(24); J < E; ++J)
+      Lits.push_back(Pick(Params));
+    for (unsigned J = 0, E = Rng.nextBelow(5); J < E; ++J)
+      Lits.push_back(Pick(Local.empty() || Rng.chance(1, 3) ? All : Local));
+    if (auto C = formula::Cube::make(std::move(Lits)))
+      Cubes.push_back(std::move(*C));
+  }
+  return formula::Dnf::fromCubes(std::move(Cubes));
+}
+
+/// Over random formulas on every client command of \p P: wpFormula
+/// returns the oracle's cubes in the oracle's order and charges the gate
+/// the same units; with a step budget below that charge, or a fault armed
+/// part-way, both trip at the same unit.
+template <typename Analysis>
+void expectStepMatchesOracle(const Program &P, const Analysis &A,
+                             const meta::BackwardConfig &Config, Prng &Rng,
+                             oracle::StepPaths &Paths,
+                             const std::string &Where) {
+  meta::BackwardMetaAnalysis<Analysis> Bwd(P, A, Config);
+  meta::WpTable::Reader Table(A.wpTable());
+  auto Name = [&A](formula::AtomId X) { return A.atomName(X); };
+  for (uint32_t CI = 0; CI < P.numCommands(); ++CI) {
+    CommandId CmdId(CI);
+    const Command &Cmd = P.command(CmdId);
+    if (!isClientCommand(Cmd.Kind))
+      continue; // expanded by the engine, never on a trace
+    for (int Round = 0; Round < 6; ++Round) {
+      formula::Dnf F = randomStepFormula(P, A, Cmd, Rng);
+      uint64_t Salt = Rng.next();
+      formula::AtomEval PreEval = [Salt](formula::AtomId X) {
+        return ((X * 0x9e3779b97f4a7c15ULL + Salt) >> 61) & 1;
+      };
+      support::BudgetGate WantGate("backward.step");
+      support::BudgetGate GotGate("backward.step");
+      auto Want = oracle::wpFormula(Table, A, CmdId, Cmd, F, Config, PreEval,
+                                    &WantGate, Paths);
+      auto Got = Bwd.wpFormula(CmdId, Cmd, F, PreEval, &GotGate);
+      auto At = [&] {
+        return Where + " command " + std::to_string(CI) + " formula " +
+               F.toString(Name);
+      };
+      ASSERT_EQ(Want.has_value(), Got.has_value()) << At();
+      ASSERT_EQ(WantGate.stepsUsed(), GotGate.stepsUsed()) << At();
+      if (Want) {
+        ASSERT_TRUE(*Want == *Got)
+            << At() << "\n oracle " << Want->toString(Name) << "\n got    "
+            << Got->toString(Name);
+      }
+      if (WantGate.stepsUsed() < 2)
+        continue;
+      // A budget that runs out part-way through the step trips both.
+      uint64_t Limit = Rng.nextBelow(WantGate.stepsUsed());
+      support::BudgetGate WantShort("backward.step", Limit);
+      support::BudgetGate GotShort("backward.step", Limit);
+      Want = oracle::wpFormula(Table, A, CmdId, Cmd, F, Config, PreEval,
+                               &WantShort, Paths);
+      Got = Bwd.wpFormula(CmdId, Cmd, F, PreEval, &GotShort);
+      ASSERT_EQ(Want.has_value(), Got.has_value()) << At();
+      ASSERT_EQ(WantShort.exhausted(), GotShort.exhausted()) << At();
+      ASSERT_EQ(WantShort.stepsUsed(), GotShort.stepsUsed()) << At();
+      // So does a fault armed at the N-th hit of either site the step
+      // consults: every product charge hits dnf.product, every gate
+      // charge backward.step. Every wp is in the table by now, so no
+      // toDnf on a miss hits dnf.product in between.
+      std::string Spec =
+          std::string(Rng.chance(1, 2) ? "dnf.product" : "backward.step") +
+          ":cancel@" + std::to_string(1 + Rng.nextBelow(6));
+      support::BudgetGate WantFault("backward.step");
+      support::BudgetGate GotFault("backward.step");
+      std::string Err;
+      ASSERT_TRUE(support::FaultRegistry::global().arm(Spec, Err)) << Err;
+      Want = oracle::wpFormula(Table, A, CmdId, Cmd, F, Config, PreEval,
+                               &WantFault, Paths);
+      support::FaultRegistry::global().disarm();
+      ASSERT_TRUE(support::FaultRegistry::global().arm(Spec, Err)) << Err;
+      Got = Bwd.wpFormula(CmdId, Cmd, F, PreEval, &GotFault);
+      support::FaultRegistry::global().disarm();
+      ASSERT_EQ(Want.has_value(), Got.has_value()) << Spec << " " << At();
+      ASSERT_EQ(WantFault.exhausted(), GotFault.exhausted())
+          << Spec << " " << At();
+      ASSERT_EQ(WantFault.stepsUsed(), GotFault.stepsUsed())
+          << Spec << " " << At();
+    }
+  }
+}
+
+TEST(BackwardStep, WpFormulaMatchesTheLiteralByLiteralProduct) {
+  meta::BackwardConfig Defaults;
+  meta::BackwardConfig Small;
+  Small.ProductSoftCap = 8;
+  Small.HardCubeCap = 24;
+  oracle::StepPaths DefaultPaths, SmallPaths;
+  Prng Rng(0x57E9);
+  for (const synth::BenchConfig &Config : witness_fixture::configs()) {
+    synth::Benchmark B = synth::generate(Config);
+    witness_fixture::forEachClient(
+        B, [&](const std::string &Client, const auto &A,
+               const std::vector<CheckId> &) {
+          expectStepMatchesOracle(B.P, A, Defaults, Rng, DefaultPaths,
+                                  Config.Name + " " + Client + " default");
+          expectStepMatchesOracle(B.P, A, Small, Rng, SmallPaths,
+                                  Config.Name + " " + Client + " small");
+        });
+  }
+  // The small caps ran the pruning and the bail-out paths.
+  EXPECT_GT(SmallPaths.SoftCapped, 0u);
+  EXPECT_GT(SmallPaths.BailedOut, 0u);
 }
 
 } // namespace

@@ -4,7 +4,9 @@
 // meta-analysis relies on: simplify preserves meaning and is idempotent;
 // dropk under-approximates while keeping the current point (the two
 // conditions §4 requires of approx); soft-capped products under-
-// approximate the true conjunction and are exact when under the cap.
+// approximate the true conjunction and are exact when under the cap; and
+// sortBySize, which sorts keys, orders and deduplicates exactly as a sort
+// of the cubes themselves does.
 //
 //===----------------------------------------------------------------------===//
 
@@ -138,6 +140,62 @@ TEST_P(DnfLaws, SortBySizeDeduplicates) {
     Dnf Sorted = D;
     Sorted.sortBySize();
     EXPECT_EQ(Doubled.size(), Sorted.size());
+  }
+}
+
+namespace oracle {
+
+/// Dnf::sortBySize as it was before it sorted keys: std::sort over the
+/// cubes themselves, then std::unique.
+void sortBySize(Dnf &D) {
+  std::vector<Cube> Cubes = D.takeCubes();
+  std::sort(Cubes.begin(), Cubes.end(), [](const Cube &A, const Cube &B) {
+    if (A.size() != B.size())
+      return A.size() < B.size();
+    return A.literals() < B.literals();
+  });
+  Cubes.erase(std::unique(Cubes.begin(), Cubes.end()), Cubes.end());
+  D = Dnf::fromCubes(std::move(Cubes));
+}
+
+} // namespace oracle
+
+TEST_P(DnfLaws, SortBySizeMatchesTheCubeSortOracle) {
+  Prng Rng(GetParam() ^ 0x5E1F);
+  for (int Round = 0; Round < 200; ++Round) {
+    // Short cubes over few atoms collide often; long cubes over many atoms
+    // spill past LitVec's inline capacity. Copies of earlier cubes, mixed
+    // in anywhere, make sure every sort has duplicates to fold.
+    std::vector<Cube> Cubes;
+    unsigned Atoms = Round % 2 ? NumAtoms : 40;
+    unsigned MaxLen = Round % 2 ? 4 : 12;
+    for (unsigned I = 0, N = Rng.nextBelow(40); I < N; ++I) {
+      if (!Cubes.empty() && Rng.chance(1, 4)) {
+        Cubes.push_back(Cubes[Rng.nextBelow(Cubes.size())]);
+        continue;
+      }
+      std::vector<Lit> Lits;
+      for (unsigned J = 0, Len = Rng.nextBelow(MaxLen + 1); J < Len; ++J) {
+        AtomId A = static_cast<AtomId>(Rng.nextBelow(Atoms));
+        Lits.push_back(Rng.chance(1, 3) ? Lit::neg(A) : Lit::pos(A));
+      }
+      if (auto C = Cube::make(std::move(Lits)))
+        Cubes.push_back(std::move(*C));
+    }
+    Dnf Want = Dnf::fromCubes(Cubes);
+    Dnf Got = Want;
+    oracle::sortBySize(Want);
+    Got.sortBySize();
+    ASSERT_EQ(Want.size(), Got.size()) << "round " << Round;
+    for (size_t I = 0; I < Want.size(); ++I) {
+      ASSERT_EQ(Want.cubes()[I].signature(), Got.cubes()[I].signature())
+          << "round " << Round << " cube " << I;
+      ASSERT_TRUE(Want.cubes()[I].literals() == Got.cubes()[I].literals())
+          << "round " << Round << " cube " << I;
+    }
+    EXPECT_TRUE(Got.isSortedBySize());
+    if (Got.size() < Cubes.size())
+      EXPECT_FALSE(Dnf::fromCubes(Cubes).isSortedBySize());
   }
 }
 
