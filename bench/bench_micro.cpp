@@ -45,9 +45,8 @@ void BM_DnfProduct(benchmark::State &State) {
   Prng Rng(1);
   Dnf A = randomDnf(Rng, 16, 24, 3);
   Dnf B = randomDnf(Rng, 16, 24, 3);
-  formula::AtomEval Eval = [](formula::AtomId) { return false; };
   for (auto _ : State) {
-    Dnf P = Dnf::product(A, B, 0, Eval);
+    Dnf P = Dnf::product(A, B);
     benchmark::DoNotOptimize(P);
   }
 }

@@ -121,7 +121,9 @@ AbsVal EscapeAnalysis::valueOf(const ValueSrc &Src, const State &D,
 EscapeAnalysis::Transfer EscapeAnalysis::cases(const Command &Cmd) const {
   Transfer T;
   auto Identity = [&T](Formula G) { T.addCase(std::move(G), Effect{}); };
-  auto Escape = [&T](Formula G) { T.addCase(std::move(G), Effect{true}); };
+  auto Escape = [&T](Formula G) {
+    T.addCase(std::move(G), Effect{true, false, 0, {}});
+  };
   auto Assign = [&T](Formula G, uint32_t Loc, ValueSrc Src) {
     T.addCase(std::move(G), Effect{false, true, Loc, Src});
   };

@@ -260,21 +260,18 @@ void Dnf::dropK(unsigned K, const AtomEval &Eval,
       break;
     }
   }
-  std::vector<Cube> Kept(Cubes.begin(), Cubes.begin() + K);
   if (!HaveSatisfied) {
     // A satisfied cube must be retained but none sits in the prefix: trade
     // the K-th cube for the shortest satisfied one beyond it (cubes are
-    // sorted by size, so the first satisfied one is the shortest).
-    Kept.pop_back();
-    bool Found = false;
-    for (size_t I = K - 1; I < Cubes.size(); ++I) {
-      if (Cubes[I].eval(Eval)) {
-        Kept.push_back(Cubes[I]);
-        Found = true;
-        break;
-      }
-    }
-    if (!Found) {
+    // sorted by size, so the first satisfied one is the shortest). The
+    // cubes stay in place: the winner moves into slot K-1 and the tail is
+    // cut, so no kept cube is copied.
+    size_t I = K;
+    while (I < Cubes.size() && !Cubes[I].eval(Eval))
+      ++I;
+    if (I < Cubes.size()) {
+      Cubes[K - 1] = std::move(Cubes[I]);
+    } else {
       // Theorem 3's progress guarantee requires the current (p, d) to
       // satisfy the formula here. Keep the first K cubes - still a sound
       // under-approximation - and flag that progress is no longer
@@ -285,10 +282,9 @@ void Dnf::dropK(unsigned K, const AtomEval &Eval,
           "no disjunct of the " + std::to_string(Cubes.size()) +
               "-cube formula is satisfied by the current (p, d); Theorem 3 "
               "progress guarantee lost");
-      Kept.push_back(Cubes[K - 1]);
     }
   }
-  Cubes = std::move(Kept);
+  Cubes.erase(Cubes.begin() + K, Cubes.end());
 }
 
 void Dnf::approx(unsigned K, const AtomEval &Eval,
@@ -303,23 +299,16 @@ void Dnf::orWith(const Dnf &Other) {
   Cubes.insert(Cubes.end(), Other.Cubes.begin(), Other.Cubes.end());
 }
 
-void Dnf::productInto(Dnf &Result, const Dnf &A, const Dnf &B,
-                      size_t SoftCap, const AtomEval &Eval,
-                      support::InvariantSink *Sink,
-                      support::BudgetGate *Gate) {
-  assert(&Result != &A && &Result != &B);
-  Result.Cubes.clear();
+Dnf Dnf::product(const Dnf &A, const Dnf &B, support::BudgetGate *Gate) {
+  Dnf Result;
   // Charge the full cross-product size up front: the cost of this call is
-  // |A| * |B| conjunctions whether or not they survive pruning, and the
-  // count is schedule-independent, so a step budget trips here at the same
-  // term on every NumThreads. An exhausted gate yields false — a sound
+  // |A| * |B| conjunctions whether or not they survive, and the count is
+  // schedule-independent, so a step budget trips here at the same term on
+  // every NumThreads. An exhausted gate yields false — a sound
   // under-approximation, flagged to the caller via the gate itself.
-  if (!chargeProduct(A.Cubes.size() * B.Cubes.size(), Sink, Gate))
-    return;
-  // Reserve for the full cross product, clamped so a huge (soon-pruned)
-  // product does not balloon the allocation.
-  size_t Hint = A.Cubes.size() * B.Cubes.size();
-  Result.Cubes.reserve(SoftCap > 0 ? std::min(Hint, SoftCap + 1) : Hint);
+  if (!chargeProduct(A.Cubes.size() * B.Cubes.size(), nullptr, Gate))
+    return Result;
+  Result.Cubes.reserve(A.Cubes.size() * B.Cubes.size());
   for (const Cube &CA : A.Cubes) {
     for (const Cube &CB : B.Cubes) {
       if (auto C = Cube::conjoin(CA, CB))
@@ -333,55 +322,7 @@ void Dnf::productInto(Dnf &Result, const Dnf &A, const Dnf &B,
     Calls.add(1);
     Cubes.record(Result.Cubes.size());
   }
-  if (SoftCap > 0 && Result.Cubes.size() > SoftCap) {
-    // Sound mid-product pruning: keep the cap's worth of shortest cubes,
-    // preferring a satisfied cube when one exists so the progress invariant
-    // can be maintained downstream. Unlike dropK, no satisfied cube need
-    // exist here: the product of a single source cube's substitution may
-    // well be unsatisfied under the current (p, d) even though the overall
-    // formula is satisfied.
-    Result.sortBySize();
-    Result.simplify();
-    if (Result.Cubes.size() > SoftCap) {
-      std::vector<Cube> Kept(Result.Cubes.begin(),
-                             Result.Cubes.begin() + (SoftCap - 1));
-      bool HaveSatisfied = false;
-      for (const Cube &C : Kept) {
-        if (C.eval(Eval)) {
-          HaveSatisfied = true;
-          break;
-        }
-      }
-      size_t Extra = SoftCap - 1;
-      for (size_t I = SoftCap - 1; !HaveSatisfied && I < Result.Cubes.size();
-           ++I) {
-        if (Result.Cubes[I].eval(Eval)) {
-          Extra = I;
-          HaveSatisfied = true;
-        }
-      }
-      Kept.push_back(Result.Cubes[Extra]);
-      // Retention invariant of the pruning path: whenever a satisfied cube
-      // existed anywhere in the full product, the kept prefix must still
-      // contain one - otherwise the downstream dropk progress guarantee is
-      // silently broken mid-product.
-      if (HaveSatisfied && !Kept.back().eval(Eval)) {
-        bool KeptSatisfied = false;
-        for (const Cube &C : Kept) {
-          if (C.eval(Eval)) {
-            KeptSatisfied = true;
-            break;
-          }
-        }
-        if (!KeptSatisfied)
-          support::reportInvariant(
-              Sink, "product-softcap-retention", "Dnf::product",
-              "soft-cap pruning dropped every satisfied cube of a " +
-                  std::to_string(Result.Cubes.size()) + "-cube product");
-      }
-      Result.Cubes = std::move(Kept);
-    }
-  }
+  return Result;
 }
 
 bool Dnf::chargeProduct(uint64_t Units, support::InvariantSink *Sink,

@@ -335,40 +335,22 @@ public:
   /// Disjunction (concatenates cube lists; call approx/simplify after).
   void orWith(const Dnf &Other);
 
-  /// Distributes (this AND Other) into DNF. \p SoftCap bounds the number of
-  /// result cubes before pruning: when exceeded, cubes satisfied under
-  /// \p Eval and the shortest remaining cubes are preferred (a sound
-  /// under-approximation in the sense of the approx operator). SoftCap = 0
-  /// means unbounded. The retention invariant of the pruning path (a
-  /// satisfied cube survives whenever one existed) is checked and reported
-  /// to \p Sink on violation. When \p Gate is set the cross-product size is
-  /// charged against it before any term is built; an exhausted gate makes
-  /// product return false (the empty Dnf) — a sound under-approximation the
-  /// caller must detect via Gate->exhausted() and treat as "budget ran out",
-  /// not as a proved-unreachable condition.
-  static Dnf product(const Dnf &A, const Dnf &B, size_t SoftCap,
-                     const AtomEval &Eval,
-                     support::InvariantSink *Sink = nullptr,
-                     support::BudgetGate *Gate = nullptr) {
-    Dnf Result;
-    productInto(Result, A, B, SoftCap, Eval, Sink, Gate);
-    return Result;
-  }
+  /// Distributes (A AND B) into DNF, every cube of A times every cube of
+  /// B, A-major, contradictions dropped. When \p Gate is set the
+  /// cross-product size is charged against it before any term is built;
+  /// an exhausted gate makes product return false (the empty Dnf) — a
+  /// sound under-approximation the caller must detect via
+  /// Gate->exhausted() and treat as "budget ran out", not as a
+  /// proved-unreachable condition.
+  static Dnf product(const Dnf &A, const Dnf &B,
+                     support::BudgetGate *Gate = nullptr);
 
-  /// product() writing into \p Out, whose cubes it replaces and whose
-  /// capacity it reuses: a caller multiplying in a loop ping-pongs two
-  /// scratch formulas instead of allocating one per product. \p Out must
-  /// not alias \p A or \p B.
-  static void productInto(Dnf &Out, const Dnf &A, const Dnf &B,
-                          size_t SoftCap, const AtomEval &Eval,
-                          support::InvariantSink *Sink = nullptr,
-                          support::BudgetGate *Gate = nullptr);
-
-  /// The accounting half of productInto: consults the `dnf.product` fault
+  /// The accounting half of product: consults the `dnf.product` fault
   /// site, then charges \p Units against \p Gate (when set). Returns false
   /// once the gate is exhausted. A caller that builds a product by other
-  /// means charges it here, so fault hits and step-budget trips fall
-  /// exactly where productInto's would.
+  /// means (the backward step's frame-stripped chain) charges it here, so
+  /// fault hits and step-budget trips fall where a literal product's
+  /// would.
   static bool chargeProduct(uint64_t Units, support::InvariantSink *Sink,
                             support::BudgetGate *Gate);
 

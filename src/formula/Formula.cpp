@@ -176,9 +176,8 @@ Dnf Formula::toDnf() const {
     // canonical order - are the same, while the intermediate products
     // (negated case splits multiply out exponentially) stay small.
     Dnf Result = Dnf::constTrue();
-    AtomEval Unused;
     for (const Formula &Kid : children()) {
-      Result = Dnf::product(Result, Kid.toDnf(), /*SoftCap=*/0, Unused);
+      Result = Dnf::product(Result, Kid.toDnf());
       Result.sortBySize();
       Result.simplify();
     }

@@ -101,7 +101,18 @@ bool mergeRound(std::vector<Cube> &Cubes, const LocationFn &Loc) {
   };
   Slots.assign(Mask + 1, Slot{0, 0});
   Hashes.clear();
+  // Which literals occur at all, by raw value mod 1024: a partner must hold
+  // the substituted literal, so a probe for one whose bit is clear cannot
+  // succeed and is skipped. Most literals have no complement in the
+  // formula, and most locations show only some of their values.
+  uint64_t Present[16] = {};
+  auto Bit = [](Lit L) { return L.raw() & 1023; };
+  auto MayOccur = [&Present, &Bit](Lit L) {
+    return (Present[Bit(L) >> 6] >> (Bit(L) & 63)) & 1;
+  };
   for (size_t I = 0; I < Cubes.size(); ++I) {
+    for (Lit L : Cubes[I].literals())
+      Present[Bit(L) >> 6] |= uint64_t(1) << (Bit(L) & 63);
     uint64_t H = cubeHash(Cubes[I]);
     Hashes.push_back(H);
     size_t At = Home(H);
@@ -131,7 +142,7 @@ bool mergeRound(std::vector<Cube> &Cubes, const LocationFn &Loc) {
   for (size_t I = 0; I < Cubes.size(); ++I) {
     for (Lit L : Cubes[I].literals()) {
       // Complementary merge: X u {l} and X u {!l} -> X.
-      int Partner = FindSubst(I, L, L.negate());
+      int Partner = MayOccur(L.negate()) ? FindSubst(I, L, L.negate()) : -1;
       if (Partner >= 0 && Partner != static_cast<int>(I)) {
         Cube Merged = Without(Cubes[I], L);
         size_t A = std::min(I, static_cast<size_t>(Partner));
@@ -146,7 +157,9 @@ bool mergeRound(std::vector<Cube> &Cubes, const LocationFn &Loc) {
       if (L.isNeg() || !Loc)
         continue;
       auto Info = Loc(L.atom());
-      if (!Info || !Info->Exhaustive || Info->Values.size() < 2)
+      if (!Info || !Info->Exhaustive || Info->Values.size() < 2 ||
+          !std::all_of(Info->Values.begin(), Info->Values.end(),
+                       [&](AtomId V) { return MayOccur(Lit::pos(V)); }))
         continue;
       size_t Members[LocationInfo::MaxValues];
       size_t NumMembers = 0;

@@ -70,10 +70,19 @@
 /// and their wp is themselves, so: the identity-skip check probes only
 /// state literals, with its verdict memoized per command under a stamp of
 /// the formula; and wpFormula conjoins the parameter literals and every
-/// single-cube wp into one frame cube per cube, multiplies the multi-cube
-/// wps without it, and conjoins it once at the end - the same cubes, in
-/// the same order, with the same gate charges as the literal-by-literal
-/// product (see wpFormula, and DESIGN.md §10).
+/// single-cube wp into one frame cube per cube, and multiplies the
+/// multi-cube wps in one chain over frame-stripped cubes - each wp cube
+/// that contradicts the frame dropped, the others with the frame's
+/// literals removed - so its running cubes stay short. The chain's gate
+/// charges, cap checks and soft-cap prune see what the literal-by-literal
+/// product saw (see wpFormula). step() then picks the normalisation tier
+/// from the nominal cube count, the number of cubes that product yields;
+/// only in the sort+simplify tier, whose output is the minimal cube set,
+/// does it minimise each cube's stripped product before conjoining the
+/// frame back. The merge rounds of semanticNormalize skip partner probes
+/// for literals that occur nowhere in the formula. Every step's output is
+/// cube for cube that of the literal-by-literal product normalised by its
+/// count (DESIGN.md §10).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -91,6 +100,7 @@
 #include "support/Timer.h"
 
 #include <algorithm>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <vector>
@@ -159,6 +169,52 @@ struct BackwardStats {
   size_t TotalCubes = 0;  ///< sum of per-step cube counts
   size_t Steps = 0;       ///< trace length processed
 };
+
+/// The backward step's soft cap on one running product of frame-stripped
+/// cubes \p Cubes, each standing for itself conjoined with \p Frame (a
+/// sound under-approximation in the sense of the approx operator).
+/// Sorts, deduplicates and drops subsumed cubes - the same as on the
+/// frame-conjoined cubes, since the frame is common to all - and, when more
+/// than \p Cap remain, keeps the Cap-1 shortest plus the shortest one that
+/// holds under \p Eval (the current (p, d)), or the Cap-th when none does.
+/// Unlike dropK, no satisfied cube need exist here: one source cube's
+/// product may well be unsatisfied under the current (p, d) even though
+/// the whole formula is satisfied. The retention invariant (a satisfied
+/// cube survives whenever one existed) is checked and reported to \p Sink.
+inline void pruneToSoftCap(std::vector<formula::Cube> &Cubes, size_t Cap,
+                           const formula::Cube &Frame,
+                           const formula::AtomEval &Eval,
+                           support::InvariantSink *Sink) {
+  formula::Dnf Minimal = formula::Dnf::fromCubes(std::move(Cubes));
+  Minimal.sortBySize();
+  Minimal.simplify();
+  Cubes = Minimal.takeCubes();
+  if (Cap == 0 || Cubes.size() <= Cap)
+    return;
+  const bool FrameHolds = Frame.eval(Eval);
+  auto Holds = [&](const formula::Cube &Sc) {
+    return FrameHolds && Sc.eval(Eval);
+  };
+  bool HaveSatisfied = std::any_of(Cubes.begin(), Cubes.begin() + (Cap - 1),
+                                   Holds);
+  for (size_t I = Cap - 1; !HaveSatisfied && I < Cubes.size(); ++I) {
+    if (Holds(Cubes[I])) {
+      if (I != Cap - 1)
+        Cubes[Cap - 1] = std::move(Cubes[I]);
+      HaveSatisfied = true;
+    }
+  }
+  const size_t Total = Cubes.size();
+  Cubes.erase(Cubes.begin() + Cap, Cubes.end());
+  // Retention invariant: whenever a satisfied cube existed anywhere in the
+  // product, the kept cubes must still hold one - otherwise the downstream
+  // dropk progress guarantee is silently broken mid-product.
+  if (HaveSatisfied && std::none_of(Cubes.begin(), Cubes.end(), Holds))
+    support::reportInvariant(
+        Sink, "product-softcap-retention", "meta::pruneToSoftCap",
+        "soft-cap pruning dropped every satisfied cube of a " +
+            std::to_string(Total) + "-cube product");
+}
 
 template <typename Client> class BackwardMetaAnalysis {
 public:
@@ -250,9 +306,9 @@ public:
       if (!Skip) {
         const EvalPoint AtPre{C, Prm, States[I]};
         formula::AtomEval PreEval = makeEval(AtPre);
-        std::optional<formula::Dnf> Wp =
-            wpFormula(T[I], Cmd, F, PreEval, &Gate);
-        if (!Wp) {
+        std::optional<formula::Dnf> Next =
+            step(T[I], Cmd, F, PreEval, &Gate);
+        if (!Next) {
           // Either the shared gate ran out mid-substitution or the hard
           // cube cap tripped; the latter is a memory guard, reported as
           // such.
@@ -263,20 +319,9 @@ public:
                         support::Resource::Memory, "backward.step"}};
           return std::nullopt; // formula blow-up (exact mode)
         }
-        F = std::move(*Wp);
-        // Semantic simplification recovers the compact forms of the paper's
-        // hand-written transfer functions before the beam search prunes.
-        // Its merging pass is quadratic, so very large (exact-mode)
-        // formulas get progressively lighter treatment.
-        if (F.size() <= Config.NormalizeCap) {
-          formula::semanticNormalize(F, Refiner, LocFn);
-        } else if (F.size() <= Config.SimplifyCap) {
-          F.sortBySize();
-          F.simplify();
-        } else {
-          F.sortBySize(); // subsumption is quadratic; skip when huge
-        }
-        // Every tier above leaves F in sortBySize order, which dropK needs.
+        F = std::move(*Next);
+        // Every tier of step() leaves F in sortBySize order, which dropK
+        // needs.
         assert(F.isSortedBySize());
         if (Config.K > 0 && F.size() > Config.K)
           F.dropK(Config.K, PreEval, Config.Invariants);
@@ -364,40 +409,105 @@ public:
     return F.toString([this](formula::AtomId A) { return C.atomName(A); });
   }
 
-  /// wp of a whole DNF across one command, before normalization: each
-  /// cube's literal wps multiplied out, cubes in order. Returns nullopt
-  /// when \p Gate runs out or the result exceeds the hard cube cap (only
-  /// reachable in exact mode, where nothing prunes).
+  /// One backward step across \p Cmd: the wp of \p F, normalised by the
+  /// tier its nominal cube count picks - semanticNormalize up to
+  /// NormalizeCap, sortBySize + simplify up to SimplifyCap, sortBySize
+  /// alone above - and left in sortBySize order. The nominal count is the
+  /// number of cubes that multiplying out every literal's wp one by one
+  /// yields (see wpFormula). Returns nullopt when \p Gate runs out or the
+  /// nominal count passes the hard cube cap (only reachable in exact mode,
+  /// where nothing prunes).
   ///
-  /// The result and the gate charges are those of multiplying every
-  /// literal's wp into a running product one at a time, smallest wp first
-  /// (a stable sort by size), through Dnf::productInto - the product cube
-  /// sequence is order-independent, and smallest-first keeps the
-  /// intermediate cross-products small. That chain is not run literally:
-  /// most of its products are a single running cube times a single-cube
-  /// wp, and most of those wps are parameter literals, which no command
+  /// The sort+simplify tier keeps the minimal cubes of the whole formula,
+  /// which are the minimal cubes of the union of each source cube's
+  /// minimal cubes; and with one frame F, A u F implies B u F iff A
+  /// implies B when A and B miss F. So that tier minimises each source
+  /// cube's frame-stripped product first and conjoins the frame into the
+  /// survivors only. The other tiers get every nominal cube:
+  /// semanticNormalize refines cubes before it subsumes, and the sort-only
+  /// tier keeps subsumed cubes.
+  std::optional<formula::Dnf> step(ir::CommandId CmdId,
+                                   const ir::Command &Cmd,
+                                   const formula::Dnf &F,
+                                   const formula::AtomEval &PreEval,
+                                   support::BudgetGate *Gate = nullptr) {
+    using formula::Cube;
+    using formula::Dnf;
+    if (!wpFormula(CmdId, Cmd, F, PreEval, Gate))
+      return std::nullopt;
+    const size_t Nominal = Stripped.size();
+    const bool Minimise =
+        Nominal > Config.NormalizeCap && Nominal <= Config.SimplifyCap;
+    std::vector<Cube> Out;
+    Out.reserve(Nominal);
+    size_t Begin = 0;
+    for (Group &G : Groups) {
+      auto First = Stripped.begin() + Begin, Last = Stripped.begin() + G.End;
+      Begin = G.End;
+      if (Last - First == 1 && First->isTrue()) {
+        Out.push_back(std::move(G.Frame)); // no multi-cube wp
+        continue;
+      }
+      if (Minimise && Last - First > 1) {
+        Dnf Minimal = Dnf::fromCubes(std::vector<Cube>(
+            std::make_move_iterator(First), std::make_move_iterator(Last)));
+        Minimal.sortBySize();
+        Minimal.simplify();
+        for (const Cube &Sc : Minimal.cubes())
+          Out.push_back(*Cube::conjoin(Sc, G.Frame));
+        continue;
+      }
+      for (; First != Last; ++First)
+        Out.push_back(*Cube::conjoin(*First, G.Frame));
+    }
+    Dnf Result = Dnf::fromCubes(std::move(Out));
+    // Semantic simplification recovers the compact forms of the paper's
+    // hand-written transfer functions before the beam search prunes. Its
+    // merging pass is quadratic, so very large (exact-mode) formulas get
+    // progressively lighter treatment.
+    if (Nominal <= Config.NormalizeCap) {
+      formula::semanticNormalize(Result, Refiner, LocFn);
+    } else if (Nominal <= Config.SimplifyCap) {
+      Result.sortBySize();
+      Result.simplify();
+    } else {
+      Result.sortBySize(); // subsumption is quadratic; skip when huge
+    }
+    return Result;
+  }
+
+private:
+  /// wp of a whole DNF across one command, without its frames: fills
+  /// Stripped with each source cube's frame-stripped product and Groups
+  /// with the matching frames, in source order. Returns false when \p Gate
+  /// runs out or the hard cube cap trips.
+  ///
+  /// It reproduces multiplying every literal's wp into a running product
+  /// one at a time, smallest wp first (a stable sort by size), capping
+  /// every product at ProductSoftCap, without running it: most of that
+  /// chain's products are a single running cube times a single-cube wp,
+  /// and most of those wps are parameter literals, which no command
   /// changes. So the single-cube wps and the parameter literals are
   /// conjoined once, into one frame cube, charging what their 1x1 products
   /// charged: 1 each, up to and including the first contradiction in
-  /// literal order. When the remaining multi-cube wps cannot reach the
-  /// soft cap or the hard cap, they are multiplied frame-free - short
-  /// cubes - after dropping each wp's cubes that contradict the frame, and
-  /// the frame is conjoined once into every surviving cube. That yields
-  /// the chain's cubes in its order (a product contradicts the frame at
-  /// the end iff one of its factors did), and the chain's charge |P| x |W|
-  /// per product, with |P| the running product's size: the frame-free
-  /// running product holds exactly the chain's cubes minus the frame.
-  /// Otherwise the chain runs as written, frame first, so the soft-cap
-  /// pruning sees exactly the cubes it always saw.
-  std::optional<formula::Dnf> wpFormula(ir::CommandId CmdId,
-                                        const ir::Command &Cmd,
-                                        const formula::Dnf &F,
-                                        const formula::AtomEval &PreEval,
-                                        support::BudgetGate *Gate = nullptr) {
+  /// literal order. The multi-cube wps are then multiplied in one chain
+  /// over stripped cubes: a wp cube that contradicts the frame is dropped
+  /// (every product through it does too), and the others enter with the
+  /// frame's literals removed. The stripped running product holds exactly
+  /// the literal chain's running cubes minus the frame, in its order: for
+  /// cubes A and B that miss F, A u F and B u F contradict iff A and B do,
+  /// are equal iff A and B are, and compare in sortBySize order as A and B
+  /// do. So the chain charges |P| x |W| per product, with |P| the running
+  /// size, checks the hard cap on the nominal running size, and prunes
+  /// past the soft cap (pruneToSoftCap) exactly as the literal chain did.
+  bool wpFormula(ir::CommandId CmdId, const ir::Command &Cmd,
+                 const formula::Dnf &F, const formula::AtomEval &PreEval,
+                 support::BudgetGate *Gate) {
     using formula::Cube;
     using formula::Dnf;
     using formula::Lit;
-    std::vector<Cube> Out;
+    Stripped.clear();
+    Groups.clear();
     for (const Cube &Q : F.cubes()) {
       // Split the cube: the frame's parts (parameter literals and
       // single-cube wps) as (literal, part index) keys, and the multi-cube
@@ -431,7 +541,7 @@ public:
         // A false wp sorts first; its product with true charged 0 and
         // ended the cube.
         if (!Dnf::chargeProduct(0, Config.Invariants, Gate))
-          return std::nullopt;
+          return false;
         continue;
       }
 
@@ -455,85 +565,82 @@ public:
       }
       for (uint32_t Part = 0; Part < NumParts && Part <= Clash; ++Part) {
         if (!Dnf::chargeProduct(1, Config.Invariants, Gate))
-          return std::nullopt;
+          return false;
         if (Part < Clash && Config.HardCubeCap > 0 &&
-            Out.size() + 1 > Config.HardCubeCap)
-          return std::nullopt;
+            Stripped.size() + 1 > Config.HardCubeCap)
+          return false;
       }
       if (Clash < NumParts)
         continue;
       Cube Frame = *Cube::make(FrameLits.data(), FrameLits.size());
       if (Multi.empty()) {
-        Out.push_back(std::move(Frame));
+        Stripped.emplace_back();
+        Groups.push_back({std::move(Frame), Stripped.size()});
         continue;
       }
 
-      size_t Bound = 1;
-      for (const Dnf *W : Multi)
-        if (__builtin_mul_overflow(Bound, W->size(), &Bound))
-          Bound = SIZE_MAX;
-      bool FrameLast =
-          (Config.ProductSoftCap == 0 || Bound <= Config.ProductSoftCap) &&
-          (Config.HardCubeCap == 0 ||
-           (Bound <= Config.HardCubeCap &&
-            Out.size() <= Config.HardCubeCap - Bound));
-      if (!FrameLast) {
-        // The chain as written, from the frame. The running product
-        // ping-pongs between two scratch formulas; productInto reuses the
-        // target's cube buffer.
-        ProductBuf[0] = Dnf::fromCubes({std::move(Frame)});
-        const Dnf *CubeWp = &ProductBuf[0];
-        for (const Dnf *W : Multi) {
-          Dnf &Next = CubeWp == &ProductBuf[0] ? ProductBuf[1] : ProductBuf[0];
-          Dnf::productInto(Next, *CubeWp, *W, Config.ProductSoftCap, PreEval,
-                           Config.Invariants, Gate);
-          CubeWp = &Next;
-          if (Gate && Gate->exhausted())
-            return std::nullopt; // product returned an under-charged false
-          if (Config.HardCubeCap > 0 &&
-              Out.size() + CubeWp->size() > Config.HardCubeCap)
-            return std::nullopt;
-          if (CubeWp->isFalse())
-            break;
-        }
-        Out.insert(Out.end(), CubeWp->cubes().begin(), CubeWp->cubes().end());
-        continue;
-      }
-
-      // Frame last. Neither cap can trip: no running product exceeds
-      // Bound. A wp cube that contradicts the frame only yields products
-      // that do, so it is dropped before multiplying.
-      std::vector<Cube> *Run = &RunBuf[0], *Next = &RunBuf[1];
-      for (size_t K = 0; K < Multi.size(); ++K) {
-        const Dnf &W = *Multi[K];
-        if (!Dnf::chargeProduct((K == 0 ? 1 : Run->size()) * W.size(),
-                                Config.Invariants, Gate))
-          return std::nullopt;
-        KeptWp.clear();
-        for (const Cube &Wc : W.cubes())
+      // Each multi-cube wp's frame-consistent cubes, stripped, one run per
+      // wp in WpCubes.
+      WpCubes.clear();
+      WpEnds.clear();
+      for (const Dnf *W : Multi) {
+        for (const Cube &Wc : W->cubes())
           if (!Wc.contradicts(Frame))
-            KeptWp.push_back(&Wc);
+            WpCubes.push_back(stripFrame(Wc, Frame));
+        WpEnds.push_back(WpCubes.size());
+      }
+      std::vector<Cube> *Run = &RunBuf[0], *Next = &RunBuf[1];
+      Run->clear();
+      for (size_t K = 0; K < Multi.size(); ++K) {
+        if (!Dnf::chargeProduct((K == 0 ? 1 : Run->size()) * Multi[K]->size(),
+                                Config.Invariants, Gate))
+          return false;
+        auto WBegin = WpCubes.begin() + (K == 0 ? 0 : WpEnds[K - 1]);
+        auto WEnd = WpCubes.begin() + WpEnds[K];
         Next->clear();
         if (K == 0) {
-          for (const Cube *Wc : KeptWp)
-            Next->push_back(*Wc);
+          Next->assign(WBegin, WEnd);
         } else {
           for (const Cube &Pc : *Run)
-            for (const Cube *Wc : KeptWp)
+            for (auto Wc = WBegin; Wc != WEnd; ++Wc)
               if (std::optional<Cube> Joined = Cube::conjoin(Pc, *Wc))
                 Next->push_back(std::move(*Joined));
         }
         std::swap(Run, Next);
+        if (Config.ProductSoftCap > 0 && Run->size() > Config.ProductSoftCap)
+          pruneToSoftCap(*Run, Config.ProductSoftCap, Frame, PreEval,
+                         Config.Invariants);
+        if (Config.HardCubeCap > 0 &&
+            Stripped.size() + Run->size() > Config.HardCubeCap)
+          return false;
         if (Run->empty())
           break;
       }
-      for (const Cube &Pc : *Run)
-        Out.push_back(*Cube::conjoin(Pc, Frame));
+      for (Cube &Pc : *Run)
+        Stripped.push_back(std::move(Pc));
+      Groups.push_back({std::move(Frame), Stripped.size()});
     }
-    return Dnf::fromCubes(std::move(Out));
+    return true;
   }
 
-private:
+  /// \p Wc without the literals it shares with \p Frame; the two must not
+  /// contradict.
+  formula::Cube stripFrame(const formula::Cube &Wc,
+                           const formula::Cube &Frame) {
+    if ((Wc.signature() & Frame.signature()) == 0)
+      return Wc; // no shared atom
+    StripLits.clear();
+    const formula::Lit *PF = Frame.literals().begin(),
+                       *EF = Frame.literals().end();
+    for (formula::Lit L : Wc.literals()) {
+      while (PF != EF && *PF < L)
+        ++PF;
+      if (PF == EF || *PF != L)
+        StripLits.push_back(L);
+    }
+    return *formula::Cube::make(StripLits.data(), StripLits.size());
+  }
+
   /// The pair (p, d) an atom evaluator reads, with the client that
   /// interprets atoms. Evaluators capture it by reference - one pointer -
   /// so they fit std::function's inline buffer and building one per step
@@ -596,16 +703,26 @@ private:
   formula::LocationFn LocFn;
   /// This instance's registration with the analysis's wp table.
   meta::WpTable::Reader Table;
+  /// wpFormula's output, reused across steps: every source cube's
+  /// frame-stripped product, back to back, and per source cube its frame
+  /// and the end of its run in Stripped.
+  struct Group {
+    formula::Cube Frame;
+    size_t End;
+  };
+  std::vector<formula::Cube> Stripped;
+  std::vector<Group> Groups;
   /// wpFormula's scratch, reused across steps: the frame's (literal, part)
-  /// keys and literals, the multi-cube wps in stable size order, the
-  /// frame-free running products and the current wp's frame-consistent
-  /// cubes, and the frame-first chain's running products.
+  /// keys and literals, the multi-cube wps in stable size order, their
+  /// stripped frame-consistent cubes and where each wp's run ends, the
+  /// running products, and stripFrame's literals.
   std::vector<uint64_t> FrameKeys;
   std::vector<formula::Lit> FrameLits;
   std::vector<const formula::Dnf *> Multi;
+  std::vector<formula::Cube> WpCubes;
+  std::vector<size_t> WpEnds;
   std::vector<formula::Cube> RunBuf[2];
-  std::vector<const formula::Cube *> KeptWp;
-  formula::Dnf ProductBuf[2];
+  std::vector<formula::Lit> StripLits;
   /// Identity-skip verdicts, one word per command: (stamp << 1) | skip. A
   /// word is valid while its stamp is FStamp, which run() bumps on entry
   /// and at every formula change, so nothing is ever cleared; grown on

@@ -15,10 +15,12 @@
 // changes no outcome or event-trace byte of a later run.
 //
 // So is the backward step itself: the client contract it relies on (the
-// wp of a parameter literal is the literal), and wpFormula against the
-// literal-by-literal product it replaced, kept here as an oracle - same
+// wp of a parameter literal is the literal), the soft-cap prune's laws,
+// and step() against the literal-by-literal product it replaced, kept
+// here as an oracle and normalised by the tier its cube count picks - same
 // cubes in the same order, same gate charges, at the default caps and at
-// caps small enough to run the soft-cap pruning and the hard-cap bail-out.
+// caps small enough to run the soft-cap pruning, the hard-cap bail-out and
+// every normalisation tier.
 //
 //===----------------------------------------------------------------------===//
 
@@ -512,16 +514,60 @@ TEST(BackwardStep, ParameterLiteralsAreTheirOwnWp) {
 
 namespace oracle {
 
-/// What oracle::wpFormula saw on the way, to show which paths a sweep ran.
+/// What the oracle saw on the way, to show which paths a sweep ran.
 struct StepPaths {
   size_t SoftCapped = 0; ///< products whose cross size exceeded the cap
+  size_t OverCap = 0;    ///< pruned products still over the cap when minimal
   size_t BailedOut = 0;  ///< results over the hard cap
+  size_t Normalised = 0; ///< steps in the semanticNormalize tier
+  size_t Minimised = 0;  ///< steps in the sortBySize + simplify tier
+  size_t SortOnly = 0;   ///< steps in the sortBySize tier
 };
+
+/// Dnf::productInto as it was when it took the soft cap: the full cross
+/// product, and past \p SoftCap its sorted minimal cubes cut to the
+/// SoftCap-1 shortest plus the shortest satisfied one (or the SoftCap-th).
+void productInto(formula::Dnf &Result, const formula::Dnf &A,
+                 const formula::Dnf &B, size_t SoftCap,
+                 const formula::AtomEval &Eval, support::InvariantSink *Sink,
+                 support::BudgetGate *Gate, StepPaths &Paths) {
+  using formula::Cube;
+  Result = formula::Dnf();
+  if (!formula::Dnf::chargeProduct(A.size() * B.size(), Sink, Gate))
+    return;
+  std::vector<Cube> Cubes;
+  for (const Cube &CA : A.cubes())
+    for (const Cube &CB : B.cubes())
+      if (auto C = Cube::conjoin(CA, CB))
+        Cubes.push_back(std::move(*C));
+  Result = formula::Dnf::fromCubes(std::move(Cubes));
+  if (SoftCap == 0 || Result.size() <= SoftCap)
+    return;
+  Result.sortBySize();
+  Result.simplify();
+  if (Result.size() <= SoftCap)
+    return;
+  ++Paths.OverCap;
+  std::vector<Cube> Kept(Result.cubes().begin(),
+                         Result.cubes().begin() + (SoftCap - 1));
+  bool HaveSatisfied = false;
+  for (const Cube &C : Kept)
+    HaveSatisfied = HaveSatisfied || C.eval(Eval);
+  size_t Extra = SoftCap - 1;
+  for (size_t I = SoftCap - 1; !HaveSatisfied && I < Result.size(); ++I) {
+    if (Result.cubes()[I].eval(Eval)) {
+      Extra = I;
+      HaveSatisfied = true;
+    }
+  }
+  Kept.push_back(Result.cubes()[Extra]);
+  Result = formula::Dnf::fromCubes(std::move(Kept));
+}
 
 /// wpFormula as it was before the parameter frame: every literal's wp,
 /// parameter literals included, looked up in the table and multiplied into
-/// the running product one at a time through Dnf::productInto, smallest
-/// first (a stable insertion sort by size).
+/// the running product one at a time through the capped productInto,
+/// smallest first (a stable insertion sort by size).
 template <typename Analysis>
 std::optional<formula::Dnf>
 wpFormula(meta::WpTable::Reader &Table, const Analysis &A, CommandId CmdId,
@@ -553,8 +599,8 @@ wpFormula(meta::WpTable::Reader &Table, const Analysis &A, CommandId CmdId,
       if (Config.ProductSoftCap > 0 &&
           CubeWp->size() * Wp->size() > Config.ProductSoftCap)
         ++Paths.SoftCapped;
-      formula::Dnf::productInto(Next, *CubeWp, *Wp, Config.ProductSoftCap,
-                                PreEval, Config.Invariants, Gate);
+      productInto(Next, *CubeWp, *Wp, Config.ProductSoftCap, PreEval,
+                  Config.Invariants, Gate, Paths);
       CubeWp = &Next;
       if (Gate && Gate->exhausted())
         return std::nullopt;
@@ -569,6 +615,34 @@ wpFormula(meta::WpTable::Reader &Table, const Analysis &A, CommandId CmdId,
     Result.orWith(*CubeWp);
   }
   return Result;
+}
+
+/// The step as it was: wpFormula's cubes, normalised by the tier their
+/// count picks.
+template <typename Analysis>
+std::optional<formula::Dnf>
+step(meta::WpTable::Reader &Table, const Analysis &A, CommandId CmdId,
+     const Command &Cmd, const formula::Dnf &F,
+     const meta::BackwardConfig &Config, const formula::AtomEval &PreEval,
+     support::BudgetGate *Gate, StepPaths &Paths) {
+  std::optional<formula::Dnf> Wp =
+      wpFormula(Table, A, CmdId, Cmd, F, Config, PreEval, Gate, Paths);
+  if (!Wp)
+    return std::nullopt;
+  if (Wp->size() <= Config.NormalizeCap) {
+    ++Paths.Normalised;
+    formula::semanticNormalize(
+        *Wp, [&A](const formula::Cube &C) { return A.refineCube(C); },
+        [&A](formula::AtomId X) { return A.atomLocation(X); });
+  } else if (Wp->size() <= Config.SimplifyCap) {
+    ++Paths.Minimised;
+    Wp->sortBySize();
+    Wp->simplify();
+  } else {
+    ++Paths.SortOnly;
+    Wp->sortBySize();
+  }
+  return Wp;
 }
 
 } // namespace oracle
@@ -633,10 +707,10 @@ formula::Dnf randomStepFormula(const Program &P, const Analysis &A,
   return formula::Dnf::fromCubes(std::move(Cubes));
 }
 
-/// Over random formulas on every client command of \p P: wpFormula
-/// returns the oracle's cubes in the oracle's order and charges the gate
-/// the same units; with a step budget below that charge, or a fault armed
-/// part-way, both trip at the same unit.
+/// Over random formulas on every client command of \p P: step() returns
+/// the oracle's cubes in the oracle's order and charges the gate the same
+/// units; with a step budget below that charge, or a fault armed part-way,
+/// both trip at the same unit.
 template <typename Analysis>
 void expectStepMatchesOracle(const Program &P, const Analysis &A,
                              const meta::BackwardConfig &Config, Prng &Rng,
@@ -658,9 +732,9 @@ void expectStepMatchesOracle(const Program &P, const Analysis &A,
       };
       support::BudgetGate WantGate("backward.step");
       support::BudgetGate GotGate("backward.step");
-      auto Want = oracle::wpFormula(Table, A, CmdId, Cmd, F, Config, PreEval,
-                                    &WantGate, Paths);
-      auto Got = Bwd.wpFormula(CmdId, Cmd, F, PreEval, &GotGate);
+      auto Want = oracle::step(Table, A, CmdId, Cmd, F, Config, PreEval,
+                               &WantGate, Paths);
+      auto Got = Bwd.step(CmdId, Cmd, F, PreEval, &GotGate);
       auto At = [&] {
         return Where + " command " + std::to_string(CI) + " formula " +
                F.toString(Name);
@@ -678,9 +752,9 @@ void expectStepMatchesOracle(const Program &P, const Analysis &A,
       uint64_t Limit = Rng.nextBelow(WantGate.stepsUsed());
       support::BudgetGate WantShort("backward.step", Limit);
       support::BudgetGate GotShort("backward.step", Limit);
-      Want = oracle::wpFormula(Table, A, CmdId, Cmd, F, Config, PreEval,
-                               &WantShort, Paths);
-      Got = Bwd.wpFormula(CmdId, Cmd, F, PreEval, &GotShort);
+      Want = oracle::step(Table, A, CmdId, Cmd, F, Config, PreEval,
+                          &WantShort, Paths);
+      Got = Bwd.step(CmdId, Cmd, F, PreEval, &GotShort);
       ASSERT_EQ(Want.has_value(), Got.has_value()) << At();
       ASSERT_EQ(WantShort.exhausted(), GotShort.exhausted()) << At();
       ASSERT_EQ(WantShort.stepsUsed(), GotShort.stepsUsed()) << At();
@@ -695,11 +769,11 @@ void expectStepMatchesOracle(const Program &P, const Analysis &A,
       support::BudgetGate GotFault("backward.step");
       std::string Err;
       ASSERT_TRUE(support::FaultRegistry::global().arm(Spec, Err)) << Err;
-      Want = oracle::wpFormula(Table, A, CmdId, Cmd, F, Config, PreEval,
-                               &WantFault, Paths);
+      Want = oracle::step(Table, A, CmdId, Cmd, F, Config, PreEval,
+                          &WantFault, Paths);
       support::FaultRegistry::global().disarm();
       ASSERT_TRUE(support::FaultRegistry::global().arm(Spec, Err)) << Err;
-      Got = Bwd.wpFormula(CmdId, Cmd, F, PreEval, &GotFault);
+      Got = Bwd.step(CmdId, Cmd, F, PreEval, &GotFault);
       support::FaultRegistry::global().disarm();
       ASSERT_EQ(Want.has_value(), Got.has_value()) << Spec << " " << At();
       ASSERT_EQ(WantFault.exhausted(), GotFault.exhausted())
@@ -710,12 +784,16 @@ void expectStepMatchesOracle(const Program &P, const Analysis &A,
   }
 }
 
-TEST(BackwardStep, WpFormulaMatchesTheLiteralByLiteralProduct) {
+TEST(BackwardStep, StepMatchesTheNormalisedLiteralByLiteralProduct) {
   meta::BackwardConfig Defaults;
   meta::BackwardConfig Small;
   Small.ProductSoftCap = 8;
   Small.HardCubeCap = 24;
-  oracle::StepPaths DefaultPaths, SmallPaths;
+  meta::BackwardConfig Tiers;
+  Tiers.ProductSoftCap = 8;
+  Tiers.NormalizeCap = 4;
+  Tiers.SimplifyCap = 16;
+  oracle::StepPaths DefaultPaths, SmallPaths, TierPaths;
   Prng Rng(0x57E9);
   for (const synth::BenchConfig &Config : witness_fixture::configs()) {
     synth::Benchmark B = synth::generate(Config);
@@ -726,11 +804,87 @@ TEST(BackwardStep, WpFormulaMatchesTheLiteralByLiteralProduct) {
                                   Config.Name + " " + Client + " default");
           expectStepMatchesOracle(B.P, A, Small, Rng, SmallPaths,
                                   Config.Name + " " + Client + " small");
+          expectStepMatchesOracle(B.P, A, Tiers, Rng, TierPaths,
+                                  Config.Name + " " + Client + " tiers");
         });
   }
-  // The small caps ran the pruning and the bail-out paths.
+  // The small caps ran the pruning and the bail-out paths; the tier caps
+  // ran every normalisation tier and a prune whose minimal cubes still
+  // exceeded the cap.
   EXPECT_GT(SmallPaths.SoftCapped, 0u);
   EXPECT_GT(SmallPaths.BailedOut, 0u);
+  EXPECT_GT(TierPaths.Normalised, 0u);
+  EXPECT_GT(TierPaths.Minimised, 0u);
+  EXPECT_GT(TierPaths.SortOnly, 0u);
+  EXPECT_GT(TierPaths.OverCap, 0u);
+  std::printf("step paths: default %zu/%zu/%zu tiers, small %zu soft-capped "
+              "%zu bailed out, tiers %zu/%zu/%zu with %zu over the cap\n",
+              DefaultPaths.Normalised, DefaultPaths.Minimised,
+              DefaultPaths.SortOnly, SmallPaths.SoftCapped,
+              SmallPaths.BailedOut, TierPaths.Normalised,
+              TierPaths.Minimised, TierPaths.SortOnly, TierPaths.OverCap);
+}
+
+/// A random formula over atoms 0..5, and the evaluator of a mask over them.
+formula::Dnf randomSmallDnf(Prng &Rng) {
+  std::vector<formula::Cube> Cubes;
+  for (unsigned I = 0, N = 1 + Rng.nextBelow(6); I < N; ++I) {
+    std::vector<formula::Lit> Lits;
+    for (unsigned J = 0, Len = Rng.nextBelow(4); J < Len; ++J) {
+      formula::AtomId X = static_cast<formula::AtomId>(Rng.nextBelow(6));
+      Lits.push_back(Rng.chance(1, 3) ? formula::Lit::neg(X)
+                                      : formula::Lit::pos(X));
+    }
+    if (auto C = formula::Cube::make(std::move(Lits)))
+      Cubes.push_back(std::move(*C));
+  }
+  return formula::Dnf::fromCubes(std::move(Cubes));
+}
+formula::AtomEval evalOfMask(unsigned Mask) {
+  return [Mask](formula::AtomId X) { return X < 6 && ((Mask >> X) & 1); };
+}
+
+TEST(BackwardStep, SoftCapPruneUnderApproximatesAndKeepsJointWitness) {
+  // A product of two random formulas, pruned to 2 cubes under a frame
+  // over atom 7, which every mask reads false: the frame !a7 holds at the
+  // witness, so a satisfied cube must survive; under the frame a7 none
+  // holds, and the prune keeps the 2 shortest.
+  Prng Rng(0xCA99);
+  size_t Pruned = 0;
+  for (int Round = 0; Round < 500; ++Round) {
+    formula::Dnf A = randomSmallDnf(Rng), B = randomSmallDnf(Rng);
+    std::optional<unsigned> Witness;
+    for (unsigned Mask = 0; Mask < 64 && !Witness; ++Mask)
+      if (A.eval(evalOfMask(Mask)) && B.eval(evalOfMask(Mask)))
+        Witness = Mask;
+    if (!Witness)
+      continue;
+    for (bool FrameHolds : {true, false}) {
+      formula::Lit FrameLit =
+          FrameHolds ? formula::Lit::neg(7) : formula::Lit::pos(7);
+      formula::Cube Frame = *formula::Cube::make({FrameLit});
+      support::InvariantSink Sink;
+      std::vector<formula::Cube> Cubes =
+          formula::Dnf::product(A, B).takeCubes();
+      Pruned += Cubes.size() > 2;
+      meta::pruneToSoftCap(Cubes, 2, Frame, evalOfMask(*Witness), &Sink);
+      ASSERT_LE(Cubes.size(), 2u);
+      EXPECT_EQ(Sink.count(), 0u);
+      // The kept cubes stand for themselves under the frame, which no
+      // cube mentions: they under-approximate A /\ B, and keep the
+      // witness whenever the frame holds there.
+      formula::Dnf P = formula::Dnf::fromCubes(std::move(Cubes));
+      for (unsigned Mask = 0; Mask < 64; ++Mask) {
+        if (P.eval(evalOfMask(Mask))) {
+          ASSERT_TRUE(A.eval(evalOfMask(Mask)) && B.eval(evalOfMask(Mask)));
+        }
+      }
+      if (FrameHolds) {
+        EXPECT_TRUE(P.eval(evalOfMask(*Witness))) << "round " << Round;
+      }
+    }
+  }
+  EXPECT_GT(Pruned, 0u);
 }
 
 } // namespace

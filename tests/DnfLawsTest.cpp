@@ -3,10 +3,10 @@
 // Property sweeps over randomly generated formulas validating the laws the
 // meta-analysis relies on: simplify preserves meaning and is idempotent;
 // dropk under-approximates while keeping the current point (the two
-// conditions §4 requires of approx); soft-capped products under-
-// approximate the true conjunction and are exact when under the cap; and
-// sortBySize, which sorts keys, orders and deduplicates exactly as a sort
-// of the cubes themselves does.
+// conditions §4 requires of approx); products are the exact conjunction;
+// and sortBySize, which sorts keys, orders and deduplicates exactly as a
+// sort of the cubes themselves does. The backward step's soft-cap prune is
+// checked in BackwardTest.
 //
 //===----------------------------------------------------------------------===//
 
@@ -94,39 +94,14 @@ TEST_P(DnfLaws, DropKIsAnUnderApproximationKeepingTheWitness) {
 
 TEST_P(DnfLaws, UncappedProductIsExactConjunction) {
   Prng Rng(GetParam() ^ 0xF00D);
-  AtomEval Unused;
   for (int Round = 0; Round < 100; ++Round) {
     Dnf A = randomDnf(Rng, 6);
     Dnf B = randomDnf(Rng, 6);
-    Dnf P = Dnf::product(A, B, 0, Unused);
+    Dnf P = Dnf::product(A, B);
     for (unsigned Mask = 0; Mask < (1u << NumAtoms); ++Mask) {
       AtomEval E = evalOfMask(Mask);
       ASSERT_EQ(P.eval(E), A.eval(E) && B.eval(E)) << "round " << Round;
     }
-  }
-}
-
-TEST_P(DnfLaws, CappedProductUnderApproximatesAndKeepsJointWitness) {
-  Prng Rng(GetParam() ^ 0xCA99);
-  for (int Round = 0; Round < 100; ++Round) {
-    Dnf A = randomDnf(Rng, 6);
-    Dnf B = randomDnf(Rng, 6);
-    // Find a mask satisfying both.
-    std::optional<unsigned> Witness;
-    for (unsigned Mask = 0; Mask < (1u << NumAtoms); ++Mask)
-      if (A.eval(evalOfMask(Mask)) && B.eval(evalOfMask(Mask))) {
-        Witness = Mask;
-        break;
-      }
-    if (!Witness)
-      continue;
-    Dnf P = Dnf::product(A, B, /*SoftCap=*/2, evalOfMask(*Witness));
-    for (unsigned Mask = 0; Mask < (1u << NumAtoms); ++Mask) {
-      if (P.eval(evalOfMask(Mask))) {
-        ASSERT_TRUE(A.eval(evalOfMask(Mask)) && B.eval(evalOfMask(Mask)));
-      }
-    }
-    EXPECT_TRUE(P.eval(evalOfMask(*Witness)));
   }
 }
 
@@ -194,8 +169,9 @@ TEST_P(DnfLaws, SortBySizeMatchesTheCubeSortOracle) {
           << "round " << Round << " cube " << I;
     }
     EXPECT_TRUE(Got.isSortedBySize());
-    if (Got.size() < Cubes.size())
+    if (Got.size() < Cubes.size()) {
       EXPECT_FALSE(Dnf::fromCubes(Cubes).isSortedBySize());
+    }
   }
 }
 
@@ -225,7 +201,6 @@ TEST_P(CubeOrderingSweep, ConjoinAndProductKeepLiteralsSorted) {
   // future conjoin change cannot silently break signature() and the
   // sorted-merge subsumption checks downstream.
   Prng Rng(GetParam() ^ 0x0D9E);
-  AtomEval Unused;
   for (int Round = 0; Round < 200; ++Round) {
     Dnf A = randomDnf(Rng, 6);
     Dnf B = randomDnf(Rng, 6);
@@ -237,7 +212,7 @@ TEST_P(CubeOrderingSweep, ConjoinAndProductKeepLiteralsSorted) {
     if (Joined) {
       ASSERT_TRUE(cubeIsCanonical(*Joined));
     }
-    Dnf P = Dnf::product(A, B, 0, Unused);
+    Dnf P = Dnf::product(A, B);
     for (const Cube &C : P.cubes())
       ASSERT_TRUE(cubeIsCanonical(C)) << "round " << Round;
   }

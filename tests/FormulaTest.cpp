@@ -146,8 +146,7 @@ TEST(Dnf, ProductDistributes) {
       Dnf::fromCubes({*Cube::make({Lit::pos(1)}), *Cube::make({Lit::pos(2)})});
   Dnf CNotA =
       Dnf::fromCubes({*Cube::make({Lit::pos(3)}), *Cube::make({Lit::neg(1)})});
-  AtomEval Unused;
-  Dnf Prod = Dnf::product(AB, CNotA, 0, Unused);
+  Dnf Prod = Dnf::product(AB, CNotA);
   EXPECT_EQ(Prod.size(), 3u);
   for (unsigned Mask = 0; Mask < 16; ++Mask) {
     AtomEval E = [Mask](AtomId A) { return A < 4 && (Mask >> A) & 1; };
@@ -221,9 +220,8 @@ Dnf referenceToDnf(const Formula &F) {
   }
   case Formula::Kind::And: {
     Dnf Result = Dnf::constTrue();
-    AtomEval Unused;
     for (const Formula &Kid : F.children())
-      Result = Dnf::product(Result, referenceToDnf(Kid), 0, Unused);
+      Result = Dnf::product(Result, referenceToDnf(Kid));
     Result.sortBySize();
     Result.simplify();
     return Result;
