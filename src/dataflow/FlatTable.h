@@ -10,10 +10,10 @@
 /// of 32-bit entry ids probed linearly; the owner keeps the entries
 /// themselves densely, in insertion order, and answers equality through a
 /// callback, so a slot costs four bytes whatever the entry type.
-/// FlatTable<V> is a uint64_t-keyed map on top of it (the tabulation and
-/// transfer memos); StateInterner uses SlotIndex directly, keyed by the
-/// client's state hash. TripleSet is the witness search's cycle check: a
-/// set of statement/state triples with erase, reused across searches.
+/// FlatTable<V> is a uint64_t-keyed map on top of it (the tabulation);
+/// StateInterner uses SlotIndex directly, keyed by the client's state
+/// hash. TripleSet is the witness search's cycle check: a set of
+/// statement/state triples with erase, reused across searches.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -41,6 +41,17 @@
 /// tabulating its callee's body per entry state, with chaotic iteration to
 /// a global fixpoint, so the analysis is fully context-sensitive).
 ///
+/// One round evaluates every demanded (statement, entry) key once and
+/// reads a key again only after its evaluation has finished, unless the
+/// key is still on the evaluation stack: a recursion cut, which only
+/// recursion through Invoke causes, reads the value so far. A round without
+/// a cut built every value from finished values alone, so it reached the
+/// least fixpoint and run() stops; after a round with a cut, rounds repeat
+/// until one changes nothing. A client command's atom cell holds its one
+/// transfer output, a function of (command, entry state) only: a filled
+/// cell is final, later rounds do not evaluate it again, and it is the
+/// run's only transfer memo.
+///
 /// Because the analysis is disjunctive, Lemma 1 applies: every abstract
 /// state reaching a check site is witnessed by a single trace whose
 /// per-command semantics is deterministic. extractWitnesses() reconstructs
@@ -48,20 +59,19 @@
 /// points, for the backward meta-analysis.
 ///
 /// The witness search is a depth-first walk of the statement tree guided
-/// by the tabulated values, and it only reads the finished run: transfers
-/// come from the transfer memo (a pair the fixpoint never met is computed
-/// and looked up, never interned), so extraction neither interns a state
-/// nor memoises a transfer, and a cached or snapshotted run is the same
-/// before and after it. The search's mutable parts - the two cycle stacks
-/// and the reachable-set frames - live in a caller-owned Scratch reused
-/// across extractions. Given an ir::CheckReach, the search skips every
-/// subtree that cannot reach the check, and a Seq computes its children's
-/// reachable sets once, only up to the last child that can reach it.
-/// None of this changes which witness is found: the order of the search,
-/// Choice rotation included, is that of the plain walk. The states along
-/// a witness are read by reference (statesOf()), so the backward pass
-/// copies none; replay() remains as a copying helper for tests and
-/// examples.
+/// by the tabulated values, and it only reads the finished run: each step
+/// of a witness is read from its command's atom cell (ir::Program::atomOf),
+/// so extraction neither interns a state nor fills a cell, and a cached or
+/// snapshotted run is the same before and after it. The search's mutable
+/// parts - the two cycle stacks and the reachable-set frames - live in a
+/// caller-owned Scratch reused across extractions. Given an ir::CheckReach,
+/// the search skips every subtree that cannot reach the check, and a Seq
+/// computes its children's reachable sets once, only up to the last child
+/// that can reach it. None of this changes which witness is found: the
+/// order of the search, Choice rotation included, is that of the plain
+/// walk. The states along a witness are read by reference (statesOf()),
+/// so the backward pass copies none; replay() remains as a copying helper
+/// for tests and examples.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -91,12 +101,46 @@ namespace dataflow {
 /// A set of interned states, kept sorted and duplicate-free.
 using StateSet = std::vector<StateId>;
 
+/// State sets lent to the levels of a recursive walk and reused across
+/// walks: a level takes cleared sets on entry and gives them back when it
+/// returns. A deque, so a level's sets stay put while deeper levels take
+/// theirs.
+class SetStack {
+public:
+  class Level {
+  public:
+    Level(SetStack &Stack, size_t N) : Stack(Stack) {
+      if (Stack.Depth == Stack.Levels.size())
+        Stack.Levels.emplace_back();
+      Sets = &Stack.Levels[Stack.Depth];
+      if (Sets->size() < N)
+        Sets->resize(N);
+      for (size_t I = 0; I < N; ++I)
+        (*Sets)[I].clear();
+      ++Stack.Depth; // last, so a throw above leaves the depth as it was
+    }
+    ~Level() { --Stack.Depth; }
+    Level(const Level &) = delete;
+    Level &operator=(const Level &) = delete;
+    StateSet &operator[](size_t I) { return (*Sets)[I]; }
+    const std::vector<StateSet> &sets() const { return *Sets; }
+
+  private:
+    SetStack &Stack;
+    std::vector<StateSet> *Sets;
+  };
+
+private:
+  std::deque<std::vector<StateSet>> Levels;
+  size_t Depth = 0;
+};
+
 /// Statistics of one forward run, reported by the benchmark harnesses.
 struct ForwardStats {
   size_t NumStates = 0;   ///< distinct abstract states interned
   size_t NumPairs = 0;    ///< tabulated (statement, entry-state) pairs
-  size_t NumVisits = 0;   ///< visit() evaluations across all rounds
-  size_t NumRounds = 0;   ///< outer chaotic-iteration rounds
+  size_t NumVisits = 0;   ///< key evaluations; atom cells evaluate once
+  size_t NumRounds = 0;   ///< outer rounds: 1 unless a recursion cut fired
 };
 
 namespace detail {
@@ -140,13 +184,15 @@ public:
     Exhaustion.reset();
     InitId = Interner.intern(Init);
     ir::StmtId Root = P.proc(P.main()).Body;
+    // A round without a cut is exact (see the file comment).
     do {
-      Changed = false;
+      Changed = Cut = false;
       ++Round; // invalidates every cell's RoundSeen mark at once
       ++Stats.NumRounds;
       visit(Root, InitId);
-    } while (Changed && !Exhaustion);
+    } while (Changed && Cut && !Exhaustion);
     Gate = nullptr;
+    Pool = SetStack(); // a cached run keeps no scratch
     if (support::metricsEnabled()) {
       auto &Reg = support::MetricRegistry::global();
       static auto &Rounds = Reg.histogram("optabs_forward_fixpoint_rounds");
@@ -201,10 +247,7 @@ public:
   class Scratch {
     friend class ForwardAnalysis;
     TripleSet PrefixStack, ThroughStack;
-    /// One vector of sets per active search level; a deque, so a level's
-    /// sets stay put while deeper levels take theirs.
-    std::deque<std::vector<StateSet>> Levels;
-    size_t Depth = 0;
+    SetStack Levels; ///< the reachable-set frames
   };
 
   /// Extracts up to \p MaxCount *distinct* counterexample witnesses along
@@ -309,16 +352,6 @@ public:
     return Found ? Found->Set : Empty;
   }
 
-  /// The output of client command \p Cmd on \p In, read from the
-  /// transfer memo. Read-only: a pair the fixpoint never met is computed
-  /// afresh and looked up without interning, so the answer is nullopt
-  /// when its output is a state the run never reached.
-  std::optional<StateId> transfer(ir::CommandId Cmd, StateId In) const {
-    if (const StateId *Memo = TransferMemo.find(memoKey(Cmd, In)))
-      return *Memo;
-    return Interner.find(transferState(Cmd, In));
-  }
-
   const ForwardStats &stats() const {
     Stats.NumStates = Interner.size();
     Stats.NumPairs = Values.size();
@@ -335,31 +368,22 @@ public:
   /// exhaustion state is not part of the format; loadFrom() yields a
   /// non-exhausted run.
   template <typename SinkT> void saveTo(SinkT &S) const {
-    S.u64(Round);
     S.u32(static_cast<uint32_t>(Interner.size()));
     for (StateId Id = 0; Id < Interner.size(); ++Id)
       S.state(Interner.state(Id));
     S.u32(InitId);
-    auto SortedByKey = [](const auto &Table) {
-      std::vector<const typename std::decay_t<decltype(Table)>::Entry *> Es;
-      Es.reserve(Table.size());
-      for (const auto &E : Table.entries())
-        Es.push_back(&E);
-      std::sort(Es.begin(), Es.end(),
-                [](const auto *A, const auto *B) { return A->K < B->K; });
-      return Es;
-    };
+    std::vector<const typename FlatTable<Cell>::Entry *> SortedValues;
+    SortedValues.reserve(Values.size());
+    for (const auto &E : Values.entries())
+      SortedValues.push_back(&E);
+    std::sort(SortedValues.begin(), SortedValues.end(),
+              [](const auto *A, const auto *B) { return A->K < B->K; });
     S.u32(static_cast<uint32_t>(Values.size()));
-    for (const auto *E : SortedByKey(Values)) {
+    for (const auto *E : SortedValues) {
       S.u64(E->K);
       S.u32(static_cast<uint32_t>(E->Value.Set.size()));
       for (StateId Id : E->Value.Set)
         S.u32(Id);
-    }
-    S.u32(static_cast<uint32_t>(TransferMemo.size()));
-    for (const auto *E : SortedByKey(TransferMemo)) {
-      S.u64(E->K);
-      S.u32(E->Value);
     }
     std::vector<uint32_t> Checks;
     Checks.reserve(CheckStates.size());
@@ -385,7 +409,7 @@ public:
   /// load must be discarded; nothing about it is usable.
   template <typename SourceT> bool loadFrom(SourceT &S) {
     uint32_t NumStates = 0;
-    if (!S.u64(Round) || !S.u32(NumStates))
+    if (!S.u32(NumStates))
       return false;
     for (uint32_t I = 0; I < NumStates; ++I) {
       State St;
@@ -444,20 +468,6 @@ public:
         return false;
       Values.insert(K, std::move(C));
     }
-    uint32_t NumMemo = 0;
-    if (!S.u32(NumMemo))
-      return false;
-    for (uint32_t I = 0; I < NumMemo; ++I) {
-      uint64_t K = 0;
-      uint32_t Out = 0;
-      if (!S.u64(K) || !S.u32(Out))
-        return false;
-      if (!ValidId(Out)) {
-        S.fail("transfer memo output id out of range");
-        return false;
-      }
-      TransferMemo.insert(K, Out);
-    }
     uint32_t NumChecks = 0;
     if (!S.u32(NumChecks))
       return false;
@@ -472,11 +482,10 @@ public:
   }
 
   /// Approximate heap footprint of this run: interned states plus the
-  /// tabulation/memo tables. Feeds the forward-run cache's resident-bytes
-  /// gauge; an estimate, not exact accounting.
+  /// tabulation. Feeds the forward-run cache's resident-bytes gauge; an
+  /// estimate, not exact accounting.
   size_t approxMemoryBytes() const {
-    size_t Bytes = Interner.approxBytes() + Values.approxBytes() +
-                   TransferMemo.approxBytes();
+    size_t Bytes = Interner.approxBytes() + Values.approxBytes();
     for (const auto &E : Values.entries())
       Bytes += E.Value.Set.capacity() * sizeof(StateId);
     for (const auto &KV : CheckStates)
@@ -503,10 +512,6 @@ private:
     bool OnStack = false;   ///< currently on the evaluation stack
   };
 
-  static Key memoKey(ir::CommandId Cmd, StateId In) {
-    return (static_cast<uint64_t>(Cmd.index()) << 32) | In;
-  }
-
   /// The client transfer of \p Cmd on \p In, pruned to the command's
   /// live-out variables when the engine has a liveness table.
   State transferState(ir::CommandId Cmd, StateId In) const {
@@ -521,15 +526,10 @@ private:
     return OutState;
   }
 
-  /// Applies the client transfer for a single command on a single state,
-  /// memoized.
+  /// Applies the client transfer for a single command on a single state
+  /// and interns its output.
   StateId applyCommand(ir::CommandId Cmd, StateId In) {
-    Key K = memoKey(Cmd, In);
-    if (const StateId *Memo = TransferMemo.find(K))
-      return *Memo;
-    StateId Out = Interner.intern(transferState(Cmd, In));
-    TransferMemo.insert(K, Out);
-    return Out;
+    return Interner.intern(transferState(Cmd, In));
   }
 
   static void addState(StateSet &Set, StateId Id) {
@@ -545,13 +545,22 @@ private:
   /// Evaluates F_p[S]({In}) under the current table, updating the table
   /// monotonically. Within one outer round each key is evaluated once;
   /// recursion through Invoke is broken by returning the current value for
-  /// keys already on the evaluation stack, with the outer rounds restoring
-  /// the fixpoint. The returned reference points into Values and stays
-  /// valid only until the next insert into Values (the next visit()).
+  /// keys already on the evaluation stack (a cut, recorded in Cut), with
+  /// the outer rounds restoring the fixpoint. The returned reference points
+  /// into Values and stays valid only until the next insert into Values
+  /// (the next visit()).
   const StateSet &visit(ir::StmtId S, StateId In) {
     auto [Idx, Inserted] = Values.insert(makeKey(S, In));
     Cell &Slot = Values.at(Idx);
-    if (!Inserted && (Slot.RoundSeen == Round || Slot.OnStack))
+    if (!Inserted && Slot.RoundSeen == Round) {
+      Cut |= Slot.OnStack;
+      return Slot.Set;
+    }
+    const ir::Stmt &Node = P.stmt(S);
+    bool IsTransfer = Node.Kind == ir::StmtKind::Atom &&
+                      P.command(Node.Cmd).Kind != ir::CmdKind::Invoke;
+    // A client command's filled cell is its one, final transfer output.
+    if (IsTransfer && !Slot.Set.empty())
       return Slot.Set;
     if (Gate && !Gate->charge()) {
       // Budget exhausted: refuse the evaluation (the key stays unmarked and
@@ -562,15 +571,29 @@ private:
       return Slot.Set;
     }
     Slot.RoundSeen = Round;
-    Slot.OnStack = true;
     ++Stats.NumVisits;
-
-    StateSet Fresh = evaluate(S, In);
-
+    if (IsTransfer) {
+      const ir::Command &Cmd = P.command(Node.Cmd);
+      if (Cmd.Kind == ir::CmdKind::Check)
+        addState(CheckStates[Cmd.Check.index()], In);
+      // Interning touches no cell, so Slot is still valid.
+      Slot.Set.push_back(applyCommand(Node.Cmd, In));
+      Changed = true;
+      return Slot.Set;
+    }
+    Slot.OnStack = true;
+    SetStack::Level Sets(Pool, 2);
+    evaluate(Node, In, Sets);
+    const StateSet &Fresh = Sets[0];
     // evaluate() visits other keys, whose inserts may move every cell:
     // re-fetch the cell by its stable dense index instead of trusting Slot.
     Cell &Stored = Values.at(Idx);
     Stored.OnStack = false;
+    if (Stored.Set.empty()) {
+      Changed |= !Fresh.empty();
+      Stored.Set = Fresh;
+      return Stored.Set;
+    }
     for (StateId Id : Fresh) {
       if (!contains(Stored.Set, Id)) {
         addState(Stored.Set, Id);
@@ -580,60 +603,57 @@ private:
     return Stored.Set;
   }
 
-  StateSet evaluate(ir::StmtId S, StateId In) {
-    const ir::Stmt &Node = P.stmt(S);
+  /// Writes F_p[Node]({In}) for a composite statement or an Invoke atom
+  /// into Sets[0], using Sets[1] as a buffer; visit() evaluates client
+  /// commands itself.
+  void evaluate(const ir::Stmt &Node, StateId In, SetStack::Level &Sets) {
+    StateSet &Out = Sets[0];
     switch (Node.Kind) {
-    case ir::StmtKind::Atom: {
-      const ir::Command &Cmd = P.command(Node.Cmd);
-      if (Cmd.Kind == ir::CmdKind::Invoke) {
-        // Tabulate the callee: F_p[invoke q]({In}) = F_p[body(q)]({In}).
-        return visit(P.proc(Cmd.Callee).Body, In);
-      }
-      if (Cmd.Kind == ir::CmdKind::Check)
-        addState(CheckStates[Cmd.Check.index()], In);
-      return {applyCommand(Node.Cmd, In)};
-    }
+    case ir::StmtKind::Atom:
+      // Tabulate the callee: F_p[invoke q]({In}) = F_p[body(q)]({In}).
+      Out = visit(P.proc(P.command(Node.Cmd).Callee).Body, In);
+      return;
     case ir::StmtKind::Seq: {
-      StateSet Cur{In};
+      // Out holds the states before each child in turn.
+      Out.push_back(In);
+      StateSet &Next = Sets[1];
       for (ir::StmtId Child : Node.Children) {
-        StateSet Next;
-        for (StateId Id : Cur)
-          for (StateId Out : visit(Child, Id))
-            addState(Next, Out);
-        Cur = std::move(Next);
-        if (Cur.empty())
+        Next.clear();
+        for (StateId Id : Out)
+          for (StateId Succ : visit(Child, Id))
+            addState(Next, Succ);
+        Out.swap(Next);
+        if (Out.empty())
           break;
       }
-      return Cur;
+      return;
     }
-    case ir::StmtKind::Choice: {
-      StateSet Result;
+    case ir::StmtKind::Choice:
       for (ir::StmtId Child : Node.Children)
-        for (StateId Out : visit(Child, In))
-          addState(Result, Out);
-      return Result;
-    }
+        for (StateId Succ : visit(Child, In))
+          addState(Out, Succ);
+      return;
     case ir::StmtKind::Star: {
       // leastFix lam D0. {In} u F_p[child](D0), iterated locally; stale
       // child values within this round are repaired by the outer rounds.
-      StateSet D{In};
+      Out.push_back(In);
+      StateSet &Snapshot = Sets[1];
       bool Grew = true;
       while (Grew) {
         Grew = false;
-        StateSet Snapshot = D;
+        Snapshot = Out;
         for (StateId Id : Snapshot) {
-          for (StateId Out : visit(Node.Children[0], Id)) {
-            if (!contains(D, Out)) {
-              addState(D, Out);
+          for (StateId Succ : visit(Node.Children[0], Id)) {
+            if (!contains(Out, Succ)) {
+              addState(Out, Succ);
               Grew = true;
             }
           }
         }
       }
-      return D;
+      return;
     }
     }
-    return {};
   }
 
   //===--------------------------------------------------------------------===
@@ -641,16 +661,16 @@ private:
   //===--------------------------------------------------------------------===
 
   /// The state ids along \p T from the initial state, each step read
-  /// from the transfer memo.
+  /// from its command's atom cell.
   std::vector<StateId> statesAlong(const ir::Trace &T) const {
     std::vector<StateId> Ids;
     Ids.reserve(T.size() + 1);
     Ids.push_back(InitId);
     for (ir::CommandId Cmd : T) {
       // The search accepted every step of T on exactly these ids.
-      std::optional<StateId> Next = transfer(Cmd, Ids.back());
-      assert(Next && "a witness step left the run's states");
-      Ids.push_back(*Next);
+      const StateSet &Next = value(P.atomOf(Cmd), Ids.back());
+      assert(Next.size() == 1 && "a witness step left the run's cells");
+      Ids.push_back(Next.front());
     }
     return Ids;
   }
@@ -680,30 +700,7 @@ private:
     }
 
   private:
-    /// Cleared sets taken from the scratch for one search level and given
-    /// back when the level returns.
-    class Level {
-    public:
-      Level(Scratch &W, size_t N) : W(W) {
-        if (W.Depth == W.Levels.size())
-          W.Levels.emplace_back();
-        Sets = &W.Levels[W.Depth];
-        if (Sets->size() < N)
-          Sets->resize(N);
-        for (size_t I = 0; I < N; ++I)
-          (*Sets)[I].clear();
-        ++W.Depth; // last, so a throw above leaves the depth as it was
-      }
-      ~Level() { --W.Depth; }
-      Level(const Level &) = delete;
-      Level &operator=(const Level &) = delete;
-      StateSet &operator[](size_t I) { return (*Sets)[I]; }
-      const std::vector<StateSet> &sets() const { return *Sets; }
-
-    private:
-      Scratch &W;
-      std::vector<StateSet> *Sets;
-    };
+    using Level = SetStack::Level;
 
     bool mayReach(ir::StmtId S) const {
       return !F.MayReach || F.MayReach->reaches(S, Check);
@@ -741,8 +738,7 @@ private:
         const ir::Command &Cmd = P.command(Node.Cmd);
         if (Cmd.Kind == ir::CmdKind::Invoke)
           return findThrough(P.proc(Cmd.Callee).Body, In, Out, T);
-        if (F.transfer(Node.Cmd, In) != Out)
-          return false;
+        // findThrough() found Out in this atom's cell, its one output.
         T.push_back(Node.Cmd);
         return true;
       }
@@ -751,7 +747,7 @@ private:
         if (N == 0)
           return In == Out;
         // Forward-propagate reachable sets to prune the backward choice.
-        Level Reach(W, N + 1);
+        Level Reach(W.Levels, N + 1);
         reachBefore(Node.Children, N + 1, In, Reach);
         if (!contains(Reach[N], Out))
           return false;
@@ -769,7 +765,7 @@ private:
         return false;
       }
       case ir::StmtKind::Star: {
-        Level OnPath(W, 1);
+        Level OnPath(W.Levels, 1);
         OnPath[0].push_back(In);
         return starSearch(Node.Children[0], In, Out, OnPath[0], T);
       }
@@ -849,7 +845,7 @@ private:
           --N;
         if (N == 0)
           return false;
-        Level Reach(W, N);
+        Level Reach(W.Levels, N);
         reachBefore(Children, N, In, Reach);
         for (size_t I = 0; I < N; ++I) {
           if (!mayReach(Children[I]))
@@ -893,7 +889,7 @@ private:
         // then take a prefix of the body from X. Sets[0] is the star
         // closure of In, Sets[1] its worklist, Sets[2] a star path.
         ir::StmtId Body = Node.Children[0];
-        Level Sets(W, 3);
+        Level Sets(W.Levels, 3);
         StateSet &Reachable = Sets[0];
         StateSet &Work = Sets[1];
         Reachable.push_back(In);
@@ -948,10 +944,11 @@ private:
   StateId InitId = 0;
 
   FlatTable<Cell> Values;
-  FlatTable<StateId> TransferMemo;
   std::unordered_map<uint32_t, StateSet> CheckStates;
   uint64_t Round = 0;
   bool Changed = false;
+  bool Cut = false; ///< this round read a key still on the stack
+  SetStack Pool; ///< evaluate()'s sets; emptied after run()
   support::BudgetGate *Gate = nullptr;
   std::optional<support::Exhausted> Exhaustion;
 

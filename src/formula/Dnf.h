@@ -293,9 +293,6 @@ public:
   /// form without copying them.
   std::vector<Cube> takeCubes() { return std::move(Cubes); }
 
-  /// Capacity hint for cube-producing loops (orWith, product callers).
-  void reserve(size_t N) { Cubes.reserve(N); }
-
   bool eval(const AtomEval &Eval) const {
     for (const Cube &C : Cubes)
       if (C.eval(Eval))

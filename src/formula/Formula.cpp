@@ -196,7 +196,9 @@ std::string Formula::toString(
     return "false";
   case Kind::Literal: {
     Lit L = literal();
-    return (L.isNeg() ? "!" : "") + AtomName(L.atom());
+    std::string S(L.isNeg() ? "!" : "");
+    S += AtomName(L.atom());
+    return S;
   }
   case Kind::And:
   case Kind::Or: {

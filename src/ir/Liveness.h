@@ -11,7 +11,7 @@
 /// to forget dead local variables from abstract states before interning
 /// them (dataflow/Forward.h): states that differ only in dead variables
 /// collapse to one interned id, shrinking the disjunctive state sets, the
-/// transfer memo, and every downstream trace.
+/// tabulation, and every downstream trace.
 ///
 /// The use/def table is the union over both client analyses (type-state,
 /// thread-escape) of which variable components of the abstract state each

@@ -211,6 +211,10 @@ StmtId Program::stmtAtom(CommandId C) {
   S.Kind = StmtKind::Atom;
   S.Cmd = C;
   Stmts.push_back(std::move(S));
+  if (CmdAtoms.size() <= C.index())
+    CmdAtoms.resize(C.index() + 1);
+  assert(!CmdAtoms[C.index()].isValid() && "command already has an atom");
+  CmdAtoms[C.index()] = Id;
   return Id;
 }
 

@@ -106,6 +106,9 @@ public:
   // Statement builders.
   //===--------------------------------------------------------------------===
 
+  /// The atom statement of \p C. A command belongs to at most one atom
+  /// (asserted), which the parser and the generator guarantee by making a
+  /// fresh command for every atom.
   StmtId stmtAtom(CommandId C);
   StmtId stmtSeq(std::vector<StmtId> Children);
   StmtId stmtChoice(std::vector<StmtId> Children);
@@ -129,6 +132,11 @@ public:
   const Stmt &stmt(StmtId S) const {
     assert(S.index() < Stmts.size());
     return Stmts[S.index()];
+  }
+  /// The atom statement made for \p C by stmtAtom(); invalid when none
+  /// was.
+  StmtId atomOf(CommandId C) const {
+    return C.index() < CmdAtoms.size() ? CmdAtoms[C.index()] : StmtId();
   }
   const Procedure &proc(ProcId P) const {
     assert(P.index() < Procs.size());
@@ -188,6 +196,7 @@ private:
       AllocIndex, MethodIndex, ProcIndex, SymbolIndex;
   std::vector<Command> Commands;
   std::vector<Stmt> Stmts;
+  std::vector<StmtId> CmdAtoms; ///< by command; see atomOf()
   std::vector<Procedure> Procs;
   std::vector<CheckSite> Checks;
   ProcId Main;

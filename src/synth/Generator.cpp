@@ -30,6 +30,14 @@ bool isResidueFree(UnitKind K) {
          K == UnitKind::EscConfuser;
 }
 
+/// \p Prefix followed by the decimal digits of \p N. Built by append:
+/// GCC 12 raises a false -Wrestrict on `"literal" + std::string` at -O3.
+std::string numbered(const char *Prefix, unsigned N) {
+  std::string S(Prefix);
+  S += std::to_string(N);
+  return S;
+}
+
 class GeneratorImpl {
 public:
   GeneratorImpl(Benchmark &B) : B(B), P(B.P), Rng(B.Config.Seed) {}
@@ -44,7 +52,7 @@ public:
     // Library procedures: noise only, shared by all application procs.
     std::vector<ProcId> Libs;
     for (unsigned I = 0; I < C.LibProcs; ++I) {
-      ProcId Proc = P.makeProc("lib" + std::to_string(I));
+      ProcId Proc = P.makeProc(numbered("lib", I));
       CurProc = Proc;
       std::vector<StmtId> Body;
       for (unsigned U = 0; U < C.UnitsPerLibProc; ++U)
@@ -57,7 +65,7 @@ public:
     // queries sit at increasing call depth.
     std::vector<ProcId> Apps;
     for (unsigned I = 0; I < C.AppProcs; ++I)
-      Apps.push_back(P.makeProc("app" + std::to_string(I)));
+      Apps.push_back(P.makeProc(numbered("app", I)));
     for (unsigned I = 0; I < C.AppProcs; ++I) {
       CurProc = Apps[I];
       std::vector<StmtId> Body;
@@ -83,7 +91,7 @@ public:
 private:
   //===--- naming -----------------------------------------------------------===
 
-  std::string uid() { return "u" + std::to_string(UnitCounter); }
+  std::string uid() { return numbered("u", UnitCounter); }
   VarId var(const std::string &Suffix) {
     return P.makeVar(uid() + "_" + Suffix);
   }
@@ -200,7 +208,7 @@ private:
     AllocId H = site("h");
     std::vector<VarId> Xs;
     for (unsigned I = 0; I <= Len; ++I)
-      Xs.push_back(var("x" + std::to_string(I)));
+      Xs.push_back(var(numbered("x", I)));
 
     std::vector<StmtId> Out;
     emit(Out, P.cmdNew(Xs[0], H));
@@ -302,12 +310,12 @@ private:
     std::vector<AllocId> Hs;
     std::vector<FieldId> Fs;
     for (unsigned I = 0; I <= Len; ++I) {
-      Vs.push_back(var("v" + std::to_string(I)));
-      Hs.push_back(site("h" + std::to_string(I)));
+      Vs.push_back(var(numbered("v", I)));
+      Hs.push_back(site(numbered("h", I)));
     }
     for (unsigned I = 1; I <= Len; ++I) {
-      Us.push_back(var("uu" + std::to_string(I)));
-      Fs.push_back(field("f" + std::to_string(I)));
+      Us.push_back(var(numbered("uu", I)));
+      Fs.push_back(field(numbered("f", I)));
     }
     std::vector<StmtId> Out;
     for (unsigned I = 0; I <= Len; ++I)
@@ -336,7 +344,7 @@ private:
     std::vector<StmtId> Branches;
     for (unsigned I = 0; I < Ways; ++I)
       Branches.push_back(
-          P.stmtAtom(P.cmdNew(V, site("h" + std::to_string(I)))));
+          P.stmtAtom(P.cmdNew(V, site(numbered("h", I)))));
     std::vector<StmtId> Out;
     Out.push_back(P.stmtChoice(std::move(Branches)));
     escCheck(Out, V); // cost = Ways

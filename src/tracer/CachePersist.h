@@ -55,8 +55,9 @@ namespace tracer {
 /// Snapshot format version. Bump on any layout change; readers reject
 /// other versions with a structured note (no cross-version migration:
 /// a version-skewed snapshot just means a cold start). Version 2 dropped
-/// the learned viable CNF from each stored verdict record.
-inline constexpr uint32_t SnapshotFormatVersion = 2;
+/// the learned viable CNF from each stored verdict record. Version 3
+/// dropped the transfer memo and the round counter from each run record.
+inline constexpr uint32_t SnapshotFormatVersion = 3;
 
 /// FNV-1a 64 over \p Len bytes, continuing from \p Seed (pass the default
 /// to start a fresh hash). The snapshot trailer checksum and spill-file

@@ -370,7 +370,7 @@ std::string scrubbedTrace(const std::string &Path) {
     size_t End = At + Key.size();
     while (End < S.size() && S[End] != ',' && S[End] != '}')
       ++End;
-    S.replace(At + Key.size(), End - (At + Key.size()), "0");
+    S.replace(At + Key.size(), End - (At + Key.size()), 1, '0');
   }
   return S;
 }

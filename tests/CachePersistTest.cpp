@@ -517,54 +517,60 @@ TEST(CachePersistTest, CorruptSnapshotIsSkippedWithANote) {
   EXPECT_TRUE(Named) << "no structured note names the damaged snapshot";
 }
 
-// Format version 2 dropped the viable CNF from stored verdicts. A
-// well-formed version-1 file (valid magic and checksum) must be refused
-// with the structured version note, and the service must start cold with
-// exactly the verdicts of a fresh run.
-TEST(CachePersistTest, VersionOneSnapshotIsRejectedAndStartsCold) {
-  TempDir Dir("v1");
-  {
+// Format version 2 dropped the viable CNF from stored verdicts, and
+// version 3 the transfer memo and the round counter from run records. A
+// well-formed file of an older version (valid magic and checksum) must be
+// refused with the structured version note, and the service must start
+// cold with exactly the verdicts of a fresh run.
+TEST(CachePersistTest, OlderVersionSnapshotsAreRejectedAndStartCold) {
+  for (uint8_t Version : {1, 2}) {
+    SCOPED_TRACE("format version " + std::to_string(Version));
+    TempDir Dir("v" + std::to_string(Version));
+    {
+      service::AnalysisService Svc(warmOptions(Dir.Path));
+      answerAllChecks(Svc, EscapeProgram);
+      ASSERT_TRUE(Svc.cacheOp("persist").Ok);
+    }
+    std::string Snap = onlySnapshotIn(Dir.Path);
+    ASSERT_FALSE(Snap.empty());
+    std::string Bytes = slurp(Snap);
+    ASSERT_GT(Bytes.size(), 20u);
+    // Header: 8 magic bytes, then the u32 LE version; trailer: the u64 LE
+    // FNV-1a of everything before it.
+    ASSERT_EQ(static_cast<uint8_t>(Bytes[8]), tracer::SnapshotFormatVersion);
+    Bytes[8] = static_cast<char>(Version);
+    size_t Body = Bytes.size() - 8;
+    uint64_t Sum = tracer::snapshotHash(Bytes.data(), Body);
+    for (int I = 0; I < 8; ++I)
+      Bytes[Body + I] = static_cast<char>((Sum >> (8 * I)) & 0xff);
+    dump(Snap, Bytes);
+
+    Program P;
+    parseInto(EscapeProgram, P);
+    escape::EscapeAnalysis A(P);
+    tracer::QueryDriver<escape::EscapeAnalysis> Driver(P, A);
+    std::vector<tracer::QueryOutcome> Want =
+        Driver.run({CheckId(0), CheckId(1), CheckId(2)});
+
     service::AnalysisService Svc(warmOptions(Dir.Path));
-    answerAllChecks(Svc, EscapeProgram);
-    ASSERT_TRUE(Svc.cacheOp("persist").Ok);
+    std::vector<service::QueryResult> Got =
+        answerAllChecks(Svc, EscapeProgram);
+    ASSERT_EQ(Got.size(), Want.size());
+    for (size_t I = 0; I < Want.size(); ++I)
+      expectSameVerdict(Want[I], Got[I]);
+    EXPECT_GT(Svc.stats().ForwardRuns, 0u);
+    EXPECT_EQ(Svc.stats().VerdictsReplayed, 0u);
+
+    service::CacheOpResult R = Svc.cacheOp("load");
+    ASSERT_TRUE(R.Ok) << R.Error;
+    EXPECT_EQ(R.RunsLoaded + R.VerdictsLoaded, 0u);
+    std::string Note =
+        "unsupported format version " + std::to_string(Version);
+    bool Named = false;
+    for (const std::string &N : R.Notes)
+      Named = Named || N.find(Note) != std::string::npos;
+    EXPECT_TRUE(Named) << "no note names the unsupported version";
   }
-  std::string Snap = onlySnapshotIn(Dir.Path);
-  ASSERT_FALSE(Snap.empty());
-  std::string Bytes = slurp(Snap);
-  ASSERT_GT(Bytes.size(), 20u);
-  // Header: 8 magic bytes, then the u32 LE version; trailer: the u64 LE
-  // FNV-1a of everything before it.
-  ASSERT_EQ(static_cast<uint8_t>(Bytes[8]), tracer::SnapshotFormatVersion);
-  Bytes[8] = 1;
-  size_t Body = Bytes.size() - 8;
-  uint64_t Sum = tracer::snapshotHash(Bytes.data(), Body);
-  for (int I = 0; I < 8; ++I)
-    Bytes[Body + I] = static_cast<char>((Sum >> (8 * I)) & 0xff);
-  dump(Snap, Bytes);
-
-  Program P;
-  parseInto(EscapeProgram, P);
-  escape::EscapeAnalysis A(P);
-  tracer::QueryDriver<escape::EscapeAnalysis> Driver(P, A);
-  std::vector<tracer::QueryOutcome> Want =
-      Driver.run({CheckId(0), CheckId(1), CheckId(2)});
-
-  service::AnalysisService Svc(warmOptions(Dir.Path));
-  std::vector<service::QueryResult> Got = answerAllChecks(Svc, EscapeProgram);
-  ASSERT_EQ(Got.size(), Want.size());
-  for (size_t I = 0; I < Want.size(); ++I)
-    expectSameVerdict(Want[I], Got[I]);
-  EXPECT_GT(Svc.stats().ForwardRuns, 0u);
-  EXPECT_EQ(Svc.stats().VerdictsReplayed, 0u);
-
-  service::CacheOpResult R = Svc.cacheOp("load");
-  ASSERT_TRUE(R.Ok) << R.Error;
-  EXPECT_EQ(R.RunsLoaded + R.VerdictsLoaded, 0u);
-  bool Named = false;
-  for (const std::string &N : R.Notes)
-    Named = Named ||
-            N.find("unsupported format version 1") != std::string::npos;
-  EXPECT_TRUE(Named) << "no note names the unsupported version";
 }
 
 //===----------------------------------------------------------------------===//

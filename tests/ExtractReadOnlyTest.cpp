@@ -3,9 +3,9 @@
 // Forward runs are cached, snapshotted and shared by every query of an
 // abstraction, and the driver reads a witness's states from the run while
 // other witnesses are being extracted. So extraction must only read: it
-// may neither intern a state nor memoise a transfer. The first test pins
-// that through the run's serialised form, which holds every interned
-// state and every memo entry; the second runs extractions from two
+// may neither intern a state nor fill a cell. The first test pins that
+// through the run's serialised form, which holds every interned state and
+// every tabulated cell; the second runs extractions from two
 // threads on one run (a data race there fails under ThreadSanitizer) and
 // checks they agree with a single-threaded pass.
 //

@@ -264,14 +264,18 @@ TEST(Formula, ToDnfMatchesReferenceBytewise) {
 
 TEST(Formula, ToStringIsReadable) {
   Formula F = Formula::conj({Formula::atom(1), Formula::negAtom(2)});
-  auto Name = [](AtomId A) { return "a" + std::to_string(A); };
+  auto Name = [](AtomId A) {
+    return std::string("a").append(std::to_string(A));
+  };
   EXPECT_EQ(F.toString(Name), "(a1 /\\ !a2)");
 }
 
 TEST(Dnf, ToStringIsReadable) {
   Dnf D = Dnf::fromCubes(
       {*Cube::make({Lit::pos(1)}), *Cube::make({Lit::pos(2), Lit::neg(3)})});
-  auto Name = [](AtomId A) { return "a" + std::to_string(A); };
+  auto Name = [](AtomId A) {
+    return std::string("a").append(std::to_string(A));
+  };
   EXPECT_EQ(D.toString(Name), "a1 \\/ (a2 /\\ !a3)");
   EXPECT_EQ(Dnf::constTrue().toString(Name), "true");
   EXPECT_EQ(Dnf::constFalse().toString(Name), "false");

@@ -866,7 +866,7 @@ TEST(ShardRouterTest, StealMovesOnlyTheLiveJobsOfASessionWithRetiredOnes) {
   std::string Peer;
   for (int I = 0; Peer.empty() || R.shardFor("fig", Peer) != Victim; ++I) {
     ASSERT_LT(I, 64);
-    Peer = "p" + std::to_string(I);
+    Peer = std::string("p").append(std::to_string(I));
   }
   okResponse(run(R, openLine("a")));  // session 1
   okResponse(run(R, openLine(Peer))); // session 2
@@ -991,7 +991,8 @@ TEST(ShardRouterTest, BackoffDoublesToCapAndResetsAfterHealthyInterval) {
   // Eight rapid deaths: 100,200,400,800,1600,3200,5000,5000 (capped).
   for (int I = 0; I < 8; ++I) {
     Host.Live[0]->kill();
-    okResponse(run(R, openLine("c" + std::to_string(I))));
+    std::string Client = std::string("c").append(std::to_string(I));
+    okResponse(run(R, openLine(Client)));
   }
   ASSERT_EQ(Clock.Sleeps.size(), 8u);
   EXPECT_EQ(Clock.Sleeps,

@@ -2,13 +2,13 @@
 //
 // The witness search skips subtrees that cannot reach the check, shares a
 // Seq's reachable sets between its two legs, reuses its buffers across
-// extractions and reads states from the memo instead of replaying. None of
-// that may change which witness it finds: the backward pass and the beam
-// depend on the exact trace. This test keeps the plain depth-first search
-// the engine used before those changes as an oracle and checks, for both
-// clients, every failing state at every check and the Choice rotations the
-// driver tries, that the engine returns the identical traces and, along
-// each, the identical state sequence.
+// extractions and reads states from the atom cells instead of replaying.
+// None of that may change which witness it finds: the backward pass and
+// the beam depend on the exact trace. This test keeps the plain
+// depth-first search the engine used before those changes as an oracle
+// and checks, for both clients, every failing state at every check and the
+// Choice rotations the driver tries, that the engine returns the identical
+// traces and, along each, the identical state sequence.
 //
 //===----------------------------------------------------------------------===//
 
@@ -94,8 +94,7 @@ private:
       const ir::Command &Cmd = P.command(Node.Cmd);
       if (Cmd.Kind == ir::CmdKind::Invoke)
         return findThrough(P.proc(Cmd.Callee).Body, In, Out, T);
-      if (F.transfer(Node.Cmd, In) != Out)
-        return false;
+      // findThrough() found Out in this atom's value, {transfer(In)}.
       T.push_back(Node.Cmd);
       return true;
     }
