@@ -18,6 +18,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchArgs.h"
 #include "service/AnalysisService.h"
 #include "support/Timer.h"
 
@@ -114,7 +115,10 @@ Pass runPass(bool Warm) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  const std::string OutPath = Argc > 1 ? Argv[1] : "BENCH_incremental.json";
+  std::string OutPath = "BENCH_incremental.json";
+  if (std::optional<int> Exit = bench::parseOutputPath(
+          Argc, Argv, "bench_incremental [OUTPUT_JSON]", OutPath))
+    return *Exit;
 
   Pass Cold = runPass(/*Warm=*/false);
   Pass Warm = runPass(/*Warm=*/true);

@@ -14,6 +14,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchArgs.h"
 #include "reporting/Csv.h"
 #include "reporting/Harness.h"
 #include "support/TablePrinter.h"
@@ -55,11 +56,15 @@ void accumulate(Row &R, const ClientResults &C) {
 } // namespace
 
 int main(int Argc, char **Argv) {
+  std::string OutPath;
+  if (std::optional<int> Exit = bench::parseOutputPath(
+          Argc, Argv, "bench_parallel_scaling [out.csv]", OutPath))
+    return *Exit;
   std::ofstream Csv;
-  if (Argc > 1) {
-    Csv.open(Argv[1]);
+  if (!OutPath.empty()) {
+    Csv.open(OutPath);
     if (!Csv) {
-      std::cerr << "cannot open " << Argv[1] << "\n";
+      std::cerr << "cannot open " << OutPath << "\n";
       return 1;
     }
     reporting::writeCsvSummaryHeader(Csv);

@@ -20,6 +20,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchArgs.h"
 #include "service/ShardRouter.h"
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
@@ -126,7 +127,10 @@ Run runAtShardCount(unsigned Shards) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  const std::string OutPath = Argc > 1 ? Argv[1] : "BENCH_shards.json";
+  std::string OutPath = "BENCH_shards.json";
+  if (std::optional<int> Exit = bench::parseOutputPath(
+          Argc, Argv, "bench_shard_scaling [out.json]", OutPath))
+    return *Exit;
   const unsigned HW = support::ThreadPool::hardwareWorkers();
 
   std::vector<Run> Runs;

@@ -15,6 +15,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchArgs.h"
 #include "reporting/Harness.h"
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
@@ -96,6 +97,10 @@ void writeRun(std::ostream &OS, const SuiteRun &R, bool Last) {
 } // namespace
 
 int main(int Argc, char **Argv) {
+  std::string OutPath;
+  if (std::optional<int> Exit = bench::parseOutputPath(
+          Argc, Argv, "bench_suite_summary [out.json]", OutPath))
+    return *Exit;
   const unsigned MaxThreads = std::max(1u, support::ThreadPool::hardwareWorkers());
   std::vector<SuiteRun> Runs;
   Runs.push_back(runSuite(1));
@@ -111,14 +116,14 @@ int main(int Argc, char **Argv) {
     }
 
   std::ofstream File;
-  if (Argc > 1) {
-    File.open(Argv[1]);
+  if (!OutPath.empty()) {
+    File.open(OutPath);
     if (!File) {
-      std::cerr << "cannot open " << Argv[1] << "\n";
+      std::cerr << "cannot open " << OutPath << "\n";
       return 1;
     }
   }
-  std::ostream &OS = Argc > 1 ? File : std::cout;
+  std::ostream &OS = OutPath.empty() ? std::cout : File;
 
   OS << "{\n"
      << "  \"suite\": \"paperSuite\",\n"

@@ -17,6 +17,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchArgs.h"
 #include "service/AnalysisService.h"
 #include "support/Timer.h"
 
@@ -107,7 +108,10 @@ Pass runLife(const std::string &CacheDir, bool Persist) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  const std::string OutPath = Argc > 1 ? Argv[1] : "BENCH_warm.json";
+  std::string OutPath = "BENCH_warm.json";
+  if (std::optional<int> Exit = bench::parseOutputPath(
+          Argc, Argv, "bench_warm_restart [OUTPUT_JSON]", OutPath))
+    return *Exit;
   std::string CacheDir = "/tmp/optabs-bench-warm-" +
                          std::to_string(static_cast<long>(::getpid()));
   ::mkdir(CacheDir.c_str(), 0700);

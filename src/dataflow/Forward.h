@@ -352,6 +352,9 @@ public:
     return Found ? Found->Set : Empty;
   }
 
+  /// The client this run analyses with.
+  const Client &client() const { return C; }
+
   const ForwardStats &stats() const {
     Stats.NumStates = Interner.size();
     Stats.NumPairs = Values.size();

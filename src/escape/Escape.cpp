@@ -21,9 +21,9 @@ EscapeAnalysis::EscapeAnalysis(const Program &P)
       Wp(P.numCommands()) {}
 
 EscState EscapeAnalysis::initialState() const {
+  static_assert(static_cast<uint8_t>(AbsVal::N) == 0);
   EscState D;
-  D.Vals.assign(P.numVars() + P.numFields(),
-                static_cast<uint8_t>(AbsVal::N));
+  D.Words.assign(EscState::wordsFor(numLocs()), 0);
   return D;
 }
 
@@ -46,9 +46,9 @@ bool EscapeAnalysis::evalAtom(AtomId A, const Param &Prm,
       return !Prm.LSites.test(Idx);
     return false; // h.N never holds: p maps sites to L or E only
   case KVar:
-    return D.Vals[Idx] == static_cast<uint8_t>(O);
+    return D.slot(Idx) == O;
   case KField:
-    return D.Vals[P.numVars() + Idx] == static_cast<uint8_t>(O);
+    return D.slot(P.numVars() + Idx) == O;
   }
   return false;
 }
@@ -111,7 +111,7 @@ AbsVal EscapeAnalysis::valueOf(const ValueSrc &Src, const State &D,
   case ValueSrc::Const:
     return Src.C;
   case ValueSrc::OfLoc:
-    return static_cast<AbsVal>(D.Vals[Src.Loc]);
+    return D.slot(Src.Loc);
   case ValueSrc::OfSite:
     return Prm.LSites.test(Src.Site) ? AbsVal::L : AbsVal::E;
   }
@@ -222,22 +222,31 @@ EscapeAnalysis::Transfer EscapeAnalysis::cases(const Command &Cmd) const {
 // Forward transfer
 //===----------------------------------------------------------------------===//
 
+EscState EscapeAnalysis::esc(const EscState &D) const {
+  EscState Out;
+  Out.Words.resize(D.Words.size()); // every field slot N
+  const size_t NumVars = P.numVars();
+  for (size_t I = 0, Lo = 0; I < D.Words.size() && Lo < NumVars;
+       ++I, Lo += EscState::SlotsPerWord) {
+    // A slot's two bits ORed into its low bit, moved up: 01 and 10 both
+    // become E (10), 00 stays N.
+    uint64_t W = D.Words[I];
+    W = ((W | W >> 1) & 0x5555555555555555ULL) << 1;
+    if (NumVars - Lo < EscState::SlotsPerWord)
+      W &= pairMask((uint64_t(1) << (NumVars - Lo)) - 1);
+    Out.Words[I] = W;
+  }
+  return Out;
+}
+
 EscState EscapeAnalysis::transfer(const Command &Cmd, const EscState &In,
                                   const Param &Prm) const {
   auto ApplyEffect = [&](const Effect &E) {
-    if (E.IsEsc) {
-      // esc(d): locals keep N or become E; field summaries reset to N.
-      EscState Out = In;
-      for (uint32_t V = 0; V < P.numVars(); ++V)
-        if (Out.Vals[V] != static_cast<uint8_t>(AbsVal::N))
-          Out.Vals[V] = static_cast<uint8_t>(AbsVal::E);
-      for (uint32_t F = 0; F < P.numFields(); ++F)
-        Out.Vals[P.numVars() + F] = static_cast<uint8_t>(AbsVal::N);
-      return Out;
-    }
+    if (E.IsEsc)
+      return esc(In);
     if (E.HasAssign) {
       EscState Out = In;
-      Out.Vals[E.AssignLoc] = static_cast<uint8_t>(valueOf(E.Src, In, Prm));
+      Out.setSlot(E.AssignLoc, valueOf(E.Src, In, Prm));
       return Out;
     }
     return In;

@@ -40,7 +40,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -62,17 +61,46 @@ inline const char *absValName(AbsVal V) {
   return "?";
 }
 
-/// Abstract state d : (Locals u Fields) -> {N, L, E}. The flat value
-/// vector is indexed by variables first, then fields.
+/// Abstract state d : (Locals u Fields) -> {N, L, E}, two bits per
+/// location and 32 locations per word. Locations are numbered variables
+/// first, then fields, so one word may hold both; location I is bits
+/// 2(I mod 32) and 2(I mod 32) + 1 of word I / 32, holding the AbsVal
+/// (N = 00, L = 01, E = 10). The pattern 11 never occurs, and the slots
+/// past the last location stay zero, so equal states have equal words.
 struct EscState {
-  std::vector<uint8_t> Vals;
+  std::vector<uint64_t> Words;
+
+  static constexpr uint32_t SlotsPerWord = 32;
+  static size_t wordsFor(size_t NumLocs) {
+    return (NumLocs + SlotsPerWord - 1) / SlotsPerWord;
+  }
+
+  AbsVal slot(uint32_t Loc) const {
+    return static_cast<AbsVal>((Words[Loc / SlotsPerWord] >> shift(Loc)) & 3);
+  }
+  void setSlot(uint32_t Loc, AbsVal V) {
+    uint64_t &W = Words[Loc / SlotsPerWord];
+    W = (W & ~(uint64_t(3) << shift(Loc))) |
+        (uint64_t(static_cast<uint8_t>(V)) << shift(Loc));
+  }
 
   friend bool operator==(const EscState &A, const EscState &B) {
-    return A.Vals == B.Vals;
+    return A.Words == B.Words;
   }
+  /// Lexicographic by location: the first slot that differs decides. The
+  /// driver picks counterexample states in this order.
   friend bool operator<(const EscState &A, const EscState &B) {
-    return A.Vals < B.Vals;
+    const size_t N = std::min(A.Words.size(), B.Words.size());
+    for (size_t I = 0; I < N; ++I)
+      if (uint64_t Diff = A.Words[I] ^ B.Words[I]) {
+        const unsigned Shift = std::countr_zero(Diff) & ~1u;
+        return ((A.Words[I] >> Shift) & 3) < ((B.Words[I] >> Shift) & 3);
+      }
+    return A.Words.size() < B.Words.size();
   }
+
+private:
+  static unsigned shift(uint32_t Loc) { return 2 * (Loc % SlotsPerWord); }
 };
 
 /// The abstraction p : H -> {L, E}; bit set = site mapped to L.
@@ -85,29 +113,16 @@ public:
   using Param = EscParam;
   using State = EscState;
 
-  /// Mixes eight value bytes per step.
+  /// Mixes one word, 32 locations, per step.
   struct StateHash {
     size_t operator()(const EscState &S) const {
-      const uint8_t *Bytes = S.Vals.data();
-      const size_t N = S.Vals.size();
       auto Step = [](uint64_t H, uint64_t W) {
         H = (H ^ W) * 0x9e3779b97f4a7c15ULL;
         return H ^ (H >> 32);
       };
-      // Seeding with the mixed length keeps a short state's zero padding
-      // from aliasing a longer state's bytes.
-      uint64_t H = Step(0xcbf29ce484222325ULL, N);
-      size_t I = 0;
-      for (; I + 8 <= N; I += 8) {
-        uint64_t W = 0;
-        std::memcpy(&W, Bytes + I, 8);
+      uint64_t H = Step(0xcbf29ce484222325ULL, S.Words.size());
+      for (uint64_t W : S.Words)
         H = Step(H, W);
-      }
-      if (I < N) {
-        uint64_t W = 0;
-        std::memcpy(&W, Bytes + I, N - I);
-        H = Step(H, W);
-      }
       return static_cast<size_t>(H);
     }
   };
@@ -125,27 +140,22 @@ public:
   /// Forgets dead variables (optional engine hook, see dataflow/Forward.h):
   /// resets their slots to the initial N. Field slots are shared program
   /// state and stay untouched. Variables at or beyond Live.size() are
-  /// dead. Works eight variables at a time: N is 0, so ANDing eight value
-  /// bytes with a byte mask expanded from eight live bits resets the dead
-  /// ones (crab's per-node dead-set forget, done per word).
+  /// dead. Works a word at a time: N is 00, so ANDing a word with its 32
+  /// keep bits, each doubled into its slot's pair, resets the dead ones
+  /// (crab's per-node dead-set forget, done per word).
   void pruneState(State &S, const BitSet &Live) const {
     static_assert(static_cast<uint8_t>(AbsVal::N) == 0);
-    const size_t NumVars = std::min<size_t>(P.numVars(), S.Vals.size());
-    const size_t NumLive = std::min(Live.size(), NumVars);
-    uint8_t *Vals = S.Vals.data();
-    size_t V = 0;
-    for (; V + 8 <= NumLive; V += 8) {
-      uint64_t Bits = (Live.word(V >> 6) >> (V & 63)) & 0xff;
-      uint64_t W = 0;
-      std::memcpy(&W, Vals + V, 8);
-      W &= byteMask(Bits);
-      std::memcpy(Vals + V, &W, 8);
+    const size_t NumVars =
+        std::min<size_t>(P.numVars(), S.Words.size() * EscState::SlotsPerWord);
+    for (size_t Lo = 0; Lo < NumVars; Lo += EscState::SlotsPerWord) {
+      // Bit I of Keep: location Lo + I is live, a field, or padding.
+      uint64_t Keep = 0;
+      if (Lo < Live.size())
+        Keep = (Live.word(Lo / 64) >> (Lo % 64)) & 0xffffffffULL;
+      if (NumVars - Lo < EscState::SlotsPerWord)
+        Keep |= 0xffffffffULL << (NumVars - Lo);
+      S.Words[Lo / EscState::SlotsPerWord] &= pairMask(Keep);
     }
-    for (; V < NumLive; ++V)
-      if (!Live.test(V))
-        Vals[V] = static_cast<uint8_t>(AbsVal::N);
-    if (V < NumVars)
-      std::memset(Vals + V, static_cast<uint8_t>(AbsVal::N), NumVars - V);
   }
 
   //===--- queries ---------------------------------------------------------===
@@ -222,11 +232,13 @@ public:
     return (F.index() << 4) | (static_cast<uint32_t>(O) << 2) | KField;
   }
 
-  /// Flat location index of a variable / field within EscState::Vals.
+  /// Location index of a variable / field within an EscState.
   uint32_t locOfVar(ir::VarId V) const { return V.index(); }
   uint32_t locOfField(ir::FieldId F) const {
     return P.numVars() + F.index();
   }
+  /// Locations per state: every variable, then every field.
+  uint32_t numLocs() const { return P.numVars() + P.numFields(); }
 
 private:
   //===--- single-source-of-truth case lists --------------------------------===
@@ -270,18 +282,23 @@ private:
     return Fn(cases(Cmd));
   }
 
-  /// Byte I of the result is 0xff when bit I of \p Bits (< 256) is set,
-  /// 0 otherwise, in memory order.
-  static uint64_t byteMask(uint64_t Bits) {
-    // Broadcast the byte, keep bit I in byte I, then turn each nonzero
-    // byte into 0x80 (adding 0x7f cannot carry out of a byte) and 0xff.
-    uint64_t X = (Bits * 0x0101010101010101ULL) & 0x8040201008040201ULL;
-    X = (X + 0x7f7f7f7f7f7f7f7fULL) & 0x8080808080808080ULL;
-    uint64_t Mask = (X >> 7) * 0xff;
-    if constexpr (std::endian::native == std::endian::big)
-      Mask = __builtin_bswap64(Mask);
-    return Mask;
+  /// Both bits of slot I are set when bit I of \p Bits is, for the low
+  /// 32 bits of \p Bits.
+  static uint64_t pairMask(uint64_t Bits) {
+    // Spread bit I to bit 2I by halving the gap at each step, then copy
+    // each spread bit into its pair's high bit.
+    uint64_t X = Bits & 0xffffffffULL;
+    X = (X | X << 16) & 0x0000ffff0000ffffULL;
+    X = (X | X << 8) & 0x00ff00ff00ff00ffULL;
+    X = (X | X << 4) & 0x0f0f0f0f0f0f0f0fULL;
+    X = (X | X << 2) & 0x3333333333333333ULL;
+    X = (X | X << 1) & 0x5555555555555555ULL;
+    return X | X << 1;
   }
+
+  /// esc(d): a variable slot becomes E unless it is N, and every field
+  /// slot becomes N.
+  EscState esc(const EscState &D) const;
 
   /// wp of atom (Loc = O) under a single effect.
   formula::Formula wpUnderEffect(const Effect &E, uint32_t Loc,

@@ -1172,7 +1172,7 @@ struct AnalysisService::Impl {
     W.u32(K.Salt);
     W.bits(K.Bits);
     using CodecT = typename ShardT::Codec;
-    tracer::RunSink<CodecT> S{W, CodecT()};
+    tracer::RunSink<CodecT> S{W, CodecT(Run.client())};
     Run.saveTo(S);
     std::string Err;
     if (!ensureDir(Opts.Base.Service.CacheDir) || !W.commit(Path, Err))
@@ -1214,7 +1214,7 @@ struct AnalysisService::Impl {
     auto Run = std::make_unique<typename ShardT::Forward>(
         *E.P, A, A.paramFromBits(Bits), entryLiveness(E), entryReach(E));
     using CodecT = typename ShardT::Codec;
-    tracer::RunSource<CodecT> S{R, CodecT()};
+    tracer::RunSource<CodecT> S{R, CodecT(A)};
     if (!Run->loadFrom(S) || R.failed())
       return nullptr;
     return Run;
@@ -1380,7 +1380,7 @@ struct AnalysisService::Impl {
         W.u32(K->Salt);
         W.bits(K->Bits);
         using CodecT = typename ShardT::Codec;
-        tracer::RunSink<CodecT> S{W, CodecT()};
+        tracer::RunSink<CodecT> S{W, CodecT(Run->client())};
         Run->saveTo(S);
         ++Res.RunsPersisted;
       }

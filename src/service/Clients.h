@@ -44,10 +44,11 @@ namespace service {
 using CheckGroups = std::map<uint32_t, std::vector<ir::CheckId>>;
 
 /// Besides the run plan: the wire name (Noun in prose), whether a session
-/// may carry a property, the state codec, the byte (SpillKind) tagging
-/// sessions, batches, verdicts and spill files, whether a run is scoped to
-/// a family (the last three shape snapshot and spill bytes), and the
-/// strings a report prints (`title`, `groupName`: empty for one group).
+/// may carry a property, the state codec (built from the analysis whose
+/// states it writes), the byte (SpillKind) tagging sessions, batches,
+/// verdicts and spill files, whether a run is scoped to a family (the last
+/// three shape snapshot and spill bytes), and the strings a report prints
+/// (`title`, `groupName`: empty for one group).
 ///
 /// A codec's load() after save() rebuilds a state that compares equal and
 /// hashes identically, so re-interning saved states in id order
@@ -60,14 +61,53 @@ template <> struct ClientTraits<escape::EscapeAnalysis> {
   static constexpr const char *Name = "escape";
   static constexpr const char *Noun = "escape";
   static constexpr bool TakesProperty = false;
-  /// A state is a byte vector of per-variable lattice values.
+  /// A state is its location count, its word count and its words, two
+  /// bits per location (see EscState). load() checks a record on its own
+  /// terms, not against the analysis, so a stale run of an older program
+  /// version still parses past: the word count must fit the location
+  /// count, no slot may hold 0b11, and the slots past the last location
+  /// must be zero.
   struct Codec {
+    explicit Codec(const Analysis &A) : NumLocs(A.numLocs()) {}
+
     void save(tracer::SnapshotWriter &W, const escape::EscState &S) const {
-      W.bytes(S.Vals);
+      W.u32(NumLocs);
+      W.u32(static_cast<uint32_t>(S.Words.size()));
+      for (uint64_t X : S.Words)
+        W.u64(X);
     }
     bool load(tracer::SnapshotReader &R, escape::EscState &S) const {
-      return R.bytes(S.Vals);
+      uint32_t Locs = 0, Count = 0;
+      if (!R.u32(Locs) || !R.u32(Count))
+        return false;
+      if (Count != escape::EscState::wordsFor(Locs)) {
+        R.fail("EscState word count does not match its location count");
+        return false;
+      }
+      // A word count beyond the remaining payload is provably
+      // truncated and must not size the state.
+      if (Count > R.remaining() / 8) {
+        R.fail("EscState word count exceeds the remaining payload");
+        return false;
+      }
+      S.Words.resize(Count);
+      for (uint64_t &X : S.Words)
+        if (!R.u64(X))
+          return false;
+      for (uint64_t X : S.Words)
+        if (X & (X >> 1) & 0x5555555555555555ULL) {
+          R.fail("EscState slot holds 0b11");
+          return false;
+        }
+      const uint32_t Used = Locs % escape::EscState::SlotsPerWord;
+      if (Used && S.Words.back() >> (2 * Used)) {
+        R.fail("EscState padding bits are set");
+        return false;
+      }
+      return true;
     }
+
+    uint32_t NumLocs; ///< the location count of every state save() writes
   };
   static constexpr uint8_t SpillKind = 0;
   /// One program-wide analysis: jobs batch and key at site 0, keys keep
@@ -107,6 +147,9 @@ template <> struct ClientTraits<typestate::TypestateAnalysis> {
   /// A state is the Top flag, the automaton state and the per-variable
   /// abstract values.
   struct Codec {
+    Codec() = default;
+    explicit Codec(const Analysis &) {}
+
     void save(tracer::SnapshotWriter &W, const typestate::AbsState &S) const {
       W.u8(S.Top ? 1 : 0);
       W.u32(S.Ts);

@@ -49,11 +49,6 @@ void SnapshotWriter::str(const std::string &S) {
   Buf.append(S);
 }
 
-void SnapshotWriter::bytes(const std::vector<uint8_t> &B) {
-  u32(static_cast<uint32_t>(B.size()));
-  Buf.append(reinterpret_cast<const char *>(B.data()), B.size());
-}
-
 void SnapshotWriter::bits(const std::vector<bool> &B) {
   u32(static_cast<uint32_t>(B.size()));
   for (bool Bit : B)
@@ -189,19 +184,6 @@ bool SnapshotReader::str(std::string &S) {
     return false;
   }
   S.assign(Buf.data() + Pos, N);
-  Pos += N;
-  return true;
-}
-
-bool SnapshotReader::bytes(std::vector<uint8_t> &B) {
-  uint32_t N = 0;
-  if (!u32(N))
-    return false;
-  if (End - Pos < N) {
-    fail("truncated byte vector of length " + std::to_string(N));
-    return false;
-  }
-  B.assign(Buf.data() + Pos, Buf.data() + Pos + N);
   Pos += N;
   return true;
 }

@@ -57,7 +57,9 @@ namespace tracer {
 /// a version-skewed snapshot just means a cold start). Version 2 dropped
 /// the learned viable CNF from each stored verdict record. Version 3
 /// dropped the transfer memo and the round counter from each run record.
-inline constexpr uint32_t SnapshotFormatVersion = 3;
+/// Version 4 stores an escape state as 64-bit words of two-bit slots
+/// instead of one byte per location.
+inline constexpr uint32_t SnapshotFormatVersion = 4;
 
 /// FNV-1a 64 over \p Len bytes, continuing from \p Seed (pass the default
 /// to start a fresh hash). The snapshot trailer checksum and spill-file
@@ -73,7 +75,6 @@ public:
   void u64(uint64_t V);
   /// Length-prefixed (u32) byte string.
   void str(const std::string &S);
-  void bytes(const std::vector<uint8_t> &B);
   /// Length-prefixed (u32) bit vector, one byte per bit (the parameter
   /// vectors this persists are tens of bits; simplicity over packing).
   void bits(const std::vector<bool> &B);
@@ -102,7 +103,6 @@ public:
   bool u32(uint32_t &V);
   bool u64(uint64_t &V);
   bool str(std::string &S);
-  bool bytes(std::vector<uint8_t> &B);
   bool bits(std::vector<bool> &B);
 
   /// True when every payload byte has been consumed (trailing garbage in

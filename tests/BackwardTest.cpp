@@ -168,8 +168,8 @@ TEST(Theorem3, HoldsForEscapeOnRandomPrograms) {
     };
     auto RandState = [&P, &A](Prng &R) {
       escape::EscState D = A.initialState();
-      for (uint8_t &V : D.Vals)
-        V = static_cast<uint8_t>(R.nextBelow(3));
+      for (uint32_t L = 0; L < A.numLocs(); ++L)
+        D.setSlot(L, static_cast<escape::AbsVal>(R.nextBelow(3)));
       return D;
     };
     for (unsigned K : {1u, 3u, 0u})

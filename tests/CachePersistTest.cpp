@@ -215,7 +215,6 @@ TEST(CachePersistTest, SnapshotRoundTripPreservesEveryPrimitive) {
   W.u64(0x0123456789abcdefULL);
   W.str("hello snapshot");
   W.str(""); // empty strings must survive too
-  W.bytes({0x00, 0xff, 0x7f});
   W.bits({true, false, true, true, false});
   std::string Err;
   ASSERT_TRUE(W.commit(Path, Err)) << Err;
@@ -226,7 +225,6 @@ TEST(CachePersistTest, SnapshotRoundTripPreservesEveryPrimitive) {
   uint32_t U32 = 0;
   uint64_t U64 = 0;
   std::string S1, S2;
-  std::vector<uint8_t> Bytes;
   std::vector<bool> Bits;
   EXPECT_TRUE(R.u8(B));
   EXPECT_EQ(B, 0xab);
@@ -238,8 +236,6 @@ TEST(CachePersistTest, SnapshotRoundTripPreservesEveryPrimitive) {
   EXPECT_EQ(S1, "hello snapshot");
   EXPECT_TRUE(R.str(S2));
   EXPECT_EQ(S2, "");
-  EXPECT_TRUE(R.bytes(Bytes));
-  EXPECT_EQ(Bytes, (std::vector<uint8_t>{0x00, 0xff, 0x7f}));
   EXPECT_TRUE(R.bits(Bits));
   EXPECT_EQ(Bits, (std::vector<bool>{true, false, true, true, false}));
   EXPECT_TRUE(R.atEnd());
@@ -517,13 +513,14 @@ TEST(CachePersistTest, CorruptSnapshotIsSkippedWithANote) {
   EXPECT_TRUE(Named) << "no structured note names the damaged snapshot";
 }
 
-// Format version 2 dropped the viable CNF from stored verdicts, and
-// version 3 the transfer memo and the round counter from run records. A
-// well-formed file of an older version (valid magic and checksum) must be
-// refused with the structured version note, and the service must start
-// cold with exactly the verdicts of a fresh run.
+// Format version 2 dropped the viable CNF from stored verdicts, version 3
+// the transfer memo and the round counter from run records, and version 4
+// packed escape states into words. A well-formed file of an older version
+// (valid magic and checksum) must be refused with the structured version
+// note, and the service must start cold with exactly the verdicts of a
+// fresh run.
 TEST(CachePersistTest, OlderVersionSnapshotsAreRejectedAndStartCold) {
-  for (uint8_t Version : {1, 2}) {
+  for (uint8_t Version : {1, 2, 3}) {
     SCOPED_TRACE("format version " + std::to_string(Version));
     TempDir Dir("v" + std::to_string(Version));
     {
@@ -570,6 +567,161 @@ TEST(CachePersistTest, OlderVersionSnapshotsAreRejectedAndStartCold) {
     for (const std::string &N : R.Notes)
       Named = Named || N.find(Note) != std::string::npos;
     EXPECT_TRUE(Named) << "no note names the unsupported version";
+  }
+}
+
+/// Rewrites the trailer checksum of snapshot bytes \p Bytes after an edit.
+void resealSnapshot(std::string &Bytes) {
+  size_t Body = Bytes.size() - 8;
+  uint64_t Sum = tracer::snapshotHash(Bytes.data(), Body);
+  for (int I = 0; I < 8; ++I)
+    Bytes[Body + I] = static_cast<char>((Sum >> (8 * I)) & 0xff);
+}
+
+void putLe(std::string &Out, uint64_t V, int Bytes) {
+  for (int I = 0; I < Bytes; ++I)
+    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
+}
+
+/// One escape state record: location count, word count, words.
+void writeEscRecord(tracer::SnapshotWriter &W, uint32_t Locs, uint32_t Count,
+                    const std::vector<uint64_t> &Words) {
+  W.u32(Locs);
+  W.u32(Count);
+  for (uint64_t X : Words)
+    W.u64(X);
+}
+
+TEST(CachePersistTest, EscStateRecordsAreCheckedOnLoad) {
+  TempDir Dir("escrecord");
+  Program P;
+  parseInto(EscapeProgram, P);
+  escape::EscapeAnalysis A(P);
+  using Esc = service::ClientTraits<escape::EscapeAnalysis>;
+  const Esc::Codec Codec(A);
+  ASSERT_EQ(A.numLocs(), 4u);
+
+  struct Case {
+    const char *Name;
+    uint32_t Locs, Count;
+    std::vector<uint64_t> Words;
+    const char *Error; ///< null: the record loads
+  };
+  const Case Cases[] = {
+      {"valid", 4, 1, {0x0000000000000098ULL}, nullptr},
+      {"valid across words", 33, 2, {0x8000000000000001ULL, 0x2}, nullptr},
+      {"0b11 slot", 4, 1, {0x000000000000000cULL}, "slot holds 0b11"},
+      {"0b11 in a later word", 33, 2, {0, 0x3}, "slot holds 0b11"},
+      {"padding bit", 4, 1, {0x0000000000000100ULL}, "padding bits"},
+      {"padding past 33", 33, 2, {0, 0x4}, "padding bits"},
+      {"short word count", 33, 1, {0}, "word count does not match"},
+      {"long word count", 4, 2, {0, 0}, "word count does not match"},
+      {"count past the payload", 4000, 125, {0}, "remaining payload"},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    std::string Path = Dir.Path + "/record.snap";
+    tracer::SnapshotWriter W;
+    writeEscRecord(W, C.Locs, C.Count, C.Words);
+    std::string Err;
+    ASSERT_TRUE(W.commit(Path, Err)) << Err;
+    tracer::SnapshotReader R;
+    ASSERT_TRUE(R.open(Path)) << R.error();
+    escape::EscState S;
+    if (!C.Error) {
+      EXPECT_TRUE(Codec.load(R, S)) << R.error();
+      EXPECT_EQ(S.Words, C.Words);
+      EXPECT_TRUE(R.atEnd());
+      continue;
+    }
+    EXPECT_FALSE(Codec.load(R, S));
+    EXPECT_TRUE(R.failed());
+    EXPECT_NE(R.error().find(C.Error), std::string::npos) << R.error();
+    EXPECT_NE(R.error().find("at offset"), std::string::npos) << R.error();
+  }
+
+  // save() writes the analysis's location count and the state's words.
+  escape::EscState S = A.initialState();
+  S.setSlot(A.locOfField(P.findField("f")), escape::AbsVal::E);
+  tracer::SnapshotWriter W;
+  Codec.save(W, S);
+  std::string Path = Dir.Path + "/saved.snap";
+  std::string Err;
+  ASSERT_TRUE(W.commit(Path, Err)) << Err;
+  tracer::SnapshotReader R;
+  ASSERT_TRUE(R.open(Path)) << R.error();
+  uint32_t Locs = 0, Count = 0;
+  uint64_t Word = 0;
+  ASSERT_TRUE(R.u32(Locs) && R.u32(Count) && R.u64(Word));
+  EXPECT_EQ(Locs, 4u);
+  EXPECT_EQ(Count, 1u);
+  EXPECT_EQ(Word, uint64_t(0x2) << 6); // location 3 holds E
+  EXPECT_TRUE(R.atEnd());
+}
+
+// A correctly checksummed snapshot whose first escape state record is
+// damaged - a 0b11 slot, a set padding bit, a short word count - is
+// refused with the codec's structured note: no run loads, nothing
+// crashes, and every verdict matches a fresh run.
+TEST(CachePersistTest, DamagedEscStateRecordIsRefusedWithANote) {
+  struct Damage {
+    const char *Name;
+    size_t Offset; ///< from the start of the record
+    char Byte;
+    const char *Note;
+  };
+  const Damage Damages[] = {
+      {"0b11 slot", 8, 0x03, "slot holds 0b11"},
+      {"padding bit", 9, 0x01, "padding bits"},
+      {"short word count", 4, 0x00, "word count does not match"},
+  };
+  Program P;
+  parseInto(EscapeProgram, P);
+  escape::EscapeAnalysis A(P);
+  tracer::QueryDriver<escape::EscapeAnalysis> Driver(P, A);
+  std::vector<tracer::QueryOutcome> Want =
+      Driver.run({CheckId(0), CheckId(1), CheckId(2)});
+  // A run's first two states: the all-N initial state, then another one
+  // word state. No other part of the snapshot has this shape.
+  std::string Pattern;
+  putLe(Pattern, A.numLocs(), 4);
+  putLe(Pattern, 1, 4);
+  putLe(Pattern, 0, 8);
+  putLe(Pattern, A.numLocs(), 4);
+  putLe(Pattern, 1, 4);
+
+  for (const Damage &D : Damages) {
+    SCOPED_TRACE(D.Name);
+    TempDir Dir("escdamage");
+    {
+      service::AnalysisService Svc(warmOptions(Dir.Path));
+      answerAllChecks(Svc, EscapeProgram);
+      ASSERT_TRUE(Svc.cacheOp("persist").Ok);
+    }
+    std::string Snap = onlySnapshotIn(Dir.Path);
+    ASSERT_FALSE(Snap.empty());
+    std::string Bytes = slurp(Snap);
+    size_t At = Bytes.find(Pattern);
+    ASSERT_NE(At, std::string::npos);
+    Bytes[At + D.Offset] = D.Byte;
+    resealSnapshot(Bytes);
+    dump(Snap, Bytes);
+
+    service::AnalysisService Svc(warmOptions(Dir.Path));
+    std::vector<service::QueryResult> Got =
+        answerAllChecks(Svc, EscapeProgram);
+    ASSERT_EQ(Got.size(), Want.size());
+    for (size_t I = 0; I < Want.size(); ++I)
+      expectSameVerdict(Want[I], Got[I]);
+
+    service::CacheOpResult R = Svc.cacheOp("load");
+    ASSERT_TRUE(R.Ok) << R.Error;
+    EXPECT_EQ(R.RunsLoaded, 0u);
+    bool Noted = false;
+    for (const std::string &N : R.Notes)
+      Noted = Noted || (N.find(D.Note) != std::string::npos &&
+                        N.find("snapshot") != std::string::npos);
+    EXPECT_TRUE(Noted) << "no structured note names the damaged record";
   }
 }
 

@@ -54,10 +54,10 @@ struct Fixture {
 
   EscState stateWith(AbsVal Vv, AbsVal Wv, AbsVal Fv, AbsVal Kv) const {
     EscState D = A->initialState();
-    D.Vals[A->locOfVar(V)] = static_cast<uint8_t>(Vv);
-    D.Vals[A->locOfVar(W)] = static_cast<uint8_t>(Wv);
-    D.Vals[A->locOfField(F)] = static_cast<uint8_t>(Fv);
-    D.Vals[A->locOfField(K)] = static_cast<uint8_t>(Kv);
+    D.setSlot(A->locOfVar(V), Vv);
+    D.setSlot(A->locOfVar(W), Wv);
+    D.setSlot(A->locOfField(F), Fv);
+    D.setSlot(A->locOfField(K), Kv);
     return D;
   }
 
@@ -71,10 +71,10 @@ EscState oracleEsc(const EscapeAnalysis &A, const Program &P,
                    const EscState &D) {
   EscState Out = D;
   for (uint32_t I = 0; I < P.numVars(); ++I)
-    if (Out.Vals[I] != static_cast<uint8_t>(AbsVal::N))
-      Out.Vals[I] = static_cast<uint8_t>(AbsVal::E);
+    if (Out.slot(I) != AbsVal::N)
+      Out.setSlot(I, AbsVal::E);
   for (uint32_t I = 0; I < P.numFields(); ++I)
-    Out.Vals[P.numVars() + I] = static_cast<uint8_t>(AbsVal::N);
+    Out.setSlot(P.numVars() + I, AbsVal::N);
   (void)A;
   return Out;
 }
@@ -104,10 +104,10 @@ TEST_P(StoreFieldSemantics, MatchesFigure5Oracle) {
       // Nothing to change.
     } else if ((Fv == AbsVal::N && Wv == AbsVal::L) ||
                (Fv == AbsVal::L && Wv == AbsVal::N)) {
-      Expect.Vals[Fx.A->locOfField(Fx.F)] = static_cast<uint8_t>(AbsVal::L);
+      Expect.setSlot(Fx.A->locOfField(Fx.F), AbsVal::L);
     } else if ((Fv == AbsVal::N && Wv == AbsVal::E) ||
                (Fv == AbsVal::E && Wv == AbsVal::N)) {
-      Expect.Vals[Fx.A->locOfField(Fx.F)] = static_cast<uint8_t>(AbsVal::E);
+      Expect.setSlot(Fx.A->locOfField(Fx.F), AbsVal::E);
     } else {
       Expect = oracleEsc(*Fx.A, Fx.P, D); // {L, E}: not representable
     }
@@ -141,10 +141,10 @@ TEST_P(LoadFieldSemantics, MatchesFigure5Oracle) {
   // Command 3 is "u = v.f".
   EscState Got = Fx.A->transfer(Fx.P.command(Fx.cmd(3)), D, Prm);
   AbsVal ExpectU = Vv == AbsVal::L ? Fv : AbsVal::E;
-  EXPECT_EQ(static_cast<AbsVal>(Got.Vals[Fx.A->locOfVar(Fx.U)]), ExpectU);
+  EXPECT_EQ(Got.slot(Fx.A->locOfVar(Fx.U)), ExpectU);
   // Nothing else changes.
   EscState Rest = Got;
-  Rest.Vals[Fx.A->locOfVar(Fx.U)] = D.Vals[Fx.A->locOfVar(Fx.U)];
+  Rest.setSlot(Fx.A->locOfVar(Fx.U), D.slot(Fx.A->locOfVar(Fx.U)));
   EXPECT_EQ(Rest, D);
 }
 
@@ -175,10 +175,10 @@ TEST(EscapeSemantics, NewBindsToParameterValue) {
   std::vector<bool> L{true, false};
   EscState GotL =
       Fx.A->transfer(Fx.P.command(Fx.cmd(0)), D, Fx.A->paramFromBits(L));
-  EXPECT_EQ(static_cast<AbsVal>(GotL.Vals[Fx.A->locOfVar(Fx.V)]), AbsVal::L);
+  EXPECT_EQ(GotL.slot(Fx.A->locOfVar(Fx.V)), AbsVal::L);
   EscState GotE =
       Fx.A->transfer(Fx.P.command(Fx.cmd(0)), D, Fx.A->paramFromBits({}));
-  EXPECT_EQ(static_cast<AbsVal>(GotE.Vals[Fx.A->locOfVar(Fx.V)]), AbsVal::E);
+  EXPECT_EQ(GotE.slot(Fx.A->locOfVar(Fx.V)), AbsVal::E);
 }
 
 } // namespace

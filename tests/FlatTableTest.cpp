@@ -81,8 +81,18 @@ using namespace optabs;
 using dataflow::FlatTable;
 using dataflow::StateId;
 using dataflow::StateInterner;
+using escape::AbsVal;
 using escape::EscapeAnalysis;
 using escape::EscState;
+
+/// The escape state holding \p Vals, one location per value.
+EscState stateOf(const std::vector<uint8_t> &Vals) {
+  EscState S;
+  S.Words.assign(EscState::wordsFor(Vals.size()), 0);
+  for (uint32_t L = 0; L < Vals.size(); ++L)
+    S.setSlot(L, static_cast<AbsVal>(Vals[L]));
+  return S;
+}
 
 /// Files every state in one probe chain.
 struct ConstantHash {
@@ -109,10 +119,10 @@ TEST(StateInterner, IdsAreDenseInFirstInternOrder) {
   Prng Rng(0x1D5);
   std::vector<EscState> Firsts;
   for (unsigned Round = 0; Round < 3000; ++Round) {
-    EscState S;
-    S.Vals.resize(13);
-    for (uint8_t &V : S.Vals)
+    std::vector<uint8_t> Vals(13);
+    for (uint8_t &V : Vals)
       V = static_cast<uint8_t>(Rng.nextBelow(3) ? 0 : Rng.nextBelow(3));
+    EscState S = stateOf(Vals);
     size_t Before = I.size();
     StateId Id = I.intern(S);
     if (I.size() > Before) {
@@ -193,6 +203,7 @@ TEST(TripleSet, MatchesASetUnderInsertsAndErases) {
 
 /// Little-endian byte sink in the shape ForwardAnalysis::saveTo expects.
 struct ByteSink {
+  uint32_t NumLocs = 0; ///< the location count of every state
   std::vector<uint8_t> Bytes;
   void u32(uint32_t V) {
     for (int I = 0; I < 4; ++I)
@@ -202,9 +213,11 @@ struct ByteSink {
     for (int I = 0; I < 8; ++I)
       Bytes.push_back(static_cast<uint8_t>(V >> (8 * I)));
   }
+  /// The location count, then one byte per location.
   void state(const EscState &S) {
-    u32(static_cast<uint32_t>(S.Vals.size()));
-    Bytes.insert(Bytes.end(), S.Vals.begin(), S.Vals.end());
+    u32(NumLocs);
+    for (uint32_t L = 0; L < NumLocs; ++L)
+      Bytes.push_back(static_cast<uint8_t>(S.slot(L)));
   }
   std::string hex() const {
     std::string Out;
@@ -279,6 +292,7 @@ TEST(FlatTable, ForwardSnapshotBytesAreFixed) {
   dataflow::ForwardAnalysis<EscapeAnalysis> FA(P, A, Prm, &Live);
   FA.run(A.initialState());
   ByteSink S;
+  S.NumLocs = A.numLocs();
   FA.saveTo(S);
   EXPECT_EQ(S.hex(), ExpectedLoopSnapshot);
 }
@@ -293,8 +307,7 @@ TEST(FlatTableAlloc, FindingAnExistingStateAllocatesNothing) {
   for (uint8_t A = 0; A < 3; ++A)
     for (uint8_t B = 0; B < 3; ++B)
       for (uint8_t C = 0; C < 3; ++C) {
-        EscState S;
-        S.Vals = {A, 0, B, 2, 1, 0, 0, 1, 2, C, 0};
+        EscState S = stateOf({A, 0, B, 2, 1, 0, 0, 1, 2, C, 0});
         States.push_back(S);
         I.intern(S);
       }
