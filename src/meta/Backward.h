@@ -76,13 +76,20 @@
 /// literals removed - so its running cubes stay short. The chain's gate
 /// charges, cap checks and soft-cap prune see what the literal-by-literal
 /// product saw (see wpFormula). step() then picks the normalisation tier
-/// from the nominal cube count, the number of cubes that product yields;
-/// only in the sort+simplify tier, whose output is the minimal cube set,
-/// does it minimise each cube's stripped product before conjoining the
-/// frame back. The merge rounds of semanticNormalize skip partner probes
-/// for literals that occur nowhere in the formula. Every step's output is
-/// cube for cube that of the literal-by-literal product normalised by its
-/// count (DESIGN.md §10).
+/// from the nominal cube count, the number of cubes that product yields.
+/// A chain is built literally while each product's cross size fits the
+/// room left under NormalizeCap; the rest of it is counted before it is
+/// built (ChainCounter), and its charges, checks and the tier come from
+/// the counts. It is built literally only when its count keeps the step
+/// within NormalizeCap, since semanticNormalize needs every nominal cube;
+/// otherwise it is carried as its sorted minimal cubes, re-minimised
+/// after each product, which is all that the soft-cap prune and the
+/// sort+simplify tier read. That tier minimises each cube's stripped
+/// product before conjoining the frame back, and a step past SimplifyCap
+/// builds its chains again, literally. The merge rounds of
+/// semanticNormalize skip partner probes for literals that occur nowhere
+/// in the formula. Every step's output is cube for cube that of the
+/// literal-by-literal product normalised by its count (DESIGN.md §10).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -100,6 +107,7 @@
 #include "support/Timer.h"
 
 #include <algorithm>
+#include <bit>
 #include <iterator>
 #include <optional>
 #include <string>
@@ -113,8 +121,14 @@ struct BackwardConfig {
   /// Beam width k of the dropk operator; 0 disables under-approximation
   /// entirely (the exact mode of Figure 6(a)).
   unsigned K = 5;
-  /// Cap on intermediate cube counts during per-step substitution. Only a
-  /// scalability guard; 0 disables. Irrelevant when K is small.
+  /// Cap on one running product of a step's literal chain (one source
+  /// cube's wps multiplied in one by one): past it the product keeps its
+  /// ProductSoftCap shortest minimal cubes, one of them satisfied by the
+  /// current (p, d) when any is (pruneToSoftCap). It guards time and
+  /// memory against a cube whose wps multiply out to thousands of cubes,
+  /// and is not idle at small K: at the default K one pass of the paper
+  /// suite prunes 76 products. The prune reads only the product's minimal
+  /// cubes, so the step never builds the product it prunes. 0 disables.
   size_t ProductSoftCap = 4096;
   /// Wall-clock limit per trace run; 0 disables. Exact mode (K = 0) grows
   /// formulas exponentially along long traces (the paper reports outright
@@ -168,7 +182,27 @@ struct BackwardStats {
   size_t MaxCubes = 0;    ///< largest formula (in cubes) ever tracked
   size_t TotalCubes = 0;  ///< sum of per-step cube counts
   size_t Steps = 0;       ///< trace length processed
+  /// Which ways step() built its products (see wpFormula): source cubes
+  /// whose chain of two or more multi-cube wps ran on minimal cubes;
+  /// counted chains pruned before their last product; counted chains
+  /// that took over after a prune in their literal prefix; steps whose
+  /// count passed NormalizeCap after earlier source cubes were built
+  /// literally; and steps past SimplifyCap that built their chains again.
+  size_t MinimalChains = 0;
+  size_t PrunedChains = 0;
+  size_t ResumedChains = 0;
+  size_t CrossedSteps = 0;
+  size_t Rebuilds = 0;
 };
+
+/// Cuts \p Cubes to their minimal cubes in sortBySize order: sorted,
+/// deduplicated, and every cube that implies a shorter one dropped.
+inline void minimise(std::vector<formula::Cube> &Cubes) {
+  formula::Dnf Minimal = formula::Dnf::fromCubes(std::move(Cubes));
+  Minimal.sortBySize();
+  Minimal.simplify();
+  Cubes = Minimal.takeCubes();
+}
 
 /// The backward step's soft cap on one running product of frame-stripped
 /// cubes \p Cubes, each standing for itself conjoined with \p Frame (a
@@ -177,6 +211,7 @@ struct BackwardStats {
 /// frame-conjoined cubes, since the frame is common to all - and, when more
 /// than \p Cap remain, keeps the Cap-1 shortest plus the shortest one that
 /// holds under \p Eval (the current (p, d)), or the Cap-th when none does.
+/// So the result depends on the input's minimal cubes alone.
 /// Unlike dropK, no satisfied cube need exist here: one source cube's
 /// product may well be unsatisfied under the current (p, d) even though
 /// the whole formula is satisfied. The retention invariant (a satisfied
@@ -185,10 +220,7 @@ inline void pruneToSoftCap(std::vector<formula::Cube> &Cubes, size_t Cap,
                            const formula::Cube &Frame,
                            const formula::AtomEval &Eval,
                            support::InvariantSink *Sink) {
-  formula::Dnf Minimal = formula::Dnf::fromCubes(std::move(Cubes));
-  Minimal.sortBySize();
-  Minimal.simplify();
-  Cubes = Minimal.takeCubes();
+  minimise(Cubes);
   if (Cap == 0 || Cubes.size() <= Cap)
     return;
   const bool FrameHolds = Frame.eval(Eval);
@@ -215,6 +247,113 @@ inline void pruneToSoftCap(std::vector<formula::Cube> &Cubes, size_t Cap,
         "soft-cap pruning dropped every satisfied cube of a " +
             std::to_string(Total) + "-cube product");
 }
+
+/// Counts a chain of products without building it. The chain starts from
+/// the cubes of a base and multiplies the running product by each level's
+/// cubes in turn, running cube major, contradictions dropped and
+/// duplicates kept: the backward step's literal chain, whose gate charges
+/// and cap checks read these sizes. The size after a level is the number
+/// of consistent tuples of one base cube and one cube per level so far,
+/// and a conjunction of cubes is consistent iff no two of them
+/// contradict. So count() gives every cube a bit row of the later levels'
+/// cubes it does not contradict and walks the tuples depth first, ANDing
+/// rows; a level whose size is wanted is only popcounted, never entered.
+/// Its buffers are kept, so a warm count allocates nothing.
+class ChainCounter {
+public:
+  /// The levels are runs of \p LevelCubes, level J ending at
+  /// LevelEnds[J] and starting where level J-1 ends. Sets Sizes[J], for J
+  /// from \p FirstLevel on, to the size of the product of the \p NumBase
+  /// cubes at \p Base and levels FirstLevel..J, and returns the first
+  /// level whose size reaches \p SizeLimit. Counting stops there, so only
+  /// the sizes below it are exact. Returns LevelEnds.size() when no level
+  /// reaches the limit.
+  size_t count(const formula::Cube *Base, size_t NumBase,
+               const std::vector<formula::Cube> &LevelCubes,
+               const std::vector<size_t> &LevelEnds, size_t FirstLevel,
+               size_t SizeLimit, std::vector<size_t> &Sizes) {
+    const size_t Levels = LevelEnds.size();
+    Sizes.assign(Levels, 0);
+    Over = Levels;
+    if (FirstLevel >= Levels || NumBase == 0)
+      return Over;
+    Cubes = &LevelCubes;
+    Ends = &LevelEnds;
+    Counts = &Sizes;
+    First = FirstLevel;
+    Limit = SizeLimit;
+    BaseRows = NumBase;
+    // Level J's bits are words [Off[J], Off[J+1]) of every row.
+    Off.assign(Levels + 1, 0);
+    for (size_t J = First; J < Levels; ++J)
+      Off[J + 1] = Off[J] + (LevelEnds[J] - begin(J) + 63) / 64;
+    Words = Off[Levels];
+    // One row per base cube, then one per cube of every level but the
+    // last, whose cubes are never entered.
+    Rows.assign((NumBase + begin(Levels - 1) - begin(First)) * Words, 0);
+    for (size_t R = 0; R < NumBase; ++R)
+      fillRow(Base[R], First, Rows.data() + R * Words);
+    for (size_t J = First; J + 1 < Levels; ++J)
+      for (size_t I = begin(J); I < LevelEnds[J]; ++I)
+        fillRow(LevelCubes[I], J + 1, row(I));
+    Stack.resize(Levels * Words);
+    for (size_t R = 0; R < NumBase && First < Over; ++R)
+      expand(First, Rows.data() + R * Words);
+    return Over;
+  }
+
+private:
+  size_t begin(size_t J) const { return J == 0 ? 0 : (*Ends)[J - 1]; }
+  uint64_t *row(size_t CubeIndex) {
+    return Rows.data() + (BaseRows + CubeIndex - begin(First)) * Words;
+  }
+
+  /// Sets the bits of the cubes of levels From.. that \p C agrees with.
+  void fillRow(const formula::Cube &C, size_t From, uint64_t *Row) {
+    for (size_t J = From; J < Ends->size(); ++J)
+      for (size_t K = 0, N = (*Ends)[J] - begin(J); K < N; ++K)
+        if (!C.contradicts((*Cubes)[begin(J) + K]))
+          Row[Off[J] + K / 64] |= uint64_t(1) << (K % 64);
+  }
+
+  /// Adds to level J's size the cubes \p S allows there, then enters each
+  /// of them while the next level's size is still wanted. \p S holds the
+  /// AND of the rows of one tuple through level J-1.
+  void expand(size_t J, const uint64_t *S) {
+    size_t N = 0;
+    for (size_t W = Off[J]; W < Off[J + 1]; ++W)
+      N += static_cast<size_t>(std::popcount(S[W]));
+    if (((*Counts)[J] += N) >= Limit) {
+      Over = J;
+      return;
+    }
+    if (J + 1 >= Over)
+      return;
+    uint64_t *Child = Stack.data() + J * Words;
+    const uint64_t *LevelRows = row(begin(J));
+    for (size_t W = Off[J]; W < Off[J + 1]; ++W) {
+      for (uint64_t Bits = S[W]; Bits != 0; Bits &= Bits - 1) {
+        size_t K = (W - Off[J]) * 64 + std::countr_zero(Bits);
+        const uint64_t *Row = LevelRows + K * Words;
+        for (size_t V = Off[J + 1]; V < Words; ++V)
+          Child[V] = S[V] & Row[V];
+        expand(J + 1, Child);
+        if (J + 1 >= Over)
+          return;
+      }
+    }
+  }
+
+  /// The running count()'s arguments and layout, read only while it runs.
+  const std::vector<formula::Cube> *Cubes = nullptr;
+  const std::vector<size_t> *Ends = nullptr;
+  std::vector<size_t> *Counts = nullptr;
+  size_t First = 0, Limit = 0, Over = 0, BaseRows = 0, Words = 0;
+  std::vector<size_t> Off;
+  std::vector<uint64_t> Rows;
+  /// The AND of one tuple's rows through level J, at word J * Words.
+  std::vector<uint64_t> Stack;
+};
 
 template <typename Client> class BackwardMetaAnalysis {
 public:
@@ -422,10 +561,13 @@ public:
   /// which are the minimal cubes of the union of each source cube's
   /// minimal cubes; and with one frame F, A u F implies B u F iff A
   /// implies B when A and B miss F. So that tier minimises each source
-  /// cube's frame-stripped product first and conjoins the frame into the
+  /// cube's frame-stripped product first (a no-op on one that wpFormula
+  /// carried as its minimal cubes) and conjoins the frame into the
   /// survivors only. The other tiers get every nominal cube:
   /// semanticNormalize refines cubes before it subsumes, and the sort-only
-  /// tier keeps subsumed cubes.
+  /// tier keeps subsumed cubes, so a step past SimplifyCap that carried a
+  /// product as its minimal cubes builds its chains again, literally and
+  /// without charging.
   std::optional<formula::Dnf> step(ir::CommandId CmdId,
                                    const ir::Command &Cmd,
                                    const formula::Dnf &F,
@@ -433,13 +575,16 @@ public:
                                    support::BudgetGate *Gate = nullptr) {
     using formula::Cube;
     using formula::Dnf;
-    if (!wpFormula(CmdId, Cmd, F, PreEval, Gate))
+    if (!wpFormula(CmdId, Cmd, F, PreEval, Gate, /*Charging=*/true))
       return std::nullopt;
-    const size_t Nominal = Stripped.size();
+    if (Nominal > Config.SimplifyCap && BuiltMinimal) {
+      ++Stats.Rebuilds;
+      wpFormula(CmdId, Cmd, F, PreEval, Gate, /*Charging=*/false);
+    }
     const bool Minimise =
         Nominal > Config.NormalizeCap && Nominal <= Config.SimplifyCap;
     std::vector<Cube> Out;
-    Out.reserve(Nominal);
+    Out.reserve(Stripped.size());
     size_t Begin = 0;
     for (Group &G : Groups) {
       auto First = Stripped.begin() + Begin, Last = Stripped.begin() + G.End;
@@ -449,11 +594,11 @@ public:
         continue;
       }
       if (Minimise && Last - First > 1) {
-        Dnf Minimal = Dnf::fromCubes(std::vector<Cube>(
-            std::make_move_iterator(First), std::make_move_iterator(Last)));
-        Minimal.sortBySize();
-        Minimal.simplify();
-        for (const Cube &Sc : Minimal.cubes())
+        std::vector<Cube> &Minimal = RunBuf[0];
+        Minimal.assign(std::make_move_iterator(First),
+                       std::make_move_iterator(Last));
+        minimise(Minimal);
+        for (const Cube &Sc : Minimal)
           Out.push_back(*Cube::conjoin(Sc, G.Frame));
         continue;
       }
@@ -479,8 +624,11 @@ public:
 private:
   /// wp of a whole DNF across one command, without its frames: fills
   /// Stripped with each source cube's frame-stripped product and Groups
-  /// with the matching frames, in source order. Returns false when \p Gate
-  /// runs out or the hard cube cap trips.
+  /// with the matching frames, in source order, and sets Nominal to the
+  /// number of cubes the literal chain yields. Returns false when \p Gate
+  /// runs out or the hard cube cap trips. Without \p Charging it charges
+  /// nothing and builds every product literally: step() uses that to
+  /// rebuild a step it has already charged.
   ///
   /// It reproduces multiplying every literal's wp into a running product
   /// one at a time, smallest wp first (a stable sort by size), capping
@@ -500,14 +648,24 @@ private:
   /// do. So the chain charges |P| x |W| per product, with |P| the running
   /// size, checks the hard cap on the nominal running size, and prunes
   /// past the soft cap (pruneToSoftCap) exactly as the literal chain did.
+  ///
+  /// A chain's products are built literally while they stay small
+  /// (chain); past that the rest is counted first (countedChain) and built
+  /// literally only when its count keeps the nominal total within
+  /// NormalizeCap.
   bool wpFormula(ir::CommandId CmdId, const ir::Command &Cmd,
                  const formula::Dnf &F, const formula::AtomEval &PreEval,
-                 support::BudgetGate *Gate) {
+                 support::BudgetGate *Gate, bool Charging) {
     using formula::Cube;
     using formula::Dnf;
     using formula::Lit;
     Stripped.clear();
     Groups.clear();
+    Nominal = 0;
+    BuiltMinimal = false;
+    auto Charge = [&](uint64_t Units) {
+      return !Charging || Dnf::chargeProduct(Units, Config.Invariants, Gate);
+    };
     for (const Cube &Q : F.cubes()) {
       // Split the cube: the frame's parts (parameter literals and
       // single-cube wps) as (literal, part index) keys, and the multi-cube
@@ -540,7 +698,7 @@ private:
       if (Killed) {
         // A false wp sorts first; its product with true charged 0 and
         // ended the cube.
-        if (!Dnf::chargeProduct(0, Config.Invariants, Gate))
+        if (!Charge(0))
           return false;
         continue;
       }
@@ -564,10 +722,10 @@ private:
         LastFirstPart = Part;
       }
       for (uint32_t Part = 0; Part < NumParts && Part <= Clash; ++Part) {
-        if (!Dnf::chargeProduct(1, Config.Invariants, Gate))
+        if (!Charge(1))
           return false;
         if (Part < Clash && Config.HardCubeCap > 0 &&
-            Stripped.size() + 1 > Config.HardCubeCap)
+            Nominal + 1 > Config.HardCubeCap)
           return false;
       }
       if (Clash < NumParts)
@@ -575,6 +733,7 @@ private:
       Cube Frame = *Cube::make(FrameLits.data(), FrameLits.size());
       if (Multi.empty()) {
         Stripped.emplace_back();
+        ++Nominal;
         Groups.push_back({std::move(Frame), Stripped.size()});
         continue;
       }
@@ -589,38 +748,147 @@ private:
             WpCubes.push_back(stripFrame(Wc, Frame));
         WpEnds.push_back(WpCubes.size());
       }
-      std::vector<Cube> *Run = &RunBuf[0], *Next = &RunBuf[1];
-      Run->clear();
-      for (size_t K = 0; K < Multi.size(); ++K) {
-        if (!Dnf::chargeProduct((K == 0 ? 1 : Run->size()) * Multi[K]->size(),
-                                Config.Invariants, Gate))
-          return false;
-        auto WBegin = WpCubes.begin() + (K == 0 ? 0 : WpEnds[K - 1]);
-        auto WEnd = WpCubes.begin() + WpEnds[K];
-        Next->clear();
-        if (K == 0) {
-          Next->assign(WBegin, WEnd);
-        } else {
-          for (const Cube &Pc : *Run)
-            for (auto Wc = WBegin; Wc != WEnd; ++Wc)
-              if (std::optional<Cube> Joined = Cube::conjoin(Pc, *Wc))
-                Next->push_back(std::move(*Joined));
-        }
-        std::swap(Run, Next);
-        if (Config.ProductSoftCap > 0 && Run->size() > Config.ProductSoftCap)
-          pruneToSoftCap(*Run, Config.ProductSoftCap, Frame, PreEval,
-                         Config.Invariants);
-        if (Config.HardCubeCap > 0 &&
-            Stripped.size() + Run->size() > Config.HardCubeCap)
-          return false;
-        if (Run->empty())
-          break;
-      }
-      for (Cube &Pc : *Run)
+      if (!chain(Frame, PreEval, Charge, /*Counting=*/Charging))
+        return false;
+      for (Cube &Pc : RunBuf[0])
         Stripped.push_back(std::move(Pc));
       Groups.push_back({std::move(Frame), Stripped.size()});
     }
     return true;
+  }
+
+  /// Runs one source cube's chain of multi-cube wps, charging, pruning and
+  /// checking the hard cap as it goes; leaves the product in RunBuf[0] and
+  /// adds its nominal size to Nominal. A product is built literally while
+  /// its cross size fits the room left under NormalizeCap, which keeps
+  /// every running size, and so the step's total, within NormalizeCap.
+  /// With \p Counting, the first product that does not fit hands the rest
+  /// of the chain to countedChain.
+  template <typename ChargeFn>
+  bool chain(const formula::Cube &Frame, const formula::AtomEval &PreEval,
+             ChargeFn &Charge, bool Counting) {
+    std::vector<formula::Cube> &Run = RunBuf[0];
+    const size_t Room =
+        Nominal < Config.NormalizeCap ? Config.NormalizeCap - Nominal : 0;
+    bool Pruned = false;
+    for (size_t K = 0; K < Multi.size(); ++K) {
+      const size_t Size = K == 0 ? 1 : Run.size();
+      if (Counting &&
+          Size * (WpEnds[K] - (K == 0 ? 0 : WpEnds[K - 1])) > Room)
+        return countedChain(K, Pruned, Frame, PreEval, Charge);
+      if (!Charge(Size * Multi[K]->size()))
+        return false;
+      multiply(K, K + 1, /*Minimal=*/false);
+      if (Config.ProductSoftCap > 0 && Run.size() > Config.ProductSoftCap) {
+        pruneToSoftCap(Run, Config.ProductSoftCap, Frame, PreEval,
+                       Config.Invariants);
+        Pruned = true;
+      }
+      if (Config.HardCubeCap > 0 &&
+          Nominal + Run.size() > Config.HardCubeCap)
+        return false;
+      if (Run.empty())
+        break;
+    }
+    Nominal += Run.size();
+    return true;
+  }
+
+  /// chain() from wp \p From on, its charges, prunes and cap checks read
+  /// from the chain's counted sizes (ChainCounter) instead of its cubes,
+  /// starting from RunBuf[0], the literal product before wp From. A
+  /// product past the soft cap is pruned from its minimal cubes, which
+  /// pruneToSoftCap's result depends on alone, built by re-minimising
+  /// after each multiply (the minimal cubes of A x W are those of
+  /// minimal(A) x W); the count goes on from the pruned cubes, which are
+  /// the literal chain's. The product is built from the last prune on:
+  /// literally when its count keeps Nominal within NormalizeCap, as its
+  /// minimal cubes otherwise. \p Pruned says whether chain() pruned
+  /// before wp From.
+  template <typename ChargeFn>
+  bool countedChain(size_t From, bool Pruned, const formula::Cube &Frame,
+                    const formula::AtomEval &PreEval, ChargeFn &Charge) {
+    std::vector<formula::Cube> &Run = RunBuf[0];
+    const size_t SoftCap = Config.ProductSoftCap, HardCap = Config.HardCubeCap;
+    // Past this count a product is pruned, or, without a soft cap, fails
+    // the hard cap.
+    const size_t Limit = SoftCap > 0   ? SoftCap + 1
+                         : HardCap > 0 ? HardCap - Nominal + 1
+                                       : SIZE_MAX;
+    // Count from true, whose bit rows are the wps' own and few, unless a
+    // prune left running cubes that the wps alone do not give. From true,
+    // the counts before From repeat the literal sizes already charged.
+    const formula::Cube True;
+    Stats.ResumedChains += Pruned;
+    size_t Size = From == 0 ? 1 : Run.size();
+    size_t Over =
+        Pruned ? Counter.count(Run.data(), Run.size(), WpCubes, WpEnds, From,
+                               Limit, Counts)
+               : Counter.count(&True, 1, WpCubes, WpEnds, 0, Limit, Counts);
+    for (size_t K = From; K < Multi.size(); ++K) {
+      if (!Charge(Size * Multi[K]->size()))
+        return false;
+      if (K < Over) {
+        Size = Counts[K];
+        if (HardCap > 0 && Nominal + Size > HardCap)
+          return false;
+        if (Size == 0)
+          break;
+        continue;
+      }
+      if (SoftCap == 0)
+        return false;
+      multiply(From, K + 1, /*Minimal=*/true);
+      pruneToSoftCap(Run, SoftCap, Frame, PreEval, Config.Invariants);
+      Stats.PrunedChains += K + 1 < Multi.size();
+      Size = Run.size();
+      if (HardCap > 0 && Nominal + Size > HardCap)
+        return false;
+      From = K + 1;
+      Over = Counter.count(Run.data(), Run.size(), WpCubes, WpEnds, From,
+                           Limit, Counts);
+    }
+    const bool Minimal = Nominal + Size > Config.NormalizeCap;
+    if (Size == 0)
+      Run.clear();
+    else
+      multiply(From, Multi.size(), Minimal);
+    if (Minimal) {
+      BuiltMinimal = true;
+      Stats.MinimalChains += Multi.size() - From >= 2;
+      Stats.CrossedSteps += Nominal > 0 && Nominal <= Config.NormalizeCap;
+    }
+    Nominal += Size;
+    return true;
+  }
+
+  /// Multiplies RunBuf[0], the chain's product before wp From, by the
+  /// stripped cubes of wps From..To-1 in turn, running cube major,
+  /// contradictions dropped, until it is empty. The chain starts from
+  /// true, so the product through wp 0 is wp 0's cubes whatever RunBuf[0]
+  /// holds. With \p Minimal, the product and each one after it are cut to
+  /// their minimal cubes, which by the same law may start from RunBuf[0]'s.
+  void multiply(size_t From, size_t To, bool Minimal) {
+    std::vector<formula::Cube> &Run = RunBuf[0], &Next = RunBuf[1];
+    if (Minimal && From > 0)
+      minimise(Run);
+    for (size_t K = From; K < To && (K == 0 || !Run.empty()); ++K) {
+      auto WBegin = WpCubes.begin() + (K == 0 ? 0 : WpEnds[K - 1]);
+      auto WEnd = WpCubes.begin() + WpEnds[K];
+      Next.clear();
+      if (K == 0) {
+        Next.assign(WBegin, WEnd);
+      } else {
+        for (const formula::Cube &Pc : Run)
+          for (auto Wc = WBegin; Wc != WEnd; ++Wc)
+            if (std::optional<formula::Cube> Joined =
+                    formula::Cube::conjoin(Pc, *Wc))
+              Next.push_back(std::move(*Joined));
+      }
+      std::swap(Run, Next);
+      if (Minimal)
+        minimise(Run);
+    }
   }
 
   /// \p Wc without the literals it shares with \p Frame; the two must not
@@ -712,10 +980,15 @@ private:
   };
   std::vector<formula::Cube> Stripped;
   std::vector<Group> Groups;
+  /// The number of cubes the literal chain yields, and whether some
+  /// source cube's product in Stripped is only its minimal cubes.
+  size_t Nominal = 0;
+  bool BuiltMinimal = false;
   /// wpFormula's scratch, reused across steps: the frame's (literal, part)
   /// keys and literals, the multi-cube wps in stable size order, their
   /// stripped frame-consistent cubes and where each wp's run ends, the
-  /// running products, and stripFrame's literals.
+  /// running products, stripFrame's literals, and the chain counter with
+  /// its counts.
   std::vector<uint64_t> FrameKeys;
   std::vector<formula::Lit> FrameLits;
   std::vector<const formula::Dnf *> Multi;
@@ -723,6 +996,8 @@ private:
   std::vector<size_t> WpEnds;
   std::vector<formula::Cube> RunBuf[2];
   std::vector<formula::Lit> StripLits;
+  ChainCounter Counter;
+  std::vector<size_t> Counts;
   /// Identity-skip verdicts, one word per command: (stamp << 1) | skip. A
   /// word is valid while its stamp is FStamp, which run() bumps on entry
   /// and at every formula change, so nothing is ever cleared; grown on

@@ -19,8 +19,10 @@
 // and step() against the literal-by-literal product it replaced, kept
 // here as an oracle and normalised by the tier its cube count picks - same
 // cubes in the same order, same gate charges, at the default caps and at
-// caps small enough to run the soft-cap pruning, the hard-cap bail-out and
-// every normalisation tier.
+// caps small enough to run the soft-cap pruning, the hard-cap bail-out,
+// every normalisation tier and each way step() builds a product it has
+// counted. The chain counter itself is checked against the products it
+// stands for.
 //
 //===----------------------------------------------------------------------===//
 
@@ -522,6 +524,17 @@ struct StepPaths {
   size_t Normalised = 0; ///< steps in the semanticNormalize tier
   size_t Minimised = 0;  ///< steps in the sortBySize + simplify tier
   size_t SortOnly = 0;   ///< steps in the sortBySize tier
+  /// The ways step() itself built its products, from its BackwardStats:
+  /// chains of two or more multi-cube wps carried as minimal cubes,
+  /// counted chains soft-capped before another product, counted chains
+  /// taking over from a pruned literal prefix, steps that passed
+  /// NormalizeCap after building earlier source cubes literally, and
+  /// steps past SimplifyCap that rebuilt their chains.
+  size_t MinimalChains = 0;
+  size_t PrunedChains = 0;
+  size_t ResumedChains = 0;
+  size_t CrossedSteps = 0;
+  size_t Rebuilds = 0;
 };
 
 /// Dnf::productInto as it was when it took the soft cap: the full cross
@@ -782,6 +795,11 @@ void expectStepMatchesOracle(const Program &P, const Analysis &A,
           << Spec << " " << At();
     }
   }
+  Paths.MinimalChains += Bwd.stats().MinimalChains;
+  Paths.PrunedChains += Bwd.stats().PrunedChains;
+  Paths.ResumedChains += Bwd.stats().ResumedChains;
+  Paths.CrossedSteps += Bwd.stats().CrossedSteps;
+  Paths.Rebuilds += Bwd.stats().Rebuilds;
 }
 
 TEST(BackwardStep, StepMatchesTheNormalisedLiteralByLiteralProduct) {
@@ -793,7 +811,12 @@ TEST(BackwardStep, StepMatchesTheNormalisedLiteralByLiteralProduct) {
   Tiers.ProductSoftCap = 8;
   Tiers.NormalizeCap = 4;
   Tiers.SimplifyCap = 16;
-  oracle::StepPaths DefaultPaths, SmallPaths, TierPaths;
+  // A soft cap below the room under NormalizeCap prunes inside a chain's
+  // literal prefix, before the count takes over.
+  meta::BackwardConfig Prefix;
+  Prefix.ProductSoftCap = 8;
+  Prefix.NormalizeCap = 48;
+  oracle::StepPaths DefaultPaths, SmallPaths, TierPaths, PrefixPaths;
   Prng Rng(0x57E9);
   for (const synth::BenchConfig &Config : witness_fixture::configs()) {
     synth::Benchmark B = synth::generate(Config);
@@ -806,17 +829,39 @@ TEST(BackwardStep, StepMatchesTheNormalisedLiteralByLiteralProduct) {
                                   Config.Name + " " + Client + " small");
           expectStepMatchesOracle(B.P, A, Tiers, Rng, TierPaths,
                                   Config.Name + " " + Client + " tiers");
+          expectStepMatchesOracle(B.P, A, Prefix, Rng, PrefixPaths,
+                                  Config.Name + " " + Client + " prefix");
         });
   }
   // The small caps ran the pruning and the bail-out paths; the tier caps
   // ran every normalisation tier and a prune whose minimal cubes still
-  // exceeded the cap.
+  // exceeded the cap. The tier caps also ran each way step() builds past
+  // NormalizeCap: a chain of multi-cube wps on minimal cubes, a counted
+  // chain pruned before another product, a step crossing the cap after
+  // literal source cubes, and the rebuild past SimplifyCap. The prefix
+  // caps ran counted chains that took over from a pruned literal prefix,
+  // counting on from its running cubes.
   EXPECT_GT(SmallPaths.SoftCapped, 0u);
   EXPECT_GT(SmallPaths.BailedOut, 0u);
   EXPECT_GT(TierPaths.Normalised, 0u);
   EXPECT_GT(TierPaths.Minimised, 0u);
   EXPECT_GT(TierPaths.SortOnly, 0u);
   EXPECT_GT(TierPaths.OverCap, 0u);
+  EXPECT_GT(TierPaths.MinimalChains, 0u);
+  EXPECT_GT(TierPaths.PrunedChains, 0u);
+  EXPECT_GT(TierPaths.CrossedSteps, 0u);
+  EXPECT_GT(TierPaths.Rebuilds, 0u);
+  EXPECT_GT(PrefixPaths.ResumedChains, 0u);
+  for (const auto &[Name, Paths] :
+       {std::pair<const char *, oracle::StepPaths *>{"default", &DefaultPaths},
+        {"small", &SmallPaths},
+        {"tiers", &TierPaths},
+        {"prefix", &PrefixPaths}})
+    std::printf("step builds, %s caps: %zu minimal chains, %zu pruned before "
+                "a product, %zu resumed after a prefix prune, %zu crossed, "
+                "%zu rebuilt\n",
+                Name, Paths->MinimalChains, Paths->PrunedChains,
+                Paths->ResumedChains, Paths->CrossedSteps, Paths->Rebuilds);
   std::printf("step paths: default %zu/%zu/%zu tiers, small %zu soft-capped "
               "%zu bailed out, tiers %zu/%zu/%zu with %zu over the cap\n",
               DefaultPaths.Normalised, DefaultPaths.Minimised,
@@ -842,6 +887,49 @@ formula::Dnf randomSmallDnf(Prng &Rng) {
 }
 formula::AtomEval evalOfMask(unsigned Mask) {
   return [Mask](formula::AtomId X) { return X < 6 && ((Mask >> X) & 1); };
+}
+
+TEST(BackwardStep, ChainCounterCountsTheLiteralChain) {
+  // Random chains over atoms 0..5, so that many cubes contradict: the
+  // counter's sizes are those of the products it stands for, running
+  // cube major with duplicates kept, up to the first level whose size
+  // reaches the limit, and that level's size does reach it.
+  Prng Rng(0xC0DE);
+  meta::ChainCounter Counter;
+  std::vector<size_t> Counts;
+  size_t Stopped = 0, Ran = 0;
+  for (int Round = 0; Round < 400; ++Round) {
+    formula::Dnf Base = randomSmallDnf(Rng);
+    std::vector<formula::Cube> Cubes;
+    std::vector<size_t> Ends;
+    std::vector<formula::Dnf> Levels;
+    for (unsigned J = 0, N = 1 + Rng.nextBelow(4); J < N; ++J) {
+      Levels.push_back(Rng.chance(1, 8) ? formula::Dnf() : randomSmallDnf(Rng));
+      for (const formula::Cube &C : Levels.back().cubes())
+        Cubes.push_back(C);
+      Ends.push_back(Cubes.size());
+    }
+    size_t First = Rng.nextBelow(Levels.size());
+    size_t Limit = Rng.chance(1, 2) ? SIZE_MAX : 1 + Rng.nextBelow(40);
+    size_t Over = Counter.count(Base.cubes().data(), Base.size(), Cubes,
+                                Ends, First, Limit, Counts);
+    ASSERT_EQ(Counts.size(), Levels.size());
+    formula::Dnf Product = Base;
+    for (size_t J = First; J < Levels.size(); ++J) {
+      Product = formula::Dnf::product(Product, Levels[J]);
+      if (J < Over) {
+        ASSERT_EQ(Counts[J], Product.size()) << "round " << Round;
+        ASSERT_LT(Counts[J], Limit);
+        ++Ran;
+      } else {
+        ASSERT_GE(Product.size(), Limit) << "round " << Round;
+        ++Stopped;
+        break;
+      }
+    }
+  }
+  EXPECT_GT(Ran, 0u);
+  EXPECT_GT(Stopped, 0u);
 }
 
 TEST(BackwardStep, SoftCapPruneUnderApproximatesAndKeepsJointWitness) {

@@ -5,13 +5,18 @@
 // dropk under-approximates while keeping the current point (the two
 // conditions §4 requires of approx); products are the exact conjunction;
 // and sortBySize, which sorts keys, orders and deduplicates exactly as a
-// sort of the cubes themselves does. The backward step's soft-cap prune is
-// checked in BackwardTest.
+// sort of the cubes themselves does. So are the two laws that let the
+// backward step carry a running product as its minimal cubes: the minimal
+// cubes of A x W are those of minimal(A) x W, and the soft-cap prune reads
+// only its input's minimal cubes. The prune's other laws are checked in
+// BackwardTest.
 //
 //===----------------------------------------------------------------------===//
 
 #include "formula/Dnf.h"
 
+#include "meta/Backward.h"
+#include "support/Invariants.h"
 #include "support/Prng.h"
 
 #include "gtest/gtest.h"
@@ -116,6 +121,78 @@ TEST_P(DnfLaws, SortBySizeDeduplicates) {
     Sorted.sortBySize();
     EXPECT_EQ(Doubled.size(), Sorted.size());
   }
+}
+
+/// randomDnf with copies of some of its cubes mixed in.
+Dnf randomDnfWithDuplicates(Prng &Rng, unsigned MaxCubes) {
+  std::vector<Cube> Cubes = randomDnf(Rng, MaxCubes).takeCubes();
+  for (unsigned I = 0, N = Rng.nextBelow(4); I < N && !Cubes.empty(); ++I)
+    Cubes.insert(Cubes.begin() + Rng.nextBelow(Cubes.size() + 1),
+                 Cubes[Rng.nextBelow(Cubes.size())]);
+  return Dnf::fromCubes(std::move(Cubes));
+}
+
+/// sortBySize + simplify: the minimal cubes, shortest first.
+Dnf minimal(Dnf D) {
+  D.sortBySize();
+  D.simplify();
+  return D;
+}
+
+TEST_P(DnfLaws, MinimalCubesOfAProductAreThoseOfMinimalTimesW) {
+  // Every cube of A x W contains one of minimal(A) x W (a subset of a
+  // consistent cube is consistent), so the two share their minimal
+  // cubes; over six atoms, products drop contradictory pairs often.
+  Prng Rng(GetParam() ^ 0x313A);
+  size_t Dropped = 0, Folded = 0;
+  for (int Round = 0; Round < 200; ++Round) {
+    Dnf A = randomDnfWithDuplicates(Rng, 8);
+    Dnf W = randomDnfWithDuplicates(Rng, 6);
+    Dnf Full = Dnf::product(A, W);
+    Dropped += Full.size() < A.size() * W.size();
+    Folded += minimal(A).size() < A.size();
+    ASSERT_TRUE(minimal(Full) == minimal(Dnf::product(minimal(A), W)))
+        << "round " << Round;
+  }
+  EXPECT_GT(Dropped, 0u);
+  EXPECT_GT(Folded, 0u);
+}
+
+TEST_P(DnfLaws, SoftCapPruneReadsOnlyMinimalCubes) {
+  // pruneToSoftCap sorts, dedupes and subsumes before it cuts, so a
+  // product and its minimal cubes prune alike: at small caps, under an
+  // evaluator that some cube satisfies and under one that none does.
+  Prng Rng(GetParam() ^ 0x9A0E);
+  const Cube True;
+  size_t Satisfied = 0, Unsatisfied = 0, Cut = 0;
+  for (int Round = 0; Round < 200; ++Round) {
+    Dnf X = Dnf::product(randomDnfWithDuplicates(Rng, 8),
+                         randomDnfWithDuplicates(Rng, 6));
+    std::optional<unsigned> Holds, Fails;
+    for (unsigned Mask = 0; Mask < (1u << NumAtoms); ++Mask)
+      (X.eval(evalOfMask(Mask)) ? Holds : Fails).emplace(Mask);
+    for (std::optional<unsigned> Mask : {Holds, Fails}) {
+      if (!Mask)
+        continue;
+      (Mask == Holds ? Satisfied : Unsatisfied) += 1;
+      for (size_t Cap : {1u, 2u, 3u, 5u}) {
+        optabs::support::InvariantSink Sink;
+        std::vector<Cube> FromAll = X.cubes();
+        std::vector<Cube> FromMinimal = minimal(X).takeCubes();
+        Cut += FromMinimal.size() > Cap;
+        optabs::meta::pruneToSoftCap(FromAll, Cap, True, evalOfMask(*Mask),
+                                     &Sink);
+        optabs::meta::pruneToSoftCap(FromMinimal, Cap, True,
+                                     evalOfMask(*Mask), &Sink);
+        ASSERT_TRUE(FromAll == FromMinimal)
+            << "round " << Round << " cap " << Cap;
+        EXPECT_EQ(Sink.count(), 0u);
+      }
+    }
+  }
+  EXPECT_GT(Satisfied, 0u);
+  EXPECT_GT(Unsatisfied, 0u);
+  EXPECT_GT(Cut, 0u);
 }
 
 namespace oracle {

@@ -8,8 +8,10 @@
 // Location lookups, cube refinement and literal-wp lookups run on every
 // cube of every backward step. All are heap-free once warm: LocationInfo
 // keeps its values inline, refineCubeByLocations works in reused scratch
-// buffers, and a wp table hit is a probe of published words. These tests
-// count global operator-new calls around warm calls so that a change which
+// buffers, and a wp table hit is a probe of published words. So is
+// counting a step's chain of products, which runs before every large step
+// builds anything: the counter keeps its bit rows. These tests count
+// global operator-new calls around warm calls so that a change which
 // reintroduces a per-call allocation fails here rather than only showing up
 // as a slower benchmark.
 //
@@ -18,6 +20,7 @@
 #include "escape/Escape.h"
 #include "formula/Normalize.h"
 #include "ir/Parser.h"
+#include "meta/Backward.h"
 #include "meta/WpTable.h"
 #include "support/Prng.h"
 
@@ -211,6 +214,44 @@ TEST(NormalizeAlloc, WarmWpTableHitAllocatesNothing) {
   EXPECT_EQ(After, Before);
   EXPECT_EQ(Warm, Cold);
   EXPECT_GT(A.wpTable().bytes(), 0u);
+}
+
+TEST(NormalizeAlloc, WarmChainCountAllocatesNothing) {
+  // The backward step counts every large source cube's chain of products
+  // before it builds anything; the count conjoins no cube and reuses its
+  // bit rows. Four levels of random cubes, one past a 64-bit word, counted
+  // from one base cube and from many, up to the default soft cap's limit.
+  ir::Program P = parse(Src);
+  std::vector<Cube> Cubes = inlineCubes(allAtoms(P), 300);
+  std::vector<size_t> Ends{70, 150, 220, 300};
+  std::vector<Cube> Base(1);
+  Base.insert(Base.end(), Cubes.begin(), Cubes.begin() + 30);
+  meta::ChainCounter Counter;
+  std::vector<size_t> Counts;
+  auto CountAll = [&] {
+    size_t Sum = 0;
+    for (size_t NumBase : {size_t(1), Base.size()})
+      for (size_t First : {0, 1, 2}) {
+        size_t Over = Counter.count(Base.data(), NumBase, Cubes, Ends, First,
+                                    4097, Counts);
+        Sum += Over;
+        for (size_t J = First; J < Over; ++J)
+          Sum += Counts[J];
+      }
+    return Sum;
+  };
+  size_t Cold = CountAll(); // grows the rows and the stack once
+
+  uint64_t Before = GlobalAllocs.load(std::memory_order_relaxed);
+  size_t Warm = CountAll();
+  uint64_t After = GlobalAllocs.load(std::memory_order_relaxed);
+  EXPECT_EQ(After, Before);
+  EXPECT_EQ(Warm, Cold);
+  // The counts ran into the limit part-way, past a level's first word.
+  size_t Over = Counter.count(Base.data(), Base.size(), Cubes, Ends, 0, 4097,
+                              Counts);
+  EXPECT_LT(Over, Ends.size());
+  EXPECT_GT(Counts[0], 64u);
 }
 
 } // namespace
