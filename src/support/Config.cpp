@@ -62,8 +62,8 @@ std::string formatConfigErrors(const std::vector<ConfigError> &Errors) {
 }
 
 bool Config::isKnownStrategy(const std::string &Name) {
-  return Name == "tracer" || Name == "eliminate-current" ||
-         Name == "greedy-grow";
+  SearchStrategy S;
+  return parseStrategy(Name, S);
 }
 
 Config Config::fromEnv(std::vector<ConfigError> *Errors) {

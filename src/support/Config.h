@@ -51,6 +51,7 @@
 #define OPTABS_SUPPORT_CONFIG_H
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -66,6 +67,44 @@ struct ConfigError {
 /// Renders a list of errors as one human-readable line per error.
 std::string formatConfigErrors(const std::vector<ConfigError> &Errors);
 
+/// How the next abstraction is chosen after a failed proof attempt
+/// (Config::Execution.Strategy names one). The non-default strategies are
+/// the baselines the paper's Related Work contrasts TRACER with.
+enum class SearchStrategy : uint8_t {
+  /// Algorithm 1: backward meta-analysis eliminates whole sets of
+  /// abstractions; next is a minimum-cost viable one.
+  Tracer,
+  /// Strawman CEGAR: each iteration eliminates exactly the current
+  /// abstraction. Sound and (eventually) optimal, but the search space is
+  /// 2^N, so it exhausts any budget beyond toy families.
+  EliminateCurrent,
+  /// Monotone refinement in the style of demand-driven pointer analyses
+  /// (Sridharan-Bodik et al.): grow the abstraction by every parameter the
+  /// failure is blamed on. Fast, but over-refines (no minimality) and can
+  /// never conclude impossibility.
+  GreedyGrow,
+};
+
+/// The one table of strategy names, indexed by SearchStrategy: what
+/// Config::Execution.Strategy, OPTABS_STRATEGY, the CLI, the service
+/// protocol and the event trace spell.
+inline constexpr const char *StrategyNames[] = {"tracer", "eliminate-current",
+                                                "greedy-grow"};
+
+inline const char *strategyName(SearchStrategy S) {
+  return StrategyNames[static_cast<size_t>(S)];
+}
+
+/// Parses a strategy name; false (and \p Out untouched) when unknown.
+inline bool parseStrategy(const std::string &Name, SearchStrategy &Out) {
+  for (size_t I = 0; I < std::size(StrategyNames); ++I)
+    if (Name == StrategyNames[I]) {
+      Out = static_cast<SearchStrategy>(I);
+      return true;
+    }
+  return false;
+}
+
 struct Config {
   /// How the search executes: the paper's operating point plus the
   /// parallelism and caching knobs of the production driver.
@@ -78,7 +117,7 @@ struct Config {
     /// paper; larger values conjoin what several traces teach (§8's "DAG
     /// counterexamples" direction).
     unsigned TracesPerIteration = 1;
-    /// Strategy name: "tracer", "eliminate-current" or "greedy-grow".
+    /// Strategy name, one of StrategyNames.
     std::string Strategy = "tracer";
     /// Worker threads (1 = sequential, 0 = hardware concurrency).
     unsigned NumThreads = 1;
@@ -183,8 +222,7 @@ struct Config {
   /// the documented rejected combinations.
   std::vector<ConfigError> validate() const;
 
-  /// True when \p Name is a known strategy ("tracer", "eliminate-current",
-  /// "greedy-grow").
+  /// True when \p Name is one of StrategyNames.
   static bool isKnownStrategy(const std::string &Name);
 };
 

@@ -23,7 +23,7 @@
 ///    to an in-order sequential loop - the NumThreads = 1 configuration is
 ///    bit-for-bit the sequential driver.
 ///  * Exceptions thrown by tasks are captured and the first one is rethrown
-///    from parallelFor()/the submit() future once the batch has drained.
+///    from parallelFor() once the batch has drained.
 ///    Exceptions are additionally routed to an optional InvariantSink so the
 ///    driver's audit layer sees them as structured records, and anything
 ///    that escapes a worker outside a batch (which would otherwise hit the
@@ -45,7 +45,7 @@
 #include <deque>
 #include <exception>
 #include <functional>
-#include <future>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -142,27 +142,6 @@ public:
     }
     if (Stray)
       std::rethrow_exception(Stray);
-  }
-
-  /// Submits a single task for asynchronous execution on some worker; the
-  /// returned future carries the result (or the exception). The task
-  /// receives no worker index; use parallelFor for worker-indexed scratch.
-  template <typename F>
-  auto submit(F &&Fn) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto Task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(Fn));
-    std::future<R> Result = Task->get_future();
-    if (NumWorkers == 1) {
-      (*Task)();
-      return Result;
-    }
-    {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      Queue.push_back([Task](unsigned) { (*Task)(); });
-    }
-    WorkAvailable.notify_one();
-    return Result;
   }
 
 private:

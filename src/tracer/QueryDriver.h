@@ -46,18 +46,26 @@
 /// Budgets and Observability sections; the strategy name is parsed once, at
 /// construction). The search strategies of the paper's §7 comparison differ
 /// only in how the next abstraction is chosen after a failed proof, so all
-/// three run through the same round loop as plan/merge policies: TRACER
-/// solves a minimum-cost model of the learned viable CNF, EliminateCurrent
-/// adds one clause ruling out the current abstraction, and GreedyGrow keeps
-/// a per-query bit-vector and grows it by every parameter the failure is
-/// blamed on.
+/// three run through the same round loop, and two policy functions are the
+/// only code that reads the strategy: choose() groups the open queries and
+/// picks each group's abstraction (TRACER and EliminateCurrent solve a
+/// minimum-cost model of the learned viable CNF; GreedyGrow keeps a
+/// per-query bit-vector), and learn() folds a failed step back in (TRACER
+/// conjoins what the backward meta-analysis rules out, EliminateCurrent
+/// adds one clause ruling out the current abstraction, and GreedyGrow grows
+/// its bits by every parameter the failure is blamed on). Every verdict
+/// leaves through finish().
 ///
-/// Concurrency (Config::Execution.NumThreads): each round is a sequence of
-/// barrier-separated stages - plan (sequential), forward-run construction
-/// (parallel per distinct abstraction), query classification (parallel per
-/// query, read-only), trace extraction (parallel per forward run), backward
-/// meta-analysis (parallel per counterexample trace, one BackwardMetaAnalysis
-/// instance per worker), merge (sequential, in query order). All results and
+/// Concurrency (Config::Execution.NumThreads): run() calls runRound() until
+/// every query resolves or the run's budget ends, then endRun(). Each round
+/// is a sequence of barrier-separated stages, one member function each,
+/// sharing one Round struct: degrade() (memory-pressure rung), plan()
+/// (sequential: choose() plus cache resolution), forward() (stage A,
+/// parallel per distinct abstraction), schedule() (sequential: empty-viable
+/// verdicts, one step per query), classify() (B1, parallel per query,
+/// read-only), extract() (B2, parallel per forward run), backward() (B3,
+/// parallel per counterexample trace, one BackwardMetaAnalysis instance per
+/// worker), merge() (sequential, in query order). All results and
 /// non-timing statistics are bitwise independent of the worker count because
 /// every parallel stage writes into pre-sized slots that the sequential merge
 /// folds in the same order the single-threaded driver would. Completed
@@ -160,50 +168,10 @@ JsonObject verdictEvent(const std::string &Label, uint32_t Query,
   return O;
 }
 
-/// How the next abstraction is chosen after a failed proof attempt. The
-/// non-default strategies are the baselines the paper's Related Work
-/// contrasts TRACER with.
-enum class SearchStrategy : uint8_t {
-  /// Algorithm 1: backward meta-analysis eliminates whole sets of
-  /// abstractions; next is a minimum-cost viable one.
-  Tracer,
-  /// Strawman CEGAR: each iteration eliminates exactly the current
-  /// abstraction. Sound and (eventually) optimal, but the search space is
-  /// 2^N, so it exhausts any budget beyond toy families.
-  EliminateCurrent,
-  /// Monotone refinement in the style of demand-driven pointer analyses
-  /// (Sridharan-Bodik et al.): grow the abstraction by every parameter the
-  /// failure is blamed on. Fast, but over-refines (no minimality) and can
-  /// never conclude impossibility.
-  GreedyGrow,
-};
-
-inline const char *strategyName(SearchStrategy S) {
-  switch (S) {
-  case SearchStrategy::Tracer:
-    return "tracer";
-  case SearchStrategy::EliminateCurrent:
-    return "eliminate-current";
-  case SearchStrategy::GreedyGrow:
-    return "greedy-grow";
-  }
-  return "?";
-}
-
-/// Parses a strategy name; false (and \p Out untouched) when unknown. The
-/// inverse of strategyName, shared by the CLI, the service protocol, and
-/// the Config bridge.
-inline bool parseStrategy(const std::string &Name, SearchStrategy &Out) {
-  if (Name == "tracer")
-    Out = SearchStrategy::Tracer;
-  else if (Name == "eliminate-current")
-    Out = SearchStrategy::EliminateCurrent;
-  else if (Name == "greedy-grow")
-    Out = SearchStrategy::GreedyGrow;
-  else
-    return false;
-  return true;
-}
+// The strategy enum and its one name table live in support/Config.h.
+using optabs::parseStrategy;
+using optabs::SearchStrategy;
+using optabs::strategyName;
 
 /// Wall-clock seconds attributed to each pipeline stage of the TRACER
 /// driver, accumulated across rounds. Always collected (two steady_clock
@@ -241,11 +209,6 @@ struct DriverStats {
   uint64_t CacheHits = 0;      ///< forward-run requests served memoized
   uint64_t CacheMisses = 0;    ///< forward-run requests that computed
   uint64_t CacheEvictions = 0; ///< LRU evictions (capacity overflow)
-  uint64_t CacheSpillWrites = 0; ///< entries demoted to the disk tier
-  uint64_t CacheSpillLoads = 0;  ///< lookups served from the disk tier
-  /// Approximate bytes resident in the forward-run cache at the end of the
-  /// run (gauge snapshot of ForwardRunCache::residentBytes()).
-  uint64_t CacheResidentBytes = 0;
   /// Queries that ended Unresolved because a resource budget ran out
   /// (steps, wall clock, memory, or cancellation) — the count of outcomes
   /// carrying an Exhaustion record.
@@ -346,820 +309,19 @@ public:
     {
       // Closed before export: open spans are skipped by the exporters.
       support::ScopedSpan RunSpan("tracer.run");
-      Outcomes = runRounds(Queries);
+      RunState S(Queries);
+      beginRun(S);
+      while (S.Unresolved > 0 &&
+             S.Total.seconds() < Budgets.TimeBudgetSeconds &&
+             !S.CancelTok->requested())
+        runRound(S);
+      endRun(S);
+      Outcomes = std::move(S.Outcomes);
     }
     exportMetrics();
     return Outcomes;
   }
 
-private:
-  std::vector<QueryOutcome> runRounds(const std::vector<ir::CheckId> &Queries) {
-    Timer Total;
-    Stats = DriverStats();
-    Sink.clear();
-    LastViable.clear();
-    if (!BorrowedCache) {
-      // A borrowed (service-shared) cache keeps its capacity and counters
-      // across runs; the stats below report this run's deltas.
-      OwnedCache.setCapacity(Execution.ForwardCacheCapacity);
-      OwnedCache.resetCounters();
-    }
-    BaseCounters = cache().counters();
-    EventTraceWriter Trace;
-    if (!Observability.EventTracePath.empty())
-      Trace.open(Observability.EventTracePath, Observability.EventTraceLabel);
-    if (Trace.enabled())
-      Trace.write(Trace.event("run_begin")
-                      .field("queries", Queries.size())
-                      .field("strategy", strategyName(Strategy))
-                      .field("k", Execution.K)
-                      .field("threads", effectiveWorkers()));
-
-    struct QueryRec {
-      Cnf Viable; ///< learned viable set (stays empty under GreedyGrow)
-      /// GreedyGrow's abstraction: every parameter blamed so far.
-      std::vector<bool> Grown;
-      bool Done = false;
-      formula::Dnf NotQ;
-    };
-    const bool Greedy = Strategy == SearchStrategy::GreedyGrow;
-    std::vector<QueryOutcome> Outcomes(Queries.size());
-    std::vector<QueryRec> Recs(Queries.size());
-    for (size_t I = 0; I < Queries.size(); ++I) {
-      Outcomes[I].Check = Queries[I];
-      Recs[I].NotQ = A.notQ(Queries[I]);
-      if (Greedy)
-        Recs[I].Grown.assign(A.numParamBits(), false);
-    }
-
-    unsigned Workers = effectiveWorkers();
-    ensurePool(Workers);
-    // A token always exists so injected Cancel faults at gateless sites
-    // (cache.insert, driver.schedule) have something to act on even when
-    // the caller passed none.
-    std::shared_ptr<support::CancelToken> CancelTok =
-        Cancel ? Cancel : std::make_shared<support::CancelToken>();
-    meta::BackwardConfig BwdConfig;
-    BwdConfig.K = Execution.K;
-    BwdConfig.ProductSoftCap = Execution.ProductSoftCap;
-    BwdConfig.TimeoutSeconds = Budgets.BackwardTimeoutSeconds;
-    BwdConfig.StepBudget = Budgets.BackwardStepBudget;
-    BwdConfig.Cancel = CancelTok.get();
-    BwdConfig.Invariants = &Sink;
-    // One backward meta-analysis per worker: its scratch (stats, product
-    // buffers, skip memo) never crosses threads. The wp table they fill
-    // belongs to the analysis and is shared (meta/WpTable.h).
-    std::vector<std::unique_ptr<Backward>> Bwds;
-    for (unsigned W = 0; W < Workers; ++W)
-      Bwds.push_back(std::make_unique<Backward>(P, A, BwdConfig));
-    // Likewise one witness-search scratch per worker, reused by every
-    // extraction it runs and never stored with a (cached) forward run.
-    std::vector<typename Forward::Scratch> Scratches(Workers);
-    State Init = A.initialState();
-
-    /// What one query learned this round; produced by the parallel stages,
-    /// folded by the sequential merge.
-    enum class StepKind : uint8_t {
-      Proven,     ///< no failing state under the round's abstraction
-      IterBudget, ///< would exceed MaxItersPerQuery
-      Eliminate,  ///< EliminateCurrent baseline: rule out this abstraction
-      Traces,     ///< counterexample traces extracted, backward runs follow
-      NoTrace,    ///< defensive: failing state without a witness
-      Exhausted,  ///< a resource budget ran out; query ends Unresolved
-    };
-    struct TraceResult {
-      std::optional<formula::Dnf> Unviable; ///< nullopt = meta timeout
-      std::optional<support::Exhausted> Exhaustion; ///< why, if budget
-      size_t MaxCubes = 0;
-      double Seconds = 0;
-    };
-    struct MemberStep {
-      size_t PlanIdx = 0;
-      size_t Query = 0;
-      StepKind Kind = StepKind::NoTrace;
-      std::optional<support::Exhausted> Exhaustion; ///< set when Exhausted
-      std::vector<dataflow::StateId> FailIds; ///< sorted by state value
-      /// Extracted counterexamples, with their states as run state ids.
-      std::vector<typename Forward::Witness> Traces;
-      std::vector<TraceResult> TraceResults;
-      double Seconds = 0;
-    };
-
-    // Degradation-ladder state: each memory-pressure event escalates one
-    // (sticky) rung, and the checks run sequentially at round boundaries
-    // against deterministic resident-byte totals, so the ladder walks
-    // identically at any worker count.
-    unsigned LadderRung = 0;
-    unsigned EffTracesPerIter = std::max(1u, Execution.TracesPerIteration);
-    // Why the whole run stopped early, applied to every query still open
-    // when the round loop exits.
-    std::optional<support::Exhausted> RunExhaustion;
-
-    size_t Unresolved = Queries.size();
-    while (Unresolved > 0 && Total.seconds() < Budgets.TimeBudgetSeconds &&
-           !CancelTok->requested()) {
-      ++Stats.Rounds;
-      if (support::metricsEnabled()) {
-        static auto &Rounds =
-            support::MetricRegistry::global().counter("optabs_rounds_total");
-        Rounds.add(1);
-      }
-      Timer RoundTimer;
-      support::ScopedSpan RoundSpan("tracer.round");
-      cache().beginEpoch();
-
-      // Graceful degradation: when the cache's resident bytes exceed the
-      // memory budget, escalate one rung and always evict as immediate
-      // relief. Right after beginEpoch() nothing is pinned, so eviction
-      // reclaims everything cacheable; the deeper rungs additionally shrink
-      // future work. Every rung only under-approximates harder (§5's dropK
-      // argument), so verdicts stay sound.
-      if (Budgets.MemoryBudgetBytes > 0 &&
-          cache().counters().ResidentBytes > Budgets.MemoryBudgetBytes) {
-        uint64_t Resident = cache().counters().ResidentBytes;
-        LadderRung = std::min(LadderRung + 1, 3u);
-        // With a disk tier armed (service-owned caches), demotion to disk
-        // comes before outright eviction: the entries leave memory either
-        // way, but spilled runs can re-warm on a later lookup instead of
-        // recomputing their fixpoints.
-        size_t Evicted = cache().spillUnpinned();
-        const char *Action =
-            cache().spillArmed() ? "spill_cache" : "evict_cache";
-        if (LadderRung >= 2) {
-          unsigned NarrowK = std::max(1u, Execution.K / 2);
-          for (auto &B : Bwds)
-            B->setBeamWidth(NarrowK);
-          Action = "shrink_beam";
-        }
-        if (LadderRung >= 3) {
-          EffTracesPerIter = 1;
-          Action = "single_trace";
-        }
-        ++Stats.Degradations;
-        if (support::metricsEnabled())
-          support::MetricRegistry::global()
-              .counter("optabs_degrade_total")
-              .add(1);
-        if (Trace.enabled())
-          Trace.write(Trace.event("degrade")
-                          .field("round", Stats.Rounds)
-                          .field("rung", LadderRung)
-                          .field("action", Action)
-                          .field("trigger", "memory")
-                          .field("resident_bytes", Resident)
-                          .field("budget_bytes", Budgets.MemoryBudgetBytes)
-                          .field("evicted", Evicted));
-      }
-
-      // Stage attribution: PhaseTimer is reset at every stage boundary and
-      // its reading accumulated into Stats.Phases (always, two clock reads
-      // per stage); PhaseSpan re-opens a published profiler span at the
-      // same boundaries (no-ops when metrics are off). Publishing lets the
-      // root spans of pool workers reparent under the current stage in the
-      // aggregate view.
-      Timer PhaseTimer;
-      std::optional<support::ScopedSpan> PhaseSpan;
-      PhaseSpan.emplace("tracer.plan", /*Publish=*/true);
-
-      // Group unresolved queries by viable-set signature (§6). Without
-      // grouping, every query is its own group and its forward runs stay
-      // private (the "technique run separately per query" baseline).
-      // GreedyGrow learns no viable sets: each query is its own group with
-      // its own grown abstraction, and equal abstractions still share one
-      // run slot below.
-      std::map<uint64_t, std::vector<size_t>> Groups;
-      for (size_t I = 0; I < Queries.size(); ++I) {
-        if (Recs[I].Done)
-          continue;
-        uint64_t Key = Execution.GroupQueries && !Greedy
-                           ? Recs[I].Viable.signature()
-                           : static_cast<uint64_t>(I);
-        Groups[Key].push_back(I);
-      }
-      if (Trace.enabled())
-        Trace.write(Trace.event("round_begin")
-                        .field("round", Stats.Rounds)
-                        .field("unresolved", Unresolved)
-                        .field("groups", Groups.size()));
-
-      // One abstraction per group (a min-cost solve, or the greedy grown
-      // bits); one run slot per distinct abstraction this round. Slots
-      // resolve against the cross-round cache here, in deterministic plan
-      // order, so hit/miss counters are independent of the worker count.
-      struct GroupPlan {
-        std::vector<size_t> Members;
-        std::optional<Param> Abs;
-        std::vector<bool> Bits;
-        size_t Slot = 0;
-        /// Set when the min-cost solve was cut short: its members end
-        /// Unresolved, never Impossible (an aborted search proves no UNSAT).
-        std::optional<support::Exhausted> SolveExhaustion;
-      };
-      struct RunSlot {
-        CacheKey Key;
-        std::optional<Param> Abs;
-        Forward *Run = nullptr;        ///< cached, or set after stage A
-        std::unique_ptr<Forward> Fresh; ///< built by stage A on a miss
-        std::optional<support::Exhausted> Exhaustion; ///< stage A cut short
-        double BuildSeconds = 0;
-        size_t Users = 0;
-        uint64_t MinData = 0;  ///< strongest freshness requested so far
-        uint64_t ServedData = 0; ///< data epoch of a cache-served run
-        bool FromCache = false;  ///< Run (if set) came from the cache
-      };
-      std::vector<GroupPlan> Plans;
-      std::vector<RunSlot> Slots;
-      std::map<CacheKey, size_t> SlotIndex;
-      for (auto &[Sig, Members] : Groups) {
-        (void)Sig;
-        GroupPlan Plan;
-        Plan.Members = Members;
-        std::optional<std::vector<bool>> Chosen;
-        if (Greedy) {
-          Chosen = Recs[Members[0]].Grown;
-        } else {
-          ++Stats.SolverCalls;
-          support::BudgetGate SolverGate("mincostsat.decision",
-                                         Budgets.SolverDecisionBudget,
-                                         CancelTok.get(), 0, &Sink);
-          try {
-            if (std::optional<MinCostModel> Model =
-                    solveMinCost(Recs[Members[0]].Viable, A.numParamBits(),
-                                 &SolverGate))
-              Chosen = std::move(Model->Assignment);
-          } catch (const std::bad_alloc &) {
-            SolverGate.exhaust(support::Resource::Memory);
-          }
-          if (SolverGate.exhausted())
-            Plan.SolveExhaustion = SolverGate.why();
-        }
-        if (Chosen) {
-          Plan.Abs = A.paramFromBits(*Chosen);
-          Plan.Bits = std::move(*Chosen);
-          CacheKey Key;
-          Key.Bits = Plan.Bits;
-          Key.ProgramEpoch = CacheEpochScope;
-          Key.Family = CacheFamilyScope;
-          // Without grouping, each query keeps its own runs (the §6
-          // baseline); the salt separates them in the shared cache.
-          Key.Salt = Execution.GroupQueries
-                         ? 0
-                         : static_cast<uint32_t>(Members[0]) + 1;
-          // Freshness floor for this group: a cached run computed before
-          // the latest IR edit that touched any member's dependence
-          // footprint cannot be served (service-injected; 0 standalone).
-          uint64_t MinData = 0;
-          if (CheckMinDataEpochs)
-            for (size_t M : Plan.Members)
-              MinData = std::max(
-                  MinData, (*CheckMinDataEpochs)[Queries[M].index()]);
-          auto [It, IsNew] = SlotIndex.try_emplace(Key, Slots.size());
-          if (IsNew) {
-            RunSlot Slot;
-            Slot.Key = std::move(Key);
-            Slot.Abs = Plan.Abs;
-            Slot.MinData = MinData;
-            Slot.Run = cache().lookup(Slot.Key, MinData, &Slot.ServedData);
-            Slot.FromCache = Slot.Run != nullptr;
-            Slots.push_back(std::move(Slot));
-          } else if (RunSlot &Joined = Slots[It->second];
-                     MinData > Joined.MinData && Joined.Run &&
-                     Joined.FromCache && Joined.ServedData < MinData) {
-            // A second group needs the same abstraction but fresher data
-            // than the cached run an earlier group accepted: discard it
-            // and rebuild (the rebuilt run serves both groups).
-            Joined.MinData = MinData;
-            Joined.Run = nullptr;
-            Joined.FromCache = false;
-            cache().noteStaleMiss();
-          } else {
-            // A second group solved to the same abstraction this round.
-            Slots[It->second].MinData =
-                std::max(Slots[It->second].MinData, MinData);
-            cache().noteSharedHit();
-          }
-          Plan.Slot = It->second;
-          Slots[Plan.Slot].Users += Members.size();
-        }
-        if (Trace.enabled() && Plan.Abs)
-          Trace.write(Trace.event("choose")
-                          .field("round", Stats.Rounds)
-                          .field("members", Plan.Members.size())
-                          .field("cost", A.paramCost(*Plan.Abs))
-                          .field("bits", bitsToString(Plan.Bits))
-                          .field("viable_clauses",
-                                 Recs[Plan.Members[0]].Viable.size())
-                          .hexField("viable_sig",
-                                    Recs[Plan.Members[0]].Viable.signature()));
-        Plans.push_back(std::move(Plan));
-      }
-
-      Stats.Phases.Plan += PhaseTimer.seconds();
-      PhaseSpan.emplace("tracer.forward", /*Publish=*/true);
-      PhaseTimer.reset();
-
-      // Stage A: forward fixpoints for every missed abstraction, in
-      // parallel; merged into the cache in plan order.
-      std::vector<size_t> ToBuild;
-      for (size_t S = 0; S < Slots.size(); ++S)
-        if (!Slots[S].Run)
-          ToBuild.push_back(S);
-      pool().parallelFor(ToBuild.size(), [&](size_t T, unsigned) {
-        support::ScopedSpan TaskSpan("tracer.forward.fixpoint");
-        RunSlot &Slot = Slots[ToBuild[T]];
-        Timer BuildTimer;
-        try {
-          // Per-task gate: this task alone counts its visits, so the cut
-          // point is schedule-independent. A worker's bad_alloc is contained
-          // here — it costs this abstraction's queries, not the process.
-          support::BudgetGate Gate("forward.visit", Budgets.ForwardStepBudget,
-                                   CancelTok.get(), 0, &Sink);
-          auto Run =
-              std::make_unique<Forward>(P, A, *Slot.Abs, Liveness, Reach);
-          Run->run(Init, &Gate);
-          if (Run->exhausted())
-            Slot.Exhaustion = *Run->exhaustion();
-          else
-            Slot.Fresh = std::move(Run);
-        } catch (const std::bad_alloc &) {
-          Slot.Exhaustion =
-              support::Exhausted{support::Resource::Memory, "forward.visit"};
-        }
-        Slot.BuildSeconds = BuildTimer.seconds();
-      });
-      for (size_t S : ToBuild) {
-        ++Stats.ForwardRuns;
-        if (!Slots[S].Fresh)
-          continue; // exhausted mid-fixpoint: partial runs are never cached
-        try {
-          if (auto K = support::faultPoint("cache.insert")) {
-            if (*K == support::FaultKind::Cancel)
-              CancelTok->request();
-            else
-              support::reportInvariant(
-                  &Sink, "injected-fault", "cache.insert",
-                  "fault injection: forced invariant breakage");
-          }
-          Slots[S].Run = cache().insert(Slots[S].Key,
-                                        std::move(Slots[S].Fresh),
-                                        CacheEpochScope);
-        } catch (const std::bad_alloc &) {
-          Slots[S].Exhaustion =
-              support::Exhausted{support::Resource::Memory, "cache.insert"};
-        }
-      }
-      if (support::metricsEnabled() && !ToBuild.empty()) {
-        static auto &Runs = support::MetricRegistry::global().counter(
-            "optabs_forward_runs_total");
-        Runs.add(ToBuild.size());
-      }
-      if (Trace.enabled()) {
-        std::vector<bool> Built(Slots.size(), false);
-        for (size_t S : ToBuild)
-          Built[S] = true;
-        for (size_t S = 0; S < Slots.size(); ++S)
-          Trace.write(Trace.event("forward")
-                          .field("round", Stats.Rounds)
-                          .field("bits", bitsToString(Slots[S].Key.Bits))
-                          .field("cached", !Built[S])
-                          .field("seconds", Slots[S].BuildSeconds));
-      }
-
-      Stats.Phases.Forward += PhaseTimer.seconds();
-      PhaseSpan.emplace("tracer.plan", /*Publish=*/true);
-      PhaseTimer.reset();
-
-      // Viable set empty: the analysis cannot prove these queries with any
-      // abstraction (Algorithm 1, line 6) — unless the solve was aborted by
-      // its budget, in which case nothing was proven unsatisfiable and the
-      // members end Unresolved.
-      for (GroupPlan &Plan : Plans) {
-        if (Plan.Abs)
-          continue;
-        for (size_t I : Plan.Members) {
-          Recs[I].Done = true;
-          if (Plan.SolveExhaustion) {
-            Outcomes[I].V = Verdict::Unresolved;
-            noteExhausted(Outcomes[I], *Plan.SolveExhaustion, Trace);
-          } else {
-            Outcomes[I].V = Verdict::Impossible;
-          }
-          --Unresolved;
-          Outcomes[I].TraceRound = Stats.Rounds;
-          Outcomes[I].TraceForm = 1;
-          if (Trace.enabled())
-            Trace.write(verdictEvent(Trace.label(), Queries[I].index(),
-                                     Outcomes[I]));
-        }
-      }
-
-      // Schedule one step per (plan, member), in the order the sequential
-      // driver would process them; the wall-clock budget is checked here,
-      // at schedule time.
-      std::vector<MemberStep> Steps;
-      std::vector<std::vector<size_t>> SlotWork(Slots.size());
-      bool OutOfTime = false;
-      for (size_t PlanIdx = 0; PlanIdx < Plans.size() && !OutOfTime;
-           ++PlanIdx) {
-        GroupPlan &Plan = Plans[PlanIdx];
-        if (!Plan.Abs)
-          continue;
-        for (size_t I : Plan.Members) {
-          try {
-            if (auto K = support::faultPoint("driver.schedule")) {
-              if (*K == support::FaultKind::Cancel)
-                CancelTok->request();
-              else
-                support::reportInvariant(
-                    &Sink, "injected-fault", "driver.schedule",
-                    "fault injection: forced invariant breakage");
-            }
-          } catch (const std::bad_alloc &) {
-            RunExhaustion = support::Exhausted{support::Resource::Memory,
-                                               "driver.schedule"};
-            OutOfTime = true;
-            break;
-          }
-          if (Total.seconds() >= Budgets.TimeBudgetSeconds) {
-            OutOfTime = true;
-            break;
-          }
-          if (CancelTok->requested()) {
-            RunExhaustion = support::Exhausted{support::Resource::Cancelled,
-                                               "driver.run"};
-            OutOfTime = true;
-            break;
-          }
-          MemberStep Step;
-          Step.PlanIdx = PlanIdx;
-          Step.Query = I;
-          if (!Slots[Plan.Slot].Run) {
-            // Stage A ran out of budget (or OOMed) on this abstraction:
-            // its members resolve to Unresolved at merge time; nothing is
-            // classified against the partial fixpoint.
-            Step.Kind = StepKind::Exhausted;
-            Step.Exhaustion =
-                Slots[Plan.Slot].Exhaustion
-                    ? Slots[Plan.Slot].Exhaustion
-                    : std::optional<support::Exhausted>{support::Exhausted{
-                          support::Resource::Memory, "forward.visit"}};
-            Steps.push_back(std::move(Step));
-            continue;
-          }
-          SlotWork[Plan.Slot].push_back(Steps.size());
-          Steps.push_back(std::move(Step));
-        }
-      }
-
-      Stats.Phases.Plan += PhaseTimer.seconds();
-      PhaseSpan.emplace("tracer.classify", /*Publish=*/true);
-      PhaseTimer.reset();
-
-      // Stage B1: classify every step - does the abstraction prove the
-      // query? Read-only on the forward runs, so fully parallel across
-      // steps. D = F_p[s]({d_I}) at the check, intersected with
-      // gamma(not q) (line 9).
-      pool().parallelFor(Steps.size(), [&](size_t T, unsigned) {
-        MemberStep &Step = Steps[T];
-        if (Step.Kind == StepKind::Exhausted)
-          return; // no forward run to classify against
-        const GroupPlan &Plan = Plans[Step.PlanIdx];
-        const RunSlot &Slot = Slots[Plan.Slot];
-        Timer StepTimer;
-        const QueryOutcome &Out = Outcomes[Step.Query];
-        const QueryRec &Rec = Recs[Step.Query];
-        try {
-          for (dataflow::StateId Id : Slot.Run->statesAtCheckIds(Out.Check)) {
-            bool IsFail = Rec.NotQ.eval([&](formula::AtomId Atom) {
-              return A.evalAtom(Atom, *Slot.Abs, Slot.Run->state(Id));
-            });
-            if (IsFail)
-              Step.FailIds.push_back(Id);
-          }
-          if (Step.FailIds.empty()) {
-            Step.Kind = StepKind::Proven;
-          } else if (Out.Iterations + 1 >= Execution.MaxItersPerQuery) {
-            Step.Kind = StepKind::IterBudget;
-          } else if (Strategy == SearchStrategy::EliminateCurrent) {
-            Step.Kind = StepKind::Eliminate;
-          } else {
-            Step.Kind = StepKind::Traces;
-            // Deterministic choice of counterexample states: smallest state
-            // values first, exactly as the sequential driver sorts.
-            std::sort(Step.FailIds.begin(), Step.FailIds.end(),
-                      [&](dataflow::StateId X, dataflow::StateId Y) {
-                        return Slot.Run->state(X) < Slot.Run->state(Y);
-                      });
-          }
-        } catch (const std::bad_alloc &) {
-          Step.Kind = StepKind::Exhausted;
-          Step.Exhaustion = support::Exhausted{support::Resource::Memory,
-                                               "driver.classify"};
-        }
-        Step.Seconds = StepTimer.seconds();
-      });
-
-      Stats.Phases.Classify += PhaseTimer.seconds();
-      PhaseSpan.emplace("tracer.extract", /*Publish=*/true);
-      PhaseTimer.reset();
-
-      // Stage B2: counterexample trace extraction (line 13). Extraction
-      // only reads the run and yields each trace's state ids, which stage
-      // B3 reads in place. Steps of one forward run stay on one task, in
-      // schedule order; distinct runs proceed in parallel.
-      pool().parallelFor(Slots.size(), [&](size_t S, unsigned Worker) {
-        RunSlot &Slot = Slots[S];
-        for (size_t StepIdx : SlotWork[S]) {
-          MemberStep &Step = Steps[StepIdx];
-          if (Step.Kind != StepKind::Traces)
-            continue;
-          Timer StepTimer;
-          const QueryOutcome &Out = Outcomes[Step.Query];
-          size_t WantTraces = EffTracesPerIter;
-          try {
-            for (dataflow::StateId Id : Step.FailIds) {
-              if (Step.Traces.size() >= WantTraces)
-                break;
-              for (auto &W : Slot.Run->extractWitnesses(
-                       Out.Check, Id, WantTraces - Step.Traces.size(),
-                       Scratches[Worker]))
-                Step.Traces.push_back(std::move(W));
-            }
-            if (Step.Traces.empty()) {
-              // Without a counterexample nothing can be learned and
-              // retrying the same abstraction would not terminate, so the
-              // query is left unresolved. The sink is thread-safe; this
-              // stage runs on pool workers.
-              support::reportInvariant(
-                  &Sink, "trace-witness", "QueryDriver::run",
-                  "failing state at check " +
-                      std::to_string(Out.Check.index()) +
-                      " has no witnessing trace; query left unresolved");
-              Step.Kind = StepKind::NoTrace;
-            } else {
-              Step.TraceResults.resize(Step.Traces.size());
-            }
-          } catch (const std::bad_alloc &) {
-            Step.Kind = StepKind::Exhausted;
-            Step.Exhaustion = support::Exhausted{support::Resource::Memory,
-                                                 "driver.extract"};
-            Step.Traces.clear();
-            Step.TraceResults.clear();
-          }
-          Step.Seconds += StepTimer.seconds();
-        }
-      });
-
-      Stats.Phases.Extract += PhaseTimer.seconds();
-      PhaseSpan.emplace("tracer.backward", /*Publish=*/true);
-      PhaseTimer.reset();
-
-      // Stage B3: backward meta-analysis, one task per counterexample
-      // trace (line 14), on per-worker Backward instances.
-      std::vector<std::pair<size_t, size_t>> TraceTasks;
-      for (size_t T = 0; T < Steps.size(); ++T)
-        for (size_t J = 0; J < Steps[T].Traces.size(); ++J)
-          TraceTasks.emplace_back(T, J);
-      pool().parallelFor(TraceTasks.size(), [&](size_t T, unsigned Worker) {
-        support::ScopedSpan TaskSpan("tracer.backward.trace");
-        auto [StepIdx, J] = TraceTasks[T];
-        MemberStep &Step = Steps[StepIdx];
-        const GroupPlan &Plan = Plans[Step.PlanIdx];
-        const RunSlot &Slot = Slots[Plan.Slot];
-        Timer TraceTimer;
-        Backward &Bwd = *Bwds[Worker];
-        TraceResult &R = Step.TraceResults[J];
-        try {
-          const typename Forward::Witness &W = Step.Traces[J];
-          std::optional<formula::Dnf> F =
-              Bwd.run(W.T, *Slot.Abs, Slot.Run->statesOf(W),
-                      Recs[Step.Query].NotQ);
-          R.MaxCubes = Bwd.stats().MaxCubes;
-          if (F)
-            R.Unviable = Bwd.projectToParams(*F, *Slot.Abs, Init);
-          else
-            R.Exhaustion = Bwd.lastExhaustion(); // empty on invariant-discard
-        } catch (const std::bad_alloc &) {
-          R.Exhaustion =
-              support::Exhausted{support::Resource::Memory, "backward.step"};
-        }
-        R.Seconds = TraceTimer.seconds();
-      });
-
-      Stats.Phases.Backward += PhaseTimer.seconds();
-      PhaseSpan.emplace("tracer.merge", /*Publish=*/true);
-      PhaseTimer.reset();
-
-      // Merge: fold every step in schedule order - the same order the
-      // sequential driver processes members - so verdicts, viable sets,
-      // and statistics are independent of the worker count.
-      auto KindName = [](StepKind K) {
-        switch (K) {
-        case StepKind::Proven:
-          return "proven";
-        case StepKind::IterBudget:
-          return "iter-budget";
-        case StepKind::Eliminate:
-          return "eliminate";
-        case StepKind::Traces:
-          return "traces";
-        case StepKind::NoTrace:
-          return "no-trace";
-        case StepKind::Exhausted:
-          return "exhausted";
-        }
-        return "?";
-      };
-      for (MemberStep &Step : Steps) {
-        GroupPlan &Plan = Plans[Step.PlanIdx];
-        RunSlot &Slot = Slots[Plan.Slot];
-        QueryOutcome &Out = Outcomes[Step.Query];
-        QueryRec &Rec = Recs[Step.Query];
-        double SharedTime =
-            Slot.Users ? Slot.BuildSeconds / static_cast<double>(Slot.Users)
-                       : 0;
-        ++Out.Iterations;
-        Out.Seconds += SharedTime + Step.Seconds;
-        switch (Step.Kind) {
-        case StepKind::Proven:
-          // Proven with a minimum abstraction (line 11).
-          Rec.Done = true;
-          Out.V = Verdict::Proven;
-          Out.CheapestCost = A.paramCost(*Plan.Abs);
-          Out.CheapestParam = A.paramToString(*Plan.Abs);
-          Out.CheapestBits = Plan.Bits;
-          --Unresolved;
-          break;
-        case StepKind::IterBudget:
-          Rec.Done = true;
-          Out.V = Verdict::Unresolved;
-          noteExhausted(Out,
-                        support::Exhausted{support::Resource::Steps,
-                                           "driver.iterations"},
-                        Trace);
-          --Unresolved;
-          break;
-        case StepKind::NoTrace:
-          Rec.Done = true;
-          Out.V = Verdict::Unresolved;
-          --Unresolved;
-          break;
-        case StepKind::Exhausted:
-          Rec.Done = true;
-          Out.V = Verdict::Unresolved;
-          if (Step.Exhaustion)
-            noteExhausted(Out, *Step.Exhaustion, Trace);
-          --Unresolved;
-          break;
-        case StepKind::Eliminate:
-          // Baseline: rule out exactly the current abstraction.
-          Rec.Viable.addClause(eliminateClause(Plan.Bits));
-          break;
-        case StepKind::Traces: {
-          // Lines 13-15: viable-set strengthening. Analyzing several
-          // distinct failing states' traces per iteration conjoins
-          // everything they rule out (§8's DAG-counterexample direction,
-          // in trace form).
-          bool MetaTimedOut = false;
-          std::optional<support::Exhausted> MetaExhaustion;
-          for (TraceResult &R : Step.TraceResults) {
-            ++Stats.BackwardRuns;
-            if (support::metricsEnabled()) {
-              static auto &Runs = support::MetricRegistry::global().counter(
-                  "optabs_backward_runs_total");
-              Runs.add(1);
-            }
-            Stats.MaxFormulaCubes =
-                std::max(Stats.MaxFormulaCubes, R.MaxCubes);
-            Out.Seconds += R.Seconds;
-            if (!R.Unviable) {
-              // The meta-analysis timed out on this trace: nothing sound
-              // can be learned, so the query stays unresolved.
-              MetaTimedOut = true;
-              MetaExhaustion = R.Exhaustion;
-              break;
-            }
-            if (Greedy)
-              blame(Rec.Grown, *R.Unviable);
-            else
-              addUnviable(Rec.Viable, *R.Unviable);
-          }
-          if (MetaTimedOut) {
-            Rec.Done = true;
-            Out.V = Verdict::Unresolved;
-            if (MetaExhaustion)
-              noteExhausted(Out, *MetaExhaustion, Trace);
-            --Unresolved;
-            break;
-          }
-          if (Greedy) {
-            // No new blame: retrying the same abstraction cannot help, and
-            // greedy refinement cannot conclude impossibility.
-            if (Rec.Grown == Plan.Bits) {
-              Rec.Done = true;
-              Out.V = Verdict::Unresolved;
-              --Unresolved;
-            }
-            break;
-          }
-          // Progress (Theorem 3): the current abstraction is always among
-          // the eliminated ones, so the next round cannot repeat it. When
-          // the learned clauses fail to rule it out, fall back to
-          // eliminating it explicitly - weaker learning, but termination
-          // (and soundness) survive the violation.
-          if (Rec.Viable.eval(Plan.Bits)) {
-            support::reportInvariant(
-                &Sink, "progress", "QueryDriver::run",
-                "meta-analysis failed to eliminate the current abstraction "
-                "for check " +
-                    std::to_string(Out.Check.index()) +
-                    "; eliminating it explicitly");
-            Rec.Viable.addClause(eliminateClause(Plan.Bits));
-          }
-          break;
-        }
-        }
-        if (Rec.Done && Outcomes[Step.Query].TraceForm == 0) {
-          Outcomes[Step.Query].TraceRound = Stats.Rounds;
-          Outcomes[Step.Query].TraceForm = 2;
-        }
-        if (Trace.enabled()) {
-          std::vector<size_t> TraceLens;
-          size_t MaxCubes = 0;
-          for (size_t J = 0; J < Step.Traces.size(); ++J) {
-            TraceLens.push_back(Step.Traces[J].T.size());
-            MaxCubes = std::max(MaxCubes, Step.TraceResults[J].MaxCubes);
-          }
-          Trace.write(Trace.event("step")
-                          .field("round", Stats.Rounds)
-                          .field("query", Queries[Step.Query].index())
-                          .field("kind", KindName(Step.Kind))
-                          .field("fail_states", Step.FailIds.size())
-                          .field("traces", Step.Traces.size())
-                          .field("trace_lens", TraceLens)
-                          .field("max_cubes", MaxCubes)
-                          .hexField("learned_sig", Rec.Viable.signature()));
-          if (Rec.Done)
-            Trace.write(verdictEvent(Trace.label(),
-                                     Queries[Step.Query].index(), Out));
-        }
-      }
-      Stats.Phases.Merge += PhaseTimer.seconds();
-      PhaseSpan.reset();
-      if (Trace.enabled())
-        Trace.write(Trace.event("round_end")
-                        .field("round", Stats.Rounds)
-                        .field("unresolved", Unresolved)
-                        .field("cache_hits",
-                               cache().counters().Hits - BaseCounters.Hits)
-                        .field("cache_misses",
-                               cache().counters().Misses - BaseCounters.Misses)
-                        .field("cache_evictions",
-                               cache().counters().Evictions -
-                                   BaseCounters.Evictions)
-                        .field("seconds", RoundTimer.seconds()));
-    }
-
-    if (Unresolved > 0 && !RunExhaustion) {
-      // The round loop stopped with open queries: the whole-run wall-clock
-      // budget or an external cancellation, whichever tripped.
-      RunExhaustion =
-          CancelTok->requested()
-              ? support::Exhausted{support::Resource::Cancelled, "driver.run"}
-              : support::Exhausted{support::Resource::WallClock,
-                                   "driver.run"};
-    }
-    for (size_t I = 0; I < Queries.size(); ++I) {
-      if (!Recs[I].Done) {
-        Outcomes[I].V = Verdict::Unresolved;
-        if (RunExhaustion)
-          noteExhausted(Outcomes[I], *RunExhaustion, Trace);
-      }
-      LastViable.push_back(std::move(Recs[I].Viable));
-    }
-    publishCacheCounters();
-    Stats.Violations = Sink.snapshot();
-    TotalSeconds = Total.seconds();
-    if (Trace.enabled()) {
-      for (const support::InvariantViolation &V : Stats.Violations)
-        Trace.write(Trace.event("invariant_violation")
-                        .field("check", V.Check)
-                        .field("where", V.Where)
-                        .field("message", V.Message));
-      Trace.write(Trace.event("run_end")
-                      .field("rounds", Stats.Rounds)
-                      .field("forward_runs", Stats.ForwardRuns)
-                      .field("backward_runs", Stats.BackwardRuns)
-                      .field("solver_calls", Stats.SolverCalls)
-                      .field("violations", Stats.Violations.size())
-                      .field("budget_exhausted", Stats.BudgetExhausted)
-                      .field("degradations", Stats.Degradations)
-                      .field("seconds", TotalSeconds));
-    }
-    return Outcomes;
-  }
-
-public:
   const DriverStats &stats() const { return Stats; }
   double totalSeconds() const { return TotalSeconds; }
 
@@ -1172,25 +334,850 @@ public:
 private:
   using CacheKey = typename ForwardRunCache<Forward>::Key;
 
-  /// Records a budget exhaustion on a query outcome: the structured
-  /// Exhausted value, the stats counter, the metrics counter, and a
-  /// `budget_exhausted` trace event. Called from sequential phases only
-  /// (merge, plan, post-loop), so the event stream stays worker-count
-  /// independent.
-  void noteExhausted(QueryOutcome &Out, const support::Exhausted &E,
-                     EventTraceWriter &Trace) {
-    Out.Exhaustion = E;
-    ++Stats.BudgetExhausted;
+  /// What the driver knows about one query across rounds.
+  struct QueryRec {
+    Cnf Viable; ///< learned viable set (stays empty under GreedyGrow)
+    /// GreedyGrow's abstraction: every parameter blamed so far (all false
+    /// under the other strategies).
+    std::vector<bool> Grown;
+    bool Done = false;
+    formula::Dnf NotQ;
+  };
+
+  /// What one query learned this round; produced by the parallel stages,
+  /// folded by the sequential merge.
+  enum class StepKind : uint8_t {
+    Proven,     ///< no failing state under the round's abstraction
+    IterBudget, ///< would exceed MaxItersPerQuery
+    Eliminate,  ///< EliminateCurrent baseline: rule out this abstraction
+    Traces,     ///< counterexample traces extracted, backward runs follow
+    NoTrace,    ///< defensive: failing state without a witness
+    Exhausted,  ///< a resource budget ran out; query ends Unresolved
+  };
+
+  /// The step event's "kind" field, indexed by StepKind.
+  static constexpr const char *StepKindNames[] = {
+      "proven", "iter-budget", "eliminate", "traces", "no-trace", "exhausted"};
+
+  struct TraceResult {
+    std::optional<formula::Dnf> Unviable; ///< nullopt = meta timeout
+    std::optional<support::Exhausted> Exhaustion; ///< why, if budget
+    size_t MaxCubes = 0;
+    double Seconds = 0;
+  };
+
+  struct MemberStep {
+    size_t PlanIdx = 0;
+    size_t Query = 0;
+    StepKind Kind = StepKind::NoTrace;
+    std::optional<support::Exhausted> Exhaustion; ///< set when Exhausted
+    std::vector<dataflow::StateId> FailIds; ///< sorted by state value
+    /// Extracted counterexamples, with their states as run state ids.
+    std::vector<typename Forward::Witness> Traces;
+    std::vector<TraceResult> TraceResults;
+    double Seconds = 0;
+  };
+
+  /// One group of queries and the abstraction they try this round.
+  struct GroupPlan {
+    std::vector<size_t> Members;
+    std::optional<Param> Abs;
+    std::vector<bool> Bits;
+    size_t Slot = 0;
+    /// A failure under this plan rules out exactly its abstraction
+    /// (EliminateCurrent) instead of being learned from counterexamples.
+    bool Eliminate = false;
+    /// Set when the min-cost solve was cut short: its members end
+    /// Unresolved, never Impossible (an aborted search proves no UNSAT).
+    std::optional<support::Exhausted> SolveExhaustion;
+  };
+
+  /// One distinct abstraction of the round and its forward run.
+  struct RunSlot {
+    CacheKey Key;
+    std::optional<Param> Abs;
+    Forward *Run = nullptr;         ///< cached, or set after stage A
+    std::unique_ptr<Forward> Fresh; ///< built by stage A on a miss
+    std::optional<support::Exhausted> Exhaustion; ///< stage A cut short
+    double BuildSeconds = 0;
+    size_t Users = 0;
+    uint64_t MinData = 0;    ///< strongest freshness requested so far
+    uint64_t ServedData = 0; ///< data epoch of a cache-served run
+    bool FromCache = false;  ///< Run (if set) came from the cache
+  };
+
+  /// The state of one run() that outlives its rounds.
+  struct RunState {
+    explicit RunState(const std::vector<ir::CheckId> &Queries)
+        : Queries(Queries), Outcomes(Queries.size()), Recs(Queries.size()),
+          Unresolved(Queries.size()) {}
+
+    const std::vector<ir::CheckId> &Queries;
+    Timer Total;
+    EventTraceWriter Trace;
+    std::vector<QueryOutcome> Outcomes;
+    std::vector<QueryRec> Recs;
+    size_t Unresolved;
+    /// A token always exists so injected Cancel faults at gateless sites
+    /// (cache.insert, driver.schedule) have something to act on even when
+    /// the caller passed none.
+    std::shared_ptr<support::CancelToken> CancelTok;
+    /// One backward meta-analysis per worker: its scratch (stats, product
+    /// buffers, skip memo) never crosses threads. The wp table they fill
+    /// belongs to the analysis and is shared (meta/WpTable.h).
+    std::vector<std::unique_ptr<Backward>> Bwds;
+    /// Likewise one witness-search scratch per worker, reused by every
+    /// extraction it runs and never stored with a (cached) forward run.
+    std::vector<typename Forward::Scratch> Scratches;
+    std::optional<State> Init;
+    /// Degradation-ladder state: each memory-pressure event escalates one
+    /// (sticky) rung, and the checks run sequentially at round boundaries
+    /// against deterministic resident-byte totals, so the ladder walks
+    /// identically at any worker count.
+    unsigned LadderRung = 0;
+    unsigned EffTracesPerIter = 1;
+    /// Why the whole run stopped early, applied to every query still open
+    /// when the round loop exits.
+    std::optional<support::Exhausted> RunExhaustion;
+  };
+
+  /// One round's plans, run slots and steps: each stage reads what the
+  /// stages before it filled in. Parallel stages write only into
+  /// pre-sized slots of their own task.
+  struct Round {
+    /// Stage attribution: reset at every stage boundary (see nextStage).
+    Timer PhaseTimer;
+    std::optional<support::ScopedSpan> PhaseSpan;
+    std::vector<GroupPlan> Plans;
+    std::vector<RunSlot> Slots;
+    std::map<CacheKey, size_t> SlotIndex;
+    /// One step per (plan, member), in the order the sequential driver
+    /// would process them.
+    std::vector<MemberStep> Steps;
+    /// Per slot, the indices of the steps classified against its run.
+    std::vector<std::vector<size_t>> SlotWork;
+  };
+
+  /// Resets the per-run statistics and builds the run's state: outcomes,
+  /// per-worker scratch, and the `run_begin` event.
+  void beginRun(RunState &S) {
+    Stats = DriverStats();
+    Sink.clear();
+    LastViable.clear();
+    if (!BorrowedCache) {
+      // A borrowed (service-shared) cache keeps its capacity and counters
+      // across runs; the stats below report this run's deltas.
+      OwnedCache.setCapacity(Execution.ForwardCacheCapacity);
+      OwnedCache.resetCounters();
+    }
+    BaseCounters = cache().counters();
+    if (!Observability.EventTracePath.empty())
+      S.Trace.open(Observability.EventTracePath,
+                   Observability.EventTraceLabel);
+    if (S.Trace.enabled())
+      S.Trace.write(S.Trace.event("run_begin")
+                        .field("queries", S.Queries.size())
+                        .field("strategy", strategyName(Strategy))
+                        .field("k", Execution.K)
+                        .field("threads", effectiveWorkers()));
+    for (size_t I = 0; I < S.Queries.size(); ++I) {
+      S.Outcomes[I].Check = S.Queries[I];
+      S.Recs[I].NotQ = A.notQ(S.Queries[I]);
+      S.Recs[I].Grown.assign(A.numParamBits(), false);
+    }
+
+    // A borrowed pool is the service's to size.
+    unsigned Workers = effectiveWorkers();
+    if (!BorrowedPool && (!OwnedPool || OwnedPool->numWorkers() != Workers))
+      OwnedPool = std::make_unique<support::ThreadPool>(Workers, &Sink);
+    S.CancelTok = Cancel ? Cancel : std::make_shared<support::CancelToken>();
+    meta::BackwardConfig BwdConfig;
+    BwdConfig.K = Execution.K;
+    BwdConfig.ProductSoftCap = Execution.ProductSoftCap;
+    BwdConfig.TimeoutSeconds = Budgets.BackwardTimeoutSeconds;
+    BwdConfig.StepBudget = Budgets.BackwardStepBudget;
+    BwdConfig.Cancel = S.CancelTok.get();
+    BwdConfig.Invariants = &Sink;
+    for (unsigned W = 0; W < Workers; ++W)
+      S.Bwds.push_back(std::make_unique<Backward>(P, A, BwdConfig));
+    S.Scratches = std::vector<typename Forward::Scratch>(Workers);
+    S.Init.emplace(A.initialState());
+    S.EffTracesPerIter = std::max(1u, Execution.TracesPerIteration);
+  }
+
+  /// One CEGAR round: the stages in order, each closed by nextStage.
+  void runRound(RunState &S) {
+    ++Stats.Rounds;
+    if (support::metricsEnabled()) {
+      static auto &Rounds =
+          support::MetricRegistry::global().counter("optabs_rounds_total");
+      Rounds.add(1);
+    }
+    Timer RoundTimer;
+    support::ScopedSpan RoundSpan("tracer.round");
+    cache().beginEpoch();
+    degrade(S);
+
+    Round R;
+    R.PhaseSpan.emplace("tracer.plan", /*Publish=*/true);
+    plan(S, R);
+    nextStage(R, Stats.Phases.Plan, "tracer.forward");
+    forward(S, R);
+    nextStage(R, Stats.Phases.Forward, "tracer.plan");
+    schedule(S, R);
+    nextStage(R, Stats.Phases.Plan, "tracer.classify");
+    classify(S, R);
+    nextStage(R, Stats.Phases.Classify, "tracer.extract");
+    extract(S, R);
+    nextStage(R, Stats.Phases.Extract, "tracer.backward");
+    backward(S, R);
+    nextStage(R, Stats.Phases.Backward, "tracer.merge");
+    merge(S, R);
+    nextStage(R, Stats.Phases.Merge, nullptr);
+
+    if (S.Trace.enabled())
+      S.Trace.write(S.Trace.event("round_end")
+                        .field("round", Stats.Rounds)
+                        .field("unresolved", S.Unresolved)
+                        .field("cache_hits",
+                               cache().counters().Hits - BaseCounters.Hits)
+                        .field("cache_misses",
+                               cache().counters().Misses - BaseCounters.Misses)
+                        .field("cache_evictions",
+                               cache().counters().Evictions -
+                                   BaseCounters.Evictions)
+                        .field("seconds", RoundTimer.seconds()));
+  }
+
+  /// Stage boundary: charges the stage that just ended to \p Phase and
+  /// re-opens the published profiler span as \p Next (closes it when
+  /// null). The timer reading is always taken (two clock reads per
+  /// stage); the span is a no-op when metrics are off. Publishing lets the
+  /// root spans of pool workers reparent under the current stage in the
+  /// aggregate view.
+  static void nextStage(Round &R, double &Phase, const char *Next) {
+    Phase += R.PhaseTimer.seconds();
+    if (Next)
+      R.PhaseSpan.emplace(Next, /*Publish=*/true);
+    else
+      R.PhaseSpan.reset();
+    R.PhaseTimer.reset();
+  }
+
+  /// Degradation rung: when the cache's resident bytes exceed the memory
+  /// budget, escalate one rung and always evict as immediate relief.
+  /// Called right after beginEpoch(), when nothing is pinned, so eviction
+  /// reclaims everything cacheable; the deeper rungs additionally shrink
+  /// future work. Every rung only under-approximates harder (§5's dropK
+  /// argument), so verdicts stay sound.
+  void degrade(RunState &S) {
+    uint64_t Resident = cache().counters().ResidentBytes;
+    if (Budgets.MemoryBudgetBytes == 0 || Resident <= Budgets.MemoryBudgetBytes)
+      return;
+    S.LadderRung = std::min(S.LadderRung + 1, 3u);
+    // With a disk tier armed (service-owned caches), demotion to disk
+    // comes before outright eviction: the entries leave memory either
+    // way, but spilled runs can re-warm on a later lookup instead of
+    // recomputing their fixpoints.
+    size_t Evicted = cache().spillUnpinned();
+    const char *Action = cache().spillArmed() ? "spill_cache" : "evict_cache";
+    if (S.LadderRung >= 2) {
+      unsigned NarrowK = std::max(1u, Execution.K / 2);
+      for (auto &B : S.Bwds)
+        B->setBeamWidth(NarrowK);
+      Action = "shrink_beam";
+    }
+    if (S.LadderRung >= 3) {
+      S.EffTracesPerIter = 1;
+      Action = "single_trace";
+    }
+    ++Stats.Degradations;
     if (support::metricsEnabled())
-      support::MetricRegistry::global()
-          .counter("optabs_budget_exhausted_total")
-          .add(1);
-    if (Trace.enabled())
-      Trace.write(Trace.event("budget_exhausted")
-                      .field("round", Stats.Rounds)
-                      .field("query", Out.Check.index())
-                      .field("resource", support::resourceName(E.Res))
-                      .field("site", E.Site));
+      support::MetricRegistry::global().counter("optabs_degrade_total").add(1);
+    if (S.Trace.enabled())
+      S.Trace.write(S.Trace.event("degrade")
+                        .field("round", Stats.Rounds)
+                        .field("rung", S.LadderRung)
+                        .field("action", Action)
+                        .field("trigger", "memory")
+                        .field("resident_bytes", Resident)
+                        .field("budget_bytes", Budgets.MemoryBudgetBytes)
+                        .field("evicted", Evicted));
+  }
+
+  /// Plan: the strategy's choice of groups and abstractions (choose), and
+  /// one run slot per distinct abstraction this round. Slots resolve
+  /// against the cross-round cache here, in deterministic plan order, so
+  /// hit/miss counters are independent of the worker count.
+  void plan(RunState &S, Round &R) {
+    R.Plans = choose(S);
+    if (S.Trace.enabled())
+      S.Trace.write(S.Trace.event("round_begin")
+                        .field("round", Stats.Rounds)
+                        .field("unresolved", S.Unresolved)
+                        .field("groups", R.Plans.size()));
+    for (GroupPlan &Plan : R.Plans) {
+      if (!Plan.Abs)
+        continue;
+      CacheKey Key;
+      Key.Bits = Plan.Bits;
+      Key.ProgramEpoch = CacheEpochScope;
+      Key.Family = CacheFamilyScope;
+      // Without grouping, each query keeps its own runs (the §6
+      // baseline); the salt separates them in the shared cache.
+      Key.Salt = Execution.GroupQueries
+                     ? 0
+                     : static_cast<uint32_t>(Plan.Members[0]) + 1;
+      // Freshness floor for this group: a cached run computed before the
+      // latest IR edit that touched any member's dependence footprint
+      // cannot be served (service-injected; 0 standalone).
+      uint64_t MinData = 0;
+      if (CheckMinDataEpochs)
+        for (size_t M : Plan.Members)
+          MinData = std::max(MinData,
+                             (*CheckMinDataEpochs)[S.Queries[M].index()]);
+      auto [It, IsNew] = R.SlotIndex.try_emplace(Key, R.Slots.size());
+      if (IsNew) {
+        RunSlot Slot;
+        Slot.Key = std::move(Key);
+        Slot.Abs = Plan.Abs;
+        Slot.MinData = MinData;
+        Slot.Run = cache().lookup(Slot.Key, MinData, &Slot.ServedData);
+        Slot.FromCache = Slot.Run != nullptr;
+        R.Slots.push_back(std::move(Slot));
+      } else if (RunSlot &Joined = R.Slots[It->second];
+                 MinData > Joined.MinData && Joined.Run &&
+                 Joined.FromCache && Joined.ServedData < MinData) {
+        // A second group needs the same abstraction but fresher data than
+        // the cached run an earlier group accepted: discard it and rebuild
+        // (the rebuilt run serves both groups).
+        Joined.MinData = MinData;
+        Joined.Run = nullptr;
+        Joined.FromCache = false;
+        cache().noteStaleMiss();
+      } else {
+        // A second group solved to the same abstraction this round.
+        Joined.MinData = std::max(Joined.MinData, MinData);
+        cache().noteSharedHit();
+      }
+      Plan.Slot = It->second;
+      R.Slots[Plan.Slot].Users += Plan.Members.size();
+      if (S.Trace.enabled()) {
+        const Cnf &Viable = S.Recs[Plan.Members[0]].Viable;
+        S.Trace.write(S.Trace.event("choose")
+                          .field("round", Stats.Rounds)
+                          .field("members", Plan.Members.size())
+                          .field("cost", A.paramCost(*Plan.Abs))
+                          .field("bits", bitsToString(Plan.Bits))
+                          .field("viable_clauses", Viable.size())
+                          .hexField("viable_sig", Viable.signature()));
+      }
+    }
+  }
+
+  /// Stage A: forward fixpoints for every missed abstraction, in parallel;
+  /// merged into the cache in plan order.
+  void forward(RunState &S, Round &R) {
+    std::vector<size_t> ToBuild;
+    for (size_t I = 0; I < R.Slots.size(); ++I)
+      if (!R.Slots[I].Run)
+        ToBuild.push_back(I);
+    pool().parallelFor(ToBuild.size(), [&](size_t T, unsigned) {
+      support::ScopedSpan TaskSpan("tracer.forward.fixpoint");
+      RunSlot &Slot = R.Slots[ToBuild[T]];
+      Timer BuildTimer;
+      try {
+        // Per-task gate: this task alone counts its visits, so the cut
+        // point is schedule-independent. A worker's bad_alloc is contained
+        // here — it costs this abstraction's queries, not the process.
+        support::BudgetGate Gate("forward.visit", Budgets.ForwardStepBudget,
+                                 S.CancelTok.get(), 0, &Sink);
+        auto Run = std::make_unique<Forward>(P, A, *Slot.Abs, Liveness, Reach);
+        Run->run(*S.Init, &Gate);
+        if (Run->exhausted())
+          Slot.Exhaustion = *Run->exhaustion();
+        else
+          Slot.Fresh = std::move(Run);
+      } catch (const std::bad_alloc &) {
+        Slot.Exhaustion =
+            support::Exhausted{support::Resource::Memory, "forward.visit"};
+      }
+      Slot.BuildSeconds = BuildTimer.seconds();
+    });
+    for (size_t I : ToBuild) {
+      ++Stats.ForwardRuns;
+      RunSlot &Slot = R.Slots[I];
+      if (!Slot.Fresh)
+        continue; // exhausted mid-fixpoint: partial runs are never cached
+      try {
+        injectFault("cache.insert", *S.CancelTok);
+        Slot.Run = cache().insert(Slot.Key, std::move(Slot.Fresh),
+                                  CacheEpochScope);
+      } catch (const std::bad_alloc &) {
+        Slot.Exhaustion =
+            support::Exhausted{support::Resource::Memory, "cache.insert"};
+      }
+    }
+    if (support::metricsEnabled() && !ToBuild.empty()) {
+      static auto &Runs = support::MetricRegistry::global().counter(
+          "optabs_forward_runs_total");
+      Runs.add(ToBuild.size());
+    }
+    if (S.Trace.enabled()) {
+      std::vector<bool> Built(R.Slots.size(), false);
+      for (size_t I : ToBuild)
+        Built[I] = true;
+      for (size_t I = 0; I < R.Slots.size(); ++I)
+        S.Trace.write(S.Trace.event("forward")
+                          .field("round", Stats.Rounds)
+                          .field("bits", bitsToString(R.Slots[I].Key.Bits))
+                          .field("cached", !Built[I])
+                          .field("seconds", R.Slots[I].BuildSeconds));
+    }
+  }
+
+  /// Schedule: ends the members of every plan without an abstraction, then
+  /// schedules one step per (plan, member) in the order the sequential
+  /// driver would process them. The wall-clock budget and the cancel
+  /// token are checked here, at schedule time.
+  void schedule(RunState &S, Round &R) {
+    // Viable set empty: the analysis cannot prove these queries with any
+    // abstraction (Algorithm 1, line 6) — unless the solve was aborted by
+    // its budget, in which case nothing was proven unsatisfiable and the
+    // members end Unresolved.
+    for (const GroupPlan &Plan : R.Plans)
+      if (!Plan.Abs)
+        for (size_t I : Plan.Members)
+          finish(S, I,
+                 Plan.SolveExhaustion ? Verdict::Unresolved
+                                      : Verdict::Impossible,
+                 Plan.SolveExhaustion, 1);
+
+    R.SlotWork.resize(R.Slots.size());
+    for (size_t PlanIdx = 0; PlanIdx < R.Plans.size(); ++PlanIdx) {
+      const GroupPlan &Plan = R.Plans[PlanIdx];
+      if (!Plan.Abs)
+        continue;
+      const RunSlot &Slot = R.Slots[Plan.Slot];
+      for (size_t I : Plan.Members) {
+        try {
+          injectFault("driver.schedule", *S.CancelTok);
+        } catch (const std::bad_alloc &) {
+          S.RunExhaustion = support::Exhausted{support::Resource::Memory,
+                                               "driver.schedule"};
+          return;
+        }
+        if (S.Total.seconds() >= Budgets.TimeBudgetSeconds)
+          return;
+        if (S.CancelTok->requested()) {
+          S.RunExhaustion =
+              support::Exhausted{support::Resource::Cancelled, "driver.run"};
+          return;
+        }
+        MemberStep &Step = R.Steps.emplace_back();
+        Step.PlanIdx = PlanIdx;
+        Step.Query = I;
+        if (Slot.Run) {
+          R.SlotWork[Plan.Slot].push_back(R.Steps.size() - 1);
+          continue;
+        }
+        // Stage A ran out of budget (or OOMed) on this abstraction: its
+        // members resolve to Unresolved at merge time; nothing is
+        // classified against the partial fixpoint.
+        Step.Kind = StepKind::Exhausted;
+        Step.Exhaustion = Slot.Exhaustion;
+      }
+    }
+  }
+
+  /// Stage B1: classify every step - does the abstraction prove the query?
+  /// Read-only on the forward runs, so fully parallel across steps.
+  /// D = F_p[s]({d_I}) at the check, intersected with gamma(not q)
+  /// (line 9).
+  void classify(RunState &S, Round &R) {
+    pool().parallelFor(R.Steps.size(), [&](size_t T, unsigned) {
+      MemberStep &Step = R.Steps[T];
+      if (Step.Kind == StepKind::Exhausted)
+        return; // no forward run to classify against
+      const GroupPlan &Plan = R.Plans[Step.PlanIdx];
+      const RunSlot &Slot = R.Slots[Plan.Slot];
+      Timer StepTimer;
+      const QueryOutcome &Out = S.Outcomes[Step.Query];
+      try {
+        for (dataflow::StateId Id : Slot.Run->statesAtCheckIds(Out.Check)) {
+          bool IsFail = S.Recs[Step.Query].NotQ.eval([&](formula::AtomId At) {
+            return A.evalAtom(At, *Slot.Abs, Slot.Run->state(Id));
+          });
+          if (IsFail)
+            Step.FailIds.push_back(Id);
+        }
+        if (Step.FailIds.empty()) {
+          Step.Kind = StepKind::Proven;
+        } else if (Out.Iterations + 1 >= Execution.MaxItersPerQuery) {
+          Step.Kind = StepKind::IterBudget;
+        } else if (Plan.Eliminate) {
+          Step.Kind = StepKind::Eliminate;
+        } else {
+          Step.Kind = StepKind::Traces;
+          // Deterministic choice of counterexample states: smallest state
+          // values first, exactly as the sequential driver sorts.
+          std::sort(Step.FailIds.begin(), Step.FailIds.end(),
+                    [&](dataflow::StateId X, dataflow::StateId Y) {
+                      return Slot.Run->state(X) < Slot.Run->state(Y);
+                    });
+        }
+      } catch (const std::bad_alloc &) {
+        Step.Kind = StepKind::Exhausted;
+        Step.Exhaustion =
+            support::Exhausted{support::Resource::Memory, "driver.classify"};
+      }
+      Step.Seconds = StepTimer.seconds();
+    });
+  }
+
+  /// Stage B2: counterexample trace extraction (line 13). Extraction only
+  /// reads the run and yields each trace's state ids, which stage B3 reads
+  /// in place. Steps of one forward run stay on one task, in schedule
+  /// order; distinct runs proceed in parallel.
+  void extract(RunState &S, Round &R) {
+    pool().parallelFor(R.Slots.size(), [&](size_t I, unsigned Worker) {
+      const RunSlot &Slot = R.Slots[I];
+      for (size_t StepIdx : R.SlotWork[I]) {
+        MemberStep &Step = R.Steps[StepIdx];
+        if (Step.Kind != StepKind::Traces)
+          continue;
+        Timer StepTimer;
+        const QueryOutcome &Out = S.Outcomes[Step.Query];
+        size_t WantTraces = S.EffTracesPerIter;
+        try {
+          for (dataflow::StateId Id : Step.FailIds) {
+            if (Step.Traces.size() >= WantTraces)
+              break;
+            for (auto &W : Slot.Run->extractWitnesses(
+                     Out.Check, Id, WantTraces - Step.Traces.size(),
+                     S.Scratches[Worker]))
+              Step.Traces.push_back(std::move(W));
+          }
+          if (Step.Traces.empty()) {
+            // Without a counterexample nothing can be learned and retrying
+            // the same abstraction would not terminate, so the query is
+            // left unresolved. The sink is thread-safe; this stage runs on
+            // pool workers.
+            support::reportInvariant(
+                &Sink, "trace-witness", "QueryDriver::run",
+                "failing state at check " + std::to_string(Out.Check.index()) +
+                    " has no witnessing trace; query left unresolved");
+            Step.Kind = StepKind::NoTrace;
+          } else {
+            Step.TraceResults.resize(Step.Traces.size());
+          }
+        } catch (const std::bad_alloc &) {
+          Step.Kind = StepKind::Exhausted;
+          Step.Exhaustion =
+              support::Exhausted{support::Resource::Memory, "driver.extract"};
+          Step.Traces.clear();
+          Step.TraceResults.clear();
+        }
+        Step.Seconds += StepTimer.seconds();
+      }
+    });
+  }
+
+  /// Stage B3: backward meta-analysis, one task per counterexample trace
+  /// (line 14), on per-worker Backward instances.
+  void backward(RunState &S, Round &R) {
+    std::vector<std::pair<size_t, size_t>> TraceTasks;
+    for (size_t T = 0; T < R.Steps.size(); ++T)
+      for (size_t J = 0; J < R.Steps[T].Traces.size(); ++J)
+        TraceTasks.emplace_back(T, J);
+    pool().parallelFor(TraceTasks.size(), [&](size_t T, unsigned Worker) {
+      support::ScopedSpan TaskSpan("tracer.backward.trace");
+      auto [StepIdx, J] = TraceTasks[T];
+      MemberStep &Step = R.Steps[StepIdx];
+      const RunSlot &Slot = R.Slots[R.Plans[Step.PlanIdx].Slot];
+      Timer TraceTimer;
+      Backward &Bwd = *S.Bwds[Worker];
+      TraceResult &Res = Step.TraceResults[J];
+      try {
+        const typename Forward::Witness &W = Step.Traces[J];
+        std::optional<formula::Dnf> F =
+            Bwd.run(W.T, *Slot.Abs, Slot.Run->statesOf(W),
+                    S.Recs[Step.Query].NotQ);
+        Res.MaxCubes = Bwd.stats().MaxCubes;
+        if (F)
+          Res.Unviable = Bwd.projectToParams(*F, *Slot.Abs, *S.Init);
+        else
+          Res.Exhaustion = Bwd.lastExhaustion(); // empty on invariant-discard
+      } catch (const std::bad_alloc &) {
+        Res.Exhaustion =
+            support::Exhausted{support::Resource::Memory, "backward.step"};
+      }
+      Res.Seconds = TraceTimer.seconds();
+    });
+  }
+
+  /// Merge: folds every step in schedule order - the same order the
+  /// sequential driver processes members - so verdicts, viable sets, and
+  /// statistics are independent of the worker count.
+  void merge(RunState &S, Round &R) {
+    for (const MemberStep &Step : R.Steps) {
+      const GroupPlan &Plan = R.Plans[Step.PlanIdx];
+      const RunSlot &Slot = R.Slots[Plan.Slot];
+      QueryOutcome &Out = S.Outcomes[Step.Query];
+      QueryRec &Rec = S.Recs[Step.Query];
+      double SharedTime =
+          Slot.Users ? Slot.BuildSeconds / static_cast<double>(Slot.Users)
+                     : 0;
+      ++Out.Iterations;
+      Out.Seconds += SharedTime + Step.Seconds;
+      switch (Step.Kind) {
+      case StepKind::Proven:
+        // Proven with a minimum abstraction (line 11).
+        Out.CheapestCost = A.paramCost(*Plan.Abs);
+        Out.CheapestParam = A.paramToString(*Plan.Abs);
+        Out.CheapestBits = Plan.Bits;
+        finish(S, Step.Query, Verdict::Proven, std::nullopt, 2);
+        break;
+      case StepKind::IterBudget:
+        finish(S, Step.Query, Verdict::Unresolved,
+               support::Exhausted{support::Resource::Steps,
+                                  "driver.iterations"},
+               2);
+        break;
+      case StepKind::NoTrace:
+      case StepKind::Exhausted:
+        finish(S, Step.Query, Verdict::Unresolved, Step.Exhaustion, 2);
+        break;
+      case StepKind::Eliminate:
+      case StepKind::Traces: {
+        // A trace whose meta-analysis ran out teaches nothing sound, and
+        // the traces after it are not counted.
+        std::optional<support::Exhausted> Cut;
+        for (const TraceResult &Res : Step.TraceResults) {
+          ++Stats.BackwardRuns;
+          if (support::metricsEnabled()) {
+            static auto &Runs = support::MetricRegistry::global().counter(
+                "optabs_backward_runs_total");
+            Runs.add(1);
+          }
+          Stats.MaxFormulaCubes = std::max(Stats.MaxFormulaCubes, Res.MaxCubes);
+          Out.Seconds += Res.Seconds;
+          if (!Res.Unviable) {
+            Cut = Res.Exhaustion;
+            break;
+          }
+        }
+        if (!learn(Rec, Plan, Step.TraceResults, Out.Check))
+          finish(S, Step.Query, Verdict::Unresolved, Cut, 2);
+        break;
+      }
+      }
+      if (!S.Trace.enabled())
+        continue;
+      std::vector<size_t> TraceLens;
+      size_t MaxCubes = 0;
+      for (size_t J = 0; J < Step.Traces.size(); ++J) {
+        TraceLens.push_back(Step.Traces[J].T.size());
+        MaxCubes = std::max(MaxCubes, Step.TraceResults[J].MaxCubes);
+      }
+      S.Trace.write(S.Trace.event("step")
+                        .field("round", Stats.Rounds)
+                        .field("query", S.Queries[Step.Query].index())
+                        .field("kind", StepKindNames[static_cast<size_t>(
+                                            Step.Kind)])
+                        .field("fail_states", Step.FailIds.size())
+                        .field("traces", Step.Traces.size())
+                        .field("trace_lens", TraceLens)
+                        .field("max_cubes", MaxCubes)
+                        .hexField("learned_sig", Rec.Viable.signature()));
+      if (Rec.Done)
+        S.Trace.write(
+            verdictEvent(S.Trace.label(), S.Queries[Step.Query].index(), Out));
+    }
+  }
+
+  /// End of run: every query still open when the round loop stopped ends
+  /// Unresolved, charged to the whole-run budget or cancellation that
+  /// stopped it; then the viable sets, statistics and `run_end` event.
+  void endRun(RunState &S) {
+    if (S.Unresolved > 0 && !S.RunExhaustion)
+      S.RunExhaustion =
+          S.CancelTok->requested()
+              ? support::Exhausted{support::Resource::Cancelled, "driver.run"}
+              : support::Exhausted{support::Resource::WallClock,
+                                   "driver.run"};
+    for (size_t I = 0; I < S.Queries.size(); ++I) {
+      if (!S.Recs[I].Done)
+        finish(S, I, Verdict::Unresolved, S.RunExhaustion, 0);
+      LastViable.push_back(std::move(S.Recs[I].Viable));
+    }
+    // Cache activity attributable to this run: on a borrowed (shared) cache
+    // the process-lifetime counters keep growing across batches, so stats
+    // report the delta against the snapshot taken at run() entry.
+    ForwardCacheCounters C = cache().counters();
+    Stats.CacheHits = C.Hits - BaseCounters.Hits;
+    Stats.CacheMisses = C.Misses - BaseCounters.Misses;
+    Stats.CacheEvictions = C.Evictions - BaseCounters.Evictions;
+    Stats.Violations = Sink.snapshot();
+    TotalSeconds = S.Total.seconds();
+    if (!S.Trace.enabled())
+      return;
+    for (const support::InvariantViolation &V : Stats.Violations)
+      S.Trace.write(S.Trace.event("invariant_violation")
+                        .field("check", V.Check)
+                        .field("where", V.Where)
+                        .field("message", V.Message));
+    S.Trace.write(S.Trace.event("run_end")
+                      .field("rounds", Stats.Rounds)
+                      .field("forward_runs", Stats.ForwardRuns)
+                      .field("backward_runs", Stats.BackwardRuns)
+                      .field("solver_calls", Stats.SolverCalls)
+                      .field("violations", Stats.Violations.size())
+                      .field("budget_exhausted", Stats.BudgetExhausted)
+                      .field("degradations", Stats.Degradations)
+                      .field("seconds", TotalSeconds));
+  }
+
+  /// The one exit of a query: ends query \p I with verdict \p V. \p Why,
+  /// when set, is the budget that ran out: it lands on the outcome, in the
+  /// stats and metrics, and as a `budget_exhausted` event. \p Form is the
+  /// verdict line's form (QueryOutcome::TraceForm): the plan's short form
+  /// 1 is written here; the merge's full form 2 is written by the merge,
+  /// after the step's own line; 0 (the end-of-run sweep) stamps none.
+  /// Called from sequential stages only, so the event stream stays
+  /// worker-count independent.
+  void finish(RunState &S, size_t I, Verdict V,
+              const std::optional<support::Exhausted> &Why, uint8_t Form) {
+    QueryOutcome &Out = S.Outcomes[I];
+    S.Recs[I].Done = true;
+    --S.Unresolved;
+    Out.V = V;
+    if (Why) {
+      Out.Exhaustion = *Why;
+      ++Stats.BudgetExhausted;
+      if (support::metricsEnabled())
+        support::MetricRegistry::global()
+            .counter("optabs_budget_exhausted_total")
+            .add(1);
+      if (S.Trace.enabled())
+        S.Trace.write(S.Trace.event("budget_exhausted")
+                          .field("round", Stats.Rounds)
+                          .field("query", Out.Check.index())
+                          .field("resource", support::resourceName(Why->Res))
+                          .field("site", Why->Site));
+    }
+    if (Form == 0)
+      return;
+    Out.TraceRound = Stats.Rounds;
+    Out.TraceForm = Form;
+    if (Form == 1 && S.Trace.enabled())
+      S.Trace.write(verdictEvent(S.Trace.label(), S.Queries[I].index(), Out));
+  }
+
+  /// Realizes an injected fault at a site with no budget gate: Cancel
+  /// requests \p Tok, Invariant reports a breakage to the sink, and Alloc
+  /// throws bad_alloc from faultPoint, as a failed allocation there would.
+  void injectFault(const char *Site, support::CancelToken &Tok) {
+    if (auto K = support::faultPoint(Site)) {
+      if (*K == support::FaultKind::Cancel)
+        Tok.request();
+      else
+        support::reportInvariant(&Sink, "injected-fault", Site,
+                                 "fault injection: forced invariant breakage");
+    }
+  }
+
+  /// Strategy policy, plan side: groups the open queries and picks each
+  /// group's abstraction. TRACER and EliminateCurrent group queries whose
+  /// learned viable sets coincide (§6; every query alone when grouping is
+  /// off) and try a minimum-cost model of that set; a solve cut short by
+  /// its budget leaves the plan without an abstraction and records why.
+  /// GreedyGrow learns no viable sets: each query is its own group and
+  /// tries its grown bits (equal abstractions still share one run slot).
+  std::vector<GroupPlan> choose(RunState &S) {
+    const bool Greedy = Strategy == SearchStrategy::GreedyGrow;
+    std::map<uint64_t, std::vector<size_t>> Groups;
+    for (size_t I = 0; I < S.Recs.size(); ++I)
+      if (!S.Recs[I].Done)
+        Groups[Execution.GroupQueries && !Greedy
+                   ? S.Recs[I].Viable.signature()
+                   : static_cast<uint64_t>(I)]
+            .push_back(I);
+    std::vector<GroupPlan> Plans;
+    for (auto &[Key, Members] : Groups) {
+      (void)Key;
+      GroupPlan &Plan = Plans.emplace_back();
+      Plan.Members = std::move(Members);
+      Plan.Eliminate = Strategy == SearchStrategy::EliminateCurrent;
+      const QueryRec &Rec = S.Recs[Plan.Members[0]];
+      std::optional<std::vector<bool>> Chosen;
+      if (Greedy) {
+        Chosen = Rec.Grown;
+      } else {
+        ++Stats.SolverCalls;
+        support::BudgetGate SolverGate("mincostsat.decision",
+                                       Budgets.SolverDecisionBudget,
+                                       S.CancelTok.get(), 0, &Sink);
+        try {
+          if (std::optional<MinCostModel> Model =
+                  solveMinCost(Rec.Viable, A.numParamBits(), &SolverGate))
+            Chosen = std::move(Model->Assignment);
+        } catch (const std::bad_alloc &) {
+          SolverGate.exhaust(support::Resource::Memory);
+        }
+        if (SolverGate.exhausted())
+          Plan.SolveExhaustion = SolverGate.why();
+      }
+      if (Chosen) {
+        Plan.Abs = A.paramFromBits(*Chosen);
+        Plan.Bits = std::move(*Chosen);
+      }
+    }
+    return Plans;
+  }
+
+  /// Strategy policy, learning side: folds a failed step of the query
+  /// \p Rec under \p Plan into what the query knows; false when the query
+  /// cannot go on. An Eliminate plan rules out exactly its abstraction.
+  /// Otherwise \p Results are the unviable sets of the step's traces, in
+  /// order, up to the first whose meta-analysis ran out (which ends the
+  /// query): TRACER conjoins their negations into the viable set (lines
+  /// 13-15; several traces conjoin everything they rule out, §8's
+  /// DAG-counterexample direction in trace form), and GreedyGrow blames
+  /// every parameter they mention.
+  bool learn(QueryRec &Rec, const GroupPlan &Plan,
+             const std::vector<TraceResult> &Results, ir::CheckId Check) {
+    if (Plan.Eliminate) {
+      Rec.Viable.addClause(eliminateClause(Plan.Bits));
+      return true;
+    }
+    const bool Greedy = Strategy == SearchStrategy::GreedyGrow;
+    for (const TraceResult &Res : Results) {
+      if (!Res.Unviable)
+        return false;
+      if (Greedy)
+        blame(Rec.Grown, *Res.Unviable);
+      else
+        addUnviable(Rec.Viable, *Res.Unviable);
+    }
+    // No new blame: retrying the same abstraction cannot help, and greedy
+    // refinement cannot conclude impossibility.
+    if (Greedy)
+      return Rec.Grown != Plan.Bits;
+    // Progress (Theorem 3): the current abstraction is always among the
+    // eliminated ones, so the next round cannot repeat it. When the
+    // learned clauses fail to rule it out, fall back to eliminating it
+    // explicitly - weaker learning, but termination (and soundness)
+    // survive the violation.
+    if (Rec.Viable.eval(Plan.Bits)) {
+      support::reportInvariant(
+          &Sink, "progress", "QueryDriver::run",
+          "meta-analysis failed to eliminate the current abstraction for "
+          "check " +
+              std::to_string(Check.index()) + "; eliminating it explicitly");
+      Rec.Viable.addClause(eliminateClause(Plan.Bits));
+    }
+    return true;
   }
 
   /// Conjoins the negation of the unviable DNF into the viable CNF: each
@@ -1240,32 +1227,12 @@ private:
     return N < 1 ? 1 : N;
   }
 
-  void ensurePool(unsigned Workers) {
-    if (BorrowedPool)
-      return; // the service owns (and sizes) the shared pool
-    if (!OwnedPool || OwnedPool->numWorkers() != Workers)
-      OwnedPool = std::make_unique<support::ThreadPool>(Workers, &Sink);
-  }
-
   support::ThreadPool &pool() {
     return BorrowedPool ? *BorrowedPool : *OwnedPool;
   }
 
   ForwardRunCache<Forward> &cache() {
     return BorrowedCache ? *BorrowedCache : OwnedCache;
-  }
-
-  /// Cache activity attributable to this run: on a borrowed (shared) cache
-  /// the process-lifetime counters keep growing across batches, so stats
-  /// report the delta against the snapshot taken at run() entry.
-  void publishCacheCounters() {
-    ForwardCacheCounters C = cache().counters();
-    Stats.CacheHits = C.Hits - BaseCounters.Hits;
-    Stats.CacheMisses = C.Misses - BaseCounters.Misses;
-    Stats.CacheEvictions = C.Evictions - BaseCounters.Evictions;
-    Stats.CacheSpillWrites = C.SpillWrites - BaseCounters.SpillWrites;
-    Stats.CacheSpillLoads = C.SpillLoads - BaseCounters.SpillLoads;
-    Stats.CacheResidentBytes = C.ResidentBytes;
   }
 
   /// Writes the Prometheus dump and/or the Chrome trace when the
@@ -1315,7 +1282,7 @@ private:
   /// Per-check freshness floors (indexed by CheckId), injected by the
   /// service on incremental re-registrations; null = accept any data epoch.
   const std::vector<uint64_t> *CheckMinDataEpochs = nullptr;
-  /// Counter snapshot at run() entry; publishCacheCounters reports deltas.
+  /// Counter snapshot at run() entry; endRun reports deltas against it.
   ForwardCacheCounters BaseCounters;
   support::InvariantSink Sink;
   std::vector<Cnf> LastViable;

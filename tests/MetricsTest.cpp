@@ -17,6 +17,7 @@
 #include <new>
 #include <sstream>
 #include <string>
+#include <thread>
 
 //===----------------------------------------------------------------------===//
 // Allocation counting (disabled-mode zero-allocation test)
@@ -418,11 +419,16 @@ TEST_F(MetricsTest, ChromeTraceIsValidJson) {
   {
     ScopedSpan Phase("phase", /*Publish=*/true);
     support::ThreadPool Pool(2);
-    // submit() tasks drain through the queue, which only the helper
-    // thread services - guarantees a "worker-1" track even when the main
-    // thread is faster (parallelFor would let main steal every task on
-    // this 1-hardware-thread container).
-    Pool.submit([] { ScopedSpan S("work"); }).get();
+    // Each task waits until both have started, so the caller (worker 0)
+    // cannot run them both: the helper thread must take one, which
+    // guarantees a "worker-1" track even on a single hardware thread.
+    std::atomic<int> Started{0};
+    Pool.parallelFor(2, [&](size_t, unsigned) {
+      ScopedSpan S("work");
+      Started.fetch_add(1);
+      while (Started.load() < 2)
+        std::this_thread::yield();
+    });
     // A name needing escaping must not break the JSON.
     ScopedSpan Weird("quote\"back\\slash\nnewline");
   }

@@ -17,7 +17,11 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -119,6 +123,50 @@ TEST(ParallelDriver, StepBudgetExhaustionIsWorkerCountInvariant) {
     EXPECT_EQ(Baseline.second, Parallel.second) << "typestate, threads="
                                                 << Threads;
   }
+}
+
+/// Replaces the number after every occurrence of \p Key in the JSONL
+/// \p Text with 0.
+std::string zeroField(const std::string &Text, const std::string &Key) {
+  std::string Out;
+  size_t From = 0;
+  for (size_t At = Text.find(Key); At != std::string::npos;
+       At = Text.find(Key, From)) {
+    Out.append(Text, From, At + Key.size() - From);
+    Out.push_back('0');
+    From = std::min(Text.find_first_of(",}", At + Key.size()), Text.size());
+  }
+  Out.append(Text, From);
+  return Out;
+}
+
+TEST(ParallelDriver, EventTraceIsWorkerCountInvariant) {
+  // Every event-trace line is written from a sequential stage, in schedule
+  // order, so the whole stream - choices, steps, budget events, verdicts,
+  // cache counters - is byte-identical at any worker count once the
+  // wall-clock "seconds" fields and run_begin's "threads" are zeroed.
+  const std::string Path =
+      ::testing::TempDir() + "parallel_driver_event_trace.jsonl";
+  auto TraceAt = [&](const char *Strategy, unsigned Threads) {
+    std::remove(Path.c_str());
+    reporting::HarnessOptions Options;
+    Options.Cfg.Execution.Strategy = Strategy;
+    Options.Cfg.Execution.NumThreads = Threads;
+    Options.Cfg.Observability.EventTracePath = Path;
+    reporting::runBenchmark(synth::paperSuite()[0], Options);
+    std::ifstream In(Path);
+    std::stringstream Buffer;
+    Buffer << In.rdbuf();
+    return zeroField(zeroField(Buffer.str(), "\"seconds\":"),
+                     "\"threads\":");
+  };
+  for (const char *Strategy : {"tracer", "eliminate-current", "greedy-grow"}) {
+    std::string Sequential = TraceAt(Strategy, 1);
+    EXPECT_NE(Sequential.find("\"event\":\"verdict\""), std::string::npos)
+        << Strategy;
+    EXPECT_EQ(Sequential, TraceAt(Strategy, 8)) << Strategy;
+  }
+  std::remove(Path.c_str());
 }
 
 TEST(ParallelDriver, CacheCapDoesNotChangeResults) {

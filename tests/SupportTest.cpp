@@ -252,14 +252,6 @@ TEST(ThreadPool, TaskExceptionIsRethrownAfterDrain) {
   EXPECT_EQ(Ran.load(), 100u);
 }
 
-TEST(ThreadPool, SubmitReturnsFutureValue) {
-  support::ThreadPool Pool(2);
-  auto A = Pool.submit([] { return 21 * 2; });
-  auto B = Pool.submit([] { return std::string("ok"); });
-  EXPECT_EQ(A.get(), 42);
-  EXPECT_EQ(B.get(), "ok");
-}
-
 TEST(ThreadPool, HardwareWorkersIsPositive) {
   EXPECT_GE(support::ThreadPool::hardwareWorkers(), 1u);
 }
