@@ -57,7 +57,6 @@
 #include <map>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -275,19 +274,106 @@ struct VerdictEntry {
   bool Loaded = false;
 };
 
-struct ProgramSlot;
+/// A forward run's identity in a file: its client, the property text and
+/// site of its family (empty and 0 for a client without families), its
+/// salt and its parameter bits - the identity VerdictKey gives a verdict.
+/// A cache key folds an in-process family index instead, which each
+/// process hands out in first-use order, so no file holds one. The spill
+/// stamp, the spill file name and every snapshot run record go through
+/// write() and read().
+struct RunId {
+  uint8_t Client = 0; ///< the client's SpillKind
+  std::string Property;
+  uint32_t Site = 0;
+  uint32_t Salt = 0;
+  std::vector<bool> Bits;
+
+  void write(tracer::SnapshotWriter &W) const {
+    W.u8(Client);
+    W.str(Property);
+    W.u32(Site);
+    W.u32(Salt);
+    W.bits(Bits);
+  }
+  bool read(tracer::SnapshotReader &R) {
+    return R.u8(Client) && R.str(Property) && R.u32(Site) && R.u32(Salt) &&
+           R.bits(Bits);
+  }
+};
+
+/// The type-state family indices of one program slot, in-process only:
+/// cache keys fold (family index << 32) | site, and migrated entries stay
+/// valid because a property keeps its index for the life of the slot.
+/// Files name a family by its property text (RunId), never by its index.
+/// Scheduler thread only.
+struct FamilyIndex {
+  std::map<std::string, uint64_t> ByProperty;
+  std::vector<std::string> Properties; ///< by index - 1
+
+  /// The index of \p Prop, assigned on first use (from 1).
+  uint64_t of(const std::string &Prop) {
+    auto [It, New] = ByProperty.emplace(Prop, Properties.size() + 1);
+    if (New)
+      Properties.push_back(Prop);
+    return It->second;
+  }
+};
 
 /// One client's forward-run cache shard of a program slot, shared across
 /// sessions, batches and registrations of that program.
 template <typename A> struct ClientShard : ClientTraits<A> {
+  using T = ClientTraits<A>;
   using Forward = dataflow::ForwardAnalysis<A>;
   using Key = typename tracer::ForwardRunCache<Forward>::Key;
   tracer::ForwardRunCache<Forward> Runs;
 
-  /// The analysis instance that cache family \p Family of \p E stands
-  /// for, materialized on demand; null when the family cannot be
-  /// resolved. Scheduler thread only.
-  static A *analysisFor(ProgramSlot &Slot, ProgramEntry &E, uint64_t Family);
+  /// The analysis of group \p Group of family \p Property of \p E,
+  /// built on first use; null when it cannot be built. Scheduler thread
+  /// only.
+  static A *analysisFor(ProgramEntry &E, const std::string &Property,
+                        uint32_t Group) {
+    if (Group >= T::numGroups(*E.P))
+      return nullptr;
+    auto &Families = std::get<ClientAnalyses<A>>(E.Analyses).ByProperty;
+    auto It = Families.find(Property);
+    if (It == Families.end()) {
+      // openSession checked the property; defensive for re-registers and
+      // for properties read from a file.
+      std::string Err;
+      auto Ctx = T::context(Property, *E.P, Err);
+      if (!Ctx)
+        return nullptr;
+      It = Families.emplace(Property, typename ClientAnalyses<A>::Family{
+                                          std::move(*Ctx), {}})
+               .first;
+    }
+    auto &An = It->second.Groups[Group];
+    if (!An)
+      An = T::analysis(*E.P, It->second.Ctx, Group);
+    return An.get();
+  }
+
+  /// The cache-key family of \p Property at \p Group: (index << 32) |
+  /// group for a client with families, else 0. Assigns the index.
+  static uint64_t familyOf(FamilyIndex &F, const std::string &Property,
+                           uint32_t Group) {
+    return T::HasFamily ? (F.of(Property) << 32) | Group : 0;
+  }
+
+  /// The live key of \p Id at \p Epoch (assigns its family index).
+  static Key keyOf(FamilyIndex &F, const RunId &Id, uint64_t Epoch) {
+    return Key{Id.Bits, Id.Salt, Epoch, familyOf(F, Id.Property, Id.Site)};
+  }
+
+  /// The file identity of live key \p K (whose family index came from
+  /// familyOf).
+  static RunId idOf(const FamilyIndex &F, const Key &K) {
+    if (!T::HasFamily)
+      return RunId{T::SpillKind, "", 0, K.Salt, K.Bits};
+    return RunId{T::SpillKind, F.Properties.at((K.Family >> 32) - 1),
+                 static_cast<uint32_t>(K.Family & 0xffffffffu), K.Salt,
+                 K.Bits};
+  }
 };
 
 /// The per-name slot: survives re-registration and owns the cache shards
@@ -318,67 +404,19 @@ struct ProgramSlot {
   std::vector<std::pair<uint64_t, uint64_t>> PendingMigrations;
   /// Stored resolved verdicts; filtered against the diff at re-register.
   std::map<VerdictKey, VerdictEntry> Verdicts;
-  /// Family indices must survive re-registration: cache keys fold
-  /// (family index << 32) | site, and migrated type-state entries are
-  /// only valid if the same property maps to the same index in every
-  /// epoch. Scheduler thread only (like the Families map itself).
-  uint64_t NextFamilyId = 1;
-  std::map<std::string, uint64_t> FamilyIndex; ///< by property text
+  FamilyIndex Families; ///< in-process only; see FamilyIndex
 
   /// Calls \p Fn on each client's shard, in snapshot order.
   template <typename FnT> void forEachShard(FnT Fn) {
     std::apply([&](auto &...Sh) { (Fn(Sh), ...); }, Shards);
   }
-
-  /// The index of property \p Prop, assigned on first use.
-  uint64_t familyIndex(const std::string &Prop) {
-    auto It = FamilyIndex.find(Prop);
-    if (It == FamilyIndex.end())
-      It = FamilyIndex.emplace(Prop, NextFamilyId++).first;
-    return It->second;
-  }
 };
 
+/// A shard's runs collected on the side by a merge-mode load, named by
+/// their file identity: a merge assigns no family index.
 template <typename A>
-A *ClientShard<A>::analysisFor(ProgramSlot &Slot, ProgramEntry &E,
-                               uint64_t Family) {
-  using T = ClientTraits<A>;
-  static const std::string NoProperty;
-  const std::string *Prop = &NoProperty;
-  if (T::HasFamily) {
-    Prop = nullptr;
-    for (const auto &[P, Idx] : Slot.FamilyIndex)
-      if (Idx == Family >> 32) {
-        Prop = &P;
-        break;
-      }
-  }
-  uint32_t Group = static_cast<uint32_t>(Family & 0xffffffffu);
-  if (!Prop || Group >= T::numGroups(*E.P))
-    return nullptr;
-  auto &Families = std::get<ClientAnalyses<A>>(E.Analyses).ByProperty;
-  auto It = Families.find(*Prop);
-  if (It == Families.end()) {
-    // openSession checked the property; defensive for re-registers.
-    std::string Err;
-    auto Ctx = T::context(*Prop, *E.P, Err);
-    if (!Ctx)
-      return nullptr;
-    It = Families.emplace(*Prop, typename ClientAnalyses<A>::Family{
-                                     std::move(*Ctx), {}})
-             .first;
-  }
-  auto &An = It->second.Groups[Group];
-  if (!An)
-    An = T::analysis(*E.P, It->second.Ctx, Group);
-  return An.get();
-}
-
-/// A shard's runs collected on the side by a merge-mode load.
-template <typename A>
-using MergedRuns =
-    std::vector<std::pair<typename ClientShard<A>::Key,
-                          std::unique_ptr<typename ClientShard<A>::Forward>>>;
+using MergedRuns = std::vector<
+    std::pair<RunId, std::unique_ptr<typename ClientShard<A>::Forward>>>;
 
 } // namespace
 
@@ -1009,10 +1047,8 @@ struct AnalysisService::Impl {
     Timer BatchTimer;
     try {
       uint64_t Family =
-          ShardT::HasFamily
-              ? (B.Slot->familyIndex(B.Property) << 32) | B.Site
-              : 0;
-      auto *A = ShardT::analysisFor(*B.Slot, *B.Entry, Family);
+          ShardT::familyOf(B.Slot->Families, B.Property, B.Site);
+      auto *A = ShardT::analysisFor(*B.Entry, B.Property, B.Site);
       if (!A)
         throw std::runtime_error("invalid property '" + B.Property + "'");
       tracer::QueryDriver<typename ShardT::Analysis> D(P, *A, O);
@@ -1101,23 +1137,25 @@ struct AnalysisService::Impl {
            hex16(tracer::snapshotHash(Name.data(), Name.size())) + ".snap";
   }
 
-  /// Spill files are keyed by (program fingerprint, client, family, salt,
-  /// bits) - deliberately NOT by registration epoch, which restarts at 1
-  /// in every process. Two processes (or two registrations) of the same
-  /// program re-warm from each other's spill files; any other program
-  /// hashes elsewhere, and the fields stored inside the file re-verify
-  /// the match on load.
-  std::string spillPathFor(uint64_t FpHash, uint8_t SpillKind,
-                           uint64_t Family, uint32_t Salt,
-                           const std::vector<bool> &Bits) const {
-    uint64_t H = tracer::snapshotHash(nullptr, 0);
-    for (uint64_t V : {FpHash, uint64_t(SpillKind), Family, uint64_t(Salt)})
-      mixHash(H, V);
-    std::vector<uint8_t> Bytes(Bits.size());
-    for (size_t I = 0; I < Bits.size(); ++I)
-      Bytes[I] = Bits[I] ? 1 : 0;
-    H = tracer::snapshotHash(Bytes.data(), Bytes.size(), H);
-    return Opts.Base.Service.CacheDir + "/spill-" + hex16(H) + ".spill";
+  /// A spill file's stamp: the program fingerprint hash and the run's
+  /// file identity (RunId) - deliberately NOT the registration epoch,
+  /// which restarts at 1 in every process, nor the family index, which
+  /// each process assigns in its own order. Two processes (or two
+  /// registrations) of the same program re-warm from each other's spill
+  /// files; any other program or property hashes elsewhere, and the stamp
+  /// stored inside the file re-verifies the match on load.
+  static tracer::SnapshotWriter spillStamp(uint64_t FpHash, const RunId &Id) {
+    tracer::SnapshotWriter W;
+    W.u64(FpHash);
+    Id.write(W);
+    return W;
+  }
+
+  /// The spill file named by the hash of stamp \p Stamp.
+  std::string spillPathFor(const tracer::SnapshotWriter &Stamp) const {
+    const std::string &B = Stamp.payload();
+    return Opts.Base.Service.CacheDir + "/spill-" +
+           hex16(tracer::snapshotHash(B.data(), B.size())) + ".spill";
   }
 
   /// First-use seeding of the spill-byte accounting: spill files already
@@ -1143,17 +1181,16 @@ struct AnalysisService::Impl {
     ::closedir(D);
   }
 
-  /// Writes one spilled run: the validation stamp (fingerprint hash +
-  /// full key + the shard's spill kind), then the run payload. Returns
-  /// false when the spill-byte budget is exhausted or the write fails -
-  /// the caller (ForwardRunCache::spillUnpinned) then evicts without
-  /// spilling.
+  /// Writes one spilled run: the stamp (spillStamp), then the run
+  /// payload. Returns false when the spill-byte budget is exhausted or
+  /// the write fails - the caller (ForwardRunCache::spillUnpinned) then
+  /// evicts without spilling.
   template <typename ShardT>
-  bool writeSpill(uint64_t FpHash, const typename ShardT::Key &K,
+  bool writeSpill(uint64_t FpHash, const RunId &Id,
                   const typename ShardT::Forward &Run) {
     ensureSpillAccounting();
-    std::string Path =
-        spillPathFor(FpHash, ShardT::SpillKind, K.Family, K.Salt, K.Bits);
+    tracer::SnapshotWriter W = spillStamp(FpHash, Id);
+    std::string Path = spillPathFor(W);
     // A rewrite replaces its old file, so only the net usage counts -
     // both for the budget gate and for the post-commit accounting.
     struct stat SB;
@@ -1165,39 +1202,28 @@ struct AnalysisService::Impl {
     uint64_t Budget = Opts.Base.Service.SpillBytes;
     if (Budget > 0 && NetUsed >= Budget)
       return false;
-    tracer::SnapshotWriter W;
-    W.u64(FpHash);
-    W.u8(ShardT::SpillKind);
-    W.u64(K.Family);
-    W.u32(K.Salt);
-    W.bits(K.Bits);
     using CodecT = typename ShardT::Codec;
     tracer::RunSink<CodecT> S{W, CodecT(Run.client())};
     Run.saveTo(S);
     std::string Err;
     if (!ensureDir(Opts.Base.Service.CacheDir) || !W.commit(Path, Err))
       return false;
-    SpillBytesUsed = NetUsed + W.payloadBytes() + 20; // + header/checksum
+    SpillBytesUsed = NetUsed + W.payload().size() + 20; // + header/checksum
     return true;
   }
 
   /// Opens and stamp-validates one spill file; true when it matches the
-  /// requested key exactly (hash-collision paths fail here, not later).
-  template <typename ShardT>
+  /// requested run exactly (hash-collision paths fail here, not later).
   bool openSpill(tracer::SnapshotReader &R, uint64_t FpHash,
-                 const typename ShardT::Key &K) {
-    if (!R.open(
-            spillPathFor(FpHash, ShardT::SpillKind, K.Family, K.Salt, K.Bits)))
+                 const RunId &Id) {
+    tracer::SnapshotWriter Want = spillStamp(FpHash, Id);
+    if (!R.open(spillPathFor(Want)))
       return false;
-    uint64_t GotFp = 0, GotFamily = 0;
-    uint8_t GotKind = 0;
-    uint32_t GotSalt = 0;
-    std::vector<bool> GotBits;
-    if (!R.u64(GotFp) || !R.u8(GotKind) || !R.u64(GotFamily) ||
-        !R.u32(GotSalt) || !R.bits(GotBits))
+    uint64_t GotFp = 0;
+    RunId Got;
+    if (!R.u64(GotFp) || !Got.read(R))
       return false;
-    if (GotFp != FpHash || GotKind != ShardT::SpillKind ||
-        GotFamily != K.Family || GotSalt != K.Salt || GotBits != K.Bits) {
+    if (spillStamp(GotFp, Got).payload() != Want.payload()) {
       R.fail("spill stamp does not match the requested key");
       return false;
     }
@@ -1233,8 +1259,8 @@ struct AnalysisService::Impl {
       using Key = typename ShardT::Key;
       using Forward = typename ShardT::Forward;
       Sh.Runs.setSpillStore(
-          [this, Entry, FpHash](const Key &K, const Forward &Run,
-                                uint64_t DataEpoch) {
+          [this, SlotP, Entry, FpHash](const Key &K, const Forward &Run,
+                                       uint64_t DataEpoch) {
             // Only runs computed against this exact program version
             // spill: a migrated run (older data epoch) contains stale
             // values for dirty procedures, shadowed in memory by the
@@ -1242,14 +1268,16 @@ struct AnalysisService::Impl {
             // fresh, so it must evict instead.
             if (DataEpoch != Entry->Epoch)
               return false;
-            return writeSpill<ShardT>(FpHash, K, Run);
+            return writeSpill<ShardT>(
+                FpHash, ShardT::idOf(SlotP->Families, K), Run);
           },
           [this, SlotP, Entry, FpHash](const Key &K, uint64_t *DataEpoch)
               -> std::unique_ptr<Forward> {
+            RunId Id = ShardT::idOf(SlotP->Families, K);
             tracer::SnapshotReader R;
-            if (!openSpill<ShardT>(R, FpHash, K))
+            if (!openSpill(R, FpHash, Id))
               return nullptr;
-            auto *A = ShardT::analysisFor(*SlotP, *Entry, K.Family);
+            auto *A = ShardT::analysisFor(*Entry, Id.Property, Id.Site);
             if (!A)
               return nullptr;
             std::unique_ptr<Forward> Run =
@@ -1269,12 +1297,12 @@ struct AnalysisService::Impl {
   /// Still-valid entries of an existing on-disk snapshot, collected on
   /// the side by loadProgram's merge mode so persistProgram can union
   /// them into the file it writes WITHOUT touching the live slot: a
-  /// persist must stay read-only on verdicts, caches, and freshness
-  /// floors (a "persist" that loaded would also widen the trigger
-  /// surface of any load-path bug to every shutdown snapshot). Entries
-  /// here passed the same per-entry validation a live load applies and
-  /// are absent from the live slot, so re-serializing them against the
-  /// live fingerprint is sound.
+  /// persist must stay read-only on verdicts, caches, freshness floors
+  /// and family indices (a "persist" that loaded would also widen the
+  /// trigger surface of any load-path bug to every shutdown snapshot).
+  /// Entries here passed the same per-entry validation a live load
+  /// applies and are absent from the live slot, so re-serializing them
+  /// against the live fingerprint is sound. Runs keep their RunId.
   struct SnapshotMerge {
     std::map<VerdictKey, VerdictEntry> Verdicts;
     PerClient<MergedRuns> Runs;
@@ -1283,26 +1311,20 @@ struct AnalysisService::Impl {
     }
   };
 
-  /// Snapshots one program slot - fingerprint, family index, stored
-  /// verdicts, and every cached forward run computed against the live
-  /// version - into CacheDir. Lock held (enumeration only; no waiting).
+  /// Snapshots one program slot - fingerprint, stored verdicts, and every
+  /// cached forward run computed against the live version - into
+  /// CacheDir. Lock held (enumeration only; no waiting).
   void persistProgram(const std::string &Name, ProgramSlot &Slot,
                       CacheOpResult &Res) {
     if (!Slot.Current) {
       Res.Notes.push_back("program '" + Name + "': no live registration");
       return;
     }
-    // Merge-on-persist: several processes may share one cache dir (the
-    // shard fleet does), and each persists to the same per-program path.
-    // Collecting the existing snapshot's still-valid entries on the side
-    // and unioning them into the write makes it a union instead of a
-    // clobber - an idle shard persisting a program it never analyzed
-    // re-writes its peers' runs rather than erasing them - while the
-    // live verdict store, caches, and freshness floors stay untouched
-    // (the only live effect is the append-only family-index union, which
-    // keeps merged type-state keys index-stable). Stale or corrupt
-    // snapshots contribute nothing (the merge validates per entry
-    // exactly like a live load).
+    // Merge-on-persist: processes sharing a cache dir (the shard fleet)
+    // persist to the same per-program path, so the write is a union with
+    // the still-valid entries already on disk, not a clobber - an idle
+    // shard re-writes its peers' runs rather than erasing them. Stale or
+    // corrupt snapshots contribute nothing (see SnapshotMerge).
     SnapshotMerge Merge;
     struct stat SB;
     if (::stat(snapshotPathFor(Name).c_str(), &SB) == 0)
@@ -1310,7 +1332,6 @@ struct AnalysisService::Impl {
     uint64_t Live = Slot.Current->Epoch;
     tracer::SnapshotWriter W;
     W.str(Name);
-    W.u64(Live);
     const ir::ProgramFingerprint &Fp = Slot.Fingerprint;
     W.u32(static_cast<uint32_t>(Fp.Procs.size()));
     for (const auto &P : Fp.Procs) {
@@ -1326,12 +1347,6 @@ struct AnalysisService::Impl {
     W.u32(Fp.NumSymbols);
     W.u32(Fp.NumChecks);
     W.u32(Fp.MainProc);
-
-    W.u32(static_cast<uint32_t>(Slot.FamilyIndex.size()));
-    for (const auto &[Prop, Idx] : Slot.FamilyIndex) {
-      W.str(Prop);
-      W.u64(Idx);
-    }
 
     auto WriteVerdict = [&](const VerdictKey &K, const VerdictEntry &E) {
       W.u8(K.Client);
@@ -1363,22 +1378,19 @@ struct AnalysisService::Impl {
       using ShardT = std::decay_t<decltype(Sh)>;
       using Key = typename ShardT::Key;
       using Forward = typename ShardT::Forward;
-      std::vector<std::pair<const Key *, const Forward *>> Runs;
+      std::vector<std::pair<RunId, const Forward *>> Runs;
       Sh.Runs.forEachEntry(
           [&](const Key &K, const Forward &Run, uint64_t DataEpoch) {
             if (K.ProgramEpoch == Live && DataEpoch == Live)
-              Runs.emplace_back(&K, &Run);
+              Runs.emplace_back(ShardT::idOf(Slot.Families, K), &Run);
             else
               ++Skipped;
           });
-      for (const auto &[K, Run] : Merge.runs<typename ShardT::Analysis>())
-        Runs.emplace_back(&K, Run.get());
+      for (const auto &[Id, Run] : Merge.runs<typename ShardT::Analysis>())
+        Runs.emplace_back(Id, Run.get());
       W.u32(static_cast<uint32_t>(Runs.size()));
-      for (const auto &[K, Run] : Runs) {
-        if (ShardT::HasFamily)
-          W.u64(K->Family);
-        W.u32(K->Salt);
-        W.bits(K->Bits);
+      for (const auto &[Id, Run] : Runs) {
+        Id.write(W);
         using CodecT = typename ShardT::Codec;
         tracer::RunSink<CodecT> S{W, CodecT(Run->client())};
         Run->saveTo(S);
@@ -1437,8 +1449,7 @@ struct AnalysisService::Impl {
                     tracer::SnapshotReader &R, CacheOpResult &Res,
                     SnapshotMerge *Merge) {
     std::string SnapName;
-    uint64_t SnapEpoch = 0;
-    if (!R.str(SnapName) || !R.u64(SnapEpoch))
+    if (!R.str(SnapName))
       return;
     if (SnapName != Name) {
       Res.Notes.push_back("snapshot " + snapshotPathFor(Name) +
@@ -1476,31 +1487,6 @@ struct AnalysisService::Impl {
                           "': snapshot version is incomparable with the "
                           "live version (entity tables or main differ); "
                           "nothing loaded");
-
-    // Family index: merge-or-verify. Cache keys fold the property index,
-    // so a loaded type-state run is only valid if its property maps to
-    // the same index live; a conflict skips that family's runs.
-    uint32_t NumFams = 0;
-    if (!R.u32(NumFams))
-      return;
-    std::set<uint64_t> ConflictFams;
-    for (uint32_t I = 0; I < NumFams; ++I) {
-      std::string Prop;
-      uint64_t Idx = 0;
-      if (!R.str(Prop) || !R.u64(Idx))
-        return;
-      auto It = Slot.FamilyIndex.find(Prop);
-      if (It == Slot.FamilyIndex.end()) {
-        Slot.FamilyIndex.emplace(Prop, Idx);
-        Slot.NextFamilyId = std::max(Slot.NextFamilyId, Idx + 1);
-      } else if (It->second != Idx) {
-        ConflictFams.insert(Idx);
-        Res.Notes.push_back("program '" + Name + "': property family '" +
-                            Prop +
-                            "' has a different index live; skipping its "
-                            "cached runs");
-      }
-    }
 
     // Stored verdicts: per-check validation, exactly the re-registration
     // filter. A loaded verdict is stamped with the live epoch - the
@@ -1568,8 +1554,8 @@ struct AnalysisService::Impl {
                           "cached runs not loaded");
     bool Stopped = false;
     Slot.forEachShard([&](auto &Sh) {
-      Stopped = Stopped || !loadRuns(Name, Slot, Sh, R, Identical,
-                                     ConflictFams, Res, Merge);
+      Stopped =
+          Stopped || !loadRuns(Name, Slot, Sh, R, Identical, Res, Merge);
     });
   }
 
@@ -1577,33 +1563,39 @@ struct AnalysisService::Impl {
   /// Returns false when the record stream cannot be read any further.
   template <typename ShardT>
   bool loadRuns(const std::string &Name, ProgramSlot &Slot, ShardT &Sh,
-                tracer::SnapshotReader &R, bool Identical,
-                const std::set<uint64_t> &ConflictFams, CacheOpResult &Res,
+                tracer::SnapshotReader &R, bool Identical, CacheOpResult &Res,
                 SnapshotMerge *Merge) {
     uint32_t NumRuns = 0;
     if (!R.u32(NumRuns))
       return false;
     ProgramEntry &E = *Slot.Current;
+    // A run enters the live slot under the index its property text maps
+    // to there. A merge keeps the text: it probes residency through a
+    // copy of the index, so it assigns no live index.
+    FamilyIndex Probe;
+    FamilyIndex &F = Merge ? (Probe = Slot.Families) : Slot.Families;
     for (uint32_t I = 0; I < NumRuns; ++I) {
-      typename ShardT::Key K;
-      if ((ShardT::HasFamily && !R.u64(K.Family)) || !R.u32(K.Salt) ||
-          !R.bits(K.Bits))
+      RunId Id;
+      if (!Id.read(R))
         return false;
-      K.ProgramEpoch = E.Epoch;
-      bool Loadable = Identical && !ConflictFams.count(K.Family >> 32);
+      if (Id.Client != ShardT::SpillKind ||
+          (!ShardT::HasFamily && (!Id.Property.empty() || Id.Site != 0))) {
+        R.fail("run record key does not belong to its client section");
+        return false;
+      }
       // A run's bytes cannot be read without its analysis. A family-free
-      // run always has one, so a stale one is parsed past; a family is
-      // resolved only for a run that can load, and the stream stops at
-      // the first run whose family does not resolve.
+      // run always has one, so a stale one is parsed past; a family's is
+      // built only for a run that can load, and the stream stops at the
+      // first run whose analysis cannot be built.
       typename ShardT::Analysis *A = nullptr;
-      if (Loadable || !ShardT::HasFamily)
-        A = ShardT::analysisFor(Slot, E, K.Family);
+      if (Identical || !ShardT::HasFamily)
+        A = ShardT::analysisFor(E, Id.Property, Id.Site);
       if (!A) {
         Res.Notes.push_back(
             "program '" + Name + "': " +
-            (Identical ? "cannot resolve analysis family " +
-                             std::to_string(K.Family >> 32) +
-                             " for a cached run; remaining runs skipped"
+            (Identical ? std::string("cannot build the ") + ShardT::Noun +
+                             " analysis of a cached run; remaining runs "
+                             "skipped"
                        : std::string("remaining ") + ShardT::Noun +
                              " runs not loaded (program changed since the "
                              "snapshot)"));
@@ -1611,7 +1603,7 @@ struct AnalysisService::Impl {
         return false;
       }
       std::unique_ptr<typename ShardT::Forward> Run =
-          readRun<ShardT>(R, E, *A, K.Bits);
+          readRun<ShardT>(R, E, *A, Id.Bits);
       if (!Run) {
         // The stream is sequential: a payload that fails to parse means
         // the rest of the record stream is unrecoverable. Keep what
@@ -1621,13 +1613,14 @@ struct AnalysisService::Impl {
                               ": invalid forward-run payload");
         return false;
       }
-      if (!Loadable || Sh.Runs.contains(K)) {
+      typename ShardT::Key K = ShardT::keyOf(F, Id, E.Epoch);
+      if (!Identical || Sh.Runs.contains(K)) {
         ++Res.RunsSkipped;
         continue;
       }
       if (Merge) {
-        Merge->runs<typename ShardT::Analysis>().emplace_back(
-            K, std::move(Run));
+        Merge->runs<typename ShardT::Analysis>().emplace_back(std::move(Id),
+                                                             std::move(Run));
         continue;
       }
       Sh.Runs.insert(std::move(K), std::move(Run), E.Epoch);

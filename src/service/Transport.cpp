@@ -7,8 +7,11 @@
 
 #include "service/Transport.h"
 
+#include "service/Protocol.h"
+
 #include <arpa/inet.h>
 #include <cerrno>
+#include <csignal>
 #include <cstring>
 #include <netinet/in.h>
 #include <poll.h>
@@ -418,6 +421,90 @@ LineChannel connectChannel(const ListenSpec &Spec, int TimeoutMs,
     ::usleep(10 * 1000);
     Waited += 10;
   }
+}
+
+//===----------------------------------------------------------------------===//
+// serveLines
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+volatile sig_atomic_t GShutdownSignal = 0;
+
+void onShutdownSignal(int Sig) { GShutdownSignal = Sig; }
+
+/// Serves one connection until the handler stops the server, the peer
+/// goes away (Closed) or a signal arrives. \p ReadTimeoutMs < 0 blocks.
+ServeExit requestLoop(LineChannel &Ch, int ReadTimeoutMs,
+                      const LineHandler &Handle) {
+  std::string Line;
+  for (;;) {
+    if (GShutdownSignal)
+      return ServeExit::Signalled;
+    switch (Ch.readLine(Line, ReadTimeoutMs)) {
+    case LineChannel::ReadStatus::Line:
+      break;
+    case LineChannel::ReadStatus::Eof:
+    case LineChannel::ReadStatus::Error:
+      return ServeExit::Closed;
+    case LineChannel::ReadStatus::Timeout:
+      // Structured goodbye, then drop the connection: a silent peer must
+      // not pin the accept loop forever.
+      Ch.writeLine(errorLine("", "read timeout after " +
+                                     std::to_string(ReadTimeoutMs) +
+                                     "ms; closing connection"));
+      return ServeExit::Closed;
+    case LineChannel::ReadStatus::Overflow:
+      Ch.writeLine(errorLine("", "request line exceeds " +
+                                     std::to_string(Ch.maxLineBytes()) +
+                                     " bytes; line dropped"));
+      continue;
+    case LineChannel::ReadStatus::Interrupted:
+      continue; // loop top re-checks the signal flag
+    }
+    if (Line.empty() || Line[0] == '#')
+      continue;
+    if (!Handle(Line, Ch))
+      return ServeExit::Shutdown;
+  }
+}
+
+} // namespace
+
+void installShutdownSignals() {
+  struct sigaction SA {};
+  SA.sa_handler = onShutdownSignal;
+  sigemptyset(&SA.sa_mask);
+  SA.sa_flags = 0;
+  sigaction(SIGTERM, &SA, nullptr);
+  sigaction(SIGINT, &SA, nullptr);
+  signal(SIGPIPE, SIG_IGN);
+}
+
+ServeExit serveLines(const ListenSpec &Spec, size_t MaxLineBytes,
+                     uint64_t ReadTimeoutMs, const LineHandler &Handle,
+                     std::string &Err) {
+  if (Spec.K == ListenSpec::Kind::Stdio) {
+    LineChannel Ch(0, 1, /*OwnsFds=*/false, MaxLineBytes);
+    return requestLoop(Ch, /*ReadTimeoutMs=*/-1, Handle);
+  }
+  Listener L;
+  if (!Listener::open(Spec, L, Err))
+    return ServeExit::ListenFailed;
+  int ConnTimeout = ReadTimeoutMs ? static_cast<int>(ReadTimeoutMs) : -1;
+  while (!GShutdownSignal) {
+    bool TimedOut = false, Interrupted = false;
+    LineChannel Ch =
+        L.acceptChannel(/*TimeoutMs=*/500, TimedOut, Interrupted,
+                        MaxLineBytes);
+    if (!Ch.valid())
+      continue; // timeout/EINTR: re-check the shutdown flag
+    ServeExit Exit = requestLoop(Ch, ConnTimeout, Handle);
+    if (Exit != ServeExit::Closed)
+      return Exit;
+    // Closed: the server outlives the connection; accept the next.
+  }
+  return ServeExit::Signalled;
 }
 
 } // namespace service

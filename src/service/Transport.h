@@ -25,6 +25,9 @@
 ///    of dying or desynchronizing), and EINTR surfaced as Interrupted so
 ///    signal handlers can request a graceful shutdown mid-read.
 ///  * Listener / connectChannel - the accept and connect halves.
+///  * serveLines - the server loop both tools run on top of them: signal
+///    setup, the stdio-or-accept loop and the per-connection request
+///    loop, with the per-line work left to a handler.
 ///
 /// Everything is blocking-with-timeout and single-threaded by design: one
 /// channel is owned by one thread, matching the one-connection-at-a-time
@@ -37,6 +40,7 @@
 #define OPTABS_SERVICE_TRANSPORT_H
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 namespace optabs {
@@ -154,6 +158,37 @@ private:
 LineChannel connectChannel(const ListenSpec &Spec, int TimeoutMs,
                            std::string &Err,
                            size_t MaxLineBytes = DefaultMaxLineBytes);
+
+/// Installs the SIGTERM/SIGINT handler that stops serveLines, without
+/// SA_RESTART so a signal interrupts a blocking read()/poll()/accept()
+/// with EINTR instead of silently restarting it, and ignores SIGPIPE: a
+/// client vanishing mid-response must surface as a write error, not kill
+/// the server.
+void installShutdownSignals();
+
+/// Why serveLines returned.
+enum class ServeExit : uint8_t {
+  Shutdown,     ///< the handler asked the whole server to stop
+  Signalled,    ///< SIGTERM/SIGINT (see installShutdownSignals)
+  Closed,       ///< stdio reached EOF or a read error
+  ListenFailed, ///< the socket could not be bound; Err says why
+};
+
+/// Handles one request line, writing each response line to the channel
+/// as it is produced. Returns false to stop the whole server.
+using LineHandler =
+    std::function<bool(const std::string &Line, LineChannel &Ch)>;
+
+/// Serves \p Spec until \p Handle returns false or a shutdown signal
+/// arrives: stdio is one connection; a unix/tcp spec serves one accepted
+/// connection at a time, and the server outlives each. Blank lines and
+/// `#` comments are skipped (they keep scripted sessions readable); an
+/// over-long line is answered with a structured error and dropped; a
+/// socket connection silent for \p ReadTimeoutMs (0 = never) gets a
+/// structured goodbye and is closed.
+ServeExit serveLines(const ListenSpec &Spec, size_t MaxLineBytes,
+                     uint64_t ReadTimeoutMs, const LineHandler &Handle,
+                     std::string &Err);
 
 } // namespace service
 } // namespace optabs

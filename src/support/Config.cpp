@@ -61,6 +61,15 @@ std::string formatConfigErrors(const std::vector<ConfigError> &Errors) {
   return Out;
 }
 
+std::string strategyNameList() {
+  const size_t N = std::size(StrategyNames);
+  std::string List;
+  for (size_t I = 0; I < N; ++I)
+    List.append(I == 0 ? "" : I + 1 == N ? " or " : ", ")
+        .append(StrategyNames[I]);
+  return List;
+}
+
 bool Config::isKnownStrategy(const std::string &Name) {
   SearchStrategy S;
   return parseStrategy(Name, S);
@@ -167,11 +176,11 @@ std::vector<ConfigError> Config::validate() const {
     Errors.push_back(ConfigError{Field, Message});
   };
 
-  // (1) Strategy must name one of the three implemented searches.
+  // (1) Strategy must name one of the implemented searches.
   if (!isKnownStrategy(Execution.Strategy))
     Reject("execution.strategy",
-           "unknown strategy '" + Execution.Strategy +
-               "' (expected tracer, eliminate-current or greedy-grow)");
+           "unknown strategy '" + Execution.Strategy + "' (expected " +
+               strategyNameList() + ")");
   // (2)-(4) Degenerate bounds that would make the CEGAR loop a no-op.
   if (Execution.TracesPerIteration == 0)
     Reject("execution.traces_per_iteration",

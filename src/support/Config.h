@@ -24,7 +24,7 @@
 ///
 /// Documented invalid configurations rejected by validate():
 ///
-///   1. execution.strategy not in {tracer, eliminate-current, greedy-grow}
+///   1. execution.strategy not one of StrategyNames
 ///   2. execution.traces_per_iteration == 0 (at least one counterexample
 ///      per failed iteration)
 ///   3. execution.max_iters_per_query == 0 (the CEGAR loop needs a round)
@@ -94,6 +94,9 @@ inline constexpr const char *StrategyNames[] = {"tracer", "eliminate-current",
 inline const char *strategyName(SearchStrategy S) {
   return StrategyNames[static_cast<size_t>(S)];
 }
+
+/// StrategyNames as prose for an error or a help line ("a, b or c").
+std::string strategyNameList();
 
 /// Parses a strategy name; false (and \p Out untouched) when unknown.
 inline bool parseStrategy(const std::string &Name, SearchStrategy &Out) {

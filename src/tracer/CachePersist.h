@@ -58,8 +58,10 @@ namespace tracer {
 /// the learned viable CNF from each stored verdict record. Version 3
 /// dropped the transfer memo and the round counter from each run record.
 /// Version 4 stores an escape state as 64-bit words of two-bit slots
-/// instead of one byte per location.
-inline constexpr uint32_t SnapshotFormatVersion = 4;
+/// instead of one byte per location. Version 5 names a run by its client,
+/// property text and site instead of a process-local family index, and
+/// drops the snapshot's family table and header epoch.
+inline constexpr uint32_t SnapshotFormatVersion = 5;
 
 /// FNV-1a 64 over \p Len bytes, continuing from \p Seed (pass the default
 /// to start a fresh hash). The snapshot trailer checksum and spill-file
@@ -79,7 +81,8 @@ public:
   /// vectors this persists are tens of bits; simplicity over packing).
   void bits(const std::vector<bool> &B);
 
-  size_t payloadBytes() const { return Buf.size(); }
+  /// The payload buffered so far (header and trailer excluded).
+  const std::string &payload() const { return Buf; }
 
   /// Writes header + payload + checksum trailer to `<Path>.tmp.<pid>` and
   /// renames it over \p Path. Returns false (with \p Err set) on any I/O

@@ -30,9 +30,9 @@
 #include "tracer/MinCostSat.h"
 #include "tracer/QueryDriver.h"
 
+#include "JsonChecker.h"
 #include "gtest/gtest.h"
 
-#include <cctype>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -354,138 +354,7 @@ TEST(Certificates, DetectsForgedImpossibility) {
 // JSONL event trace
 //===----------------------------------------------------------------------===//
 
-/// Minimal JSON value parser (objects, arrays, strings, numbers, bools):
-/// enough to verify every emitted line is well-formed standalone JSON.
-class JsonChecker {
-public:
-  explicit JsonChecker(const std::string &S) : S(S) {}
-
-  bool valid() {
-    skipWs();
-    if (!value())
-      return false;
-    skipWs();
-    return Pos == S.size();
-  }
-
-private:
-  bool value() {
-    if (Pos >= S.size())
-      return false;
-    char C = S[Pos];
-    if (C == '{')
-      return object();
-    if (C == '[')
-      return array();
-    if (C == '"')
-      return string();
-    if (C == 't')
-      return literal("true");
-    if (C == 'f')
-      return literal("false");
-    if (C == 'n')
-      return literal("null");
-    return number();
-  }
-  bool object() {
-    ++Pos; // {
-    skipWs();
-    if (peek() == '}') {
-      ++Pos;
-      return true;
-    }
-    while (true) {
-      skipWs();
-      if (!string())
-        return false;
-      skipWs();
-      if (peek() != ':')
-        return false;
-      ++Pos;
-      skipWs();
-      if (!value())
-        return false;
-      skipWs();
-      if (peek() == ',') {
-        ++Pos;
-        continue;
-      }
-      if (peek() == '}') {
-        ++Pos;
-        return true;
-      }
-      return false;
-    }
-  }
-  bool array() {
-    ++Pos; // [
-    skipWs();
-    if (peek() == ']') {
-      ++Pos;
-      return true;
-    }
-    while (true) {
-      skipWs();
-      if (!value())
-        return false;
-      skipWs();
-      if (peek() == ',') {
-        ++Pos;
-        continue;
-      }
-      if (peek() == ']') {
-        ++Pos;
-        return true;
-      }
-      return false;
-    }
-  }
-  bool string() {
-    if (peek() != '"')
-      return false;
-    ++Pos;
-    while (Pos < S.size()) {
-      char C = S[Pos];
-      if (C == '\\') {
-        Pos += 2;
-        continue;
-      }
-      if (C == '"') {
-        ++Pos;
-        return true;
-      }
-      if (static_cast<unsigned char>(C) < 0x20)
-        return false; // control characters must be escaped
-      ++Pos;
-    }
-    return false;
-  }
-  bool number() {
-    size_t Start = Pos;
-    if (peek() == '-')
-      ++Pos;
-    while (Pos < S.size() && (std::isdigit(S[Pos]) || S[Pos] == '.' ||
-                              S[Pos] == 'e' || S[Pos] == 'E' ||
-                              S[Pos] == '+' || S[Pos] == '-'))
-      ++Pos;
-    return Pos > Start;
-  }
-  bool literal(const char *L) {
-    size_t N = std::string(L).size();
-    if (S.compare(Pos, N, L) != 0)
-      return false;
-    Pos += N;
-    return true;
-  }
-  char peek() const { return Pos < S.size() ? S[Pos] : '\0'; }
-  void skipWs() {
-    while (Pos < S.size() && (S[Pos] == ' ' || S[Pos] == '\t'))
-      ++Pos;
-  }
-
-  const std::string &S;
-  size_t Pos = 0;
-};
+using json_checker::JsonChecker;
 
 /// Extracts the value of a top-level "key":"value" string field.
 std::string stringField(const std::string &Line, const std::string &Key) {

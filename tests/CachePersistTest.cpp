@@ -514,13 +514,14 @@ TEST(CachePersistTest, CorruptSnapshotIsSkippedWithANote) {
 }
 
 // Format version 2 dropped the viable CNF from stored verdicts, version 3
-// the transfer memo and the round counter from run records, and version 4
-// packed escape states into words. A well-formed file of an older version
+// the transfer memo and the round counter from run records, version 4
+// packed escape states into words, and version 5 names a run's family by
+// its property text. A well-formed file of an older version
 // (valid magic and checksum) must be refused with the structured version
 // note, and the service must start cold with exactly the verdicts of a
 // fresh run.
 TEST(CachePersistTest, OlderVersionSnapshotsAreRejectedAndStartCold) {
-  for (uint8_t Version : {1, 2, 3}) {
+  for (uint8_t Version : {1, 2, 3, 4}) {
     SCOPED_TRACE("format version " + std::to_string(Version));
     TempDir Dir("v" + std::to_string(Version));
     {
@@ -722,6 +723,64 @@ TEST(CachePersistTest, DamagedEscStateRecordIsRefusedWithANote) {
       Noted = Noted || (N.find(D.Note) != std::string::npos &&
                         N.find("snapshot") != std::string::npos);
     EXPECT_TRUE(Noted) << "no structured note names the damaged record";
+  }
+}
+
+// A run record names its client, property and site. In the escape
+// section of a checksummed snapshot, a first record that claims the
+// type-state client, or a property, is refused structurally: no run
+// loads and the note names the record.
+TEST(CachePersistTest, RunRecordKeyMustBelongToItsClientSection) {
+  struct Damage {
+    const char *Name;
+    size_t Offset; ///< from the start of the record: client, property
+    char Byte;
+  };
+  const Damage Damages[] = {{"type-state client byte", 0, 1},
+                            {"non-empty property", 1, 1}};
+  for (const Damage &D : Damages) {
+    SCOPED_TRACE(D.Name);
+    TempDir Dir("runkey");
+    service::AnalysisService Svc(warmOptions(Dir.Path));
+    answerAllChecks(Svc, EscapeProgram);
+    ASSERT_TRUE(Svc.cacheOp("persist").Ok);
+    std::string Snap = onlySnapshotIn(Dir.Path);
+    ASSERT_FALSE(Snap.empty());
+
+    // Walk the header, fingerprint and verdicts to the first run record.
+    tracer::SnapshotReader R;
+    ASSERT_TRUE(R.open(Snap)) << R.error();
+    std::string Text;
+    uint8_t B = 0;
+    uint32_t N = 0, U = 0, NumVerdicts = 0, NumRuns = 0;
+    uint64_t H = 0;
+    ASSERT_TRUE(R.str(Text) && R.u32(N));
+    for (uint32_t I = 0; I < N; ++I)
+      ASSERT_TRUE(R.str(Text) && R.u64(H) && R.u64(H));
+    for (int I = 0; I < 8; ++I)
+      ASSERT_TRUE(R.u32(U));
+    ASSERT_TRUE(R.u32(NumVerdicts));
+    for (uint32_t I = 0; I < NumVerdicts; ++I)
+      ASSERT_TRUE(R.u8(B) && R.str(Text) && R.u32(U) && R.str(Text) &&
+                  R.u32(U) && R.u8(B) && R.u32(U) && R.u32(U) &&
+                  R.str(Text) && R.u32(U) && R.u8(B));
+    ASSERT_TRUE(R.u32(NumRuns));
+    ASSERT_GT(NumRuns, 0u);
+    std::string Bytes = slurp(Snap);
+    ASSERT_EQ(Bytes[R.offset()], 0) << "the escape section comes first";
+    Bytes[R.offset() + D.Offset] = D.Byte;
+    resealSnapshot(Bytes);
+    dump(Snap, Bytes);
+
+    ASSERT_TRUE(Svc.cacheOp("evict").Ok);
+    service::CacheOpResult L = Svc.cacheOp("load");
+    ASSERT_TRUE(L.Ok) << L.Error;
+    EXPECT_EQ(L.RunsLoaded, 0u);
+    bool Noted = false;
+    for (const std::string &Note : L.Notes)
+      Noted = Noted || Note.find("does not belong to its client section") !=
+                           std::string::npos;
+    EXPECT_TRUE(Noted) << "no structured note names the run record";
   }
 }
 
@@ -975,7 +1034,6 @@ TEST(CachePersistTest, HugeClaimedProcCountIsRejectedStructurally) {
   // fail with a structured note - never size a multi-gigabyte loop.
   tracer::SnapshotWriter W;
   W.str("p");
-  W.u64(1);
   W.u32(0xffffffffu);
   std::string Err;
   ASSERT_TRUE(W.commit(Snap, Err)) << Err;
@@ -1125,6 +1183,14 @@ answerTypestate(service::AnalysisService &Svc, const std::string &Property,
   return collect(Svc, Futures);
 }
 
+/// Every result equals the oracle's outcome at the same position.
+void expectOracle(const std::vector<tracer::QueryOutcome> &Want,
+                  const std::vector<service::QueryResult> &Got) {
+  ASSERT_EQ(Got.size(), Want.size());
+  for (size_t I = 0; I < Want.size(); ++I)
+    expectSameVerdict(Want[I], Got[I]);
+}
+
 TEST(CachePersistTest, TypestateWarmRestartLoadsEveryPersistedRun) {
   TempDir Dir("tswarm");
   std::vector<std::pair<uint32_t, uint32_t>> NamedPairs, StressPairs;
@@ -1137,20 +1203,13 @@ TEST(CachePersistTest, TypestateWarmRestartLoadsEveryPersistedRun) {
     Sites.insert(Site);
   ASSERT_GE(Sites.size(), 2u) << "the test needs two tracked sites";
 
-  auto ExpectOracle = [](const std::vector<tracer::QueryOutcome> &Want,
-                         const std::vector<service::QueryResult> &Got) {
-    ASSERT_EQ(Got.size(), Want.size());
-    for (size_t I = 0; I < Want.size(); ++I)
-      expectSameVerdict(Want[I], Got[I]);
-  };
-
   // First life: both families answer cold, then persist.
   uint64_t Persisted = 0;
   {
     service::AnalysisService Svc(warmOptions(Dir.Path));
     ASSERT_TRUE(Svc.registerProgram("p", TypestateProgram).Ok);
-    ExpectOracle(WantNamed, answerTypestate(Svc, FileProperty, NamedPairs));
-    ExpectOracle(WantStress, answerTypestate(Svc, "", StressPairs));
+    expectOracle(WantNamed, answerTypestate(Svc, FileProperty, NamedPairs));
+    expectOracle(WantStress, answerTypestate(Svc, "", StressPairs));
     EXPECT_GT(Svc.stats().ForwardRuns, 0u);
     service::CacheOpResult R = Svc.cacheOp("persist");
     ASSERT_TRUE(R.Ok) << R.Error;
@@ -1176,15 +1235,15 @@ TEST(CachePersistTest, TypestateWarmRestartLoadsEveryPersistedRun) {
 
   // Same sessions: every verdict replays. A different options signature
   // cannot replay, so its driver runs - entirely on the loaded runs.
-  ExpectOracle(WantNamed, answerTypestate(Svc, FileProperty, NamedPairs));
-  ExpectOracle(WantStress, answerTypestate(Svc, "", StressPairs));
+  expectOracle(WantNamed, answerTypestate(Svc, FileProperty, NamedPairs));
+  expectOracle(WantStress, answerTypestate(Svc, "", StressPairs));
   EXPECT_EQ(Svc.stats().VerdictsReplayed,
             NamedPairs.size() + StressPairs.size());
   Config Other;
   Other.Execution.MaxItersPerQuery = 99;
-  ExpectOracle(WantNamed,
+  expectOracle(WantNamed,
                answerTypestate(Svc, FileProperty, NamedPairs, Other));
-  ExpectOracle(WantStress, answerTypestate(Svc, "", StressPairs, Other));
+  expectOracle(WantStress, answerTypestate(Svc, "", StressPairs, Other));
   service::ServiceStats S = Svc.stats();
   EXPECT_EQ(S.ForwardRuns, 0u);
   EXPECT_GT(S.CacheHits, 0u);
@@ -1221,6 +1280,78 @@ TEST(CachePersistTest, SpilledTypestateRunsRehydrate) {
   ASSERT_TRUE(St.Ok);
   EXPECT_GT(St.SpillLoads, 0u);
   EXPECT_EQ(St.SpillLoads, ColdForwardRuns);
+}
+
+// Two services that share a cache dir hand out family indices in their
+// own first-use order, so each one's first property gets the same index.
+// A spill file names its run by the property text: a peer's first session
+// on another property must not rehydrate the first service's runs.
+TEST(CachePersistTest, PeerSpillFilesOfAnotherPropertyAreNotServed) {
+  TempDir Dir("tspeerspill");
+  std::vector<std::pair<uint32_t, uint32_t>> NamedPairs, StressPairs;
+  typestateOracle(TypestateProgram, true, NamedPairs);
+  std::vector<tracer::QueryOutcome> Want =
+      typestateOracle(TypestateProgram, false, StressPairs);
+
+  service::AnalysisService First(warmOptions(Dir.Path));
+  ASSERT_TRUE(First.registerProgram("p", TypestateProgram).Ok);
+  answerTypestate(First, FileProperty, NamedPairs);
+  service::CacheOpResult Sp = First.cacheOp("spill");
+  ASSERT_TRUE(Sp.Ok) << Sp.Error;
+  ASSERT_GT(Sp.Spilled, 0u);
+
+  service::AnalysisService Peer(warmOptions(Dir.Path));
+  ASSERT_TRUE(Peer.registerProgram("p", TypestateProgram).Ok);
+  Config Other;
+  Other.Execution.MaxItersPerQuery = 99;
+  expectOracle(Want, answerTypestate(Peer, "", StressPairs, Other));
+  EXPECT_GT(Peer.stats().ForwardRuns, 0u);
+  service::CacheOpResult St = Peer.cacheOp("stats");
+  ASSERT_TRUE(St.Ok);
+  EXPECT_EQ(St.SpillLoads, 0u) << "a peer's spill file was served";
+}
+
+// The same index collision through a snapshot: the peer persists (merging
+// the first service's snapshot on the side) while its own first property
+// holds the index the snapshot's property had. The persist must change
+// nothing live, so the peer's next session on that property computes its
+// own runs instead of hitting the other property's.
+TEST(CachePersistTest, PeerSnapshotMergeLeavesFamilyIndicesAlone) {
+  TempDir Dir("tspeermerge");
+  std::vector<std::pair<uint32_t, uint32_t>> NamedPairs, StressPairs;
+  std::vector<tracer::QueryOutcome> WantNamed =
+      typestateOracle(TypestateProgram, true, NamedPairs);
+  std::vector<tracer::QueryOutcome> WantStress =
+      typestateOracle(TypestateProgram, false, StressPairs);
+
+  service::AnalysisService First(warmOptions(Dir.Path));
+  service::AnalysisService Peer(warmOptions(Dir.Path));
+  ASSERT_TRUE(First.registerProgram("p", TypestateProgram).Ok);
+  ASSERT_TRUE(Peer.registerProgram("p", TypestateProgram).Ok);
+  answerTypestate(Peer, FileProperty, NamedPairs);
+  answerTypestate(First, "", StressPairs);
+  ASSERT_TRUE(First.cacheOp("persist").Ok);
+
+  service::CacheOpResult Before = Peer.cacheOp("stats");
+  service::CacheOpResult Pe = Peer.cacheOp("persist");
+  ASSERT_TRUE(Pe.Ok) << Pe.Error;
+  EXPECT_EQ(Pe.RunsLoaded + Pe.VerdictsLoaded, 0u);
+  EXPECT_GT(Pe.RunsPersisted, Before.Entries) << "the merge lost runs";
+  EXPECT_EQ(Peer.cacheOp("stats").Entries, Before.Entries);
+
+  Config Other;
+  Other.Execution.MaxItersPerQuery = 99;
+  uint64_t RunsBefore = Peer.stats().ForwardRuns;
+  expectOracle(WantStress, answerTypestate(Peer, "", StressPairs, Other));
+  EXPECT_GT(Peer.stats().ForwardRuns, RunsBefore);
+
+  // The merged file serves both properties to a third service.
+  service::AnalysisService Warm(warmOptions(Dir.Path));
+  ASSERT_TRUE(Warm.registerProgram("p", TypestateProgram).Ok);
+  expectOracle(WantNamed,
+               answerTypestate(Warm, FileProperty, NamedPairs, Other));
+  expectOracle(WantStress, answerTypestate(Warm, "", StressPairs, Other));
+  EXPECT_EQ(Warm.stats().ForwardRuns, 0u);
 }
 
 TEST(CachePersistTest, MixedSnapshotAfterAnEditSkipsExactlyTheStaleParts) {

@@ -444,8 +444,10 @@ struct ServeClient {
   }
 };
 
-/// One serve lifetime: register prog0, answer every check, return the
-/// result lines plus the final forward_runs / verdicts_replayed counters.
+/// One serve lifetime: register prog0, open one session with the
+/// open-session fields \p Client, answer every check (check J at site J
+/// with \p PerSite), and return the result lines plus the final
+/// forward_runs / verdicts_replayed counters.
 struct ServeLife {
   std::vector<std::string> Results;
   uint64_t ForwardRuns = 0;
@@ -453,7 +455,10 @@ struct ServeLife {
 };
 
 ServeLife runServeLife(ServeClient &C, const std::string &Text,
-                       unsigned Checks) {
+                       unsigned Checks,
+                       const std::string &Client = "\"client\":\"escape\","
+                                                   "\"k\":2",
+                       bool PerSite = false) {
   ServeLife Life;
   JsonObject Reg;
   Reg.field("op", "register-program");
@@ -461,8 +466,8 @@ ServeLife runServeLife(ServeClient &C, const std::string &Text,
   Reg.field("text", Text);
   EXPECT_NE(C.rpc(Reg.str()).find("\"ok\":true"), std::string::npos);
   EXPECT_NE(
-      C.rpc("{\"op\":\"open-session\",\"program\":\"prog0\","
-            "\"client\":\"escape\",\"k\":2}")
+      C.rpc("{\"op\":\"open-session\",\"program\":\"prog0\"," + Client +
+            "}")
           .find("\"ok\":true"),
       std::string::npos);
   for (unsigned J = 0; J < Checks; ++J) {
@@ -470,6 +475,8 @@ ServeLife runServeLife(ServeClient &C, const std::string &Text,
     Sub.field("op", "submit");
     Sub.field("session", 1);
     Sub.field("check", J);
+    if (PerSite)
+      Sub.field("site", J);
     EXPECT_NE(C.rpc(Sub.str()).find("\"ok\":true"), std::string::npos);
   }
   Life.Results = C.drain();
@@ -532,6 +539,75 @@ TEST_F(ChaosTest, SigkilledWorkerRestartsWarmFromTheCacheTier) {
     C.Proc.reap(30000);
   }
 
+  std::string Cleanup = "rm -rf '" + Dir + "'";
+  (void)::system(Cleanup.c_str());
+}
+
+// Two tracked sites; check J tracks site J. x's close goes through an
+// alias, so the named file property needs both names tracked.
+const char *TypestateText = "proc main {\n"
+                            "  call p1;\n"
+                            "  call p2;\n"
+                            "}\n"
+                            "proc p1 {\n"
+                            "  x = new h1;\n"
+                            "  y = x;\n"
+                            "  x.open();\n"
+                            "  y.close();\n"
+                            "  check(x, closed);\n"
+                            "}\n"
+                            "proc p2 {\n"
+                            "  f = new h2;\n"
+                            "  g = f;\n"
+                            "  f.open();\n"
+                            "  check(g, opened);\n"
+                            "}\n";
+
+// Two live workers on one --cache-dir. The first answers the named file
+// property and spills its runs; the second's first session uses the
+// stress property, which gets the same in-process family index there. A
+// spill file names its run by the property text, so the second worker
+// computes its own runs and its result lines equal a worker's without a
+// cache tier.
+TEST_F(ChaosTest, PeerWorkersOnOneCacheDirServeOnlyTheirOwnProperty) {
+  std::string Tag = std::to_string(static_cast<long>(::getpid()));
+  std::string Dir = "/tmp/optabs-chaos-peer-" + Tag;
+  ::mkdir(Dir.c_str(), 0700);
+  const std::string Stress = "\"client\":\"typestate\"";
+  const std::string Named =
+      Stress + ",\"property\":\"init=closed; open: closed->opened, "
+               "opened->ERR; close: opened->closed, closed->ERR\"";
+  const unsigned Checks = 2;
+
+  ServeLife Oracle;
+  {
+    ServeClient C =
+        ServeClient::spawn("/tmp/optabs-peer-oracle-" + Tag + ".sock", {});
+    Oracle = runServeLife(C, TypestateText, Checks, Stress, true);
+    C.rpc("{\"op\":\"shutdown\"}");
+    C.Proc.reap(30000);
+  }
+  ASSERT_EQ(Oracle.Results.size(), Checks);
+  ASSERT_GT(Oracle.ForwardRuns, 0u);
+
+  ServeClient First = ServeClient::spawn(
+      "/tmp/optabs-warm-life1-" + Tag + ".sock", {"--cache-dir=" + Dir});
+  ServeLife Cold = runServeLife(First, TypestateText, Checks, Named, true);
+  ASSERT_EQ(Cold.Results.size(), Checks);
+  std::string Sp = First.rpc("{\"op\":\"cache\",\"action\":\"spill\"}");
+  EXPECT_NE(Sp.find("\"ok\":true"), std::string::npos) << Sp;
+  EXPECT_EQ(Sp.find("\"spilled\":0,"), std::string::npos) << Sp;
+
+  ServeClient Peer = ServeClient::spawn(
+      "/tmp/optabs-warm-life2-" + Tag + ".sock", {"--cache-dir=" + Dir});
+  ServeLife Got = runServeLife(Peer, TypestateText, Checks, Stress, true);
+  EXPECT_EQ(Got.Results, Oracle.Results);
+  EXPECT_EQ(Got.ForwardRuns, Oracle.ForwardRuns);
+
+  for (ServeClient *C : {&First, &Peer}) {
+    C->rpc("{\"op\":\"shutdown\"}");
+    C->Proc.reap(30000);
+  }
   std::string Cleanup = "rm -rf '" + Dir + "'";
   (void)::system(Cleanup.c_str());
 }

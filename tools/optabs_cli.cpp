@@ -12,7 +12,8 @@
 //   --property=SPEC             type-state automaton; without it the §6
 //                               stress property (must-alias precision) runs
 //   --k=N                       dropk beam width (default 5; 0 = exact)
-//   --strategy=tracer|eliminate-current|greedy-grow
+//   --strategy=NAME             search strategy, one of StrategyNames
+//                               (support/Config.h; default tracer)
 //   --max-iters=N               per-query iteration budget (default 100)
 //   --traces-per-iter=N         counterexamples per failed iteration
 //   --threads=N                 worker threads (1 = sequential, 0 = all)
@@ -84,7 +85,7 @@ bool parseArgs(int Argc, char **Argv, support::ArgParser &Args,
       .option("--property", &Opts.Property, "type-state automaton spec")
       .option("--k", &C.Execution.K, "dropk beam width (0 = exact)")
       .option("--strategy", &C.Execution.Strategy,
-              "tracer, eliminate-current or greedy-grow")
+              strategyNameList().c_str())
       .option("--max-iters", &C.Execution.MaxItersPerQuery,
               "per-query iteration budget")
       .option("--traces-per-iter", &C.Execution.TracesPerIteration,

@@ -69,7 +69,6 @@
 
 #include "service/Transport.h"
 
-#include <csignal>
 #include <future>
 #include <iostream>
 #include <map>
@@ -81,26 +80,6 @@ using namespace optabs;
 using tracer::JsonObject;
 
 namespace {
-
-/// Set by the SIGTERM/SIGINT handler; the request loop checks it after
-/// every interrupted or completed read and runs the graceful path.
-volatile sig_atomic_t GShutdownSignal = 0;
-
-void onShutdownSignal(int Sig) { GShutdownSignal = Sig; }
-
-/// Installed without SA_RESTART so a signal interrupts the blocking
-/// read()/poll()/accept() with EINTR instead of silently restarting it.
-void installSignalHandlers() {
-  struct sigaction SA {};
-  SA.sa_handler = onShutdownSignal;
-  sigemptyset(&SA.sa_mask);
-  SA.sa_flags = 0;
-  sigaction(SIGTERM, &SA, nullptr);
-  sigaction(SIGINT, &SA, nullptr);
-  // A client vanishing mid-response must surface as a write error, not
-  // kill the server.
-  signal(SIGPIPE, SIG_IGN);
-}
 
 struct ServerState {
   std::unique_ptr<service::AnalysisService> Svc;
@@ -181,13 +160,6 @@ std::string resultLine(const service::QueryResult &R) {
   }
   return O.str();
 }
-
-/// Why the per-connection request loop returned.
-enum class LoopExit {
-  Shutdown,     ///< "shutdown" op: stop the whole server
-  Disconnected, ///< EOF/error on this connection: accept the next one
-  Signalled,    ///< SIGTERM/SIGINT: graceful shutdown
-};
 
 /// Handles one parsed request line. Returns false for "shutdown".
 bool handleRequest(ServerState &St, const std::string &Line,
@@ -502,44 +474,6 @@ bool handleRequest(ServerState &St, const std::string &Line,
   return true;
 }
 
-/// Serves one connection until shutdown, disconnect, or a signal.
-/// \p ReadTimeoutMs only applies to socket connections (stdio blocks).
-LoopExit requestLoop(ServerState &St, service::LineChannel &Ch,
-                     int ReadTimeoutMs) {
-  std::string Line;
-  for (;;) {
-    if (GShutdownSignal)
-      return LoopExit::Signalled;
-    service::LineChannel::ReadStatus RS = Ch.readLine(Line, ReadTimeoutMs);
-    switch (RS) {
-    case service::LineChannel::ReadStatus::Line:
-      break;
-    case service::LineChannel::ReadStatus::Eof:
-    case service::LineChannel::ReadStatus::Error:
-      return LoopExit::Disconnected;
-    case service::LineChannel::ReadStatus::Timeout:
-      // Structured goodbye, then drop the connection: a silent peer must
-      // not pin the accept loop forever.
-      Ch.writeLine(service::errorLine(
-          "", "read timeout after " + std::to_string(ReadTimeoutMs) +
-                  "ms; closing connection"));
-      return LoopExit::Disconnected;
-    case service::LineChannel::ReadStatus::Overflow:
-      Ch.writeLine(service::errorLine(
-          "", "request line exceeds " + std::to_string(Ch.maxLineBytes()) +
-                  " bytes; line dropped"));
-      continue;
-    case service::LineChannel::ReadStatus::Interrupted:
-      continue; // loop top re-checks the signal flag
-    }
-    if (Line.empty() || Line[0] == '#')
-      continue; // blank lines and comments keep scripted sessions readable
-    ++St.LineSeq;
-    if (!handleRequest(St, Line, Ch))
-      return LoopExit::Shutdown;
-  }
-}
-
 struct ServeFlags {
   service::ListenSpec Listen;
   uint64_t ReadTimeoutMs = 0; ///< 0 = never time a connection out
@@ -554,35 +488,17 @@ int serve(const Config &Base, const ServeFlags &F) {
   ServerState St;
   St.Svc = std::make_unique<service::AnalysisService>(std::move(Opts));
 
-  if (F.Listen.K == service::ListenSpec::Kind::Stdio) {
-    service::LineChannel Ch(0, 1, /*OwnsFds=*/false, F.MaxLineBytes);
-    requestLoop(St, Ch, /*ReadTimeoutMs=*/-1);
-  } else {
-    service::Listener L;
-    std::string Err;
-    if (!service::Listener::open(F.Listen, L, Err)) {
-      std::cerr << "error: " << Err << "\n";
-      return 1;
-    }
-    int ConnTimeout =
-        F.ReadTimeoutMs ? static_cast<int>(F.ReadTimeoutMs) : -1;
-    bool Running = true;
-    while (Running && !GShutdownSignal) {
-      bool TimedOut = false, Interrupted = false;
-      service::LineChannel Ch =
-          L.acceptChannel(/*TimeoutMs=*/500, TimedOut, Interrupted,
-                          F.MaxLineBytes);
-      if (!Ch.valid())
-        continue; // timeout/EINTR: re-check the shutdown flag
-      switch (requestLoop(St, Ch, ConnTimeout)) {
-      case LoopExit::Shutdown:
-      case LoopExit::Signalled:
-        Running = false;
-        break;
-      case LoopExit::Disconnected:
-        break; // the service outlives the connection; accept the next
-      }
-    }
+  std::string Err;
+  service::ServeExit Exit = service::serveLines(
+      F.Listen, F.MaxLineBytes, F.ReadTimeoutMs,
+      [&St](const std::string &Line, service::LineChannel &Ch) {
+        ++St.LineSeq;
+        return handleRequest(St, Line, Ch);
+      },
+      Err);
+  if (Exit == service::ServeExit::ListenFailed) {
+    std::cerr << "error: " << Err << "\n";
+    return 1;
   }
 
   // Graceful shutdown - identical for the "shutdown" op, EOF, and
@@ -688,6 +604,6 @@ int main(int Argc, char **Argv) {
   Base.Observability.MetricsPath = F.MetricsPath;
   if (!F.MetricsPath.empty())
     support::setMetricsEnabled(true);
-  installSignalHandlers();
+  service::installShutdownSignals();
   return serve(Base, F);
 }

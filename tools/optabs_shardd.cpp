@@ -23,7 +23,6 @@
 #include "service/Transport.h"
 #include "support/Args.h"
 
-#include <csignal>
 #include <iostream>
 #include <string>
 #include <unistd.h>
@@ -32,20 +31,6 @@
 using namespace optabs;
 
 namespace {
-
-volatile sig_atomic_t GShutdownSignal = 0;
-
-void onShutdownSignal(int Sig) { GShutdownSignal = Sig; }
-
-void installSignalHandlers() {
-  struct sigaction SA;
-  SA.sa_handler = onShutdownSignal;
-  sigemptyset(&SA.sa_mask);
-  SA.sa_flags = 0; // no SA_RESTART: blocking reads return EINTR
-  sigaction(SIGTERM, &SA, nullptr);
-  sigaction(SIGINT, &SA, nullptr);
-  signal(SIGPIPE, SIG_IGN);
-}
 
 /// The directory this binary lives in, so the default worker path is the
 /// sibling optabs-serve regardless of the caller's cwd.
@@ -58,46 +43,6 @@ std::string selfDirectory() {
   std::string Path(Buf);
   size_t Slash = Path.rfind('/');
   return Slash == std::string::npos ? "." : Path.substr(0, Slash);
-}
-
-/// Serves one connection; returns false when the session asked the whole
-/// supervisor to shut down (or a signal arrived).
-bool requestLoop(service::ShardRouter &Router, service::LineChannel &Ch,
-                 int ReadTimeoutMs) {
-  std::string Line;
-  std::vector<std::string> Out;
-  for (;;) {
-    if (GShutdownSignal)
-      return false;
-    service::LineChannel::ReadStatus RS = Ch.readLine(Line, ReadTimeoutMs);
-    switch (RS) {
-    case service::LineChannel::ReadStatus::Line:
-      break;
-    case service::LineChannel::ReadStatus::Eof:
-    case service::LineChannel::ReadStatus::Error:
-      return true;
-    case service::LineChannel::ReadStatus::Timeout:
-      Ch.writeLine(service::errorLine(
-          "", "read timeout after " + std::to_string(ReadTimeoutMs) +
-                  "ms; closing connection"));
-      return true;
-    case service::LineChannel::ReadStatus::Overflow:
-      Ch.writeLine(service::errorLine(
-          "", "request line exceeds " + std::to_string(Ch.maxLineBytes()) +
-                  " bytes; line dropped"));
-      continue;
-    case service::LineChannel::ReadStatus::Interrupted:
-      continue; // loop top re-checks the signal flag
-    }
-    if (Line.empty() || Line[0] == '#')
-      continue;
-    Out.clear();
-    bool KeepGoing = Router.handleLine(Line, Out);
-    for (const std::string &Resp : Out)
-      Ch.writeLine(Resp);
-    if (!KeepGoing)
-      return false;
-  }
 }
 
 } // namespace
@@ -208,7 +153,7 @@ int main(int Argc, char **Argv) {
     I = J + 1;
   }
 
-  installSignalHandlers();
+  service::installShutdownSignals();
 
   service::ProcessShardHost Host(HO);
   service::ShardRouter Router(RO, Host);
@@ -217,37 +162,25 @@ int main(int Argc, char **Argv) {
     return 1;
   }
 
-  bool CleanShutdown = true;
-  if (ListenSpec.K == service::ListenSpec::Kind::Stdio) {
-    service::LineChannel Ch(0, 1, /*OwnsFds=*/false,
-                            static_cast<size_t>(MaxLineBytes));
-    CleanShutdown = !requestLoop(Router, Ch, /*ReadTimeoutMs=*/-1);
-  } else {
-    service::Listener L;
-    if (!service::Listener::open(ListenSpec, L, Err)) {
-      std::cerr << "error: " << Err << "\n";
-      return 1;
-    }
-    int ConnTimeout = ReadTimeoutMs ? static_cast<int>(ReadTimeoutMs) : -1;
-    CleanShutdown = false;
-    while (!GShutdownSignal) {
-      bool TimedOut = false, Interrupted = false;
-      service::LineChannel Ch = L.acceptChannel(
-          /*TimeoutMs=*/500, TimedOut, Interrupted,
-          static_cast<size_t>(MaxLineBytes));
-      if (!Ch.valid())
-        continue; // timeout/EINTR: re-check the shutdown flag
-      if (!requestLoop(Router, Ch, ConnTimeout)) {
-        CleanShutdown = true;
-        break;
-      }
-      // EOF: the supervisor (and its workers) outlive the connection.
-    }
+  std::vector<std::string> Out;
+  service::ServeExit Exit = service::serveLines(
+      ListenSpec, static_cast<size_t>(MaxLineBytes), ReadTimeoutMs,
+      [&](const std::string &Line, service::LineChannel &Ch) {
+        Out.clear();
+        bool KeepGoing = Router.handleLine(Line, Out);
+        for (const std::string &Resp : Out)
+          Ch.writeLine(Resp);
+        return KeepGoing;
+      },
+      Err);
+  if (Exit == service::ServeExit::ListenFailed) {
+    std::cerr << "error: " << Err << "\n";
+    return 1;
   }
 
-  // Signal or accept-loop exit without a shutdown op: run the same
-  // graceful path the op runs, so workers drain and dump artifacts.
-  if (!CleanShutdown || GShutdownSignal) {
+  // Signal or EOF without a shutdown op: run the same graceful path the
+  // op runs, so workers drain and dump artifacts.
+  if (Exit != service::ServeExit::Shutdown) {
     std::vector<std::string> Dropped;
     Router.handleLine("{\"op\":\"shutdown\"}", Dropped);
   }
